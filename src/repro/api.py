@@ -158,7 +158,7 @@ class Connection:
         """
         self._check_open()
         tracer = None
-        if analyze or self.config.traces:
+        if analyze or self.config.effective("trace"):
             from .obs import Tracer
 
             tracer = Tracer(engine=self.config.spec)
@@ -246,16 +246,10 @@ class Connection:
         describes the plan this connection executes."""
         self._check_open()
         config = self.config
-        if analyze:
-            no_fuse = no_morsel = False
-        if (no_fuse and config.fusion) or (no_morsel and config.morsel):
-            from dataclasses import replace
-
-            config = replace(
-                config,
-                fusion=config.fusion and not no_fuse,
-                morsel=config.morsel and not no_morsel,
-            )
+        if no_fuse and not analyze:
+            config = config.with_knob_off("fusion")
+        if no_morsel and not analyze:
+            config = config.with_knob_off("morsel")
         entry, program = self.plan_cache.prepare(
             sql, config, self.database.schema, name=name
         )
@@ -378,8 +372,7 @@ class Connection:
             sql, self.config, self.database.schema, name=name
         )
         if timeout is None:
-            spec_timeout = getattr(self.config, "timeout_s", 0.0)
-            timeout = spec_timeout if spec_timeout > 0 else None
+            timeout = self.config.effective("timeout") or None
         return self.scheduler.submit(
             entry, name=name, timeout=timeout, program=program
         )

@@ -2,7 +2,7 @@
 configurations, microbenchmark and TPC-H drivers, and paper-style
 reporting.  (Layer map: ARCHITECTURE.md; figure recipes: README.md.)"""
 
-from .configs import ALL_LABELS, CONFIGS, EngineConfig
+from .configs import ALL_LABELS, EngineConfig
 from .harness import BenchContext, Measurement, Series, uniform_column
 from .report import (
     format_series,
@@ -15,7 +15,6 @@ from .report import (
 __all__ = [
     "ALL_LABELS",
     "BenchContext",
-    "CONFIGS",
     "EngineConfig",
     "Measurement",
     "Series",

@@ -8,35 +8,18 @@ GPU    Ocelot on the (simulated) NVIDIA GTX 460
 HET    heterogeneous scheduler owning CPU *and* GPU (§7 extension)
 =====  ==========================================================
 
-Each is registered as a (parameterless) family in the engine registry
-(:mod:`repro.engines`); ``CONFIGS`` remains as the benchmarks' view of
-the five legacy labels, resolved through that registry.  Composable
-engines — the sharded multi-node engine (:mod:`repro.shard`) — register
-alongside them and are addressed by spec strings like ``"SHARD:4xHET"``.
+Each is registered as a family in the engine registry
+(:mod:`repro.engines`).  Composable engines — the sharded multi-node
+engine (:mod:`repro.shard`) — register alongside them and are addressed
+by spec strings like ``"SHARD:4xHET"``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from ..engines import (
-    ADMISSION_PARAM,
-    COMPRESSION_PARAM,
-    FUSION_OFF,
-    MORSEL_PARAM,
-    OBS_SLOW_PARAM,
-    TIMEOUT_PARAM,
-    TRACE_PARAM,
     EngineConfig,
     EngineFamily,
     EngineSpec,
-    default_registry,
-    parse_admission_setting,
-    parse_compression_setting,
-    parse_morsel_setting,
-    parse_slow_ms_setting,
-    parse_timeout_setting,
-    parse_trace_setting,
     register_engine,
 )
 from ..monetdb.backends import MonetDBParallel, MonetDBSequential
@@ -45,7 +28,6 @@ from ..sched.backend import HeterogeneousBackend
 
 __all__ = [
     "ALL_LABELS",
-    "CONFIGS",
     "EngineConfig",
     "HET_LABELS",
 ]
@@ -53,46 +35,20 @@ __all__ = [
 
 def _simple_family(name: str, description: str, make, *, is_ocelot: bool,
                    pipelines_sessions: bool = False) -> EngineFamily:
-    """A family resolving to one fixed configuration.
-
-    Every family accepts the ``fusion=off`` flag (e.g.
-    ``"CPU:fusion=off"``) for A/B comparison against the operator-fusion
-    pass (see :mod:`repro.fuse`), the ``morsel=off`` / ``morsel=<rows>``
-    parameter controlling morsel-driven execution (see
-    :mod:`repro.morsel`), the ``compression=off|auto|dict|rle|for``
-    parameter controlling compressed execution (see
-    :mod:`repro.compress`), the serving-tier ``timeout=<s>`` /
-    ``admission=<n>`` parameters (see :mod:`repro.serve`), and the
-    observability ``trace=on|off`` / ``obs_slow_ms=<ms>`` parameters
-    (see :mod:`repro.obs`)."""
+    """A family resolving to one fixed configuration (plus the
+    engine knobs every family accepts, :data:`repro.engines.KNOBS`)."""
 
     def configure(spec: EngineSpec, registry) -> EngineConfig:
-        morsel, morsel_size = parse_morsel_setting(spec)
         return EngineConfig(
             label=name,
             make=make,
             is_ocelot=is_ocelot,
             description=description,
             pipelines_sessions=pipelines_sessions,
-            fusion=FUSION_OFF not in spec.flags,
-            morsel=morsel,
-            morsel_size=morsel_size,
-            timeout_s=parse_timeout_setting(spec),
-            admission=parse_admission_setting(spec),
-            compression=parse_compression_setting(spec),
-            trace=parse_trace_setting(spec),
-            obs_slow_ms=parse_slow_ms_setting(spec),
-            spec=spec.canonical,
         )
 
     return EngineFamily(name=name, configure=configure,
-                        description=description, syntax=name,
-                        allowed_flags=frozenset({FUSION_OFF}),
-                        allowed_params=frozenset({
-                            ADMISSION_PARAM, COMPRESSION_PARAM,
-                            MORSEL_PARAM, OBS_SLOW_PARAM,
-                            TIMEOUT_PARAM, TRACE_PARAM,
-                        }))
+                        description=description, syntax=name)
 
 
 register_engine(_simple_family(
@@ -122,32 +78,6 @@ register_engine(_simple_family(
     pipelines_sessions=True,
 ))
 
-
-class _RegistryView(Mapping):
-    """Live, read-only view of the legacy labels over the registry.
-
-    Kept so benchmark code (and downstream users) can keep writing
-    ``CONFIGS[label]``; lookups resolve through the registry, so a
-    family override via :func:`repro.register_engine` is visible here
-    too.  The mapping contract is the legacy dict's: exactly the five
-    paper labels (case-sensitive), ``KeyError`` on anything else.
-    """
-
-    _LABELS = ("MS", "MP", "CPU", "GPU", "HET")
-
-    def __getitem__(self, label: str) -> EngineConfig:
-        if label not in self._LABELS:
-            raise KeyError(label)
-        return default_registry.resolve(label)
-
-    def __iter__(self):
-        return iter(self._LABELS)
-
-    def __len__(self) -> int:
-        return len(self._LABELS)
-
-
-CONFIGS: Mapping = _RegistryView()
 
 #: the paper's figures sweep exactly the four §5.1 configurations; the
 #: HET extension opts in per benchmark (fig. 8) via an explicit labels

@@ -21,7 +21,8 @@ from ..monetdb.interpreter import Backend, run_program
 from ..monetdb.mal import MALProgram
 from ..monetdb.storage import Catalog
 from ..ocelot.memory import OcelotOOM
-from .configs import ALL_LABELS, CONFIGS, EngineConfig
+from ..engines import EngineConfig, default_registry
+from .configs import ALL_LABELS
 
 
 @dataclass
@@ -71,13 +72,13 @@ class BenchContext:
 
     def backend(self, label: str) -> Backend:
         if label not in self._backends:
-            self._backends[label] = CONFIGS[label].make(
+            self._backends[label] = self.config(label).make(
                 self.catalog, self.data_scale
             )
         return self._backends[label]
 
     def config(self, label: str) -> EngineConfig:
-        return CONFIGS[label]
+        return default_registry.resolve(label)
 
     # -- measurement ---------------------------------------------------------
 

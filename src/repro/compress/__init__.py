@@ -11,9 +11,8 @@ bind-direct selections, groupings and aggregations to the
 ``compress.*`` operator set (:mod:`~repro.compress.ops`), which
 evaluates them over the narrow payloads — code-domain comparisons,
 run-level folds — and falls back to a whole-column decode whenever a
-column turned out plain.  Gated by the ``compression=off|auto|dict|
-rle|for`` spec parameter on every engine family and the
-``REPRO_COMPRESSION`` environment override; observability through
+column turned out plain.  Gated by the ``compression`` engine knob
+(:data:`repro.engines.KNOBS`); observability through
 ``Connection.compression`` (:class:`~repro.compress.stats.CompressionStats`).
 """
 
@@ -27,19 +26,11 @@ from .codecs import (
 )
 from .encoded import EncodedBAT
 from .ops import register_compress_ops
-from .passes import (
-    COMPRESSION_ENV,
-    MODES,
-    compress_program,
-    effective_compression,
-    env_compression,
-    storage_mode,
-)
+from .passes import MODES, compress_program
 from .stats import CompressionStats
 
 __all__ = [
     "CODEC_KINDS",
-    "COMPRESSION_ENV",
     "CompressionStats",
     "DictEncoding",
     "EncodedBAT",
@@ -49,8 +40,5 @@ __all__ = [
     "RLEEncoding",
     "choose_encoding",
     "compress_program",
-    "effective_compression",
-    "env_compression",
     "register_compress_ops",
-    "storage_mode",
 ]

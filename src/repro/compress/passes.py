@@ -1,19 +1,14 @@
-"""The compression rewrite pass and its gating.
+"""The compression rewrite pass.
 
 Mirrors ``fuse``/``morsel``: a plan-level pass
 (:func:`compress_program`) rewrites operators that consume a **base
 column directly** (the result of ``sql.bind``) into their
-compression-aware ``compress.*`` forms, and an environment variable /
-spec parameter pair gates the whole subsystem:
-
-* ``compression=off|auto|dict|rle|for`` — per-engine spec parameter
-  accepted by every family; ``auto`` (the default) lets
-  :func:`~repro.compress.codecs.choose_encoding` pick per column,
-  the codec names restrict it to one family, ``off`` disables both
-  storage encoding and the pass,
-* ``REPRO_COMPRESSION`` — the global override, used by the CI
-  ``compression-off`` A/B job exactly like ``REPRO_FUSION`` /
-  ``REPRO_MORSEL``.
+compression-aware ``compress.*`` forms.  Gated by the ``compression``
+engine knob (:data:`repro.engines.KNOBS`), whose environment override
+is the *storage-time* mode too: ``auto`` (the default) lets
+:func:`~repro.compress.codecs.choose_encoding` pick per column, the
+codec names restrict it to one family, ``off`` disables both storage
+encoding and the pass.
 
 Only bind-direct consumers are rewritten: that is where the encoded
 representation lives (intermediates are plain BATs), and it keeps the
@@ -27,17 +22,11 @@ so compiled-with and compiled-without plans never mix.
 
 from __future__ import annotations
 
-import os
-
+from ..monetdb.dataflow import splice
 from ..monetdb.mal import MALInstruction, MALProgram, Var
 
-#: the global override, like REPRO_FUSION / REPRO_MORSEL
-COMPRESSION_ENV = "REPRO_COMPRESSION"
-
-#: admissible settings for the spec param and the env override
+#: admissible settings of the ``compression`` knob
 MODES = ("off", "auto", "dict", "rle", "for")
-
-_OFF_WORDS = ("off", "0", "false", "no")
 
 #: scalar aggregates with a compressed-domain evaluation
 _SCALAR_AGGS = ("sum", "min", "max", "count", "avg")
@@ -45,31 +34,6 @@ _SCALAR_AGGS = ("sum", "min", "max", "count", "avg")
 #: grouped aggregates with a compressed-domain evaluation (dictionary
 #: order isomorphism: min/max commute with the code mapping)
 _GROUPED_AGGS = ("submin", "submax")
-
-
-def env_compression() -> "str | None":
-    """The ``REPRO_COMPRESSION`` override, normalised, or ``None``."""
-    raw = os.environ.get(COMPRESSION_ENV, "").strip().lower()
-    if not raw:
-        return None
-    if raw in _OFF_WORDS:
-        return "off"
-    if raw in MODES:
-        return raw
-    return None
-
-
-def storage_mode() -> str:
-    """The mode governing *storage-time* encoding (``create_table``)."""
-    return env_compression() or "auto"
-
-
-def effective_compression(config) -> str:
-    """The mode a connection actually runs under: env beats spec."""
-    override = env_compression()
-    if override is not None:
-        return override
-    return getattr(config, "compression", "auto")
 
 
 def compress_program(program: MALProgram, mode: str) -> MALProgram:
@@ -94,22 +58,12 @@ def compress_program(program: MALProgram, mode: str) -> MALProgram:
     def _is_bind(arg) -> bool:
         return isinstance(arg, Var) and arg.name in bind_results
 
-    rewritten = []
-    changed = False
-    for instruction in instructions:
+    replacements = {}
+    for index, instruction in enumerate(instructions):
         replacement = _rewrite(instruction, _is_bind, mode)
         if replacement is not None:
-            rewritten.append(replacement)
-            changed = True
-        else:
-            rewritten.append(instruction)
-    if not changed:
-        return program
-    return MALProgram(
-        name=program.name,
-        instructions=rewritten,
-        result_columns=list(program.result_columns),
-    )
+            replacements[index] = replacement
+    return splice(program, replacements)
 
 
 def _compressed(instruction: MALInstruction, mode: str) -> MALInstruction:

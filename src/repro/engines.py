@@ -24,7 +24,11 @@ Flags are fixed words from the family's ``allowed_flags`` (e.g. the
 universal ``fusion=off`` switch); parameters are ``NAME=VALUE`` pairs
 whose NAME comes from the family's ``allowed_params`` and whose VALUE
 is free-form (validated by the family's ``configure``) — the sharded
-engine uses them for per-table shard-key declarations.
+engine uses them for per-table shard-key declarations.  On top of its
+own arguments every family accepts the engine **knobs** — fusion,
+morsel, compression, trace, obs_slow_ms, timeout, admission — which are
+declared once, in :data:`KNOBS`; :meth:`EngineConfig.plan` runs the one
+plan pipeline, :data:`PHASES`, that they gate.
 
 Parsing yields an :class:`EngineSpec` — ``(family, params)`` plus the
 **canonical** spec string, which is what the plan cache, the serve layer
@@ -39,233 +43,203 @@ way, composing over child engines resolved through the same registry.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Optional
 
+from .compress import passes as compress_passes
+from .fuse import passes as fuse_passes
 from .monetdb.interpreter import Backend
 from .monetdb.mal import MALProgram
 from .monetdb.storage import Catalog
+from .morsel import passes as morsel_passes
+from .ocelot import rewriter
 
 
 class EngineSpecError(ValueError):
     """A connection string failed to parse or names no registered engine."""
 
 
-#: the spec flag every family accepts to disable operator fusion for
-#: one engine instance (A/B comparison), e.g. ``"CPU:fusion=off"``
-FUSION_OFF = "fusion=off"
+# -- the knob table ----------------------------------------------------------
 
-#: the spec parameter every family accepts to control morsel-driven
-#: execution: ``morsel=off`` restores the whole-column path for one
-#: engine instance, ``morsel=<rows>`` tunes the morsel size, e.g.
-#: ``"CPU:morsel=off"`` or ``"HET:morsel=4096"``.  The ``REPRO_MORSEL``
-#: environment variable additionally gates/tunes it globally.
-MORSEL_PARAM = "morsel"
-
-_MORSEL_OFF_WORDS = ("off", "0", "false", "no")
-
-#: the spec parameter every family accepts to set a default query
-#: deadline (simulated seconds) for queries submitted through the
-#: session scheduler, e.g. ``"MS:timeout=2.5"``; ``timeout=off`` (the
-#: default) means no deadline.  ``Connection.submit(timeout=...)``
-#: overrides it per query.
-TIMEOUT_PARAM = "timeout"
-
-#: the spec parameter every family accepts to cap how many queries the
-#: session scheduler admits concurrently, e.g. ``"MS:admission=4"``;
-#: ``admission=off`` (the default) means unlimited.  Queries beyond the
-#: cap queue at the front door and admit as slots free up.
-ADMISSION_PARAM = "admission"
-
-#: the spec parameter every family accepts to control compressed
-#: execution: ``compression=off`` disables the compress rewrite pass
-#: for one engine instance (whole-column decode on first touch),
-#: ``compression=auto`` (the default) executes on whatever codec each
-#: column carries, and ``compression=dict|rle|for`` restricts execution
-#: to one codec family (other encodings fall back to decode), e.g.
-#: ``"CPU:compression=off"``.  The ``REPRO_COMPRESSION`` environment
-#: variable additionally overrides it globally — and, being a storage
-#: setting too, controls which codecs ``Catalog.create_table`` applies.
-COMPRESSION_PARAM = "compression"
+#: the words that switch any knob off, in a spec and in the environment
+OFF_WORDS = ("off", "0", "false", "no")
 
 
-#: the spec parameter every family accepts to enable query-scoped
-#: tracing for one engine instance, e.g. ``"HET:trace=on"`` — spans
-#: around every instruction, morsel, dispatch and shard transfer,
-#: exportable as a Chrome trace (:mod:`repro.obs`).  Off by default
-#: (one pointer check per interpreter step).  The ``REPRO_TRACE``
-#: environment variable overrides it globally in either direction.
-TRACE_PARAM = "trace"
+@dataclass(frozen=True)
+class Knob:
+    """One engine knob, declared once: the spec grammar, the environment
+    override, the plan-cache identity, the README table and the CI A/B
+    matrix are all derived from :data:`KNOBS`."""
 
-#: the spec parameter every family accepts to set the slow-query-log
-#: threshold in milliseconds, e.g. ``"MS:obs_slow_ms=5"``: completed
-#: queries at or over the threshold are appended to
-#: ``Connection.metrics.slow_queries``.  ``obs_slow_ms=off`` (the
-#: default, 0) disables the log.
-OBS_SLOW_PARAM = "obs_slow_ms"
+    name: str
+    #: how the knob is written in an engine spec (docs and errors)
+    syntax: str
+    #: the allowed values, in words (docs and errors)
+    values: str
+    default: object
+    #: the value every word of :data:`OFF_WORDS` stands for
+    off: object
+    doc: str
+    #: value of a non-off word, ``ValueError`` if it is none — used for
+    #: spec words and environment words alike.  ``None``: the knob can
+    #: only be switched off, and is the *flag word* ``<name>=off`` in
+    #: the grammar, so ``CPU:fusion=on`` stays rejected and cannot
+    #: alias ``CPU`` in the connection and plan caches
+    parse: Optional[Callable[[str], object]] = None
+    #: environment variable overriding the knob process-wide
+    env: Optional[str] = None
+    #: whether the effective value is part of a compiled plan's identity
+    plan_identity: bool = False
+    #: REPRO_TRACE predates the table and is pinned looser than its spec
+    #: parameter: *any* word that is not an off-word forces tracing on
+    env_any_word_on: bool = False
+
+    @property
+    def flag(self) -> Optional[str]:
+        """The knob's flag word, when it is a flag in the grammar."""
+        return f"{self.name}=off" if self.parse is None else None
+
+    def value_of(self, word: str) -> object:
+        """The value ``word`` stands for; ``ValueError`` if none."""
+        if word in OFF_WORDS:
+            return self.off
+        if self.parse is None:
+            raise ValueError(word)
+        return self.parse(word)
+
+    def env_value(self) -> object:
+        """The environment override, or ``None`` when the variable is
+        unset, blank or holds a word the knob does not recognise."""
+        if self.env is None:
+            return None
+        word = os.environ.get(self.env, "").strip().lower()
+        if not word:
+            return None
+        try:
+            return self.value_of(word)
+        except ValueError:
+            return self.value_of("on") if self.env_any_word_on else None
+
+    def effective(self, setting: object = None) -> object:
+        """Environment override > ``setting`` (an engine spec's value)
+        > default.  The environment is read per call, never cached."""
+        override = self.env_value()
+        if override is not None:
+            return override
+        return self.default if setting is None else setting
 
 
-def parse_morsel_setting(spec: EngineSpec) -> tuple[bool, int]:
-    """``(enabled, size)`` from a spec's ``morsel=`` parameters.
-
-    ``size == 0`` means "the default" (:data:`repro.morsel.passes
-    .DEFAULT_MORSEL_SIZE`, unless ``REPRO_MORSEL`` overrides it).
-    Raises :class:`EngineSpecError` for malformed or conflicting values.
-    """
-    values = spec.param_values(MORSEL_PARAM)
-    if not values:
-        return True, 0
-    if len(values) > 1:
-        raise EngineSpecError(
-            f"engine spec {spec.canonical!r}: conflicting morsel= values "
-            f"{values!r}"
-        )
-    value = values[0]
-    if value in _MORSEL_OFF_WORDS:
-        return False, 0
-    if value == "on":
-        return True, 0
-    if value.isdigit() and int(value) > 0:
-        return True, int(value)
-    raise EngineSpecError(
-        f"engine spec {spec.canonical!r}: morsel= takes 'off', 'on' or a "
-        f"positive row count, got {value!r}"
-    )
+def _count(word: str) -> int:
+    if word.isdigit() and int(word) > 0:
+        return int(word)
+    raise ValueError(word)
 
 
-def parse_timeout_setting(spec: EngineSpec) -> float:
-    """Default deadline in simulated seconds from ``timeout=``; 0.0 = off.
+def _morsel_rows(word: str) -> int:
+    if word == "on":
+        return morsel_passes.DEFAULT_MORSEL_SIZE
+    return _count(word)
 
-    Raises :class:`EngineSpecError` for malformed or conflicting values.
-    """
-    values = spec.param_values(TIMEOUT_PARAM)
-    if not values:
-        return 0.0
-    if len(values) > 1:
-        raise EngineSpecError(
-            f"engine spec {spec.canonical!r}: conflicting timeout= values "
-            f"{values!r}"
-        )
-    value = values[0]
-    if value in _MORSEL_OFF_WORDS:
-        return 0.0
-    try:
-        seconds = float(value)
-    except ValueError:
-        seconds = -1.0
+
+def _compression_mode(word: str) -> str:
+    if word == "on":
+        return "auto"
+    if word in compress_passes.MODES:
+        return word
+    raise ValueError(word)
+
+
+def _switch_on(word: str) -> bool:
+    if word in ("on", "1", "true", "yes"):
+        return True
+    raise ValueError(word)
+
+
+def _positive_seconds(word: str) -> float:
+    seconds = float(word)
     if seconds > 0.0:
         return seconds
-    raise EngineSpecError(
-        f"engine spec {spec.canonical!r}: timeout= takes 'off' or a "
-        f"positive number of seconds, got {value!r}"
-    )
+    raise ValueError(word)
 
 
-def parse_admission_setting(spec: EngineSpec) -> int:
-    """Concurrent-admission cap from ``admission=``; 0 = unlimited.
-
-    Raises :class:`EngineSpecError` for malformed or conflicting values.
-    """
-    values = spec.param_values(ADMISSION_PARAM)
-    if not values:
-        return 0
-    if len(values) > 1:
-        raise EngineSpecError(
-            f"engine spec {spec.canonical!r}: conflicting admission= "
-            f"values {values!r}"
-        )
-    value = values[0]
-    if value in _MORSEL_OFF_WORDS:
-        return 0
-    if value.isdigit() and int(value) > 0:
-        return int(value)
-    raise EngineSpecError(
-        f"engine spec {spec.canonical!r}: admission= takes 'off' or a "
-        f"positive query count, got {value!r}"
-    )
-
-
-def parse_compression_setting(spec: EngineSpec) -> str:
-    """Compression mode from ``compression=``; one of
-    :data:`repro.compress.MODES` (``off``/``auto``/``dict``/``rle``/
-    ``for``), defaulting to ``auto``.
-
-    Raises :class:`EngineSpecError` for malformed or conflicting values.
-    """
-    values = spec.param_values(COMPRESSION_PARAM)
-    if not values:
-        return "auto"
-    if len(values) > 1:
-        raise EngineSpecError(
-            f"engine spec {spec.canonical!r}: conflicting compression= "
-            f"values {values!r}"
-        )
-    value = values[0]
-    if value in _MORSEL_OFF_WORDS:
-        return "off"
-    if value == "on":
-        return "auto"
-    from .compress import MODES
-
-    if value in MODES:
-        return value
-    raise EngineSpecError(
-        f"engine spec {spec.canonical!r}: compression= takes one of "
-        f"{', '.join(MODES)}, got {value!r}"
-    )
-
-
-def parse_trace_setting(spec: EngineSpec) -> bool:
-    """Whether ``trace=`` asks for query-scoped tracing (default off).
-
-    Raises :class:`EngineSpecError` for malformed or conflicting values.
-    """
-    values = spec.param_values(TRACE_PARAM)
-    if not values:
-        return False
-    if len(values) > 1:
-        raise EngineSpecError(
-            f"engine spec {spec.canonical!r}: conflicting trace= values "
-            f"{values!r}"
-        )
-    value = values[0]
-    if value in _MORSEL_OFF_WORDS:
-        return False
-    if value in ("on", "1", "true", "yes"):
-        return True
-    raise EngineSpecError(
-        f"engine spec {spec.canonical!r}: trace= takes 'on' or 'off', "
-        f"got {value!r}"
-    )
-
-
-def parse_slow_ms_setting(spec: EngineSpec) -> float:
-    """Slow-query-log threshold (ms) from ``obs_slow_ms=``; 0.0 = off.
-
-    Raises :class:`EngineSpecError` for malformed or conflicting values.
-    """
-    values = spec.param_values(OBS_SLOW_PARAM)
-    if not values:
-        return 0.0
-    if len(values) > 1:
-        raise EngineSpecError(
-            f"engine spec {spec.canonical!r}: conflicting obs_slow_ms= "
-            f"values {values!r}"
-        )
-    value = values[0]
-    if value in _MORSEL_OFF_WORDS:
-        return 0.0
-    try:
-        millis = float(value)
-    except ValueError:
-        millis = -1.0
+def _millis(word: str) -> float:
+    millis = float(word)
     if millis >= 0.0:
         return millis
-    raise EngineSpecError(
-        f"engine spec {spec.canonical!r}: obs_slow_ms= takes 'off' or a "
-        f"non-negative number of milliseconds, got {value!r}"
-    )
+    raise ValueError(word)
+
+
+#: every engine knob, by name.  Every family accepts all of them.
+KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
+    Knob("fusion", "fusion=off", "'off'", default=True, off=False,
+         env="REPRO_FUSION", plan_identity=True,
+         doc="operator fusion: collapse element-wise chains into one "
+             "generated kernel (repro.fuse)"),
+    Knob("morsel", "morsel=<rows>", "'off', 'on' or a positive row count",
+         default=morsel_passes.DEFAULT_MORSEL_SIZE, off=0,
+         parse=_morsel_rows, env="REPRO_MORSEL", plan_identity=True,
+         doc="morsel-driven execution and its morsel size "
+             "(repro.morsel)"),
+    Knob("compression", "compression=<mode>",
+         "one of " + ", ".join(compress_passes.MODES),
+         default="auto", off="off",
+         parse=_compression_mode, env="REPRO_COMPRESSION",
+         plan_identity=True,
+         doc="compressed execution, on any codec or one codec family; "
+             "the environment override is the storage-time mode too "
+             "(repro.compress)"),
+    Knob("trace", "trace=on", "'on' or 'off'", default=False, off=False,
+         parse=_switch_on, env="REPRO_TRACE", env_any_word_on=True,
+         doc="query-scoped tracing of every statement (repro.obs)"),
+    Knob("obs_slow_ms", "obs_slow_ms=<ms>",
+         "'off' or a non-negative number of milliseconds",
+         default=0.0, off=0.0, parse=_millis,
+         doc="slow-query-log threshold: slower queries are appended to "
+             "Connection.metrics.slow_queries"),
+    Knob("timeout", "timeout=<seconds>",
+         "'off' or a positive number of seconds",
+         default=0.0, off=0.0, parse=_positive_seconds,
+         doc="default deadline (simulated seconds) of queries submitted "
+             "through the session scheduler"),
+    Knob("admission", "admission=<n>", "'off' or a positive query count",
+         default=0, off=0, parse=_count,
+         doc="how many queries the session scheduler admits "
+             "concurrently"),
+)}
+
+#: the knobs whose effective value is part of a plan's identity
+_PLAN_IDENTITY = tuple(
+    k.name for k in KNOBS.values() if k.plan_identity
+)
+
+
+def knob_settings(spec: "EngineSpec") -> dict[str, object]:
+    """Every knob's value under ``spec`` (its default when absent).
+
+    Raises :class:`EngineSpecError` for malformed or conflicting values.
+    """
+    settings = {}
+    for knob in KNOBS.values():
+        words = spec.param_values(knob.name)
+        if knob.flag in spec.flags:
+            words += ("off",)
+        if len(words) > 1:
+            raise EngineSpecError(
+                f"engine spec {spec.canonical!r}: conflicting "
+                f"{knob.name}= values {words!r}"
+            )
+        try:
+            settings[knob.name] = (
+                knob.value_of(words[0]) if words else knob.default
+            )
+        except ValueError:
+            raise EngineSpecError(
+                f"engine spec {spec.canonical!r}: {knob.name}= takes "
+                f"{knob.values}, got {words[0]!r}"
+            ) from None
+    return settings
 
 
 @dataclass(frozen=True)
@@ -310,123 +284,95 @@ class EngineConfig:
     #: whether the serve layer can overlap submitted queries on this
     #: engine's timelines (mirrors ``Backend.pipelines_sessions``)
     pipelines_sessions: bool = False
-    #: whether the operator-fusion pass runs for this engine instance
-    #: (the ``fusion=off`` spec flag clears it; the ``REPRO_FUSION``
-    #: environment variable additionally gates it globally)
-    fusion: bool = True
-    #: whether the morsel pass runs for this engine instance (the
-    #: ``morsel=off`` spec parameter clears it; the ``REPRO_MORSEL``
-    #: environment variable additionally gates it globally)
-    morsel: bool = True
-    #: morsel size from the ``morsel=<rows>`` spec parameter; 0 means
-    #: the default (``REPRO_MORSEL=<rows>`` overrides either)
-    morsel_size: int = 0
-    #: default deadline (simulated seconds) for queries submitted via
-    #: the session scheduler, from ``timeout=<s>``; 0.0 means none
-    timeout_s: float = 0.0
-    #: concurrent-admission cap for the session scheduler, from
-    #: ``admission=<n>``; 0 means unlimited
-    admission: int = 0
-    #: compressed-execution mode from ``compression=``; ``off`` skips
-    #: the compress rewrite pass, ``auto`` (the default) executes on any
-    #: codec, a codec name restricts execution to that codec family
-    #: (the ``REPRO_COMPRESSION`` environment variable overrides it)
-    compression: str = "auto"
-    #: whether query-scoped tracing is on for this engine instance,
-    #: from ``trace=on`` (the ``REPRO_TRACE`` environment variable
-    #: overrides it globally in either direction; see :mod:`repro.obs`)
-    trace: bool = False
-    #: slow-query-log threshold in milliseconds from ``obs_slow_ms=``;
-    #: 0.0 disables the log
-    obs_slow_ms: float = 0.0
     #: canonical engine spec; defaults to ``label`` for parameterless
     #: families (set via ``__post_init__`` to keep the dataclass frozen)
     spec: str = ""
+    #: the spec's value of every knob in :data:`KNOBS`, filled in by
+    #: :meth:`EngineRegistry.resolve`; read through :meth:`effective`
+    knobs: dict = field(
+        default_factory=lambda: {k.name: k.default for k in KNOBS.values()}
+    )
 
     def __post_init__(self):
         if not self.spec:
             object.__setattr__(self, "spec", self.label)
 
-    @property
-    def fuses(self) -> bool:
-        """Whether :meth:`plan` will run the operator-fusion pass."""
-        from .fuse import fusion_enabled
+    def effective(self, name: str) -> object:
+        """The value knob ``name`` runs under: environment override >
+        this engine's spec > default (see :meth:`Knob.effective`)."""
+        return KNOBS[name].effective(self.knobs[name])
 
-        return self.fusion and fusion_enabled()
+    def with_knob_off(self, name: str) -> "EngineConfig":
+        """This engine with one knob switched off (``explain``'s
+        comparison plans); same spec, different :meth:`plan_key`."""
+        return replace(self, knobs={**self.knobs, name: KNOBS[name].off})
 
-    @property
-    def morsels(self) -> bool:
-        """Whether :meth:`plan` will run the morsel pass."""
-        from .morsel import morsel_enabled
-
-        return self.morsel and morsel_enabled()
-
-    def effective_morsel_size(self) -> int:
-        """Rows per morsel: ``REPRO_MORSEL=<rows>`` > spec > default."""
-        from .morsel import DEFAULT_MORSEL_SIZE, env_morsel_size
-
-        return (env_morsel_size()
-                or self.morsel_size
-                or DEFAULT_MORSEL_SIZE)
-
-    def effective_compression(self) -> str:
-        """Compression mode: ``REPRO_COMPRESSION`` > spec > ``auto``."""
-        from .compress import effective_compression
-
-        return effective_compression(self)
-
-    @property
-    def traces(self) -> bool:
-        """Whether queries on this engine run traced by default:
-        ``REPRO_TRACE`` > the ``trace=`` spec parameter > off.
-        (``execute(..., analyze=True)`` forces tracing per statement
-        regardless.)"""
-        from .obs import trace_env_forced
-
-        forced = trace_env_forced()
-        return self.trace if forced is None else forced
+    def plan_key(self) -> tuple:
+        """The effective knob values a compiled plan depends on."""
+        # the effective values (engine settings AND the environment
+        # overrides) are part of the identity: a fused and an unfused —
+        # or a morselized and a whole-column — compilation of one
+        # statement are different plans, and flipping an environment
+        # variable mid-process must not serve plans compiled under the
+        # other setting.  The morsel value is the size, so retuning
+        # ``REPRO_MORSEL=<rows>`` recompiles instead of reusing regions
+        # cut at the old size.  The compression mode is part of the
+        # identity for the same reason: compressed-execution plans
+        # carry ``compress.*`` instructions that an ``off`` connection
+        # must never be served.
+        return tuple(self.effective(name) for name in _PLAN_IDENTITY)
 
     def plan(self, program: MALProgram) -> MALProgram:
-        """Optimizer pipeline for this configuration.
+        """Optimizer pipeline for this configuration: every phase of
+        :data:`PHASES` whose gate holds, in order.
 
-        Runs the operator-fusion pass (unless disabled for this engine
-        or globally), then — for Ocelot engines — the Ocelot rewriter,
-        which reroutes ``fuse.pipe`` to ``ocelot.pipe`` alongside the
-        ordinary module swaps, and finally the morsel pass, which
-        collapses pipelined regions (in whichever operator vocabulary
-        the earlier passes left behind) into ``morsel.run``
-        instructions.  Deterministic per (program, engine, fusion
-        switch, morsel switch) — the serve layer's plan cache memoises
-        its output keyed by SQL text, canonical engine spec, schema
-        version and the effective switches (see
+        Deterministic per (program, engine, :meth:`plan_key`) — the
+        serve layer's plan cache memoises its output keyed by SQL text,
+        canonical engine spec, schema version and the plan key (see
         :mod:`repro.serve.plancache`).
-
-        The compress pass runs *first*: it rewrites selections,
-        groupings and aggregates over base columns into their
-        ``compress.*`` forms, which the later passes treat as opaque
-        leaf operators (fusion never fuses them, the Ocelot rewriter
-        passes them through, the morsel pass streams the selects).
         """
-        mode = self.effective_compression()
-        if mode != "off":
-            from .compress import compress_program
-
-            program = compress_program(program, mode)
-        if self.fuses:
-            from .fuse import fuse_program
-
-            program = fuse_program(program)
-        if self.is_ocelot:
-            from .ocelot.rewriter import rewrite_for_ocelot
-
-            program = rewrite_for_ocelot(program)
-        if self.morsels:
-            from .morsel import morselize_program
-
-            program = morselize_program(
-                program, size=self.effective_morsel_size()
-            )
+        for phase in PHASES:
+            if phase.gate(self):
+                program = phase.run(program, self)
         return program
+
+
+class Phase(NamedTuple):
+    """One step of the plan pipeline."""
+
+    name: str
+    gate: Callable[[EngineConfig], bool]
+    run: Callable[[MALProgram, EngineConfig], MALProgram]
+
+
+#: the plan pipeline, in order.  Each ``run`` reaches its pass through
+#: the defining module's attribute at call time, so a wrapper installed
+#: on that attribute (``perf/``'s timing spans) is the one that runs.
+PHASES = (
+    # first: rewrites selections, groupings and aggregates over base
+    # columns into their ``compress.*`` forms, which the later passes
+    # treat as opaque leaf operators (fusion never fuses them, the
+    # Ocelot rewriter passes them through, the morsel pass streams the
+    # selects)
+    Phase("compress",
+          lambda config: config.effective("compression") != "off",
+          lambda program, config: compress_passes.compress_program(
+              program, config.effective("compression"))),
+    # before the rewriter, which then reroutes whole ``fuse.pipe``
+    # regions to ``ocelot.pipe`` alongside the ordinary module swaps
+    Phase("fuse",
+          lambda config: config.effective("fusion"),
+          lambda program, config: fuse_passes.fuse_program(program)),
+    Phase("ocelot",
+          lambda config: config.is_ocelot,
+          lambda program, config: rewriter.rewrite_for_ocelot(program)),
+    # last: collapses pipelined regions, in whichever operator
+    # vocabulary the earlier phases left behind, into ``morsel.run``
+    Phase("morsel",
+          lambda config: config.effective("morsel") > 0,
+          lambda program, config: morsel_passes.morselize_program(
+              program, size=config.effective("morsel"))),
+)
 
 
 @dataclass(frozen=True)
@@ -445,6 +391,15 @@ class EngineFamily:
     #: parameter NAMEs the family accepts as ``NAME=VALUE`` args; the
     #: VALUE side is free-form (the family's ``configure`` validates it)
     allowed_params: frozenset = frozenset()
+
+    def __post_init__(self):
+        # every family accepts every knob, on top of its own arguments
+        object.__setattr__(self, "allowed_flags", self.allowed_flags | {
+            k.flag for k in KNOBS.values() if k.flag
+        })
+        object.__setattr__(self, "allowed_params", self.allowed_params | {
+            k.name for k in KNOBS.values() if not k.flag
+        })
 
 
 class EngineRegistry:
@@ -604,10 +559,12 @@ class EngineRegistry:
             spec = self.parse(spec)
         config = self._configs.get(spec.canonical)
         if config is None:
+            knobs = knob_settings(spec)
             family = self._families[spec.family]
-            config = family.configure(spec, self)
-            if config.spec != spec.canonical:
-                config = replace(config, spec=spec.canonical)
+            config = replace(
+                family.configure(spec, self),
+                spec=spec.canonical, knobs=knobs,
+            )
             self._configs[spec.canonical] = config
         return config
 
@@ -644,14 +601,38 @@ def engine_table_markdown() -> str:
     return "\n".join(rows)
 
 
-def _print_engine_table() -> None:  # pragma: no cover - CLI convenience
+def knob_table_markdown() -> str:
+    """The README's knob table, generated from :data:`KNOBS`."""
+    rows = [
+        "| Knob | Spec syntax | Values | Default | Environment override "
+        "| Part of plan identity? | What it controls |",
+        "|------|-------------|--------|---------|----------------------"
+        "|------------------------|------------------|",
+    ]
+    for knob in KNOBS.values():
+        if knob.default == knob.off:
+            default = "off"
+        else:
+            default = "on" if knob.default is True else str(knob.default)
+        env = f"`{knob.env}`" if knob.env else "—"
+        identity = "yes" if knob.plan_identity else "no"
+        rows.append(
+            f"| `{knob.name}` | `{knob.syntax}` | {knob.values} "
+            f"| {default} | {env} | {identity} | {knob.doc} |"
+        )
+    return "\n".join(rows)
+
+
+def _print_tables() -> None:  # pragma: no cover - CLI convenience
     # running as ``python -m repro.engines`` executes a *copy* of this
     # module with its own (empty) registry; go through the canonical
     # package attribute so the table reflects the real registrations
     import repro
 
     print(repro.engine_table_markdown())
+    print()
+    print(knob_table_markdown())
 
 
 if __name__ == "__main__":  # pragma: no cover
-    _print_engine_table()
+    _print_tables()

@@ -18,8 +18,7 @@ This package removes that tax at **rewrite time** in three layers:
    decisions*, not just launch counts) and the sharded engine (fused
    instructions fan out unchanged; they stay element-wise per row).
 
-Disable globally with ``REPRO_FUSION=off`` or per engine with the
-``fusion=off`` spec flag (``db.connect("CPU:fusion=off")``).  See
+Gated by the ``fusion`` engine knob (:data:`repro.engines.KNOBS`).  See
 ARCHITECTURE.md §"Fusion" for the pass -> codegen -> dispatch diagram.
 """
 
@@ -39,7 +38,6 @@ from .passes import (
     MIN_REGION,
     count_pipes,
     fuse_program,
-    fusion_enabled,
 )
 
 __all__ = [
@@ -57,6 +55,5 @@ __all__ = [
     "count_pipes",
     "evaluate",
     "fuse_program",
-    "fusion_enabled",
     "node_dtype",
 ]

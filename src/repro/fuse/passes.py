@@ -39,20 +39,23 @@ rewriter, which then reroutes ``fuse.pipe`` to ``ocelot.pipe`` — so
 the serve layer's plan cache memoises fused plans and HET placement
 traces replay over them.
 
-The ``REPRO_FUSION`` environment variable (``off``/``0``/``false``)
-globally disables the pass — the CI A/B job runs the whole TPC-H
-correctness suite with it off so the non-fused path cannot rot.  Per
-engine, every family accepts a ``fusion=off`` spec flag
-(``db.connect("CPU:fusion=off")``) for side-by-side comparison.
+Gated by the ``fusion`` engine knob (:data:`repro.engines.KNOBS`): the
+CI knob A/B job runs the whole TPC-H correctness suite with it off so
+the non-fused path cannot rot.
 """
 
 from __future__ import annotations
 
-import os
-from collections import Counter
-
 from ..monetdb.backends import select_bounds_to_op
 from ..monetdb.calc import CALC_OPS, COMPARE_FNS
+from ..monetdb.dataflow import (
+    BAT_RESULTS,
+    bat_var_names,
+    collapse,
+    connected_components,
+    is_literal,
+    var_uses,
+)
 from ..monetdb.mal import MALInstruction, MALProgram, Var
 from .expr import FConst, FIn, FOp, FSelect, FusedOutput, FusedPipe
 
@@ -66,50 +69,13 @@ MIN_REGION = 2
 
 _SELECT_OPS = frozenset({"algebra.select", "algebra.thetaselect"})
 
-#: which result positions of an operator are BAT-valued — the producer
-#: whitelist that keeps scalar-valued variables (``aggr.sum``,
-#: ``group.group``'s ngroups, ``calc.*``) out of fused regions
-_BAT_RESULTS = {
-    "sql.bind": (True,),
-    "algebra.projection": (True,),
-    "algebra.select": (True,),
-    "algebra.thetaselect": (True,),
-    "algebra.sort": (True, True),
-    "algebra.join": (True, True),
-    "algebra.thetajoin": (True, True),
-    "algebra.semijoin": (True,),
-    "algebra.antijoin": (True,),
-    "algebra.oidunion": (True,),
-    "algebra.oidintersect": (True,),
-    "algebra.firstn": (True,),
-    "bat.mirror": (True,),
-    "group.group": (True, False),
-    "group.subgroup": (True, False),
-    "aggr.subsum": (True,),
-    "aggr.submin": (True,),
-    "aggr.submax": (True,),
-    "aggr.subcount": (True,),
-    "aggr.subavg": (True,),
-}
-
-
-def fusion_enabled() -> bool:
-    """Global switch: ``REPRO_FUSION=off|0|false`` disables the pass."""
-    return os.environ.get("REPRO_FUSION", "on").strip().lower() not in (
-        "off", "0", "false", "no",
-    )
-
 
 def _bat_result_flags(instruction: MALInstruction) -> tuple:
     if instruction.module in ("batcalc", "fuse"):
         return (True,) * len(instruction.results)
-    return _BAT_RESULTS.get(
-        instruction.op, (False,) * len(instruction.results)
+    return BAT_RESULTS.get(
+        instruction.function, (False,) * len(instruction.results)
     )
-
-
-def _literal(arg) -> bool:
-    return not isinstance(arg, Var)
 
 
 def fuse_program(program: MALProgram,
@@ -119,19 +85,8 @@ def fuse_program(program: MALProgram,
     if any(i.module == "fuse" for i in instructions):
         return program     # already fused: the pass is a no-op
     result_vars = {var.name for _, var in program.result_columns}
-    total_uses: Counter = Counter()
-    bat_vars: set[str] = set()
-    for instruction in instructions:
-        for arg in instruction.args:
-            if isinstance(arg, Var):
-                total_uses[arg.name] += 1
-        # SSA: producers precede consumers, so the full set is exactly
-        # what incremental availability would have been at each use
-        for var, is_bat in zip(
-            instruction.results, _bat_result_flags(instruction)
-        ):
-            if is_bat:
-                bat_vars.add(var.name)
+    total_uses = var_uses(instructions)
+    bat_vars = bat_var_names(instructions, _bat_result_flags)
 
     # -- phase 1: sealed super-regions (member indices) ---------------------
     regions: list[list[int]] = []
@@ -161,7 +116,7 @@ def fuse_program(program: MALProgram,
                 return None        # only selections over in-region values
             if args[1] is not None:     # candidate-constrained: keep whole
                 return None
-            if any(not _literal(a) for a in args[2:]):
+            if any(not is_literal(a) for a in args[2:]):
                 return None
             return "select"
         return None
@@ -195,64 +150,17 @@ def fuse_program(program: MALProgram,
     # equal-length operands, so each component lives in one row space)
     components: list[list[int]] = []
     for region in regions:
-        components.extend(_connected_components(region, instructions))
+        components.extend(connected_components(region, instructions))
 
     # -- phase 3: emit, collapsing each large-enough component to one
     # fuse.pipe at its last member's position --------------------------------
-    fused_members: set[int] = set()
-    pipe_at: dict[int, MALInstruction] = {}
-    for component in components:
-        if len(component) < min_region:
-            continue
-        pipe = _build_pipe(
+    return collapse(
+        program, components,
+        lambda component: _build_pipe(
             [instructions[i] for i in component], total_uses, result_vars
-        )
-        if pipe is None:
-            continue
-        fused_members.update(component)
-        pipe_at[component[-1]] = pipe
-
-    if not pipe_at:
-        return program
-    out = MALProgram(
-        name=program.name,
-        result_columns=list(program.result_columns),
+        ),
+        min_region,
     )
-    for index, instruction in enumerate(instructions):
-        pipe = pipe_at.get(index)
-        if pipe is not None:
-            out.instructions.append(pipe)
-        elif index not in fused_members:
-            out.instructions.append(instruction)
-    return out
-
-
-def _connected_components(region: list[int], instructions) -> list[list[int]]:
-    """Split one sealed region into variable-connected components."""
-    parent: dict[str, str] = {}
-
-    def find(name: str) -> str:
-        root = name
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        parent[name] = root
-        return root
-
-    def union(a: str, b: str) -> None:
-        parent[find(a)] = find(b)
-
-    for index in region:
-        instruction = instructions[index]
-        names = [instruction.results[0].name] + [
-            a.name for a in instruction.var_args()
-        ]
-        for other in names[1:]:
-            union(names[0], other)
-    grouped: dict[str, list[int]] = {}
-    for index in region:
-        root = find(instructions[index].results[0].name)
-        grouped.setdefault(root, []).append(index)
-    return list(grouped.values())
 
 
 def _build_pipe(members, total_uses, result_vars):
@@ -291,11 +199,7 @@ def _build_pipe(members, total_uses, result_vars):
             node = FSelect(as_node(src), op, lo_v, hi_v, bool(anti))
         exprs[member.results[0].name] = node
 
-    internal: Counter = Counter()
-    for member in members:
-        for arg in member.args:
-            if isinstance(arg, Var):
-                internal[arg.name] += 1
+    internal = var_uses(members)
     outputs, out_vars = [], []
     for member in members:
         var = member.results[0]

@@ -3,8 +3,8 @@
 BATs, 128-byte-aligned storage with a callback-firing, schema-versioned
 catalog, MAL plans, the operator-at-a-time interpreter (steppable per
 instruction for the serve layer's interleaved sessions), the MS/MP
-baseline backends, and the optimizer pipelines the Ocelot rewriter
-plugs into.  (Layer map: ARCHITECTURE.md §"repro.monetdb".)
+baseline backends, and the dataflow helpers the plan rewrite passes
+share.  (Layer map: ARCHITECTURE.md §"repro.monetdb".)
 """
 
 from .bat import (
@@ -29,7 +29,6 @@ from .calc import CALC_OPS, COMPARE_FNS, calc_result_dtype
 from .costmodel import DEFAULT_COST_MODEL, MonetDBCostModel, OpCost
 from .interpreter import Backend, QueryResult, UnsupportedOperator, run_program
 from .mal import NIL, ColumnRef, MALBuilder, MALInstruction, MALProgram, Var
-from .optimizer import PIPELINES, get_pipeline
 from .storage import ALIGNMENT, Catalog, aligned_array, aligned_empty, is_aligned
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "OpCost",
     "Owner",
     "OwnershipError",
-    "PIPELINES",
     "QueryResult",
     "Role",
     "UnsupportedOperator",
@@ -62,7 +60,6 @@ __all__ = [
     "aligned_empty",
     "bitmap_bat",
     "calc_result_dtype",
-    "get_pipeline",
     "group_ids",
     "hash_join_pairs",
     "is_aligned",

@@ -38,6 +38,15 @@ def aligned_array(data: np.ndarray, alignment: int = ALIGNMENT) -> np.ndarray:
     return out
 
 
+def storage_mode() -> str:
+    """The mode governing *storage-time* encoding (``create_table``):
+    the ``compression`` knob's environment override, else its default
+    (a spec's ``compression=`` only gates the rewrite pass)."""
+    from ..engines import KNOBS
+
+    return KNOBS["compression"].effective()
+
+
 def is_aligned(array: np.ndarray, alignment: int = ALIGNMENT) -> bool:
     """Whether the data pointer is aligned (vacuously true when empty)."""
     return array.size == 0 or array.ctypes.data % alignment == 0
@@ -74,7 +83,7 @@ class Catalog:
     def create_table(self, table: str, columns: dict[str, np.ndarray]) -> None:
         """Register a table from column arrays (stored 128-byte aligned).
 
-        Under ``REPRO_COMPRESSION`` settings other than ``off``, each
+        Under :func:`storage_mode` settings other than ``off``, each
         column is offered to :func:`repro.compress.choose_encoding`;
         columns it accepts are stored as
         :class:`~repro.compress.encoded.EncodedBAT` — compressed at
@@ -98,7 +107,7 @@ class Catalog:
 
     def _column_bat(self, arr: np.ndarray, tag: str) -> BAT:
         """A base column's BAT: encoded when a codec pays off."""
-        from ..compress import EncodedBAT, choose_encoding, storage_mode
+        from ..compress import EncodedBAT, choose_encoding
 
         mode = storage_mode()
         encoding = choose_encoding(np.ascontiguousarray(arr), mode)

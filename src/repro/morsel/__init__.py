@@ -8,8 +8,6 @@ from .passes import (
     MorselOutput,
     MorselRegion,
     count_regions,
-    env_morsel_size,
-    morsel_enabled,
     morselize_program,
 )
 from .run import MorselRun
@@ -21,7 +19,5 @@ __all__ = [
     "MorselRegion",
     "MorselRun",
     "count_regions",
-    "env_morsel_size",
-    "morsel_enabled",
     "morselize_program",
 ]

@@ -75,21 +75,25 @@ Safety rules, in order:
   host oid lists), or when the component is smaller than
   ``MIN_REGION``.
 
-The ``REPRO_MORSEL`` environment variable globally gates the pass
-(``off``/``0``/``false``/``no`` disables it; a positive integer both
-enables it and overrides the morsel size), and every engine family
-accepts a ``morsel=off`` / ``morsel=<rows>`` spec parameter — the
-whole-column path stays the A/B baseline, and the serve layer's plan
-cache keys on the effective switch so the two compilations never mix.
+Gated and sized by the ``morsel`` engine knob
+(:data:`repro.engines.KNOBS`) — the whole-column path stays the A/B
+baseline, and the serve layer's plan cache keys on the effective value
+so the two compilations never mix.
 """
 
 from __future__ import annotations
 
-import os
-from collections import Counter
 from dataclasses import dataclass, field
 
 from ..fuse.passes import FUSABLE_CALC
+from ..monetdb.dataflow import (
+    BAT_RESULTS,
+    bat_var_names,
+    collapse,
+    connected_components,
+    is_literal,
+    var_uses,
+)
 from ..monetdb.mal import MALInstruction, MALProgram, Var
 
 #: default morsel size (rows per batch) — L2-friendly for 4-byte tails
@@ -118,34 +122,6 @@ _AGG_MODULES = frozenset({"aggr", "ocelot"})
 
 #: the driving row space of a table-driven region (the bound oid space)
 _DRIVE = "D"
-
-#: which result positions of an operator are BAT-valued, by function
-#: name (module-agnostic: covers both algebra.* and the ocelot.* forms)
-_FN_BAT_RESULTS = {
-    "bind": (True,), "projection": (True,),
-    "select": (True,), "thetaselect": (True,),
-    "sort": (True, True), "join": (True, True), "thetajoin": (True, True),
-    "semijoin": (True,), "antijoin": (True,), "firstn": (True,),
-    "mirror": (True,), "group": (True, False), "subgroup": (True, False),
-    "oidunion": (True,), "oidintersect": (True,),
-    "subsum": (True,), "submin": (True,), "submax": (True,),
-    "subcount": (True,), "subavg": (True,), "sync": (True,),
-}
-
-
-def morsel_enabled() -> bool:
-    """Global switch: ``REPRO_MORSEL=off|0|false|no`` disables the pass."""
-    return os.environ.get("REPRO_MORSEL", "on").strip().lower() not in (
-        "off", "0", "false", "no",
-    )
-
-
-def env_morsel_size() -> "int | None":
-    """A positive-integer ``REPRO_MORSEL`` overrides the morsel size."""
-    raw = os.environ.get("REPRO_MORSEL", "").strip()
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw)
-    return None
 
 
 @dataclass(frozen=True)
@@ -188,16 +164,12 @@ class MorselRegion:
         )
 
 
-def _literal(arg) -> bool:
-    return not isinstance(arg, Var)
-
-
 def _bat_flags(instruction: MALInstruction) -> tuple:
     if (instruction.module in ("batcalc", "fuse")
             or instruction.function in FUSABLE_CALC
             or instruction.function == "pipe"):
         return (True,) * len(instruction.results)
-    return _FN_BAT_RESULTS.get(
+    return BAT_RESULTS.get(
         instruction.function, (False,) * len(instruction.results)
     )
 
@@ -211,10 +183,10 @@ def morselize_program(program: MALProgram,
         return program      # already morselized: the pass is a no-op
     result_vars = {var.name for _, var in program.result_columns}
 
+    total_uses = var_uses(instructions)
+    bat_vars = bat_var_names(instructions, _bat_flags)
     bind_table: dict[str, str] = {}
-    total_uses: Counter = Counter()
     consumed_by: dict[str, list[str]] = {}
-    bat_vars: set[str] = set()
     positions_vars: set[str] = set()
     for instruction in instructions:
         if instruction.op == "sql.bind" and instruction.results:
@@ -231,12 +203,8 @@ def morselize_program(program: MALProgram,
                                 instruction.args[0].outputs):
                 if out.is_select:
                     positions_vars.add(var.name)
-        for var, is_bat in zip(instruction.results, _bat_flags(instruction)):
-            if is_bat:
-                bat_vars.add(var.name)
         for arg in instruction.args:
             if isinstance(arg, Var):
-                total_uses[arg.name] += 1
                 consumed_by.setdefault(arg.name, []).append(instruction.op)
 
     # -- phase 1: sealed super-regions ---------------------------------------
@@ -336,7 +304,7 @@ def morselize_program(program: MALProgram,
                     return None
                 if defs.get(cand.name) != ("positions", space):
                     return None
-            if any(not _literal(a) for a in instruction.args[2:]):
+            if any(not is_literal(a) for a in instruction.args[2:]):
                 return None
             return ((("positions", space),), tuple(modes), proposal[0])
 
@@ -536,68 +504,23 @@ def morselize_program(program: MALProgram,
     seal()
 
     # -- phase 2: variable-connected components ------------------------------
-    components: list[tuple[list[int], tuple]] = []
+    components: list[list[int]] = []
+    drive_of: dict[int, tuple] = {}     # by a component's last member
     for indices, region_drive in regions:
-        for component in _connected_components(indices, instructions):
-            components.append((component, region_drive))
+        for component in connected_components(indices, instructions):
+            components.append(component)
+            drive_of[component[-1]] = region_drive
 
     # -- phase 3: emit -------------------------------------------------------
-    replaced: set[int] = set()
-    region_at: dict[int, MALInstruction] = {}
-    for component, region_drive in components:
-        if len(component) < min_region:
-            continue
-        emitted = _build_region(
-            component, instructions, region_drive,
+    return collapse(
+        program, components,
+        lambda component: _build_region(
+            component, instructions, drive_of[component[-1]],
             member_kinds, member_modes,
             total_uses, consumed_by, result_vars, size,
-        )
-        if emitted is None:
-            continue
-        replaced.update(component)
-        region_at[component[-1]] = emitted
-
-    if not region_at:
-        return program
-    out = MALProgram(
-        name=program.name,
-        result_columns=list(program.result_columns),
+        ),
+        min_region,
     )
-    for index, instruction in enumerate(instructions):
-        emitted = region_at.get(index)
-        if emitted is not None:
-            out.instructions.append(emitted)
-        elif index not in replaced:
-            out.instructions.append(instruction)
-    return out
-
-
-def _connected_components(region, instructions):
-    """Split one sealed region into variable-connected components."""
-    parent: dict[str, str] = {}
-
-    def find(name: str) -> str:
-        root = name
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        parent[name] = root
-        return root
-
-    def union(a: str, b: str) -> None:
-        parent[find(a)] = find(b)
-
-    for index in region:
-        instruction = instructions[index]
-        names = [instruction.results[0].name] + [
-            a.name for a in instruction.var_args()
-        ]
-        for other in names[1:]:
-            union(names[0], other)
-    grouped: dict[str, list[int]] = {}
-    for index in region:
-        root = find(instructions[index].results[0].name)
-        grouped.setdefault(root, []).append(index)
-    return list(grouped.values())
 
 
 def _build_region(indices, instructions, drive, member_kinds, member_modes,
@@ -635,11 +558,7 @@ def _build_region(indices, instructions, drive, member_kinds, member_modes,
             inputs.append(arg)
             sliced.append(m == "sliced")
 
-    internal: Counter = Counter()
-    for member in members:
-        for arg in member.args:
-            if isinstance(arg, Var):
-                internal[arg.name] += 1
+    internal = var_uses(members)
 
     outputs: list[MorselOutput] = []
     out_vars: list[Var] = []

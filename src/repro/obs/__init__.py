@@ -20,16 +20,15 @@ One namespace answers "where did this query's time go?":
   ``EXPLAIN ANALYZE``.
 
 Tracing is **off by default** and costs one pointer check per
-interpreter step when off.  Enable it per connection with the
-``trace=on`` spec param (e.g. ``"HET:trace=on"``) or globally with
-``REPRO_TRACE=on`` — the same gate pattern as fusion, morsels and
-compression.  ``Connection.execute(..., analyze=True)`` forces tracing
-on for a single statement regardless of the gates.
+interpreter step when off.  Enable it with the ``trace`` engine knob
+(:data:`repro.engines.KNOBS`; e.g. ``"HET:trace=on"``).
+``Connection.execute(..., analyze=True)`` forces tracing on for a
+single statement regardless of the knob.
 """
 
 from .metrics import MetricsRegistry
 from .profile import render_profile
-from .tracer import Span, Tracer, describe_value, trace_env_forced
+from .tracer import Span, Tracer, describe_value
 
 __all__ = [
     "MetricsRegistry",
@@ -37,5 +36,4 @@ __all__ = [
     "Tracer",
     "describe_value",
     "render_profile",
-    "trace_env_forced",
 ]

@@ -65,7 +65,7 @@ class MetricsRegistry:
 
     @property
     def slow_threshold_ms(self) -> float:
-        return float(getattr(self._connection.config, "obs_slow_ms", 0.0))
+        return self._connection.config.effective("obs_slow_ms")
 
     def record_query(self, name: str, elapsed_s: float) -> None:
         """Count one completed query; log it when over the threshold."""

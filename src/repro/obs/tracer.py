@@ -13,29 +13,11 @@ killed mid-plan still exports a well-formed tree.
 from __future__ import annotations
 
 import json
-import os
 from contextlib import contextmanager
 
 import numpy as np
 
 from ..monetdb.bat import BAT, Role
-
-#: environment gate, same pattern as ``REPRO_FUSION`` / ``REPRO_MORSEL``
-#: / ``REPRO_COMPRESSION`` — except tracing defaults *off*, so the env
-#: word turns it on globally (``off`` forces it off even for
-#: ``trace=on`` connections).
-TRACE_ENV = "REPRO_TRACE"
-
-_OFF_WORDS = ("off", "0", "false", "no")
-
-
-def trace_env_forced() -> bool | None:
-    """``None`` when ``REPRO_TRACE`` is unset, else the forced state."""
-    value = os.environ.get(TRACE_ENV)
-    if value is None or not value.strip():
-        return None
-    return value.strip().lower() not in _OFF_WORDS
-
 
 # ---------------------------------------------------------------------------
 # value description (rows / bytes / encoding), shared by every span site

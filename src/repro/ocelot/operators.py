@@ -670,7 +670,10 @@ def _grouped_reduce(engine: OcelotEngine, vals, gids, ngroups: int, op: str):
     with (emulated) atomics, then one thread per group for the final
     fold."""
     n = _count_of(gids)
-    ngroups = max(int(ngroups), 1)
+    # device buffers are never zero-sized: an empty grouping allocates
+    # (and launches over) one slot, but reports its true group count
+    true_groups = int(ngroups)
+    ngroups = max(true_groups, 1)
     gid_buf = engine.buffer_of(gids)
     if op == "count":
         val_buf = gid_buf
@@ -693,7 +696,7 @@ def _grouped_reduce(engine: OcelotEngine, vals, gids, ngroups: int, op: str):
     result = engine.result_buffer(ngroups, out_dtype, tag="gagg_out")
     engine.launch("grouped_agg_final", result, partials, ngroups, op)
     engine.release(partials)
-    return engine.device_bat(result, Role.VALUES, count=ngroups)
+    return engine.device_bat(result, Role.VALUES, count=true_groups)
 
 
 def op_subsum(engine, vals, gids, ngroups):

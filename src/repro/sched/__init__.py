@@ -74,7 +74,7 @@ Execution mechanics
   (each session carries its own floors, see
   :meth:`repro.cl.queue.CommandQueue.advance_session_to`);
 * :class:`~repro.sched.backend.HeterogeneousBackend` — the fifth engine
-  configuration (``CONFIGS["HET"]`` / ``db.connect("HET")``): routes
+  configuration (``db.connect("HET")``): routes
   every ``ocelot.*`` instruction through the placer (or replays the
   plan cache's recorded decisions for repeat queries), keeps per-query
   scheduling state per session, charges framework overheads per device

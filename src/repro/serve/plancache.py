@@ -9,14 +9,14 @@ device characteristics and the (immutable) base data.  So the whole
 front half of the query lifecycle is cacheable:
 
 * **key** — ``(SQL text, canonical engine spec, program name, schema
-  version, fusion switch, morsel switch, morsel size)``.  The engine
-  component is :attr:`repro.engines.EngineConfig.spec` — e.g. ``"CPU"``
-  or ``"SHARD:4xHET"`` — so differently-parameterized instances of one
-  family never share plans; the fusion switch keeps plans compiled with
-  the operator-fusion pass (:mod:`repro.fuse`) apart from
-  ``fusion=off`` / ``REPRO_FUSION=off`` compilations of the same
-  statement, and the morsel components do the same for the morsel pass
-  (:mod:`repro.morsel`, ``morsel=off`` / ``REPRO_MORSEL``).
+  version)`` plus :meth:`repro.engines.EngineConfig.plan_key`.  The
+  engine component is :attr:`repro.engines.EngineConfig.spec` — e.g.
+  ``"CPU"`` or ``"SHARD:4xHET"`` — so differently-parameterized
+  instances of one family never share plans; the plan key holds the
+  effective value of every knob a compiled plan depends on (fusion,
+  morsel size, compression mode — spec setting *and* environment
+  override), so plans compiled under different settings of one
+  statement stay apart.
   The schema version is :attr:`repro.monetdb.storage.Catalog.version`,
   bumped on every DDL statement, so a ``CREATE``/``DROP`` implicitly
   invalidates every plan compiled against the old schema.
@@ -108,34 +108,8 @@ class PlanCache:
         return len(self._entries)
 
     def _key(self, sql: str, config, name: str) -> tuple:
-        # the effective fusion and morsel switches (engine settings AND
-        # the REPRO_FUSION / REPRO_MORSEL environment gates) are part of
-        # the identity: a fused and an unfused — or a morselized and a
-        # whole-column — compilation of one statement are different
-        # plans, and flipping an environment variable mid-process must
-        # not serve plans compiled under the other setting.  The morsel
-        # component carries the effective size too, so retuning
-        # ``REPRO_MORSEL=<rows>`` recompiles instead of reusing regions
-        # cut at the old size.  The effective compression mode
-        # (``compression=`` / REPRO_COMPRESSION) is part of the identity
-        # for the same reason: compressed-execution plans carry
-        # ``compress.*`` instructions that an ``off`` connection must
-        # never be served.
-        fused = bool(getattr(config, "fuses", False))
-        morsels = bool(getattr(config, "morsels", False))
-        morsel_size = (
-            config.effective_morsel_size()
-            if morsels and hasattr(config, "effective_morsel_size")
-            else 0
-        )
-        compression = (
-            config.effective_compression()
-            if hasattr(config, "effective_compression")
-            else "off"
-        )
         return (sql_cache_key(sql), config.spec, name,
-                self.catalog.version, fused, morsels, morsel_size,
-                compression)
+                self.catalog.version) + config.plan_key()
 
     def lookup(self, sql: str, config, schema, name: str = "query"
                ) -> CachedPlan:

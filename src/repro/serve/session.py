@@ -154,9 +154,7 @@ class SessionScheduler:
         self._pending: deque[_InFlight] = deque()
         #: concurrency cap from the engine spec's ``admission=`` param
         #: (0 = unlimited)
-        self.admission_limit = int(
-            getattr(connection.config, "admission", 0) or 0
-        )
+        self.admission_limit = connection.config.effective("admission")
         #: optional in-flight memory budget in estimated bytes of bound
         #: base columns (None = off); an over-budget query still runs
         #: once nothing else is in flight

@@ -53,23 +53,10 @@ migrating key ranges incrementally at query boundaries while in-flight
 from __future__ import annotations
 
 from ..engines import (
-    ADMISSION_PARAM,
-    COMPRESSION_PARAM,
-    FUSION_OFF,
-    MORSEL_PARAM,
-    OBS_SLOW_PARAM,
-    TIMEOUT_PARAM,
-    TRACE_PARAM,
     EngineConfig,
     EngineFamily,
     EngineSpec,
     EngineSpecError,
-    parse_admission_setting,
-    parse_compression_setting,
-    parse_morsel_setting,
-    parse_slow_ms_setting,
-    parse_timeout_setting,
-    parse_trace_setting,
     register_engine,
 )
 from .backend import (
@@ -181,7 +168,6 @@ def _configure(spec: EngineSpec, registry) -> EngineConfig:
             replicas=replicas,
         )
 
-    morsel, morsel_size = parse_morsel_setting(spec)
     return EngineConfig(
         label=spec.canonical,
         make=make,
@@ -191,15 +177,6 @@ def _configure(spec: EngineSpec, registry) -> EngineConfig:
             f"tables {mode}-partitioned, mat.pack-style merges"
         ),
         pipelines_sessions=True,
-        fusion=FUSION_OFF not in spec.flags,
-        morsel=morsel,
-        morsel_size=morsel_size,
-        timeout_s=parse_timeout_setting(spec),
-        admission=parse_admission_setting(spec),
-        compression=parse_compression_setting(spec),
-        trace=parse_trace_setting(spec),
-        obs_slow_ms=parse_slow_ms_setting(spec),
-        spec=spec.canonical,
     )
 
 
@@ -223,10 +200,6 @@ register_engine(EngineFamily(
     # range partitioning is the default and deliberately NOT a flag:
     # "SHARD:2xCPU,range" aliasing "SHARD:2xCPU" would split the plan
     # cache and the connection cache over one identical engine
-    allowed_flags=frozenset({"hash", FUSION_OFF}),
-    allowed_params=frozenset({
-        "key", "keys", "join", "replicas",
-        ADMISSION_PARAM, COMPRESSION_PARAM, MORSEL_PARAM,
-        OBS_SLOW_PARAM, TIMEOUT_PARAM, TRACE_PARAM,
-    }),
+    allowed_flags=frozenset({"hash"}),
+    allowed_params=frozenset({"key", "keys", "join", "replicas"}),
 ))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.bench import (
-    CONFIGS,
     Measurement,
     Series,
     format_series,
@@ -59,12 +58,14 @@ def test_speedup_and_helpers():
 
 def test_configs_cover_the_paper():
     # the paper's four configurations plus the §7 HET extension
-    assert set(CONFIGS) == {"MS", "MP", "CPU", "GPU", "HET"}
-    assert CONFIGS["CPU"].is_ocelot and not CONFIGS["MS"].is_ocelot
-    assert CONFIGS["HET"].is_ocelot
-    # the reproduced figures sweep exactly the paper's configurations
-    from repro.bench.configs import ALL_LABELS
+    from repro.bench.configs import ALL_LABELS, HET_LABELS
+    from repro.engines import default_registry
 
+    assert set(HET_LABELS) == {"MS", "MP", "CPU", "GPU", "HET"}
+    resolve = default_registry.resolve
+    assert resolve("CPU").is_ocelot and not resolve("MS").is_ocelot
+    assert resolve("HET").is_ocelot
+    # the reproduced figures sweep exactly the paper's configurations
     assert ALL_LABELS == ("MS", "MP", "CPU", "GPU")
 
 

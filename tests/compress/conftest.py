@@ -1,6 +1,6 @@
 """Shared gating for the compression suite.
 
-The CI ``compression-off`` A/B job runs these tests with
+The CI ``knob-ab`` job runs these tests with
 ``REPRO_COMPRESSION=off``, which forces *storage* plain — tests that
 exist to observe encoded storage (zero-decode counters, explain
 annotations, physical interconnect bytes) are vacuous there and skip;

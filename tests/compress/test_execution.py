@@ -115,7 +115,7 @@ class TestAutoVsOff:
 
     The ``off`` connections run plain plans over the *same* encoded
     storage, exercising the whole-column decode fallback; the CI
-    ``compression-off`` job additionally runs the suites with
+    ``knob-ab`` job additionally runs the suites with
     ``REPRO_COMPRESSION=off`` so plain storage cannot rot either.
     """
 

@@ -1,11 +1,11 @@
-"""The compression rewrite pass and its gating (spec param + env)."""
+"""The compression rewrite pass and its serve-layer integration (the
+``compression`` knob's grammar: tests/engines/test_registry.py)."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.compress import COMPRESSION_ENV, compress_program
-from repro.engines import EngineSpecError, default_registry
+from repro.compress import compress_program
 from repro.monetdb.mal import MALBuilder
 
 
@@ -47,44 +47,6 @@ class TestPass:
     def test_idempotent(self):
         once = compress_program(_select_plan(), "auto")
         assert compress_program(once, "auto") is once
-
-
-class TestGating:
-    @pytest.mark.parametrize("family", ["MS", "MP", "CPU", "GPU", "HET"])
-    def test_every_simple_family_accepts_the_param(self, family):
-        config = default_registry.resolve(f"{family}:compression=dict")
-        assert config.compression == "dict"
-        assert default_registry.resolve(family).compression == "auto"
-
-    def test_shard_accepts_the_param(self):
-        config = default_registry.resolve("SHARD:2xMS,compression=off")
-        assert config.compression == "off"
-
-    def test_off_words_normalise(self):
-        for word in ("off", "false", "no", "0"):
-            config = default_registry.resolve(f"MS:compression={word}")
-            assert config.compression == "off"
-        assert default_registry.resolve(
-            "MP:compression=on"
-        ).compression == "auto"
-
-    @pytest.mark.parametrize("bad", [
-        "MS:compression=zip",
-        "MS:compression=dict,compression=rle",
-        "SHARD:2xMS,compression=lz4",
-    ])
-    def test_bad_values_rejected(self, bad):
-        with pytest.raises(EngineSpecError):
-            default_registry.resolve(bad)
-
-    def test_env_override_beats_the_spec(self, monkeypatch):
-        config = default_registry.resolve("CPU:compression=dict")
-        monkeypatch.setenv(COMPRESSION_ENV, "off")
-        assert config.effective_compression() == "off"
-        monkeypatch.setenv(COMPRESSION_ENV, "rle")
-        assert config.effective_compression() == "rle"
-        monkeypatch.delenv(COMPRESSION_ENV)
-        assert config.effective_compression() == "dict"
 
 
 @pytest.mark.needs_encoded_storage

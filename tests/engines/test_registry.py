@@ -1,20 +1,24 @@
 """Engine registry: spec grammar, canonicalization, registration,
 override semantics, and the generated README engine table."""
 
-import os
+import re
 
 import numpy as np
 import pytest
 
 import repro
 from repro.engines import (
+    KNOBS,
+    OFF_WORDS,
     EngineConfig,
     EngineFamily,
     EngineRegistry,
     EngineSpecError,
     default_registry,
     engine_table_markdown,
+    knob_table_markdown,
 )
+from repro.morsel import DEFAULT_MORSEL_SIZE
 
 
 class TestSpecGrammar:
@@ -137,55 +141,149 @@ class TestSpecParams:
             default_registry.parse(None)
 
 
-class TestServeParams:
-    """``timeout=`` / ``admission=`` (PR 7): the front door's serving
-    parameters, accepted by every family like ``morsel=``."""
+#: per knob: the non-off words of its spec syntax with their values,
+#: and malformed values — a knob added to the table needs a row here
+KNOB_WORDS = {
+    "fusion": ({}, ["on", "maybe"]),
+    "morsel": ({"4096": 4096, "on": DEFAULT_MORSEL_SIZE},
+               ["sideways", "-4", "2.5"]),
+    "compression": ({"dict": "dict", "rle": "rle", "for": "for",
+                     "auto": "auto", "on": "auto"}, ["zip", "lz4"]),
+    "trace": ({"on": True, "1": True, "true": True, "yes": True},
+              ["maybe", "always"]),
+    "obs_slow_ms": ({"2.5": 2.5, "5": 5.0}, ["-1", "banana", "nan"]),
+    "timeout": ({"2.5": 2.5, "1e6": 1e6}, ["-1", "zero", "never", "nan"]),
+    "admission": ({"4": 4}, ["2.5", "-3", "lots"]),
+}
+FAMILY_SPECS = ("MS", "MP", "CPU", "GPU", "HET", "SHARD:2xMS")
 
-    @pytest.mark.parametrize("family", ["MS", "MP", "CPU", "GPU", "HET"])
-    def test_every_simple_family_accepts_them(self, family):
-        config = default_registry.resolve(
-            f"{family}:admission=4,timeout=2.5"
+
+def with_args(family: str, *args: str) -> str:
+    return family + ("," if ":" in family else ":") + ",".join(args)
+
+
+def a_setting(knob):
+    """One ``(spec argument, value)`` that is not the knob's default."""
+    for word, value in KNOB_WORDS[knob.name][0].items():
+        if value != knob.default:
+            return f"{knob.name}={word}", value
+    return f"{knob.name}=off", knob.off
+
+
+@pytest.mark.parametrize("knob", KNOBS.values(), ids=list(KNOBS))
+class TestKnobTable:
+    """The knob grammar, row by row over :data:`repro.engines.KNOBS`:
+    every family accepts every knob the same way."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env(self, monkeypatch):
+        for other in KNOBS.values():   # the CI knob A/B job sets one
+            if other.env:
+                monkeypatch.delenv(other.env, raising=False)
+
+    @pytest.mark.parametrize("family", FAMILY_SPECS)
+    def test_default_when_absent(self, knob, family):
+        config = default_registry.resolve(family)
+        assert config.knobs[knob.name] == knob.default
+        assert config.effective(knob.name) == knob.default
+
+    @pytest.mark.parametrize("family", FAMILY_SPECS)
+    def test_every_word_on_every_family(self, knob, family):
+        words = {"off": knob.off, **KNOB_WORDS[knob.name][0]}
+        for word, value in words.items():
+            spec = with_args(family, f"{knob.name}={word}")
+            assert default_registry.resolve(spec).knobs[knob.name] == value
+
+    def test_every_off_word(self, knob):
+        for word in OFF_WORDS:
+            spec = f"MS:{knob.name}={word}"
+            if knob.flag and f"{knob.name}={word}" != knob.flag:
+                # a flag is one fixed word, so it cannot alias
+                with pytest.raises(EngineSpecError, match=knob.flag):
+                    default_registry.resolve(spec)
+            else:
+                config = default_registry.resolve(spec)
+                assert config.knobs[knob.name] == knob.off
+
+    def test_conflicting_pair_names_the_knob(self, knob):
+        argument, _ = a_setting(knob)
+        other = argument if knob.flag else f"{knob.name}=off"
+        with pytest.raises(EngineSpecError, match=knob.name):
+            default_registry.resolve(with_args("MS", argument, other))
+
+    @pytest.mark.parametrize("family", ["MS", "SHARD:2xMS"])
+    def test_malformed_value_lists_the_allowed_ones(self, knob, family):
+        allowed = knob.flag or knob.values
+        for word in KNOB_WORDS[knob.name][1]:
+            with pytest.raises(EngineSpecError, match=re.escape(allowed)):
+                default_registry.resolve(
+                    with_args(family, f"{knob.name}={word}")
+                )
+
+    def test_env_beats_spec(self, knob, monkeypatch):
+        if knob.env is None:
+            return
+        argument, value = a_setting(knob)
+        config = default_registry.resolve(f"MS:{argument}")
+        for word, forced in {"off": knob.off,
+                             **KNOB_WORDS[knob.name][0]}.items():
+            monkeypatch.setenv(knob.env, word.upper())
+            assert config.effective(knob.name) == forced
+            assert default_registry.resolve("MS").effective(
+                knob.name) == forced
+        # read per call: unset (or blank) falls back to the spec
+        monkeypatch.setenv(knob.env, " ")
+        assert config.effective(knob.name) == value
+        monkeypatch.delenv(knob.env)
+        assert config.effective(knob.name) == value
+
+    def test_unrecognised_env_word_is_ignored(self, knob, monkeypatch):
+        if knob.env is None:
+            return
+        argument, value = a_setting(knob)
+        config = default_registry.resolve(f"MS:{argument}")
+        for word in KNOB_WORDS[knob.name][1]:
+            monkeypatch.setenv(knob.env, word)
+            if knob.env_any_word_on:
+                assert config.effective(knob.name) == knob.value_of("on")
+            else:
+                assert config.effective(knob.name) == value
+
+    def test_in_plan_key_iff_part_of_plan_identity(self, knob):
+        argument, _ = a_setting(knob)
+        default = default_registry.resolve("MS")
+        changed = default_registry.resolve(f"MS:{argument}")
+        assert (changed.plan_key() != default.plan_key()) \
+            == knob.plan_identity
+        assert (default.with_knob_off(knob.name).plan_key()
+                != default.plan_key()) \
+            == (knob.plan_identity and knob.off != knob.default)
+
+
+class TestKnobWiring:
+    def test_every_row_has_test_words(self):
+        assert set(KNOB_WORDS) == set(KNOBS)
+
+    def test_plan_identity_is_fusion_morsel_compression(self):
+        assert [k.name for k in KNOBS.values() if k.plan_identity] == [
+            "fusion", "morsel", "compression"]
+        assert default_registry.resolve("CPU:morsel=64").plan_key() == (
+            True, 64, "auto")
+
+    def test_knob_arguments_canonicalise_sorted(self):
+        arguments = [a_setting(knob)[0] for knob in KNOBS.values()]
+        a = default_registry.parse(with_args("MS", *arguments))
+        b = default_registry.parse(
+            with_args("ms", *reversed(arguments)).upper()
         )
-        assert config.admission == 4
-        assert config.timeout_s == 2.5
+        assert a.canonical == b.canonical == with_args(
+            "MS", *sorted(arguments))
 
-    def test_shard_accepts_them(self):
-        config = default_registry.resolve(
-            "SHARD:2xMS,admission=2,timeout=1.5"
-        )
-        assert config.admission == 2
-        assert config.timeout_s == 1.5
+    def test_fusion_on_cannot_alias_the_default(self):
+        with pytest.raises(EngineSpecError, match="unknown parameter"):
+            default_registry.resolve("CPU:fusion=on")
 
-    def test_off_means_disabled(self):
-        config = default_registry.resolve("MS:admission=off,timeout=off")
-        assert config.admission == 0
-        assert config.timeout_s == 0.0
-
-    def test_params_canonicalise_sorted(self):
-        a = default_registry.parse("MS:timeout=2.5,admission=4")
-        b = default_registry.parse("ms:ADMISSION=4,timeout=2.5")
-        assert a.canonical == b.canonical == "MS:admission=4,timeout=2.5"
-
-    def test_defaults_are_off(self):
-        config = default_registry.resolve("CPU")
-        assert config.admission == 0
-        assert config.timeout_s == 0.0
-
-    @pytest.mark.parametrize("bad", [
-        "MS:timeout=-1",                   # negative deadline
-        "MS:timeout=zero",                 # not a number
-        "MS:timeout=1,timeout=2",          # conflicting values
-        "MS:admission=2.5",                # not an integer
-        "MS:admission=-3",
-        "MS:admission=lots",
-        "MS:admission=1,admission=2",
-        "SHARD:2xMS,timeout=never",
-    ])
-    def test_bad_values_rejected(self, bad):
-        with pytest.raises(EngineSpecError):
-            default_registry.resolve(bad)
-
-    def test_spec_params_connect_end_to_end(self):
+    def test_serving_knobs_reach_the_scheduler(self):
         db = repro.Database()
         db.create_table("t", {"x": np.arange(16, dtype=np.int32)})
         con = db.connect("MS:admission=2,timeout=1e6")
@@ -193,64 +291,7 @@ class TestServeParams:
         assert int(result.column("s")[0]) == 120
         assert con.scheduler.admission_limit == 2
 
-
-class TestTraceParams:
-    """``trace=`` / ``obs_slow_ms=`` (PR 9): the observability
-    parameters, accepted by every family like the serving ones."""
-
-    @pytest.mark.parametrize("family", ["MS", "MP", "CPU", "GPU", "HET"])
-    def test_every_simple_family_accepts_them(self, family):
-        config = default_registry.resolve(
-            f"{family}:trace=on,obs_slow_ms=2.5"
-        )
-        assert config.trace is True
-        assert config.obs_slow_ms == 2.5
-
-    def test_shard_accepts_them(self):
-        config = default_registry.resolve(
-            "SHARD:2xMS,trace=on,obs_slow_ms=5"
-        )
-        assert config.trace is True
-        assert config.obs_slow_ms == 5.0
-
-    def test_off_means_disabled(self):
-        config = default_registry.resolve("MS:trace=off,obs_slow_ms=off")
-        assert config.trace is False
-        assert config.obs_slow_ms == 0.0
-
-    def test_params_canonicalise_sorted(self):
-        a = default_registry.parse("MS:obs_slow_ms=5,trace=on")
-        b = default_registry.parse("ms:TRACE=on,obs_slow_ms=5")
-        assert a.canonical == b.canonical == "MS:obs_slow_ms=5,trace=on"
-
-    def test_defaults_are_off(self):
-        config = default_registry.resolve("CPU")
-        assert config.trace is False
-        assert config.obs_slow_ms == 0.0
-        if "REPRO_TRACE" not in os.environ:   # CI's trace-on job forces it
-            assert config.traces is False
-
-    def test_env_overrides_spec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "on")
-        assert default_registry.resolve("MS").traces is True
-        monkeypatch.setenv("REPRO_TRACE", "off")
-        assert default_registry.resolve("MS:trace=on").traces is False
-        monkeypatch.delenv("REPRO_TRACE")
-        assert default_registry.resolve("MS:trace=on").traces is True
-
-    @pytest.mark.parametrize("bad", [
-        "MS:trace=maybe",                  # not on/off
-        "MS:trace=on,trace=off",           # conflicting values
-        "MS:obs_slow_ms=-1",               # negative threshold
-        "MS:obs_slow_ms=banana",           # not a number
-        "MS:obs_slow_ms=1,obs_slow_ms=2",  # conflicting values
-        "SHARD:2xMS,trace=always",
-    ])
-    def test_bad_values_rejected(self, bad):
-        with pytest.raises(EngineSpecError):
-            default_registry.resolve(bad)
-
-    def test_spec_params_connect_end_to_end(self):
+    def test_observability_knobs_reach_the_tracer_and_the_log(self):
         db = repro.Database()
         db.create_table("t", {"x": np.arange(16, dtype=np.int32)})
         con = db.connect("MS:obs_slow_ms=0.000001,trace=on")
@@ -259,6 +300,19 @@ class TestTraceParams:
         assert result.trace is not None
         assert result.trace.root().name == "query"
         assert len(con.metrics.slow_queries) == 1
+
+    def test_ci_knob_matrix_covers_every_env_var(self):
+        """The ``knob-ab`` CI job has one matrix row per environment
+        override in the knob table (regex: no YAML dependency)."""
+        from pathlib import Path
+
+        ci = (Path(__file__).resolve().parents[2]
+              / ".github" / "workflows" / "ci.yml").read_text()
+        job = ci[ci.index("\n  knob-ab:"):]
+        job = job[:re.search(r"\n  [\w-]+:\n", job[1:]).start() + 1]
+        assert set(re.findall(r"REPRO_[A-Z]+", job)) == {
+            knob.env for knob in KNOBS.values() if knob.env
+        }
 
 
 class TestRegistry:
@@ -382,6 +436,15 @@ class TestGeneratedDocs:
         assert "`trace=…`" in engine_table_markdown()
         assert "`obs_slow_ms=…`" in engine_table_markdown()
 
+    def test_readme_knob_table_matches_the_knob_table(self):
+        """Generated like the engine table, by the same command."""
+        from pathlib import Path
+
+        readme = Path(__file__).resolve().parents[2] / "README.md"
+        assert knob_table_markdown() in readme.read_text()
+        for knob in KNOBS.values():
+            assert f"`{knob.syntax}`" in knob_table_markdown()
+
     def test_elastic_cluster_docs_resolve(self):
         """The elastic-cluster feature (PR 10) is documented where the
         module docstrings point: ARCHITECTURE's "Elastic cluster"
@@ -412,13 +475,9 @@ class TestGeneratedDocs:
         assert "Morsel-driven" in readme
         assert "REPRO_MORSEL" in readme
         assert "Front door" in readme
-        assert "`admission=<n>`" in readme
-        assert "`timeout=<seconds>`" in readme
         assert "Compressed execution" in readme
         assert "REPRO_COMPRESSION" in readme
-        assert "`compression=off|auto|dict|rle|for`" in readme
         assert "Observability" in architecture
         assert "EXPLAIN ANALYZE" in architecture
         assert "REPRO_TRACE" in readme
-        assert "`trace=on|off`" in readme
-        assert "`obs_slow_ms=<ms>`" in readme
+        assert "Plan pipeline" in architecture

@@ -1,7 +1,7 @@
 """Morsel A/B safety net: TPC-H returns identical results with the
 morsel pass on and off.  A fast subset runs in every tier-1 pass; the
 full 14-query x six-family matrix is the slow sweep (and the CI
-``morsel-off`` job runs the whole correctness suite with
+``knob-ab`` job runs the whole correctness suite with
 ``REPRO_MORSEL=off``, exercising the whole-column path end to end)."""
 
 import numpy as np

@@ -18,7 +18,7 @@ OBS_SF = 0.1
 @pytest.fixture(autouse=True)
 def _unforced_tracing(monkeypatch):
     """This suite exercises both trace modes through explicit specs and
-    ``analyze=``; a global ``REPRO_TRACE`` (the CI trace-on A/B job)
+    ``analyze=``; a global ``REPRO_TRACE`` (the CI knob-ab job)
     would force every connection and break the off-mode assertions."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
 

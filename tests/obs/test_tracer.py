@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.monetdb.bat import make_bat
-from repro.obs import Span, Tracer, describe_value, trace_env_forced
+from repro.engines import KNOBS
+from repro.obs import Span, Tracer, describe_value
 
 
 class FakeClock:
@@ -165,16 +166,16 @@ class TestChromeExport:
 class TestEnvGate:
     def test_unset_means_unforced(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert trace_env_forced() is None
+        assert KNOBS["trace"].env_value() is None
         monkeypatch.setenv("REPRO_TRACE", "  ")
-        assert trace_env_forced() is None
+        assert KNOBS["trace"].env_value() is None
 
     @pytest.mark.parametrize("word", ["on", "1", "true", "anything"])
     def test_on_words(self, monkeypatch, word):
         monkeypatch.setenv("REPRO_TRACE", word)
-        assert trace_env_forced() is True
+        assert KNOBS["trace"].env_value() is True
 
     @pytest.mark.parametrize("word", ["off", "0", "false", "no", "OFF"])
     def test_off_words(self, monkeypatch, word):
         monkeypatch.setenv("REPRO_TRACE", word)
-        assert trace_env_forced() is False
+        assert KNOBS["trace"].env_value() is False

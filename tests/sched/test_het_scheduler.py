@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro import cl
-from repro.bench.configs import CONFIGS
 from repro.bench.harness import BenchContext, uniform_column
+from repro.engines import default_registry
 from repro.monetdb import Catalog, MALBuilder, MonetDBSequential, run_program
 from repro.monetdb.bat import Role
 from repro.ocelot.rewriter import rewrite_for_ocelot
@@ -294,7 +294,7 @@ class TestDropInEquivalence:
         ms = run_program(program, MonetDBSequential(catalog))
         plan = rewrite_for_ocelot(program)
         het = run_program(
-            plan, CONFIGS["HET"].make(catalog, scale)
+            plan, default_registry.resolve("HET").make(catalog, scale)
         )
         _compare(ms, het, program.name)
         return ms, het
@@ -333,7 +333,7 @@ class TestDropInEquivalence:
         size = builder.emit("algebra", "hashbuild", (col,))
         program = builder.returns([("m", size)])
         het = run_program(
-            rewrite_for_ocelot(program), CONFIGS["HET"].make(catalog, 1.0)
+            rewrite_for_ocelot(program), default_registry.resolve("HET").make(catalog, 1.0)
         )
         assert het.columns["m"][0] >= 64  # >= the distinct count
         assert het.elapsed > 0

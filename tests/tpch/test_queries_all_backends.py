@@ -6,7 +6,8 @@ pipelines, rewriter and engines)."""
 import numpy as np
 import pytest
 
-from repro.bench.configs import CONFIGS
+from repro.bench.configs import HET_LABELS
+from repro.engines import default_registry
 from repro.monetdb import Catalog, run_program
 from repro.tpch import WORKLOAD, compile_query, generate
 
@@ -16,9 +17,10 @@ def contexts():
     data = generate(sf=0.5)
     catalog = Catalog()
     data.install(catalog)
+    configs = map(default_registry.resolve, HET_LABELS)
     return {
-        label: (config, config.make(catalog, data.data_scale))
-        for label, config in CONFIGS.items()
+        config.label: (config, config.make(catalog, data.data_scale))
+        for config in configs
     }
 
 
@@ -54,3 +56,36 @@ def test_simulated_times_positive_and_ordered(contexts):
         elapsed[label] = run_program(config.plan(program), backend).elapsed
     assert all(t > 0 for t in elapsed.values())
     assert elapsed["MS"] > elapsed["MP"]
+
+
+class TestEmptyGroupedResults:
+    """At SF 0.1 the grouped results of Q7, Q8, Q11 and Q21 are empty:
+    every engine returns zero rows like MS — the Ocelot grouped
+    aggregates used to report the one slot they allocate as a group
+    (one sentinel row, plus a divide warning on Q8)."""
+
+    SPECS = ("CPU", "GPU", "HET", "SHARD:2xCPU")
+    VARIANTS = ("", "morsel=off", "fusion=off")
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        import repro
+
+        return repro.tpch_database(sf=0.1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("query_id", ["Q7", "Q8", "Q11", "Q21"])
+    def test_zero_rows_with_the_reference_dtypes(self, db, query_id):
+        sql = WORKLOAD[query_id]
+        base = db.connect("MS").execute(sql)
+        assert base.n_rows == 0
+        for spec in self.SPECS:
+            for variant in self.VARIANTS:
+                separator = "," if ":" in spec else ":"
+                spec_v = spec + (separator + variant if variant else "")
+                other = db.connect(spec_v).execute(sql)
+                assert list(other.columns) == list(base.columns), spec_v
+                for col, expected in base.columns.items():
+                    got = other.columns[col]
+                    assert got.shape == (0,), (spec_v, col)
+                    assert got.dtype == expected.dtype, (spec_v, col)
