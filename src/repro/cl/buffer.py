@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DeviceLost
-from .event import Event
+from .event import Event, latest_end
 
 if TYPE_CHECKING:  # pragma: no cover
     from .context import Context
@@ -89,23 +89,36 @@ class Buffer:
         self.consumer_events = []
 
     def record_consumer(self, event: Event) -> None:
+        """Register ``event`` as a reader of the current contents.
+
+        Readers that end no later than ``event`` are dropped: a later
+        write waits for the latest reader only, and a long-lived buffer
+        (a cached base column, a cached join table) would otherwise
+        collect one event per query for ever.
+        """
+        t_end = event.t_end
+        self.consumer_events = [
+            e for e in self.consumer_events if e.t_end > t_end
+        ]
         self.consumer_events.append(event)
 
-    def dependencies_for_read(self) -> tuple[Event, ...]:
-        """Events that must complete before a command may *read* this buffer."""
-        return tuple(self.producer_events)
+    def forget_events(self) -> None:
+        """Empty the registry.  The queue calls this once it has joined
+        its timelines past every registered event (``finish``): a buffer
+        that is never touched again must not keep its last events alive."""
+        self.producer_events = []
+        self.consumer_events = []
 
-    def dependencies_for_write(self) -> tuple[Event, ...]:
-        """Events that must complete before a command may *write* this buffer
-        (write-after-write and write-after-read hazards)."""
-        return tuple(self.producer_events) + tuple(self.consumer_events)
+    def last_write(self) -> float:
+        """Simulated time at which the current contents are complete:
+        the earliest a command reading this buffer may start."""
+        return latest_end(self.producer_events)
 
     def last_activity(self) -> float:
-        """Simulated time at which the last registered operation ends.
-
-        The Memory Manager uses this to know when eviction is safe."""
-        events = self.producer_events + self.consumer_events
-        return max((e.t_end for e in events), default=0.0)
+        """Simulated time at which the last registered operation ends:
+        the earliest a command writing this buffer may start."""
+        return max(latest_end(self.producer_events),
+                   latest_end(self.consumer_events))
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -146,18 +146,27 @@ class Device:
 
     # -- cost model ---------------------------------------------------------
 
-    def kernel_time(self, work: KernelWork) -> float:
+    def kernel_time(self, work: KernelWork, scale: float = 1.0) -> float:
         """Simulated execution seconds for one kernel launch.
 
         ``max(memory, compute) + atomics + launch``: streaming and compute
         overlap (a kernel is bound by the slower of the two), whereas
         contended atomics serialise and therefore add.
+
+        ``scale`` is the context's ``data_scale``: every volume in
+        ``work`` is multiplied by it and truncated to whole units.
+        ``atomic_addresses`` is *not* scaled: it models distinct
+        contended locations (e.g. group count), a property of the data
+        distribution, not of the data volume.
         """
         p = self.profile
+        streamed = int(work.bytes_read * scale) + int(work.bytes_written * scale)
+        random_bytes = int(work.random_bytes * scale)
+        ops = int(work.ops * scale)
         eff_bw = p.stream_bw_gbs * p.bandwidth_efficiency * GB
-        t_stream = (work.bytes_read + work.bytes_written) / eff_bw
+        t_stream = streamed / eff_bw
         rand_bw = p.random_bw_gbs * p.bandwidth_efficiency * GB
-        t_random = work.random_bytes / rand_bw if work.random_bytes else 0.0
+        t_random = random_bytes / rand_bw if random_bytes else 0.0
         throughput = (
             p.compute_cores
             * p.units_per_core
@@ -165,11 +174,13 @@ class Device:
             * 1e9
             * p.ops_per_cycle_per_unit
         )
-        t_compute = work.ops / throughput if work.ops else 0.0
-        t_atomic = self._atomic_time(work)
+        t_compute = ops / throughput if ops else 0.0
+        t_atomic = self._atomic_time(
+            int(work.atomic_ops * scale), work.atomic_addresses
+        )
         return max(t_stream + t_random, t_compute) + t_atomic + p.kernel_launch_us * 1e-6
 
-    def _atomic_time(self, work: KernelWork) -> float:
+    def _atomic_time(self, atomic_ops: int, atomic_addresses: int) -> float:
         """Contention model for atomic read-modify-write traffic.
 
         Uncontended atomics are spread across the device's parallel width.
@@ -182,16 +193,16 @@ class Device:
         sequential MonetDB at low distinct counts and *improves* as the
         distinct count grows, while the GPU stays nearly flat.
         """
-        if not work.atomic_ops:
+        if not atomic_ops:
             return 0.0
         p = self.profile
         width = p.parallel_width
-        addresses = max(work.atomic_addresses, 1)
-        base = work.atomic_ops * p.atomic_ns * 1e-9 / width
+        addresses = max(atomic_addresses, 1)
+        base = atomic_ops * p.atomic_ns * 1e-9 / width
         per_op_conflict = p.atomic_conflict_ns * 1e-9 / (
             1.0 + addresses / p.contention_halfpoint
         )
-        return base + work.atomic_ops * per_op_conflict
+        return base + atomic_ops * per_op_conflict
 
     def transfer_time(self, nbytes: int) -> float:
         """Simulated host<->device transfer seconds for ``nbytes``.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class CommandType(enum.Enum):
@@ -39,16 +39,16 @@ class Event:
     ----------
     t_queued, t_submit, t_start, t_end:
         Simulated timestamps in seconds on the queue's timeline.
-    wait_for:
-        The explicit + implicit (buffer producer/consumer) dependencies that
-        gated this command's start.
+
+    An event holds no reference to the events it waited for: they only
+    bound ``t_start``, which the queue computes when it schedules the
+    command, so a finished command's ancestors are free to be collected.
     """
 
     __slots__ = (
         "event_id",
         "command_type",
         "label",
-        "wait_for",
         "t_queued",
         "t_submit",
         "t_start",
@@ -57,16 +57,10 @@ class Event:
         "engine",
     )
 
-    def __init__(
-        self,
-        command_type: CommandType,
-        label: str,
-        wait_for: Sequence["Event"] = (),
-    ):
+    def __init__(self, command_type: CommandType, label: str):
         self.event_id = next(_event_ids)
         self.command_type = command_type
         self.label = label
-        self.wait_for: tuple[Event, ...] = tuple(wait_for)
         self.t_queued = 0.0
         self.t_submit = 0.0
         self.t_start = 0.0
@@ -102,4 +96,8 @@ class Event:
 
 def latest_end(events: Iterable[Event]) -> float:
     """Largest simulated end time among ``events`` (0.0 when empty)."""
-    return max((e.t_end for e in events), default=0.0)
+    latest = 0.0
+    for event in events:
+        if event.t_end > latest:
+            latest = event.t_end
+    return latest

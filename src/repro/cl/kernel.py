@@ -88,10 +88,24 @@ class ExecContext:
     defines: Mapping[str, object]
     global_size: int
     local_size: int
+    #: what this launch's ``vec_fn`` measured for its ``work_fn`` (probe
+    #: look-ups, CAS attempts); one dict per launch, so interleaved
+    #: sessions never read each other's numbers
+    counters: dict = field(default_factory=dict)
 
     @property
     def num_groups(self) -> int:
         return max(1, self.global_size // max(self.local_size, 1))
+
+
+_READ, _WRITE, _LOCAL = 1, 2, 4
+_ACCESS = {
+    ParamKind.IN: _READ,
+    ParamKind.OUT: _WRITE,
+    ParamKind.INOUT: _READ | _WRITE,
+    ParamKind.SCALAR: 0,
+    ParamKind.LOCAL: _LOCAL,
+}
 
 
 @dataclass(frozen=True)
@@ -104,45 +118,60 @@ class KernelDef:
     work_fn: Callable
     ref_fn: Callable | None = None
     source: str = ""
+    #: the signature resolved once: one access code per parameter
+    _access: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def validate_args(self, args: Sequence[object]) -> None:
-        if len(args) != len(self.params):
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_access", tuple(_ACCESS[p.kind] for p in self.params)
+        )
+
+    def bind(
+        self, args: Sequence[object]
+    ) -> tuple[list[object], list[Buffer], list[Buffer]]:
+        """Check ``args`` against the signature and split them, in one
+        pass: ``(values for the kernel body, buffers read, buffers
+        written)``.  The body sees a buffer's array, ``None`` for a
+        ``__local`` placeholder and scalars as passed."""
+        if len(args) != len(self._access):
             raise InvalidKernelArgs(
                 f"kernel {self.name!r} takes {len(self.params)} args, "
                 f"got {len(args)}"
             )
-        for param, arg in zip(self.params, args):
-            if param.kind in (ParamKind.IN, ParamKind.OUT, ParamKind.INOUT):
+        values: list[object] = []
+        reads: list[Buffer] = []
+        writes: list[Buffer] = []
+        for access, param, arg in zip(self._access, self.params, args):
+            if access & (_READ | _WRITE):
                 if not isinstance(arg, Buffer):
                     raise InvalidKernelArgs(
                         f"kernel {self.name!r} arg {param.name!r} must be a "
                         f"Buffer, got {type(arg).__name__}"
                     )
-            elif param.kind is ParamKind.LOCAL:
+                if arg.released:
+                    raise InvalidKernelArgs(
+                        f"kernel {self.name!r} got released buffer {arg.tag!r}"
+                    )
+                values.append(arg.array)
+                if access & _READ:
+                    reads.append(arg)
+                if access & _WRITE:
+                    writes.append(arg)
+            elif access == _LOCAL:
                 if not isinstance(arg, Local):
                     raise InvalidKernelArgs(
                         f"kernel {self.name!r} arg {param.name!r} must be a "
                         f"Local placeholder, got {type(arg).__name__}"
                     )
+                values.append(None)
             elif isinstance(arg, (Buffer, Local)):
                 raise InvalidKernelArgs(
                     f"kernel {self.name!r} arg {param.name!r} is scalar but a "
                     f"memory object was passed"
                 )
-
-    def reads(self, args: Sequence[object]) -> list[Buffer]:
-        return [
-            a
-            for p, a in zip(self.params, args)
-            if p.kind in (ParamKind.IN, ParamKind.INOUT)
-        ]
-
-    def writes(self, args: Sequence[object]) -> list[Buffer]:
-        return [
-            a
-            for p, a in zip(self.params, args)
-            if p.kind in (ParamKind.OUT, ParamKind.INOUT)
-        ]
+            else:
+                values.append(arg)
+        return values, reads, writes
 
 
 class Kernel:

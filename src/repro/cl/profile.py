@@ -51,23 +51,6 @@ class KernelWork:
     atomic_ops: int = 0
     atomic_addresses: int = 0
 
-    def scaled(self, factor: float) -> "KernelWork":
-        """Return a copy with all volume metrics multiplied by ``factor``.
-
-        ``atomic_addresses`` is *not* scaled: it models distinct contended
-        locations (e.g. group count), which is a property of the data
-        distribution, not the data volume.
-        """
-        return KernelWork(
-            elements=int(self.elements * factor),
-            bytes_read=int(self.bytes_read * factor),
-            bytes_written=int(self.bytes_written * factor),
-            random_bytes=int(self.random_bytes * factor),
-            ops=int(self.ops * factor),
-            atomic_ops=int(self.atomic_ops * factor),
-            atomic_addresses=self.atomic_addresses,
-        )
-
     def __add__(self, other: "KernelWork") -> "KernelWork":
         return KernelWork(
             elements=self.elements + other.elements,

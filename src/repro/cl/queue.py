@@ -32,6 +32,7 @@ what lets independent queries overlap on different devices.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -40,15 +41,20 @@ import numpy as np
 from .buffer import Buffer
 from .errors import DeviceLost, InvalidKernelArgs
 from .event import CommandType, Event, EventStatus, latest_end
-from .kernel import ExecContext, Kernel, Local, ParamKind
+from .kernel import ExecContext, Kernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .context import Context
 
 
+#: events a queue keeps for :meth:`CommandQueue.timeline`
+TIMELINE_EVENTS = 256
+
+
 @dataclass
 class QueueStats:
-    """Cumulative activity counters (nominal bytes)."""
+    """Cumulative activity counters (nominal bytes) and the most recent
+    :data:`TIMELINE_EVENTS` events."""
 
     kernels_launched: int = 0
     transfers_to_device: int = 0
@@ -57,7 +63,9 @@ class QueueStats:
     bytes_from_device: int = 0
     kernel_seconds: float = 0.0
     transfer_seconds: float = 0.0
-    events: list[Event] = field(default_factory=list)
+    events: deque[Event] = field(
+        default_factory=lambda: deque(maxlen=TIMELINE_EVENTS)
+    )
 
     def snapshot(self) -> "QueueStats":
         return QueueStats(
@@ -83,6 +91,9 @@ class CommandQueue:
         self.host_time = 0.0
         self._engine_time = {self.COMPUTE: 0.0, self.COPY: 0.0}
         self.stats = QueueStats()
+        #: buffers whose registry holds an event scheduled since the
+        #: timelines were last joined (see :meth:`_join`)
+        self._registered: set[Buffer] = set()
         self._released = False
         #: session the next scheduled commands belong to (``None`` =
         #: plain single-query execution, the default)
@@ -100,15 +111,17 @@ class CommandQueue:
         self,
         engine: str,
         duration: float,
-        deps: Sequence[Event],
+        ready: float,
         command_type: CommandType,
         label: str,
     ) -> Event:
+        """Place one command on ``engine``; ``ready`` is the latest end
+        among the events it waits for."""
         self.host_time += self.device.host_submit_time()
-        event = Event(command_type, label, wait_for=deps)
+        event = Event(command_type, label)
         event.t_queued = self.host_time
         event.t_submit = self.host_time
-        start = max(self._engine_time[engine], event.t_submit, latest_end(deps))
+        start = max(self._engine_time[engine], event.t_submit, ready)
         session = self.current_session
         if session is not None:
             start = max(start, self._session_floor.get(session, 0.0))
@@ -124,14 +137,6 @@ class CommandQueue:
         self.stats.events.append(event)
         return event
 
-    @staticmethod
-    def _merge_deps(*groups: Sequence[Event]) -> tuple[Event, ...]:
-        seen: dict[int, Event] = {}
-        for group in groups:
-            for ev in group:
-                seen[ev.event_id] = ev
-        return tuple(seen.values())
-
     # -- kernels ---------------------------------------------------------------
 
     def enqueue_kernel(
@@ -145,14 +150,7 @@ class CommandQueue:
         """Execute ``kernel`` and schedule it on the compute engine."""
         self._check_alive()
         definition = kernel.definition
-        definition.validate_args(args)
-        reads = definition.reads(args)
-        writes = definition.writes(args)
-        for buf in reads + writes:
-            if buf.released:
-                raise InvalidKernelArgs(
-                    f"kernel {definition.name!r} got released buffer {buf.tag!r}"
-                )
+        values, reads, writes = definition.bind(args)
 
         profile = self.device.profile
         if local_size is None:
@@ -165,30 +163,24 @@ class CommandQueue:
             global_size=int(global_size),
             local_size=int(local_size),
         )
-        values = [
-            arg.array
-            if isinstance(arg, Buffer)
-            else (None if isinstance(arg, Local) else arg)
-            for arg in args
-        ]
         # Eager execution: results materialise now; timing is simulated.
         definition.vec_fn(exec_ctx, *values)
         work = definition.work_fn(exec_ctx, *values)
-        work = work.scaled(self.context.data_scale)
-        duration = self.device.kernel_time(work)
+        duration = self.device.kernel_time(work, self.context.data_scale)
 
-        deps = self._merge_deps(
-            wait_for,
-            *(b.dependencies_for_read() for b in reads),
-            *(b.dependencies_for_write() for b in writes),
-        )
+        ready = latest_end(wait_for)
+        for buf in reads:
+            ready = max(ready, buf.last_write())
+        for buf in writes:
+            ready = max(ready, buf.last_activity())
         event = self._schedule(
-            self.COMPUTE, duration, deps, CommandType.KERNEL, definition.name
+            self.COMPUTE, duration, ready, CommandType.KERNEL, definition.name
         )
         for buf in writes:
             buf.record_producer(event)
         for buf in reads:
             buf.record_consumer(event)
+        self._registered.update(writes, reads)
         self.stats.kernels_launched += 1
         self.stats.kernel_seconds += duration
         return event
@@ -211,11 +203,12 @@ class CommandQueue:
             )
         np.copyto(buffer.array.view(host_array.dtype), host_array)
         duration = self.device.transfer_time(buffer.nominal_nbytes)
-        deps = self._merge_deps(wait_for, buffer.dependencies_for_write())
+        ready = max(latest_end(wait_for), buffer.last_activity())
         event = self._schedule(
-            self.COPY, duration, deps, CommandType.WRITE_BUFFER, buffer.tag
+            self.COPY, duration, ready, CommandType.WRITE_BUFFER, buffer.tag
         )
         buffer.record_producer(event)
+        self._registered.add(buffer)
         self.stats.transfers_to_device += 1
         self.stats.bytes_to_device += buffer.nominal_nbytes
         self.stats.transfer_seconds += duration
@@ -231,11 +224,12 @@ class CommandQueue:
         self._check_alive()
         host_array = buffer.array.copy()
         duration = self.device.transfer_time(buffer.nominal_nbytes)
-        deps = self._merge_deps(wait_for, buffer.dependencies_for_read())
+        ready = max(latest_end(wait_for), buffer.last_write())
         event = self._schedule(
-            self.COPY, duration, deps, CommandType.READ_BUFFER, buffer.tag
+            self.COPY, duration, ready, CommandType.READ_BUFFER, buffer.tag
         )
         buffer.record_consumer(event)
+        self._registered.add(buffer)
         self.stats.transfers_from_device += 1
         self.stats.bytes_from_device += buffer.nominal_nbytes
         self.stats.transfer_seconds += duration
@@ -253,21 +247,23 @@ class CommandQueue:
         profile = self.device.profile
         gbs = profile.stream_bw_gbs * profile.bandwidth_efficiency * 1024**3
         duration = 2 * src.nominal_nbytes / gbs
-        deps = self._merge_deps(
-            wait_for, src.dependencies_for_read(), dst.dependencies_for_write()
+        ready = max(
+            latest_end(wait_for), src.last_write(), dst.last_activity()
         )
         event = self._schedule(
-            self.COPY, duration, deps, CommandType.COPY_BUFFER, dst.tag
+            self.COPY, duration, ready, CommandType.COPY_BUFFER, dst.tag
         )
         dst.record_producer(event)
         src.record_consumer(event)
+        self._registered.update((dst, src))
         return event
 
     def enqueue_marker(self, wait_for: Sequence[Event] = ()) -> Event:
         """Zero-duration synchronisation point on the compute engine."""
         self._check_alive()
         return self._schedule(
-            self.COMPUTE, 0.0, tuple(wait_for), CommandType.MARKER, "marker"
+            self.COMPUTE, 0.0, latest_end(wait_for), CommandType.MARKER,
+            "marker",
         )
 
     # -- synchronisation -----------------------------------------------------------
@@ -275,6 +271,18 @@ class CommandQueue:
     def makespan(self) -> float:
         """Current simulated completion time across host and both engines."""
         return max(self.host_time, *self._engine_time.values())
+
+    def _join(self, t: float) -> None:
+        """Join the host timeline and both engines at ``t``, which is at
+        or past the current makespan.  No later command can start before
+        ``t`` and every event scheduled so far ends by then, so none of
+        them can delay a command any more: the buffers forget them."""
+        self.host_time = t
+        for engine in self._engine_time:
+            self._engine_time[engine] = t
+        for buf in self._registered:
+            buf.forget_events()
+        self._registered.clear()
 
     def finish(self) -> float:
         """Block until all scheduled work completed (``clFinish``).
@@ -285,9 +293,7 @@ class CommandQueue:
         """
         self._check_alive()
         t = self.makespan()
-        self.host_time = t
-        for engine in self._engine_time:
-            self._engine_time[engine] = t
+        self._join(t)
         return t
 
     def advance_to(self, t: float) -> None:
@@ -299,10 +305,7 @@ class CommandQueue:
         Never moves time backwards.
         """
         self._check_alive()
-        t = max(t, self.makespan())
-        self.host_time = t
-        for engine in self._engine_time:
-            self._engine_time[engine] = t
+        self._join(max(t, self.makespan()))
 
     # -- per-session timelines (serve layer) ---------------------------------
 
@@ -337,7 +340,8 @@ class CommandQueue:
         )
 
     def timeline(self) -> list[Event]:
-        """All scheduled events ordered by simulated start time."""
+        """The most recent :data:`TIMELINE_EVENTS` scheduled events,
+        ordered by simulated start time."""
         return sorted(self.stats.events, key=lambda e: (e.t_start, e.event_id))
 
     def release(self) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cl import KernelDef, KernelWork, params
+from .primitives import chunk_bounds
 
 AGG_OPS = ("sum", "min", "max", "count")
 
@@ -63,7 +64,7 @@ def _identity(op: str, dtype: np.dtype):
 def _grouped_partial_vec(ctx, partials, gids, vals, n, ngroups, op, accums, in_local):
     n = int(n)
     parts, table_width = partials.shape  # host-sized (>= max(ngroups, 1))
-    bounds = np.linspace(0, n, parts + 1, dtype=np.int64)
+    bounds = chunk_bounds(n, parts)
     for part in range(parts):
         lo, hi = bounds[part], bounds[part + 1]
         chunk_vals = None if op == "count" else vals[lo:hi]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cl import KernelDef, KernelWork, params
+from .primitives import chunk_bounds
 from .selection import bitmap_nbytes
 
 #: Per-byte population counts, the classic table-lookup popcount.
@@ -110,14 +111,10 @@ __kernel void bitmap_not(__global uchar* res, __global const uchar* a,
 )
 
 
-def _partition_bounds(nbytes: int, parts: int) -> np.ndarray:
-    return np.linspace(0, nbytes, parts + 1, dtype=np.int64)
-
-
 def _bitmap_count_vec(ctx, counts, bitmap, nbytes, parts):
     """Per-partition set-bit counts (stage 1 of materialisation)."""
     nbytes, parts = int(nbytes), int(parts)
-    bounds = _partition_bounds(nbytes, parts)
+    bounds = chunk_bounds(nbytes, parts)
     per_byte = POPCOUNT[bitmap[:nbytes]]
     sums = np.add.reduceat(per_byte, bounds[:-1]) if nbytes else np.zeros(parts)
     # reduceat quirk: empty trailing partitions repeat the previous slice.
@@ -137,7 +134,7 @@ def _bitmap_count_work(ctx, counts, bitmap, nbytes, parts):
 
 def _bitmap_count_ref(wi, counts, bitmap, nbytes, parts):
     nbytes, parts = int(nbytes), int(parts)
-    bounds = _partition_bounds(nbytes, parts)
+    bounds = chunk_bounds(nbytes, parts)
     for p in wi.partition(parts):
         total = 0
         for j in range(bounds[p], bounds[p + 1]):
@@ -192,7 +189,7 @@ def _bitmap_write_oids_work(ctx, oids, bitmap, offsets, n_bits, parts):
 def _bitmap_write_oids_ref(wi, oids, bitmap, offsets, n_bits, parts):
     n_bits, parts = int(n_bits), int(parts)
     nbytes = bitmap_nbytes(n_bits)
-    bounds = _partition_bounds(nbytes, parts)
+    bounds = chunk_bounds(nbytes, parts)
     for p in wi.partition(parts):
         cursor = int(offsets[p])
         for j in range(bounds[p], bounds[p + 1]):

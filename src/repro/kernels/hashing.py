@@ -42,11 +42,11 @@ PROBE_LIMIT = 64
 # Odd multiplicative constants (Knuth-style golden-ratio family).
 _MULTIPLIERS = np.array(
     [2654435761, 2246822519, 3266489917, 668265263, 374761393, 2166136261],
-    dtype=np.uint64,
+    dtype=np.uint32,
 )
 _MIXERS = np.array(
     [2484345967, 1831565813, 3571494541, 2654435789, 1099087573, 2971215073],
-    dtype=np.uint64,
+    dtype=np.uint32,
 )
 
 
@@ -57,14 +57,16 @@ class TableFull(CLError):
 def hash_slot(keys: np.ndarray, func: int, m: int) -> np.ndarray:
     """The ``func``-th strong hash of ``keys`` into ``[0, m)``.
 
-    Multiply-xorshift-multiply in 64-bit, reduced modulo the table size.
+    Multiply-xorshift-multiply on the low 32 bits, reduced modulo the
+    table size — the OpenCL kernel's ``uint`` arithmetic: products wrap.
     """
-    k = keys.astype(np.uint64, copy=False)
-    h = (k * _MULTIPLIERS[func]) & np.uint64(0xFFFFFFFF)
-    h ^= h >> np.uint64(16)
-    h = (h * _MIXERS[func]) & np.uint64(0xFFFFFFFF)
-    h ^= h >> np.uint64(13)
-    return (h % np.uint64(m)).astype(np.int64)
+    h = keys.astype(np.uint32)
+    h *= _MULTIPLIERS[func]
+    h ^= h >> np.uint32(16)
+    h *= _MIXERS[func]
+    h ^= h >> np.uint32(13)
+    h %= np.uint32(m)
+    return h.astype(np.int64)
 
 
 def _scalar_slot(key: int, func: int, m: int) -> int:
@@ -101,15 +103,23 @@ def _ht_optimistic_work(ctx, tkeys, tvals, keys, vals, n, m):
 
 
 def _distinct_slot_estimate(keys: np.ndarray, m: int) -> int:
+    """Distinct contended addresses of a build, for the cost model only:
+    exact up to 65536 keys, extrapolated from a stride sample beyond."""
     if keys.size == 0:
         return 1
     if keys.size <= 65536:
-        return max(1, int(np.unique(keys).size))
+        return _count_distinct(keys)
     sample = keys[:: max(1, keys.size // 65536)]
-    distinct = int(np.unique(sample).size)
+    distinct = _count_distinct(sample)
     if distinct >= sample.size // 2:  # looks unique-ish: extrapolate
         distinct = int(distinct * keys.size / sample.size)
     return max(1, min(distinct, m))
+
+
+def _count_distinct(keys: np.ndarray) -> int:
+    """Distinct values of a non-empty array: sort, count the boundaries."""
+    ordered = np.sort(keys)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 def _ht_optimistic_ref(wi, tkeys, tvals, keys, vals, n, m):
@@ -209,58 +219,55 @@ def _insert_round(tkeys, tvals, pending_keys, pending_vals, slots):
     mask of keys placed or already present after this round.
     """
     occupant = tkeys[slots]
-    present = occupant == pending_keys
     empty = occupant == EMPTY
-    if np.any(empty):
-        cand_idx = np.nonzero(empty)[0]
-        cand_slots = slots[cand_idx]
-        first = np.unique(cand_slots, return_index=True)[1]
-        winners = cand_idx[first]
-        tkeys[slots[winners]] = pending_keys[winners]
-        tvals[slots[winners]] = pending_vals[winners]
-        present = tkeys[slots] == pending_keys
-    return present
+    if empty.any():
+        # numpy scatter keeps the last write per slot: contenders write
+        # in descending index order, so the lowest index wins
+        contenders = np.flatnonzero(empty)[::-1]
+        won = slots[contenders]
+        tkeys[won] = pending_keys[contenders]
+        tvals[won] = pending_vals[contenders]
+        occupant = tkeys[slots]
+    return occupant == pending_keys
 
 
 def _ht_pessimistic_vec(ctx, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m):
     n, m = int(n), int(m)
-    failed = np.unpackbits(fail_bitmap, bitorder="little", count=n).astype(bool)
-    pending_keys = keys[:n][failed].copy()
-    pending_vals = vals[:n][failed].copy()
+    failed = np.unpackbits(fail_bitmap, bitorder="little", count=n).view(bool)
+    pending_keys = keys[:n][failed]
+    pending_vals = vals[:n][failed]
     cas_attempts = 0
     for func in range(NUM_HASH_FUNCTIONS):
         if pending_keys.size == 0:
             break
         slots = hash_slot(pending_keys, func, m)
         cas_attempts += int(pending_keys.size)
-        placed = _insert_round(tkeys, tvals, pending_keys, pending_vals, slots)
-        pending_keys = pending_keys[~placed]
-        pending_vals = pending_vals[~placed]
+        unplaced = ~_insert_round(tkeys, tvals, pending_keys, pending_vals, slots)
+        pending_keys = pending_keys[unplaced]
+        pending_vals = pending_vals[unplaced]
 
     if pending_keys.size:
         base = hash_slot(pending_keys, NUM_HASH_FUNCTIONS - 1, m)
         for distance in range(1, PROBE_LIMIT + 1):
             slots = (base + distance) % m
             cas_attempts += int(pending_keys.size)
-            placed = _insert_round(
+            unplaced = ~_insert_round(
                 tkeys, tvals, pending_keys, pending_vals, slots
             )
-            pending_keys = pending_keys[~placed]
-            pending_vals = pending_vals[~placed]
-            base = base[~placed]
+            pending_keys = pending_keys[unplaced]
+            pending_vals = pending_vals[unplaced]
+            base = base[unplaced]
             if pending_keys.size == 0:
                 break
 
     stats[0] = np.uint32(cas_attempts)
     stats[1] = np.uint32(pending_keys.size)  # unplaced -> host restarts
-    # Persist for the cost model (work_fn runs after vec_fn).
-    ctx.defines = dict(ctx.defines)
-    ctx.defines["_LAST_CAS_ATTEMPTS"] = cas_attempts
+    ctx.counters["cas_attempts"] = cas_attempts
 
 
 def _ht_pessimistic_work(ctx, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m):
     n = int(n)
-    attempts = int(ctx.defines.get("_LAST_CAS_ATTEMPTS", 0))
+    attempts = ctx.counters.get("cas_attempts", 0)
     distinct = _distinct_slot_estimate(keys[:n], int(m))
     table_bytes = 8 * int(m)
     random = 8 * attempts if table_bytes > _CACHE_RESIDENT_BYTES else 0
@@ -356,42 +363,48 @@ __kernel void ht_insert_pessimistic(__global uint* tkeys, __global uint* tvals,
 
 def _ht_probe_vec(ctx, out_vals, found_bitmap, tkeys, tvals, keys, n, m):
     n, m = int(n), int(m)
-    probe_keys = keys[:n]
-    result = np.full(n, EMPTY, dtype=np.uint32)
-    found = np.zeros(n, dtype=bool)
-    pending = np.arange(n, dtype=np.int64)
-    lookups = 0
-    for func in range(NUM_HASH_FUNCTIONS):
+    # h0 runs over the whole input; later rounds over the compacted misses
+    pending_keys = keys[:n]
+    slots = hash_slot(pending_keys, 0, m)
+    found = tkeys.take(slots) == pending_keys
+    result = out_vals[:n]
+    result[:] = tvals.take(slots)
+    lookups = n
+    pending = np.flatnonzero(~found)
+    result[pending] = EMPTY
+    pending_keys = pending_keys.take(pending)
+    for func in range(1, NUM_HASH_FUNCTIONS):
         if pending.size == 0:
             break
-        slots = hash_slot(probe_keys[pending], func, m)
-        occupant = tkeys[slots]
+        slots = hash_slot(pending_keys, func, m)
         lookups += int(pending.size)
-        hit = occupant == probe_keys[pending]
-        result[pending[hit]] = tvals[slots[hit]]
-        found[pending[hit]] = True
-        pending = pending[~hit]
+        hit = tkeys.take(slots) == pending_keys
+        hit_rows = pending[hit]
+        result[hit_rows] = tvals.take(slots[hit])
+        found[hit_rows] = True
+        miss = ~hit
+        pending = pending[miss]
+        pending_keys = pending_keys[miss]
     if pending.size:
-        base = hash_slot(probe_keys[pending], NUM_HASH_FUNCTIONS - 1, m)
+        base = hash_slot(pending_keys, NUM_HASH_FUNCTIONS - 1, m)
         for distance in range(1, PROBE_LIMIT + 1):
             if pending.size == 0:
                 break
             slots = (base + distance) % m
-            occupant = tkeys[slots]
+            occupant = tkeys.take(slots)
             lookups += int(pending.size)
-            hit = occupant == probe_keys[pending]
-            result[pending[hit]] = tvals[slots[hit]]
-            found[pending[hit]] = True
-            miss_final = occupant == EMPTY  # empty slot terminates the probe
-            keep = ~hit & ~miss_final
+            hit = occupant == pending_keys
+            hit_rows = pending[hit]
+            result[hit_rows] = tvals.take(slots[hit])
+            found[hit_rows] = True
+            keep = ~hit & (occupant != EMPTY)  # an empty slot ends the probe
             pending = pending[keep]
+            pending_keys = pending_keys[keep]
             base = base[keep]
-    out_vals[:n] = result
     packed = np.packbits(found, bitorder="little")
     found_bitmap[: packed.size] = packed
     found_bitmap[packed.size :] = 0
-    ctx.defines = dict(ctx.defines)
-    ctx.defines["_LAST_PROBE_LOOKUPS"] = lookups
+    ctx.counters["probe_lookups"] = lookups
 
 
 #: Tables smaller than this stay resident in on-chip cache during a probe
@@ -404,7 +417,7 @@ _CACHE_RESIDENT_BYTES = 4 * 1024 * 1024
 
 def _ht_probe_work(ctx, out_vals, found_bitmap, tkeys, tvals, keys, n, m):
     n = int(n)
-    lookups = int(ctx.defines.get("_LAST_PROBE_LOOKUPS", n))
+    lookups = ctx.counters.get("probe_lookups", n)
     table_bytes = 8 * int(m)
     random = 8 * lookups if table_bytes > _CACHE_RESIDENT_BYTES else 0
     return KernelWork(

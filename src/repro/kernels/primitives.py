@@ -12,9 +12,25 @@ binary reduction [24]).  Every kernel follows the package conventions:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..cl import KernelDef, KernelWork, params
+
+
+@functools.lru_cache(maxsize=256)
+def chunk_bounds(n: int, parts: int) -> np.ndarray:
+    """The ``parts + 1`` ascending offsets that cut ``[0, n)`` into
+    ``parts`` contiguous chunks, one per thread.
+
+    A pure function of its arguments that every pass of a sort and every
+    chunked reduction asks for again, so it is memoised; callers share
+    the array, which is therefore read-only.
+    """
+    bounds = np.linspace(0, n, parts + 1, dtype=np.int64)
+    bounds.setflags(write=False)
+    return bounds
 
 # Operator tables for the element-wise kernels.  MonetDB's batcalc module
 # has one operator per arithmetic op; we keep a single kernel with the op
@@ -225,7 +241,7 @@ def _reduce_partial_vec(ctx, partials, inp, n, op):
     n = int(n)
     reducer, _ = _REDUCERS[op]
     groups = partials.shape[0]
-    bounds = np.linspace(0, n, groups + 1, dtype=np.int64)
+    bounds = chunk_bounds(n, groups)
     identity = _identity_for(op, partials.dtype)
     for g in range(groups):
         lo, hi = bounds[g], bounds[g + 1]

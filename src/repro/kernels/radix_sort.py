@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cl import KernelDef, KernelWork, params
+from .primitives import chunk_bounds
 
 KEY_KIND_UINT = 0
 KEY_KIND_INT = 1
@@ -151,31 +152,27 @@ __kernel void key_encode(__global uint* ukeys, __global const T* col, uint n) {
 )
 
 
-def _chunk_bounds(n: int, parts: int) -> np.ndarray:
-    return np.linspace(0, n, parts + 1, dtype=np.int64)
-
-
 def _radix_bits(ctx) -> int:
     return int(ctx.defines.get("RADIX_BITS", 8))
 
 
 def _digits(keys: np.ndarray, shift: int, bits: int) -> np.ndarray:
-    mask = (1 << bits) - 1
-    shifted = np.right_shift(keys, keys.dtype.type(shift))
-    return np.bitwise_and(shifted, keys.dtype.type(mask)).astype(
-        np.int64, copy=False
-    )
+    """The current digit of every key, in the narrowest unsigned type
+    (numpy's stable argsort takes its radix path on those)."""
+    digits = np.right_shift(keys, keys.dtype.type(shift))
+    np.bitwise_and(digits, keys.dtype.type((1 << bits) - 1), out=digits)
+    return digits.astype(np.uint8 if bits <= 8 else np.uint16)
 
 
 def _radix_histogram_vec(ctx, hist, keys, n, shift, parts):
     n, shift, parts = int(n), int(shift), int(parts)
     bits = _radix_bits(ctx)
     radix = 1 << bits
-    digits = _digits(keys[:n], shift, bits)
-    # Combined (thread, digit) index -> one bincount for all histograms.
-    bounds = _chunk_bounds(n, parts)
-    rows = np.searchsorted(bounds[1:], np.arange(n), side="right")
-    combined = rows * radix + digits
+    # Combined (thread, digit) index -> one bincount for all histograms:
+    # every row starts at its thread's first bin and adds its digit.
+    first_bin = np.arange(0, parts * radix, radix)
+    combined = np.repeat(first_bin, np.diff(chunk_bounds(n, parts)))
+    combined += _digits(keys[:n], shift, bits)
     counts = np.bincount(combined, minlength=parts * radix)
     hist.reshape(parts, radix)[:, :] = counts.reshape(parts, radix)
 
@@ -191,7 +188,7 @@ def _radix_histogram_ref(wi, hist, keys, n, shift, parts):
     bits = int(wi.define("RADIX_BITS", 8))
     radix = 1 << bits
     n, shift, parts = int(n), int(shift), int(parts)
-    bounds = _chunk_bounds(n, parts)
+    bounds = chunk_bounds(n, parts)
     view = hist.reshape(parts, radix)
     for t in wi.partition(parts):
         counts = np.zeros(radix, dtype=hist.dtype)
@@ -223,11 +220,11 @@ __kernel void radix_histogram(__global uint* hist, __global const uint* keys,
 def _radix_offsets_vec(ctx, offsets, hist, parts):
     parts = int(parts)
     radix = hist.size // parts
-    transposed = hist.reshape(parts, radix).T.ravel()  # digit-major
-    excl = np.concatenate(([0], np.cumsum(transposed)[:-1]))
-    offsets.reshape(radix, parts)[:, :] = excl.reshape(radix, parts).astype(
-        offsets.dtype
-    )
+    digit_major = hist.reshape(parts, radix).T.ravel()
+    # exclusive prefix sum, accumulated straight into the output
+    flat = offsets.reshape(-1)
+    flat[0] = 0
+    np.cumsum(digit_major[:-1], dtype=flat.dtype, out=flat[1:])
 
 
 def _radix_offsets_work(ctx, offsets, hist, parts):
@@ -271,12 +268,11 @@ __kernel void radix_offsets(__global uint* offsets, __global const uint* hist,
 
 def _radix_reorder_vec(ctx, keys_out, payload_out, keys, payload, offsets, n, shift, parts):
     n, shift = int(n), int(shift)
-    bits = _radix_bits(ctx)
-    # uint16 digits let numpy's stable argsort use its radix path.
-    digits = _digits(keys[:n], shift, bits).astype(np.uint16)
     # Stable order by digit == concatenation of the per-thread stable
     # scatters, because chunks are contiguous (module docstring).
-    order = np.argsort(digits, kind="stable")
+    order = np.argsort(
+        _digits(keys[:n], shift, _radix_bits(ctx)), kind="stable"
+    )
     keys_out[:n] = keys[:n][order]
     payload_out[:n] = payload[:n][order]
 
@@ -299,7 +295,7 @@ def _radix_reorder_ref(wi, keys_out, payload_out, keys, payload, offsets, n, shi
     bits = int(wi.define("RADIX_BITS", 8))
     radix = 1 << bits
     n, shift, parts = int(n), int(shift), int(parts)
-    bounds = _chunk_bounds(n, parts)
+    bounds = chunk_bounds(n, parts)
     table = offsets.reshape(radix, parts)
     for t in wi.partition(parts):
         cursors = table[:, t].astype(np.int64)

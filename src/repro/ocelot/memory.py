@@ -537,9 +537,7 @@ class MemoryManager:
         ``max(count, 1)`` elements, so the hand-over truncates to the
         BAT's logical count — an empty result must not gain a phantom
         row of padding."""
-        host, _event = self.queue.enqueue_read(
-            buffer, wait_for=buffer.dependencies_for_read()
-        )
+        host, _event = self.queue.enqueue_read(buffer)
         self.queue.finish()
         if host.shape[0] > bat.count:
             host = host[:bat.count]

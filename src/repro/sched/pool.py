@@ -126,9 +126,7 @@ class DevicePool:
             if isinstance(aux, Buffer) and not aux.released:
                 (self.engine_for_buffer(aux) or source).memory.release(aux)
         bat.aux.clear()
-        host, _event = source.queue.enqueue_read(
-            ref, wait_for=ref.dependencies_for_read()
-        )
+        host, _event = source.queue.enqueue_read(ref)
         # ... join the timelines at the hand-over ...
         self.join_clocks()
         source.memory.release(ref)

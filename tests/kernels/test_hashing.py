@@ -159,3 +159,290 @@ class TestBuildProbe:
 
     def test_probe_limit_bounds_linear_scan(self):
         assert PROBE_LIMIT >= 16
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the bodies before the single-pass rewrite.  The functions
+# below are verbatim copies of the previous ``src/repro/kernels/hashing.py``
+# (64-bit hashing, ``np.unique`` estimator, re-gathering probe); the current
+# kernels must reproduce their tables, bitmaps, stats, counters and
+# ``KernelWork`` exactly — simulated time is derived from the last three.
+# ---------------------------------------------------------------------------
+
+_OLD_MULTIPLIERS = np.array(
+    [2654435761, 2246822519, 3266489917, 668265263, 374761393, 2166136261],
+    dtype=np.uint64,
+)
+_OLD_MIXERS = np.array(
+    [2484345967, 1831565813, 3571494541, 2654435789, 1099087573, 2971215073],
+    dtype=np.uint64,
+)
+_OLD_CACHE_RESIDENT_BYTES = 4 * 1024 * 1024
+
+
+def old_hash_slot(keys, func, m):
+    k = keys.astype(np.uint64, copy=False)
+    h = (k * _OLD_MULTIPLIERS[func]) & np.uint64(0xFFFFFFFF)
+    h ^= h >> np.uint64(16)
+    h = (h * _OLD_MIXERS[func]) & np.uint64(0xFFFFFFFF)
+    h ^= h >> np.uint64(13)
+    return (h % np.uint64(m)).astype(np.int64)
+
+
+def old_distinct_slot_estimate(keys, m):
+    if keys.size == 0:
+        return 1
+    if keys.size <= 65536:
+        return max(1, int(np.unique(keys).size))
+    sample = keys[:: max(1, keys.size // 65536)]
+    distinct = int(np.unique(sample).size)
+    if distinct >= sample.size // 2:  # looks unique-ish: extrapolate
+        distinct = int(distinct * keys.size / sample.size)
+    return max(1, min(distinct, m))
+
+
+def old_insert_round(tkeys, tvals, pending_keys, pending_vals, slots):
+    occupant = tkeys[slots]
+    present = occupant == pending_keys
+    empty = occupant == EMPTY
+    if np.any(empty):
+        cand_idx = np.nonzero(empty)[0]
+        cand_slots = slots[cand_idx]
+        first = np.unique(cand_slots, return_index=True)[1]
+        winners = cand_idx[first]
+        tkeys[slots[winners]] = pending_keys[winners]
+        tvals[slots[winners]] = pending_vals[winners]
+        present = tkeys[slots] == pending_keys
+    return present
+
+
+def old_pessimistic_vec(tkeys, tvals, stats, keys, vals, fail_bitmap, n, m):
+    """Returns the CAS attempts the old body left for its ``work_fn``."""
+    n, m = int(n), int(m)
+    failed = np.unpackbits(fail_bitmap, bitorder="little", count=n).astype(bool)
+    pending_keys = keys[:n][failed].copy()
+    pending_vals = vals[:n][failed].copy()
+    cas_attempts = 0
+    for func in range(NUM_HASH_FUNCTIONS):
+        if pending_keys.size == 0:
+            break
+        slots = old_hash_slot(pending_keys, func, m)
+        cas_attempts += int(pending_keys.size)
+        placed = old_insert_round(tkeys, tvals, pending_keys, pending_vals, slots)
+        pending_keys = pending_keys[~placed]
+        pending_vals = pending_vals[~placed]
+
+    if pending_keys.size:
+        base = old_hash_slot(pending_keys, NUM_HASH_FUNCTIONS - 1, m)
+        for distance in range(1, PROBE_LIMIT + 1):
+            slots = (base + distance) % m
+            cas_attempts += int(pending_keys.size)
+            placed = old_insert_round(
+                tkeys, tvals, pending_keys, pending_vals, slots
+            )
+            pending_keys = pending_keys[~placed]
+            pending_vals = pending_vals[~placed]
+            base = base[~placed]
+            if pending_keys.size == 0:
+                break
+
+    stats[0] = np.uint32(cas_attempts)
+    stats[1] = np.uint32(pending_keys.size)
+    return cas_attempts
+
+
+def old_probe_vec(out_vals, found_bitmap, tkeys, tvals, keys, n, m):
+    """Returns the look-ups the old body left for its ``work_fn``."""
+    n, m = int(n), int(m)
+    probe_keys = keys[:n]
+    result = np.full(n, EMPTY, dtype=np.uint32)
+    found = np.zeros(n, dtype=bool)
+    pending = np.arange(n, dtype=np.int64)
+    lookups = 0
+    for func in range(NUM_HASH_FUNCTIONS):
+        if pending.size == 0:
+            break
+        slots = old_hash_slot(probe_keys[pending], func, m)
+        occupant = tkeys[slots]
+        lookups += int(pending.size)
+        hit = occupant == probe_keys[pending]
+        result[pending[hit]] = tvals[slots[hit]]
+        found[pending[hit]] = True
+        pending = pending[~hit]
+    if pending.size:
+        base = old_hash_slot(probe_keys[pending], NUM_HASH_FUNCTIONS - 1, m)
+        for distance in range(1, PROBE_LIMIT + 1):
+            if pending.size == 0:
+                break
+            slots = (base + distance) % m
+            occupant = tkeys[slots]
+            lookups += int(pending.size)
+            hit = occupant == probe_keys[pending]
+            result[pending[hit]] = tvals[slots[hit]]
+            found[pending[hit]] = True
+            miss_final = occupant == EMPTY
+            keep = ~hit & ~miss_final
+            pending = pending[keep]
+            base = base[keep]
+    out_vals[:n] = result
+    packed = np.packbits(found, bitorder="little")
+    found_bitmap[: packed.size] = packed
+    found_bitmap[packed.size :] = 0
+    return lookups
+
+
+def old_random_bytes(per_access, count, m):
+    return per_access * count if 8 * m > _OLD_CACHE_RESIDENT_BYTES else 0
+
+
+SIZES = (0, 1, 7, 65_536, 65_537, 200_001)
+KEY_KINDS = ("constant", "distinct", "twenty", "skewed")
+
+
+def make_keys(kind: str, n: int) -> np.ndarray:
+    """Adversarial key columns; the top of the range sits next to EMPTY."""
+    rng = np.random.default_rng(n + len(kind))
+    if kind == "constant":
+        return np.full(n, 0xFFFFFFFE, np.uint32)
+    if kind == "distinct":
+        return (0xFFFFFFFE - np.arange(n, dtype=np.int64)).astype(np.uint32)
+    if kind == "twenty":
+        return (rng.integers(0, 20, n) * 226050910).astype(np.uint32)
+    return np.minimum(rng.zipf(1.3, n), 0xFFFFFFFE).astype(np.uint32)
+
+
+def table_sizes(n: int) -> "tuple[int, ...]":
+    """Tiny, small prime, a prime past the cache-resident threshold (so
+    ``random_bytes`` is live), and the host's 1.4x over-allocation."""
+    return (16, 157, 600_011, int(1.4 * n) + 1)
+
+
+def vec_ctx():
+    from repro import cl
+    from repro.cl.kernel import ExecContext
+
+    return ExecContext(cl.get_device("cpu"), {}, 64, 16)
+
+
+class TestEquivalenceWithOldBodies:
+    @pytest.mark.parametrize("kind", KEY_KINDS)
+    @pytest.mark.parametrize("n", (7, 65_537))
+    def test_hash_slot_is_the_64_bit_formula(self, kind, n):
+        keys = make_keys(kind, n)
+        for m in table_sizes(n) + (1, 2**31 - 1, 2**32 - 1):
+            for func in range(NUM_HASH_FUNCTIONS):
+                slots = hash_slot(keys, func, m)
+                assert slots.dtype == np.int64
+                assert np.array_equal(slots, old_hash_slot(keys, func, m))
+
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=50),
+           st.integers(0, NUM_HASH_FUNCTIONS - 1), st.integers(1, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_hash_slot_property(self, values, func, m):
+        keys = np.array(values, dtype=np.uint32)
+        assert np.array_equal(hash_slot(keys, func, m),
+                              old_hash_slot(keys, func, m))
+
+    @pytest.mark.parametrize("kind", KEY_KINDS)
+    @pytest.mark.parametrize("n", SIZES + (131_071, 131_072))
+    def test_distinct_estimate_is_np_unique_on_the_same_sample(self, kind, n):
+        from repro.kernels.hashing import _distinct_slot_estimate
+
+        keys = make_keys(kind, n)
+        for m in table_sizes(n):
+            assert (_distinct_slot_estimate(keys, m)
+                    == old_distinct_slot_estimate(keys, m)), (kind, n, m)
+
+    @pytest.mark.parametrize("kind", KEY_KINDS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_build_and_probe_match(self, kind, n):
+        from repro.cl import KernelWork
+        from repro.kernels import KERNEL_LIBRARY as lib
+
+        keys = make_keys(kind, n)
+        vals = (np.arange(n, dtype=np.uint32) * 7 + 3).astype(np.uint32)
+        # hits, misses next to hits, and keys next to EMPTY
+        probe_keys = np.concatenate(
+            (keys[::2], keys[::3] + np.uint32(1), keys[:5] - np.uint32(1))
+        ).astype(np.uint32)
+        probe_keys[probe_keys == EMPTY] = 0
+        for m in dict.fromkeys(table_sizes(n)):
+            if n > 65_537 and m == 16:
+                continue  # 64 full-length probe rounds x 2; covered at 65 537
+            ctx = vec_ctx()
+            tkeys = np.full(m, EMPTY, np.uint32)
+            tvals = np.zeros(m, np.uint32)
+            lib["ht_insert_optimistic"].vec_fn(ctx, tkeys, tvals, keys, vals, n, m)
+            assert lib["ht_insert_optimistic"].work_fn(
+                ctx, tkeys, tvals, keys, vals, n, m
+            ) == KernelWork(
+                elements=n, bytes_read=8 * n,
+                random_bytes=old_random_bytes(8, n, m), ops=6 * n,
+                atomic_ops=n,
+                atomic_addresses=old_distinct_slot_estimate(keys, m),
+            )
+            fail = np.zeros(bitmap_nbytes(n), np.uint8)
+            lib["ht_check"].vec_fn(ctx, fail, tkeys, keys, n, m)
+
+            old_tk, old_tv = tkeys.copy(), tvals.copy()
+            old_stats = np.zeros(2, np.uint32)
+            attempts = old_pessimistic_vec(
+                old_tk, old_tv, old_stats, keys, vals, fail, n, m
+            )
+            ctx = vec_ctx()
+            stats = np.zeros(2, np.uint32)
+            args = (ctx, tkeys, tvals, stats, keys, vals, fail, n, m)
+            lib["ht_insert_pessimistic"].vec_fn(*args)
+            where = (kind, n, m)
+            assert np.array_equal(tkeys, old_tk), where
+            assert np.array_equal(tvals, old_tv), where
+            assert np.array_equal(stats, old_stats), where
+            assert lib["ht_insert_pessimistic"].work_fn(*args) == KernelWork(
+                elements=n, bytes_read=(n + 7) // 8,
+                random_bytes=old_random_bytes(8, attempts, m),
+                ops=12 * attempts, atomic_ops=attempts,
+                atomic_addresses=old_distinct_slot_estimate(keys, m),
+            ), where
+
+            p = probe_keys.size
+            old_out = np.zeros(max(p, 1), np.uint32)
+            old_found = np.full(bitmap_nbytes(p) + 1, 0xFF, np.uint8)
+            lookups = old_probe_vec(old_out, old_found, tkeys, tvals,
+                                    probe_keys, p, m)
+            ctx = vec_ctx()
+            out = np.zeros(max(p, 1), np.uint32)
+            found = np.full(bitmap_nbytes(p) + 1, 0xFF, np.uint8)
+            args = (ctx, out, found, tkeys, tvals, probe_keys, p, m)
+            lib["ht_probe"].vec_fn(*args)
+            assert np.array_equal(out, old_out), where
+            assert np.array_equal(found, old_found), where
+            assert lib["ht_probe"].work_fn(*args) == KernelWork(
+                elements=p, bytes_read=4 * p,
+                bytes_written=4 * p + (p + 7) // 8,
+                random_bytes=old_random_bytes(8, lookups, m),
+                ops=10 * lookups,
+            ), where
+
+    def test_counters_travel_on_the_launch_context(self):
+        """The bodies leave their numbers in ``ctx.counters`` — a dict
+        each launch gets fresh, so builds interleaved on one program
+        (the session scheduler does this) cannot read each other's —
+        and leave the program's defines alone."""
+        from repro.kernels import KERNEL_LIBRARY as lib
+
+        keys = np.arange(300, dtype=np.uint32)
+        tkeys = np.full(431, EMPTY, np.uint32)
+        tvals = np.zeros(431, np.uint32)
+        fail = np.full(bitmap_nbytes(300), 0xFF, np.uint8)
+        stats = np.zeros(2, np.uint32)
+        ctx, other = vec_ctx(), vec_ctx()
+        defines = ctx.defines
+        lib["ht_insert_pessimistic"].vec_fn(
+            ctx, tkeys, tvals, stats, keys, keys, fail, 300, 431)
+        lib["ht_probe"].vec_fn(
+            ctx, np.zeros(300, np.uint32), fail, tkeys, tvals, keys, 300, 431)
+        assert ctx.defines is defines and defines == {}
+        assert set(ctx.counters) == {"cas_attempts", "probe_lookups"}
+        assert ctx.counters["cas_attempts"] == int(stats[0]) >= 300
+        assert ctx.counters["probe_lookups"] >= 300
+        assert other.counters == {}

@@ -119,3 +119,106 @@ class TestFullSort:
         col = rng.normal(0, 1e9, 2000).astype(np.float64)
         order = _device_sort(rig, col)
         assert np.array_equal(order, np.argsort(col, kind="stable"))
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the bodies before the per-sort constants stopped being
+# recomputed per pass.  Verbatim copies of the previous
+# ``src/repro/kernels/radix_sort.py`` (``searchsorted`` row map, int64
+# digits, ``concatenate`` + ``astype`` prefix sum); the current kernels must
+# fill ``hist``, ``offsets`` and the reordered columns identically.
+# ---------------------------------------------------------------------------
+
+def old_chunk_bounds(n, parts):
+    return np.linspace(0, n, parts + 1, dtype=np.int64)
+
+
+def old_digits(keys, shift, bits):
+    mask = (1 << bits) - 1
+    shifted = np.right_shift(keys, keys.dtype.type(shift))
+    return np.bitwise_and(shifted, keys.dtype.type(mask)).astype(
+        np.int64, copy=False
+    )
+
+
+def old_histogram_vec(bits, hist, keys, n, shift, parts):
+    radix = 1 << bits
+    digits = old_digits(keys[:n], shift, bits)
+    bounds = old_chunk_bounds(n, parts)
+    rows = np.searchsorted(bounds[1:], np.arange(n), side="right")
+    combined = rows * radix + digits
+    counts = np.bincount(combined, minlength=parts * radix)
+    hist.reshape(parts, radix)[:, :] = counts.reshape(parts, radix)
+
+
+def old_offsets_vec(offsets, hist, parts):
+    radix = hist.size // parts
+    transposed = hist.reshape(parts, radix).T.ravel()
+    excl = np.concatenate(([0], np.cumsum(transposed)[:-1]))
+    offsets.reshape(radix, parts)[:, :] = excl.reshape(radix, parts).astype(
+        offsets.dtype
+    )
+
+
+def old_reorder_vec(bits, keys_out, payload_out, keys, payload, n, shift):
+    digits = old_digits(keys[:n], shift, bits).astype(np.uint16)
+    order = np.argsort(digits, kind="stable")
+    keys_out[:n] = keys[:n][order]
+    payload_out[:n] = payload[:n][order]
+
+
+def radix_ctx(bits):
+    from repro import cl
+    from repro.cl.kernel import ExecContext
+
+    return ExecContext(cl.get_device("cpu"), {"RADIX_BITS": bits}, 64, 16)
+
+
+class TestEquivalenceWithOldBodies:
+    @pytest.mark.parametrize("parts", (1, 7, 256, 1344))
+    @pytest.mark.parametrize("n", (0, 1, 7, 65_536, 65_537, 200_001))
+    def test_chunk_bounds_memoised_read_only_same_values(self, n, parts):
+        from repro.kernels.primitives import chunk_bounds
+
+        bounds = chunk_bounds(n, parts)
+        assert bounds is chunk_bounds(n, parts)
+        assert bounds.dtype == np.int64
+        assert np.array_equal(bounds, old_chunk_bounds(n, parts))
+        with pytest.raises(ValueError):
+            bounds[0] = 1
+
+    @pytest.mark.parametrize("bits,parts", ((8, 256), (4, 1344), (8, 1), (4, 7)))
+    @pytest.mark.parametrize("key_dtype", (np.uint32, np.uint64))
+    @pytest.mark.parametrize("n", (0, 1, 7, 65_536, 65_537, 200_001))
+    def test_one_pass_matches(self, n, key_dtype, bits, parts):
+        from repro.kernels import KERNEL_LIBRARY as lib
+
+        rng = np.random.default_rng(n + bits)
+        top = np.iinfo(key_dtype).max
+        keys = rng.integers(0, top, n, dtype=key_dtype, endpoint=True)
+        keys[: n // 3] = top - 1                   # a skewed digit
+        payload = np.arange(n, dtype=np.uint32)[::-1].copy()
+        radix = 1 << bits
+        ctx = radix_ctx(bits)
+        size = max(n, 1)
+        for shift in (0, bits, 8 * np.dtype(key_dtype).itemsize - bits):
+            hist = np.full(parts * radix, 7, np.uint32)
+            old_hist = hist.copy()
+            lib["radix_histogram"].vec_fn(ctx, hist, keys, n, shift, parts)
+            old_histogram_vec(bits, old_hist, keys, n, shift, parts)
+            assert np.array_equal(hist, old_hist)
+
+            offsets = np.full(parts * radix, 7, np.uint32)
+            old_offsets = offsets.copy()
+            lib["radix_offsets"].vec_fn(ctx, offsets, hist, parts)
+            old_offsets_vec(old_offsets, old_hist, parts)
+            assert np.array_equal(offsets, old_offsets)
+
+            out = [np.zeros(size, key_dtype), np.zeros(size, np.uint32)]
+            old_out = [a.copy() for a in out]
+            lib["radix_reorder"].vec_fn(
+                ctx, *out, keys, payload, offsets, n, shift, parts
+            )
+            old_reorder_vec(bits, *old_out, keys, payload, n, shift)
+            assert np.array_equal(out[0], old_out[0])
+            assert np.array_equal(out[1], old_out[1])
