@@ -57,7 +57,7 @@ def test_failover_latency_and_degraded_throughput():
     first = con.execute(sqls[QUERIES[0]])
     failover_wall_ms = (time.perf_counter() - wall0) * 1e3
     _results_equal(clean[QUERIES[0]], first)
-    stats = backend.cluster_stats()
+    stats = backend.cluster.stats
     assert stats.promotions >= 1
 
     degraded_ms = {QUERIES[0]: first.elapsed * 1e3}
@@ -101,10 +101,10 @@ def test_failover_latency_and_degraded_throughput():
     for wrapper in wrappers:
         wrapper.always = None
     for _ in range(60):
-        if not backend.routing.degraded:
+        if not backend.cluster.routing.degraded:
             break
         backend.query_boundary()
-    assert not backend.routing.degraded
+    assert not backend.cluster.routing.degraded
     recovered = con.execute(sqls["Q1"])
     _results_equal(clean["Q1"], recovered)
     db.close()
@@ -120,7 +120,7 @@ def test_online_reshard_smoke():
     points = []
     for step, action in (("add_shard -> 5", db.add_shard),
                          ("remove_shard -> 4", db.remove_shard)):
-        migrated_before = backend.cluster_stats().ranges_migrated
+        migrated_before = backend.cluster.stats.ranges_migrated
         wall0 = time.perf_counter()
         action()
         wall_ms = (time.perf_counter() - wall0) * 1e3
@@ -130,9 +130,9 @@ def test_online_reshard_smoke():
             x=step,
             millis={"reshard_wall_ms": wall_ms},
             extra={
-                "nodes": backend.cluster_nodes(),
+                "nodes": backend.cluster.nodes,
                 "ranges_migrated": (
-                    backend.cluster_stats().ranges_migrated
+                    backend.cluster.stats.ranges_migrated
                     - migrated_before
                 ),
             },
@@ -143,8 +143,8 @@ def test_online_reshard_smoke():
         labels=("reshard_wall_ms",),
         points=points,
     ))
-    stats = backend.cluster_stats()
+    stats = backend.cluster.stats
     assert stats.ranges_migrated > 0
     assert stats.topology_changes >= 2
-    assert backend.cluster_nodes() == 4
+    assert backend.cluster.nodes == 4
     db.close()

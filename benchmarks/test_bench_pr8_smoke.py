@@ -113,15 +113,23 @@ def test_shard_interconnect_moves_encoded_bytes():
     db = _shard_db()
     con = db.connect("SHARD:2xMS,join=broadcast")
 
+    def moved() -> "tuple[int, int]":
+        """The last query's (nominal, physical) interconnect bytes."""
+        snap = con.metrics.snapshot()
+        kinds = ("broadcast", "shuffled", "gathered")
+        return (
+            sum(snap[f"interconnect.query.bytes_{k}"] for k in kinds),
+            sum(snap[f"interconnect.query.bytes_{k}_physical"]
+                for k in kinds),
+        )
+
     con.execute("SELECT v FROM facts")
-    scan = con.interconnect.query
-    scan_nominal, scan_physical = scan.bytes_total, scan.bytes_total_physical
+    scan_nominal, scan_physical = moved()
 
     con.execute(
         "SELECT sum(d.rate) AS s FROM facts f JOIN dims d ON f.k = d.k"
     )
-    join = con.interconnect.query
-    join_nominal, join_physical = join.bytes_total, join.bytes_total_physical
+    join_nominal, join_physical = moved()
 
     emit(Series(
         name="pr8 smoke: SHARD interconnect, encoded vs nominal bytes",
@@ -163,7 +171,7 @@ def test_het_residency_under_fixed_budget():
         results[mode] = _gpu_resident_rows(db, con)
         if mode == "auto":
             # the covered selection path stays in the code domain
-            assert con.compression.decode_events == 0
+            assert con.metrics.snapshot()["compress.decode_events"] == 0
         db.close()
 
     emit(Series(

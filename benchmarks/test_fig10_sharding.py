@@ -19,8 +19,8 @@ Three panels:
   key) under the three join plans: the PR-3 broadcast-gather baseline
   (``join=broadcast``), the hash-shuffle re-partition, and the
   co-partitioned shard-local join with declared shard keys.
-  Interconnect bytes (``Connection.interconnect``) drop by orders of
-  magnitude from broadcast to co-located, and the makespan follows.
+  Interconnect bytes (``interconnect.query.*`` metrics) drop by orders
+  of magnitude from broadcast to co-located, and the makespan follows.
 """
 
 import numpy as np
@@ -100,14 +100,13 @@ def test_fig10c_join_strategies_beat_broadcast():
     for name, spec in JOIN_SPECS:
         con = db.connect(spec)
         result = con.execute(WORKLOAD["Q12"], name="Q12")
-        query = con.interconnect.query
+        snap = con.metrics.snapshot()
         seconds[name] = result.elapsed
-        bytes_moved[name] = query.bytes_total
         traffic[name] = {
-            "bytes_broadcast": query.bytes_broadcast,
-            "bytes_shuffled": query.bytes_shuffled,
-            "bytes_gathered": query.bytes_gathered,
+            f"bytes_{kind}": snap[f"interconnect.query.bytes_{kind}"]
+            for kind in ("broadcast", "shuffled", "gathered")
         }
+        bytes_moved[name] = sum(traffic[name].values())
         # every strategy must still be *correct*
         for column in expected.columns:
             np.testing.assert_allclose(

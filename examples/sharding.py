@@ -16,8 +16,8 @@ one level: the plan is also topology-oblivious.  This demo walks:
 4. **join strategies** — with shard keys declared, co-partitioned
    joins run shard-local with zero driver traffic; without keys, a
    hash shuffle moves only (key, oid) pairs; ``join=broadcast`` keeps
-   the gather-everything baseline, and ``Connection.interconnect``
-   shows the difference in bytes;
+   the gather-everything baseline, and the ``interconnect.query.*``
+   keys of ``Connection.metrics`` show the difference in bytes;
 5. **DDL** — creating a table re-partitions and bumps every shard's
    schema version, invalidating cached plans everywhere at once.
 
@@ -75,10 +75,12 @@ def main() -> None:
                         ("co-located", keyed)):
         with db.connect(spec) as shard_con:
             result = shard_con.execute(WORKLOAD["Q12"], name="Q12")
-            traffic = shard_con.interconnect.query
+            snap = shard_con.metrics.snapshot()
+            moved = {kind: snap[f"interconnect.query.bytes_{kind}"]
+                     for kind in ("broadcast", "shuffled", "gathered")}
             print(f"   {label:>10}: {result.elapsed * 1e3:7.1f} ms   "
-                  f"interconnect {traffic.bytes_total / 1e6:8.3f} MB  "
-                  f"({traffic})")
+                  f"interconnect {sum(moved.values()) / 1e6:8.3f} MB  "
+                  f"({moved})")
 
     print("\n== DDL propagates to every shard ==")
     versions = [c.version for c in con.backend.partitioner.catalogs]

@@ -115,8 +115,8 @@ class Connection:
         # elastic engines announce topology changes (a replica
         # promotion, a committed re-shard); eagerly purge the cached
         # placement/join traces that reference the departed roster
-        if hasattr(self.backend, "on_topology_change"):
-            self.backend.on_topology_change = self._on_topology_change
+        if self.backend.cluster is not None:
+            self.backend.cluster.on_change = self._on_topology_change
 
     def _on_topology_change(self, backend) -> None:
         """The backend's roster moved: every memoised placement trace
@@ -147,9 +147,9 @@ class Connection:
         bind parameters before the plan-cache lookup, so every literal
         variation of one query shape is a cache hit against a single
         template plan (values are substituted into a bound copy at
-        execute time).  Engines declaring the ``replays_placements``
-        capability additionally replay the cached placement trace,
-        skipping per-instruction scoring on repeat queries.
+        execute time).  Engines with the ``sessions`` capability
+        additionally replay the cached placement trace, skipping
+        per-instruction scoring on repeat queries.
 
         ``analyze=True`` forces tracing on for this statement regardless
         of the spec's ``trace=`` setting: the returned result carries a
@@ -157,11 +157,7 @@ class Connection:
         simulated timings, Chrome export, per-operator profile).
         """
         self._check_open()
-        tracer = None
-        if analyze or self.config.effective("trace"):
-            from .obs import Tracer
-
-            tracer = Tracer(engine=self.config.spec)
+        tracer = self._new_tracer(force=analyze)
         cache_stats = self.plan_cache.stats
         misses_before = cache_stats.misses
         entry, program = self.plan_cache.prepare(
@@ -173,6 +169,16 @@ class Connection:
                          query=name)
         return self._run_cached(entry, program, tracer=tracer, name=name)
 
+    def _new_tracer(self, force: bool = False):
+        """A fresh per-query :class:`~repro.obs.tracer.Tracer` when the
+        statement runs traced (``trace=on`` spec / ``REPRO_TRACE`` /
+        ``force``), else None — for ``execute`` and ``submit`` alike."""
+        if force or self.config.effective("trace"):
+            from .obs import Tracer
+
+            return Tracer(engine=self.config.spec)
+        return None
+
     #: bounded node-failure retries per statement on the synchronous path
     MAX_TRANSIENT_RETRIES = 8
 
@@ -181,18 +187,19 @@ class Connection:
         from .serve.faults import TransientFault
 
         backend = self.backend
+        sessions = backend.sessions
         if program is None:
             program = entry.program
         for attempt in range(self.MAX_TRANSIENT_RETRIES + 1):
             backend.query_boundary()
-            backend.check_admission()
+            backend.health.admit(backend.label)
             if tracer is not None:
                 tracer.event(
                     "admission", cat="admission", attempt=attempt,
-                    breakers={b.name: b.state for b in backend.breakers()},
+                    breakers={b.name: b.state for b in backend.health},
                 )
-            if backend.replays_placements:
-                backend.install_replay(entry.placements)
+            if sessions is not None:
+                sessions.arm(entry.placements)
             try:
                 result = run_program(program, backend, tracer=tracer)
             except TransientFault as fault:
@@ -204,11 +211,11 @@ class Connection:
                 if action == "fail" or attempt >= self.MAX_TRANSIENT_RETRIES:
                     raise
                 continue
-            if backend.replays_placements:
-                trace, replayed = backend.take_trace()
+            if sessions is not None:
+                trace, replayed = sessions.trace()
                 entry.placements = trace
                 self.plan_cache.stats.placement_reuses += replayed
-            backend.note_query_success()
+            backend.health.record_success()
             self._record_query(name, result.elapsed)
             return result
 
@@ -299,36 +306,12 @@ class Connection:
     # -- statistics --------------------------------------------------------------
 
     @property
-    def interconnect(self):
-        """Interconnect-traffic counters of multi-node engines.
-
-        ``None`` on single-node engines.  On the sharded engine, a
-        :class:`~repro.shard.backend.ShardTraffic` whose ``query`` field
-        holds the last executed query's ``bytes_broadcast`` /
-        ``bytes_shuffled`` / ``bytes_gathered`` and whose ``total``
-        accumulates over the connection — so the join planner's traffic
-        win (co-located and shuffled joins vs. broadcast-gather) is
-        observable without instrumenting benchmark code."""
-        return self.backend.interconnect_traffic()
-
-    @property
-    def compression(self):
-        """Compression counters for the storage this connection reads.
-
-        A :class:`~repro.compress.stats.CompressionStats`: encoded vs
-        plain column counts, physical vs nominal stored bytes, and the
-        decode counters the zero-decode tests assert on
-        (``decode_events`` — full-column materialisations,
-        ``partial_decodes`` — morsel/shard slices).  On the sharded
-        engine the snapshot folds every shard catalog in."""
-        return self.backend.compression_stats()
-
-    @property
     def metrics(self):
         """The connection's unified metrics registry (created on first
-        use): one dotted namespace over the plan cache, interconnect,
-        compression, memory-manager, breaker and scheduler counters,
-        with ``snapshot()`` / ``diff()`` and the slow-query log.  See
+        use): one dotted namespace over the plan cache, the backend's
+        ``counters()`` (compression, memory managers, interconnect,
+        cluster), the breakers and the scheduler, with ``snapshot()`` /
+        ``diff()`` and the slow-query log.  See
         :class:`~repro.obs.metrics.MetricsRegistry`."""
         if self._metrics is None:
             from .obs import MetricsRegistry
@@ -355,11 +338,12 @@ class Connection:
         """Admit one statement for pipelined execution; returns a future.
 
         In-flight queries advance one instruction per turn, round-robin.
-        On engines declaring ``pipelines_sessions`` (HET) their simulated
-        timelines overlap across the device pool (independent queries on
-        different devices run concurrently); single-timeline engines
-        execute FIFO.  Drive the scheduler with :meth:`drain` or by
-        awaiting any future's ``result()``.
+        On engines with the ``sessions`` capability (HET, SHARD) their
+        simulated timelines overlap across the device pool or the
+        shards (independent queries on different devices run
+        concurrently); single-timeline engines execute FIFO.  Drive the
+        scheduler with :meth:`drain` or by awaiting any future's
+        ``result()``.
 
         ``timeout`` is a deadline in simulated seconds: a query still
         running past it fails with
@@ -374,7 +358,8 @@ class Connection:
         if timeout is None:
             timeout = self.config.effective("timeout") or None
         return self.scheduler.submit(
-            entry, name=name, timeout=timeout, program=program
+            entry, name=name, timeout=timeout, program=program,
+            tracer=self._new_tracer(),
         )
 
     def drain(self) -> None:
@@ -491,35 +476,23 @@ class Database:
     def _resize_shards(self, delta: int) -> None:
         resized = 0
         for connection in list(self._connections.values()):
-            backend = connection.backend
-            nodes = backend.cluster_nodes()
-            if nodes is None:
+            cluster = connection.backend.cluster
+            if cluster is None:
                 continue
-            target = nodes + delta
+            target = cluster.nodes + delta
             if target < 1:
                 raise ValueError(
                     f"connection {connection.engine!r} cannot shrink "
-                    f"below one node (currently {nodes})"
+                    f"below one node (currently {cluster.nodes})"
                 )
-            backend.request_resize(target)
+            cluster.request_resize(target)
             resized += 1
             scheduler = connection._scheduler
-            idle = scheduler is None or (
-                not scheduler._active and not scheduler._retry
-                and not scheduler._pending
-            )
-            if idle:
+            if scheduler is None or scheduler.idle:
                 # nothing in flight: drive the staged migration to
-                # completion here, one boundary's worth at a time
-                guard = 0
-                while backend.topology_pending():
-                    backend.query_boundary()
-                    guard += 1
-                    if guard > 100_000:  # pragma: no cover - invariant
-                        raise RuntimeError(
-                            f"re-shard of {connection.engine!r} did "
-                            f"not converge"
-                        )
+                # completion here (a busy scheduler does it when its
+                # batch drains)
+                cluster.settle()
         if not resized:
             raise RuntimeError(
                 "no live sharded connections to resize; connect a "

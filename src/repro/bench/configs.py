@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 
-def _simple_family(name: str, description: str, make, *, is_ocelot: bool,
-                   pipelines_sessions: bool = False) -> EngineFamily:
+def _simple_family(name: str, description: str, make, *,
+                   is_ocelot: bool) -> EngineFamily:
     """A family resolving to one fixed configuration (plus the
     engine knobs every family accepts, :data:`repro.engines.KNOBS`)."""
 
@@ -44,7 +44,6 @@ def _simple_family(name: str, description: str, make, *, is_ocelot: bool,
             make=make,
             is_ocelot=is_ocelot,
             description=description,
-            pipelines_sessions=pipelines_sessions,
         )
 
     return EngineFamily(name=name, configure=configure,
@@ -75,7 +74,6 @@ register_engine(_simple_family(
     "HET", "heterogeneous scheduler owning CPU and GPU at once",
     lambda cat, scale: HeterogeneousBackend(cat, data_scale=scale),
     is_ocelot=True,
-    pipelines_sessions=True,
 ))
 
 

@@ -12,8 +12,8 @@ bind-direct selections, groupings and aggregations to the
 evaluates them over the narrow payloads — code-domain comparisons,
 run-level folds — and falls back to a whole-column decode whenever a
 column turned out plain.  Gated by the ``compression`` engine knob
-(:data:`repro.engines.KNOBS`); observability through
-``Connection.compression`` (:class:`~repro.compress.stats.CompressionStats`).
+(:data:`repro.engines.KNOBS`); observability through ``compress.*`` in
+``Connection.metrics`` (:class:`~repro.compress.stats.CompressionStats`).
 """
 
 from .codecs import (

@@ -3,11 +3,11 @@
 One :class:`CompressionStats` instance hangs off every
 :class:`~repro.monetdb.storage.Catalog` (``catalog.compression``) and is
 shared by every :class:`~repro.compress.encoded.EncodedBAT` the catalog
-creates, so ``Connection.compression`` can answer the questions the
-ISSUE cares about: how many base columns were encoded, how many bytes
-that saved, and — crucially — how often an operator had to fall back to
-a **full-column decode** instead of executing on the compressed
-representation.  The zero-decode acceptance tests snapshot these
+creates, so ``compress.*`` in ``Connection.metrics`` can answer the
+questions the ISSUE cares about: how many base columns were encoded,
+how many bytes that saved, and — crucially — how often an operator had
+to fall back to a **full-column decode** instead of executing on the
+compressed representation.  The zero-decode acceptance tests snapshot these
 counters around a query and assert ``decode_events`` did not move.
 """
 
@@ -27,11 +27,6 @@ class CompressionStats:
     (morsel slices, late-materialised grouped-aggregate results) — these
     are the *point* of late materialisation and are tracked separately
     so the zero-full-decode assertions stay meaningful.
-
-    .. note:: superseded by the unified metrics registry — the same
-       counters appear under ``compress.*`` in
-       ``Connection.metrics.snapshot()``; ``Connection.compression``
-       keeps returning this live object.
     """
 
     #: base columns stored encoded vs. kept as plain arrays

@@ -281,9 +281,6 @@ class EngineConfig:
     is_ocelot: bool
     #: one-line description (README engine table, examples, tooling)
     description: str = ""
-    #: whether the serve layer can overlap submitted queries on this
-    #: engine's timelines (mirrors ``Backend.pipelines_sessions``)
-    pipelines_sessions: bool = False
     #: canonical engine spec; defaults to ``label`` for parameterless
     #: families (set via ``__post_init__`` to keep the dataclass frozen)
     spec: str = ""

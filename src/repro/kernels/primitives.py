@@ -94,6 +94,8 @@ def _prefix_sum_vec(ctx, out, inp, n):
         out[0] = 0
         if out.size > n:  # optional total slot appended by the host
             out[n] = total
+    elif out.size:
+        out[0] = 0  # the total slot of an empty scan (buffers are not zeroed)
 
 
 def _prefix_sum_work(ctx, out, inp, n):

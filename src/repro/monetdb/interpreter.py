@@ -29,46 +29,36 @@ class UnsupportedOperator(LookupError):
     """Backend has no implementation for a MAL operation."""
 
 
-class UnsupportedFeature(RuntimeError):
-    """An optional backend feature was invoked without being declared.
-
-    Callers must gate on the corresponding capability flag
-    (:attr:`Backend.replays_placements` /
-    :attr:`Backend.pipelines_sessions`) instead of probing with
-    ``hasattr`` — the flags *are* the protocol."""
-
-
 class Backend(abc.ABC):
     """An operator set + simulated clock, addressable by ``module.fn``.
 
     This is the formal backend protocol every engine implements — the
     two MonetDB baselines, the single-device Ocelot backends, the
     heterogeneous scheduler and the sharded multi-node engine all plug
-    into the same interpreter through it.  Beyond the required operator
-    registry and clock, the protocol has *declared* optional features:
+    into the same interpreter through it.  A new engine implements the
+    three abstract members (``_register_ops``, ``begin``, ``elapsed``);
+    every other method has a working default (ARCHITECTURE.md lists
+    them and who overrides which).
 
-    * :attr:`replays_placements` — the backend records per-instruction
-      scheduling decisions and can replay a recorded trace
-      (:meth:`install_replay` / :meth:`take_trace`); the plan cache uses
-      this to skip re-scoring repeat queries.
-    * :attr:`pipelines_sessions` — the backend supports multiple
-      in-flight queries with isolated per-session timelines
-      (:meth:`open_session` / :meth:`activate_session` /
-      :meth:`close_session`); the serve layer's session scheduler
-      interleaves queries only on such backends.
+    What only some engines can do is not a method here but one of three
+    **capability attributes**, each holding the object that does it or
+    ``None`` — callers test ``is not None`` and call the object:
 
-    A feature's methods raise :class:`UnsupportedFeature` unless the
-    backend declares the flag — callers gate on the flag, never on
-    ``hasattr``.
+    * :attr:`sessions` — several queries in flight on per-session
+      timelines, and recording/replaying each query's decision trace
+      (a :class:`QuerySessions`; HET and SHARD);
+    * :attr:`cluster` — an elastic node roster: node count, online
+      resize, failover routing, ``cluster.*`` counters (SHARD);
+    * :attr:`health` — the circuit-breaker board every backend has.
     """
 
     #: configuration label as used in the paper's figures (MS/MP/CPU/GPU).
     label: str = "?"
 
-    #: declared feature: placement-trace recording and replay.
-    replays_placements: bool = False
-    #: declared feature: per-session timelines for pipelined execution.
-    pipelines_sessions: bool = False
+    #: capability: per-session timelines + decision-trace replay
+    sessions: "QuerySessions | None" = None
+    #: capability: the elastic cluster topology
+    cluster = None
 
     #: the active query's :class:`~repro.obs.tracer.Tracer`, or None.
     #: A traced :class:`ProgramRun` points this at its tracer for the
@@ -79,7 +69,13 @@ class Backend(abc.ABC):
     tracer = None
 
     def __init__(self, catalog: Catalog):
+        # imported here: repro.serve's package import needs this module
+        from ..serve.resilience import BreakerBoard
+
         self.catalog = catalog
+        #: capability: circuit breakers — one under the key ``"self"``
+        #: for the backend as a whole, tiered backends add one per node
+        self.health = BreakerBoard()
         self._registry: dict[str, Callable] = {}
         self._register_ops()
 
@@ -127,36 +123,15 @@ class Backend(abc.ABC):
         observation so tracing never changes query timings."""
         return self.elapsed()
 
-    def compression_stats(self):
-        """Compression counters for the storage this backend reads.
-
-        The default reports the catalog's own counters (encoded
-        columns, bytes saved, decode events — see
-        :class:`repro.compress.stats.CompressionStats`); the sharded
-        engine overrides this to fold its per-shard catalogs in.
-        """
-        return self.catalog.compression
-
-    def interconnect_traffic(self):
-        """Interconnect byte counters, for multi-node backends.
-
-        Single-node engines move nothing between nodes and return
-        ``None``; the sharded engine returns its
-        :class:`~repro.shard.backend.ShardTraffic` (per-query +
-        cumulative ``bytes_broadcast`` / ``bytes_shuffled`` /
-        ``bytes_gathered``), surfaced as ``Connection.interconnect``.
-        """
-        return None
-
-    def memory_managers(self):
-        """The backend's Ocelot memory managers (one per owned device).
-
-        The MonetDB baselines own none; the single-device Ocelot
-        backends return one, the heterogeneous scheduler one per pooled
-        device, and the sharded engine folds its children's in.  The
-        metrics registry sums their counters under the ``mm.``
-        namespace (see :mod:`repro.obs.metrics`)."""
-        return ()
+    def counters(self) -> dict:
+        """The engine's counters as ``{namespace: stats}``, the one feed
+        :class:`~repro.obs.metrics.MetricsRegistry` flattens into
+        ``Connection.metrics``.  ``stats`` is a dataclass instance
+        (every field becomes ``<namespace>.<field>``) or a flat
+        mapping.  The default reports the storage this backend reads
+        (``compress``); engines add the namespaces of what they own
+        (``mm``, ``interconnect``, ``cluster``)."""
+        return {"compress": self.catalog.compression}
 
     def query_overhead_s(self) -> float:
         """Fixed per-query framework cost charged by the *last* query.
@@ -168,53 +143,18 @@ class Backend(abc.ABC):
         """
         return 0.0
 
-    # -- resilience (circuit breakers) ---------------------------------------
-
-    def breakers(self):
-        """The backend's circuit-breaker board (created on first use).
-
-        Single-node backends keep one breaker under the key ``"self"``;
-        tiered backends (shards, devices) keep one per node.  See
-        :mod:`repro.serve.resilience`.
-        """
-        board = getattr(self, "_breaker_board", None)
-        if board is None:
-            from ..serve.resilience import BreakerBoard
-
-            board = self._breaker_board = BreakerBoard()
-        return board
+    # -- between queries ------------------------------------------------------
 
     def query_boundary(self) -> None:
         """Hook: called by the serving layer between queries.
 
         Advances the breaker clock (cooldowns are measured in query
-        boundaries, not wall time) and lets the backend re-admit nodes
-        whose breakers allow a probe again.  Topology changes — a
-        sharded backend excluding or re-including a shard — happen only
-        here, never mid-query.
+        boundaries, not wall time).  Tiered backends extend this to
+        re-admit nodes whose breakers allow a probe again; topology
+        changes — a sharded backend excluding or re-including a shard —
+        happen only here, never mid-query.
         """
-        board = getattr(self, "_breaker_board", None)
-        if board is not None:
-            board.tick()
-            self._recover_nodes()
-
-    def _recover_nodes(self) -> None:
-        """Hook for tiered backends: re-admit half-open nodes."""
-
-    def check_admission(self) -> None:
-        """Raise :class:`~repro.serve.resilience.CircuitOpen` when the
-        backend as a whole refuses work (its own breaker is open)."""
-        board = getattr(self, "_breaker_board", None)
-        if board is None:
-            return
-        breaker = board.breaker("self")
-        if not breaker.allow():
-            from ..serve.resilience import CircuitOpen
-
-            raise CircuitOpen(
-                f"backend {self.label!r} circuit breaker is open "
-                f"(trips={breaker.trips})"
-            )
+        self.health.tick()
 
     def note_node_failure(self, error) -> str:
         """Record a transient failure against the responsible breaker.
@@ -226,45 +166,11 @@ class Backend(abc.ABC):
         charges the backend's own breaker: while it stays closed the
         query may retry, once it trips there is nowhere to route.
         """
-        breaker = self.breakers().breaker("self")
+        breaker = self.health.breaker("self")
         breaker.record_failure()
         if not breaker.allow():
             return "fail"
         return "retry"
-
-    def note_query_success(self) -> None:
-        """A query completed cleanly: credit the serving breakers."""
-        board = getattr(self, "_breaker_board", None)
-        if board is not None:
-            board.record_success()
-
-    # -- elasticity (replicated / resizable clusters) -------------------------
-
-    def cluster_stats(self):
-        """Cluster-level counters, for elastic multi-node backends.
-
-        Single-node engines have no cluster and return ``None``; the
-        sharded engine returns its
-        :class:`~repro.shard.replica.ClusterStats` (promotions,
-        recoveries, migrated ranges, in-place retries, ...), surfaced
-        under the ``cluster.*`` metrics namespace."""
-        return None
-
-    def cluster_nodes(self):
-        """Current node count of an elastic backend, or ``None``.
-
-        ``Database.add_shard()`` / ``remove_shard()`` use this to find
-        resizable connections and compute their target topology (a
-        backend mid-resize reports the *target* count, so repeated
-        resizes compose)."""
-        return None
-
-    def topology_pending(self) -> bool:
-        """Whether a topology change (staged resize, pending failover)
-        is waiting on future query boundaries to complete.  The serve
-        layer drains this after a batch finishes, so migrations always
-        conclude even once traffic stops."""
-        return False
 
     def end_of_query(self, intermediates: list) -> None:
         """Hook: a finished query's leftover values go out of scope.
@@ -348,40 +254,6 @@ class Backend(abc.ABC):
             cache[key] = sliced
         return sliced
 
-    # -- optional feature: placement replay (replays_placements) -----------------
-
-    def install_replay(self, placements) -> None:
-        """Arm the next query with a recorded decision trace."""
-        raise UnsupportedFeature(
-            f"backend {self.label!r} does not declare replays_placements"
-        )
-
-    def take_trace(self) -> tuple[list, int]:
-        """Harvest the last query's decision trace; ``(trace, replayed)``."""
-        raise UnsupportedFeature(
-            f"backend {self.label!r} does not declare replays_placements"
-        )
-
-    # -- optional feature: per-session timelines (pipelines_sessions) ------------
-
-    def open_session(self, session: str, replay=None) -> float:
-        """Register one in-flight query; returns its submit epoch."""
-        raise UnsupportedFeature(
-            f"backend {self.label!r} does not declare pipelines_sessions"
-        )
-
-    def activate_session(self, session: str | None) -> None:
-        """Attribute subsequent dispatches to ``session`` (None = plain)."""
-        raise UnsupportedFeature(
-            f"backend {self.label!r} does not declare pipelines_sessions"
-        )
-
-    def close_session(self, session: str) -> float:
-        """Drop a finished query's state; returns its completion epoch."""
-        raise UnsupportedFeature(
-            f"backend {self.label!r} does not declare pipelines_sessions"
-        )
-
     # -- lifecycle ----------------------------------------------------------------
 
     def schema_changed(self) -> None:
@@ -419,6 +291,79 @@ class Backend(abc.ABC):
         return {
             name: self.collect(resolve(var)) for name, var in result_columns
         }
+
+
+class QuerySessions:
+    """The ``sessions`` capability: per-query state of an engine that
+    keeps several queries in flight.
+
+    One *plain* slot serves ``execute()`` — the engine's ``begin()``
+    calls :meth:`reset` — and there is one slot per open ``submit()``
+    session; :attr:`current` is the slot dispatches read and write.
+    Each slot is a fresh instance of the engine's own state dataclass
+    (``new_state()``), which carries at least ``trace`` (the decisions
+    taken, in order), ``replay`` (recorded decisions to consume, or
+    ``None`` to decide fresh) and ``replay_pos``.  ``timeline`` is the
+    engine's simulated clocks: ``open_session``/``close_session``
+    return a session's submit/completion epoch, ``set_session``
+    attributes subsequent work, ``makespan`` is the shared frontier.
+    ``retire(state)``, if given, sees a closed session's state so the
+    engine can keep what has to outlive the session.
+    """
+
+    def __init__(self, new_state, timeline, retire=None):
+        self._new_state = new_state
+        self.timeline = timeline
+        self._retire = retire
+        self.plain = new_state()
+        #: session name -> state of every open session
+        self.open_states: dict = {}
+        self.active: "str | None" = None
+        self.current = self.plain
+        self._armed = None
+
+    def arm(self, placements) -> None:
+        """Hand the next plain query a recorded decision trace."""
+        self._armed = placements or None
+
+    def reset(self) -> None:
+        """A plain query begins: fresh state, consuming the armed trace."""
+        self.plain = self._new_state()
+        self.plain.replay, self._armed = self._armed, None
+        if self.active is None:
+            self.current = self.plain
+
+    def open(self, session: str, replay=None) -> float:
+        """Register one in-flight query; returns its submit epoch."""
+        state = self._new_state()
+        state.replay = replay or None
+        self.open_states[session] = state
+        return self.timeline.open_session(session)
+
+    def activate(self, session: "str | None") -> None:
+        """Attribute subsequent dispatches (and their simulated time) to
+        ``session`` — ``None`` restores the plain slot."""
+        self.active = session
+        self.current = (self.plain if session is None
+                        else self.open_states[session])
+        self.timeline.set_session(session)
+
+    def close(self, session: str) -> float:
+        """Drop a finished query's state; returns its completion epoch."""
+        state = self.open_states.pop(session, None)
+        if self.active == session:
+            self.activate(None)
+        if state is not None and self._retire is not None:
+            self._retire(state)
+        return self.timeline.close_session(session)
+
+    def trace(self) -> tuple[list, int]:
+        """The current query's decisions; ``(trace, replayed)`` where
+        ``replayed`` counts those served from the installed replay."""
+        return list(self.current.trace), self.current.replay_pos
+
+    def makespan(self) -> float:
+        return self.timeline.makespan()
 
 
 @dataclass

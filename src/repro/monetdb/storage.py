@@ -66,7 +66,7 @@ class Catalog:
         self._tables: dict[str, dict[str, BAT]] = {}
         self._delete_callbacks: list[Callable[[BAT], None]] = []
         #: per-catalog compression counters, shared by every EncodedBAT
-        #: this catalog creates (``Connection.compression`` reads it)
+        #: this catalog creates (``compress.*`` in ``Connection.metrics``)
         self.compression = CompressionStats()
         #: monotonic DDL counter; every create/drop bumps it.  The serve
         #: layer's plan cache keys compiled plans by this version, so a

@@ -1,15 +1,16 @@
-"""One metrics namespace over the stack's historically ad-hoc counters.
+"""One metrics namespace over the stack's counters.
 
 :class:`MetricsRegistry` is a *live facade*: it does not duplicate any
-counter, it reads the same stat objects the legacy accessors expose
-(``Connection.plan_cache.stats``, ``Connection.interconnect``,
-``Connection.compression``, the memory managers behind the backend,
-the breaker board, the session scheduler) and flattens them into one
+counter, it reads the stat objects where they live — the plan cache's
+``stats``, whatever the backend's ``counters()`` hands over
+(compression, memory managers, interconnect, cluster), the breaker
+board, the session scheduler — and flattens them into one
 ``snapshot()`` dict keyed ``plan_cache.hits``,
 ``interconnect.bytes_shuffled_physical``, ``compress.decode_events``,
 ``mm.intermediates_allocated``, ``breaker.<node>.state``,
 ``scheduler.parked``, … — so dashboards and tests diff one dict
-instead of chasing five objects.
+instead of chasing five objects.  The field names are the stats
+classes' own: a dataclass contributes every field, a mapping every key.
 
 The registry also keeps the connection's **slow-query log**: every
 completed query is counted (``obs.queries``) and queries slower than
@@ -19,35 +20,7 @@ the engine spec's ``obs_slow_ms=`` threshold are appended to
 
 from __future__ import annotations
 
-#: memory-manager counter fields surfaced under the ``mm.`` prefix,
-#: summed across every device the backend owns
-_MM_FIELDS = (
-    "evictions", "offloads", "restores",
-    "cache_hits", "cache_misses",
-    "hash_cache_hits", "hash_cache_misses",
-    "intermediates_allocated", "intermediates_freed",
-    "intermediate_bytes", "intermediate_bytes_peak",
-    "intermediate_bytes_physical", "intermediate_bytes_physical_peak",
-)
-
-_CACHE_FIELDS = ("hits", "misses", "invalidations", "placement_reuses")
-
-_TRAFFIC_FIELDS = (
-    "bytes_broadcast", "bytes_shuffled", "bytes_gathered",
-    "bytes_broadcast_physical", "bytes_shuffled_physical",
-    "bytes_gathered_physical",
-)
-
-_COMPRESS_FIELDS = (
-    "columns_encoded", "columns_plain", "bytes_physical",
-    "bytes_nominal", "decode_events", "partial_decodes",
-)
-
-_CLUSTER_FIELDS = (
-    "nodes", "replicas", "promotions", "recoveries",
-    "degraded_reads", "retries", "ranges_migrated",
-    "topology_changes", "reads_balanced",
-)
+import dataclasses
 
 
 class MetricsRegistry:
@@ -89,66 +62,26 @@ class MetricsRegistry:
         rather than zero."""
         connection = self._connection
         backend = connection.backend
+        sources = {
+            "plan_cache": connection.plan_cache.stats,
+            **backend.counters(),
+            "breaker": backend.health.counters(),
+        }
+        if connection._scheduler is not None:
+            sources["scheduler"] = connection._scheduler.counters()
+        sources["obs"] = {
+            "queries": self.queries,
+            "slow_queries": len(self.slow_queries),
+        }
         out: dict[str, object] = {}
-
-        stats = connection.plan_cache.stats
-        for fields in _CACHE_FIELDS:
-            out[f"plan_cache.{fields}"] = getattr(stats, fields)
-
-        traffic = backend.interconnect_traffic()
-        if traffic is not None:
-            for fields in _TRAFFIC_FIELDS:
-                out[f"interconnect.{fields}"] = getattr(
-                    traffic.total, fields
-                )
-                out[f"interconnect.query.{fields}"] = getattr(
-                    traffic.query, fields
-                )
-            out["interconnect.bytes_total"] = traffic.total.bytes_total
-            out["interconnect.bytes_total_physical"] = (
-                traffic.total.bytes_total_physical
-            )
-
-        compression = backend.compression_stats()
-        if compression is not None:
-            for fields in _COMPRESS_FIELDS:
-                out[f"compress.{fields}"] = getattr(compression, fields)
-
-        cluster = backend.cluster_stats()
-        if cluster is not None:
-            for fields in _CLUSTER_FIELDS:
-                out[f"cluster.{fields}"] = getattr(cluster, fields)
-
-        managers = list(backend.memory_managers())
-        if managers:
-            for fields in _MM_FIELDS:
-                out[f"mm.{fields}"] = sum(
-                    getattr(m.stats, fields) for m in managers
-                )
-            out["mm.resident_bytes"] = sum(
-                m.resident_bytes for m in managers
-            )
-            out["mm.resident_bytes_physical"] = sum(
-                m.resident_bytes_physical for m in managers
-            )
-
-        for breaker in backend.breakers():
-            prefix = f"breaker.{breaker.name}"
-            out[f"{prefix}.state"] = breaker.state
-            out[f"{prefix}.trips"] = breaker.trips
-            out[f"{prefix}.failures"] = breaker.failures
-
-        scheduler = connection._scheduler
-        if scheduler is not None:
-            out["scheduler.parked"] = sum(
-                1 for _, op in scheduler.turn_log if op == "parked"
-            )
-            out["scheduler.turns"] = len(scheduler.turn_log)
-            out["scheduler.in_flight"] = len(scheduler)
-            out["scheduler.pending"] = len(scheduler._pending)
-
-        out["obs.queries"] = self.queries
-        out["obs.slow_queries"] = len(self.slow_queries)
+        for namespace, stats in sources.items():
+            if dataclasses.is_dataclass(stats):
+                stats = {
+                    f.name: getattr(stats, f.name)
+                    for f in dataclasses.fields(stats)
+                }
+            for key, value in stats.items():
+                out[f"{namespace}.{key}"] = value
         return out
 
     def diff(self, before: dict, after: dict | None = None) -> dict:

@@ -25,7 +25,7 @@ from ..monetdb.bat import BAT, OID_DTYPE, Role
 from ..monetdb.interpreter import Backend
 from ..monetdb.backends import MonetDBSequential
 from ..monetdb.storage import Catalog
-from .memory import BufferKind, MemoryManager
+from .memory import BufferKind, MemoryManager, memory_counters
 
 
 class OcelotEngine:
@@ -199,8 +199,9 @@ class OcelotBackend(Backend):
     def query_overhead_s(self) -> float:
         return self.engine.device.profile.framework_overhead_s
 
-    def memory_managers(self):
-        return (self.engine.memory,)
+    def counters(self) -> dict:
+        return {**super().counters(),
+                "mm": memory_counters([self.engine.memory])}
 
     # -- lifecycle -------------------------------------------------------------------
 

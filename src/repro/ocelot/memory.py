@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -84,11 +84,9 @@ class CacheEntry:
 class MemoryManagerStats:
     """Per-device memory-manager counters.
 
-    .. note:: superseded by the unified metrics registry — the same
-       counters appear under ``mm.*`` in
-       ``Connection.metrics.snapshot()``, summed over every device the
-       engine owns; ``manager.stats`` stays as the live per-device
-       storage the registry reads."""
+    ``manager.stats`` is the live per-device storage; ``mm.*`` in
+    ``Connection.metrics`` is :func:`memory_counters` over every device
+    the engine owns."""
 
     evictions: int = 0
     offloads: int = 0
@@ -656,3 +654,18 @@ class MemoryManager:
             for entry in self._entries.values()
             if entry.resident
         )
+
+
+def memory_counters(managers) -> dict:
+    """The ``mm`` counters namespace: every :class:`MemoryManagerStats`
+    field plus the resident footprint, summed over ``managers``."""
+    managers = list(managers)
+    out = {
+        f.name: sum(getattr(m.stats, f.name) for m in managers)
+        for f in fields(MemoryManagerStats)
+    }
+    out["resident_bytes"] = sum(m.resident_bytes for m in managers)
+    out["resident_bytes_physical"] = sum(
+        m.resident_bytes_physical for m in managers
+    )
+    return out

@@ -19,12 +19,13 @@ Per-query framework overheads (the Intel SDK's fixed cost) are charged
 per device *on first use within the query*, so a query that never
 touches the CPU never pays the CPU SDK's overhead.
 
-Two serve-layer hooks (see ARCHITECTURE.md and :mod:`repro.serve`):
+The ``sessions`` capability (see ARCHITECTURE.md and :mod:`repro.serve`):
 
-* **sessions** — every per-query bit of state (overhead charging, the
-  decision log, the placement trace) lives in a :class:`_QueryState`;
-  the session scheduler opens one state per in-flight query and
-  activates it around each interpreted instruction, so N queries can
+* **per-query state** — every per-query bit of state (overhead charging,
+  the decision log, the placement trace) lives in a :class:`_QueryState`
+  held by a :class:`~repro.monetdb.interpreter.QuerySessions` over the
+  device pool; the session scheduler opens one state per in-flight query
+  and activates it around each interpreted instruction, so N queries can
   interleave on the shared pool without corrupting each other's
   bookkeeping;
 * **placement replay** — the plan cache records the placer's decision
@@ -41,8 +42,9 @@ from dataclasses import dataclass, field
 
 from ..monetdb.bat import BAT, Role
 from ..monetdb.backends import MonetDBSequential
-from ..monetdb.interpreter import Backend
+from ..monetdb.interpreter import Backend, QuerySessions
 from ..monetdb.storage import Catalog
+from ..ocelot.memory import memory_counters
 from ..ocelot.operators import HOST_CODE
 from ..ocelot.rewriter import SELECT_FUNCTIONS
 from .partition import execute_split
@@ -87,11 +89,6 @@ class HeterogeneousBackend(Backend):
     """MAL backend scheduling one plan across every pooled device."""
 
     label = "HET"
-    #: declared protocol features (see ``Backend``): the plan cache may
-    #: install recorded placement traces, and the serve layer may open
-    #: per-session timelines for pipelined execution.
-    replays_placements = True
-    pipelines_sessions = True
 
     def __init__(
         self,
@@ -106,73 +103,22 @@ class HeterogeneousBackend(Backend):
         self.stats = self.placer.stats
         self.fallback = MonetDBSequential(catalog)
         self._t0 = 0.0
-        self._default_state = _QueryState()
-        self._session_states: dict[str, _QueryState] = {}
-        self.current_session: str | None = None
-        self._pending_replay: list[tuple[str, Placement]] | None = None
+        #: capability: one :class:`_QueryState` per in-flight query on
+        #: the pool's per-device timelines
+        self.sessions = QuerySessions(_QueryState, self.pool)
         #: device every dispatch is pinned to while a morsel is in
         #: flight (``morsel_scope``); None = normal cost placement
         self._pinned_device: int | None = None
         super().__init__(catalog)
 
-    # -- per-query state ------------------------------------------------------
-
-    @property
-    def _state(self) -> _QueryState:
-        if self.current_session is not None:
-            return self._session_states[self.current_session]
-        return self._default_state
-
-    @property
-    def _overhead_charged(self) -> set[int]:
-        return self._state.overhead_charged
-
     @property
     def decision_log(self) -> list[tuple[str, object]]:
-        return self._state.decision_log
+        return self.sessions.current.decision_log
 
-    def install_replay(
-        self, placements: list[tuple[str, Placement]] | None
-    ) -> None:
-        """Arm the *next* plain (non-session) query with a cached
-        decision sequence; :meth:`begin` transfers it into the fresh
-        per-query state."""
-        self._pending_replay = placements or None
-
-    def memory_managers(self):
-        return tuple(engine.memory for engine in self.pool.engines)
-
-    def take_trace(self) -> tuple[list[tuple[str, Placement]], int]:
-        """Harvest the active state's decisions; returns ``(trace,
-        replayed)`` where ``replayed`` counts decisions served from the
-        installed replay rather than scored fresh."""
-        state = self._state
-        return list(state.trace), state.replay_pos
-
-    # -- session lifecycle (serve layer) --------------------------------------
-
-    def open_session(
-        self, session: str,
-        replay: list[tuple[str, Placement]] | None = None,
-    ) -> float:
-        """Register one in-flight query; returns its submit epoch."""
-        state = _QueryState()
-        state.replay = replay or None
-        self._session_states[session] = state
-        return self.pool.open_session(session)
-
-    def activate_session(self, session: str | None) -> None:
-        """Attribute subsequent dispatches (and their simulated commands)
-        to ``session`` — ``None`` restores plain execution."""
-        self.current_session = session
-        self.pool.set_session(session)
-
-    def close_session(self, session: str) -> float:
-        """Drop a finished query's state; returns its completion epoch."""
-        self._session_states.pop(session, None)
-        if self.current_session == session:
-            self.activate_session(None)
-        return self.pool.close_session(session)
+    def counters(self) -> dict:
+        return {**super().counters(), "mm": memory_counters(
+            engine.memory for engine in self.pool.engines
+        )}
 
     # -- registration ---------------------------------------------------------
 
@@ -229,7 +175,7 @@ class HeterogeneousBackend(Backend):
                 for b in bats:
                     self._sync(b)
                 return self._foreign(f"algebra.{function}")(*args)
-        state = self._state
+        state = self.sessions.current
         decision = state.next_replayed(function, args)
         if decision is not None and self.placer.banned and (
                 decision.device in self.placer.banned
@@ -397,9 +343,10 @@ class HeterogeneousBackend(Backend):
             return HOST_CODE["sync"](engine, value)
 
     def _charge_overhead(self, device: int) -> None:
-        if device in self._overhead_charged:
+        charged = self.sessions.current.overhead_charged
+        if device in charged:
             return
-        self._overhead_charged.add(device)
+        charged.add(device)
         overhead = self.pool.engines[device].device.profile \
             .framework_overhead_s
         if overhead:
@@ -420,7 +367,7 @@ class HeterogeneousBackend(Backend):
         device = getattr(error, "node", None)
         if device is None or not 0 <= device < len(self.pool.engines):
             return super().note_node_failure(error)
-        breaker = self.breakers().breaker(("device", device))
+        breaker = self.health.breaker(("device", device))
         tripped = breaker.record_failure()
         if tripped or not breaker.allow():
             banned = self.placer.banned
@@ -431,23 +378,19 @@ class HeterogeneousBackend(Backend):
             return "rerouted"
         return "retry"
 
-    def _recover_nodes(self) -> None:
+    def query_boundary(self) -> None:
         """Between queries: unban devices whose breakers cooled down
         (the next failure re-trips with doubled backoff)."""
-        board = getattr(self, "_breaker_board", None)
-        if board is None:
-            return
+        super().query_boundary()
         for device in sorted(self.placer.banned):
-            if board.breaker(("device", device)).allow():
+            if self.health.breaker(("device", device)).allow():
                 self.placer.banned.discard(device)
 
     # -- timing --------------------------------------------------------------------
 
     def begin(self) -> None:
         self.fallback.begin()
-        self._default_state = _QueryState()
-        self._default_state.replay = self._pending_replay
-        self._pending_replay = None
+        self.sessions.reset()
         self._t0 = self.pool.join_clocks()
 
     def elapsed(self) -> float:
@@ -459,14 +402,13 @@ class HeterogeneousBackend(Backend):
     def query_overhead_s(self) -> float:
         return sum(
             self.pool.engines[d].device.profile.framework_overhead_s
-            for d in self._overhead_charged
+            for d in self.sessions.current.overhead_charged
         )
 
     # -- lifecycle -------------------------------------------------------------------
 
     def shutdown(self) -> None:
         """Release the whole pool's device state (connection close)."""
-        self._session_states.clear()
         self.pool.shutdown()
 
     # -- result collection ----------------------------------------------------------

@@ -23,9 +23,9 @@ front half of the query lifecycle is cacheable:
 * **value** — the *rewritten* :class:`~repro.monetdb.mal.MALProgram`
   (plans are immutable and re-runnable), plus the backend's recorded
   decision sequence from the latest run, installed as a replay on the
-  next one through the ``replays_placements`` protocol: the HET
+  next one through the backend's ``sessions`` capability
+  (:class:`repro.monetdb.interpreter.QuerySessions`): the HET
   placer's per-instruction placements
-  (:meth:`repro.sched.backend.HeterogeneousBackend.install_replay`)
   or the sharded engine's per-join-site strategies
   (co-located / shuffle / broadcast, see
   :meth:`repro.shard.backend.ShardedBackend._plan_join`) — a repeat
@@ -53,13 +53,8 @@ BOUND_PLANS_PER_ENTRY = 16
 
 @dataclass
 class CacheStats:
-    """Hit/miss/invalidation counters for one :class:`PlanCache`.
-
-    .. note:: superseded by the unified metrics registry — the same
-       counters appear as ``plan_cache.hits`` / ``plan_cache.misses`` /
-       ``plan_cache.invalidations`` / ``plan_cache.placement_reuses``
-       in ``Connection.metrics.snapshot()``; this object stays as the
-       live storage they read."""
+    """Hit/miss/invalidation counters for one :class:`PlanCache`
+    (``plan_cache.*`` in ``Connection.metrics``)."""
 
     hits: int = 0
     misses: int = 0

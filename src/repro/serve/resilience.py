@@ -12,8 +12,9 @@ counter, advanced by :meth:`BreakerBoard.tick` at query boundaries,
 not wall time — the simulation has no real clock, and tests must be
 able to script trip/recover sequences exactly.
 
-This module is deliberately dependency-free (the Backend protocol in
-``monetdb.interpreter`` imports it lazily).
+This module is deliberately dependency-free: every
+:class:`~repro.monetdb.interpreter.Backend` creates its board (the
+``health`` capability) in its constructor.
 """
 
 from __future__ import annotations
@@ -114,6 +115,17 @@ class BreakerBoard:
         for breaker in self._breakers.values():
             breaker.tick()
 
+    def admit(self, label: str) -> None:
+        """Raise :class:`CircuitOpen` when the backend as a whole
+        refuses work: its own breaker (key ``"self"``, charged by
+        failures no node can be blamed for) is open."""
+        breaker = self._breakers.get("self")
+        if breaker is not None and not breaker.allow():
+            raise CircuitOpen(
+                f"backend {label!r} circuit breaker is open "
+                f"(trips={breaker.trips})"
+            )
+
     def record_success(self) -> None:
         """A query completed cleanly: every node that served it (i.e.
         every non-open breaker) counts a success."""
@@ -124,3 +136,14 @@ class BreakerBoard:
     def open_nodes(self) -> list:
         return [b.name for b in self._breakers.values()
                 if b.state == "open"]
+
+    def counters(self) -> dict:
+        """``<node>.state`` / ``.trips`` / ``.failures`` per breaker
+        (the ``breaker.*`` metrics namespace)."""
+        out = {}
+        for breaker in self._breakers.values():
+            out[f"{breaker.name}.state"] = breaker.state
+            out[f"{breaker.name}.trips"] = breaker.trips
+            out[f"{breaker.name}.failures"] = breaker.failures
+        return out
+

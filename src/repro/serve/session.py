@@ -141,10 +141,11 @@ class SessionScheduler:
     def __init__(self, connection):
         self.connection = connection
         self.backend = connection.backend
-        #: a declared backend capability (see the Backend protocol):
-        #: engines with per-session timelines pipeline; single-timeline
-        #: engines fall back to FIFO execution
-        self.pipelined = self.backend.pipelines_sessions
+        #: the backend's ``sessions`` capability (see the Backend
+        #: protocol): engines with per-session timelines pipeline;
+        #: single-timeline engines (None) fall back to FIFO execution
+        self.sessions = self.backend.sessions
+        self.pipelined = self.sessions is not None
         self._active: deque[_InFlight] = deque()
         #: queries that hit transient pressure or a node failure while
         #: interleaved; re-run one at a time once the batch drains
@@ -170,16 +171,32 @@ class SessionScheduler:
     def __len__(self) -> int:
         return len(self._active)
 
+    @property
+    def idle(self) -> bool:
+        """Nothing admitted, parked or waiting for admission."""
+        return not (self._active or self._retry or self._pending)
+
+    def counters(self) -> dict:
+        """The ``scheduler.*`` metrics namespace."""
+        return {
+            "parked": sum(1 for _, op in self.turn_log if op == "parked"),
+            "turns": len(self.turn_log),
+            "in_flight": len(self._active),
+            "pending": len(self._pending),
+        }
+
     # -- admission ----------------------------------------------------------
 
     def submit(self, entry: CachedPlan, name: str = "query",
                timeout: Optional[float] = None,
-               program=None) -> QueryFuture:
+               program=None, tracer=None) -> QueryFuture:
         """Admit one compiled plan as a new session; returns its future.
 
         ``program`` is the executable (parameter-bound) program; it
         defaults to the entry's template program.  ``timeout`` is a
-        deadline in simulated seconds from admission."""
+        deadline in simulated seconds from admission.  ``tracer`` (a
+        :class:`~repro.obs.tracer.Tracer`) records the query's spans;
+        the result carries it as ``result.trace``."""
         self._counter += 1
         session = f"s{self._counter}"
         future = QueryFuture(self, session, name)
@@ -188,13 +205,8 @@ class SessionScheduler:
             program if program is not None else entry.program
         )
         flight.extra["bytes"] = self._estimate_bytes(flight.extra["program"])
-        if getattr(self.connection.config, "traces", False):
-            from ..obs import Tracer
-
-            flight.extra["tracer"] = Tracer(
-                engine=self.connection.config.spec
-                or self.connection.config.label,
-            )
+        if tracer is not None:
+            flight.extra["tracer"] = tracer
         if timeout is not None:
             flight.extra["timeout"] = float(timeout)
         if self._batch_start is None:
@@ -233,16 +245,15 @@ class SessionScheduler:
         backend = self.backend
         backend.query_boundary()
         try:
-            backend.check_admission()
+            backend.health.admit(backend.label)
         except CircuitOpen as error:
             flight.future._error = error
             flight.future._done = True
             self._maybe_finish_batch()
             return
         if self.pipelined:
-            flight.future.submit_epoch = backend.open_session(
-                flight.session,
-                replay=getattr(flight.entry, "placements", None),
+            flight.future.submit_epoch = self.sessions.open(
+                flight.session, replay=flight.entry.placements
             )
         else:
             flight.future.submit_epoch = self._now()
@@ -262,7 +273,7 @@ class SessionScheduler:
         backend's per-query clock on the FIFO path."""
         tracer = flight.extra.get("tracer")
         if tracer is not None:
-            tracer.clock = (self.backend.pool.makespan if self.pipelined
+            tracer.clock = (self.sessions.makespan if self.pipelined
                             else self.backend.elapsed_now)
         return tracer
 
@@ -307,7 +318,7 @@ class SessionScheduler:
 
     def _now(self) -> float:
         if self.pipelined:
-            return self.backend.pool.makespan()
+            return self.sessions.makespan()
         return self._batch_end
 
     # -- cancellation / deadlines ---------------------------------------------
@@ -397,8 +408,8 @@ class SessionScheduler:
     # -- pipelined (heterogeneous) path ----------------------------------------
 
     def _step_pipelined(self, flight: _InFlight) -> bool:
-        backend = self.backend
-        backend.activate_session(flight.session)
+        sessions = self.sessions
+        sessions.activate(flight.session)
         try:
             op = flight.run.next_op
             more = flight.run.step()
@@ -409,19 +420,19 @@ class SessionScheduler:
                 return True
             return False
         finally:
-            backend.activate_session(None)
+            sessions.activate(None)
 
     def _complete_pipelined(self, flight: _InFlight) -> None:
-        backend = self.backend
-        backend.activate_session(flight.session)
+        sessions = self.sessions
+        sessions.activate(flight.session)
         try:
-            trace, replayed = backend.take_trace()
+            trace, replayed = sessions.trace()
             if flight.entry is not None:
                 flight.entry.placements = trace
                 self.connection.plan_cache.stats.placement_reuses += replayed
         finally:
-            backend.activate_session(None)
-        completion = backend.close_session(flight.session)
+            sessions.activate(None)
+        completion = sessions.close(flight.session)
         future = flight.future
         future.completion_epoch = completion
         result = flight.run.collect(completion - future.submit_epoch)
@@ -485,8 +496,8 @@ class SessionScheduler:
 
     def _park(self, flight: _InFlight, count: bool = True) -> None:
         if self.pipelined:
-            self.backend.activate_session(None)
-            self.backend.close_session(flight.session)
+            self.sessions.activate(None)
+            self.sessions.close(flight.session)
         elif flight.extra.pop("fifo_started", None):
             self._batch_end += self.backend.elapsed()
         self._recycle_partial(flight)
@@ -508,9 +519,7 @@ class SessionScheduler:
         flight.session = f"s{self._counter}"
         flight.future.session = flight.session
         if self.pipelined:
-            flight.future.submit_epoch = backend.open_session(
-                flight.session, replay=None
-            )
+            flight.future.submit_epoch = self.sessions.open(flight.session)
         else:
             flight.future.submit_epoch = self._now()
         flight.run = ProgramRun(flight.extra["program"], backend,
@@ -525,15 +534,15 @@ class SessionScheduler:
         flight.future._result = result
         flight.future._done = True
         self._inflight_bytes -= flight.extra.get("bytes", 0)
-        self.backend.note_query_success()
+        self.backend.health.record_success()
         self.connection._record_query(flight.future.name, result.elapsed)
         self._batch_end = max(self._batch_end, completion)
         self._maybe_finish_batch()
 
     def _fail(self, flight: _InFlight, error: BaseException) -> None:
         if self.pipelined:
-            self.backend.activate_session(None)
-            self.backend.close_session(flight.session)
+            self.sessions.activate(None)
+            self.sessions.close(flight.session)
         elif flight.extra.pop("fifo_started", None):
             self._batch_end += self.backend.elapsed()
         # on every engine: a half-executed query's device intermediates
@@ -545,7 +554,7 @@ class SessionScheduler:
         self._maybe_finish_batch()
 
     def _maybe_finish_batch(self) -> None:
-        if not self._active and not self._retry and not self._pending:
+        if self.idle:
             self._finish_batch()
 
     def _finish_batch(self) -> None:
@@ -560,10 +569,5 @@ class SessionScheduler:
         if self._batch_start is not None:
             self.last_batch_makespan = self._batch_end - self._batch_start
         self._batch_start = None
-        backend = self.backend
-        guard = 0
-        while backend.topology_pending():
-            backend.query_boundary()
-            guard += 1
-            if guard > 100_000:  # pragma: no cover - defensive bound
-                break
+        if self.backend.cluster is not None:
+            self.backend.cluster.settle()

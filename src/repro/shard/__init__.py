@@ -176,7 +176,6 @@ def _configure(spec: EngineSpec, registry) -> EngineConfig:
             f"{n_shards} simulated nodes each running {child.label}, "
             f"tables {mode}-partitioned, mat.pack-style merges"
         ),
-        pipelines_sessions=True,
     )
 
 

@@ -52,31 +52,35 @@ broadcast it.  A join whose *both* sides are partitioned goes through a
   to every shard.
 
 The chosen strategy per join site is recorded as a decision trace and
-memoised by the serve layer's plan cache (the same
-``replays_placements`` protocol the heterogeneous engine uses), so a
-repeat query replays its strategies instead of re-planning; DDL bumps
-the schema version and invalidates the trace with the plan.
+memoised by the serve layer's plan cache (the same ``sessions``
+capability the heterogeneous engine provides), so a repeat query
+replays its strategies instead of re-planning; DDL bumps the schema
+version and invalidates the trace with the plan.
 
 Gathers, shuffles and merges charge simulated interconnect + driver
 time and are counted per byte moved in :class:`InterconnectTraffic`
-(``Connection.interconnect``); ``elapsed`` is the slowest shard's clock
-plus that merge time, which is what makes the fig. 10 makespan and
-join-traffic sweeps meaningful.
+(``interconnect.*`` in ``Connection.metrics``); ``elapsed`` is the
+slowest shard's clock plus that merge time, which is what makes the
+fig. 10 makespan and join-traffic sweeps meaningful.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..cl import GB
 from ..engines import EngineConfig
 from ..monetdb.bat import BAT, OID_DTYPE, Role, make_bat, oid_bat
-from ..monetdb.interpreter import Backend, UnsupportedOperator
+from ..monetdb.interpreter import (
+    Backend,
+    QuerySessions,
+    UnsupportedOperator,
+)
 from ..monetdb.storage import Catalog
 from .partition import DEFAULT_MIN_PARTITION_ROWS, ShardPartitioner
-from .replica import ClusterStats, ReplicaRouting
+from .topology import ShardTopology
 
 #: simulated interconnect between shards and the driver (10 GbE-ish)
 SHARD_NET_GBS = 8.0
@@ -88,8 +92,6 @@ SHARD_LATENCY_S = 40e-6
 FAN_RETRIES = 2
 #: simulated backoff charged per in-place retry (doubles per attempt)
 RETRY_BACKOFF_S = 200e-6
-#: tables migrated per query boundary during an online resize
-MIGRATE_TABLES_PER_BOUNDARY = 2
 
 #: join strategies the planner can pick (and the plan cache replays)
 JOIN_LOCAL = "local"                  # >=1 side replicated: plain fan-out
@@ -110,13 +112,7 @@ class InterconnectTraffic:
     tracks a ``*_physical`` counter: the bytes a transfer would move if
     it shipped columns in their *encoded* form (:mod:`repro.compress`)
     instead of decoded arrays — equal to the nominal counter when
-    nothing on the wire was compressed.
-
-    .. note:: superseded by the unified metrics registry — the same
-       counters appear under ``interconnect.*`` (cumulative) and
-       ``interconnect.query.*`` (per query) in
-       ``Connection.metrics.snapshot()``; ``Connection.interconnect``
-       keeps returning this live object."""
+    nothing on the wire was compressed."""
 
     #: driver gather + re-broadcast to every shard (broadcast joins,
     #: eager aggregate merges re-broadcast to the shards)
@@ -166,14 +162,21 @@ class InterconnectTraffic:
 
 @dataclass
 class ShardTraffic:
-    """Per-query and cumulative interconnect counters
-    (``Connection.interconnect``)."""
+    """Per-query and cumulative interconnect counters."""
 
     query: InterconnectTraffic = field(default_factory=InterconnectTraffic)
     total: InterconnectTraffic = field(default_factory=InterconnectTraffic)
 
     def __str__(self) -> str:
         return f"query: {self.query}  total: {self.total}"
+
+    def counters(self) -> dict:
+        """``interconnect.*`` (cumulative, plus the two sums over the
+        patterns) and ``interconnect.query.*`` (the last query)."""
+        total = asdict(self.total)
+        total["bytes_total"] = self.total.bytes_total
+        total["bytes_total_physical"] = self.total.bytes_total_physical
+        return {"interconnect": total, "interconnect.query": self.query}
 
 
 _SCALAR_AGGS = frozenset({"sum", "min", "max", "count", "avg"})
@@ -323,14 +326,10 @@ def _fold_identity(op: str, dtype: np.dtype):
 
 
 @dataclass
-class _ShardQueryCtx:
-    """Per-query bookkeeping, one per in-flight session query.
-
-    Mirrors the heterogeneous engine's ``_QueryState``: everything the
-    backend used to keep as per-query instance attributes now lives
-    here, so the serve layer can interleave N queries on one sharded
-    backend without them corrupting each other's traces, merge clocks
-    or scratch lists."""
+class _ShardQuery:
+    """Per-query bookkeeping, one per in-flight query (the sharded
+    analogue of the heterogeneous engine's ``_QueryState``; both live in
+    a :class:`~repro.monetdb.interpreter.QuerySessions`)."""
 
     #: serial driver-side merge/gather seconds of this query
     merge_s: float = 0.0
@@ -348,27 +347,64 @@ class _ShardTimelines:
     """Simulated per-shard clocks + the driver's merge clock.
 
     The sharded analogue of the heterogeneous pool's device queues,
-    with exactly the surface the serve layer's session scheduler needs
-    (``makespan``/``open_session``/``close_session``).  Each session
-    turn charges its measured per-shard work and driver merge time
-    here: work on one shard serialises on that shard's clock, but one
-    query's driver merge overlaps with another query's shard scans —
+    with exactly the surface :class:`QuerySessions` needs.  Each
+    session turn charges its measured per-shard work and driver merge
+    time here: work on one shard serialises on that shard's clock, but
+    one query's driver merge overlaps with another query's shard scans —
     which is what makes concurrent ``submit()`` batches finish in less
     simulated makespan than the serial sum (fig. 9, across shards)."""
 
-    def __init__(self, n_shards: int):
-        #: one clock per shard plus the driver's merge clock (last)
+    def __init__(self, backend: "ShardedBackend", n_shards: int):
+        self.backend = backend
+        #: one clock per *physical* shard plus the driver's merge clock
+        #: (last); a routed-around shard keeps its clock
         self.clocks = [0.0] * (n_shards + 1)
         #: per-session frontier: nothing of the session may start earlier
         self.frontiers: dict[str, float] = {}
+        #: the turn in progress: (session, its state, host of each
+        #: child, per-child elapsed and the state's merge_s at activation)
+        self._turn = None
 
     def makespan(self) -> float:
         return max(self.clocks)
+
+    def reseed(self, n_shards: int) -> None:
+        """A committed resize: fresh clocks, all at the old makespan."""
+        self.clocks = [self.makespan()] * (n_shards + 1)
 
     def open_session(self, session: str) -> float:
         epoch = self.makespan()
         self.frontiers[session] = epoch
         return epoch
+
+    def set_session(self, session: "str | None") -> None:
+        """Charge the turn that just ended to its session and, unless
+        ``session`` is None, start measuring the next one.
+
+        Children are shared across sessions, but the scheduler is
+        single-threaded: everything their clocks advanced since a
+        session was activated is that session's work.  Per-child deltas
+        scatter to their host nodes — additively, because two promoted
+        slots may share one host."""
+        backend = self.backend
+        if self._turn is not None:
+            previous, state, hosts, baseline, merge_base = self._turn
+            deltas = [0.0] * (len(self.clocks) - 1)
+            for host, child, before in zip(hosts, backend.children,
+                                           baseline):
+                deltas[host] += max(0.0, child.elapsed() - before)
+            merge_delta = max(0.0, state.merge_s - merge_base)
+            if merge_delta > 0.0 or any(d > 0.0 for d in deltas):
+                self.charge(previous, deltas, merge_delta)
+        if session is None:
+            self._turn = None
+        else:
+            state = backend.sessions.current
+            self._turn = (
+                session, state, backend.cluster.hosts(),
+                [child.elapsed() for child in backend.children],
+                state.merge_s,
+            )
 
     def charge(self, session: str, shard_deltas, merge_delta: float) -> None:
         frontier = self.frontiers.get(session, 0.0)
@@ -390,15 +426,6 @@ class _ShardTimelines:
 class ShardedBackend(Backend):
     """MAL backend fanning every instruction across N shard backends."""
 
-    #: the join planner's strategy decisions are recorded per query and
-    #: replayed by the plan cache on repeat queries (same protocol as
-    #: the heterogeneous engine's placement traces)
-    replays_placements = True
-    #: the serve layer may interleave in-flight queries: shards are
-    #: independent nodes with their own clocks, so one query's driver
-    #: merges overlap with another query's shard scans
-    pipelines_sessions = True
-
     def __init__(
         self,
         catalog: Catalog,
@@ -417,8 +444,6 @@ class ShardedBackend(Backend):
         self.label = label
         self.child_config = child_config
         self.data_scale = float(data_scale)
-        #: requested replica count (a resize re-clamps to min(R, N))
-        self._replicas_arg = int(replicas)
         self.replicas = min(int(replicas), n_shards)
         self.partitioner = ShardPartitioner(
             catalog, n_shards, mode=mode,
@@ -440,27 +465,13 @@ class ShardedBackend(Backend):
         self.all_children: list[Backend] = [
             row[0] for row in self.copies
         ]
-        #: slot -> live copy routing (failover + read balancing)
-        self.routing = ReplicaRouting(n_shards, self.replicas)
-        #: ``cluster.*`` metrics (promotions, migrations, retries, ...)
-        self.cluster = ClusterStats(
-            nodes=n_shards, replicas=self.replicas
-        )
-        #: round-robin step counter for read load balancing
-        self._balance = 0
-        #: observer fired after any applied topology change (the
-        #: connection hooks eager plan-cache invalidation here)
-        self.on_topology_change = None
-        #: staged partitioner of an in-progress online resize
-        self._staged: "ShardPartitioner | None" = None
         #: the *active* children every fan-out/merge loop runs over —
         #: shrinks when a shard's circuit breaker trips (route-around)
         self.children: list[Backend] = list(self.all_children)
-        #: physical shard ids currently routed around (open breakers;
-        #: only used without replicas — promotions replace exclusion)
-        self._excluded: set[int] = set()
-        self._topology_stale = False
-        #: interconnect byte counters (Connection.interconnect)
+        #: capability: routing, failover, read rotation, online resize
+        #: — everything that ever rewrites the roster above
+        self.cluster = ShardTopology(self, int(replicas))
+        #: interconnect byte counters (``interconnect.*`` metrics)
         self.traffic = ShardTraffic()
         #: ``keys=infer``: adopt observed join columns as shard keys
         self.infer_keys = infer_keys
@@ -468,76 +479,32 @@ class ShardedBackend(Backend):
         self.join_strategy = join_strategy
         self._observed_joins: list[tuple] = []
         self._inferred: set[tuple] = set()
-        self._armed_replay: "list[tuple[str, str]] | None" = None
-        #: per-query bookkeeping: the plain-execution context plus one
-        #: context per in-flight serve-layer session
-        self._default_ctx = _ShardQueryCtx()
-        self._session_ctxs: dict[str, _ShardQueryCtx] = {}
-        self.current_session: "str | None" = None
-        #: (per-child elapsed, merge_s) snapshot at session activation,
-        #: consumed when the session deactivates to charge the turn
-        self._turn_baseline: "tuple[list[float], float] | None" = None
-        #: per-shard + driver clocks for pipelined sessions (the serve
-        #: scheduler reads ``pool.makespan()``)
-        self.pool = _ShardTimelines(n_shards)
+        #: per-shard + driver clocks for pipelined sessions
+        self.pool = _ShardTimelines(self, n_shards)
+        #: capability: one :class:`_ShardQuery` per in-flight query —
+        #: shards are independent nodes with their own clocks, so one
+        #: query's driver merges overlap with another's shard scans.  A
+        #: closed session's scratch moves to the plain slot so the
+        #: subsequent ``end_of_query`` (which runs session-less) still
+        #: recycles the query's driver-created helpers.
+        self.sessions = QuerySessions(
+            self._new_query, self.pool,
+            retire=lambda state: self.sessions.plain.scratch.extend(
+                state.scratch),
+        )
         super().__init__(catalog)
 
     @property
     def n_shards(self) -> int:
         return len(self.children)
 
-    # -- per-query context (plain or session-scoped) ---------------------------
-
-    def _ctx(self) -> _ShardQueryCtx:
-        session = self.current_session
-        if session is not None:
-            ctx = self._session_ctxs.get(session)
-            if ctx is not None:
-                return ctx
-        return self._default_ctx
-
-    # the pre-session code (and its tests) addresses the per-query state
-    # as flat attributes; keep that surface as properties over the
-    # active context so both execution paths share one implementation
-    @property
-    def _merge_s(self) -> float:
-        return self._ctx().merge_s
-
-    @_merge_s.setter
-    def _merge_s(self, value: float) -> None:
-        self._ctx().merge_s = value
-
-    @property
-    def _trace(self):
-        return self._ctx().trace
-
-    @_trace.setter
-    def _trace(self, value) -> None:
-        self._ctx().trace = value
-
-    @property
-    def _replay(self):
-        return self._ctx().replay
-
-    @_replay.setter
-    def _replay(self, value) -> None:
-        self._ctx().replay = value
-
-    @property
-    def _replay_pos(self) -> int:
-        return self._ctx().replay_pos
-
-    @_replay_pos.setter
-    def _replay_pos(self, value: int) -> None:
-        self._ctx().replay_pos = value
-
-    @property
-    def _scratch(self):
-        return self._ctx().scratch
-
-    @_scratch.setter
-    def _scratch(self, value) -> None:
-        self._ctx().scratch = value
+    def _new_query(self) -> _ShardQuery:
+        """State for a query that is starting (``begin`` or a session
+        opening); one starting on a degraded cluster is a degraded
+        read."""
+        if self.cluster.routing.degraded:
+            self.cluster.stats.degraded_reads += 1
+        return _ShardQuery()
 
     # -- protocol: registration / resolution ---------------------------------
 
@@ -571,14 +538,10 @@ class ShardedBackend(Backend):
     def begin(self) -> None:
         for child in self.children:
             child.begin()
-        # reset in place: references to con.interconnect.query held
-        # across queries keep reading the live per-query counters
+        # reset in place: references to the per-query counters held
+        # across queries keep reading the live object
         self.traffic.query.reset()
-        self._default_ctx = _ShardQueryCtx()
-        self._default_ctx.replay = self._armed_replay
-        self._armed_replay = None
-        if self.routing.degraded:
-            self.cluster.degraded_reads += 1
+        self.sessions.reset()
 
     def query_boundary(self) -> None:
         """Between-queries hook: breaker ticks (base class) plus
@@ -586,92 +549,14 @@ class ShardedBackend(Backend):
         :meth:`begin` (each flight gets its own timeline instead), and a
         query dying mid-plan skips its own cleanup — either way the next
         query must start from zeroed per-query traffic.  Reset is in
-        place so live references to ``con.interconnect.query`` keep
-        reading the current counters.  This is also where the elastic
-        machinery runs: staged resizes migrate a few key ranges, and a
-        healthy replicated cluster rotates its read routing."""
+        place so live references to ``traffic.query`` keep reading the
+        current counters.  This is also where the topology moves:
+        cooled-down nodes rejoin, staged resizes migrate a few key
+        ranges, and a healthy replicated cluster rotates its read
+        routing (see :class:`~repro.shard.topology.ShardTopology`)."""
         super().query_boundary()
         self.traffic.query.reset()
-        self._advance_resize()
-        if not self._session_ctxs:
-            self._maybe_rotate_reads()
-
-    # -- protocol: per-session timelines (pipelines_sessions) ------------------
-
-    def open_session(self, session: str, replay=None) -> float:
-        """Register one in-flight query; returns its submit epoch."""
-        ctx = _ShardQueryCtx()
-        ctx.replay = replay or None
-        self._session_ctxs[session] = ctx
-        if self.routing.degraded:
-            self.cluster.degraded_reads += 1
-        return self.pool.open_session(session)
-
-    def activate_session(self, session: "str | None") -> None:
-        """Attribute subsequent work (child clock advances, driver
-        merges) to ``session`` — ``None`` restores plain execution and
-        charges the just-finished turn to the session's timeline."""
-        previous = self.current_session
-        if previous is not None and self._turn_baseline is not None:
-            self._charge_turn(previous)
-        self.current_session = session
-        if session is not None:
-            if session not in self._session_ctxs:
-                self._session_ctxs[session] = _ShardQueryCtx()
-            self._turn_baseline = (
-                self._hosts(),
-                [child.elapsed() for child in self.children],
-                self._session_ctxs[session].merge_s,
-            )
-        else:
-            self._turn_baseline = None
-
-    def _hosts(self) -> tuple:
-        """Physical node serving each live child, in slot order.
-
-        Without replicas this is the partitioner's active set; with
-        replicas it follows the routing's chained-declustering copy
-        choice — after a failover two slots may share one node."""
-        if self.replicas > 1:
-            return tuple(
-                self.routing.host(slot)
-                for slot in range(len(self.children))
-            )
-        return tuple(self.partitioner.active)
-
-    def _charge_turn(self, session: str) -> None:
-        """Charge one scheduler turn's measured work to the timelines.
-
-        Children are shared across sessions, but the scheduler is
-        single-threaded: everything their clocks advanced since this
-        session was activated is this session's work.  The timeline
-        pool is *physical*-sized (a routed-around shard keeps its
-        clock), so per-child deltas scatter to their host nodes —
-        additively, because two promoted slots may share one host."""
-        hosts, baseline, merge_base = self._turn_baseline
-        self._turn_baseline = None
-        deltas = [0.0] * (len(self.pool.clocks) - 1)
-        for host, child, before in zip(hosts, self.children, baseline):
-            deltas[host] += max(0.0, child.elapsed() - before)
-        ctx = self._session_ctxs.get(session)
-        merge_delta = max(
-            0.0, (ctx.merge_s if ctx is not None else 0.0) - merge_base
-        )
-        if merge_delta > 0.0 or any(d > 0.0 for d in deltas):
-            self.pool.charge(session, deltas, merge_delta)
-
-    def close_session(self, session: str) -> float:
-        """Drop a finished query's context; returns its completion
-        epoch.  The context's scratch moves to the plain context so the
-        subsequent ``end_of_query`` (which runs session-less) still
-        recycles the query's driver-created helpers."""
-        ctx = self._session_ctxs.pop(session, None)
-        if ctx is not None:
-            self._default_ctx.scratch.extend(ctx.scratch)
-        if self.current_session == session:
-            self.current_session = None
-            self._turn_baseline = None
-        return self.pool.close_session(session)
+        self.cluster.boundary(idle=not self.sessions.open_states)
 
     # -- morsel-driven execution -----------------------------------------------
 
@@ -694,18 +579,6 @@ class ShardedBackend(Backend):
         parts a later merge still needs.  ``end_of_query`` remains the
         recycle point."""
 
-    # -- protocol: strategy-trace replay (replays_placements) ------------------
-
-    def install_replay(self, placements) -> None:
-        """Arm the next query with a memoised join-strategy trace."""
-        self._armed_replay = placements or None
-
-    def take_trace(self) -> tuple[list, int]:
-        """Harvest the last query's join decisions; ``(trace,
-        replayed)`` where ``replayed`` counts decisions served from the
-        installed trace instead of planned fresh."""
-        return list(self._trace), self._replay_pos
-
     def elapsed(self) -> float:
         """Slowest shard + driver-side gather/merge time.
 
@@ -713,11 +586,11 @@ class ShardedBackend(Backend):
         concurrently, so the query's makespan is the maximum, plus the
         serial driver work (merges, gathers, broadcasts)."""
         return max(child.elapsed() for child in self.children) \
-            + self._merge_s
+            + self.sessions.current.merge_s
 
     def elapsed_now(self) -> float:
         return max(child.elapsed_now() for child in self.children) \
-            + self._merge_s
+            + self.sessions.current.merge_s
 
     def query_overhead_s(self) -> float:
         return max(child.query_overhead_s() for child in self.children)
@@ -743,7 +616,9 @@ class ShardedBackend(Backend):
             span = tracer.begin(f"interconnect.{kind}", cat="interconnect",
                                 tid="interconnect", kind=kind,
                                 bytes=nominal, bytes_physical=physical)
-        self._merge_s += SHARD_LATENCY_S + nominal / (SHARD_NET_GBS * GB)
+        self.sessions.current.merge_s += (
+            SHARD_LATENCY_S + nominal / (SHARD_NET_GBS * GB)
+        )
         self.traffic.query.add(kind, nominal, physical)
         self.traffic.total.add(kind, nominal, physical)
         if tracer is not None:
@@ -752,29 +627,24 @@ class ShardedBackend(Backend):
                          tid="interconnect", kind=kind, bytes=nominal,
                          bytes_physical=physical)
 
-    def interconnect_traffic(self) -> ShardTraffic:
-        """Per-query + cumulative interconnect byte counters."""
-        return self.traffic
-
-    def memory_managers(self):
-        """Every child node's memory managers (empty for MonetDB
-        children, one per pooled device for Ocelot/HET children)."""
-        return tuple(
-            manager
-            for row in self.copies
-            for child in row
-            for manager in child.memory_managers()
-        )
-
-    def compression_stats(self):
-        """Driver-catalog counters folded with every shard's: each
-        shard catalog re-encodes its own partition at ``create_table``
-        time, so the storage picture spans all of them."""
-        combined = self.catalog.compression.snapshot()
-        for row in self.copies:
-            for child in row:
-                combined.add(child.compression_stats())
-        return combined
+    def counters(self) -> dict:
+        """The driver's counters folded with every node's: each shard
+        catalog re-encodes its own partition at ``create_table`` time,
+        so the storage picture spans all of them, and the memory
+        managers (none for MonetDB children, one per pooled device for
+        Ocelot/HET children) are summed over the whole copy grid."""
+        nodes = [child.counters() for row in self.copies for child in row]
+        compress = self.catalog.compression.snapshot()
+        for node in nodes:
+            compress.add(node["compress"])
+        out = {**self.traffic.counters(), "compress": compress,
+               "cluster": self.cluster.stats}
+        managers = [node["mm"] for node in nodes if "mm" in node]
+        if managers:
+            out["mm"] = {
+                key: sum(mm[key] for mm in managers) for key in managers[0]
+            }
+        return out
 
     # -- protocol: lifecycle ------------------------------------------------------
 
@@ -787,233 +657,31 @@ class ShardedBackend(Backend):
         longer declares.  A staged resize restarts from the new schema
         (its pre-DDL layout plan is void)."""
         self.partitioner.sync()
-        if self._staged is not None:
-            target = self._staged.n_shards
-            self._staged = None
-            self.request_resize(target)
-
-    # -- circuit breakers: route reads around a sick shard ---------------------
+        self.cluster.schema_changed()
 
     def note_node_failure(self, error) -> str:
-        """Charge the failed shard's breaker; route around it on trip.
-
-        A :class:`~repro.serve.faults.NodeFault` carrying a shard id
-        charges that shard's breaker.  What a trip (or an already-open
-        breaker) means depends on the topology:
-
-        * **with replicas** the dead node's key ranges are already
-          resident on other nodes — each affected slot *promotes* its
-          next healthy copy.  No data moves and no table re-partitions;
-          the child roster swap waits for the next query boundary
-          (in-flight values hold parts fanned over the old roster).
-          Only when some slot has no healthy copy left does the query
-          fail.
-        * **without replicas** the shard is *excluded* and every table
-          re-partitions over the healthy remainder at the next query
-          boundary.  The last healthy shard is never excluded: with
-          nowhere left to route, the query fails.
-
-        Faults without a node fall back to the backend-wide breaker."""
+        """A :class:`~repro.serve.faults.NodeFault` carrying a shard id
+        charges that shard's breaker and, on a trip, routes around it
+        (:meth:`ShardTopology.node_failed`); faults without a node fall
+        back to the backend-wide breaker."""
         node = getattr(error, "node", None)
         if node is None or not 0 <= node < len(self.pool.clocks) - 1:
             return super().note_node_failure(error)
-        breaker = self.breakers().breaker(("shard", node))
-        tripped = breaker.record_failure()
-        if tripped or not breaker.allow():
-            if self.replicas > 1:
-                plan = self.routing.plan_failover(
-                    node, self._node_healthy
-                )
-                if plan is None:
-                    return "fail"
-                if plan:
-                    promoted, _ = self.routing.apply(plan)
-                    self.cluster.promotions += promoted
-                    self._topology_stale = True
-                return "rerouted"
-            healthy = len(self.all_children) - len(self._excluded)
-            if node not in self._excluded and healthy <= 1:
-                return "fail"
-            if node not in self._excluded:
-                self._excluded.add(node)
-                self._topology_stale = True
-            return "rerouted"
-        return "retry"
-
-    def _node_healthy(self, node: int) -> bool:
-        """Whether a physical node's breaker admits work."""
-        return self.breakers().breaker(("shard", node)).allow()
-
-    def _recover_nodes(self) -> None:
-        """Between queries: route back to nodes whose breakers cooled
-        down (half-open probes re-trip with doubled backoff on the next
-        failure), then apply any pending topology change."""
-        board = getattr(self, "_breaker_board", None)
-        if board is not None:
-            if self.replicas > 1:
-                plan = self.routing.rejoin_plan(self._node_healthy)
-                if plan:
-                    _, recovered = self.routing.apply(plan)
-                    self.cluster.recoveries += recovered
-                    self._topology_stale = True
-            else:
-                for node in sorted(self._excluded):
-                    if board.breaker(("shard", node)).allow():
-                        self._excluded.discard(node)
-                        self._topology_stale = True
-        if self._topology_stale:
-            self._apply_topology()
-
-    def _rebuild_children(self) -> None:
-        """Swap the live child roster to match routing + active set."""
-        if self.replicas > 1:
-            self.children = [
-                self.copies[slot][self.routing.copy_of[slot]]
-                for slot in range(self.partitioner.n_shards)
-            ]
-        else:
-            self.children = [
-                self.all_children[phys]
-                for phys in self.partitioner.active
-            ]
-
-    def _apply_topology(self) -> None:
-        """Apply a pending routing/roster change at a query boundary.
-
-        With replicas this is *purely* a routing change: the promoted
-        copies already hold their slots' slices, so the partitioner
-        (and every layout signature) is untouched — the asserted
-        zero-re-partition failover.  Without replicas the healthy
-        remainder re-partitions every table.  Both paths bump the
-        catalog version (memoised join traces assumed the old roster)
-        and fire the topology observer so trace-carrying plan-cache
-        entries are invalidated eagerly, not lazily."""
-        self._topology_stale = False
-        if self.replicas <= 1:
-            healthy = [
-                phys for phys in range(len(self.all_children))
-                if phys not in self._excluded
-            ]
-            self.partitioner.set_active(healthy)
-        self._rebuild_children()
-        self.catalog.bump_version()
-        self.cluster.topology_changes += 1
-        self._notify_topology_change()
-
-    def _notify_topology_change(self) -> None:
-        if self.on_topology_change is not None:
-            self.on_topology_change(self)
-
-    # -- read load balancing across healthy replicas ----------------------------
-
-    def _maybe_rotate_reads(self) -> None:
-        """Round-robin reads over each slot's copies, one rotation per
-        query boundary — only on a fully healthy, idle cluster (no
-        promotions, no staged resize, no open breakers, no in-flight
-        sessions), so balancing never interferes with failover or
-        migration.  Copies are identical, so no version bump: memoised
-        join traces stay valid across rotations."""
-        if self.replicas <= 1 or self._staged is not None:
-            return
-        if self.routing.degraded or self._topology_stale:
-            return
-        board = getattr(self, "_breaker_board", None)
-        if board is not None and board.open_nodes():
-            return
-        self._balance += 1
-        if self.routing.rotate(self._balance):
-            self._rebuild_children()
-            self.cluster.reads_balanced += 1
-
-    # -- online re-sharding ------------------------------------------------------
-
-    def cluster_stats(self) -> ClusterStats:
-        return self.cluster
-
-    def cluster_nodes(self) -> int:
-        """Current node count (a staged resize reports its target)."""
-        if self._staged is not None:
-            return self._staged.n_shards
-        return self.partitioner.n_shards
-
-    def topology_pending(self) -> bool:
-        return self._staged is not None or self._topology_stale
-
-    def request_resize(self, n_new: int) -> None:
-        """Stage an online resize to ``n_new`` shards.
-
-        Builds the target layout *empty* and migrates key ranges
-        incrementally at query boundaries (:meth:`_advance_resize`):
-        in-flight queries keep draining against the old layout, and the
-        swap commits only once every table is installed and no session
-        is in flight.  New admissions after the commit route to the new
-        topology (the catalog-version bump recompiles their plans)."""
-        if n_new < 1:
-            raise ValueError("need at least one shard")
-        current = self.partitioner
-        staged = ShardPartitioner(
-            self.catalog, n_new, mode=current.mode,
-            min_partition_rows=current.min_partition_rows_raw,
-            use_declared_keys=current.use_declared_keys,
-            replicas=min(self._replicas_arg, n_new),
-            eager=False,
-        )
-        staged._local_keys = dict(current._local_keys)
-        staged.begin_migration()
-        self._staged = staged
-
-    def _advance_resize(self) -> None:
-        """One query boundary's worth of migration work."""
-        staged = self._staged
-        if staged is None:
-            return
-        if not staged.migration_done:
-            moved = staged.migrate_step(MIGRATE_TABLES_PER_BOUNDARY)
-            self.cluster.ranges_migrated += moved
-        if staged.migration_done and not self._session_ctxs:
-            self._commit_resize()
-
-    def _commit_resize(self) -> None:
-        """Swap the fully-migrated layout in; a fresh roster, routing
-        and timeline pool (clocks seeded at the old makespan, so the
-        simulated time base stays monotonic)."""
-        staged = self._staged
-        self._staged = None
-        epoch = self.pool.makespan()
-        self.partitioner = staged
-        self.replicas = staged.replicas
-        self.copies = [
-            [self.child_config.make(copy_catalog, self.data_scale)
-             for copy_catalog in row]
-            for row in staged.copies
-        ]
-        self.all_children = [row[0] for row in self.copies]
-        self.routing = ReplicaRouting(staged.n_shards, staged.replicas)
-        self._excluded = set()
-        self._topology_stale = False
-        self._rebuild_children()
-        self.pool = _ShardTimelines(staged.n_shards)
-        self.pool.clocks = [epoch] * (staged.n_shards + 1)
-        self.cluster.nodes = staged.n_shards
-        self.cluster.replicas = staged.replicas
-        self.cluster.topology_changes += 1
-        self.catalog.bump_version()
-        self._notify_topology_change()
+        return self.cluster.node_failed(node)
 
     def shutdown(self) -> None:
-        self._session_ctxs.clear()
-        self.current_session = None
         for row in self.copies:
             for child in row:
                 child.shutdown()
 
     def end_of_query(self, intermediates: list) -> None:
         per_child: list[list] = [[] for _ in self.children]
-        for value in list(intermediates) + self._scratch:
+        state = self.sessions.current
+        for value in list(intermediates) + state.scratch:
             for sv in self._component_values(value):
                 for shard, part in enumerate(sv.parts):
                     per_child[shard].append(part)
-        self._scratch = []
+        state.scratch = []
         for child, leftovers in zip(self.children, per_child):
             child.end_of_query(leftovers)
         if self.infer_keys:
@@ -1105,8 +773,8 @@ class ShardedBackend(Backend):
             except RetryableFault:
                 if attempt >= FAN_RETRIES:
                     raise
-                self.cluster.retries += 1
-                self._merge_s += backoff
+                self.cluster.stats.retries += 1
+                self.sessions.current.merge_s += backoff
                 backoff *= 2.0
 
     def _fan(self, op: str, args, partitioned=None) -> object:
@@ -1654,16 +1322,17 @@ class ShardedBackend(Backend):
         — a trace can only come from the same (SQL, engine spec, schema
         version) plan-cache key, but the check keeps a stale trace from
         ever producing a wrong join."""
-        if self._replay is not None \
-                and self._replay_pos < len(self._replay):
-            site, strategy = self._replay[self._replay_pos]
+        state = self.sessions.current
+        if state.replay is not None \
+                and state.replay_pos < len(state.replay):
+            site, strategy = state.replay[state.replay_pos]
             if site == op and self._join_valid(strategy, left, right):
-                self._replay_pos += 1
-                self._trace.append((op, strategy))
+                state.replay_pos += 1
+                state.trace.append((op, strategy))
                 return strategy
-            self._replay = None     # out of step: plan fresh from here
+            state.replay = None     # out of step: plan fresh from here
         strategy = self._decide_join(left, right)
-        self._trace.append((op, strategy))
+        state.trace.append((op, strategy))
         return strategy
 
     def _decide_join(self, left, right) -> str:
@@ -1863,7 +1532,7 @@ class ShardedBackend(Backend):
             parts.append(make_bat(keys, tag="shard_shuffle"))
             mapping.append(goids)
         out = ShardedValue(parts, partitioned=True)
-        self._scratch.append(out)
+        self.sessions.current.scratch.append(out)
         return out, mapping
 
     def _shuffle_op(self, value):

@@ -8,11 +8,13 @@ surviving copies are already resident and failover reduces to choosing
 a different ``copy_of[slot]``.
 
 ``ReplicaRouting`` owns that choice.  It is deliberately free of any
-backend state so the failover logic stays unit-testable: the backend
-hands it a health predicate and applies the returned plan.
+backend state so the failover logic stays unit-testable:
+:class:`~repro.shard.topology.ShardTopology` hands it a health
+predicate and applies the returned plan.
 
-``ClusterStats`` is the ``cluster.*`` metrics carrier surfaced through
-``Backend.cluster_stats()`` and the obs snapshot.
+``ClusterStats`` is the ``cluster.*`` metrics carrier
+(``ShardTopology.stats``, handed to the obs snapshot by
+``ShardedBackend.counters()``).
 """
 
 from __future__ import annotations

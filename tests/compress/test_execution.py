@@ -64,24 +64,22 @@ class TestZeroDecode:
     @pytest.mark.parametrize("engine", ("MS", "CPU", "GPU", "HET"))
     def test_dict_selection_never_decodes(self, dict_db, engine):
         con = dict_db.connect(engine)
-        before = con.compression.snapshot()
+        before = con.metrics.snapshot()
         got = con.execute(
             "SELECT count(*) AS n FROM t WHERE v <= 320.0"
         )
-        after = con.compression
-        assert after.decode_events == before.decode_events
+        assert "compress.decode_events" not in con.metrics.diff(before)
         raw = dict_db.catalog.bat("t", "v").encoding.decode()
         assert int(got.column("n")[0]) == int((raw <= 320.0).sum())
 
     @pytest.mark.parametrize("engine", ("MS", "CPU", "GPU", "HET"))
     def test_rle_aggregation_never_decodes(self, rle_db, engine):
         con = rle_db.connect(engine)
-        before = con.compression.snapshot()
+        before = con.metrics.snapshot()
         got = con.execute(
             "SELECT sum(v) AS s, min(v) AS lo, max(v) AS hi FROM t"
         )
-        after = con.compression
-        assert after.decode_events == before.decode_events
+        assert "compress.decode_events" not in con.metrics.diff(before)
         raw = rle_db.catalog.bat("t", "v").encoding.decode()
         assert int(got.column("s")[0]) == int(raw.astype(np.int64).sum())
         assert int(got.column("lo")[0]) == int(raw.min())
@@ -89,9 +87,9 @@ class TestZeroDecode:
 
     def test_dict_sum_stays_in_code_domain(self, dict_db):
         con = dict_db.connect("CPU")
-        before = con.compression.snapshot()
+        before = con.metrics.snapshot()
         got = con.execute("SELECT sum(v) AS s FROM t")
-        assert con.compression.decode_events == before.decode_events
+        assert "compress.decode_events" not in con.metrics.diff(before)
         raw = dict_db.catalog.bat("t", "v").encoding.decode()
         assert got.column("s")[0] == pytest.approx(
             raw.astype(np.float64).sum(), rel=1e-6
@@ -101,13 +99,13 @@ class TestZeroDecode:
         """Late materialisation: projecting the column out decodes it
         (once — the decoded tail is cached)."""
         con = dict_db.connect("MS")
-        before = con.compression.snapshot()
+        before = con.metrics.snapshot()
         con.execute("SELECT v FROM t WHERE v <= 20.0")
-        after = con.compression
+        moved = con.metrics.diff(before)
         assert (
-            after.decode_events + after.partial_decodes
-            > before.decode_events + before.partial_decodes
-        )
+            moved.get("compress.decode_events", 0)
+            + moved.get("compress.partial_decodes", 0)
+        ) > 0
 
 
 class TestAutoVsOff:
@@ -153,10 +151,12 @@ class TestShardPhysicalTraffic:
     def test_gathered_bytes_physical_below_nominal(self, db):
         con = db.connect("SHARD:2xMS")
         con.execute("SELECT v FROM big")
-        traffic = con.interconnect.query
-        assert traffic.bytes_total > 0
+        snap = con.metrics.snapshot()
+        nominal = snap["interconnect.query.bytes_gathered"]
+        assert nominal > 0
         # the uint8 FOR payload crosses the wire, not the int32 tail
-        assert traffic.bytes_total_physical < traffic.bytes_total / 2
+        assert snap["interconnect.query.bytes_gathered_physical"] \
+            < nominal / 2
 
     def test_plain_storage_keeps_physical_equal(self):
         rng = np.random.default_rng(31)
@@ -166,6 +166,8 @@ class TestShardPhysicalTraffic:
             })
             con = db.connect("SHARD:2xMS")
             con.execute("SELECT v FROM big")
-            traffic = con.interconnect.query
-            assert traffic.bytes_total > 0
-            assert traffic.bytes_total_physical == traffic.bytes_total
+            snap = con.metrics.snapshot()
+            nominal = snap["interconnect.query.bytes_gathered"]
+            assert nominal > 0
+            assert snap["interconnect.query.bytes_gathered_physical"] \
+                == nominal

@@ -100,7 +100,7 @@ class TestSelfBreaker:
         con._scheduler = None
         assert_results_equal(clean, con.execute(QUERY))
         assert len(con.backend.injected) == 2
-        assert con.backend.breakers().breaker("self").failures == 0
+        assert con.backend.health.breaker("self").failures == 0
 
     def test_trip_opens_the_front_door_then_cooldown_recovers(
         self, points_db, assert_results_equal
@@ -113,7 +113,7 @@ class TestSelfBreaker:
         con._scheduler = None
         with pytest.raises(TransientFault):
             con.execute(QUERY)               # three failures: the trip
-        breaker = con.backend.breakers().breaker("self")
+        breaker = con.backend.health.breaker("self")
         assert breaker.state == "open"
         # while open, work is refused before touching the engine
         refused = 0
@@ -139,10 +139,10 @@ class TestShardRouteAround:
         })
         assert_results_equal(clean, con.execute(QUERY))
         backend = con.backend
-        assert backend._excluded == {1}
+        assert backend.cluster.excluded == {1}
         assert backend.partitioner.active == (0, 2)
         assert len(backend.children) == 2
-        assert backend.breakers().breaker(("shard", 1)).state == "open"
+        assert backend.health.breaker(("shard", 1)).state == "open"
         # the sick node's physical roster slot is untouched
         assert backend.all_children[1] is sick
 
@@ -170,19 +170,19 @@ class TestShardRouteAround:
             k: NodeFault("shard 1 down", node=1) for k in (1, 2, 3, 4)
         })
         backend = con.backend
-        breaker = backend.breakers().breaker(("shard", 1))
+        breaker = backend.health.breaker(("shard", 1))
         # fault 1-3 trip the breaker; fault 4 fails the first half-open
         # probe, re-tripping with doubled backoff; the schedule then
         # runs dry and the next probe readmits the shard for good
         rejoined_at = None
         for query in range(2 * DEFAULT_COOLDOWN + 6):
             assert_results_equal(clean, con.execute(QUERY), f"q{query}")
-            if rejoined_at is None and not backend._excluded:
+            if rejoined_at is None and not backend.cluster.excluded:
                 rejoined_at = query
         assert rejoined_at is not None
         assert breaker.trips == 2            # initial trip + failed probe
         assert breaker.state == "closed"
-        assert backend._excluded == set()
+        assert backend.cluster.excluded == set()
         assert backend.partitioner.active == (0, 1, 2)
         assert len(backend.children) == 3
         assert len(sick.injected) == 4       # every scheduled fault fired
@@ -199,7 +199,7 @@ class TestShardRouteAround:
         with pytest.raises(NodeFault):
             con.execute(QUERY)
         # exactly one shard was excluded; the last one failed the query
-        assert len(con.backend._excluded) == 1
+        assert len(con.backend.cluster.excluded) == 1
 
 
 class TestDeviceBan:
@@ -218,7 +218,7 @@ class TestDeviceBan:
         assert_results_equal(clean, con.execute(QUERY))
         backend = con.backend.inner
         assert backend.placer.banned == {1}
-        assert backend.breakers().breaker(("device", 1)).state == "open"
+        assert backend.health.breaker(("device", 1)).state == "open"
         backend.decision_log.clear()
         assert_results_equal(clean, con.execute(QUERY))
         placed_on = {device for _op, device in backend.decision_log}
@@ -235,7 +235,7 @@ class TestDeviceBan:
         for _ in range(DEFAULT_COOLDOWN):
             assert_results_equal(clean, con.execute(QUERY))
         assert backend.placer.banned == set()
-        assert backend.breakers().breaker(("device", 1)).state == "closed"
+        assert backend.health.breaker(("device", 1)).state == "closed"
         # fresh placement (no stale banned-era replay) sees both devices
         points_db.plan_cache.clear()
         assert_results_equal(clean, con.execute(QUERY))

@@ -34,7 +34,7 @@ def _heal(wrappers):
 
 def _await_rejoin(backend, bound=80):
     for _ in range(bound):
-        if not backend.routing.degraded:
+        if not backend.cluster.routing.degraded:
             return
         backend.query_boundary()
 
@@ -82,13 +82,13 @@ class TestSeededChaos:
                 clean[qid], con.execute(WORKLOAD[qid]), context
             )
 
-        stats = backend.cluster_stats()
+        stats = backend.cluster.stats
         detail = f"REPRO_CHAOS_SEED={SEED} events {events}"
         assert stats.promotions >= 1, f"no failover exercised: {detail}"
         assert stats.recoveries >= 1, f"no rejoin exercised: {detail}"
         assert stats.ranges_migrated > 0, detail
         assert stats.topology_changes >= 2, detail
-        assert backend.cluster_nodes() == 4, detail
+        assert backend.cluster.nodes == 4, detail
 
     def test_rolling_kills_every_node(
         self, points_db, assert_results_equal
@@ -111,10 +111,10 @@ class TestSeededChaos:
             assert_results_equal(clean, con.execute(sql), context)
             _heal(wrappers)
             _await_rejoin(backend)
-            assert not backend.routing.degraded, context
+            assert not backend.cluster.routing.degraded, context
             assert_results_equal(clean, con.execute(sql), context)
 
-        stats = backend.cluster_stats()
+        stats = backend.cluster.stats
         assert stats.promotions >= 4
         assert stats.recoveries >= 4
         # the whole rolling restart never re-partitioned anything

@@ -24,11 +24,10 @@ class HardFault(RuntimeError):
 
 
 def _query_traffic(con):
-    traffic = con.interconnect.query
+    snap = con.metrics.snapshot()
     return {
-        "broadcast": traffic.bytes_broadcast,
-        "shuffled": traffic.bytes_shuffled,
-        "gathered": traffic.bytes_gathered,
+        kind: snap[f"interconnect.query.bytes_{kind}"]
+        for kind in ("broadcast", "shuffled", "gathered")
     }
 
 
@@ -47,7 +46,7 @@ class TestShardTrafficHygiene:
         probe.schedule[2 * probe.ops_seen] = HardFault("boom")
         with pytest.raises(HardFault):
             con.execute(SORTQ)
-        assert con.interconnect.query.bytes_total > 0, (
+        assert sum(_query_traffic(con).values()) > 0, (
             "the killed query should leave mid-plan residue"
         )
         result = con.execute(OTHER)
@@ -84,11 +83,12 @@ class TestShardTrafficHygiene:
 
     def test_live_reference_stays_live_across_reset(self, points_db):
         con = points_db.connect("SHARD:2xMS")
-        live = con.interconnect.query        # held across queries
+        live = con.backend.traffic.query     # held across queries
         con.execute(QUERY)
         assert live.bytes_total > 0
         con.execute(OTHER)
-        assert live is con.interconnect.query
+        assert live is con.backend.traffic.query
+        assert live.bytes_total == sum(_query_traffic(con).values())
 
 
 class TestMetricsSnapshotHygiene:
@@ -108,7 +108,7 @@ class TestMetricsSnapshotHygiene:
         probe.schedule[2 * probe.ops_seen] = HardFault("boom")
         with pytest.raises(HardFault):
             con.execute(SORTQ)
-        assert con.interconnect.query.bytes_total > 0
+        assert sum(_query_traffic(con).values()) > 0
         assert con.metrics.queries == completed
         before = con.metrics.snapshot()
         result = con.execute(OTHER)

@@ -31,7 +31,7 @@ class TestMSDifferential:
             assert_results_equal(clean[qid], con.execute(sql), qid)
         # every scheduled fault really fired, and none of them tripped
         assert len(faulty.injected) == 2 * len(WORKLOAD)
-        board = con.backend.breakers()
+        board = con.backend.health
         assert board.breaker("self").trips == 0
 
 
@@ -53,9 +53,9 @@ class TestShardDifferential:
         excluded_during = []
         for qid, sql in WORKLOAD.items():
             assert_results_equal(clean[qid], con.execute(sql), qid)
-            excluded_during.append(bool(backend._excluded))
+            excluded_during.append(bool(backend.cluster.excluded))
         # the first query tripped the breaker and excluded the shard...
-        breaker = backend.breakers().breaker(("shard", 1))
+        breaker = backend.health.breaker(("shard", 1))
         assert breaker.trips == 1
         assert len(sick.injected) == 3
         assert excluded_during[0], "the trip never happened"

@@ -194,7 +194,7 @@ class TestTransientRerouteViaSubmit:
         con.drain()
         assert future.exception() is None
         assert_results_equal(clean, future.result())
-        assert con.backend._excluded == {1}
+        assert con.backend.cluster.excluded == {1}
         parked = [op for _s, op in con.scheduler.turn_log
                   if op == "parked"]
         assert len(parked) == MAX_PARKS       # two retries + the trip
@@ -215,4 +215,4 @@ class TestTransientRerouteViaSubmit:
         con.drain()
         assert_results_equal(clean[QUERY], faulted.result())
         assert_results_equal(clean[OTHER], innocent.result())
-        assert con.backend._excluded == {1}
+        assert con.backend.cluster.excluded == {1}

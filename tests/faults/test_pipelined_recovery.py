@@ -34,7 +34,7 @@ class TestHalfOpenUnderTraffic:
             assert_results_equal(clean, result, "degraded batch")
         # (routing.degraded itself may already have flipped back: the
         # half-open probe rejoins optimistically between batches)
-        assert backend.cluster_stats().promotions >= 1
+        assert backend.cluster.stats.promotions >= 1
 
         # the node heals, but the probe has to fire *between* batches
         # of in-flight sessions — never a quiet boundary
@@ -45,10 +45,10 @@ class TestHalfOpenUnderTraffic:
                 assert_results_equal(
                     clean, result, f"recovery round {round_index}"
                 )
-            if not backend.routing.degraded:
+            if not backend.cluster.routing.degraded:
                 break
-        assert not backend.routing.degraded, "probe never rejoined"
-        assert backend.cluster_stats().recoveries >= 1
+        assert not backend.cluster.routing.degraded, "probe never rejoined"
+        assert backend.cluster.stats.recoveries >= 1
         # layout never moved through the whole arc
         assert backend.partitioner.active == (0, 1)
 
@@ -58,7 +58,7 @@ class TestHalfOpenUnderTraffic:
         con = points_db.connect("SHARD:2xCPU,replicas=2")
         clean = con.execute(SQL)
         backend = con.backend
-        breaker = backend.breakers().breaker(("shard", 0))
+        breaker = backend.health.breaker(("shard", 0))
 
         wrappers = wrap_shard_node(backend, 0)
         for wrapper in wrappers:
@@ -73,15 +73,15 @@ class TestHalfOpenUnderTraffic:
             rounds += 1
         assert breaker.trips >= 2, "the probe never re-tripped"
         # each re-trip promoted away from the sick primary again
-        assert backend.cluster_stats().promotions >= 2
+        assert backend.cluster.stats.promotions >= 2
 
         for wrapper in wrappers:
             wrapper.always = None
         for _ in range(60):
-            if not backend.routing.degraded:
+            if not backend.cluster.routing.degraded:
                 break
             backend.query_boundary()
-        assert not backend.routing.degraded
+        assert not backend.cluster.routing.degraded
         assert_results_equal(clean, con.execute(SQL), "after rejoin")
 
     def test_cancel_during_recovery_batch(
@@ -110,11 +110,11 @@ class TestHalfOpenUnderTraffic:
             )
         con.drain()
         for _ in range(60):
-            if not backend.routing.degraded:
+            if not backend.cluster.routing.degraded:
                 break
             backend.query_boundary()
-        assert not backend.routing.degraded
-        assert not backend.topology_pending()
+        assert not backend.cluster.routing.degraded
+        assert not backend.cluster.pending
 
 
 class TestPipelinedFailoverBatch:
@@ -135,7 +135,7 @@ class TestPipelinedFailoverBatch:
             assert_results_equal(
                 clean, future.result(), f"future {index}"
             )
-        assert backend.cluster_stats().promotions >= 1
+        assert backend.cluster.stats.promotions >= 1
         parked = sum(1 for _, op in con.scheduler.turn_log
                      if op == "parked")
         assert parked >= 1

@@ -29,7 +29,7 @@ def run_pass(con) -> None:
 
 def test_events_and_consumer_lists_do_not_grow_with_passes():
     con = repro.tpch_database(sf=0.02).connect("HET")
-    managers = con.backend.memory_managers()
+    managers = [engine.memory for engine in con.backend.pool.engines]
     run_pass(con)                       # cold: uploads, compiles, caches
     baseline = live_events()
     counts = []

@@ -22,6 +22,13 @@ class TestPrefixSum:
         rig.run("prefix_sum", out, rig.buf(data), 10)
         assert out.array[10] == 30
 
+    def test_empty_scan_zeroes_its_total_slot(self, rig):
+        """Device buffers are not zeroed: the host reads slot ``n`` as
+        the total (the join's run count) even when ``n == 0``."""
+        out = rig.buf(np.array([12345], dtype=np.uint32))
+        rig.run("prefix_sum", out, rig.zeros(1, np.uint32), 0)
+        assert out.array[0] == 0
+
     @given(st.lists(st.integers(0, 1000), min_size=0, max_size=200))
     @settings(max_examples=30, deadline=None)
     def test_scan_property(self, values):

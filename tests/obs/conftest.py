@@ -29,19 +29,33 @@ def tpch_data():
 
 
 @pytest.fixture
-def tpch_db(tpch_data):
-    """A fresh TPC-H database over the session's shared columns."""
-    db = Database(data_scale=tpch_data.data_scale)
-    for name, columns in tpch_data.tables.items():
-        dictionaries = {}
-        for column in TABLES[name].columns:
-            if column.dictionary is not None:
-                dictionaries[column.name] = DICTIONARIES.get(
-                    column.dictionary, []
-                )
-        db.create_table(name, columns, dictionaries or None)
-    yield db
-    db.close()
+def tpch_dbs(tpch_data):
+    """A factory of fresh TPC-H databases over the session's shared
+    columns (all closed at teardown)."""
+    opened = []
+
+    def make() -> Database:
+        db = Database(data_scale=tpch_data.data_scale)
+        for name, columns in tpch_data.tables.items():
+            dictionaries = {}
+            for column in TABLES[name].columns:
+                if column.dictionary is not None:
+                    dictionaries[column.name] = DICTIONARIES.get(
+                        column.dictionary, []
+                    )
+            db.create_table(name, columns, dictionaries or None)
+        opened.append(db)
+        return db
+
+    yield make
+    for db in opened:
+        db.close()
+
+
+@pytest.fixture
+def tpch_db(tpch_dbs):
+    """A fresh TPC-H database."""
+    return tpch_dbs()
 
 
 @pytest.fixture

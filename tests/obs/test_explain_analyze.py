@@ -129,4 +129,8 @@ class TestExplainAnalyzeText:
         # the events agree with the per-query traffic counters
         nominal = sum(e["args"]["bytes"] for e in result.trace.events
                       if e["cat"] == "interconnect")
-        assert nominal == con.interconnect.query.bytes_total
+        snap = con.metrics.snapshot()
+        assert nominal == sum(
+            snap[f"interconnect.query.bytes_{kind}"]
+            for kind in ("broadcast", "shuffled", "gathered")
+        )

@@ -32,7 +32,7 @@ class TestSnapshot:
         snap = con.metrics.snapshot()
         assert snap["mm.intermediates_allocated"] >= 1
         assert snap["mm.intermediate_bytes_peak"] > 0
-        [manager] = con.backend.memory_managers()
+        manager = con.backend.engine.memory
         assert snap["mm.intermediates_allocated"] == (
             manager.stats.intermediates_allocated
         )
@@ -40,18 +40,18 @@ class TestSnapshot:
     def test_mm_sums_over_het_pool(self, points_db):
         con = points_db.connect("HET")
         con.execute(QUERY)
-        managers = con.backend.memory_managers()
+        managers = [engine.memory for engine in con.backend.pool.engines]
         assert len(managers) == 2
         snap = con.metrics.snapshot()
         assert snap["mm.intermediates_allocated"] == sum(
             m.stats.intermediates_allocated for m in managers
         )
 
-    def test_interconnect_namespace_tracks_legacy_traffic(self, points_db):
+    def test_interconnect_namespace_tracks_backend_traffic(self, points_db):
         con = points_db.connect("SHARD:2xMS")
         con.execute(QUERY)
         snap = con.metrics.snapshot()
-        traffic = con.interconnect
+        traffic = con.backend.traffic
         assert snap["interconnect.bytes_gathered"] == (
             traffic.total.bytes_gathered
         )
@@ -61,10 +61,10 @@ class TestSnapshot:
         )
         assert snap["interconnect.bytes_total"] > 0
 
-    def test_compress_namespace_tracks_legacy_stats(self, tpch_db):
+    def test_compress_namespace_tracks_catalog_stats(self, tpch_db):
         con = tpch_db.connect("MS")
         snap = con.metrics.snapshot()
-        compression = con.compression
+        compression = tpch_db.catalog.compression
         assert snap["compress.columns_encoded"] == (
             compression.columns_encoded
         )
@@ -73,7 +73,7 @@ class TestSnapshot:
     def test_breaker_namespace(self, points_db):
         con = points_db.connect("SHARD:2xMS")
         con.execute(QUERY)
-        con.backend.breakers().breaker(0)      # materialise one breaker
+        con.backend.health.breaker(0)          # materialise one breaker
         snap = con.metrics.snapshot()
         assert snap["breaker.0.state"] == "closed"
         assert snap["breaker.0.trips"] == 0

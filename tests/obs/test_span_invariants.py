@@ -97,6 +97,30 @@ class TestTraceTransparency:
         assert_results_equal(plain, traced, f"{engine} {query}")
         assert traced.elapsed == pytest.approx(plain.elapsed, rel=1e-12)
 
+    @pytest.mark.parametrize("spec,env", [
+        ("HET:trace=on", None),
+        ("SHARD:2xCPU:trace=on", None),
+        ("HET", "on"),
+    ])
+    def test_submit_traces_like_execute(
+        self, tpch_dbs, monkeypatch, assert_results_equal, spec, env
+    ):
+        """``submit()`` honours ``trace=on`` and ``REPRO_TRACE`` as
+        ``execute()`` does (it ignored both from PR 13 on), and stays a
+        pure observer there too: same result, same simulated time."""
+        sql = tpch.WORKLOAD["Q12"]
+        plain = tpch_dbs().connect(
+            spec.removesuffix(":trace=on")
+        ).submit(sql).result()
+        if env is not None:
+            monkeypatch.setenv("REPRO_TRACE", env)
+        traced = tpch_dbs().connect(spec).submit(sql).result()
+        assert plain.trace is None
+        assert traced.trace.instruction_spans()
+        _walk_intervals(traced.trace.root())
+        assert_results_equal(plain, traced, spec)
+        assert traced.elapsed == plain.elapsed
+
     def test_trace_off_result_has_no_tracer(self, points_db):
         result = points_db.connect("CPU").execute(
             "SELECT sum(y) AS s FROM points"

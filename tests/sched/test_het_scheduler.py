@@ -144,7 +144,7 @@ class TestPlacement:
         program = _rewritten(builder.returns([("n", n)]))
         run_program(program, backend)
         # exactly one device paid its per-query framework overhead
-        assert len(backend._overhead_charged) == 1
+        assert len(backend.sessions.current.overhead_charged) == 1
 
     def test_capacity_infeasible_device_is_excluded(self):
         cat = Catalog()

@@ -140,12 +140,12 @@ class TestReplicatedExecution:
         version = db.catalog.version
         for _ in range(4):
             con.execute(AGG)
-        stats = backend.cluster_stats()
+        stats = backend.cluster.stats
         assert stats.reads_balanced >= 2
         # rotation swaps which copy serves reads...
         for slot in range(4):
             assert backend.children[slot] is \
-                backend.copies[slot][backend.routing.copy_of[slot]]
+                backend.copies[slot][backend.cluster.routing.copy_of[slot]]
         # ...but never re-partitions or invalidates plans
         assert db.catalog.version == version
         assert stats.topology_changes == 0
@@ -165,14 +165,14 @@ class TestFailover:
             wrapper.always = NodeFault("node 2 down")
         assert_results_equal(clean, con.execute(GROUPED))
 
-        stats = backend.cluster_stats()
+        stats = backend.cluster.stats
         assert stats.promotions >= 1
         assert stats.topology_changes >= 1
-        assert backend.routing.degraded
+        assert backend.cluster.routing.degraded
         # the acceptance assertion: failover is a pure routing change
         assert dict(backend.partitioner._signatures) == signatures
         assert tuple(backend.partitioner.active) == active
-        assert backend.breakers().breaker(("shard", 2)).trips >= 1
+        assert backend.health.breaker(("shard", 2)).trips >= 1
 
     def test_degraded_reads_are_counted(self, db):
         con = db.connect("SHARD:4xCPU,replicas=2")
@@ -181,10 +181,10 @@ class TestFailover:
         for wrapper in wrap_shard_node(backend, 1):
             wrapper.always = NodeFault("node 1 down")
         con.execute(AGG)
-        before = backend.cluster_stats().degraded_reads
+        before = backend.cluster.stats.degraded_reads
         assert before >= 1
         con.execute(AGG)
-        assert backend.cluster_stats().degraded_reads > before
+        assert backend.cluster.stats.degraded_reads > before
 
     def test_promotion_invalidates_cached_join_traces(self, db):
         """Satellite: topology changes purge the engine's memoised
@@ -218,14 +218,14 @@ class TestFailover:
         for wrapper in wrappers:
             wrapper.always = NodeFault("node 3 down")
         assert_results_equal(clean, con.execute(GROUPED))
-        assert backend.routing.degraded
+        assert backend.cluster.routing.degraded
 
         for wrapper in wrappers:
             wrapper.always = None                   # node heals
         for _ in range(10):                         # cooldown ticks
             backend.query_boundary()
-        assert not backend.routing.degraded
-        stats = backend.cluster_stats()
+        assert not backend.cluster.routing.degraded
+        stats = backend.cluster.stats
         assert stats.recoveries >= 1
         assert_results_equal(clean, con.execute(GROUPED))
 
@@ -248,7 +248,7 @@ class TestFailover:
         })
         assert_results_equal(clean, con.execute(AGG))
         assert len(sick.injected) == 3
-        assert con.backend.cluster_stats().promotions == 0
+        assert con.backend.cluster.stats.promotions == 0
 
 
 class TestRetryableBlips:
@@ -259,13 +259,13 @@ class TestRetryableBlips:
         faulty = wrap_shard_child(backend, 0, schedule={
             2: RetryableFault("network blip"),
         })
-        trips = sum(b.trips for b in backend.breakers())
+        trips = sum(b.trips for b in backend.health)
         assert_results_equal(clean, con.execute(AGG))
         assert len(faulty.injected) == 1
-        assert backend.cluster_stats().retries >= 1
+        assert backend.cluster.stats.retries >= 1
         # absorbed in place: no breaker charge, no promotion
-        assert sum(b.trips for b in backend.breakers()) == trips
-        assert not backend.routing.degraded
+        assert sum(b.trips for b in backend.health) == trips
+        assert not backend.cluster.routing.degraded
 
     def test_persistent_blip_escalates_to_the_breaker(self, db):
         con = db.connect("SHARD:4xCPU,replicas=2")
@@ -275,9 +275,9 @@ class TestRetryableBlips:
             wrapper.always = RetryableFault("stuck blip")
         assert_results_equal(clean, con.execute(AGG))
         # outlived the in-place retry budget: charged like a hard fault
-        assert backend.cluster_stats().retries >= 1
-        assert backend.breakers().breaker(("shard", 1)).trips >= 1
-        assert backend.cluster_stats().promotions >= 1
+        assert backend.cluster.stats.retries >= 1
+        assert backend.health.breaker(("shard", 1)).trips >= 1
+        assert backend.cluster.stats.promotions >= 1
 
 
 class TestClusterMetricsSurface:
@@ -295,7 +295,7 @@ class TestClusterMetricsSurface:
     def test_single_node_engines_have_no_cluster_section(self, db):
         con = db.connect("CPU")
         con.execute(AGG)
-        assert con.backend.cluster_stats() is None
+        assert con.backend.cluster is None
         assert not any(k.startswith("cluster.")
                        for k in con.metrics.snapshot())
 

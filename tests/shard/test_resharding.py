@@ -58,14 +58,14 @@ class TestResize:
         con.execute(GROUPED)
         db.add_shard()
         backend = con.backend
-        assert backend.cluster_nodes() == 5
-        assert not backend.topology_pending()
+        assert backend.cluster.nodes == 5
+        assert not backend.cluster.pending
         assert backend.partitioner.n_shards == 5
         assert len(backend.children) == 5
         assert_results_equal(
             fresh_result(GROUPED, 5, 2), con.execute(GROUPED)
         )
-        stats = backend.cluster_stats()
+        stats = backend.cluster.stats
         assert stats.ranges_migrated > 0
         assert stats.topology_changes >= 1
         assert stats.nodes == 5
@@ -74,7 +74,7 @@ class TestResize:
         con = db.connect("SHARD:4xCPU,replicas=2")
         before = con.execute(GROUPED)
         db.remove_shard()
-        assert con.backend.cluster_nodes() == 3
+        assert con.backend.cluster.nodes == 3
         after = con.execute(GROUPED)
         assert_results_equal(fresh_result(GROUPED, 3, 2), after)
         assert_results_equal(before, after, rtol=1e-5)
@@ -84,9 +84,9 @@ class TestResize:
         con.execute(AGG)
         db.add_shard()
         db.add_shard()
-        assert con.backend.cluster_nodes() == 5
+        assert con.backend.cluster.nodes == 5
         db.remove_shard()
-        assert con.backend.cluster_nodes() == 4
+        assert con.backend.cluster.nodes == 4
         assert_results_equal(
             fresh_result(AGG, 4, 2), con.execute(AGG)
         )
@@ -96,7 +96,7 @@ class TestResize:
         con.execute(AGG)
         db.remove_shard()
         backend = con.backend
-        assert backend.cluster_nodes() == 1
+        assert backend.cluster.nodes == 1
         assert backend.replicas == 1
         assert_results_equal(
             fresh_result(AGG, 1, 1), con.execute(AGG)
@@ -121,18 +121,18 @@ class TestResize:
         con = db.connect("SHARD:4xCPU,replicas=2")
         con.execute(AGG)
         backend = con.backend
-        backend.request_resize(5)
-        assert backend.topology_pending()
-        assert backend.cluster_nodes() == 5         # staged target
+        backend.cluster.request_resize(5)
+        assert backend.cluster.pending
+        assert backend.cluster.nodes == 5         # staged target
         assert backend.partitioner.n_shards == 4    # not committed yet
-        assert len(backend._staged._pending_tables) == 4
-        migrated = backend.cluster_stats().ranges_migrated
+        assert len(backend.cluster.staged._pending_tables) == 4
+        migrated = backend.cluster.stats.ranges_migrated
         backend.query_boundary()                    # moves 2 of 4 tables
-        assert backend.cluster_stats().ranges_migrated > migrated
-        assert backend.topology_pending()
-        assert len(backend._staged._pending_tables) == 2
+        assert backend.cluster.stats.ranges_migrated > migrated
+        assert backend.cluster.pending
+        assert len(backend.cluster.staged._pending_tables) == 2
         boundaries = 0
-        while backend.topology_pending():
+        while backend.cluster.pending:
             backend.query_boundary()
             boundaries += 1
         assert boundaries >= 1
@@ -147,13 +147,13 @@ class TestResizeUnderTraffic:
         db.add_shard()                              # mid-batch
         backend = con.backend
         # the resize is staged, not torn through the running batch
-        assert backend.topology_pending()
+        assert backend.cluster.pending
         assert backend.partitioner.n_shards == 4
         for future in futures:
             assert_results_equal(clean, future.result())
         con.drain()
         # the drained batch let the migration finish and commit
-        assert not backend.topology_pending()
+        assert not backend.cluster.pending
         assert backend.partitioner.n_shards == 5
         assert_results_equal(
             fresh_result(GROUPED, 5, 2), con.execute(GROUPED)
@@ -175,7 +175,7 @@ class TestResizeUnderTraffic:
         futures = [con.submit(GROUPED) for _ in range(3)]
         db.add_shard()
         backend = con.backend
-        assert backend.topology_pending()
+        assert backend.cluster.pending
         assert futures[1].cancel()
         with pytest.raises(QueryCancelled):
             futures[1].result()
@@ -183,7 +183,7 @@ class TestResizeUnderTraffic:
         assert_results_equal(clean, futures[2].result())
         con.drain()
         # no half-migrated layout survives the cancelled batch
-        assert not backend.topology_pending()
+        assert not backend.cluster.pending
         assert backend.partitioner.n_shards == 5
         assert backend.partitioner.migration_done or \
             backend.partitioner._pending_tables is None
@@ -200,7 +200,7 @@ class TestResizeUnderTraffic:
             future.cancel()
         con.drain()
         backend = con.backend
-        assert not backend.topology_pending()
+        assert not backend.cluster.pending
         assert backend.partitioner.n_shards == 3
         assert_results_equal(
             fresh_result(AGG, 3, 2), con.execute(AGG)

@@ -51,6 +51,21 @@ JOIN_SQL = ("SELECT g, sum(v * w) AS s FROM fact "
             "JOIN dim ON f_key = d_key GROUP BY g ORDER BY g")
 
 
+def join_trace(con):
+    """The join-site decisions of the connection's last query."""
+    return con.backend.sessions.trace()[0]
+
+
+def query_traffic(con, scope="interconnect.query"):
+    """Interconnect bytes by pattern (the last query's by default, the
+    connection's cumulative ones under ``scope="interconnect"``)."""
+    snap = con.metrics.snapshot()
+    moved = {kind: snap[f"{scope}.bytes_{kind}"]
+             for kind in ("broadcast", "shuffled", "gathered")}
+    moved["total"] = sum(moved.values())
+    return moved
+
+
 class TestPlacementFunctions:
     def test_hash_placement_depends_only_on_the_value(self):
         a = np.array([3, 17, 3, 99], dtype=np.int32)
@@ -272,11 +287,11 @@ class TestJoinStrategies:
         con = db.connect("SHARD:3xMS,key=fact.f_key,key=dim.d_key")
         got = con.execute(JOIN_SQL)
         assert_results_equal(expected, got, rtol=1e-5)
-        assert con.backend._trace == [("algebra.join", JOIN_COLOCATED)]
-        traffic = con.interconnect.query
-        assert traffic.bytes_shuffled == 0
+        assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
+        traffic = query_traffic(con)
+        assert traffic["shuffled"] == 0
         # only the ngroups-wide grouped-aggregate merge remains
-        assert traffic.bytes_broadcast < 10_000
+        assert traffic["broadcast"] < 10_000
 
     def test_shuffle_beats_broadcast_on_bytes(self):
         # a selective filter on the probe side, as in the TPC-H join
@@ -293,17 +308,17 @@ class TestJoinStrategies:
         rs = shuffle.execute(sql)
         assert_results_equal(expected, rb, rtol=1e-5)
         assert_results_equal(expected, rs, rtol=1e-5)
-        assert broadcast.backend._trace == [
+        assert join_trace(broadcast) == [
             ("algebra.join", JOIN_BROADCAST)
         ]
-        assert shuffle.backend._trace == [
+        assert join_trace(shuffle) == [
             ("algebra.join", JOIN_SHUFFLE_BOTH)
         ]
-        tb = broadcast.interconnect.query
-        ts = shuffle.interconnect.query
-        assert ts.bytes_total < tb.bytes_total
-        assert ts.bytes_broadcast < tb.bytes_broadcast
-        assert ts.bytes_shuffled > 0 and tb.bytes_shuffled == 0
+        tb = query_traffic(broadcast)
+        ts = query_traffic(shuffle)
+        assert ts["total"] < tb["total"]
+        assert ts["broadcast"] < tb["broadcast"]
+        assert ts["shuffled"] > 0 and tb["shuffled"] == 0
 
     def test_one_aligned_side_shuffles_only_the_other(self):
         db = make_db()
@@ -311,7 +326,7 @@ class TestJoinStrategies:
         con = db.connect("SHARD:3xMS,key=fact.f_key")
         got = con.execute(JOIN_SQL)
         assert_results_equal(expected, got, rtol=1e-5)
-        assert con.backend._trace == [
+        assert join_trace(con) == [
             ("algebra.join", "shuffle-right")
         ]
 
@@ -319,16 +334,18 @@ class TestJoinStrategies:
         db = make_db()
         con = db.connect("SHARD:2xMS,join=broadcast")
         con.execute(JOIN_SQL)
-        first = con.interconnect.query.bytes_total
-        total1 = con.interconnect.total.bytes_total
+        first = query_traffic(con)["total"]
+        total1 = query_traffic(con, "interconnect")["total"]
         assert first > 0 and total1 >= first
+        assert con.metrics.snapshot()["interconnect.bytes_total"] == total1
         con.execute("SELECT sum(v) AS s FROM fact")
-        assert con.interconnect.query.bytes_broadcast == 0
-        assert con.interconnect.total.bytes_total > total1
+        assert query_traffic(con)["broadcast"] == 0
+        assert query_traffic(con, "interconnect")["total"] > total1
 
     def test_single_node_engines_report_no_traffic(self):
         db = make_db()
-        assert db.connect("MS").interconnect is None
+        snap = db.connect("MS").metrics.snapshot()
+        assert not any(key.startswith("interconnect.") for key in snap)
 
     def test_shard_shuffle_operator(self):
         """``shard.shuffle`` is a first-class backend operator: it
@@ -381,14 +398,14 @@ class TestKeyInference:
         con = db.connect("SHARD:3xMS,keys=infer")
         first = con.execute(JOIN_SQL)
         assert_results_equal(expected, first, rtol=1e-5)
-        assert con.backend._trace[0][1] != JOIN_COLOCATED
+        assert join_trace(con)[0][1] != JOIN_COLOCATED
         assert con.backend.partitioner.co_located(
             ("fact", "f_key"), ("dim", "d_key")
         )
         second = con.execute(JOIN_SQL)
         assert_results_equal(expected, second, rtol=1e-5)
-        assert con.backend._trace == [("algebra.join", JOIN_COLOCATED)]
-        assert con.interconnect.query.bytes_shuffled == 0
+        assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
+        assert query_traffic(con)["shuffled"] == 0
 
     def test_adoption_bumps_schema_version_and_recompiles(self):
         db = make_db()
@@ -417,7 +434,7 @@ class TestKeyInference:
         con = db.connect("SHARD:2xMS,keys=off")
         got = con.execute(JOIN_SQL)
         assert_results_equal(expected, got, rtol=1e-5)
-        assert con.backend._trace[0][1] != JOIN_COLOCATED
+        assert join_trace(con)[0][1] != JOIN_COLOCATED
         assert con.backend.partitioner.key_of("fact") is None
 
 
@@ -429,7 +446,7 @@ class TestStrategyReplay:
         reuses = con.plan_cache.stats.placement_reuses
         con.execute(JOIN_SQL)
         assert con.plan_cache.stats.placement_reuses == reuses + 1
-        assert con.backend._trace == [("algebra.join", JOIN_COLOCATED)]
+        assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
 
     def test_ddl_invalidates_the_memoised_strategy(self):
         db = make_db()
@@ -450,9 +467,8 @@ class TestStrategyReplay:
         db = make_db()
         con = db.connect("SHARD:2xMS,key=fact.f_key,key=dim.d_key")
         con.execute(JOIN_SQL)
-        backend = con.backend
-        backend.install_replay([("algebra.join", "shuffle-right"),
-                                ("algebra.join", JOIN_COLOCATED)])
+        con.backend.sessions.arm([("algebra.join", "shuffle-right"),
+                                  ("algebra.join", JOIN_COLOCATED)])
         expected = db.connect("MS").execute(JOIN_SQL)
         got = con.execute(JOIN_SQL)
         assert_results_equal(expected, got, rtol=1e-5)
@@ -478,7 +494,7 @@ class TestStaleLayoutRegression:
         db.declare_shard_key("dim", "d_key")
         got = con.execute(JOIN_SQL)
         assert_results_equal(expected, got, rtol=1e-5)
-        assert con.backend._trace == [("algebra.join", JOIN_COLOCATED)]
+        assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
         # the shard slices really are keyed now, not stale row-id runs
         part = con.backend.partitioner
         for catalog in part.catalogs:
@@ -523,7 +539,7 @@ class TestStaleLayoutRegression:
         assert part.domains["d_key"] == (0.0, 59_990.0)
         got = con.execute(JOIN_SQL)
         assert_results_equal(expected, got, rtol=1e-5)
-        assert con.backend._trace == [("algebra.join", JOIN_COLOCATED)]
+        assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
 
 
 class TestTPCHKeyModes:

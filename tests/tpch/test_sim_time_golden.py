@@ -5,8 +5,19 @@ the result columns for the 14 TPC-H queries, run in their fixed order
 twice (cold, then warm caches) on one connection per engine to a fresh
 SF 0.1 database.  It was generated at the commit *before* the kernel
 bodies, cost estimators and enqueue path were made cheaper; every cell
-must stay bit-identical.  A change that means to alter the cost model
-or a result regenerates the file and says so::
+must stay bit-identical.
+
+The ``pipelined`` section pins the ``submit()`` path the same way: the
+14 queries submitted together (four in flight on ``HET:admission=4``,
+all at once on the sharded engines), cold then warm — per future the
+elapsed time, submit and completion epochs and result checksum, plus
+the batch makespan and the plan cache's placement reuses.  It was
+generated at the commit *before* the per-session state of HET and SHARD
+moved into one shared holder.
+
+A change that means to alter the cost model or a result deletes the
+cells it moves and regenerates them (``--regen`` only adds cells that
+are missing, existing ones are written back unchanged) and says so::
 
     PYTHONPATH=src python tests/tpch/test_sim_time_golden.py --regen
 """
@@ -25,6 +36,7 @@ from repro.tpch import WORKLOAD
 DIGESTS = Path(__file__).with_name("sim_digests.json")
 
 ENGINES = ("CPU", "GPU", "HET", "SHARD:2xCPU")
+PIPELINED = ("HET:admission=4", "SHARD:2xCPU", "SHARD:3xCPU:replicas=2")
 PASSES = ("cold", "warm")
 ENV_VARS = ("REPRO_FUSION", "REPRO_MORSEL", "REPRO_COMPRESSION",
             "REPRO_TRACE")
@@ -52,6 +64,31 @@ def cells(engine: str) -> "dict[str, dict[str, list[str]]]":
     return out
 
 
+def pipelined_cells(engine: str) -> dict:
+    """``{pass: {"queries": {query: [repr(elapsed), repr(submit epoch),
+    repr(completion epoch), checksum]}, "makespan", "placement_reuses"}}``
+    for the whole workload submitted as one batch on ``engine``."""
+    con = repro.tpch_database(sf=0.1).connect(engine)
+    out = {}
+    for label in PASSES:
+        futures = {name: con.submit(sql, name=name)
+                   for name, sql in WORKLOAD.items()}
+        con.drain()
+        queries = {}
+        for name, future in futures.items():
+            result = future.result()
+            queries[name] = [repr(result.elapsed),
+                             repr(future.submit_epoch),
+                             repr(future.completion_epoch),
+                             checksum(result.columns)]
+        out[label] = {
+            "queries": queries,
+            "makespan": repr(con.scheduler.last_batch_makespan),
+            "placement_reuses": con.plan_cache.stats.placement_reuses,
+        }
+    return out
+
+
 @pytest.fixture(scope="module", autouse=True)
 def clean_env():
     with pytest.MonkeyPatch.context() as patch:
@@ -73,15 +110,43 @@ def test_simulated_time_and_results_match_golden(engine):
     assert not wrong, "\n".join(wrong)
 
 
+@pytest.mark.parametrize("engine", PIPELINED)
+def test_pipelined_simulated_time_and_results_match_golden(engine):
+    golden = json.loads(DIGESTS.read_text())["pipelined"][engine]
+    got = pipelined_cells(engine)
+    wrong = [
+        f"{engine} {label} {name}: {got[label]['queries'][name]} "
+        f"!= golden {golden[label]['queries'][name]}"
+        for label in PASSES for name in WORKLOAD
+        if got[label]["queries"][name] != golden[label]["queries"][name]
+    ]
+    wrong += [
+        f"{engine} {label} {key}: {got[label][key]!r} "
+        f"!= golden {golden[label][key]!r}"
+        for label in PASSES for key in ("makespan", "placement_reuses")
+        if got[label][key] != golden[label][key]
+    ]
+    assert not wrong, "\n".join(wrong)
+
+
 def regen() -> None:
     import os
 
     for var in ENV_VARS:
         os.environ.pop(var, None)
-    table = {engine: cells(engine) for engine in ENGINES}
+    table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    added = []
+    for engine in ENGINES:
+        if engine not in table:
+            table[engine] = cells(engine)
+            added.append(engine)
+    pipelined = table.setdefault("pipelined", {})
+    for engine in PIPELINED:
+        if engine not in pipelined:
+            pipelined[engine] = pipelined_cells(engine)
+            added.append(f"pipelined {engine}")
     DIGESTS.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
-    print(f"wrote {len(ENGINES) * len(PASSES) * len(WORKLOAD)} cells "
-          f"to {DIGESTS}")
+    print(f"added {added or 'nothing'} to {DIGESTS}")
 
 
 if __name__ == "__main__":
