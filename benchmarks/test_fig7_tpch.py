@@ -32,7 +32,8 @@ def _whole_column_engines():
     the paper's (at mini-scale a fixed morsel grid crosses the
     one-morsel boundary between scale factors, bending fig. 7d's
     linearity).  The morsel trade-off is measured separately by
-    ``test_bench_pr6_smoke.py`` and the ``tests/morsel`` suite."""
+    ``perf/`` (``morsel.*``, ``peak_rss_mb``) and the ``tests/morsel``
+    suite."""
     patcher = pytest.MonkeyPatch()
     patcher.setenv("REPRO_MORSEL", "off")
     yield

@@ -40,10 +40,14 @@ class Backend(abc.ABC):
     every other method has a working default (ARCHITECTURE.md lists
     them and who overrides which).
 
-    What only some engines can do is not a method here but one of three
+    What only some engines can do is not a method here but one of four
     **capability attributes**, each holding the object that does it or
     ``None`` — callers test ``is not None`` and call the object:
 
+    * :attr:`memory` — device memory that queries allocate from and
+      that is handed back when each ends (a
+      :class:`~repro.ocelot.memory.QueryMemory`; Ocelot, HET, and SHARD
+      over such children);
     * :attr:`sessions` — several queries in flight on per-session
       timelines, and recording/replaying each query's decision trace
       (a :class:`QuerySessions`; HET and SHARD);
@@ -55,6 +59,8 @@ class Backend(abc.ABC):
     #: configuration label as used in the paper's figures (MS/MP/CPU/GPU).
     label: str = "?"
 
+    #: capability: the Memory Managers behind the engine's queries
+    memory = None
     #: capability: per-session timelines + decision-trace replay
     sessions: "QuerySessions | None" = None
     #: capability: the elastic cluster topology
@@ -129,9 +135,13 @@ class Backend(abc.ABC):
         ``Connection.metrics``.  ``stats`` is a dataclass instance
         (every field becomes ``<namespace>.<field>``) or a flat
         mapping.  The default reports the storage this backend reads
-        (``compress``); engines add the namespaces of what they own
-        (``mm``, ``interconnect``, ``cluster``)."""
-        return {"compress": self.catalog.compression}
+        (``compress``) and the :attr:`memory` capability's managers
+        (``mm``); engines add the namespaces of what else they own
+        (``interconnect``, ``cluster``)."""
+        out = {"compress": self.catalog.compression}
+        if self.memory is not None:
+            out["mm"] = self.memory.counters()
+        return out
 
     def query_overhead_s(self) -> float:
         """Fixed per-query framework cost charged by the *last* query.
@@ -172,26 +182,31 @@ class Backend(abc.ABC):
             return "fail"
         return "retry"
 
-    def end_of_query(self, intermediates: list) -> None:
-        """Hook: a finished query's leftover values go out of scope.
+    def end_of_query(self, leftovers: list) -> None:
+        """Hook: a query is over — finished, failed or cancelled — and
+        the values still in its environment go out of scope.
 
-        Receives every non-result variable of the query's environment;
-        the backend decides what recycling means for its value model —
-        the default drops non-base BATs through the catalog's recycle
-        callbacks (which the Ocelot Memory Managers subscribe to).
+        Receives every variable left, result columns included (they
+        were collected to the host first); the backend decides what
+        recycling means for its value model — the default drops
+        non-base BATs through the catalog's recycle callbacks (which
+        the Ocelot Memory Managers subscribe to).  What the query
+        allocated on a device and never put in a variable is swept
+        afterwards through the :attr:`memory` capability
+        (:meth:`ProgramRun.close`).
         """
-        self.release_intermediates(intermediates)
+        self.release_intermediates(leftovers)
 
     def release_intermediates(self, values) -> None:
         """Recycle values whose last consumer has run.
 
         The interpreter's liveness pass and the morsel executor call
         this as soon as a variable goes dead — mid-query — instead of
-        waiting for :meth:`end_of_query`.  The default mirrors the
-        end-of-query recycling (non-base BATs through the catalog's
-        recycle callbacks, which is idempotent); backends whose values
-        are consumed lazily after their last static use (the sharded
-        engine's grouped partials) override this with a no-op.
+        waiting for :meth:`end_of_query`: the early path that holds the
+        peak down.  The default mirrors the end-of-query recycling
+        (non-base BATs through the catalog's recycle callbacks, which
+        is idempotent); the sharded engine unwraps its values and
+        defers parts a lazy merge has yet to read.
         """
         for value in values:
             if isinstance(value, BAT) and not value.is_base:
@@ -307,14 +322,11 @@ class QuerySessions:
     engine's simulated clocks: ``open_session``/``close_session``
     return a session's submit/completion epoch, ``set_session``
     attributes subsequent work, ``makespan`` is the shared frontier.
-    ``retire(state)``, if given, sees a closed session's state so the
-    engine can keep what has to outlive the session.
     """
 
-    def __init__(self, new_state, timeline, retire=None):
+    def __init__(self, new_state, timeline):
         self._new_state = new_state
         self.timeline = timeline
-        self._retire = retire
         self.plain = new_state()
         #: session name -> state of every open session
         self.open_states: dict = {}
@@ -350,11 +362,9 @@ class QuerySessions:
 
     def close(self, session: str) -> float:
         """Drop a finished query's state; returns its completion epoch."""
-        state = self.open_states.pop(session, None)
+        self.open_states.pop(session, None)
         if self.active == session:
             self.activate(None)
-        if state is not None and self._retire is not None:
-            self._retire(state)
         return self.timeline.close_session(session)
 
     def trace(self) -> tuple[list, int]:
@@ -375,6 +385,8 @@ class QueryResult:
     backend: str
     program: MALProgram
     instruction_count: int = 0
+    #: the result-column variables' runtime values (nothing else of
+    #: the plan's environment: holding a result pins only its columns)
     env: dict = field(default_factory=dict)
     #: the query's :class:`~repro.obs.tracer.Tracer` when it ran traced
     #: (``trace=on`` spec / ``REPRO_TRACE`` / ``analyze=True``), else None
@@ -400,6 +412,13 @@ class ProgramRun:
     independent queries overlap on the heterogeneous pool's per-device
     timelines.  Each run owns its private variable environment, so
     concurrent queries are isolated by construction.
+
+    The run *is* the query as far as device memory goes: before every
+    step it claims the backend's ``memory`` capability, so whatever the
+    step allocates is owned by this run, and :meth:`close` — reached
+    through :meth:`collect` on success, called by whoever drives the
+    run on failure or cancel — hands all of it back.  The liveness pass
+    (:meth:`_release_dead`) only makes that happen earlier.
     """
 
     def __init__(self, program: MALProgram, backend: Backend,
@@ -416,6 +435,7 @@ class ProgramRun:
         self.env: dict[str, object] = {}
         self._pc = 0
         self._morsel_run = None
+        self._closed = False
         # liveness: a variable dies after its last static use; result
         # columns stay live until collection
         result_vars = {var.name for _, var in program.result_columns}
@@ -456,6 +476,7 @@ class ProgramRun:
         schedulers interleave queries at morsel granularity."""
         if self.done:
             return False
+        self._claim()
         if self.tracer is not None:
             return self._step_traced()
         instruction = self.program.instructions[self._pc]
@@ -594,16 +615,38 @@ class ProgramRun:
         while self.step():
             pass
 
+    def _claim(self) -> None:
+        memory = self.backend.memory
+        if memory is not None:
+            memory.claim(self)
+
+    def close(self) -> None:
+        """The query is over: everything it still holds is released —
+        the environment through ``end_of_query``, then whatever device
+        memory the run owns and no variable names.  Idempotent; the one
+        release path of success, failure and cancel."""
+        if self._closed:
+            return
+        self._closed = True
+        self._morsel_run = None
+        try:
+            self.backend.end_of_query(list(self.env.values()))
+        finally:
+            memory = self.backend.memory
+            if memory is not None:
+                memory.end_query(self)
+
     def collect(self, elapsed: float) -> QueryResult:
-        """Materialise the result set and release the intermediates."""
+        """Materialise the result set on the host, then :meth:`close`."""
+        self._claim()
         columns = self.backend.collect_results(
             self.program.result_columns, self.resolve_arg
         )
-        result_vars = {var.name for _, var in self.program.result_columns}
-        intermediates = [
-            v for k, v in self.env.items() if k not in result_vars
-        ]
-        self.backend.end_of_query(intermediates)
+        result_env = {
+            var.name: self.env[var.name]
+            for _, var in self.program.result_columns
+        }
+        self.close()
         if self.tracer is not None:
             if self._root_span is not None:
                 self.tracer.end(self._root_span)
@@ -615,7 +658,7 @@ class ProgramRun:
             backend=self.backend.label,
             program=self.program,
             instruction_count=len(self.program.instructions),
-            env=self.env,
+            env=result_env,
             trace=self.tracer,
         )
 
@@ -631,5 +674,8 @@ def run_program(program: MALProgram, backend: Backend,
     if tracer is not None:
         tracer.clock = backend.elapsed_now
     run = ProgramRun(program, backend, tracer=tracer)
-    run.run()
-    return run.collect(backend.elapsed())
+    try:
+        run.run()
+        return run.collect(backend.elapsed())
+    finally:
+        run.close()

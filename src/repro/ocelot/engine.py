@@ -25,7 +25,7 @@ from ..monetdb.bat import BAT, OID_DTYPE, Role
 from ..monetdb.interpreter import Backend
 from ..monetdb.backends import MonetDBSequential
 from ..monetdb.storage import Catalog
-from .memory import BufferKind, MemoryManager, memory_counters
+from .memory import BufferKind, MemoryManager, QueryMemory
 
 
 class OcelotEngine:
@@ -129,6 +129,8 @@ class OcelotBackend(Backend):
         data_scale: float = 1.0,
     ):
         self.engine = OcelotEngine(catalog, device, data_scale)
+        #: capability: the one Memory Manager queries allocate from
+        self.memory = QueryMemory(lambda: (self.engine.memory,))
         self.label = "GPU" if self.engine.device.is_gpu else "CPU"
         self.fallback = MonetDBSequential(catalog)
         self._t0 = 0.0
@@ -198,10 +200,6 @@ class OcelotBackend(Backend):
 
     def query_overhead_s(self) -> float:
         return self.engine.device.profile.framework_overhead_s
-
-    def counters(self) -> dict:
-        return {**super().counters(),
-                "mm": memory_counters([self.engine.memory])}
 
     # -- lifecycle -------------------------------------------------------------------
 

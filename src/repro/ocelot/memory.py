@@ -11,7 +11,9 @@ memory, kernels operate on ``cl_mem`` buffers.  The Memory Manager
   (their master lives in host memory), then *offloading* intermediate
   buffers to the host (they contain computed content and must be copied
   back when needed), giving preference to auxiliary structures such as
-  hash tables before result buffers,
+  hash tables before result buffers — and dropping, rather than
+  offloading, what no BAT could ask back (a cached hash table is
+  rebuilt, never restored),
 * uses **reference counting (pins)** so buffers in use are never evicted,
 * **links result buffers to BATs** so operators can pass device references
   through MonetDB's BAT-based calling interface, and
@@ -22,6 +24,26 @@ memory, kernels operate on ``cl_mem`` buffers.  The Memory Manager
 
 It also hosts the cache of built hash tables for base-table columns the
 paper mentions in §5.2.6.
+
+**Ownership** (who frees what, and when).  Every entry has exactly one
+of three lifetimes, so the resident set is bounded by the queries *in
+flight*, not the queries served:
+
+* **operator scratch** — a non-BASE buffer allocated inside an
+  :meth:`MemoryManager.operator_scope` that is neither linked to a BAT
+  (:meth:`~MemoryManager.link_result`), nor cached
+  (:meth:`~MemoryManager.cache_hash_table`), nor kept
+  (:meth:`~MemoryManager.keep`) dies when the scope exits, on success
+  and on failure alike;
+* **query-owned** — everything else allocated while a query has claimed
+  the manager (:attr:`MemoryManager.owner`, set by the interpreter's
+  ``ProgramRun`` around every step) dies in
+  :meth:`~MemoryManager.end_query`: result columns' device copies,
+  uploads of host temporaries, bitmap oid views.  A BAT recycled
+  earlier (the liveness pass) frees its entry earlier;
+* **caches** — uploads of base columns and §5.2.6 hash tables of base
+  columns belong to no query; they live until evicted, until their
+  column is dropped, or until :meth:`~MemoryManager.shutdown`.
 """
 
 from __future__ import annotations
@@ -47,6 +69,10 @@ class BufferKind(enum.Enum):
     AUX = "aux"          # auxiliary structure (hash tables, ...)
 
 
+#: eviction order of the kinds (see :meth:`MemoryManager._free_some`)
+_EVICTION_TIER = {BufferKind.BASE: 0, BufferKind.AUX: 1, BufferKind.RESULT: 2}
+
+
 class OcelotOOM(MemoryError):
     """Nothing evictable remains and the allocation still does not fit.
 
@@ -70,6 +96,7 @@ class CacheEntry:
     intermediate: bool = False            # counted in intermediates stats
     counted_nbytes: int = 0               # nominal bytes counted as such
     counted_nbytes_physical: int = 0      # raw in-process bytes ditto
+    owner: object = None                  # the query it dies with, if any
 
     @property
     def resident(self) -> bool:
@@ -85,8 +112,8 @@ class MemoryManagerStats:
     """Per-device memory-manager counters.
 
     ``manager.stats`` is the live per-device storage; ``mm.*`` in
-    ``Connection.metrics`` is :func:`memory_counters` over every device
-    the engine owns."""
+    ``Connection.metrics`` is :meth:`QueryMemory.counters` over every
+    device the engine owns."""
 
     evictions: int = 0
     offloads: int = 0
@@ -132,10 +159,14 @@ class MemoryManager:
         self._ids = itertools.count(1)
         self._use_clock = itertools.count(1)
         self.stats = MemoryManagerStats()
+        #: the query every new entry belongs to (see :meth:`end_query`);
+        #: ``None`` between queries — what is allocated then is freed by
+        #: whoever allocated it, or at shutdown
+        self.owner: object = None
         #: buffers auto-pinned for the duration of the running operator
         self._scope_stack: list[list[Buffer]] = []
-        #: entry ids allocated inside each active operator scope (feeds
-        #: the intermediates_allocated / intermediates_freed counters)
+        #: per active operator scope, the entries allocated inside it
+        #: that are still the operator's scratch (freed at scope exit)
         self._scope_allocs: list[set[int]] = []
         catalog.on_delete(self._on_bat_deleted)
 
@@ -156,36 +187,42 @@ class MemoryManager:
             # imbalance, and only raise it when the operator itself
             # succeeded.
             imbalance: RuntimeError | None = None
-            scope = self.manager._scope_stack.pop()
-            self.manager._scope_allocs.pop()
+            manager = self.manager
+            scope = manager._scope_stack.pop()
+            scratch = manager._scope_allocs.pop()
             for buffer in scope:
                 try:
-                    self.manager.unpin(buffer)
+                    manager.unpin(buffer)
                 except RuntimeError as err:
                     if imbalance is None:
                         imbalance = err
-            if exc_type is not None:
-                self.manager._release_orphans(scope)
+            # what the operator allocated and neither returned (linked
+            # to a BAT), cached nor kept cannot be reached again
+            for entry_id in scratch:
+                entry = manager._entries.get(entry_id)
+                if entry is not None and entry.pins == 0:
+                    manager._free_entry(entry)
             if imbalance is not None and exc_type is None:
                 raise imbalance
             return False
 
     def operator_scope(self) -> "_OperatorScope":
         """Pin every buffer touched until exit — operators never lose
-        their working set to the eviction policy mid-flight."""
+        their working set to the eviction policy mid-flight — and free
+        the operator's scratch on the way out."""
         return MemoryManager._OperatorScope(self)
 
-    def _release_orphans(self, buffers) -> None:
-        """Free allocations of a *failed* operator that never became
-        results: a scope buffer whose entry is still unlinked (no BAT)
-        was created by the operator and cannot have escaped it, so after
-        the exception nothing can ever reach it again."""
-        for buffer in buffers:
-            entry = self._entry_for_buffer(buffer)
-            if (entry is not None and entry.pins == 0
-                    and entry.kind is not BufferKind.BASE
-                    and entry.bat is None and entry.bat_id is None):
-                self._free_entry(entry)
+    def _escapes(self, entry: CacheEntry) -> None:
+        """``entry`` outlives the operator that allocated it."""
+        for frame in self._scope_allocs:
+            frame.discard(entry.entry_id)
+
+    def keep(self, buffer: Buffer) -> None:
+        """Let an unlinked buffer outlive the running operator (a bitmap
+        BAT's materialised oid view): it now dies with its query."""
+        entry = self._entry_for_buffer(buffer)
+        if entry is not None:
+            self._escapes(entry)
 
     def _scope_pin(self, buffer: Buffer) -> None:
         if self._scope_stack:
@@ -233,6 +270,10 @@ class MemoryManager:
         entry = self._entry_for_buffer(buffer)
         entry.bat_id = bat.bat_id
         entry.bat = bat
+        if bat.is_base:
+            # a base column's device copy is a cache, not the query's;
+            # the upload of a host temporary dies with the query
+            entry.owner = None
         self._bat_entries[bat.bat_id] = entry.entry_id
         return buffer
 
@@ -245,6 +286,7 @@ class MemoryManager:
             raise ValueError(f"buffer {buffer.tag!r} is not registry-managed")
         entry.bat_id = bat.bat_id
         entry.bat = bat
+        self._escapes(entry)
         self._bat_entries[bat.bat_id] = entry.entry_id
         bat.device_ref = buffer
         bat.give_to_ocelot()
@@ -268,7 +310,7 @@ class MemoryManager:
                     ) from exc
         entry = CacheEntry(
             entry_id=next(self._ids), kind=kind, tag=tag, buffer=buffer,
-            last_use=next(self._use_clock),
+            last_use=next(self._use_clock), owner=self.owner,
         )
         self._entries[entry.entry_id] = entry
         self._buffer_entries[buffer.buffer_id] = entry.entry_id
@@ -345,6 +387,19 @@ class MemoryManager:
         self._hash_cache.clear()
         self.catalog.off_delete(self._on_bat_deleted)
 
+    def end_query(self, owner) -> None:
+        """Free everything ``owner`` allocated and still holds.
+
+        Called once per query — finished, failed or cancelled — after
+        its results were synced to the host.  No operator of that query
+        can be in flight, so pins are moot, as in :meth:`shutdown`;
+        caches (base uploads, base hash tables) have no owner and stay.
+        """
+        for entry in [e for e in self._entries.values() if e.owner is owner]:
+            self._free_entry(entry)
+        if self.owner is owner:
+            self.owner = None
+
     def _free_entry(self, entry: CacheEntry) -> None:
         """Unconditionally drop an entry and its device storage."""
         if entry.intermediate:
@@ -412,34 +467,34 @@ class MemoryManager:
     # -- eviction / offloading ---------------------------------------------------------
 
     def _free_some(self) -> bool:
-        """Free one buffer; paper §3.3 policy.
+        """Free one buffer; paper §3.3 policy, least recently used first
+        within each tier:
 
-        1. evict cached base-BAT copies (LRU) — master is in host memory;
-        2. offload auxiliary structures (hash tables) to the host;
-        3. offload result/intermediate buffers to the host.
+        0. evict cached base-BAT copies — master is in host memory;
+        1. offload auxiliary structures (hash tables) to the host;
+        2. offload result/intermediate buffers to the host.
+
+        Only a BAT can ask for offloaded contents back
+        (:meth:`_restore`), so a victim no BAT is linked to — a cached
+        hash table's part, a bitmap's oid view — is dropped like a base
+        copy instead: its owner notices and rebuilds, and a host copy
+        would be paid for and kept for nobody.
         """
-        for kinds, offload in (
-            ((BufferKind.BASE,), False),
-            ((BufferKind.AUX,), True),
-            ((BufferKind.RESULT,), True),
-        ):
-            victim = self._lru_victim(kinds)
-            if victim is not None:
-                if offload:
-                    self._offload(victim)
-                else:
-                    self._evict(victim)
-                return True
-        return False
-
-    def _lru_victim(self, kinds) -> CacheEntry | None:
-        candidates = [
-            e for e in self._entries.values()
-            if e.kind in kinds and e.evictable
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda e: e.last_use)
+        victim = min(
+            (e for e in self._entries.values() if e.evictable),
+            key=lambda e: (_EVICTION_TIER[e.kind], e.last_use),
+            default=None,
+        )
+        if victim is None:
+            return False
+        if victim.kind is BufferKind.BASE:
+            self._evict(victim)
+        elif victim.bat is None:
+            self.stats.evictions += 1
+            self._free_entry(victim)
+        else:
+            self._offload(victim)
+        return True
 
     def _evict(self, entry: CacheEntry) -> None:
         """Drop a base-BAT device copy (host master still exists)."""
@@ -494,6 +549,8 @@ class MemoryManager:
         new_entry.bat_id = entry.bat_id
         new_entry.bat = entry.bat if bat is None else bat
         new_entry.host_copy = None
+        new_entry.owner = entry.owner
+        self._escapes(new_entry)
         if entry.bat_id is not None:
             self._bat_entries[entry.bat_id] = new_entry.entry_id
         if entry.intermediate:
@@ -547,25 +604,35 @@ class MemoryManager:
     def cached_hash_table(self, key: tuple) -> dict | None:
         table = self._hash_cache.get(key)
         if table is not None:
-            live = all(
-                not buf.released
-                for buf in table.values()
-                if isinstance(buf, Buffer)
-            )
-            if live:
+            entries = self._table_entries(table)
+            if not any(isinstance(buf, Buffer) and buf.released
+                       for buf in table.values()):
                 self.stats.hash_cache_hits += 1
-                for buf in table.values():
-                    if isinstance(buf, Buffer):
-                        entry = self._entry_for_buffer(buf)
-                        if entry is not None:
-                            self._touch(entry)
+                for entry in entries:
+                    self._touch(entry)
                 return table
+            # part of the table lost its device storage to the eviction
+            # policy: the rest is of no use to anyone
             del self._hash_cache[key]
+            for entry in entries:
+                self._free_entry(entry)
         self.stats.hash_cache_misses += 1
         return None
 
     def cache_hash_table(self, key: tuple, table: dict) -> None:
+        """Keep a base column's hash table across queries: its buffers
+        leave the operator's scratch and the query's ownership."""
         self._hash_cache[key] = table
+        for entry in self._table_entries(table):
+            entry.owner = None
+            self._escapes(entry)
+
+    def _table_entries(self, table: dict) -> list[CacheEntry]:
+        entries = (
+            self._entry_for_buffer(value)
+            for value in table.values() if isinstance(value, Buffer)
+        )
+        return [entry for entry in entries if entry is not None]
 
     # -- catalog callbacks (paper §4.3) ----------------------------------------------------
 
@@ -604,9 +671,11 @@ class MemoryManager:
                 elif aux.context is self.context:
                     self.release(aux)
                     del bat.aux[key]
-        stale = [k for k, t in self._hash_cache.items() if k[0] == bat.bat_id]
-        for k in stale:
-            del self._hash_cache[k]
+        if bat.is_base:     # only base columns' hash tables are cached
+            stale = [k for k in self._hash_cache if k[0] == bat.bat_id]
+            for k in stale:
+                for entry in self._table_entries(self._hash_cache.pop(k)):
+                    self._free_entry(entry)
 
     # -- introspection ------------------------------------------------------------------------
 
@@ -656,16 +725,41 @@ class MemoryManager:
         )
 
 
-def memory_counters(managers) -> dict:
-    """The ``mm`` counters namespace: every :class:`MemoryManagerStats`
-    field plus the resident footprint, summed over ``managers``."""
-    managers = list(managers)
-    out = {
-        f.name: sum(getattr(m.stats, f.name) for m in managers)
-        for f in fields(MemoryManagerStats)
-    }
-    out["resident_bytes"] = sum(m.resident_bytes for m in managers)
-    out["resident_bytes_physical"] = sum(
-        m.resident_bytes_physical for m in managers
-    )
-    return out
+class QueryMemory:
+    """The ``memory`` capability of a backend: every Memory Manager its
+    queries allocate from — one on a single-device engine, one per
+    pooled device on HET, every child's on SHARD.
+
+    The interpreter's ``ProgramRun`` is the *query*: it :meth:`claim`s
+    the managers before each step (in-flight ``submit()`` sessions
+    interleave on them) and calls :meth:`end_query` exactly once, however
+    the query ended.
+    """
+
+    def __init__(self, managers):
+        #: zero-argument callable: the managers as of now (a sharded
+        #: cluster's roster changes between queries)
+        self.managers = managers
+
+    def claim(self, query) -> None:
+        for manager in self.managers():
+            manager.owner = query
+
+    def end_query(self, query) -> None:
+        for manager in self.managers():
+            manager.end_query(query)
+
+    def counters(self) -> dict:
+        """The ``mm`` counters namespace: every
+        :class:`MemoryManagerStats` field plus the resident footprint,
+        summed over the managers."""
+        managers = list(self.managers())
+        out = {
+            f.name: sum(getattr(m.stats, f.name) for m in managers)
+            for f in fields(MemoryManagerStats)
+        }
+        out["resident_bytes"] = sum(m.resident_bytes for m in managers)
+        out["resident_bytes_physical"] = sum(
+            m.resident_bytes_physical for m in managers
+        )
+        return out

@@ -7,6 +7,12 @@ Host code is written completely device-independently — every
 device-dependent decision lives in the kernel library's pre-processor
 specialisation, the device cost model, or the Memory Manager.
 
+Scratch needs no bookkeeping here: whatever an operator allocates and
+does not return linked to a BAT is freed when its operator scope exits
+(see :mod:`repro.ocelot.memory`, "Ownership").  The ``engine.release``
+calls that remain are the *early* ones — in helpers that run mid-
+operator, before the next large allocation — which hold the peak down.
+
 Operator catalogue (module-level ``HOST_CODE`` maps MAL names here):
 
 =================  ======================================================
@@ -63,14 +69,13 @@ def _as_candidate_bitmap(engine: OcelotEngine, cand: BAT, n_bits: int):
 
     Bitmap BATs pass their buffer through the Memory Manager reference;
     oid-list candidates (e.g. handed over from MonetDB) are converted.
-    Returns ``(buffer, is_temporary)``.
     """
     if cand.role is Role.BITMAP:
-        return engine.buffer_of(cand), False
+        return engine.buffer_of(cand)
     oid_buf = engine.buffer_of(cand)
     bm = engine.temp(bitmap_nbytes(n_bits), np.uint8, tag="cand_bm")
     engine.launch("oids_to_bitmap", bm, oid_buf, cand.count, n_bits)
-    return bm, True
+    return bm
 
 
 def _materialize_bitmap(engine: OcelotEngine, bitmap_buf, n_bits: int,
@@ -104,6 +109,7 @@ def _oid_view(engine: OcelotEngine, bat: BAT):
         return cached, bat.aux["oid_view_count"]
     bitmap_buf = engine.buffer_of(bat)
     oids, total = _materialize_bitmap(engine, bitmap_buf, bat.count)
+    engine.memory.keep(oids)
     bat.aux["oid_view"] = oids
     bat.aux["oid_view_count"] = total
     return oids, total
@@ -267,7 +273,7 @@ def _select_common(engine, b, cand, op, lo, hi, anti):
         )
         engine.launch("select_bitmap", bitmap, col, n, op, lo, hi, anti)
         if cand is not None:
-            cand_bm, temporary = _as_candidate_bitmap(engine, cand, n)
+            cand_bm = _as_candidate_bitmap(engine, cand, n)
             combined = engine.result_buffer(
                 bitmap_nbytes(n), np.uint8, tag="sel_bm_and"
             )
@@ -275,9 +281,6 @@ def _select_common(engine, b, cand, op, lo, hi, anti):
                 "bitmap_binop", combined, bitmap, cand_bm, bitmap_nbytes(n),
                 "and",
             )
-            engine.release(bitmap)
-            if temporary:
-                engine.release(cand_bm)
             bitmap = combined
     return engine.device_bat(bitmap, Role.BITMAP, count=n)
 
@@ -318,8 +321,6 @@ def _project_encoded(engine: OcelotEngine, oids: BAT, b: BAT):
             if count:
                 engine.launch("fill", frame, count, encoding.frame)
                 engine.launch("ewise", out, codes, frame, count, "add")
-            engine.release(frame)
-        engine.release(codes)
     return engine.device_bat(
         out, Role.VALUES, count=count, key=bool(b.key and unique)
     )
@@ -358,7 +359,8 @@ def _join_table_for(engine: OcelotEngine, r: BAT):
     """The multi-stage hash lookup table of the build side.
 
     Base-column tables are cached in the Memory Manager (§5.2.6: building
-    is expensive compared to probing, so Ocelot keeps them)."""
+    is expensive compared to probing, so Ocelot keeps them); a table
+    over an intermediate is the join's scratch and goes with it."""
     cache_key = (r.bat_id, "join") if r.is_base else None
     if cache_key is not None:
         cached = engine.memory.cached_hash_table(cache_key)
@@ -436,8 +438,6 @@ def op_join(engine: OcelotEngine, l: BAT, r: BAT):
             rid_hit = engine.temp(total, np.uint32, tag="join_rid_hit")
             engine.launch("gather", rid_hit, run_idx, lpos, total)
             engine.launch("gather", rpos, table["build_oids"], rid_hit, total)
-            engine.release(rid_hit)
-        engine.release(run_idx, found, ukeys)
     else:
         counts = engine.temp(max(n, 1), np.uint32, tag="join_counts")
         engine.launch(
@@ -456,7 +456,6 @@ def op_join(engine: OcelotEngine, l: BAT, r: BAT):
                 table["run_starts"], table["run_counts"],
                 table["build_oids"], left_iota, found, n,
             )
-        engine.release(counts, offsets, left_iota, run_idx, found, ukeys)
     return (
         engine.device_bat(lpos, Role.OIDS, count=total),
         engine.device_bat(rpos, Role.OIDS, count=total,
@@ -488,7 +487,6 @@ def _membership(engine, l, r, keep_matching):
         engine.release(found)
         found = inverted
     pos, total = _materialize_bitmap(engine, found, n, tag="semi_pos")
-    engine.release(rkeys, tkeys, tvals, lkeys, hits, found)
     return engine.device_bat(pos, Role.OIDS, count=total, key=True)
 
 
@@ -510,7 +508,6 @@ def op_thetajoin(engine: OcelotEngine, l: BAT, r: BAT, op: str):
             "nlj_write", lpos, rpos, offsets, lbuf, rbuf, l_iota, r_iota,
             nl, nr, op,
         )
-    engine.release(counts, offsets, l_iota, r_iota)
     return (
         engine.device_bat(lpos, Role.OIDS, count=total),
         engine.device_bat(rpos, Role.OIDS, count=total),
@@ -594,7 +591,6 @@ def op_subgroup(engine: OcelotEngine, b: BAT, gids: BAT, ngroups):
         inner, n, max(n_inner, 1),
     )
     out, n_out = _dense_ids(engine, combined, n)
-    engine.release(combined, inner)
     return engine.device_bat(out, Role.VALUES, count=n), n_out
 
 
@@ -623,9 +619,7 @@ def _scalar_reduce(engine: OcelotEngine, b: BAT, op: str):
     engine.launch("reduce_partial", partials, col, n, op)
     result = engine.temp(1, acc, tag="red_out")
     engine.launch("reduce_final", result, partials, groups, op)
-    value = engine.readback_scalar(result)
-    engine.release(partials, result)
-    return value
+    return engine.readback_scalar(result)
 
 
 def op_sum(engine, b):
@@ -652,9 +646,7 @@ def op_count(engine, b):
         )
         total = engine.temp(1, np.uint32, tag="cnt_total")
         engine.launch("reduce_final", total, counts, parts, "sum")
-        value = int(engine.readback_scalar(total))
-        engine.release(counts, total)
-        return value
+        return int(engine.readback_scalar(total))
     return int(_count_of(b))
 
 
@@ -665,10 +657,10 @@ def op_avg(engine, b):
     return float(total) / _count_of(b)
 
 
-def _grouped_reduce(engine: OcelotEngine, vals, gids, ngroups: int, op: str):
+def _grouped_buffer(engine: OcelotEngine, vals, gids, ngroups: int, op: str):
     """Hierarchical grouped aggregation: per-work-group partial tables
     with (emulated) atomics, then one thread per group for the final
-    fold."""
+    fold.  Returns ``(result_buffer, true_group_count)``."""
     n = _count_of(gids)
     # device buffers are never zero-sized: an empty grouping allocates
     # (and launches over) one slot, but reports its true group count
@@ -696,6 +688,11 @@ def _grouped_reduce(engine: OcelotEngine, vals, gids, ngroups: int, op: str):
     result = engine.result_buffer(ngroups, out_dtype, tag="gagg_out")
     engine.launch("grouped_agg_final", result, partials, ngroups, op)
     engine.release(partials)
+    return result, true_groups
+
+
+def _grouped_reduce(engine: OcelotEngine, vals, gids, ngroups: int, op: str):
+    result, true_groups = _grouped_buffer(engine, vals, gids, ngroups, op)
     return engine.device_bat(result, Role.VALUES, count=true_groups)
 
 
@@ -717,13 +714,10 @@ def op_subcount(engine, gids, ngroups):
 
 def op_subavg(engine, vals, gids, ngroups):
     ngroups = int(ngroups)
-    sums = _grouped_reduce(engine, vals, gids, ngroups, "sum")
-    counts = _grouped_reduce(engine, None, gids, ngroups, "count")
+    sums, _ = _grouped_buffer(engine, vals, gids, ngroups, "sum")
+    counts, _ = _grouped_buffer(engine, None, gids, ngroups, "count")
     out = engine.result_buffer(max(ngroups, 1), _ACC_FLOAT, tag="gavg")
-    engine.launch(
-        "ewise", out, engine.buffer_of(sums), engine.buffer_of(counts),
-        ngroups, "div",
-    )
+    engine.launch("ewise", out, sums, counts, ngroups, "div")
     return engine.device_bat(out, Role.VALUES, count=ngroups)
 
 
@@ -836,7 +830,6 @@ def op_ifthenelse(engine: OcelotEngine, cond: BAT, a, b):
         inverted = engine.temp(max(n, 1), np.uint8, tag="where_not")
         engine.launch("compare_vs", inverted, cond_buf, n, "eq", 0)
         engine.launch("where_vs", out, inverted, engine.buffer_of(b), n, a)
-        engine.release(inverted)
     else:
         engine.launch("where_ss", out, cond_buf, n, a, b)
     return engine.device_bat(out, Role.VALUES, count=n)
@@ -864,14 +857,10 @@ def _oid_combine(engine: OcelotEngine, a: BAT, b: BAT, op: str) -> BAT:
         n = b.count
     else:
         raise TypeError("ocelot oid combine needs at least one bitmap input")
-    a_bm, a_tmp = _as_candidate_bitmap(engine, a, n)
-    b_bm, b_tmp = _as_candidate_bitmap(engine, b, n)
+    a_bm = _as_candidate_bitmap(engine, a, n)
+    b_bm = _as_candidate_bitmap(engine, b, n)
     out = engine.result_buffer(bitmap_nbytes(n), np.uint8, tag=f"bm_{op}")
     engine.launch("bitmap_binop", out, a_bm, b_bm, bitmap_nbytes(n), op)
-    if a_tmp:
-        engine.release(a_bm)
-    if b_tmp:
-        engine.release(b_bm)
     return engine.device_bat(out, Role.BITMAP, count=n)
 
 
@@ -888,8 +877,7 @@ def op_hashbuild(engine: OcelotEngine, b: BAT):
     the paper's hashing microbenchmark (Fig. 5(e)/(f))."""
     n = _count_of(b)
     ukeys = _encode_keys(engine, b, n, b.dtype)
-    tkeys, tvals, m = _build_hash_table(engine, ukeys, ukeys, n)
-    engine.release(ukeys, tkeys, tvals)
+    _tkeys, _tvals, m = _build_hash_table(engine, ukeys, ukeys, n)
     return int(m)
 
 

@@ -44,7 +44,7 @@ from ..monetdb.bat import BAT, Role
 from ..monetdb.backends import MonetDBSequential
 from ..monetdb.interpreter import Backend, QuerySessions
 from ..monetdb.storage import Catalog
-from ..ocelot.memory import memory_counters
+from ..ocelot.memory import QueryMemory
 from ..ocelot.operators import HOST_CODE
 from ..ocelot.rewriter import SELECT_FUNCTIONS
 from .partition import execute_split
@@ -97,6 +97,10 @@ class HeterogeneousBackend(Backend):
         data_scale: float = 1.0,
     ):
         self.pool = DevicePool(catalog, devices, data_scale)
+        #: capability: every pooled device's Memory Manager
+        self.memory = QueryMemory(
+            lambda: [engine.memory for engine in self.pool.engines]
+        )
         self.placer = CostPlacer(self.pool)
         #: observed per-(column, op) selectivities, fed back after every
         #: selection and consumed by the placer's fan-out pricing
@@ -114,11 +118,6 @@ class HeterogeneousBackend(Backend):
     @property
     def decision_log(self) -> list[tuple[str, object]]:
         return self.sessions.current.decision_log
-
-    def counters(self) -> dict:
-        return {**super().counters(), "mm": memory_counters(
-            engine.memory for engine in self.pool.engines
-        )}
 
     # -- registration ---------------------------------------------------------
 

@@ -471,12 +471,6 @@ class SessionScheduler:
 
     # -- transient failures: park / reroute / bounded retry ---------------------
 
-    def _recycle_partial(self, flight: _InFlight) -> None:
-        """Release a half-executed query's device intermediates (the
-        backend's ``end_of_query`` decides what recycling means for its
-        value model and skips base columns itself)."""
-        self.backend.end_of_query(list(flight.run.env.values()))
-
     def _on_transient(self, flight: _InFlight, error: Exception) -> None:
         """A node-level failure: consult the breaker board and either
         retry, re-route around the tripped node, or give up."""
@@ -500,7 +494,9 @@ class SessionScheduler:
             self.sessions.close(flight.session)
         elif flight.extra.pop("fifo_started", None):
             self._batch_end += self.backend.elapsed()
-        self._recycle_partial(flight)
+        # the same release a completed query gets: the half-executed
+        # run hands back everything it allocated
+        flight.run.close()
         self.turn_log.append((flight.session, "parked"))
         if count:
             flight.extra["parks"] = flight.extra.get("parks", 0) + 1
@@ -547,7 +543,7 @@ class SessionScheduler:
             self._batch_end += self.backend.elapsed()
         # on every engine: a half-executed query's device intermediates
         # must not outlive it inside the long-lived cached connection
-        self._recycle_partial(flight)
+        flight.run.close()
         self._inflight_bytes -= flight.extra.get("bytes", 0)
         flight.future._error = error
         flight.future._done = True

@@ -79,6 +79,7 @@ from ..monetdb.interpreter import (
     UnsupportedOperator,
 )
 from ..monetdb.storage import Catalog
+from ..ocelot.memory import QueryMemory
 from .partition import DEFAULT_MIN_PARTITION_ROWS, ShardPartitioner
 from .topology import ShardTopology
 
@@ -194,7 +195,8 @@ class ShardedValue:
 
     __slots__ = ("parts", "partitioned", "merge", "group", "pair",
                  "avg_dtype", "global_oids", "base_rows", "_gathered",
-                 "origin", "remote_oids", "repl_space")
+                 "origin", "remote_oids", "repl_space", "dead", "holds",
+                 "shares")
 
     def __init__(self, parts, partitioned, merge=None, group=None,
                  pair=None, avg_dtype=None, global_oids=False):
@@ -232,6 +234,14 @@ class ShardedValue:
         #: without translation — gathers and remote fetches must not
         #: apply per-shard offsets to them
         self.repl_space = False
+        #: lifetime (``ShardedBackend.release_intermediates``): a value
+        #: owns its parts and recycles them on their shards once it is
+        #: ``dead`` (its last consumer ran) and nothing ``holds`` it —
+        #: a grouping that has yet to read its keys, or the output of an
+        #: identity operator (``sync``), which ``shares`` these parts
+        self.dead = False
+        self.holds = 0
+        self.shares: "ShardedValue | None" = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "part" if self.partitioned else "repl"
@@ -250,17 +260,25 @@ class _Grouping:
     partials fold by *key* even though the id spaces differ per shard.
     """
 
-    def __init__(self, backend: "ShardedBackend", key_bats,
-                 gids_bats, ngroups, outer: "_Grouping | None" = None,
-                 outer_gids=None):
+    def __init__(self, backend: "ShardedBackend", keys: ShardedValue,
+                 gids: ShardedValue, ngroups,
+                 outer: "_Grouping | None" = None,
+                 outer_gids: "ShardedValue | None" = None):
         self.backend = backend
-        self.key_bats = key_bats          # per-shard grouped column
-        self.gids_bats = gids_bats        # per-shard dense id rows
-        self.ngroups = ngroups            # per-shard group counts
-        self.outer = outer                # subgroup: the outer grouping
-        self.outer_gids = outer_gids      # per-shard outer id rows
+        self.key_bats = list(keys.parts)   # per-shard grouped column
+        self.gids_bats = list(gids.parts)  # per-shard dense id rows
+        self.ngroups = ngroups             # per-shard group counts
+        self.outer = outer                 # subgroup: the outer grouping
+        #: per-shard outer id rows
+        self.outer_gids = (None if outer_gids is None
+                           else list(outer_gids.parts))
         self._merged = None
         self._key_cache: dict[int, np.ndarray] = {}
+        #: the values :meth:`keys_matrix` reads — possibly long after
+        #: their last static use — held until every shard's keys are in
+        self._held = [v for v in (keys, gids, outer_gids) if v is not None]
+        for value in self._held:
+            value.holds += 1
 
     def keys_matrix(self, shard: int) -> np.ndarray:
         """(ngroups_s, n_key_columns) matrix of shard-local group keys,
@@ -290,6 +308,11 @@ class _Grouping:
                 "shard group keys out of step with dense ids"
             )
         self._key_cache[shard] = keys
+        if len(self._key_cache) == len(self.key_bats):
+            held, self._held = self._held, []
+            for value in held:
+                value.holds -= 1
+                self.backend._let_go(value)
         return keys
 
     def merged(self):
@@ -338,9 +361,6 @@ class _ShardQuery:
     #: installed decision trace being consumed positionally
     replay: "list | None" = None
     replay_pos: int = 0
-    #: driver-created helper values (shuffled key columns) recycled
-    #: with the query
-    scratch: list = field(default_factory=list)
 
 
 class _ShardTimelines:
@@ -483,15 +503,15 @@ class ShardedBackend(Backend):
         self.pool = _ShardTimelines(self, n_shards)
         #: capability: one :class:`_ShardQuery` per in-flight query —
         #: shards are independent nodes with their own clocks, so one
-        #: query's driver merges overlap with another's shard scans.  A
-        #: closed session's scratch moves to the plain slot so the
-        #: subsequent ``end_of_query`` (which runs session-less) still
-        #: recycles the query's driver-created helpers.
-        self.sessions = QuerySessions(
-            self._new_query, self.pool,
-            retire=lambda state: self.sessions.plain.scratch.extend(
-                state.scratch),
-        )
+        #: query's driver merges overlap with another's shard scans
+        self.sessions = QuerySessions(self._new_query, self.pool)
+        if self.all_children[0].memory is not None:
+            #: capability: every copy's Memory Managers — a query owns
+            #: what it allocates on any node
+            self.memory = QueryMemory(lambda: [
+                manager for row in self.copies for child in row
+                for manager in child.memory.managers()
+            ])
         super().__init__(catalog)
 
     @property
@@ -573,11 +593,28 @@ class ShardedBackend(Backend):
         return MorselRun(self, spec, inputs, whole=True)
 
     def release_intermediates(self, values) -> None:
-        """No-op: sharded values are consumed lazily after their last
-        static use (grouped partials re-read key columns at merge time,
-        ``avg`` pairs fold at collection), so early release would free
-        parts a later merge still needs.  ``end_of_query`` remains the
-        recycle point."""
+        """A dead value — with its ``avg`` pair and cached gather —
+        recycles its parts on their shards, unless something still
+        holds it (see :class:`ShardedValue`); the holder lets go later.
+        """
+        for value in values:
+            for sv in self._component_values(value):
+                sv.dead = True
+                self._let_go(sv)
+
+    def _let_go(self, sv: ShardedValue) -> None:
+        if not sv.dead or sv.holds:
+            return
+        parts, sv.parts = sv.parts, ()
+        source, sv.shares = sv.shares, None
+        if source is not None:
+            # the parts are the source's: it recycles them
+            source.holds -= 1
+            self._let_go(source)
+            return
+        for child, part in zip(self.children, parts):
+            if isinstance(part, BAT):
+                child.release_intermediates((part,))
 
     def elapsed(self) -> float:
         """Slowest shard + driver-side gather/merge time.
@@ -639,11 +676,8 @@ class ShardedBackend(Backend):
             compress.add(node["compress"])
         out = {**self.traffic.counters(), "compress": compress,
                "cluster": self.cluster.stats}
-        managers = [node["mm"] for node in nodes if "mm" in node]
-        if managers:
-            out["mm"] = {
-                key: sum(mm[key] for mm in managers) for key in managers[0]
-            }
+        if self.memory is not None:
+            out["mm"] = self.memory.counters()
         return out
 
     # -- protocol: lifecycle ------------------------------------------------------
@@ -674,16 +708,14 @@ class ShardedBackend(Backend):
             for child in row:
                 child.shutdown()
 
-    def end_of_query(self, intermediates: list) -> None:
+    def end_of_query(self, leftovers: list) -> None:
         per_child: list[list] = [[] for _ in self.children]
-        state = self.sessions.current
-        for value in list(intermediates) + state.scratch:
+        for value in leftovers:
             for sv in self._component_values(value):
-                for shard, part in enumerate(sv.parts):
-                    per_child[shard].append(part)
-        state.scratch = []
-        for child, leftovers in zip(self.children, per_child):
-            child.end_of_query(leftovers)
+                for parts, part in zip(per_child, sv.parts):
+                    parts.append(part)
+        for child, parts in zip(self.children, per_child):
+            child.end_of_query(parts)
         if self.infer_keys:
             self._adopt_inferred_keys()
         self._observed_joins = []
@@ -811,7 +843,15 @@ class ShardedBackend(Backend):
                 ShardedValue([o[i] for o in outs], partitioned)
                 for i in range(len(first))
             )
-        return ShardedValue(outs, partitioned)
+        out = ShardedValue(outs, partitioned)
+        if isinstance(first, BAT):
+            for arg in args:
+                if isinstance(arg, ShardedValue) and arg.parts[0] is first:
+                    # an identity operator (``sync`` returns its
+                    # argument): one set of parts under two names
+                    out.shares, arg.holds = arg, arg.holds + 1
+                    break
+        return out
 
     # -- the dispatch ----------------------------------------------------------------
 
@@ -1142,11 +1182,9 @@ class ShardedBackend(Backend):
         b = args[0]
         gids, ngroups = self._fan(op, args)
         if self._needs_gather(b):
-            grouping = _Grouping(
-                self, key_bats=list(b.parts), gids_bats=list(gids.parts),
-                ngroups=[int(n) for n in ngroups.parts],
+            gids.group = _Grouping(
+                self, b, gids, [int(n) for n in ngroups.parts],
             )
-            gids.group = grouping
         return gids, ngroups
 
     def _op_subgroup(self, op: str, args):
@@ -1160,12 +1198,10 @@ class ShardedBackend(Backend):
                     f"{op}: subgrouping partitioned rows without a "
                     f"sharded outer grouping is not supported"
                 )
-            grouping = _Grouping(
-                self, key_bats=list(b.parts), gids_bats=list(gids.parts),
-                ngroups=[int(n) for n in ngroups.parts],
-                outer=outer, outer_gids=list(outer_gids.parts),
+            gids.group = _Grouping(
+                self, b, gids, [int(n) for n in ngroups.parts],
+                outer=outer, outer_gids=outer_gids,
             )
-            gids.group = grouping
         return gids, ngroups
 
     def _op_sort(self, op: str, args):
@@ -1457,6 +1493,11 @@ class ShardedBackend(Backend):
         lpos, rpos = self._fan(
             op, [new_left, new_right] + list(args[2:]), partitioned=True
         )
+        # the shuffled key columns were made for this join alone
+        self.release_intermediates(
+            side for side, mapping in ((new_left, lmap), (new_right, rmap))
+            if mapping is not None
+        )
         lpos = self._translate_pos(lpos, lmap, left)
         rpos = self._translate_pos(rpos, rmap, right)
         return lpos, rpos
@@ -1474,6 +1515,7 @@ class ShardedBackend(Backend):
             ).astype(np.int64, copy=False)
             parts.append(oid_bat(mapping[shard][local].astype(OID_DTYPE),
                                  tag="shard_unshuffle"))
+        self.release_intermediates((pos,))
         out = ShardedValue(parts, partitioned=True)
         out.remote_oids = True
         return out
@@ -1531,9 +1573,7 @@ class ShardedBackend(Backend):
                      else np.empty(0, dtype=np.int64))
             parts.append(make_bat(keys, tag="shard_shuffle"))
             mapping.append(goids)
-        out = ShardedValue(parts, partitioned=True)
-        self.sessions.current.scratch.append(out)
-        return out, mapping
+        return ShardedValue(parts, partitioned=True), mapping
 
     def _shuffle_op(self, value):
         """``shard.shuffle(column)``: hash re-partition a partitioned

@@ -65,7 +65,8 @@ class TestEvictionPolicy:
 
     def test_aux_offloaded_before_results(self):
         mm, _ = make_manager(1000)
-        mm.allocate(400, np.uint8, BufferKind.AUX, tag="hash")
+        aux = mm.allocate(400, np.uint8, BufferKind.AUX, tag="hash")
+        mm.link_result(make_bat(np.zeros(400, np.uint8)), aux)
         result = mm.allocate(400, np.uint8, BufferKind.RESULT, tag="res")
         mm.allocate(500, np.uint8, BufferKind.RESULT, tag="big")
         assert mm.stats.offloads == 1
@@ -276,3 +277,152 @@ class TestCallbacks:
         catalog.notify_recycled(bat)
         assert aux.released
         assert bat.aux == {}
+
+
+# -- the eviction pick: one scan, same victim order ---------------------------
+
+def _old_free_some_pick(mm):
+    """The victim the three-scan ``_free_some`` chose — the body it had
+    before the single ``min((tier, last_use))`` scan, kept verbatim
+    (returning the victim instead of evicting / offloading it)."""
+    for kinds, offload in (
+        ((BufferKind.BASE,), False),
+        ((BufferKind.AUX,), True),
+        ((BufferKind.RESULT,), True),
+    ):
+        victim = _old_lru_victim(mm, kinds)
+        if victim is not None:
+            return victim, offload
+    return None, False
+
+
+def _old_lru_victim(mm, kinds):
+    candidates = [
+        e for e in mm._entries.values()
+        if e.kind in kinds and e.evictable
+    ]
+    if not candidates:
+        return None
+    return min(candidates, key=lambda e: e.last_use)
+
+
+class TestEquivalenceWithOldBodies:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_single_scan_picks_the_old_victims_in_the_old_order(self, seed):
+        rng = np.random.default_rng(seed)
+        mm, _ = make_manager(1 << 20)
+        kinds = list(BufferKind)
+        buffers = []
+        for index in range(60):
+            kind = kinds[int(rng.integers(len(kinds)))]
+            if kind is BufferKind.BASE:
+                bat = make_bat(np.zeros(8, np.uint8), tag=f"b{index}")
+                buffers.append(mm.buffer_for_bat(bat))
+            else:
+                buffers.append(mm.allocate(8, np.uint8, kind, tag=f"x{index}"))
+                if rng.random() < 0.5:
+                    mm.link_result(make_bat(np.zeros(8, np.uint8)),
+                                   buffers[-1])
+        for buffer in rng.permutation(buffers)[:25]:     # recency shuffle
+            mm._touch(mm._entry_for_buffer(buffer))
+        for buffer in rng.permutation(buffers)[:10]:     # some in use
+            mm.pin(buffer)
+        picks = 0
+        while True:
+            expected, offload = _old_free_some_pick(mm)
+            evictions, offloads = mm.stats.evictions, mm.stats.offloads
+            assert mm._free_some() is (expected is not None)
+            if expected is None:
+                break
+            picks += 1
+            assert not expected.resident
+            # same victim; one no BAT could ask back is now dropped
+            # rather than copied to the host first
+            offload = offload and expected.bat is not None
+            assert (mm.stats.evictions, mm.stats.offloads) == (
+                evictions + (not offload), offloads + offload)
+        assert picks == 50
+
+
+# -- ownership: scratch, query-owned, caches ----------------------------------
+
+class TestOwnership:
+    def test_scratch_dies_with_its_operator_scope(self):
+        mm, _ = make_manager(4096)
+        with mm.operator_scope():
+            scratch = mm.allocate(16, np.uint8, BufferKind.AUX, tag="tmp")
+            kept = mm.allocate(16, np.uint8, BufferKind.RESULT, tag="view")
+            mm.keep(kept)
+            result = mm.allocate(16, np.uint8, BufferKind.RESULT, tag="out")
+            mm.link_result(make_bat(np.zeros(16, np.uint8)), result)
+        assert scratch.released
+        assert not kept.released and not result.released
+        assert mm.stats.intermediates_allocated == 3
+        assert mm.stats.intermediates_freed == 1
+
+    def test_scratch_dies_when_the_operator_raises_too(self):
+        mm, _ = make_manager(4096)
+        with pytest.raises(RuntimeError, match="boom"):
+            with mm.operator_scope():
+                scratch = mm.allocate(16, np.uint8, BufferKind.AUX)
+                raise RuntimeError("boom")
+        assert scratch.released and not list(mm.entries())
+
+    def test_end_query_frees_what_the_query_owns_and_only_that(self):
+        mm, catalog = make_manager(1 << 16)
+        catalog.create_table("t", {"a": np.zeros(16, np.int32)})
+        base = catalog.bat("t", "a")
+        outside = mm.allocate(8, np.uint8, BufferKind.RESULT, tag="nobody")
+        query, other = object(), object()
+        mm.owner = other
+        foreign = mm.allocate(8, np.uint8, BufferKind.RESULT, tag="other")
+        mm.owner = query
+        cached_base = mm.buffer_for_bat(base)
+        temporary = mm.buffer_for_bat(make_bat(np.zeros(8, np.int32)))
+        with mm.operator_scope():
+            table = {"tkeys": mm.allocate(8, np.uint32, BufferKind.AUX),
+                     "m": 8}
+            mm.cache_hash_table((base.bat_id, "join"), table)
+            result = mm.allocate(8, np.uint8, BufferKind.RESULT)
+            bat = mm.link_result(make_bat(np.zeros(8, np.uint8)), result)
+            view = mm.allocate(8, np.uint8, BufferKind.RESULT)
+            mm.keep(view)
+            bat.aux["oid_view"] = view
+        mm.end_query(query)
+        assert temporary.released and result.released and view.released
+        assert not (cached_base.released or table["tkeys"].released
+                    or outside.released or foreign.released)
+        assert mm.owner is None
+        mm.end_query(other)
+        assert foreign.released
+        # dropping the column takes the hash table's buffers with it
+        catalog.drop_table("t")
+        assert cached_base.released and table["tkeys"].released
+        assert [e.tag for e in mm.entries()] == ["nobody"]
+
+    def test_restore_keeps_the_owner(self):
+        mm, catalog = make_manager(1000)
+        catalog.create_table("t", {"a": np.zeros(400, np.uint8)})
+        base = catalog.bat("t", "a")
+        mm.owner = "q1"
+        mm.buffer_for_bat(base)
+        big = mm.allocate(900, np.uint8, BufferKind.RESULT, tag="big")
+        assert mm.stats.evictions == 1
+        mm.end_query("q1")
+        assert big.released
+        mm.owner = "q2"
+        again = mm.buffer_for_bat(base)         # re-upload under q2 ...
+        mm.end_query("q2")
+        assert not again.released               # ... is still the cache
+
+    def test_an_unlinked_victim_is_dropped_not_offloaded(self):
+        """No BAT could ever ask for its contents back: no transfer is
+        charged and no host copy is kept for nobody."""
+        mm, _ = make_manager(1000)
+        aux = mm.allocate(400, np.uint8, BufferKind.AUX, tag="hash")
+        reads = mm.queue.stats.transfers_from_device
+        mm.allocate(700, np.uint8, BufferKind.RESULT, tag="big")
+        assert aux.released
+        assert (mm.stats.evictions, mm.stats.offloads) == (1, 0)
+        assert mm.queue.stats.transfers_from_device == reads
+        assert [e.tag for e in mm.entries()] == ["big"]
