@@ -121,8 +121,8 @@ class Connection:
     def _on_topology_change(self, backend) -> None:
         """The backend's roster moved: every memoised placement trace
         of this engine references a node that may no longer serve its
-        slot, so they are dropped *now* — not lazily at the version
-        sweep (see :meth:`PlanCache.invalidate_placements`)."""
+        slot, so they are dropped *now* — not lazily at the next
+        lookup (see :meth:`PlanCache.invalidate_placements`)."""
         self.plan_cache.invalidate_placements(self.config.spec)
 
     @property
@@ -403,7 +403,8 @@ class Database:
         self.schema = CatalogSchema(self.catalog)
         self.data_scale = float(data_scale)
         #: compiled plans shared by every connection, keyed by
-        #: (SQL text, engine, schema version) — see :mod:`repro.serve`
+        #: (SQL text, engine) and valid while the tables they read
+        #: stand — see :mod:`repro.serve.plancache`
         self.plan_cache = PlanCache(self.catalog)
         self._connections: dict[str, Connection] = {}
 
@@ -417,9 +418,11 @@ class Database:
         columns must contain int32 dictionary codes and become queryable
         with string equality literals.
 
-        DDL bumps the catalog's schema version, so every cached plan
-        compiled against the old schema is invalidated, and every live
-        backend is notified (the sharded engine re-partitions).
+        DDL stamps the table with a fresh catalog version, so cached
+        plans that read it (none yet, unless it replaces a dropped
+        table of the same name) recompile while plans over other tables
+        stay cached, and every live backend is notified (the sharded
+        engine partitions the new table).
         """
         self.catalog.create_table(name, columns)
         for column, values in (dictionaries or {}).items():
@@ -429,7 +432,12 @@ class Database:
         self._after_ddl()
 
     def drop_table(self, name: str) -> None:
+        """Drop a table, its string dictionaries and the cached plans
+        that read it."""
         self.catalog.drop_table(name)
+        schema = self.schema
+        for key in [key for key in schema.column_dicts if key[0] == name]:
+            schema.dictionaries.pop(schema.column_dicts.pop(key), None)
         self._after_ddl()
 
     def declare_shard_key(self, table: str, column: str,
@@ -442,7 +450,8 @@ class Database:
         ``orders.o_orderkey`` meet in ``"orderkey"``) co-partition, and
         equi-joins on their keys run shard-local with zero driver
         traffic (:mod:`repro.shard`).  Counts as DDL: cached plans
-        invalidate and live sharded backends re-partition.
+        over this table and over the tables keyed in its domain
+        invalidate, and live sharded backends re-partition.
         """
         self.catalog.declare_shard_key(table, column, domain=domain)
         self._after_ddl()

@@ -19,6 +19,10 @@ Every codec supports ``encode``/``decode``/``slice_`` unconditionally —
 including empty, constant, and all-distinct inputs — so the hypothesis
 round-trip suite can hit each one directly; :func:`choose_encoding` is
 the ``auto`` policy that decides which (if any) a base column keeps.
+It decides from column statistics, not by trial compression (Lin et
+al., PAPERS.md): every codec's payload size is an exact function of a
+few counts — distinct values, runs, min/max — which each codec's
+``physical_nbytes_of`` computes, so only the winning payload is built.
 """
 
 from __future__ import annotations
@@ -57,6 +61,19 @@ class DictEncoding:
     codes: np.ndarray          # uint8/uint16/uint32 indexes into it
 
     kind = "dict"
+
+    @classmethod
+    def physical_nbytes_of(cls, values: np.ndarray) -> int:
+        """``encode(values).physical_nbytes`` from the distinct count
+        alone: one sort plus a boundary count, the ``!=`` semantics
+        :func:`numpy.unique` dedups by (``-0.0`` equals ``0.0``)."""
+        n = int(values.size)
+        if n == 0:
+            return 0
+        ordered = np.sort(values)
+        distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        width = _narrowest_uint(distinct - 1)
+        return distinct * values.dtype.itemsize + n * width.itemsize
 
     @classmethod
     def encode(cls, values: np.ndarray) -> "DictEncoding":
@@ -106,6 +123,20 @@ class RLEEncoding:
             self.dtype_ = self.run_values.dtype
         self._ends = None
 
+    @staticmethod
+    def _length_dtype(n: int) -> np.dtype:
+        return np.dtype(np.int64 if n >= (1 << 31) else np.int32)
+
+    @classmethod
+    def physical_nbytes_of(cls, values: np.ndarray) -> int:
+        """``encode(values).physical_nbytes`` from the run count."""
+        n = int(values.size)
+        if n == 0:
+            return 0
+        runs = 1 + int(np.count_nonzero(values[1:] != values[:-1]))
+        return runs * (values.dtype.itemsize
+                       + cls._length_dtype(n).itemsize)
+
     @classmethod
     def encode(cls, values: np.ndarray) -> "RLEEncoding":
         n = int(values.size)
@@ -116,7 +147,7 @@ class RLEEncoding:
         boundaries = np.flatnonzero(values[1:] != values[:-1])
         starts = np.concatenate(([0], boundaries + 1))
         lengths = np.diff(np.concatenate((starts, [n])))
-        length_dtype = np.int64 if n >= (1 << 31) else np.int32
+        length_dtype = cls._length_dtype(n)
         return cls(run_values=values[starts].copy(),
                    run_lengths=lengths.astype(length_dtype, copy=False),
                    dtype_=values.dtype)
@@ -190,6 +221,14 @@ class FOREncoding:
             self.dtype_ = np.dtype(np.int64)
 
     @classmethod
+    def physical_nbytes_of(cls, values: np.ndarray) -> int:
+        """``encode(values).physical_nbytes`` from min and max."""
+        if values.size == 0:
+            return 8
+        spread = int(values.max()) - int(values.min())
+        return int(values.size) * _narrowest_uint(spread).itemsize + 8
+
+    @classmethod
     def encode(cls, values: np.ndarray) -> "FOREncoding":
         if values.size == 0:
             return cls(frame=0, deltas=np.empty(0, dtype=np.uint8),
@@ -228,17 +267,18 @@ class FOREncoding:
                            dtype_=self.dtype)
 
 
-def _candidates(values: np.ndarray, mode: str):
-    """Codec instances worth considering for ``values`` under ``mode``."""
-    kinds = CODEC_KINDS if mode == "auto" else (mode,)
-    out = []
-    if "dict" in kinds:
-        out.append(DictEncoding.encode(values))
-    if "rle" in kinds:
-        out.append(RLEEncoding.encode(values))
-    if "for" in kinds and values.dtype.kind in "iu":
-        out.append(FOREncoding.encode(values))
-    return out
+#: the codecs in tie-break order: dict > rle > for
+_CODECS = (DictEncoding, RLEEncoding, FOREncoding)
+
+
+def _frameable(values: np.ndarray) -> bool:
+    """Whether FOR may hold ``values``: integers inside int64, the type
+    every frame computation (encode, decode, shifted bounds, folds) is
+    carried out in."""
+    if values.dtype.kind not in "iu":
+        return False
+    return (values.dtype != np.uint64
+            or int(values.max()) <= np.iinfo(np.int64).max)
 
 
 def choose_encoding(values: np.ndarray, mode: str = "auto"):
@@ -248,6 +288,9 @@ def choose_encoding(values: np.ndarray, mode: str = "auto"):
     matter, NaN-free (NaN breaks dictionary equality), and some codec
     beats the plain tail by :data:`MAX_PHYSICAL_FRACTION`.  Ties prefer
     dict > rle > for — the dict paths cover the most operators.
+
+    Every admissible codec is *sized* (``physical_nbytes_of``: exact,
+    from counts) and only the smallest is built.
     """
     if mode == "off":
         return None
@@ -257,11 +300,16 @@ def choose_encoding(values: np.ndarray, mode: str = "auto"):
         return None
     if values.dtype.kind == "f" and not np.isfinite(values).all():
         return None
-    best = None
-    for candidate in _candidates(values, mode):
-        if candidate.physical_nbytes >= (
-                candidate.nominal_nbytes * MAX_PHYSICAL_FRACTION):
+    kinds = CODEC_KINDS if mode == "auto" else (mode,)
+    # admission and the running minimum are one strict bound: a later
+    # codec must beat the best so far, which already beat the fraction
+    best, best_nbytes = None, values.nbytes * MAX_PHYSICAL_FRACTION
+    for codec in _CODECS:
+        if codec.kind not in kinds:
             continue
-        if best is None or candidate.physical_nbytes < best.physical_nbytes:
-            best = candidate
-    return best
+        if codec is FOREncoding and not _frameable(values):
+            continue
+        nbytes = codec.physical_nbytes_of(values)
+        if nbytes < best_nbytes:
+            best, best_nbytes = codec, nbytes
+    return None if best is None else best.encode(values)

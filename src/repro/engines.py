@@ -325,7 +325,7 @@ class EngineConfig:
 
         Deterministic per (program, engine, :meth:`plan_key`) — the
         serve layer's plan cache memoises its output keyed by SQL text,
-        canonical engine spec, schema version and the plan key (see
+        canonical engine spec and the plan key (see
         :mod:`repro.serve.plancache`).
         """
         for phase in PHASES:

@@ -93,6 +93,10 @@ class MALProgram:
     instructions: list[MALInstruction] = field(default_factory=list)
     #: ordered (column name, variable) pairs forming the result set.
     result_columns: list[tuple[str, Var]] = field(default_factory=list)
+    #: base tables the SQL lowerer resolved in FROM — everything of the
+    #: schema the compile consulted; set on ``compile_sql``'s output
+    #: only (rewrite passes build fresh programs and do not carry it)
+    tables: tuple[str, ...] = ()
 
     def format(self) -> str:
         lines = [f"function user.{self.name}();"]

@@ -80,8 +80,8 @@ class MorselRun:
         self.outputs = None
         self._out_specs = {out.name: out for out in spec.outputs}
         # group chains: members grouped per morsel with the backend's
-        # own operators, merged through a global key-tuple dictionary
-        # (see _morsel_l2g / _chain_rank)
+        # own operators; the morsels' local groups are merged by key
+        # tuple at finalize (see _morsel_group_ids / _chain_gids)
         self._gchains: dict[str, dict] = {}
         self._ng_chains: dict[str, dict] = {}
         for member in spec.members:
@@ -102,7 +102,7 @@ class MorselRun:
                 continue
             base.update(
                 gids=member.results[0].name, ng=member.results[1].name,
-                dict={}, dtypes=None, gdtype=None,
+                cols=[], count=0, gdtype=None,
             )
             self._gchains[member.results[0].name] = base
             self._ng_chains[member.results[1].name] = base
@@ -265,15 +265,17 @@ class MorselRun:
         parts.append(self._value_array(partial))
         env[out.name] = partial
 
-    # -- in-region grouping (local groups + global key dictionary) -----------
+    # -- in-region grouping (local groups, merged by key at finalize) --------
 
-    def _morsel_l2g(self, chain, env, slots) -> np.ndarray:
-        """Local-group → global-slot mapping for one morsel.
+    def _morsel_group_ids(self, chain, env, slots) -> np.ndarray:
+        """Chain-wide ids of one morsel's local groups.
 
         First occurrence per dense local id yields each local group's
-        key tuple; unseen tuples claim the next dictionary slot.  Memoised
-        per morsel in ``env`` under ``<gids>#l2g``."""
-        cached = env.get(f"{chain['gids']}#l2g")
+        key tuple; the tuples are appended to the chain's key columns
+        and a group's id is its row there (:meth:`_chain_gids` merges
+        equal tuples at finalize).  Memoised per morsel in ``env``
+        under ``<gids>#ids``."""
+        cached = env.get(f"{chain['gids']}#ids")
         if cached is not None:
             return cached
         gbat = env[chain["gids"]]
@@ -281,35 +283,26 @@ class MorselRun:
         lng = int(env[chain["ng"]])
         if chain["gdtype"] is None and isinstance(gbat, BAT):
             chain["gdtype"] = gbat.dtype
-        if lng == 0:
-            l2g = np.empty(0, dtype=np.int64)
-        else:
+        if lng:
             _, first = np.unique(lgids, return_index=True)
-            cols = [
+            chain["cols"].append([
                 np.asarray(
                     self._value_array(self._value(arg, env, slots))
                 )[first]
                 for arg in chain["keys"]
-            ]
-            if chain["dtypes"] is None:
-                chain["dtypes"] = tuple(c.dtype for c in cols)
-            table = chain["dict"]
-            l2g = np.empty(lng, dtype=np.int64)
-            for i, key in enumerate(zip(*(c.tolist() for c in cols))):
-                slot = table.get(key)
-                if slot is None:
-                    slot = len(table)
-                    table[key] = slot
-                l2g[i] = slot
-        env[f"{chain['gids']}#l2g"] = l2g
-        return l2g
+            ])
+        ids = np.arange(chain["count"], chain["count"] + lng,
+                        dtype=np.int64)
+        chain["count"] += lng
+        env[f"{chain['gids']}#ids"] = ids
+        return ids
 
     def _partial_lgagg(self, member, out, env, slots, chain) -> None:
         """Grouped aggregate over in-region (per-morsel local) group ids:
-        keep the morsel's partial table together with its local→global
-        slot mapping; :meth:`_fold_lgagg` scatters them at finalize."""
-        l2g = self._morsel_l2g(chain, env, slots)
-        if l2g.size == 0:
+        keep the morsel's partial table together with its groups'
+        chain-wide ids; :meth:`_fold_lgagg` scatters them at finalize."""
+        ids = self._morsel_group_ids(chain, env, slots)
+        if ids.size == 0:
             return
         parts = self._lgagg_parts.setdefault(out.name, [])
         args = [self._value(a, env, slots) for a in member.args]
@@ -318,36 +311,63 @@ class MorselRun:
             counts = self.backend.resolve(f"{out.module}.subcount")(
                 *args[1:]
             )
-            parts.append((l2g, self._value_array(sums),
+            parts.append((ids, self._value_array(sums),
                           self._value_array(counts)))
             env[f"{out.name}#sum"] = sums
             env[f"{out.name}#count"] = counts
             return
         partial = self.backend.resolve(member.op)(*args)
-        parts.append((l2g, self._value_array(partial)))
+        parts.append((ids, self._value_array(partial)))
         env[out.name] = partial
 
-    def _chain_rank(self, chain) -> np.ndarray:
-        """Dictionary slot → final group id, computed once at finalize.
+    @staticmethod
+    def _merge_keys(cols) -> "tuple[np.ndarray, list]":
+        """``(slot of every row, distinct key columns in slot order)``
+        of equal-length key columns.
 
-        Replays the grouping chain over the distinct key tuples with the
-        backend's own operators: dense-id numbering is a function of the
-        distinct key set alone in every backend (ascending keys;
-        ``subgroup`` ranks lexicographic ``(parent, inner)`` pairs), so
-        this reproduces the whole-column numbering at dictionary size."""
-        rank = chain.get("rank")
-        if rank is not None:
-            return rank
-        table = chain["dict"]
-        n = len(table)
-        if n == 0:
-            chain["rank"] = np.empty(0, dtype=np.int64)
-            return chain["rank"]
+        Rows with equal key tuples (``==`` per column, so ``-0.0``
+        meets ``0.0`` and a NaN meets nothing) share a slot, and slots
+        are numbered in first-seen order — what a dictionary filled row
+        by row would hand out, and the order the distinct keys are
+        replayed in.  One stable lexsort brings equal tuples together,
+        earliest row first; a run's slot is the rank of that row."""
+        order = np.lexsort(cols[::-1])
+        starts = np.zeros(order.size, dtype=bool)
+        starts[0] = True
+        for column in cols:
+            ordered = column[order]
+            starts[1:] |= ordered[1:] != ordered[:-1]
+        first = order[starts]               # earliest row of each run
+        seen = np.argsort(first)            # runs in first-seen order
+        slot_of_run = np.empty(first.size, dtype=np.int64)
+        slot_of_run[seen] = np.arange(first.size)
+        slots = np.empty(order.size, dtype=np.int64)
+        slots[order] = slot_of_run[np.cumsum(starts) - 1]
+        return slots, [column[first[seen]] for column in cols]
+
+    def _chain_gids(self, chain) -> "tuple[np.ndarray, int]":
+        """``(final group id of every chain-wide id, group count)``,
+        computed once at finalize.
+
+        Merges the morsels' key tuples, then replays the grouping chain
+        over the distinct ones with the backend's own operators:
+        dense-id numbering is a function of the distinct key set alone
+        in every backend (ascending keys; ``subgroup`` ranks
+        lexicographic ``(parent, inner)`` pairs), so this reproduces
+        the whole-column numbering at distinct-key size."""
+        merged = chain.get("merged")
+        if merged is not None:
+            return merged
+        if not chain["cols"]:
+            chain["merged"] = (np.empty(0, dtype=np.int64), 0)
+            return chain["merged"]
+        slots, table = self._merge_keys(
+            [np.concatenate(column) for column in zip(*chain["cols"])]
+        )
+        n = int(table[0].size)
         scratch = []
         gids = ngroups = None
-        for k, (member, dtype) in enumerate(
-                zip(chain["members"], chain["dtypes"])):
-            keys = np.array([key[k] for key in table], dtype=dtype)
+        for member, keys in zip(chain["members"], table):
             kbat = make_bat(keys, tag="morsel_gkeys")
             fn = self.backend.resolve(member.op)
             if member.function == "group":
@@ -362,44 +382,39 @@ class MorselRun:
                 f"produced {int(ngroups)} groups"
             )
         self.backend.release_intermediates(scratch)
-        chain["rank"] = rank
-        return rank
+        chain["merged"] = (rank[slots], n)
+        return chain["merged"]
 
     def _fold_lgagg(self, out, chain) -> BAT:
-        rank = self._chain_rank(chain)
-        n = len(chain["dict"])
+        gid_of, n = self._chain_gids(chain)
         parts = self._lgagg_parts.get(out.name, [])
         if out.fn == "avg":
             sums = np.zeros(n, dtype=np.float64)
             counts = np.zeros(n, dtype=np.int64)
-            for l2g, s, c in parts:
-                np.add.at(sums, l2g, s.astype(np.float64))
-                np.add.at(counts, l2g, c.astype(np.int64))
+            for ids, s, c in parts:
+                np.add.at(sums, gid_of[ids], s.astype(np.float64))
+                np.add.at(counts, gid_of[ids], c.astype(np.int64))
             acc = sums / np.maximum(counts, 1)
         elif out.fn in ("sum", "count"):
             dtype = parts[0][1].dtype if parts else np.dtype(np.int64)
             acc = np.zeros(n, dtype=dtype)
-            for l2g, p in parts:
-                np.add.at(acc, l2g, p)
+            for ids, p in parts:
+                np.add.at(acc, gid_of[ids], p)
         else:
             dtype = parts[0][1].dtype if parts else np.dtype(np.float64)
             if out.fn == "min":
                 identity = (np.inf if dtype.kind == "f"
                             else np.iinfo(dtype).max)
                 acc = np.full(n, identity, dtype=dtype)
-                for l2g, p in parts:
-                    np.minimum.at(acc, l2g, p)
+                for ids, p in parts:
+                    np.minimum.at(acc, gid_of[ids], p)
             else:
                 identity = (-np.inf if dtype.kind == "f"
                             else np.iinfo(dtype).min)
                 acc = np.full(n, identity, dtype=dtype)
-                for l2g, p in parts:
-                    np.maximum.at(acc, l2g, p)
-        # dictionary slots are insertion-ordered; rank renumbers them to
-        # the engine's own ascending convention
-        final = np.empty_like(acc)
-        final[rank] = acc
-        return make_bat(np.asarray(final), tag=f"morsel_{out.name}")
+                for ids, p in parts:
+                    np.maximum.at(acc, gid_of[ids], p)
+        return make_bat(acc, tag=f"morsel_{out.name}")
 
     # -- escaping outputs ----------------------------------------------------
 
@@ -408,16 +423,18 @@ class MorselRun:
             if out.kind in ("scalar", "gagg"):
                 continue
             if out.kind == "gscalar":
-                # feed the dictionary even when no aggregate consumed it
-                self._morsel_l2g(self._ng_chains[out.name], local, slices)
+                # collect the keys even when no aggregate consumed them
+                self._morsel_group_ids(
+                    self._ng_chains[out.name], local, slices
+                )
                 continue
             if out.kind == "ggids":
                 chain = self._gchains[out.name]
-                l2g = self._morsel_l2g(chain, local, slices)
+                ids = self._morsel_group_ids(chain, local, slices)
                 lgids = self._value_array(
                     local[out.name]
                 ).astype(np.int64)
-                self._chunks.setdefault(out.name, []).append(l2g[lgids])
+                self._chunks.setdefault(out.name, []).append(ids[lgids])
                 continue
             value = local[out.name]
             if out.kind == "positions":
@@ -438,16 +455,16 @@ class MorselRun:
             elif out.kind == "gagg":
                 outputs.append(self._fold_gagg(out))
             elif out.kind == "gscalar":
-                chain = self._ng_chains[out.name]
-                self._chain_rank(chain)     # validates the replay count
-                outputs.append(len(chain["dict"]))
+                outputs.append(
+                    self._chain_gids(self._ng_chains[out.name])[1]
+                )
             elif out.kind == "ggids":
                 chain = self._gchains[out.name]
-                rank = self._chain_rank(chain)
+                gid_of, _ = self._chain_gids(chain)
                 chunks = self._chunks.get(out.name, [])
                 ids = (np.concatenate(chunks) if chunks
                        else np.empty(0, dtype=np.int64))
-                final = rank[ids] if rank.size else ids
+                final = gid_of[ids] if gid_of.size else ids
                 dtype = chain["gdtype"] or np.int64
                 outputs.append(make_bat(
                     final.astype(dtype), tag=f"morsel_{out.name}"

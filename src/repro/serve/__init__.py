@@ -8,8 +8,9 @@ in ARCHITECTURE.md:
 * :class:`~repro.serve.plancache.PlanCache` — memoises the whole front
   half of a query's lifecycle: parse -> lower -> engine rewrite, plus
   the heterogeneous placer's per-instruction decisions, keyed by
-  ``(SQL text, engine, schema version)``.  Repeat queries skip straight
-  to dispatch; DDL bumps the schema version and invalidates.
+  ``(SQL text, engine)`` and valid while the tables the statement
+  reads stand.  Repeat queries skip straight to dispatch; DDL
+  invalidates the plans that read the table it touched, no others.
 * :class:`~repro.serve.session.SessionScheduler` — ``Connection
   .submit(sql)`` returns a :class:`~repro.serve.session.QueryFuture`;
   in-flight queries advance one MAL instruction per turn, round-robin,

@@ -8,18 +8,29 @@ placer's per-instruction decisions, which depend only on the measured
 device characteristics and the (immutable) base data.  So the whole
 front half of the query lifecycle is cacheable:
 
-* **key** — ``(SQL text, canonical engine spec, program name, schema
-  version)`` plus :meth:`repro.engines.EngineConfig.plan_key`.  The
-  engine component is :attr:`repro.engines.EngineConfig.spec` — e.g.
-  ``"CPU"`` or ``"SHARD:4xHET"`` — so differently-parameterized
-  instances of one family never share plans; the plan key holds the
-  effective value of every knob a compiled plan depends on (fusion,
-  morsel size, compression mode — spec setting *and* environment
-  override), so plans compiled under different settings of one
-  statement stay apart.
-  The schema version is :attr:`repro.monetdb.storage.Catalog.version`,
-  bumped on every DDL statement, so a ``CREATE``/``DROP`` implicitly
-  invalidates every plan compiled against the old schema.
+* **key** — ``(SQL text, canonical engine spec, program name)`` plus
+  :meth:`repro.engines.EngineConfig.plan_key`.  The engine component
+  is :attr:`repro.engines.EngineConfig.spec` — e.g. ``"CPU"`` or
+  ``"SHARD:4xHET"`` — so differently-parameterized instances of one
+  family never share plans; the plan key holds the effective value of
+  every knob a compiled plan depends on (fusion, morsel size,
+  compression mode — spec setting *and* environment override), so
+  plans compiled under different settings of one statement stay apart.
+* **validity** — per table, the way the paper's Ocelot drops device
+  copies per BAT (§4.3) instead of flushing the device: an entry
+  records :meth:`~repro.monetdb.storage.Catalog.table_version` of each
+  base table the lowerer resolved in FROM (``MALProgram.tables`` on
+  ``compile_sql``'s output — the compile consults the schema for those
+  tables only, and no rewrite pass reads the catalog) plus the
+  catalog-wide :attr:`~repro.monetdb.storage.Catalog.epoch`, and is
+  served only while all of them still match.  A ``CREATE``/``DROP``/
+  ``declare_shard_key`` therefore recompiles the statements that read
+  the table it touched (or a table keyed in the same shard-key domain)
+  and no others; only :meth:`~repro.monetdb.storage.Catalog.bump_version`
+  — a roster change, a sharded engine adopting an inferred key — moves
+  the epoch and with it every plan.  A stale entry met by a lookup is
+  one counted invalidation and one miss, and is replaced in place;
+  queries already admitted keep the entry they were bound to.
 * **value** — the *rewritten* :class:`~repro.monetdb.mal.MALProgram`
   (plans are immutable and re-runnable), plus the backend's recorded
   decision sequence from the latest run, installed as a replay on the
@@ -29,10 +40,15 @@ front half of the query lifecycle is cacheable:
   or the sharded engine's per-join-site strategies
   (co-located / shuffle / broadcast, see
   :meth:`repro.shard.backend.ShardedBackend._plan_join`) — a repeat
-  query replays the chosen join strategy instead of re-planning, and a
-  DDL-bumped schema version invalidates trace and plan together.
-* **eviction** — least-recently-used beyond ``max_entries``; explicitly
-  stale versions are purged (and counted) by :meth:`invalidate_schema`.
+  query replays the chosen join strategy instead of re-planning.  The
+  trace lives and dies with its entry; a trace that outlives a layout
+  change its tables' stamps did not see (engine-local ``key=``
+  parameters re-banding a domain) is still safe, because SHARD checks
+  every replayed strategy against the current layout
+  (``_join_valid``) and plans afresh from the first mismatch.
+* **eviction** — least-recently-used beyond ``max_entries``; entries
+  that no longer validate are purged (and counted) by
+  :meth:`invalidate_schema`, which every ``Database`` DDL call runs.
 
 Counters live in :class:`CacheStats`, surfaced as
 ``Connection.plan_cache.stats``.
@@ -76,6 +92,10 @@ class CachedPlan:
 
     key: tuple
     program: object                    # rewritten MALProgram
+    #: the catalog state the compile depended on: the stamp of every
+    #: base table in FROM, and the catalog-wide epoch
+    versions: dict = field(default_factory=dict)
+    epoch: int = 0
     #: [(function, Placement), ...] recorded by the HET backend on the
     #: most recent run of this plan; None until the plan first executes
     #: on the heterogeneous engine
@@ -93,18 +113,39 @@ class PlanCache:
         self.catalog = catalog
         self.max_entries = max_entries
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
-        #: (template, schema version) pairs whose parameterised form
-        #: cannot compile (the plan needs the concrete value); those
+        #: templates whose parameterised form cannot compile (the plan
+        #: needs the concrete value) -> the literal-text entry compiled
+        #: in its place, whose validity the verdict shares; those
         #: statements fall back to literal-text compilation
-        self._no_param: set = set()
+        self._no_param: OrderedDict[str, CachedPlan] = OrderedDict()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def _key(self, sql: str, config, name: str) -> tuple:
-        return (sql_cache_key(sql), config.spec, name,
-                self.catalog.version) + config.plan_key()
+        return (sql_cache_key(sql), config.spec, name) + config.plan_key()
+
+    def _valid(self, entry: CachedPlan) -> bool:
+        """Whether the catalog still is what ``entry`` compiled against."""
+        catalog = self.catalog
+        if entry.epoch != catalog.epoch:
+            return False
+        for table, version in entry.versions.items():
+            if catalog.table_version(table) != version:
+                return False
+        return True
+
+    def _literal_only(self, template: str) -> bool:
+        """Whether ``template`` is negative-cached by a verdict that
+        still stands (one that does not is dropped)."""
+        witness = self._no_param.get(template)
+        if witness is None:
+            return False
+        if self._valid(witness):
+            return True
+        del self._no_param[template]
+        return False
 
     def lookup(self, sql: str, config, schema, name: str = "query"
                ) -> CachedPlan:
@@ -113,15 +154,24 @@ class PlanCache:
         key = self._key(sql, config, name)
         entry = self._entries.get(key)
         if entry is not None:
-            self.stats.hits += 1
-            entry.hits += 1
-            self._entries.move_to_end(key)
-            return entry
+            if self._valid(entry):
+                self.stats.hits += 1
+                entry.hits += 1
+                self._entries.move_to_end(key)
+                return entry
+            del self._entries[key]
+            self.stats.invalidations += 1
         from ..sql.lower import compile_sql
 
         self.stats.misses += 1
-        program = config.plan(compile_sql(sql, schema, name=name))
-        entry = CachedPlan(key=key, program=program)
+        catalog = self.catalog
+        compiled = compile_sql(sql, schema, name=name)
+        entry = CachedPlan(
+            key=key, program=config.plan(compiled),
+            versions={table: catalog.table_version(table)
+                      for table in compiled.tables},
+            epoch=catalog.epoch,
+        )
         self._entries[key] = entry
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -148,14 +198,18 @@ class PlanCache:
             # the executable program
             entry = self.lookup(template, config, schema, name=name)
             return entry, entry.program
-        if (template, self.catalog.version) in self._no_param:
+        entry = None
+        if not self._literal_only(template):
+            try:
+                entry = self.lookup(template, config, schema, name=name)
+            except ParamBindError:
+                pass
+        if entry is None:
             entry = self.lookup(sql, config, schema, name=name)
-            return entry, entry.program
-        try:
-            entry = self.lookup(template, config, schema, name=name)
-        except ParamBindError:
-            self._no_param.add((template, self.catalog.version))
-            entry = self.lookup(sql, config, schema, name=name)
+            self._no_param[template] = entry
+            self._no_param.move_to_end(template)
+            while len(self._no_param) > self.max_entries:
+                self._no_param.popitem(last=False)
             return entry, entry.program
         bound = entry.binds.get(values)
         if bound is None:
@@ -172,13 +226,13 @@ class PlanCache:
 
         A shard promotion or a committed re-shard makes every memoised
         placement/join-strategy trace of that engine refer to a
-        departed roster member.  The accompanying version bump already
+        departed roster member.  The accompanying epoch bump already
         prevents stale *lookups*, but the stale entries — and their
         placement traces, which the retry path writes back into even
         mid-failover — must not linger until a lazy
         :meth:`invalidate_schema` sweep: the whole engine's entries are
-        dropped the moment the topology moves (they are all unreachable
-        under the bumped version anyway)."""
+        dropped the moment the topology moves (none of them validates
+        under the bumped epoch anyway)."""
         stale = [
             key for key in self._entries if key[1] == engine_spec
         ]
@@ -188,15 +242,18 @@ class PlanCache:
         return len(stale)
 
     def invalidate_schema(self) -> int:
-        """Purge entries compiled against a stale schema version.
+        """Purge exactly the entries that no longer validate.
 
-        Correctness never depends on this — stale versions can no longer
-        be *looked up* because the key embeds the current version — but
-        purging bounds memory and feeds the invalidation counter."""
-        current = self.catalog.version
-        stale = [k for k in self._entries if k[3] != current]
+        Correctness never depends on this — :meth:`lookup` checks every
+        entry it serves — but purging frees the plans of dropped tables
+        and feeds the invalidation counter."""
+        stale = [key for key, entry in self._entries.items()
+                 if not self._valid(entry)]
         for key in stale:
             del self._entries[key]
+        for template, witness in list(self._no_param.items()):
+            if not self._valid(witness):
+                del self._no_param[template]
         self.stats.invalidations += len(stale)
         return len(stale)
 

@@ -54,8 +54,10 @@ broadcast it.  A join whose *both* sides are partitioned goes through a
 The chosen strategy per join site is recorded as a decision trace and
 memoised by the serve layer's plan cache (the same ``sessions``
 capability the heterogeneous engine provides), so a repeat query
-replays its strategies instead of re-planning; DDL bumps the schema
-version and invalidates the trace with the plan.
+replays its strategies instead of re-planning; DDL on a table the
+statement reads (or on one keyed in the same domain) invalidates the
+trace with the plan, and every replayed strategy is re-checked against
+the current layout whatever the plan cache believed.
 
 Gathers, shuffles and merges charge simulated interconnect + driver
 time and are counted per byte moved in :class:`InterconnectTraffic`
@@ -717,6 +719,11 @@ class ShardedBackend(Backend):
         for child, parts in zip(self.children, per_child):
             child.end_of_query(parts)
         if self.infer_keys:
+            if self.sessions.open_states:
+                # adoption re-slices tables, and the statements still
+                # in flight hold values laid out the old way: keep the
+                # observations until the last of them is over
+                return
             self._adopt_inferred_keys()
         self._observed_joins = []
 
@@ -726,7 +733,7 @@ class ShardedBackend(Backend):
         A join the planner could not co-locate between two base columns
         is the signal: both tables adopt those columns as keys in one
         shared domain, the partitioner re-slices them, and the parent
-        schema version bumps so cached plans (whose memoised strategies
+        catalog's epoch bumps so cached plans (whose memoised strategies
         assumed the old layout) recompile.  Each table is adopted at
         most once — the first observed join wins — so repeated queries
         cannot thrash the layout."""
@@ -1354,10 +1361,12 @@ class ShardedBackend(Backend):
 
         Every ``algebra.join`` call appends exactly one decision to the
         query's trace, so a memoised trace replays positionally.  A
-        replayed decision is sanity-checked against the current layout
-        — a trace can only come from the same (SQL, engine spec, schema
-        version) plan-cache key, but the check keeps a stale trace from
-        ever producing a wrong join."""
+        replayed decision is checked against the current layout: the
+        plan cache drops a trace when a table its statement reads (or
+        the roster) changes, but a layout can also move under a valid
+        plan — an engine-local ``key=`` table created in a domain
+        re-bands its neighbours — and the check keeps such a trace
+        from ever producing a wrong join."""
         state = self.sessions.current
         if state.replay is not None \
                 and state.replay_pos < len(state.replay):

@@ -59,27 +59,13 @@ at query boundaries while in-flight work drains against the old layout.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
-from ..monetdb.storage import Catalog
+from ..monetdb.storage import Catalog, default_key_domain
 
 #: below this row count a table is replicated to every shard rather
 #: than partitioned (dimension tables join locally without a shuffle)
 DEFAULT_MIN_PARTITION_ROWS = 256
-
-_PREFIX = re.compile(r"^[a-z0-9]+_")
-
-
-def default_key_domain(column: str) -> str:
-    """The default key domain: the column name sans table prefix.
-
-    TPC-H columns follow ``<prefix>_<name>`` (``l_orderkey``,
-    ``o_orderkey``), so foreign-key pairs fall into one domain without
-    any declaration beyond the per-table key itself."""
-    column = column.lower()
-    return _PREFIX.sub("", column) or column
 
 
 def hash_placement(values: np.ndarray, n_shards: int) -> np.ndarray:

@@ -200,7 +200,7 @@ class ShardTopology:
         self._changed()
 
     def _changed(self) -> None:
-        """The roster moved: bump the catalog version (memoised join
+        """The roster moved: bump the catalog epoch (memoised join
         traces assumed the old roster) and fire the observer so
         trace-carrying plan-cache entries are invalidated eagerly, not
         lazily."""
@@ -237,7 +237,7 @@ class ShardTopology:
         draining against the old layout, and the swap commits only once
         every table is installed and no session is in flight.  New
         admissions after the commit route to the new topology (the
-        catalog-version bump recompiles their plans)."""
+        catalog-epoch bump recompiles their plans)."""
         if n_new < 1:
             raise ValueError("need at least one shard")
         current = self.backend.partitioner

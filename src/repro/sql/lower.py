@@ -24,7 +24,11 @@ survives — matching Ocelot's string support (paper Appendix A).
 Compilation is pure: the same text against the same schema always
 yields the same program, which is what lets the serve layer's plan
 cache (:mod:`repro.serve.plancache`) memoise ``compile_sql`` keyed by
-:func:`sql_cache_key`.  (Layer map: ARCHITECTURE.md §"sql".)
+:func:`sql_cache_key`.  The schema is consulted only through the
+:class:`SchemaProvider` calls, and only for the base tables resolved in
+FROM; the program lists them (``MALProgram.tables``), so the cache can
+keep a plan for exactly as long as *those* tables stand.  (Layer map:
+ARCHITECTURE.md §"sql".)
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ class Compiler:
         self.schema = schema
         self.b = MALBuilder(name)
         self.ctes: dict[str, dict] = {}
+        #: base tables resolved in any FROM, in first-use order
+        self.tables: dict[str, None] = {}
 
     # ===================================================================
     # entry point
@@ -97,7 +103,9 @@ class Compiler:
         for cte_name, cte_select in query.ctes:
             self.ctes[cte_name] = self._compile_derived(cte_select)
         outputs = self._compile_select(query.select)
-        return self.b.returns(outputs)
+        program = self.b.returns(outputs)
+        program.tables = tuple(self.tables)
+        return program
 
     # ===================================================================
     # SELECT pipeline
@@ -146,6 +154,7 @@ class Compiler:
                          derived_columns=dict(self.ctes[item.table]))
         if not self.schema.has_table(item.table):
             raise BindError(f"unknown table {item.table!r}")
+        self.tables[item.table] = None
         return Bound(alias=item.alias, table=item.table)
 
     def _bound_for(self, item: ast.FromItem, bounds: list[Bound]) -> Bound:

@@ -123,3 +123,45 @@ class TestPlanCacheRouting:
         # same statement under the default name is a distinct cache key
         db.execute(SQL, engine="MS")
         assert db.plan_cache.stats.misses == 2
+
+
+class TestDropTable:
+    """Regression: ``drop_table`` left the table's string dictionaries
+    registered, so a recreated table with a plain integer column of
+    the same name still compiled string literals through the dead
+    dictionary and silently answered with the rows holding its code."""
+
+    SQL = "SELECT sum(v) AS s FROM t WHERE c = {}"
+
+    @pytest.mark.parametrize("engine", ("MS", "CPU"))
+    def test_drop_forgets_the_tables_dictionaries(self, engine):
+        db = repro.Database()
+        v = np.arange(100, dtype=np.int32)
+        db.create_table("t", {"c": (v % 2).astype(np.int32), "v": v},
+                        dictionaries={"c": ["red", "blue"]})
+        con = db.connect(engine)
+        blue = con.execute(self.SQL.format("'blue'")).column("s")[0]
+        assert blue == v[v % 2 == 1].sum()
+        db.drop_table("t")
+        # same names, but `c` is a plain number now
+        db.create_table("t", {"c": (v % 5).astype(np.int32), "v": v})
+        with pytest.raises(ValueError, match="not a string column"):
+            con.execute(self.SQL.format("'blue'"))
+        one = con.execute(self.SQL.format(1)).column("s")[0]
+        assert one == v[v % 5 == 1].sum() != blue
+        db.drop_table("t")
+        assert not db.schema.column_dicts and not db.schema.dictionaries
+        db.close()
+
+    def test_drop_keeps_other_tables_dictionaries(self):
+        db = repro.Database()
+        codes = np.array([0, 1, 1], dtype=np.int32)
+        for name in ("t", "u"):
+            db.create_table(name, {"c": codes, "v": codes},
+                            dictionaries={"c": ["red", "blue"]})
+        db.drop_table("t")
+        result = db.connect("MS").execute(
+            "SELECT sum(v) AS s FROM u WHERE c = 'blue'"
+        )
+        assert result.column("s")[0] == 2
+        db.close()

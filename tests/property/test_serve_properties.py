@@ -4,8 +4,10 @@ Two contracts the serving layer must never bend:
 
 * **plan-cache transparency** — a cached (and, on HET, placement-
   replayed) plan produces a ``QueryResult`` identical to compiling the
-  same SQL fresh, on every engine; DDL bumps the schema version, so a
-  recreated table is never served from a stale plan;
+  same SQL fresh, on every engine; DDL invalidates the plans that read
+  the table it touched, so a recreated table is never served from a
+  stale plan — under any interleaving of DDL, roster changes and
+  ``execute``/``submit``/``explain`` (the last property below);
 * **session isolation** — N queries interleaved by the round-robin
   session scheduler return exactly what they return serially, even when
   a tiny-memory GPU forces the Memory Manager to evict/offload one
@@ -18,12 +20,13 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import cl
 from repro.api import Database
 from repro.ocelot.memory import OcelotOOM
 from repro.sched import HeterogeneousBackend
+from repro.serve import PlanCache
 from repro.sql.lower import compile_sql
 
 N_ROWS = 1 << 14
@@ -180,3 +183,254 @@ def test_pressure_interleaving_actually_evicts():
         for e in con.backend.pool.engines
     )
     assert activity > 0
+
+
+# -- per-table validity under DDL interleavings -------------------------------
+
+#: engine specs the interleaving runs under (``keys=infer`` is drawn on
+#: top of the sharded ones)
+ENGINES = ("MS", "CPU", "HET", "SHARD:2xCPU", "SHARD:3xCPU,replicas=2")
+
+#: row counts on both sides of the sharded engine's replicate/partition
+#: threshold (``min_partition_rows`` = 256)
+ROW_COUNTS = (8, 255, 256, 700)
+
+COLOURS = (None, ["red", "blue", "green"], ["blue", "green", "red"])
+
+
+def _table(name: str, rows: int, dtype, colours, seed: int):
+    """``(columns, dictionaries)`` of one variant of table ``name``."""
+    rng = np.random.default_rng(seed)
+    if name == "t":
+        columns = {
+            "t_k": rng.integers(0, 64, rows).astype(np.int32),
+            "g": rng.integers(0, 5, rows).astype(np.int32),
+            "v": rng.integers(0, 1000, rows).astype(dtype),
+            "c": rng.integers(0, 3, rows).astype(np.int32),
+        }
+        return columns, ({"c": colours} if colours else None)
+    if name == "u":
+        return {
+            "u_k": rng.permutation(max(rows, 64))[:rows].astype(np.int32),
+            "w": rng.integers(0, 100, rows).astype(dtype),
+        }, None
+    return {"z": rng.integers(0, 9, rows).astype(dtype)}, None
+
+
+#: statement id -> (tables it reads, text); ``{hi}`` makes literal
+#: variants of one template, ``100 + 28`` cannot be parameterised
+STATEMENTS = {
+    "filter": (("t",), "SELECT g, sum(v) AS s, count(*) AS n FROM t "
+                       "WHERE t_k <= {hi} GROUP BY g ORDER BY g"),
+    "scan": (("u",), "SELECT sum(w) AS s, count(*) AS n FROM u"),
+    "join": (("t", "u"), "SELECT g, sum(w) AS s FROM t JOIN u "
+                         "ON t_k = u_k GROUP BY g ORDER BY g"),
+    "string": (("t",), "SELECT count(*) AS n FROM t WHERE c = 'blue'"),
+    "folded": (("t",), "SELECT sum(v) AS s FROM t WHERE t_k < 100 + 28"),
+    "other": (("other",), "SELECT sum(z) AS s, count(*) AS n FROM other"),
+}
+
+_tables = st.sampled_from(("t", "u", "other"))
+# the join twice: it is what ``keys=infer`` adopts a key from
+_statements = st.tuples(st.sampled_from(sorted(STATEMENTS) + ["join"]),
+                        st.sampled_from((5, 31, 63)))
+_steps = st.one_of(
+    st.tuples(st.just("create"), _tables, st.sampled_from(ROW_COUNTS),
+              st.sampled_from((np.int32, np.int64, np.float32)),
+              st.sampled_from(COLOURS), st.integers(0, 3)),
+    st.tuples(st.just("drop"), _tables),
+    st.tuples(st.just("key"), st.sampled_from(("t", "u")),
+              st.sampled_from((None, "own"))),
+    st.tuples(st.just("resize"), st.sampled_from((+1, -1))),
+    st.tuples(st.just("execute"), _statements),
+    st.tuples(st.just("execute"), _statements),
+    st.tuples(st.just("submit"), _statements, st.integers(0, 6)),
+    st.tuples(st.just("explain"), _statements),
+    st.tuples(st.just("drain")),
+)
+
+
+def _outcome(fn):
+    """``fn()``'s value, or what it raised."""
+    try:
+        return fn()
+    except Exception as error:
+        return type(error), str(error)
+
+
+class _Interleaving:
+    """One database, one connection under test, and the bookkeeping the
+    invariants need."""
+
+    def __init__(self, engine: str):
+        self.db = Database()
+        self.con = self.db.connect(engine)
+        self.ms = self.db.connect("MS")
+        self.sharded = self.con.backend.cluster is not None
+        #: statement ids issued so far: each owns at most one entry
+        self.issued: set = set()
+        #: in flight: (future, tables, reference outcome at submit)
+        self.flying: list = []
+
+    def sql(self, statement) -> "tuple[tuple, str]":
+        name, hi = statement
+        tables, text = STATEMENTS[name]
+        self.issued.add(name)
+        return tables, text.format(hi=hi)
+
+    def reference(self, sql: str):
+        """The MS answer through a compile no cache ever sees."""
+        return _outcome(lambda: self.ms.run_plan(
+            compile_sql(sql, self.db.schema)
+        ).columns)
+
+    def touch(self, table) -> None:
+        """DDL on ``table``: a query in flight over it reads a mix of
+        old and new storage — its answer is its own business, finishing
+        is not.  ``t`` and ``u`` count as one: keyed in one domain
+        (declared, or adopted by ``keys=infer``) they co-partition, and
+        DDL on either re-slices both at once."""
+        tables = {"t", "u"} if table in ("t", "u") else {table}
+        self.flying = [
+            (future, read, None if tables & set(read) else expected)
+            for future, read, expected in self.flying
+        ]
+
+    # -- steps ----------------------------------------------------------------
+
+    def create(self, table, rows, dtype, colours, seed):
+        self.drop(table)
+        columns, dictionaries = _table(table, rows, dtype, colours, seed)
+        self.touch(table)
+        self.db.create_table(table, columns, dictionaries)
+
+    def drop(self, table):
+        if self.db.catalog.has_table(table):
+            self.touch(table)
+            self.db.drop_table(table)
+
+    def key(self, table, domain):
+        if self.db.catalog.has_table(table):
+            self.touch(table)
+            self.db.declare_shard_key(
+                table, f"{table}_k", domain and f"{domain}:{table}"
+            )
+
+    def resize(self, delta):
+        if not self.sharded or (
+                delta < 0 and self.con.backend.cluster.nodes <= 1):
+            return
+        if delta > 0:
+            self.db.add_shard()
+        else:
+            self.db.remove_shard()
+
+    def execute(self, statement):
+        _tables, sql = self.sql(statement)
+        expected = self.reference(sql)
+        got = _outcome(lambda: self.con.execute(sql).columns)
+        self.same_answer(expected, got, sql)
+
+    def submit(self, statement, turns):
+        tables, sql = self.sql(statement)
+        expected = self.reference(sql)
+        try:
+            future = self.con.submit(sql)
+        except Exception as error:
+            assert (type(error), str(error)) == expected, sql
+            return
+        self.flying.append((future, tables, expected))
+        for _ in range(turns):
+            self.con.scheduler.step()
+
+    def explain(self, statement):
+        _tables, sql = self.sql(statement)
+        fresh = self.fresh_plan(sql)
+        got = _outcome(lambda: self.con.explain(sql))
+        if isinstance(fresh, str):
+            assert isinstance(got, str) and got.startswith(fresh), sql
+        else:
+            assert got == fresh, sql
+
+    def drain(self):
+        self.con.drain()
+        for future, _tables, expected in self.flying:
+            assert future.done()
+            if expected is None:
+                continue            # DDL landed on its tables mid-flight
+            error = future.exception()
+            got = ((type(error), str(error)) if error is not None
+                   else future.result().columns)
+            self.same_answer(expected, got, future.name)
+        self.flying = []
+
+    # -- invariants -----------------------------------------------------------
+
+    def fresh_plan(self, sql: str):
+        return _outcome(lambda: PlanCache(self.db.catalog).prepare(
+            sql, self.con.config, self.db.schema
+        )[1].format())
+
+    def same_answer(self, expected, got, context):
+        if not isinstance(expected, dict) or not isinstance(got, dict):
+            assert got == expected, context
+            return
+        assert list(got) == list(expected), context
+        for name, values in expected.items():
+            assert got[name].shape == values.shape, (context, name)
+            assert np.allclose(
+                got[name].astype(np.float64), values.astype(np.float64),
+                rtol=1e-4, atol=1e-6,
+            ), (context, name)
+
+    def check(self):
+        """After every step: whatever the cache serves is what a fresh
+        compile yields, statement by statement."""
+        cache = self.db.plan_cache
+        for name in sorted(STATEMENTS):
+            _tables, sql = self.sql((name, 31))
+            served = _outcome(lambda: cache.prepare(
+                sql, self.con.config, self.db.schema
+            )[1].format())
+            assert served == self.fresh_plan(sql), sql
+        assert len(cache) <= len(self.issued)
+        assert len(cache._no_param) <= 1        # only ``folded``
+
+
+@given(
+    engine=st.sampled_from(ENGINES),
+    infer=st.booleans(),
+    steps=st.lists(_steps, min_size=4, max_size=14),
+)
+@example(      # the first join adopts an inferred key: the epoch moves
+    engine="SHARD:2xCPU", infer=True,
+    steps=[("execute", ("join", 31)), ("execute", ("join", 5)),
+           ("create", "other", 8, np.int64, None, 2),
+           ("execute", ("join", 63)), ("execute", ("other", 31))],
+)
+@example(      # DDL and a roster change while two statements are in flight
+    engine="SHARD:3xCPU,replicas=2", infer=False,
+    steps=[("submit", ("join", 31), 4), ("submit", ("string", 31), 2),
+           ("create", "other", 700, np.float32, None, 3), ("resize", -1),
+           ("key", "u", None), ("execute", ("string", 31)),
+           ("create", "t", 255, np.float32, COLOURS[2], 1),
+           ("execute", ("string", 31)), ("drain",)],
+)
+@settings(max_examples=80, deadline=None)
+def test_ddl_interleavings_never_serve_a_stale_plan(engine, infer, steps):
+    if infer and engine.startswith("SHARD"):
+        engine += ",keys=infer"
+    run = _Interleaving(engine)
+    try:
+        # start from a populated schema so early statements have plans
+        # for the DDL to spare or to stale
+        run.create("t", 700, np.int32, COLOURS[1], 0)
+        run.create("u", 256, np.int32, None, 1)
+        run.check()
+        for kind, *args in steps:
+            getattr(run, kind)(*args)
+            run.check()
+        run.drain()
+        run.check()
+    finally:
+        run.db.close()

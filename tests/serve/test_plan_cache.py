@@ -85,33 +85,69 @@ class TestKeying:
         assert len(db.plan_cache) == 4
 
 
+def sole_entry(db):
+    (entry,) = db.plan_cache._entries.values()
+    return entry
+
+
 class TestInvalidation:
+    """A DDL statement invalidates the plans that read the table it
+    touched — and no others."""
+
     def test_ddl_bumps_schema_version_and_invalidates(self, db):
         con = db.connect("CPU")
         con.execute(SQL)
+        entry = sole_entry(db)
+        stats = db.plan_cache.stats
+        # DDL on a table the statement never reads: the catalog version
+        # still moves, the plan stays
         version = db.catalog.version
         db.create_table("other", {"z": np.arange(4, dtype=np.int32)})
         assert db.catalog.version == version + 1
-        assert db.plan_cache.stats.invalidations >= 1
-        con.execute(SQL)   # recompiled under the new version
-        assert db.plan_cache.stats.misses == 2
+        con.execute(SQL)
+        assert (stats.hits, stats.misses, stats.invalidations) == (1, 1, 0)
+        assert sole_entry(db) is entry
+        # DDL on the table it reads: one invalidation, one miss
+        db.declare_shard_key("points", "x")
+        assert db.catalog.version == version + 2
+        assert stats.invalidations == 1 and len(db.plan_cache) == 0
+        con.execute(SQL)
+        assert (stats.hits, stats.misses, stats.invalidations) == (1, 2, 1)
+        assert sole_entry(db) is not entry
 
     def test_ddl_mid_batch_invalidates_without_breaking_in_flight(self, db):
-        """DDL landing *mid-submit-batch* invalidates the cache for
-        future compiles while the in-flight query — already bound to
-        the old plan — still completes correctly."""
+        """DDL landing *mid-submit-batch*: on an unrelated table the
+        next admission shares the in-flight query's plan; on the table
+        being read it invalidates the cache for future compiles while
+        the in-flight query — already bound to the old plan — still
+        completes correctly."""
         con = db.connect("HET")
         baseline = con.execute(SQL)
-        in_flight = con.submit(SQL)
-        for _ in range(3):
-            assert con.scheduler.step()   # underway, not finished
-        misses = db.plan_cache.stats.misses
+        entry = sole_entry(db)
+        stats = db.plan_cache.stats
+
+        def underway():
+            future = con.submit(SQL)
+            for _ in range(3):
+                assert con.scheduler.step()   # underway, not finished
+            return future
+
+        in_flight = underway()
+        misses = stats.misses
         db.create_table("other", {"z": np.arange(4, dtype=np.int32)})
-        assert db.plan_cache.stats.invalidations >= 1
+        after_other = con.submit(SQL)     # a hit on the very same entry
+        con.drain()
+        assert (stats.misses, stats.invalidations) == (misses, 0)
+        assert sole_entry(db) is entry
+
+        in_flight_2 = underway()
+        db.declare_shard_key("points", "x")
+        assert stats.invalidations == 1
         after_ddl = con.submit(SQL)       # recompiles (stale entry gone)
         con.drain()
-        assert db.plan_cache.stats.misses == misses + 1
-        for future in (in_flight, after_ddl):
+        assert (stats.misses, stats.invalidations) == (misses + 1, 1)
+        assert sole_entry(db) is not entry
+        for future in (in_flight, after_other, in_flight_2, after_ddl):
             assert future.exception() is None
             assert np.allclose(future.result().column("total"),
                                baseline.column("total"))
@@ -144,9 +180,11 @@ class TestPlacementReplay:
     def test_replay_survives_a_schema_change_elsewhere(self, db):
         con = db.connect("HET")
         con.execute(SQL)
+        decisions = len(con.backend.decision_log)
         db.create_table("extra", {"z": np.arange(4, dtype=np.int32)})
-        result = con.execute(SQL)   # fresh compile, fresh placements
+        result = con.execute(SQL)   # same plan, placements replayed
         assert result.n_rows == 16
+        assert con.plan_cache.stats.placement_reuses == decisions
 
 
 class TestConnectionReuse:
@@ -172,9 +210,55 @@ class TestPlanCacheUnit:
     def test_invalidate_counts_only_stale_entries(self, db):
         cache = PlanCache(db.catalog, max_entries=8)
         config = db.connect("MS").config
-        cache.lookup("SELECT sum(y) AS s FROM points", config, db.schema)
+        points = "SELECT sum(y) AS s FROM points"
+        db.catalog.create_table("other", {"z": np.arange(4, dtype=np.int32)})
+        entry = cache.lookup(points, config, db.schema)
+        cache.lookup("SELECT sum(z) AS s FROM other", config, db.schema)
         assert cache.invalidate_schema() == 0
-        db.catalog.version += 1
+        # DDL on `other` stales the plan that reads it, not its neighbour
+        db.catalog.drop_table("other")
+        assert cache.invalidate_schema() == 1
+        assert len(cache) == 1
+        assert cache.lookup(points, config, db.schema) is entry
+        assert (cache.stats.hits, cache.stats.misses) == (1, 2)
+        # DDL on `points` (no purge in between): the lookup itself finds
+        # the entry stale — one invalidation, one miss, replaced in place
+        db.catalog.declare_shard_key("points", "x")
+        assert cache.lookup(points, config, db.schema) is not entry
+        assert (cache.stats.hits, cache.stats.misses) == (1, 3)
+        assert len(cache) == 1
+        # the epoch stales everything
+        db.catalog.bump_version()
         assert cache.invalidate_schema() == 1
         assert len(cache) == 0
-        assert cache.stats.invalidations == 1
+        assert cache.stats.invalidations == 3
+
+    def test_no_param_verdicts_do_not_pile_up(self, db):
+        """Regression: the negative cache of non-parameterisable
+        templates held one ``(template, version)`` pair per DDL, for
+        ever.  A verdict now stands exactly as long as a plan over the
+        same tables would."""
+        cache = db.plan_cache
+        con = db.connect("MS")
+        sql = "SELECT sum(y) AS s FROM points WHERE x < 1 + 2"
+        columns = {name: db.catalog.bat("points", name).values
+                   for name in ("x", "y")}
+        expected = con.execute(sql).column("s")
+        assert len(cache._no_param) == 1
+        for _ in range(200):
+            db.drop_table("points")
+            db.create_table("points", columns)
+            assert np.array_equal(con.execute(sql).column("s"), expected)
+        assert len(cache._no_param) <= 1
+        # ... survives DDL elsewhere (no re-probe of the template:
+        # the literal text is a straight hit) ...
+        misses = cache.stats.misses
+        db.create_table("other", {"z": np.arange(4, dtype=np.int32)})
+        con.execute(sql)
+        assert cache.stats.misses == misses
+        # ... and is bounded like the entries are
+        cache.max_entries = 4
+        for terms in range(2, 10):      # eight distinct templates
+            con.execute("SELECT sum(y) AS s FROM points WHERE x < "
+                        + " + ".join(["1"] * terms))
+        assert len(cache._no_param) == 4

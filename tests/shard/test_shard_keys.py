@@ -426,6 +426,29 @@ class TestKeyInference:
         con.execute(JOIN_SQL)
         assert db.catalog.version == version
 
+    def test_adoption_waits_for_statements_in_flight(self):
+        """Regression (found by the DDL-interleaving property): a
+        statement ending while a join was mid-flight adopted the join's
+        observed key and re-sliced both tables under it — the join then
+        finished over a mix of layouts and silently returned wrong
+        sums."""
+        db = make_db()
+        expected = db.connect("MS").execute(JOIN_SQL)
+        con = db.connect("SHARD:2xCPU,keys=infer")
+        in_flight = con.submit(JOIN_SQL)
+        for _ in range(3):
+            assert con.scheduler.step()     # the join site is planned
+        version = db.catalog.version
+        con.execute("SELECT sum(v) AS s FROM fact")
+        assert db.catalog.version == version    # not adopted mid-join
+        assert con.backend.partitioner.key_of("fact") is None
+        con.drain()
+        assert_results_equal(expected, in_flight.result(), rtol=1e-5)
+        # the observation kept: adopted once the connection went quiet
+        assert db.catalog.version > version
+        assert con.backend.partitioner.key_of("fact") is not None
+        assert_results_equal(expected, con.execute(JOIN_SQL), rtol=1e-5)
+
     def test_keys_off_ignores_declarations(self):
         db = make_db()
         db.declare_shard_key("fact", "f_key")
@@ -451,14 +474,25 @@ class TestStrategyReplay:
     def test_ddl_invalidates_the_memoised_strategy(self):
         db = make_db()
         con = db.connect("SHARD:2xMS,key=fact.f_key,key=dim.d_key")
+        stats = con.plan_cache.stats
         con.execute(JOIN_SQL)
-        misses = con.plan_cache.stats.misses
+        (entry,) = db.plan_cache._entries.values()
+        misses, reuses = stats.misses, stats.placement_reuses
+        # DDL on a table the join never reads: same plan, and the
+        # memoised strategy replays
         db.create_table("other", {"z": np.arange(4, dtype=np.int32)})
-        con.execute(JOIN_SQL)       # recompiled, strategy re-planned
-        assert con.plan_cache.stats.misses == misses + 1
-        reuses = con.plan_cache.stats.placement_reuses
-        con.execute(JOIN_SQL)       # and memoised again
-        assert con.plan_cache.stats.placement_reuses == reuses + 1
+        con.execute(JOIN_SQL)
+        assert (stats.misses, stats.invalidations) == (misses, 0)
+        assert stats.placement_reuses == reuses + 1
+        assert list(db.plan_cache._entries.values()) == [entry]
+        # DDL on a table it reads: recompiled, strategy re-planned ...
+        db.declare_shard_key("dim", "d_key")
+        assert stats.invalidations == 1
+        con.execute(JOIN_SQL)
+        assert stats.misses == misses + 1
+        assert stats.placement_reuses == reuses + 1
+        con.execute(JOIN_SQL)       # ... and memoised again
+        assert stats.placement_reuses == reuses + 2
 
     def test_stale_trace_is_sanity_checked(self):
         """A replayed decision that no longer matches the layout plans

@@ -217,11 +217,23 @@ class TestDDL:
     def test_ddl_invalidates_cached_plans(self, db):
         con = db.connect("SHARD:2xMS")
         sql = "SELECT count(*) AS n FROM points"
+        stats = con.plan_cache.stats
         con.execute(sql)
-        misses = con.plan_cache.stats.misses
+        (entry,) = db.plan_cache._entries.values()
+        misses = stats.misses
+        # unrelated table: every shard gets it, the plan is a hit
         db.create_table("other", {"z": np.arange(4, dtype=np.int32)})
         con.execute(sql)
-        assert con.plan_cache.stats.misses == misses + 1
+        assert (stats.misses, stats.invalidations) == (misses, 0)
+        assert list(db.plan_cache._entries.values()) == [entry]
+        # the table the statement reads: one invalidation, one miss
+        columns = {name: db.catalog.bat("points", name).values
+                   for name in db.catalog.columns("points")}
+        db.drop_table("points")
+        assert stats.invalidations == 1
+        db.create_table("points", columns)
+        assert int(con.execute(sql).column("n")[0]) == 4000
+        assert (stats.misses, stats.invalidations) == (misses + 1, 1)
 
 
 class TestLimitsAreExplicit:
