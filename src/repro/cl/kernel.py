@@ -92,6 +92,10 @@ class ExecContext:
     #: look-ups, CAS attempts); one dict per launch, so interleaved
     #: sessions never read each other's numbers
     counters: dict = field(default_factory=dict)
+    #: the context's nominal-scaling factor, for the rare ``work_fn``
+    #: whose cost is not linear in the data volume (``kernel_time``
+    #: applies the linear scaling itself)
+    data_scale: float = 1.0
 
     @property
     def num_groups(self) -> int:

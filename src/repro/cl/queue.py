@@ -162,6 +162,7 @@ class CommandQueue:
             defines=kernel.program.defines,
             global_size=int(global_size),
             local_size=int(local_size),
+            data_scale=self.context.data_scale,
         )
         # Eager execution: results materialise now; timing is simulated.
         definition.vec_fn(exec_ctx, *values)

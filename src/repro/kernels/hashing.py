@@ -4,7 +4,10 @@ The paper's scheme, reproduced faithfully:
 
 1. an **optimistic** round lets every thread insert its keys without any
    synchronisation — colliding distinct keys may overwrite each other;
-2. a **check** round verifies every key ended up in the table;
+2. a **check** round verifies every key ended up in the table, marks
+   the ones that did not in a bitmap and counts them (each work-group
+   reduces locally and adds its sum to one slot), so the host learns
+   whether round 3 is needed from the launch that found out;
 3. a **pessimistic** round re-inserts failed keys with atomic
    compare-and-swap, re-hashing with **six strong hash functions** before
    reverting to **linear probing** from the last hash position;
@@ -156,16 +159,17 @@ __kernel void ht_insert_optimistic(__global uint* tkeys, __global uint* tvals,
 # check round
 # ---------------------------------------------------------------------------
 
-def _ht_check_vec(ctx, fail_bitmap, tkeys, keys, n, m):
+def _ht_check_vec(ctx, fail_bitmap, fail_count, tkeys, keys, n, m):
     n, m = int(n), int(m)
     slots = hash_slot(keys[:n], 0, m)
     failed = tkeys[slots] != keys[:n]
     packed = np.packbits(failed, bitorder="little")
     fail_bitmap[: packed.size] = packed
     fail_bitmap[packed.size :] = 0
+    fail_count[0] = np.count_nonzero(failed)
 
 
-def _ht_check_work(ctx, fail_bitmap, tkeys, keys, n, m):
+def _ht_check_work(ctx, fail_bitmap, fail_count, tkeys, keys, n, m):
     n = int(n)
     table_bytes = 8 * int(m)
     random = 4 * n if table_bytes > _CACHE_RESIDENT_BYTES else 0
@@ -173,36 +177,53 @@ def _ht_check_work(ctx, fail_bitmap, tkeys, keys, n, m):
         elements=n,
         bytes_read=4 * n,
         random_bytes=random,
-        bytes_written=(n + 7) // 8,
+        bytes_written=(n + 7) // 8 + fail_count.itemsize,
         ops=7 * n,
+        # failures are reduced per work-group; each adds its sum once
+        atomic_ops=ctx.num_groups,
+        atomic_addresses=1,
     )
 
 
-def _ht_check_ref(wi, fail_bitmap, tkeys, keys, n, m):
+def _ht_check_ref(wi, fail_bitmap, fail_count, tkeys, keys, n, m):
+    """``fail_count`` arrives zeroed.  Work-items count privately and
+    then take turns (one barrier each) adding to the slot — the
+    reference has no local tile for the per-group reduction the kernel
+    does first; the sum is the same."""
     n, m = int(n), int(m)
     nbytes = (n + 7) // 8
+    failures = 0
     for j in wi.partition(nbytes):
         byte = 0
         for k in range(8):
             i = 8 * j + k
             if i < n and tkeys[_scalar_slot(int(keys[i]), 0, m)] != keys[i]:
                 byte |= 1 << k
+                failures += 1
         fail_bitmap[j] = byte
+    for turn in range(wi.local_size()):
+        if wi.local_id() == turn:
+            fail_count[0] += failures
+        yield
     return
-    yield  # pragma: no cover
 
 
 HT_CHECK = KernelDef(
     name="ht_check",
-    params=params("out:fail_bitmap in:tkeys in:keys scalar:n scalar:m"),
+    params=params(
+        "out:fail_bitmap out:fail_count in:tkeys in:keys scalar:n scalar:m"
+    ),
     vec_fn=_ht_check_vec,
     work_fn=_ht_check_work,
     ref_fn=_ht_check_ref,
     source="""
-__kernel void ht_check(__global uchar* fail, __global const uint* tkeys,
+__kernel void ht_check(__global uchar* fail, __global uint* fail_count,
+                       __global const uint* tkeys,
                        __global const uint* keys, uint n, uint m) {
     /* bit i set <=> keys[i] was overwritten during the optimistic round */
-}
+    __local uint failures;                  /* work-group reduction ... */
+    if (lid == 0 && failures) atomic_add(fail_count, failures);
+}                                           /* ... one atomic per group */
 """,
 )
 

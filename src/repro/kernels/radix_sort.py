@@ -1,6 +1,7 @@
-"""Binary radix sort kernels (paper §4.1.3, after Helluy [22] / Satish [31]).
+"""Sort kernels: the binary radix ladder (paper §4.1.3, after Helluy [22]
+/ Satish [31]) and a one-launch sort for inputs that fit local memory.
 
-Each pass over the keys processes ``RADIX_BITS`` bits (a pre-processor
+Each pass of the ladder processes ``RADIX_BITS`` bits (a pre-processor
 constant: the paper uses 8 on the CPU and 4 on the GPU) in three kernels:
 
 1. ``radix_histogram`` — every thread builds a private histogram of the
@@ -17,9 +18,20 @@ histogram/scatter locality is what the radix approach buys).  Keys are
 bijectively encoded to ``uint32`` so signed integers and IEEE floats sort
 correctly (``key_encode``), and the payload permutation is carried through
 every pass so the caller can reorder arbitrary columns afterwards.
+
+``local_sort`` is the other end of the size range: when keys and
+positions fit one work-group's ``__local`` memory the whole sort is a
+bitonic network over *(key, position)* pairs in a single launch.  The
+position breaks every tie, so the network's output is unique — exactly
+the stable order the LSD ladder produces — and the kernel writes the
+permutation itself (no ``iota``, no histogram or offset scratch).  The
+host picks between the two from the input's nominal size and the
+device's local-memory size (:func:`repro.ocelot.operators.sort_launches`).
 """
 
 from __future__ import annotations
+
+from math import ceil
 
 import numpy as np
 
@@ -339,7 +351,105 @@ def num_passes(bits_per_pass: int, key_bits: int = 32) -> int:
     return -(-key_bits // bits_per_pass)
 
 
+# ---------------------------------------------------------------------------
+# one-launch sort for inputs that fit one work-group's local memory
+# ---------------------------------------------------------------------------
+
+def _local_sort_vec(ctx, keys_out, order_out, keys, n):
+    n = int(n)
+    # (key, position) order == stable order by key
+    order = np.argsort(keys[:n], kind="stable")
+    order_out[:n] = order
+    np.take(keys[:n], order, out=keys_out[:n])
+
+
+def _local_sort_work(ctx, keys_out, order_out, keys, n):
+    n = int(n)
+    pair_bytes = keys.dtype.itemsize + order_out.dtype.itemsize
+    # log2(size) merges of up to log2(size) steps each, counted for the
+    # *nominal* input: n log^2 n is not linear in n, so the step count
+    # cannot be left to kernel_time's data_scale factor (the n/2
+    # exchanges of a step can)
+    log_size = max(1, (ceil(n * ctx.data_scale) - 1).bit_length())
+    steps = log_size * (log_size + 1) // 2
+    # one op per four-byte word of the two pairs an exchange touches, on
+    # ONE work-group: the other cores idle, so the device-wide
+    # throughput kernel_time divides by is scaled back up
+    ops = -(-n // 2) * steps * (2 * pair_bytes // 4)
+    return KernelWork(
+        elements=n,
+        bytes_read=n * keys.dtype.itemsize,
+        bytes_written=n * pair_bytes,
+        ops=ops * ctx.device.profile.num_work_groups,
+    )
+
+
+def _local_sort_ref(wi, keys_out, order_out, keys, n):
+    """Bitonic network with every exchange ascending (each merge starts
+    with a flip), so slots past ``n`` behave as +inf padding that never
+    moves and their exchanges are skipped.  One barrier per step.  The
+    output arrays stand in for the ``__local`` tile (``k``, ``pos``)."""
+    n = int(n)
+    if wi.group_id() != 0:
+        return
+    k, pos = keys_out, order_out
+    mine = range(wi.local_id(), n, wi.local_size())
+    for i in mine:
+        k[i] = keys[i]
+        pos[i] = i
+    yield
+    merged = 2
+    while merged < 2 * n:
+        # flip step, then half-cleaners at distances merged/4 ... 1
+        masks = [merged - 1]
+        distance = merged // 4
+        while distance:
+            masks.append(distance)
+            distance //= 2
+        for mask in masks:
+            for lo in mine:
+                hi = lo ^ mask
+                if lo < hi < n and (k[lo], pos[lo]) > (k[hi], pos[hi]):
+                    k[lo], k[hi] = k[hi], k[lo]
+                    pos[lo], pos[hi] = pos[hi], pos[lo]
+            yield
+        merged *= 2
+    return
+
+
+LOCAL_SORT = KernelDef(
+    name="local_sort",
+    params=params("out:keys_out out:order_out in:keys scalar:n"),
+    vec_fn=_local_sort_vec,
+    work_fn=_local_sort_work,
+    ref_fn=_local_sort_ref,
+    source="""
+__kernel void local_sort(__global KEY* keys_out, __global uint* order_out,
+                         __global const KEY* keys, uint n) {
+    __local KEY k[TILE]; __local uint pos[TILE];  /* n <= TILE, one group */
+    if (get_group_id(0)) return;
+    for (uint i = lid; i < TILE; i += LSIZE) {
+        k[i] = i < n ? keys[i] : KEY_MAX;          /* padding sorts last */
+        pos[i] = i;
+    }
+    for (uint merged = 2; merged <= TILE; merged <<= 1) {
+        EXCHANGE_STEP(merged - 1);                          /* flip */
+        for (uint d = merged >> 2; d; d >>= 1) EXCHANGE_STEP(d);
+    }
+    barrier(CLK_LOCAL_MEM_FENCE);
+    for (uint i = lid; i < n; i += LSIZE) {
+        keys_out[i] = k[i]; order_out[i] = pos[i];
+    }
+}
+/* EXCHANGE_STEP(mask): barrier; every item, for its slots lo with
+   hi = lo ^ mask > lo: swap the pairs if (k[lo], pos[lo]) > (k[hi], pos[hi])
+   -- the position breaks ties, so the order is the stable one */
+""",
+)
+
+
 LIBRARY = {
     k.name: k
-    for k in (KEY_ENCODE, RADIX_HISTOGRAM, RADIX_OFFSETS, RADIX_REORDER)
+    for k in (KEY_ENCODE, RADIX_HISTOGRAM, RADIX_OFFSETS, RADIX_REORDER,
+              LOCAL_SORT)
 }

@@ -44,7 +44,8 @@ class OcelotEngine:
         self.queue = CommandQueue(self.context)
         self.catalog = catalog
         self.memory = MemoryManager(self.context, self.queue, catalog)
-        #: paper §5.2.7: radix width 8 on the CPU, 4 on the GPU.
+        #: paper §5.2.7: radix width 8 on the CPU, 4 on the GPU — of the
+        #: radix ladder; a sort that fits local memory never climbs it
         self.radix_bits = 8 if device.is_cpu else 4
         #: measured device profile, installed by ``autotune.autotune``
         #: (consumed by the heterogeneous scheduler's placement policy)

@@ -22,7 +22,8 @@ Operator catalogue (module-level ``HOST_CODE`` maps MAL names here):
 ``thetajoin``      two-step nested-loop join
 ``semijoin`` /
 ``antijoin``       probe-only membership joins
-``sort``           binary radix sort, width by device (§4.1.3)
+``sort``           binary radix sort, width by device (§4.1.3); one
+                   work-group-local launch when the input fits
 ``group`` /
 ``subgroup``       hash grouping with dense ascending ids (§4.1.6)
 ``sum``/...        binary-reduction scalar aggregates (§4.1.7)
@@ -141,21 +142,55 @@ def _encode_keys(engine: OcelotEngine, bat_or_buf, n: int, dtype):
     return ukeys
 
 
-def _radix_sort(engine: OcelotEngine, keys_buf, n: int, payload_buf=None):
-    """Full binary radix sort (paper §4.1.3): three kernels per pass.
+def sort_launches(engine: OcelotEngine, n: int, key_itemsize: int):
+    """Which way :func:`_radix_sort` sorts ``n`` keys of ``key_itemsize``
+    bytes on ``engine``'s device, and how many kernels that launches:
+    ``("none", 0)``, ``("local", 1)`` or ``("radix", 1 + 3 * passes)``.
 
-    Sorts ``keys_buf`` (uint32/uint64) carrying ``payload_buf`` (default:
-    iota, i.e. the sort permutation).  Returns ``(sorted_keys, payload)``
-    — buffers owned by the caller.
+    Chosen from what the host knows before the first launch — ``n``, the
+    key width, the context's ``data_scale`` and the device's local
+    memory size (``CL_DEVICE_LOCAL_MEM_SIZE``) — the same rule on every
+    device.  The HET placer prices a sort with this function too, so
+    estimate and operator cannot disagree.
     """
+    if n <= 1:
+        return "none", 0
+    pair_bytes = key_itemsize + OID_DTYPE.itemsize
+    nominal = n * pair_bytes * engine.context.data_scale
+    if nominal <= engine.device.profile.local_mem_bytes:
+        return "local", 1
+    passes = num_passes(engine.radix_bits, key_itemsize * 8)
+    return "radix", 1 + 3 * passes
+
+
+def _radix_sort(engine: OcelotEngine, keys_buf, n: int):
+    """Sort ``keys_buf`` (uint32/uint64) with the launches its size needs
+    (:func:`sort_launches`): none for ``n <= 1``; one ``local_sort`` when
+    the nominal keys and positions fit one work-group's local memory;
+    else the full binary radix sort (paper §4.1.3), ``iota`` + three
+    kernels per pass.  All three give the stable order.
+
+    Consumes ``keys_buf``; returns ``(sorted_keys, order)`` — the sorted
+    keys and the sort permutation, buffers owned by the caller.
+    """
+    exit_, _launches = sort_launches(engine, n, keys_buf.dtype.itemsize)
+    if exit_ == "none":
+        order = engine.result_buffer(1, OID_DTYPE, tag="sort_pay",
+                                     zeroed=True)
+        return keys_buf, order
+    if exit_ == "local":
+        sorted_keys = engine.result_buffer(n, keys_buf.dtype,
+                                           tag="sort_keys_b")
+        order = engine.result_buffer(n, OID_DTYPE, tag="sort_pay")
+        engine.launch("local_sort", sorted_keys, order, keys_buf, n)
+        engine.release(keys_buf)
+        return sorted_keys, order
     bits = engine.radix_bits
     radix = 1 << bits
     parts = engine.invocations
-    if payload_buf is None:
-        payload_buf = engine.iota(n, tag="sort_pay")
-    keys_a, pay_a = keys_buf, payload_buf
-    keys_b = engine.result_buffer(max(n, 1), keys_buf.dtype, tag="sort_keys_b")
-    pay_b = engine.result_buffer(max(n, 1), OID_DTYPE, tag="sort_pay_b")
+    keys_a, pay_a = keys_buf, engine.iota(n, tag="sort_pay")
+    keys_b = engine.result_buffer(n, keys_buf.dtype, tag="sort_keys_b")
+    pay_b = engine.result_buffer(n, OID_DTYPE, tag="sort_pay_b")
     hist = engine.temp(parts * radix, np.uint32, tag="radix_hist")
     offsets = engine.temp(parts * radix, np.uint32, tag="radix_offsets")
     for p in range(num_passes(bits, keys_buf.dtype.itemsize * 8)):
@@ -177,14 +212,16 @@ def _radix_sort(engine: OcelotEngine, keys_buf, n: int, payload_buf=None):
 
 def _build_hash_table(engine: OcelotEngine, keys_buf, vals_buf, n: int,
                       size_hint: int | None = None):
-    """Optimistic/pessimistic parallel hash build (paper §4.1.4).
+    """Optimistic/pessimistic parallel hash build (paper §4.1.4):
+    ``fill``, ``fill``, optimistic round, check round — which counts the
+    keys it finds missing, so the pessimistic round is launched only
+    when that count, read back, is non-zero (4 launches, or 5).
 
     Over-allocates 1.4x for the observed ~75 % fill rate; restarts with a
     doubled table on pessimistic failure.  Returns ``(tkeys, tvals, m)``.
     """
     base = size_hint if size_hint is not None else n
     m = max(16, int(1.4 * base) + 1)
-    parts = engine.invocations
     attempts = 0
     while True:
         attempts += 1
@@ -195,13 +232,11 @@ def _build_hash_table(engine: OcelotEngine, keys_buf, vals_buf, n: int,
         engine.launch("ht_insert_optimistic", tkeys, tvals, keys_buf,
                       vals_buf, n, m)
         fail_bm = engine.temp(bitmap_nbytes(n), np.uint8, tag="ht_fail")
-        engine.launch("ht_check", fail_bm, tkeys, keys_buf, n, m)
-        counts = engine.temp(parts, np.uint32, tag="ht_fail_counts")
-        engine.launch("bitmap_count", counts, fail_bm, bitmap_nbytes(n), parts)
-        total_buf = engine.temp(1, np.uint32, tag="ht_fail_total")
-        engine.launch("reduce_final", total_buf, counts, parts, "sum")
-        failed = int(engine.readback_scalar(total_buf))
-        engine.release(counts, total_buf)
+        fail_count = engine.temp(1, np.uint32, tag="ht_fail_total",
+                                 zeroed=True)
+        engine.launch("ht_check", fail_bm, fail_count, tkeys, keys_buf, n, m)
+        failed = int(engine.readback_scalar(fail_count))
+        engine.release(fail_count)
         unplaced = 0
         if failed:
             stats = engine.temp(2, np.uint32, tag="ht_stats", zeroed=True)

@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cl import GB
+from ..kernels.radix_sort import key_dtype_for, num_passes
 from ..monetdb.bat import BAT, Role
 from ..ocelot.autotune import DeviceCharacteristics
 from ..ocelot.engine import OcelotEngine
+from ..ocelot.operators import sort_launches
 
 #: assumed selectivity when a selection's output size is unknown
 EST_SELECTIVITY = 0.15
@@ -90,10 +92,16 @@ def shape_of(function: str, args, scale: float,
         return OpShape(stream_bytes=4.0 * pairs, launches=5,
                        out_bytes=8 * l_rows * scale)
     if function == "sort":
-        passes = max(1, -(-32 // engine.radix_bits))
+        # the operator's own rule: key encode + what the sort launches at
+        # this size and key width on this device + the final gather; a
+        # sort that skips the radix ladder is priced as one pass of it
+        key_itemsize = key_dtype_for(bats[0].dtype).itemsize
+        exit_, launches = sort_launches(engine, n, key_itemsize)
+        passes = (num_passes(engine.radix_bits, 8 * key_itemsize)
+                  if exit_ == "radix" else 1)
         return OpShape(stream_bytes=4.0 * passes * in_bytes,
                        gather_bytes=in_bytes,
-                       launches=2 + 3 * passes, out_bytes=2 * in_bytes)
+                       launches=2 + launches, out_bytes=2 * in_bytes)
     if function in ("group", "subgroup"):
         sorted_input = bool(bats) and bats[0].sorted
         factor = 2 if function == "subgroup" else 1
@@ -127,7 +135,7 @@ def shape_of(function: str, args, scale: float,
         return OpShape(stream_bytes=6 * in_bytes,
                        atomic_ops=nominal_rows,
                        atomic_addresses=max(nominal_rows, 1.0),
-                       launches=8)
+                       launches=5)  # key encode + a build without failures
     if function == "mirror":
         out = n * 4 * scale
         return OpShape(stream_bytes=out, launches=1, out_bytes=out)

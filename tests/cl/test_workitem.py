@@ -187,7 +187,9 @@ class TestRefVsVec:
             100, m,
         )
         fail = np.zeros((100 + 7) // 8, np.uint8)
-        KERNEL_LIBRARY["ht_check"].vec_fn(ctx, fail, tkeys, keys, 100, m)
+        fail_count = np.zeros(1, np.uint32)
+        KERNEL_LIBRARY["ht_check"].vec_fn(ctx, fail, fail_count, tkeys, keys,
+                                          100, m)
         stats = np.zeros(2, np.uint32)
         KERNEL_LIBRARY["ht_insert_pessimistic"].vec_fn(
             ctx, tkeys, tvals, stats, keys,
@@ -205,6 +207,52 @@ class TestRefVsVec:
         ref, vec = _run_both("ht_probe", make, device)
         assert np.array_equal(ref[0], vec[0])
         assert np.array_equal(ref[1], vec[1])
+
+    def test_hash_check_bitmap_and_count(self, device):
+        """Colliding keys after an optimistic-only build: both drivers
+        flag the same overwritten keys and count them."""
+        keys = (np.arange(200, dtype=np.uint32) * 2654435761) % 100_003
+        m = 131
+        tkeys = np.full(m, EMPTY, np.uint32)
+        tvals = np.zeros(m, np.uint32)
+        from repro.cl.kernel import ExecContext
+
+        ctx = ExecContext(device=device, defines={}, global_size=16,
+                          local_size=8)
+        KERNEL_LIBRARY["ht_insert_optimistic"].vec_fn(
+            ctx, tkeys, tvals, keys, keys, 200, m)
+
+        def make():
+            return [np.zeros(25, np.uint8), np.zeros(1, np.uint32),
+                    tkeys.copy(), keys.copy(), 200, m]
+
+        ref, vec = _run_both("ht_check", make, device)
+        assert np.array_equal(ref[0], vec[0])
+        assert ref[1][0] == vec[1][0] == count_bits(vec[0], 200) > 0
+
+    @pytest.mark.parametrize("key_dtype", (np.uint32, np.uint64))
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 7, 8, 9, 33, 64, 100))
+    def test_local_sort(self, device, n, key_dtype):
+        """The bitonic network over (key, position) pairs against the
+        stable argsort, duplicates and both key extremes included; a
+        second work-group and idle work-items (n < 8) change nothing."""
+        rng = np.random.default_rng(n)
+        top = np.iinfo(key_dtype).max
+        keys = rng.integers(0, 5, n).astype(key_dtype) * key_dtype(top // 4)
+        keys[n // 2:] = rng.integers(0, top, n - n // 2, dtype=key_dtype,
+                                     endpoint=True)
+        keys[: n // 4] = top
+
+        def make():
+            return [np.full(max(n, 1), 7, key_dtype),
+                    np.full(max(n, 1), 7, np.uint32), keys.copy(), n]
+
+        ref, vec = _run_both("local_sort", make, device)
+        assert np.array_equal(ref[0], vec[0])
+        assert np.array_equal(ref[1], vec[1])
+        order = np.argsort(keys, kind="stable")
+        assert np.array_equal(vec[1][:n], order)
+        assert np.array_equal(vec[0][:n], keys[order])
 
     def test_grouped_agg_partial(self, device):
         rng = np.random.default_rng(5)

@@ -22,7 +22,9 @@ def build_table(rig, keys: np.ndarray, vals: np.ndarray, m: int):
     kb, vb = rig.buf(keys), rig.buf(vals)
     rig.run("ht_insert_optimistic", tkeys, tvals, kb, vb, n, m)
     fail = rig.zeros(bitmap_nbytes(n), np.uint8)
-    rig.run("ht_check", fail, tkeys, kb, n, m)
+    fail_count = rig.zeros(1, np.uint32)
+    rig.run("ht_check", fail, fail_count, tkeys, kb, n, m)
+    assert int(fail_count.array[0]) == count_bits(fail.array, n)
     stats = rig.zeros(2, np.uint32)
     rig.run("ht_insert_pessimistic", tkeys, tvals, stats, kb, vb, fail, n, m)
     return tkeys, tvals, int(stats.array[1])
@@ -129,8 +131,10 @@ class TestBuildProbe:
             ctx, tkeys, tvals, keys, vals, keys.size, m
         )
         fail = np.zeros(bitmap_nbytes(keys.size), np.uint8)
-        KERNEL_LIBRARY["ht_check"].vec_fn(ctx, fail, tkeys, keys,
-                                          keys.size, m)
+        fail_count = np.zeros(1, np.uint32)
+        KERNEL_LIBRARY["ht_check"].vec_fn(ctx, fail, fail_count, tkeys,
+                                          keys, keys.size, m)
+        assert fail_count[0] == count_bits(fail, keys.size)
         stats = np.zeros(2, np.uint32)
         KERNEL_LIBRARY["ht_insert_pessimistic"].vec_fn(
             ctx, tkeys, tvals, stats, keys, vals, fail, keys.size, m
@@ -382,7 +386,9 @@ class TestEquivalenceWithOldBodies:
                 atomic_addresses=old_distinct_slot_estimate(keys, m),
             )
             fail = np.zeros(bitmap_nbytes(n), np.uint8)
-            lib["ht_check"].vec_fn(ctx, fail, tkeys, keys, n, m)
+            fail_count = np.full(1, 7, np.uint32)
+            lib["ht_check"].vec_fn(ctx, fail, fail_count, tkeys, keys, n, m)
+            assert fail_count[0] == count_bits(fail, n)
 
             old_tk, old_tv = tkeys.copy(), tvals.copy()
             old_stats = np.zeros(2, np.uint32)
@@ -446,3 +452,66 @@ class TestEquivalenceWithOldBodies:
         assert ctx.counters["cas_attempts"] == int(stats[0]) >= 300
         assert ctx.counters["probe_lookups"] >= 300
         assert other.counters == {}
+
+
+# ---------------------------------------------------------------------------
+# The check round counts its own failures.  Before, the host learned that
+# number from two more launches over the failure bitmap; they are kept
+# here verbatim (``engine.launch`` -> ``rig.run``) as the reference the
+# kernel's count slot is pinned to.
+# ---------------------------------------------------------------------------
+
+def old_failure_count(rig, fail_bm, n):
+    parts = rig.ctx.device.profile.total_invocations
+    counts = rig.empty(parts, np.uint32, tag="ht_fail_counts")
+    rig.run("bitmap_count", counts, fail_bm, bitmap_nbytes(n), parts)
+    total_buf = rig.empty(1, np.uint32, tag="ht_fail_total")
+    rig.run("reduce_final", total_buf, counts, parts, "sum")
+    host, _event = rig.queue.enqueue_read(total_buf)
+    rig.queue.finish()
+    return int(host[0])
+
+
+class TestCheckCountsItsOwnFailures:
+    @pytest.mark.parametrize("table", ("optimistic", "untouched"))
+    @pytest.mark.parametrize("kind", KEY_KINDS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_count_is_the_old_three_launch_total(self, rig, n, kind, table):
+        keys = make_keys(kind, n)
+        m = int(1.4 * n) + 17
+        kb = rig.buf(keys if n else np.zeros(1, np.uint32))
+        tkeys = rig.empty(m, np.uint32)
+        tvals = rig.empty(m, np.uint32)
+        rig.run("fill", tkeys, m, int(EMPTY))
+        rig.run("fill", tvals, m, 0)
+        if table == "optimistic":
+            rig.run("ht_insert_optimistic", tkeys, tvals, kb, kb, n, m)
+        fail = rig.empty(bitmap_nbytes(n), np.uint8)
+        count = rig.zeros(1, np.uint32)
+        rig.run("ht_check", fail, count, tkeys, kb, n, m)
+        got = int(count.array[0])
+        assert got == old_failure_count(rig, fail, n), (n, kind, table)
+        if table == "untouched":            # no key is in the table
+            assert got == n
+        elif kind == "constant":            # one key, one slot: none fails
+            assert got == 0
+        elif kind == "distinct" and n > 7:  # colliding keys overwrote others
+            assert 0 < got < n
+
+    def test_work_charges_one_atomic_per_work_group(self, rig):
+        from repro.cl import KernelWork
+        from repro.cl.kernel import ExecContext
+        from repro.kernels import KERNEL_LIBRARY as lib
+
+        profile = rig.ctx.device.profile
+        ctx = ExecContext(rig.ctx.device, {}, profile.total_invocations,
+                          profile.work_group_size)
+        n, m = 1000, 600_011
+        args = (np.zeros(bitmap_nbytes(n), np.uint8), np.zeros(1, np.uint32),
+                np.full(m, EMPTY, np.uint32), np.arange(n, dtype=np.uint32),
+                n, m)
+        assert lib["ht_check"].work_fn(ctx, *args) == KernelWork(
+            elements=n, bytes_read=4 * n, random_bytes=4 * n,
+            bytes_written=(n + 7) // 8 + 4, ops=7 * n,
+            atomic_ops=profile.num_work_groups, atomic_addresses=1,
+        )

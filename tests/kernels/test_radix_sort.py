@@ -68,14 +68,12 @@ class TestKeyEncoding:
         assert num_passes(8, 64) == 8
 
 
-def _device_sort(rig, col):
-    """Drive the full multi-pass pipeline through the command queue."""
-    n = col.size
+def _ladder(rig, ukeys, n):
+    """The full multi-pass pipeline over unsigned keys, as the host
+    drives it: ``(sorted keys, order)`` arrays."""
     bits = 8 if rig.ctx.device.is_cpu else 4
     radix = 1 << bits
     parts = rig.ctx.device.profile.total_invocations
-    ukeys = rig.empty(n, key_dtype_for(col.dtype))
-    rig.run("key_encode", ukeys, rig.buf(col), n, key_kind_for(col.dtype))
     payload = rig.empty(n, np.uint32)
     rig.run("iota", payload, n, 0)
     keys_b = rig.empty(n, ukeys.dtype)
@@ -83,14 +81,22 @@ def _device_sort(rig, col):
     hist = rig.empty(parts * radix, np.uint32)
     offsets = rig.empty(parts * radix, np.uint32)
     keys_a, pay_a = ukeys, payload
-    for p in range(num_passes(bits, key_bits_for(col.dtype))):
+    for p in range(num_passes(bits, 8 * ukeys.dtype.itemsize)):
         rig.run("radix_histogram", hist, keys_a, n, p * bits, parts)
         rig.run("radix_offsets", offsets, hist, parts)
         rig.run("radix_reorder", keys_b, pay_b, keys_a, pay_a, offsets,
                 n, p * bits, parts)
         keys_a, keys_b = keys_b, keys_a
         pay_a, pay_b = pay_b, pay_a
-    return pay_a.array[:n].copy()
+    return keys_a.array[:n].copy(), pay_a.array[:n].copy()
+
+
+def _device_sort(rig, col):
+    """Key encoding + the ladder, through the command queue."""
+    n = col.size
+    ukeys = rig.empty(n, key_dtype_for(col.dtype))
+    rig.run("key_encode", ukeys, rig.buf(col), n, key_kind_for(col.dtype))
+    return _ladder(rig, ukeys, n)[1]
 
 
 class TestFullSort:
@@ -222,3 +228,191 @@ class TestEquivalenceWithOldBodies:
             old_reorder_vec(bits, *old_out, keys, payload, n, shift)
             assert np.array_equal(out[0], old_out[0])
             assert np.array_equal(out[1], old_out[1])
+
+
+# ---------------------------------------------------------------------------
+# ``local_sort`` is pinned to what it replaces: one launch must return the
+# (sorted keys, order) of the radix ladder bit for bit — duplicates are the
+# point, stability has to match — on the CPU (8-bit) and GPU (4-bit) programs.
+# ---------------------------------------------------------------------------
+
+LOCAL_SIZES = (2, 3, 7, 255, 256, 257, 4096)
+KEY_SHAPES = ("constant", "distinct", "twenty", "zipf", "sorted", "reversed",
+              "extremes")
+
+
+def make_sort_keys(shape: str, n: int, dtype) -> np.ndarray:
+    rng = np.random.default_rng(n + len(shape))
+    top = int(np.iinfo(dtype).max)
+    if shape == "constant":
+        return np.full(n, 0xFFFFFFFE, dtype)
+    if shape == "distinct":
+        return (rng.permutation(n).astype(dtype) * dtype(top // n))
+    if shape == "twenty":
+        return rng.integers(0, 20, n).astype(dtype) * dtype(top // 20)
+    if shape == "zipf":
+        return np.minimum(rng.zipf(1.3, n), 0xFFFFFFFE).astype(dtype)
+    if shape == "sorted":
+        return np.sort(rng.integers(0, top, n, dtype=dtype, endpoint=True))
+    if shape == "reversed":
+        return np.sort(
+            rng.integers(0, top, n, dtype=dtype, endpoint=True))[::-1].copy()
+    return rng.choice(
+        np.array([0, 0xFFFFFFFE, 0xFFFFFFFF, top], dtype=dtype), n)
+
+
+class TestLocalSortIsTheRadixLadder:
+    @pytest.mark.parametrize("shape", KEY_SHAPES)
+    @pytest.mark.parametrize("key_dtype", (np.uint32, np.uint64))
+    @pytest.mark.parametrize("n", LOCAL_SIZES)
+    def test_same_keys_same_order(self, rig, n, key_dtype, shape):
+        keys = make_sort_keys(shape, n, key_dtype)
+        sorted_keys = rig.empty(n, key_dtype)
+        order = rig.empty(n, np.uint32)
+        before = rig.queue.stats.kernels_launched
+        rig.run("local_sort", sorted_keys, order, rig.buf(keys), n)
+        assert rig.queue.stats.kernels_launched == before + 1
+        # (the ladder ping-pongs through the buffer it is handed)
+        ladder_keys, ladder_order = _ladder(rig, rig.buf(keys.copy()), n)
+        assert np.array_equal(order.array[:n], ladder_order)
+        assert np.array_equal(sorted_keys.array[:n], ladder_keys)
+        assert np.array_equal(ladder_order, np.argsort(keys, kind="stable"))
+
+
+def _engine(kind: str, data_scale: float):
+    from repro.monetdb import Catalog
+    from repro.ocelot.engine import OcelotEngine
+
+    return OcelotEngine(Catalog(), kind, data_scale=data_scale)
+
+
+def _sort_through_host_code(engine, keys):
+    """``_radix_sort`` on a fresh scratch buffer: ``(sorted keys, order,
+    kernel names launched)``."""
+    from repro.cl.event import CommandType
+    from repro.ocelot.operators import _radix_sort
+
+    n = keys.size
+    with engine.memory.operator_scope():
+        buf = engine.temp(max(n, 1), keys.dtype, tag="ukeys")
+        buf.array[:n] = keys
+        engine.queue.stats.events.clear()
+        sorted_keys, order = _radix_sort(engine, buf, n)
+        launched = [e.label for e in engine.queue.stats.events
+                    if e.command_type is CommandType.KERNEL]
+        return (sorted_keys.array[:n].copy(), order.array[:n].copy(),
+                launched)
+
+
+class TestSortExits:
+    """The host picks the exit from n, key width, ``data_scale`` and the
+    device's local memory size — nothing else."""
+
+    @pytest.mark.parametrize("kind", ("cpu", "gpu"))
+    @pytest.mark.parametrize("n", (0, 1))
+    def test_nothing_to_sort_launches_nothing(self, kind, n):
+        engine = _engine(kind, 100.0)
+        keys = np.full(n, 42, np.uint64)
+        sorted_keys, order, launched = _sort_through_host_code(engine, keys)
+        assert launched == []
+        assert np.array_equal(sorted_keys, keys)
+        assert np.array_equal(order, np.arange(n))
+
+    @pytest.mark.parametrize("key_dtype", (np.uint32, np.uint64))
+    @pytest.mark.parametrize("data_scale", (1.0, 100.0))
+    @pytest.mark.parametrize("kind", ("cpu", "gpu"))
+    def test_boundary_is_the_local_memory_size(self, kind, data_scale,
+                                               key_dtype):
+        from repro.ocelot.operators import sort_launches
+
+        engine = _engine(kind, data_scale)
+        local_mem = engine.device.profile.local_mem_bytes
+        pair_bytes = np.dtype(key_dtype).itemsize + 4
+        fits = int(local_mem // (pair_bytes * data_scale))
+        if data_scale == 1.0 and (kind, pair_bytes) != ("cpu", 12):
+            # 48 KiB / 8, 48 KiB / 12 and 256 KiB / 8 are whole numbers:
+            # nominal bytes == local_mem_bytes still takes the local exit
+            assert fits * pair_bytes * data_scale == local_mem
+        passes = num_passes(engine.radix_bits, 8 * (pair_bytes - 4))
+        assert sort_launches(engine, fits, pair_bytes - 4) == ("local", 1)
+        assert sort_launches(engine, fits + 1, pair_bytes - 4) == (
+            "radix", 1 + 3 * passes)
+
+        rng = np.random.default_rng(fits)
+        keys = rng.integers(0, 50, fits + 1).astype(key_dtype)
+        expected = np.argsort(keys[:fits], kind="stable")
+        sorted_keys, order, launched = _sort_through_host_code(
+            engine, keys[:fits])
+        assert launched == ["local_sort"]
+        assert np.array_equal(order, expected)
+        assert np.array_equal(sorted_keys, keys[:fits][expected])
+        sorted_keys, order, launched = _sort_through_host_code(engine, keys)
+        assert launched == ["iota"] + passes * [
+            "radix_histogram", "radix_offsets", "radix_reorder"]
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+    def test_exit_ignores_everything_but_its_four_inputs(self):
+        """Same n, width, scale and local memory => same exit, whatever
+        the radix width, the device type or its other parameters."""
+        from dataclasses import replace
+
+        from repro import cl
+        from repro.monetdb import Catalog
+        from repro.ocelot.engine import OcelotEngine
+        from repro.ocelot.operators import sort_launches
+
+        gpu = cl.get_device("gpu").profile
+        as_cpu_sized = replace(
+            gpu, local_mem_bytes=cl.get_device("cpu").profile.local_mem_bytes)
+        odd = OcelotEngine(Catalog(), cl.Device(as_cpu_sized), 100.0)
+        cpu = _engine("cpu", 100.0)
+        for n in (0, 1, 2, 327, 328, 5000):
+            for itemsize in (4, 8):
+                assert (sort_launches(odd, n, itemsize)[0]
+                        == sort_launches(cpu, n, itemsize)[0])
+
+
+class TestLocalSortNeverCostsMoreThanTheLadder:
+    """Permanent where the regenerated golden is not: for every n that
+    takes the local exit, one ``local_sort`` (kernel time + one submit)
+    is at most the ladder's launches (kernel times + submits)."""
+
+    @pytest.mark.parametrize("key_dtype", (np.uint32, np.uint64))
+    @pytest.mark.parametrize("data_scale", (1.0, 100.0))
+    @pytest.mark.parametrize("kind", ("cpu", "gpu"))
+    def test_every_fitting_n(self, kind, data_scale, key_dtype):
+        from repro import cl
+        from repro.cl.kernel import ExecContext
+        from repro.kernels import KERNEL_LIBRARY as lib
+        from repro.ocelot.operators import sort_launches
+
+        engine = _engine(kind, data_scale)
+        device, profile = engine.device, engine.device.profile
+        ctx = ExecContext(device, engine.program.defines,
+                          profile.total_invocations, profile.work_group_size,
+                          data_scale=data_scale)
+        submit = device.host_submit_time()
+        parts, radix = profile.total_invocations, 1 << engine.radix_bits
+        itemsize = np.dtype(key_dtype).itemsize
+        passes = num_passes(engine.radix_bits, 8 * itemsize)
+        keys = np.zeros(1, key_dtype)       # work_fns read dtype + n only
+        pay = np.zeros(1, np.uint32)
+        hist = np.zeros(parts * radix, np.uint32)
+
+        def seconds(name, *args):
+            work = lib[name].work_fn(ctx, *args)
+            return device.kernel_time(work, data_scale) + submit
+
+        n, checked = 2, 0
+        while sort_launches(engine, n, itemsize)[0] == "local":
+            local = seconds("local_sort", keys, pay, keys, n)
+            ladder = seconds("iota", pay, n, 0) + passes * (
+                seconds("radix_histogram", hist, keys, n, 0, parts)
+                + seconds("radix_offsets", hist, hist, parts)
+                + seconds("radix_reorder", keys, pay, keys, pay, hist,
+                          n, 0, parts))
+            assert local <= ladder, (n, local, ladder)
+            checked += 1
+            n += 1
+        assert checked == int(
+            profile.local_mem_bytes // ((itemsize + 4) * data_scale)) - 1

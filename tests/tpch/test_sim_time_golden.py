@@ -3,17 +3,28 @@
 ``sim_digests.json`` holds ``repr(result.elapsed)`` and a checksum of
 the result columns for the 14 TPC-H queries, run in their fixed order
 twice (cold, then warm caches) on one connection per engine to a fresh
-SF 0.1 database.  It was generated at the commit *before* the kernel
-bodies, cost estimators and enqueue path were made cheaper; every cell
-must stay bit-identical.
+SF 0.1 database.  Every cell must stay bit-identical.
 
 The ``pipelined`` section pins the ``submit()`` path the same way: the
 14 queries submitted together (four in flight on ``HET:admission=4``,
 all at once on the sharded engines), cold then warm — per future the
 elapsed time, submit and completion epochs and result checksum, plus
-the batch makespan and the plan cache's placement reuses.  It was
-generated at the commit *before* the per-session state of HET and SHARD
-moved into one shared holder.
+the batch makespan and the plan cache's placement reuses.
+
+History.  The execute section was first generated at the commit
+*before* PR 14 made the kernel bodies, cost estimators and enqueue path
+cheaper, the pipelined section at the commit before PR 15 moved the
+per-session state of HET and SHARD into one shared holder; both stayed
+bit-identical through PR 17.  **Both were regenerated at PR 18**, which
+removed launches (a work-group-local sort for inputs that fit local
+memory, a hash build whose check round counts its own failures): a
+launch is what the simulated devices charge most for, so the times
+fell.  Compared cell by cell before committing — all 196 result
+checksums identical, no elapsed time, completion epoch or makespan
+higher (the two warm Q6 cells, which launch neither, moved by 3e-15
+relative because the clock they are subtracted from moved), placement
+reuses equal; summed elapsed CPU and SHARD:2xCPU -8.8 %, GPU and HET
+-50.4 %, pipelined makespans -25 ... -52 % (table in CHANGES.md).
 
 A change that means to alter the cost model or a result deletes the
 cells it moves and regenerates them (``--regen`` only adds cells that
