@@ -10,6 +10,7 @@ from . import aggregation, bitmap, groupby, hashing, join, primitives, radix_sor
 from .aggregation import AGG_OPS, accumulators_for, segmented_reduce
 from .bitmap import POPCOUNT, count_bits, tail_mask
 from .hashing import EMPTY, NUM_HASH_FUNCTIONS, PROBE_LIMIT, TableFull, hash_slot
+from .primitives import fold_identity
 from .radix_sort import encode_keys, key_kind_for, num_passes
 from .selection import COMPARE_OPS, RANGE_OPS, bitmap_nbytes, predicate_mask
 
@@ -41,6 +42,7 @@ __all__ = [
     "bitmap_nbytes",
     "count_bits",
     "encode_keys",
+    "fold_identity",
     "hash_slot",
     "key_kind_for",
     "num_passes",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cl import KernelDef, KernelWork, params
-from .primitives import chunk_bounds
+from .primitives import chunk_bounds, fold_identity
 
 AGG_OPS = ("sum", "min", "max", "count")
 
@@ -39,7 +39,7 @@ def segmented_reduce(
         return np.bincount(gids, minlength=ngroups).astype(dtype)
     if op == "sum":
         return np.bincount(gids, weights=vals, minlength=ngroups).astype(dtype)
-    out = np.full(ngroups, _identity(op, np.dtype(dtype)), dtype=dtype)
+    out = np.full(ngroups, fold_identity(op, dtype), dtype=dtype)
     if gids.size == 0:
         return out
     order = np.argsort(gids, kind="stable")
@@ -52,13 +52,6 @@ def segmented_reduce(
     reduced = reducer.reduceat(sorted_vals, boundaries)
     out[sorted_gids[boundaries]] = reduced
     return out
-
-
-def _identity(op: str, dtype: np.dtype):
-    if op in ("sum", "count"):
-        return dtype.type(0)
-    info = np.finfo(dtype) if dtype.kind == "f" else np.iinfo(dtype)
-    return info.max if op == "min" else info.min
 
 
 def _grouped_partial_vec(ctx, partials, gids, vals, n, ngroups, op, accums, in_local):
@@ -202,7 +195,7 @@ __kernel void grouped_agg_final(__global ACC* result,
                                 __global const ACC* partials, uint ngroups) {
     /* one thread per group folds the per-work-group partials */
     uint g = global_id();
-    ACC acc = IDENTITY;
+    ACC acc = IDENTITY;     /* 0; min/max: +-INFINITY, or the int limit */
     for (uint p = 0; p < PARTS; ++p) acc = OP(acc, partials[p * ngroups + g]);
     result[g] = acc;
 }

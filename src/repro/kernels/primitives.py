@@ -32,6 +32,25 @@ def chunk_bounds(n: int, parts: int) -> np.ndarray:
     bounds.setflags(write=False)
     return bounds
 
+
+def fold_identity(fold: str, dtype):
+    """What an empty partition contributes to a ``sum`` / ``count`` /
+    ``min`` / ``max`` fold — the one definition under every level that
+    merges partials (work-groups here, then devices, morsels, shards).
+
+    Zero, or the value every element of ``dtype`` beats: floats start
+    from ``±inf`` (a finite extreme would beat a column whose values
+    really are ``±inf``), integers from their limits.
+    """
+    dtype = np.dtype(dtype)
+    if fold in ("sum", "count"):
+        return dtype.type(0)
+    if dtype.kind == "f":
+        return dtype.type(np.inf if fold == "min" else -np.inf)
+    info = np.iinfo(dtype)
+    return dtype.type(info.max if fold == "min" else info.min)
+
+
 # Operator tables for the element-wise kernels.  MonetDB's batcalc module
 # has one operator per arithmetic op; we keep a single kernel with the op
 # as a launch argument (a compile-time constant in real OpenCL).
@@ -244,17 +263,10 @@ def _reduce_partial_vec(ctx, partials, inp, n, op):
     reducer, _ = _REDUCERS[op]
     groups = partials.shape[0]
     bounds = chunk_bounds(n, groups)
-    identity = _identity_for(op, partials.dtype)
+    identity = fold_identity(op, partials.dtype)
     for g in range(groups):
         lo, hi = bounds[g], bounds[g + 1]
         partials[g] = reducer(inp[lo:hi]) if hi > lo else identity
-
-
-def _identity_for(op: str, dtype) -> object:
-    if op == "sum":
-        return dtype.type(0)
-    info = np.finfo(dtype) if dtype.kind == "f" else np.iinfo(dtype)
-    return info.max if op == "min" else info.min
 
 
 def _reduce_partial_work(ctx, partials, inp, n, op):
@@ -286,7 +298,7 @@ def _reduce_partial_ref(wi, partials, inp, n, op):
     # Stage private accumulators through a group-local window of `partials`
     # laid out as [groups, local_size] by the reference launcher.
     row = partials[wi.group_id()]
-    identity = _identity_for(op, partials.dtype)
+    identity = fold_identity(op, partials.dtype)
     row[wi.local_id()] = identity if acc is None else acc
     yield
     size = wi.local_size() // 2
@@ -308,7 +320,7 @@ REDUCE_PARTIAL = KernelDef(
     source="""
 __kernel void reduce_partial(__global ACC* partials, __global const T* inp,
                              uint n) {
-    ACC acc = IDENTITY;
+    ACC acc = IDENTITY;     /* 0; min/max: +-INFINITY, or the int limit */
     for (uint i = FIRST(n); i < LAST(n); i += STEP) acc = OP(acc, inp[i]);
     __local ACC tile[WG]; tile[lid] = acc; barrier(CLK_LOCAL_MEM_FENCE);
     for (uint s = WG/2; s; s >>= 1) { /* pairwise fold */ }

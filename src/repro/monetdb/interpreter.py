@@ -20,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bat import BAT, Role
+from .bat import BAT
 from .mal import MALProgram, Var
+from .partials import slice_rows
 from .storage import Catalog
 
 
@@ -83,6 +84,8 @@ class Backend(abc.ABC):
         #: for the backend as a whole, tiered backends add one per node
         self.health = BreakerBoard()
         self._registry: dict[str, Callable] = {}
+        #: (bat_id, lo, hi) -> sub-range view BAT (:meth:`slice_base`)
+        self._slice_cache: dict[tuple[int, int, int], BAT] = {}
         self._register_ops()
 
     # -- registration -------------------------------------------------------
@@ -235,38 +238,17 @@ class Backend(abc.ABC):
     def slice_base(self, bat: BAT, lo: int, hi: int) -> BAT:
         """Cached view of rows ``[lo, hi)`` of a host-resident BAT.
 
-        Mirrors the heterogeneous pool's ``slice_bat`` (which the HET
-        backend delegates to, sharing its device-placement cache): the
-        full range returns the BAT itself, and a slice of a persistent
-        column counts as base storage like the column."""
+        The full range returns the BAT itself, and a slice of a
+        persistent column counts as base storage like the column
+        (:func:`~repro.monetdb.partials.slice_rows` — the HET backend
+        delegates to its pool's cache over the same constructor, shared
+        with device placement)."""
         if lo == 0 and hi == bat.count:
             return bat
-        cache = getattr(self, "_slice_cache", None)
-        if cache is None:
-            cache = self._slice_cache = {}
         key = (bat.bat_id, lo, hi)
-        sliced = cache.get(key)
+        sliced = self._slice_cache.get(key)
         if sliced is None:
-            slice_rows = getattr(bat, "slice_rows", None)
-            if slice_rows is not None:
-                # an encoded column slices in the compressed domain —
-                # never decode a whole column just to cut a morsel
-                sliced = slice_rows(lo, hi)
-                sliced.is_base = bat.is_base
-                cache[key] = sliced
-                return sliced
-            values = bat.peek_values()
-            if values is None:
-                raise ValueError(f"cannot slice device-only BAT {bat.tag!r}")
-            sliced = BAT(
-                values[lo:hi],
-                Role.VALUES,
-                key=bat.key,
-                sorted_=bat.sorted,
-                tag=f"{bat.tag}[{lo}:{hi}]",
-            )
-            sliced.is_base = bat.is_base
-            cache[key] = sliced
+            sliced = self._slice_cache[key] = slice_rows(bat, lo, hi)
         return sliced
 
     # -- lifecycle ----------------------------------------------------------------
@@ -277,9 +259,7 @@ class Backend(abc.ABC):
         Stateless backends need nothing (they read the catalog on every
         bind); backends holding derived schema state — e.g. the sharded
         engine's per-shard catalogs — resynchronise here."""
-        cache = getattr(self, "_slice_cache", None)
-        if cache:
-            cache.clear()
+        self._slice_cache.clear()
 
     def shutdown(self) -> None:
         """Hook: the owning connection closed; release device state."""

@@ -1,0 +1,185 @@
+"""Partitioned execution: one slicer, one merger.
+
+Parallelism is the runtime's job, done one way at every level: cut the
+input, run the *unmodified* operator per piece, merge what the pieces
+returned.  Devices (:mod:`repro.sched.partition`), morsels
+(:mod:`repro.morsel.run`) and nodes (:mod:`repro.shard.backend`) keep
+what is theirs — who runs a piece where, how it reaches the host, what
+that costs in simulated time.  How a column is cut and how partials
+combine is here, by **output kind**: values :func:`concat`; positions
+take their partition's offset first (:func:`offset_positions`); scalar
+aggregates :func:`fold_scalars`; tables over shared group ids
+:func:`fold_tables`; tables over partition-local ids scatter through a
+slot map (:func:`scatter_tables`, slots from :func:`group_keys` and
+:func:`distinct_rows`); ``avg`` is never merged itself but as its
+``(sum, count)`` pair (:func:`components`, :func:`finish_avg`).  What
+an empty partition contributes is :func:`repro.kernels.fold_identity`,
+the work-group level of the same scheme.  ARCHITECTURE.md
+§"Partitioned execution: one slicer, one merger" maps kinds to
+executors and lists what must not move.
+"""
+
+from __future__ import annotations
+
+import functools
+import operator
+
+import numpy as np
+
+from ..kernels import fold_identity
+from .bat import BAT, Role
+
+_FOLDS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+# -- cutting ----------------------------------------------------------------
+
+def slice_rows(bat: BAT, lo: int, hi: int) -> BAT:
+    """Rows ``[lo, hi)`` of a host-resident BAT as a new BAT over a view
+    (uncached — the executors' slice caches call this on a miss)."""
+    cut = getattr(bat, "slice_rows", None)
+    if cut is not None:
+        # an encoded column slices in the code domain — never decode a
+        # whole column just to cut a piece of it
+        sliced = cut(lo, hi)
+    else:
+        values = bat.peek_values()
+        if values is None:
+            raise ValueError(f"cannot slice device-only BAT {bat.tag!r}")
+        sliced = BAT(values[lo:hi], Role.VALUES, key=bat.key,
+                     sorted_=bat.sorted, tag=f"{bat.tag}[{lo}:{hi}]")
+    # a slice of a persistent column is as cache-persistent as the
+    # column itself (placement treats its upload as amortised)
+    sliced.is_base = bat.is_base
+    return sliced
+
+
+def host_tail(bat: BAT) -> np.ndarray:
+    """Host values of a synced BAT, cut to its logical count: device
+    results are backed by ``max(count, 1)``-element buffers, so a
+    count-0 partial (a piece whose filter matched nothing) carries one
+    element of padding a merge must not take for a row."""
+    values = np.asarray(bat.peek_values())
+    return values[:bat.count] if values.shape[0] != bat.count else values
+
+
+def offsets_of(counts) -> np.ndarray:
+    """Where each partition starts in the concatenated layout."""
+    return np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.int64)
+
+
+# -- row-shaped outputs -----------------------------------------------------
+
+def concat(pieces, dtype) -> np.ndarray:
+    """Partition order is row order (every member operator preserves
+    it), so the concatenation is the whole-column result; no piece at
+    all is the empty column of ``dtype``."""
+    return np.concatenate(pieces) if len(pieces) else np.empty(0, dtype)
+
+
+def offset_positions(local, offset) -> np.ndarray:
+    """Partition-local positions in the concatenated layout (int64: a
+    uint32 oid plus an offset must not wrap before the cast back)."""
+    return np.asarray(local).astype(np.int64, copy=False) + int(offset)
+
+
+def owner_of(positions, offsets) -> np.ndarray:
+    """Partition each concatenated-layout position falls in — the
+    inverse of :func:`offset_positions` (``side="right"``: a position
+    equal to a start belongs to the partition starting there, and empty
+    partitions own nothing)."""
+    return np.searchsorted(offsets, positions, side="right") - 1
+
+
+# -- aggregates -------------------------------------------------------------
+
+def components(fn: str, args) -> list:
+    """``[(aggregate, its arguments)]`` whose partials merge exactly
+    into ``fn(*args)``: itself — except that partial averages do not
+    merge, so ``avg`` is its sum and count (``subavg``: ``subsum`` and
+    ``subcount``, which takes no values column), folded separately and
+    finished by :func:`finish_avg`."""
+    if not fn.endswith("avg"):
+        return [(fn, args)]
+    stem = fn[:-3]
+    return [(stem + "sum", args),
+            (stem + "count", args[1:] if stem else args)]
+
+
+def fold_of(fn: str) -> str:
+    """The fold merging ``fn``'s partials (count partials add up)."""
+    fold = fn.removeprefix("sub")
+    return "sum" if fold == "count" else fold
+
+
+def finish_avg(sums, counts):
+    """The merged average of folded ``(sum, count)`` partials —
+    ``sums / max(counts, 1)`` like the whole-column kernels, so a group
+    no partition saw is 0, not 0/0.  Scalars stay Python floats."""
+    if np.ndim(sums) == 0:
+        return float(sums) / max(counts, 1)
+    return sums.astype(np.float64) / np.maximum(counts, 1)
+
+
+def fold_scalars(fold: str, parts):
+    """Scalar partials fold left to right with Python's own ``+`` /
+    ``min`` / ``max``: float sums keep partition order and Python ints
+    do not wrap."""
+    if fold == "sum":
+        return functools.reduce(operator.add, parts)
+    return min(parts) if fold == "min" else max(parts)
+
+
+def fold_tables(fold: str, tables) -> np.ndarray:
+    """Tables over *shared* group ids fold element-wise, in partition
+    order.  A group a partition never saw holds the fold identity there
+    (0 for sum/count, the dtype extreme for min/max), so the fold is
+    exact."""
+    return functools.reduce(_FOLDS[fold], tables)
+
+
+def scatter_tables(fold: str, n: int, parts, empty_dtype=np.float64):
+    """Tables over *partition-local* group ids fold into ``n`` merged
+    groups through slot maps: ``parts`` yields ``(slots, table)`` per
+    partition, ``slots[g]`` being the merged group of local group ``g``.
+
+    Slots are distinct within one partition (its local groups have
+    distinct keys), which is what makes plain fancy indexing exact —
+    ``acc[slots] = fold(acc[slots], table)`` drops nothing, so no
+    ``ufunc.at`` is needed.  Partitions apply in order (float sums)."""
+    parts = list(parts)
+    dtype = (np.result_type(*[table.dtype for _slots, table in parts])
+             if parts else np.dtype(empty_dtype))
+    acc = np.full(n, fold_identity(fold, dtype), dtype=dtype)
+    for slots, table in parts:
+        acc[slots] = _FOLDS[fold](acc[slots], table)
+    return acc
+
+
+# -- aligning partition-local groups by key ---------------------------------
+
+def group_keys(gids, columns) -> list:
+    """Per column, the value at the first row of every dense local group
+    id: ids ascend, so entry ``g`` of each array is group ``g``'s key."""
+    _ids, first = np.unique(gids, return_index=True)
+    return [np.asarray(column)[first] for column in columns]
+
+
+def distinct_rows(columns) -> "tuple[np.ndarray, np.ndarray]":
+    """``(run of every row, first row of every run)`` of equal-length
+    key columns, runs numbered in ascending key-tuple order.
+
+    Rows with equal key tuples (``==`` per column, so ``-0.0`` meets
+    ``0.0`` and a NaN meets nothing) share a run.  One stable lexsort
+    over the **separate** columns brings equal tuples together, earliest
+    row first — never a common-dtype matrix: float64 cannot tell
+    adjacent int64 keys beyond 2**53 apart."""
+    order = np.lexsort(columns[::-1])
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    runs = np.empty(order.size, dtype=np.int64)
+    runs[order] = np.cumsum(starts) - 1
+    return runs, order[starts]

@@ -26,10 +26,9 @@ Two region shapes share one machinery:
     region's gathers read **whole** base columns at the sliced drive
     positions, element-wise work runs over the gathered morsels, and
     grouped aggregates (``aggr.subsum``/…) fold per-morsel partial
-    tables that combine exactly (sum/count add, min/max meet at the
-    dtype identity, avg via sum+count pairs).  This is the shape that
-    keeps a query's post-``group`` projection→calc→aggregate pipeline
-    morsel-sized.
+    tables that combine exactly (:mod:`repro.monetdb.partials` has the
+    rules, by output kind).  This is the shape that keeps a query's
+    post-``group`` projection→calc→aggregate pipeline morsel-sized.
 
 Grouping itself (``group.group``/``group.subgroup``) may join a region
 too: each morsel is grouped *locally* with the backend's own operators,

@@ -32,17 +32,18 @@ Two execution modes:
 Row-order preservation of every member operator makes the sliced mode
 exact: selections emit ascending slice-local positions (offset by ``lo``
 on escape), gathers and element-wise kernels keep row order, so the
-concatenated chunks equal the whole-column result.  Scalar aggregates
-fold per-morsel partials (``avg`` via per-morsel sum/count pairs);
-morsels whose aggregate input is empty are skipped, keeping one empty
-witness so a fully-empty region still produces the operator's own
-empty-input behaviour.
+concatenated chunks equal the whole-column result.  Aggregates fold
+per-morsel partials; how each output kind merges is
+:mod:`repro.monetdb.partials`.  Morsels whose aggregate input is empty
+are skipped, keeping one empty witness so a fully-empty region still
+produces the operator's own empty-input behaviour.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..monetdb import partials
 from ..monetdb.bat import BAT, OID_DTYPE, Role, make_bat, oid_bat
 from ..monetdb.mal import Var
 from .passes import MorselRegion
@@ -116,9 +117,11 @@ class MorselRun:
         self._member_pos = 0
         self._env: dict = {}
         self._chunks: dict[str, list] = {}
+        #: per aggregate output, per morsel: the partial of every
+        #: component (``avg`` has two) — grouped ones behind the chain-
+        #: wide ids of the morsel's local groups (``None``: shared ids)
         self._agg_parts: dict[str, list] = {}
         self._gagg_parts: dict[str, list] = {}
-        self._lgagg_parts: dict[str, list] = {}
         self._agg_witness: dict[str, BAT] = {}
         self._last_use: dict[str, int] = {}
         for index, member in enumerate(spec.members):
@@ -224,57 +227,49 @@ class MorselRun:
             if out.name not in self._agg_witness:
                 self._agg_witness[out.name] = column
             return
-        if out.fn == "avg":
-            s = self.backend.resolve(f"{out.module}.sum")(column)
-            c = self.backend.resolve(f"{out.module}.count")(column)
-            parts.append((s, c))
-        else:
-            parts.append(
-                self.backend.resolve(f"{out.module}.{out.fn}")(column)
-            )
+        parts.append([
+            self.backend.resolve(f"{out.module}.{name}")(*args)
+            for name, args in partials.components(out.fn, (column,))
+        ])
+
+    def _chain_of(self, member) -> "dict | None":
+        """The in-region group chain a grouped aggregate's ids come
+        from, if they are per-morsel local ids."""
+        gids_arg = member.args[-2]
+        return (self._gchains.get(gids_arg.name)
+                if isinstance(gids_arg, Var) else None)
 
     def _partial_gagg(self, member, out, env, slots) -> None:
-        """Grouped aggregate: fold one morsel's per-group partial table.
-
-        Partials combine exactly — sum/count add, min/max meet at the
-        dtype identity ``segmented_reduce`` fills empty groups with, and
-        avg folds per-morsel sum+count pairs (the final divide matches
-        the whole-column kernels' ``sums / max(counts, 1)``)."""
-        gids_arg = member.args[-2]
-        chain = (self._gchains.get(gids_arg.name)
-                 if isinstance(gids_arg, Var) else None)
+        """Grouped aggregate: keep one morsel's per-group partial table
+        — over in-region (per-morsel local) group ids together with its
+        groups' chain-wide ids, which :meth:`_fold_gagg` scatters
+        through at finalize."""
+        chain = self._chain_of(member)
+        ids = None
         if chain is not None:
-            self._partial_lgagg(member, out, env, slots, chain)
-            return
+            ids = self._morsel_group_ids(chain, env, slots)
+            if ids.size == 0:
+                return
         args = [self._value(a, env, slots) for a in member.args]
-        parts = self._gagg_parts.setdefault(out.name, [])
-        if out.fn == "avg":
-            values, gids, ngroups = args
-            sums = self.backend.resolve(f"{out.module}.subsum")(
-                values, gids, ngroups
-            )
-            counts = self.backend.resolve(f"{out.module}.subcount")(
-                gids, ngroups
-            )
-            parts.append((self._value_array(sums),
-                          self._value_array(counts)))
-            env[f"{out.name}#sum"] = sums
-            env[f"{out.name}#count"] = counts
-            return
-        partial = self.backend.resolve(member.op)(*args)
-        parts.append(self._value_array(partial))
-        env[out.name] = partial
+        tables = [
+            self.backend.resolve(f"{out.module}.{name}")(*part_args)
+            for name, part_args in partials.components(member.function, args)
+        ]
+        for k, table in enumerate(tables):
+            env[f"{out.name}#{k}"] = table   # released with the morsel
+        self._gagg_parts.setdefault(out.name, []).append(
+            (ids, [self._value_array(table) for table in tables])
+        )
 
     # -- in-region grouping (local groups, merged by key at finalize) --------
 
     def _morsel_group_ids(self, chain, env, slots) -> np.ndarray:
         """Chain-wide ids of one morsel's local groups.
 
-        First occurrence per dense local id yields each local group's
-        key tuple; the tuples are appended to the chain's key columns
-        and a group's id is its row there (:meth:`_chain_gids` merges
-        equal tuples at finalize).  Memoised per morsel in ``env``
-        under ``<gids>#ids``."""
+        Each local group's key tuple is appended to the chain's key
+        columns and a group's id is its row there (:meth:`_chain_gids`
+        merges equal tuples at finalize).  Memoised per morsel in
+        ``env`` under ``<gids>#ids``."""
         cached = env.get(f"{chain['gids']}#ids")
         if cached is not None:
             return cached
@@ -284,75 +279,26 @@ class MorselRun:
         if chain["gdtype"] is None and isinstance(gbat, BAT):
             chain["gdtype"] = gbat.dtype
         if lng:
-            _, first = np.unique(lgids, return_index=True)
-            chain["cols"].append([
-                np.asarray(
-                    self._value_array(self._value(arg, env, slots))
-                )[first]
+            chain["cols"].append(partials.group_keys(lgids, [
+                self._value_array(self._value(arg, env, slots))
                 for arg in chain["keys"]
-            ])
+            ]))
         ids = np.arange(chain["count"], chain["count"] + lng,
                         dtype=np.int64)
         chain["count"] += lng
         env[f"{chain['gids']}#ids"] = ids
         return ids
 
-    def _partial_lgagg(self, member, out, env, slots, chain) -> None:
-        """Grouped aggregate over in-region (per-morsel local) group ids:
-        keep the morsel's partial table together with its groups'
-        chain-wide ids; :meth:`_fold_lgagg` scatters them at finalize."""
-        ids = self._morsel_group_ids(chain, env, slots)
-        if ids.size == 0:
-            return
-        parts = self._lgagg_parts.setdefault(out.name, [])
-        args = [self._value(a, env, slots) for a in member.args]
-        if out.fn == "avg":
-            sums = self.backend.resolve(f"{out.module}.subsum")(*args)
-            counts = self.backend.resolve(f"{out.module}.subcount")(
-                *args[1:]
-            )
-            parts.append((ids, self._value_array(sums),
-                          self._value_array(counts)))
-            env[f"{out.name}#sum"] = sums
-            env[f"{out.name}#count"] = counts
-            return
-        partial = self.backend.resolve(member.op)(*args)
-        parts.append((ids, self._value_array(partial)))
-        env[out.name] = partial
-
-    @staticmethod
-    def _merge_keys(cols) -> "tuple[np.ndarray, list]":
-        """``(slot of every row, distinct key columns in slot order)``
-        of equal-length key columns.
-
-        Rows with equal key tuples (``==`` per column, so ``-0.0``
-        meets ``0.0`` and a NaN meets nothing) share a slot, and slots
-        are numbered in first-seen order — what a dictionary filled row
-        by row would hand out, and the order the distinct keys are
-        replayed in.  One stable lexsort brings equal tuples together,
-        earliest row first; a run's slot is the rank of that row."""
-        order = np.lexsort(cols[::-1])
-        starts = np.zeros(order.size, dtype=bool)
-        starts[0] = True
-        for column in cols:
-            ordered = column[order]
-            starts[1:] |= ordered[1:] != ordered[:-1]
-        first = order[starts]               # earliest row of each run
-        seen = np.argsort(first)            # runs in first-seen order
-        slot_of_run = np.empty(first.size, dtype=np.int64)
-        slot_of_run[seen] = np.arange(first.size)
-        slots = np.empty(order.size, dtype=np.int64)
-        slots[order] = slot_of_run[np.cumsum(starts) - 1]
-        return slots, [column[first[seen]] for column in cols]
-
     def _chain_gids(self, chain) -> "tuple[np.ndarray, int]":
         """``(final group id of every chain-wide id, group count)``,
         computed once at finalize.
 
-        Merges the morsels' key tuples, then replays the grouping chain
-        over the distinct ones with the backend's own operators:
-        dense-id numbering is a function of the distinct key set alone
-        in every backend (ascending keys; ``subgroup`` ranks
+        Merges the morsels' key tuples — slots numbered in first-seen
+        order, what a dictionary filled row by row would hand out, and
+        the order the distinct keys are replayed in — then replays the
+        grouping chain over the distinct ones with the backend's own
+        operators: dense-id numbering is a function of the distinct key
+        set alone in every backend (ascending keys; ``subgroup`` ranks
         lexicographic ``(parent, inner)`` pairs), so this reproduces
         the whole-column numbering at distinct-key size."""
         merged = chain.get("merged")
@@ -361,14 +307,16 @@ class MorselRun:
         if not chain["cols"]:
             chain["merged"] = (np.empty(0, dtype=np.int64), 0)
             return chain["merged"]
-        slots, table = self._merge_keys(
-            [np.concatenate(column) for column in zip(*chain["cols"])]
-        )
-        n = int(table[0].size)
+        cols = [np.concatenate(column) for column in zip(*chain["cols"])]
+        runs, first = partials.distinct_rows(cols)
+        seen = np.argsort(first)            # runs in first-seen order
+        slot_of_run = np.empty(first.size, dtype=np.int64)
+        slot_of_run[seen] = np.arange(first.size)
+        n = int(first.size)
         scratch = []
         gids = ngroups = None
-        for member, keys in zip(chain["members"], table):
-            kbat = make_bat(keys, tag="morsel_gkeys")
+        for member, column in zip(chain["members"], cols):
+            kbat = make_bat(column[first[seen]], tag="morsel_gkeys")
             fn = self.backend.resolve(member.op)
             if member.function == "group":
                 gids, ngroups = fn(kbat)
@@ -382,39 +330,8 @@ class MorselRun:
                 f"produced {int(ngroups)} groups"
             )
         self.backend.release_intermediates(scratch)
-        chain["merged"] = (rank[slots], n)
+        chain["merged"] = (rank[slot_of_run[runs]], n)
         return chain["merged"]
-
-    def _fold_lgagg(self, out, chain) -> BAT:
-        gid_of, n = self._chain_gids(chain)
-        parts = self._lgagg_parts.get(out.name, [])
-        if out.fn == "avg":
-            sums = np.zeros(n, dtype=np.float64)
-            counts = np.zeros(n, dtype=np.int64)
-            for ids, s, c in parts:
-                np.add.at(sums, gid_of[ids], s.astype(np.float64))
-                np.add.at(counts, gid_of[ids], c.astype(np.int64))
-            acc = sums / np.maximum(counts, 1)
-        elif out.fn in ("sum", "count"):
-            dtype = parts[0][1].dtype if parts else np.dtype(np.int64)
-            acc = np.zeros(n, dtype=dtype)
-            for ids, p in parts:
-                np.add.at(acc, gid_of[ids], p)
-        else:
-            dtype = parts[0][1].dtype if parts else np.dtype(np.float64)
-            if out.fn == "min":
-                identity = (np.inf if dtype.kind == "f"
-                            else np.iinfo(dtype).max)
-                acc = np.full(n, identity, dtype=dtype)
-                for ids, p in parts:
-                    np.minimum.at(acc, gid_of[ids], p)
-            else:
-                identity = (-np.inf if dtype.kind == "f"
-                            else np.iinfo(dtype).min)
-                acc = np.full(n, identity, dtype=dtype)
-                for ids, p in parts:
-                    np.maximum.at(acc, gid_of[ids], p)
-        return make_bat(acc, tag=f"morsel_{out.name}")
 
     # -- escaping outputs ----------------------------------------------------
 
@@ -437,21 +354,18 @@ class MorselRun:
                 self._chunks.setdefault(out.name, []).append(ids[lgids])
                 continue
             value = local[out.name]
-            if out.kind == "positions":
-                oids = self._positions_array(value)
-                self._chunks.setdefault(out.name, []).append(
-                    oids.astype(np.int64) + lo
-                )
-            else:
-                self._chunks.setdefault(out.name, []).append(
-                    np.asarray(self._value_array(value))
-                )
+            self._chunks.setdefault(out.name, []).append(
+                partials.offset_positions(self._positions_array(value), lo)
+                if out.kind == "positions"
+                else np.asarray(self._value_array(value))
+            )
 
     def _finalize(self) -> None:
         outputs = []
         for out in self.spec.outputs:
+            chunks = self._chunks.get(out.name, [])
             if out.kind == "scalar":
-                outputs.append(self._fold(out))
+                outputs.append(self._fold_scalar(out))
             elif out.kind == "gagg":
                 outputs.append(self._fold_gagg(out))
             elif out.kind == "gscalar":
@@ -461,23 +375,18 @@ class MorselRun:
             elif out.kind == "ggids":
                 chain = self._gchains[out.name]
                 gid_of, _ = self._chain_gids(chain)
-                chunks = self._chunks.get(out.name, [])
-                ids = (np.concatenate(chunks) if chunks
-                       else np.empty(0, dtype=np.int64))
+                ids = partials.concat(chunks, np.int64)
                 final = gid_of[ids] if gid_of.size else ids
                 dtype = chain["gdtype"] or np.int64
                 outputs.append(make_bat(
                     final.astype(dtype), tag=f"morsel_{out.name}"
                 ))
             elif out.kind == "positions":
-                chunks = self._chunks.get(out.name, [])
-                oids = (np.concatenate(chunks) if chunks
-                        else np.empty(0, dtype=np.int64))
                 outputs.append(oid_bat(
-                    oids.astype(OID_DTYPE), tag=f"morsel_{out.name}"
+                    partials.concat(chunks, np.int64).astype(OID_DTYPE),
+                    tag=f"morsel_{out.name}",
                 ))
             else:
-                chunks = self._chunks[out.name]
                 outputs.append(make_bat(
                     np.concatenate(chunks), tag=f"morsel_{out.name}"
                 ))
@@ -485,7 +394,17 @@ class MorselRun:
             self.backend.release_intermediates([witness])
         self.outputs = tuple(outputs)
 
-    def _fold(self, out):
+    @staticmethod
+    def _merge(fn, parts, fold):
+        """Merge aggregate ``fn`` from per-morsel partials: every
+        component folds across the morsels on its own."""
+        folded = [
+            fold(partials.fold_of(name), [part[k] for part in parts])
+            for k, (name, _args) in enumerate(partials.components(fn, ()))
+        ]
+        return folded[0] if len(folded) == 1 else partials.finish_avg(*folded)
+
+    def _fold_scalar(self, out):
         parts = self._agg_parts.get(out.name, [])
         if not parts:
             witness = self._agg_witness.get(out.name)
@@ -496,45 +415,30 @@ class MorselRun:
             return self.backend.resolve(
                 f"{out.module}.{out.fn}"
             )(witness)
-        if out.fn == "avg":
-            total = parts[0][0]
-            count = parts[0][1]
-            for s, c in parts[1:]:
-                total = total + s
-                count = count + c
-            return total / count
-        if out.fn in ("sum", "count"):
-            total = parts[0]
-            for p in parts[1:]:
-                total = total + p
-            return total
-        if out.fn == "min":
-            return min(parts)
-        return max(parts)
+        return self._merge(out.fn, parts, partials.fold_scalars)
 
     def _fold_gagg(self, out) -> BAT:
+        """Partials combine exactly — tables over shared ids fold
+        element-wise, tables over in-region ids scatter through the
+        chain's final ids (no group at all: sums and counts are int64,
+        the rest float64)."""
         member = self._out_member[out.name]
-        gids_arg = member.args[-2]
-        chain = (self._gchains.get(gids_arg.name)
-                 if isinstance(gids_arg, Var) else None)
-        if chain is not None:
-            return self._fold_lgagg(out, chain)
-        parts = self._gagg_parts[out.name]
-        if out.fn == "avg":
-            total = parts[0][0].astype(np.float64)
-            counts = parts[0][1].astype(np.int64)
-            for sums, c in parts[1:]:
-                total = total + sums
-                counts = counts + c
-            folded = total / np.maximum(counts, 1)
-        elif out.fn in ("sum", "count"):
-            folded = parts[0]
-            for p in parts[1:]:
-                folded = folded + p
-        elif out.fn == "min":
-            folded = np.minimum.reduce(parts)
+        chain = self._chain_of(member)
+        parts = self._gagg_parts.get(out.name, [])
+        if chain is None:
+            fold = partials.fold_tables
         else:
-            folded = np.maximum.reduce(parts)
+            gid_of, n = self._chain_gids(chain)
+            slots = [gid_of[ids] for ids, _tables in parts]
+
+            def fold(name, tables):
+                return partials.scatter_tables(
+                    name, n, zip(slots, tables),
+                    np.int64 if name == "sum" else np.float64,
+                )
+
+        folded = self._merge(member.function,
+                             [tables for _ids, tables in parts], fold)
         return make_bat(np.asarray(folded), tag=f"morsel_{out.name}")
 
     # -- host materialisation ------------------------------------------------
@@ -549,21 +453,15 @@ class MorselRun:
     def _value_array(self, bat):
         if not isinstance(bat, BAT):
             return np.asarray(bat)
-        bat = self._to_host(bat)
-        values = np.asarray(bat.peek_values())
-        if values.shape[0] != bat.count:
-            values = values[: bat.count]
-        return values
+        return partials.host_tail(self._to_host(bat))
 
     def _positions_array(self, bat: BAT) -> np.ndarray:
         bat = self._to_host(bat)
-        values = np.asarray(bat.peek_values())
         if bat.role is Role.BITMAP:
+            values = np.asarray(bat.peek_values())
             nbits = getattr(bat, "nbits", None) or values.shape[0]
-            return np.flatnonzero(values[:nbits]).astype(np.int64)
-        if values.shape[0] != bat.count:
-            values = values[: bat.count]
-        return values.astype(np.int64)
+            return np.flatnonzero(values[:nbits])
+        return partials.host_tail(bat)
 
     # -- liveness ------------------------------------------------------------
 

@@ -5,8 +5,8 @@ cached sub-range view of the input (the devices' queues advance
 independently, so the partitions genuinely overlap in simulated time);
 the per-device partials are synced to the host on their own queues, the
 pool joins the timelines (the barrier before the merge), and a cheap
-host merge — concatenation for row-shaped results, an element-wise fold
-for ngroups-wide aggregation partials — produces one MonetDB-owned BAT.
+host merge — by output kind, :mod:`repro.monetdb.partials` — produces
+one MonetDB-owned BAT per output.
 
 Mirrors the partition-parallel OLAP pattern of Hespe et al.: big
 partition-local work, small merge.
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..monetdb import partials
 from ..monetdb.bat import BAT, OID_DTYPE, Role
-from ..monetdb.calc import grouped_dtype
 from ..ocelot.operators import HOST_CODE, op_sync
 from ..ocelot.rewriter import GROUPED_AGG_FUNCTIONS, SELECT_FUNCTIONS
 from .pool import DevicePool
@@ -27,28 +27,27 @@ def execute_split(pool: DevicePool, function: str, args,
                   plan: list[tuple[int, int, int]],
                   charge_overhead=None):
     """Run ``ocelot.<function>`` split per ``plan`` and merge on host."""
-    if function in SELECT_FUNCTIONS:
-        return _split_select(pool, function, args, plan, charge_overhead)
-    if function in GROUPED_AGG_FUNCTIONS:
-        return _split_grouped(pool, function, args, plan, charge_overhead)
-    if function == "pipe":
-        return _split_pipe(pool, function, args, plan, charge_overhead)
-    return _split_ewise(pool, function, args, plan, charge_overhead)
+    merged = [
+        _fan_out(pool, name, part_args, plan, charge_overhead)
+        for name, part_args in partials.components(function, args)
+    ]
+    if len(merged) == 1:
+        return merged[0]
+    sums, counts = (bat.peek_values() for bat in merged)
+    return BAT(partials.finish_avg(sums, counts), Role.VALUES,
+               tag=f"het_{function}")
 
 
-# ---------------------------------------------------------------------------
-# shared plumbing
-# ---------------------------------------------------------------------------
-
-def _run_partials(pool, function, args, plan, charge_overhead):
-    """One partial result per participating device (concurrent queues)."""
+def _fan_out(pool, function, args, plan, charge_overhead):
+    """One operator: a partial per participating device (concurrent
+    queues), every output merged by its kind."""
     if charge_overhead is not None:
         # wake every participating device *before* enqueueing the first
         # partial: a wake-up charge is a joined-timeline barrier, which
         # mid-loop would serialize partials already in flight
         for device, _lo, _hi in plan:
             charge_overhead(device)
-    partials = []
+    shares = []
     for device, lo, hi in plan:
         engine = pool.engines[device]
         sliced = [
@@ -57,126 +56,51 @@ def _run_partials(pool, function, args, plan, charge_overhead):
         ]
         with engine.memory.operator_scope():
             out = HOST_CODE[function](engine, *sliced)
-        partials.append((engine, lo, hi, out))
-    return partials
+        shares.append((engine, lo, out if isinstance(out, tuple)
+                       else (out,)))
+    # a fused region has one output per live definition (pure values —
+    # the placer never splits a pipe with a selection output)
+    merged = [
+        _merge_output(function, [
+            (lo, _to_host(engine, outs[index]))
+            for engine, lo, outs in shares
+        ])
+        for index in range(len(shares[0][2]))
+    ]
+    # join the queues and charge the host-side merge
+    merged_bytes = sum(int(bat.peek_values().nbytes) for bat in merged)
+    pool.charge_host(pool.merge_seconds(merged_bytes * pool.data_scale))
+    for _engine, _lo, outs in shares:
+        for out in outs:
+            if isinstance(out, BAT):
+                pool.release_device_bat(out)
+    return merged[0] if len(merged) == 1 else tuple(merged)
 
 
 def _to_host(engine, bat: BAT) -> np.ndarray:
     """Sync one partial back on its own device's queue."""
     with engine.memory.operator_scope():
         op_sync(engine, bat)
-    return bat.peek_values()
+    return partials.host_tail(bat)
 
 
-def _merge_barrier(pool: DevicePool, merged_bytes: int) -> None:
-    """Join the queues and charge the host-side merge."""
-    pool.charge_host(pool.merge_seconds(merged_bytes * pool.data_scale))
-
-
-def _discard(pool: DevicePool, partials) -> None:
-    for engine, _lo, _hi, out in partials:
-        if isinstance(out, BAT):
-            pool.release_device_bat(out)
-
-
-# ---------------------------------------------------------------------------
-# selection: offset + concatenate the qualifying-oid lists
-# ---------------------------------------------------------------------------
-
-def _split_select(pool, function, args, plan, charge_overhead):
-    partials = _run_partials(pool, function, args, plan, charge_overhead)
-    pieces = []
-    for engine, lo, _hi, out in partials:
-        local = _to_host(engine, out)
-        if local.size:
-            pieces.append(local.astype(OID_DTYPE) + OID_DTYPE.type(lo))
-    oids = (
-        np.concatenate(pieces) if pieces else np.empty(0, OID_DTYPE)
-    )
-    _merge_barrier(pool, int(oids.nbytes))
-    _discard(pool, partials)
-    # per-partition lists ascend and partitions are disjoint ranges, so
-    # the concatenation is the globally ascending oid list MS produces
-    return BAT(oids, Role.OIDS, key=True, tag="het_sel")
-
-
-# ---------------------------------------------------------------------------
-# element-wise operators: concatenate the row slices
-# ---------------------------------------------------------------------------
-
-def _split_ewise(pool, function, args, plan, charge_overhead):
-    partials = _run_partials(pool, function, args, plan, charge_overhead)
-    pieces = [
-        _to_host(engine, out) for engine, _lo, _hi, out in partials
-    ]
-    values = np.concatenate(pieces)
-    _merge_barrier(pool, int(values.nbytes))
-    _discard(pool, partials)
-    return BAT(np.ascontiguousarray(values), Role.VALUES, tag="het_ewise")
-
-
-# ---------------------------------------------------------------------------
-# fused regions: per-output concatenation of the row slices
-# ---------------------------------------------------------------------------
-
-def _split_pipe(pool, function, args, plan, charge_overhead):
-    """Fan out one fused region (pure value outputs — the placer never
-    splits a pipe with a selection output) and merge each live output
-    by concatenation, exactly like a plain element-wise operator."""
-    partials = _run_partials(pool, function, args, plan, charge_overhead)
-    n_out = len(args[0].outputs)
-    merged, merged_bytes = [], 0
-    for index in range(n_out):
-        pieces = []
-        for engine, _lo, _hi, out in partials:
-            part = out[index] if isinstance(out, tuple) else out
-            pieces.append(_to_host(engine, part))
-        values = np.ascontiguousarray(np.concatenate(pieces))
-        merged_bytes += values.nbytes
-        merged.append(BAT(values, Role.VALUES, tag="het_pipe"))
-    _merge_barrier(pool, merged_bytes)
-    for engine, _lo, _hi, out in partials:
-        for part in (out if isinstance(out, tuple) else (out,)):
-            if isinstance(part, BAT):
-                pool.release_device_bat(part)
-    return merged[0] if n_out == 1 else tuple(merged)
-
-
-# ---------------------------------------------------------------------------
-# grouped aggregation: fold the ngroups-wide partials
-# ---------------------------------------------------------------------------
-
-def _fold(op: str, tables: list[np.ndarray]) -> np.ndarray:
-    stack = np.stack(tables)
-    if op in ("sum", "count"):
-        return stack.sum(axis=0, dtype=stack.dtype)
-    if op == "min":
-        return stack.min(axis=0)
-    return stack.max(axis=0)
-
-
-def _split_grouped(pool, function, args, plan, charge_overhead):
-    if function == "subavg":
-        # partial averages do not merge; fold partial sums and counts
-        vals, gids, ngroups = args
-        sums = _split_grouped(pool, "subsum", (vals, gids, ngroups),
-                              plan, charge_overhead)
-        counts = _split_grouped(pool, "subcount", (gids, ngroups),
-                                plan, charge_overhead)
-        avg = (sums.peek_values().astype(np.float64)
-               / counts.peek_values())
-        return BAT(avg.astype(grouped_dtype("avg", vals.dtype)),
-                   Role.VALUES, tag="het_subavg")
-
-    op = function[3:]   # subsum -> sum, ...
-    partials = _run_partials(pool, function, args, plan, charge_overhead)
-    tables = [
-        _to_host(engine, out) for engine, _lo, _hi, out in partials
-    ]
-    # per-slice empty groups hold the fold identity (0 for sum/count,
-    # the dtype extreme for min/max), so the element-wise fold is exact
-    merged = _fold(op, tables)
-    _merge_barrier(pool, int(merged.nbytes))
-    _discard(pool, partials)
-    return BAT(np.ascontiguousarray(merged), Role.VALUES,
-               tag=f"het_{function}")
+def _merge_output(function: str, pieces) -> BAT:
+    """``pieces``: ``(first row, host partial)`` per partition."""
+    if function in SELECT_FUNCTIONS:
+        # per-partition lists ascend and partitions are disjoint ranges,
+        # so the concatenation is the globally ascending oid list MS
+        # produces
+        oids = partials.concat(
+            [partials.offset_positions(local, lo) for lo, local in pieces],
+            np.int64,
+        )
+        return BAT(oids.astype(OID_DTYPE), Role.OIDS, key=True,
+                   tag="het_sel")
+    tables = [partial for _lo, partial in pieces]
+    if function in GROUPED_AGG_FUNCTIONS:
+        values = partials.fold_tables(partials.fold_of(function), tables)
+        tag = f"het_{function}"
+    else:
+        values = np.concatenate(tables)
+        tag = "het_pipe" if function == "pipe" else "het_ewise"
+    return BAT(np.ascontiguousarray(values), Role.VALUES, tag=tag)

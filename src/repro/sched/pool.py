@@ -22,7 +22,8 @@ sound in the simulated-timeline model:
 from __future__ import annotations
 
 from ..cl import Buffer
-from ..monetdb.bat import BAT, Role
+from ..monetdb.bat import BAT
+from ..monetdb.partials import slice_rows
 from ..monetdb.storage import Catalog
 from ..ocelot.autotune import DeviceCharacteristics, autotune
 from ..ocelot.engine import OcelotEngine
@@ -147,29 +148,7 @@ class DevicePool:
         key = (bat.bat_id, lo, hi)
         sliced = self._slices.get(key)
         if sliced is None:
-            slice_rows = getattr(bat, "slice_rows", None)
-            if slice_rows is not None:
-                # encoded columns slice in the code domain — no decode
-                sliced = slice_rows(lo, hi)
-                sliced.is_base = bat.is_base
-                self._slices[key] = sliced
-                return sliced
-            values = bat.peek_values()
-            if values is None:
-                raise ValueError(
-                    f"cannot slice device-only BAT {bat.tag!r}"
-                )
-            sliced = BAT(
-                values[lo:hi],
-                Role.VALUES,
-                key=bat.key,
-                sorted_=bat.sorted,
-                tag=f"{bat.tag}[{lo}:{hi}]",
-            )
-            # a slice of a persistent column is as cache-persistent as
-            # the column itself (placement treats its upload as amortised)
-            sliced.is_base = bat.is_base
-            self._slices[key] = sliced
+            sliced = self._slices[key] = slice_rows(bat, lo, hi)
         return sliced
 
     def slice_cached_on(self, bat: BAT, lo: int, hi: int,

@@ -21,10 +21,8 @@ wrappers holding one part per shard plus merge provenance:
 * **aggregate partials** carry a fold tag: scalar aggregates fold on
   the driver; grouped aggregates are aligned **by group key** across
   shards (shard-local dense group ids are translated through each
-  shard's key table) and folded mat.pack-style with the same fold
-  semantics as the heterogeneous engine's partition merge —
-  ``avg`` partials are computed as (sum, count) pairs so the merged
-  average is exact;
+  shard's key table) and folded mat.pack-style by the merge rules every
+  partitioned executor shares (:mod:`repro.monetdb.partials`);
 * a partial consumed by a *later* operator (``HAVING`` over grouped
   sums, ``ORDER BY`` over aggregates, scalar arithmetic on a ``sum``)
   is **merged eagerly at that point** and re-broadcast to every shard —
@@ -74,6 +72,7 @@ import numpy as np
 
 from ..cl import GB
 from ..engines import EngineConfig
+from ..monetdb import partials
 from ..monetdb.bat import BAT, OID_DTYPE, Role, make_bat, oid_bat
 from ..monetdb.interpreter import (
     Backend,
@@ -186,22 +185,32 @@ _SCALAR_AGGS = frozenset({"sum", "min", "max", "count", "avg"})
 _GROUPED_AGGS = frozenset(
     {"subsum", "submin", "submax", "subcount", "subavg"}
 )
-#: fold op per aggregate partial (count partials fold by summing)
-_FOLD_OF = {"sum": "sum", "count": "sum", "min": "min", "max": "max",
-            "subsum": "sum", "subcount": "sum", "submin": "min",
-            "submax": "max"}
+#: ``ShardedValue.space`` of a position column not valued in one
+#: shard's own rows (those carry the space's per-shard row counts):
+#: positions referring to a *gathered* (global) row space — projections
+#: through them must gather their source column too
+GATHERED = "gathered"
+#: positions valued in the shard-order-concatenated layout of a row
+#: space that *stays partitioned* (a shuffled join side): projections
+#: through them fetch only the referenced rows from their owner shards
+#: instead of gathering the whole column
+CONCAT = "concat"
+#: positions into a row space that is identical on every shard (a
+#: replicated table, a broadcast value): valid anywhere without
+#: translation — gathers and remote fetches must not apply per-shard
+#: offsets to them
+REPLICATED = "replicated"
 
 
 class ShardedValue:
     """One interpreter value, sharded: a part per shard + provenance."""
 
     __slots__ = ("parts", "partitioned", "merge", "group", "pair",
-                 "avg_dtype", "global_oids", "base_rows", "_gathered",
-                 "origin", "remote_oids", "repl_space", "dead", "holds",
+                 "space", "_gathered", "origin", "dead", "holds",
                  "shares")
 
     def __init__(self, parts, partitioned, merge=None, group=None,
-                 pair=None, avg_dtype=None, global_oids=False):
+                 pair=None):
         self.parts = parts
         self.partitioned = partitioned
         #: fold tag ("sum"/"min"/"max"/"avg") for aggregate partials
@@ -210,14 +219,12 @@ class ShardedValue:
         self.group = group
         #: (sums, counts) ShardedValues for exact avg merges
         self.pair = pair
-        self.avg_dtype = avg_dtype
-        #: positions referring to a *gathered* (global) row space —
-        #: projections through them must gather their source column too
-        self.global_oids = global_oids
-        #: for position-valued columns: per-shard row counts of the
-        #: space the positions index; gathering translates shard-local
-        #: positions into the gathered layout by these offsets
-        self.base_rows: "tuple[int, ...] | None" = None
+        #: for position-valued columns, the row space the positions
+        #: index: the per-shard row counts of a partitioned space
+        #: (shard-local positions; gathering translates them into the
+        #: gathered layout by these offsets), or one of
+        #: :data:`GATHERED` / :data:`CONCAT` / :data:`REPLICATED`
+        self.space: "tuple[int, ...] | str | None" = None
         self._gathered = None      # cached broadcast after an eager merge
         #: (table, column) whose base values these are, tracked only
         #: while every shard's part is still a subset of that shard's
@@ -226,16 +233,6 @@ class ShardedValue:
         #: computed values clear it).  The join planner's key-alignment
         #: checks hang off this.
         self.origin: "tuple[str, str] | None" = None
-        #: positions valued in the shard-order-concatenated layout of a
-        #: row space that *stays partitioned* (a shuffled join side):
-        #: projections through them fetch only the referenced rows from
-        #: their owner shards instead of gathering the whole column
-        self.remote_oids = False
-        #: positions into a row space that is identical on every shard
-        #: (a replicated table, a broadcast value): valid anywhere
-        #: without translation — gathers and remote fetches must not
-        #: apply per-shard offsets to them
-        self.repl_space = False
         #: lifetime (``ShardedBackend.release_intermediates``): a value
         #: owns its parts and recycles them on their shards once it is
         #: ``dead`` (its last consumer ran) and nothing ``holds`` it —
@@ -275,22 +272,23 @@ class _Grouping:
         self.outer_gids = (None if outer_gids is None
                            else list(outer_gids.parts))
         self._merged = None
-        self._key_cache: dict[int, np.ndarray] = {}
-        #: the values :meth:`keys_matrix` reads — possibly long after
+        self._key_cache: dict[int, list] = {}
+        #: the values :meth:`key_columns` reads — possibly long after
         #: their last static use — held until every shard's keys are in
         self._held = [v for v in (keys, gids, outer_gids) if v is not None]
         for value in self._held:
             value.holds += 1
 
-    def keys_matrix(self, shard: int) -> np.ndarray:
-        """(ngroups_s, n_key_columns) matrix of shard-local group keys,
-        row ``g`` holding local group ``g``'s key tuple (ascending)."""
+    def key_columns(self, shard: int) -> list:
+        """Shard-local group keys, one array per key column at its own
+        width; entry ``g`` of each is local group ``g``'s key
+        (ascending)."""
         cached = self._key_cache.get(shard)
         if cached is not None:
             return cached
         values = self.backend._host_values(shard, self.key_bats[shard])
         if self.outer is None:
-            keys = np.unique(values).reshape(-1, 1)
+            keys = [np.unique(values)]
         else:
             gids = self.backend._host_values(
                 shard, self.gids_bats[shard]
@@ -298,14 +296,10 @@ class _Grouping:
             outer_gids = self.backend._host_values(
                 shard, self.outer_gids[shard]
             ).astype(np.int64, copy=False)
-            # first row of each dense id; ids ascend in key order, so
-            # np.unique's sorted ids line up with row positions 0..n-1
-            _ids, first = np.unique(gids, return_index=True)
-            outer_keys = self.outer.keys_matrix(shard)
-            keys = np.column_stack(
-                [outer_keys[outer_gids[first]], values[first]]
-            )
-        if keys.shape[0] != int(self.ngroups[shard]):
+            outer_of, inner = partials.group_keys(gids, (outer_gids, values))
+            keys = [column[outer_of]
+                    for column in self.outer.key_columns(shard)] + [inner]
+        if keys[0].shape[0] != int(self.ngroups[shard]):
             raise AssertionError(
                 "shard group keys out of step with dense ids"
             )
@@ -322,32 +316,18 @@ class _Grouping:
         ``local gid -> global index`` translation (global groups sorted
         ascending by key tuple — the single-node output convention)."""
         if self._merged is None:
-            mats = [
-                self.keys_matrix(s)
-                for s in range(len(self.key_bats))
-            ]
-            common = np.result_type(*[m.dtype for m in mats])
-            stacked = np.vstack([m.astype(common, copy=False)
-                                 for m in mats])
-            uniq, inverse = np.unique(
-                stacked, axis=0, return_inverse=True
-            )
-            inverse = np.asarray(inverse).reshape(-1)
-            maps, offset = [], 0
-            for m in mats:
-                maps.append(inverse[offset:offset + m.shape[0]])
-                offset += m.shape[0]
-            self._merged = (uniq.shape[0], maps)
-            self.backend._charge_merge(int(stacked.nbytes))
+            tables = [self.key_columns(s)
+                      for s in range(len(self.key_bats))]
+            columns = [np.concatenate(column) for column in zip(*tables)]
+            runs, first = partials.distinct_rows(columns)
+            bounds = np.cumsum([table[0].shape[0] for table in tables])
+            self._merged = (first.size, np.split(runs, bounds[:-1]))
+            # cost-model oddity kept for the golden (ROADMAP): the key
+            # tables used to be stacked into one matrix of the columns'
+            # common numpy type, and that matrix is what is charged
+            width = np.result_type(*[c.dtype for c in columns]).itemsize
+            self.backend._charge_merge(runs.size * len(columns) * width)
         return self._merged
-
-
-def _fold_identity(op: str, dtype: np.dtype):
-    if op == "sum":
-        return 0
-    info = (np.finfo(dtype) if np.issubdtype(dtype, np.floating)
-            else np.iinfo(dtype))
-    return info.max if op == "min" else info.min
 
 
 @dataclass
@@ -782,18 +762,14 @@ class ShardedBackend(Backend):
         """Host tail of one shard's BAT, syncing through the shard's own
         backend (charging that shard's clock) when device-resident.
 
-        Synced device results are backed by ``max(count, 1)``-element
-        buffers, so a count-0 BAT (a shard whose filter matched nothing)
-        carries one element of padding — truncate to the logical count
-        or gathers and folds would fabricate a phantom row."""
+        Cut to the logical count (:func:`~repro.monetdb.partials
+        .host_tail`), or gathers and folds would fabricate a phantom
+        row for a shard whose filter matched nothing."""
         if not isinstance(part, BAT):
             return part
         if not part.has_host_values:
             self.children[shard].resolve("ocelot.sync")(part)
-        values = part.values
-        if values.shape[0] != part.count:
-            return values[:part.count]
-        return values
+        return partials.host_tail(part)
 
     def _dispatch(self, shard: int, op: str, args):
         """Run one operator on one shard, absorbing transient blips
@@ -840,10 +816,7 @@ class ShardedBackend(Backend):
                     child.tracer = None
                     tracer.end(span)
         if partitioned is None:
-            partitioned = any(
-                isinstance(a, ShardedValue) and a.partitioned
-                for a in args
-            )
+            partitioned = any(self._needs_gather(a) for a in args)
         first = outs[0]
         if isinstance(first, tuple):
             return tuple(
@@ -867,9 +840,12 @@ class ShardedBackend(Backend):
         # here — the cluster plan's scatter/gather boundary
         args = [self._demote(a) for a in args]
         fn = op.split(".", 1)[1] if "." in op else op
-        if fn in _SCALAR_AGGS:
-            return self._scalar_agg(op, fn, args)
-        if fn in _GROUPED_AGGS:
+        if fn in _SCALAR_AGGS or fn in _GROUPED_AGGS:
+            if not any(self._needs_gather(a) for a in args):
+                # rows every shard holds alike: a result, not a partial
+                return self._fan(op, args, partitioned=False)
+            if fn in _SCALAR_AGGS:
+                return self._scalar_agg(op, fn, args)
             return self._grouped_agg(op, fn, args)
         handler = getattr(self, f"_op_{fn}", None)
         if handler is not None:
@@ -898,11 +874,6 @@ class ShardedBackend(Backend):
     # -- aggregates -----------------------------------------------------------------
 
     def _scalar_agg(self, op: str, fn: str, args):
-        partitioned = any(
-            isinstance(a, ShardedValue) and a.partitioned for a in args
-        )
-        if not partitioned:
-            return self._fan(op, args, partitioned=False)
         module = op.split(".", 1)[0]
         # shards whose filtered input is empty contribute the fold
         # identity, not a partial — single-node engines (rightly) refuse
@@ -925,23 +896,26 @@ class ShardedBackend(Backend):
                 parts[shard] = self._dispatch(shard, op_name, args)
             return ShardedValue(parts, True)
 
-        if fn == "avg":
-            sums = fan_active(f"{module}.sum")
-            counts = fan_active(f"{module}.count")
-            sums.merge, counts.merge = "sum", "sum"
-            return ShardedValue([None] * self.n_shards, True,
-                                merge="avg", pair=(sums, counts))
-        out = fan_active(op)
-        out.merge = _FOLD_OF[fn]
-        return out
+        return self._tag_partials(
+            [(name, fan_active(f"{module}.{name}"))
+             for name, _args in partials.components(fn, args)]
+        )
+
+    def _tag_partials(self, fanned, grouping=None):
+        """Tag each ``(aggregate, fanned partial)`` with its fold; an
+        ``avg`` is the value holding its (sum, count) pair."""
+        for name, partial in fanned:
+            partial.merge = partials.fold_of(name)
+            partial.group = grouping
+        if len(fanned) == 1:
+            return fanned[0][1]
+        return ShardedValue(
+            [None] * self.n_shards, True, merge="avg", group=grouping,
+            pair=tuple(partial for _name, partial in fanned),
+        )
 
     def _grouped_agg(self, op: str, fn: str, args):
         gids = args[0] if fn == "subcount" else args[1]
-        partitioned = any(
-            isinstance(a, ShardedValue) and a.partitioned for a in args
-        )
-        if not partitioned:
-            return self._fan(op, args, partitioned=False)
         grouping = getattr(gids, "group", None) if isinstance(
             gids, ShardedValue) else None
         if grouping is None:
@@ -950,43 +924,20 @@ class ShardedBackend(Backend):
                 f"— plan shape not supported by the SHARD engine"
             )
         module = op.split(".", 1)[0]
-        if fn == "subavg":
-            vals = args[0]
-            sums = self._grouped_agg(f"{module}.subsum", "subsum", args)
-            counts = self._grouped_agg(
-                f"{module}.subcount", "subcount", args[1:]
-            )
-            dtype = None
-            if isinstance(vals, ShardedValue) \
-                    and isinstance(vals.parts[0], BAT):
-                from ..monetdb.calc import grouped_dtype
-
-                dtype = grouped_dtype("avg", vals.parts[0].dtype)
-            return ShardedValue(
-                [None] * self.n_shards, True, merge="avg",
-                group=grouping, pair=(sums, counts), avg_dtype=dtype,
-            )
-        out = self._fan(op, args, partitioned=True)
-        out.merge = _FOLD_OF[fn]
-        out.group = grouping
-        return out
+        return self._tag_partials(
+            [(name, self._fan(f"{module}.{name}", part_args,
+                              partitioned=True))
+             for name, part_args in partials.components(fn, args)],
+            grouping,
+        )
 
     def _fold_scalar(self, value: ShardedValue):
-        if value.merge == "avg":
-            total = self._fold_scalar(value.pair[0])
-            count = self._fold_scalar(value.pair[1])
-            return float(total) / max(float(count), 1.0)
+        if value.pair is not None:
+            return partials.finish_avg(*map(self._fold_scalar, value.pair))
         # empty shards were skipped at fan-out time (None = identity)
         parts = [p for p in value.parts if p is not None]
-        if value.merge == "sum":
-            total = parts[0]
-            for part in parts[1:]:
-                total = total + part
-            return total
-        if value.merge == "min":
-            return min(parts)
-        if value.merge == "max":
-            return max(parts)
+        if value.merge in ("sum", "min", "max"):
+            return partials.fold_scalars(value.merge, parts)
         if value.merge == "first" or not value.partitioned:
             return parts[0]
         raise UnsupportedOperator(
@@ -997,95 +948,79 @@ class ShardedBackend(Backend):
     def _fold_grouped(self, value: ShardedValue) -> np.ndarray:
         """Key-aligned fold of an ngroups-wide partial across shards,
         in ascending global key order (the single-node convention)."""
-        grouping = value.group
-        n_global, maps = grouping.merged()
-        if value.merge == "avg":
-            sums = self._fold_grouped(value.pair[0]).astype(np.float64)
-            counts = self._fold_grouped(value.pair[1]).astype(np.float64)
-            avg = sums / np.maximum(counts, 1.0)
-            return avg.astype(value.avg_dtype or np.float64)
-        arrays = [
-            self._host_values(shard, part)
+        n_global, maps = value.group.merged()
+        if value.pair is not None:
+            return partials.finish_avg(*map(self._fold_grouped, value.pair))
+        return partials.scatter_tables(value.merge, n_global, zip(maps, (
+            np.asarray(self._host_values(shard, part))
             for shard, part in enumerate(value.parts)
-        ]
-        dtype = np.result_type(*[np.asarray(a).dtype for a in arrays])
-        out = np.full(n_global, _fold_identity(value.merge, dtype),
-                      dtype=dtype)
-        for shard, vals in enumerate(arrays):
-            idx = maps[shard]
-            if value.merge == "sum":
-                out[idx] = out[idx] + vals
-            elif value.merge == "min":
-                out[idx] = np.minimum(out[idx], vals)
-            else:
-                out[idx] = np.maximum(out[idx], vals)
-        return out
+        )))
 
     # -- gathers (global row-space operators) ------------------------------------
 
+    def _global_layout(self, value: ShardedValue, verb: str):
+        """``(arrays, positions, width)``: the host tail of every part
+        in the shard-order concatenated layout, whether the *values*
+        are positions into some row space, and the bytes an element is
+        charged at on the wire.
+
+        Every column of one row space concatenates in shard order, so
+        these layouts are mutually consistent.  A column holds
+        positions when it carries their space or the OIDS role (role
+        alone is not enough: a projected row map is a VALUES-role BAT
+        of positions); shard-local ones translate into the layout by
+        their space's per-shard row counts, those already valued in a
+        global or shard-agnostic layout stay as they are."""
+        arrays = [
+            np.asarray(self._host_values(shard, part))
+            for shard, part in enumerate(value.parts)
+        ]
+        positions = value.space is not None or any(
+            isinstance(p, BAT) and p.role is Role.OIDS for p in value.parts
+        )
+        width = arrays[0].dtype.itemsize
+        if isinstance(value.space, tuple):
+            arrays = [
+                partials.offset_positions(local, offset) for local, offset
+                in zip(arrays, partials.offsets_of(value.space))
+            ]
+            # cost-model oddity kept for the golden (ROADMAP): translated
+            # positions are charged at the int64 they are computed in,
+            # not at the 4-byte oids that ship
+            width = 8
+        elif positions and value.space is None:
+            raise UnsupportedOperator(
+                f"cannot {verb} a sharded position column whose row "
+                f"space is unknown (unsupported plan shape for SHARD)"
+            )
+        return arrays, positions, width
+
     def _gather_rows(self, value: ShardedValue) -> ShardedValue:
         """Concatenate a partitioned row-space value on the driver and
-        broadcast it to every shard (sort / broadcast-join path).
-
-        Every gathered column of one row space concatenates in shard
-        order, so gathered layouts are mutually consistent; *position*
-        columns additionally translate shard-local positions into that
-        layout via their space's per-shard row counts (``base_rows``).
-        """
+        broadcast it to every shard (sort / broadcast-join path)."""
         if value._gathered is None:
-            arrays = [
-                self._host_values(shard, part)
-                for shard, part in enumerate(value.parts)
-            ]
-            positions = (
-                value.base_rows is not None or value.remote_oids
-                or value.global_oids or value.repl_space
-                or any(isinstance(p, BAT) and p.role is Role.OIDS
-                       for p in value.parts)
-            )
-            if positions:
-                if value.global_oids or value.remote_oids \
-                        or value.repl_space:
-                    # already valued in a global (or shard-agnostic)
-                    # layout — no per-shard offset translation to apply
-                    pass
-                elif value.base_rows is None:
-                    raise UnsupportedOperator(
-                        "cannot gather a sharded position column whose "
-                        "row space is unknown (unsupported plan shape "
-                        "for SHARD)"
-                    )
-                else:
-                    offsets = np.concatenate(
-                        ([0], np.cumsum(value.base_rows[:-1]))
-                    ).astype(np.int64)
-                    arrays = [
-                        a.astype(np.int64) + offsets[s]
-                        for s, a in enumerate(arrays)
-                    ]
-                merged = np.concatenate(arrays)
-                bats = [
-                    oid_bat(merged.astype(OID_DTYPE), tag="shard_gather")
-                    for _ in range(self.n_shards)
-                ]
-                physical = int(merged.nbytes)
-            else:
-                merged = np.concatenate(arrays)
-                bats = [
-                    make_bat(merged, tag="shard_gather")
-                    for _ in range(self.n_shards)
-                ]
-                # encoded parts would ship (and re-broadcast) their
-                # codec payloads, not the decoded arrays
-                physical = self._physical_nbytes(value.parts, arrays)
-            self._charge_merge(int(merged.nbytes) * (1 + self.n_shards),
+            arrays, positions, width = self._global_layout(value, "gather")
+            merged = np.concatenate(arrays)
+            nbytes = merged.size * width
+            # encoded parts would ship (and re-broadcast) their codec
+            # payloads, not the decoded arrays
+            physical = (nbytes if positions
+                        else self._physical_nbytes(value.parts, arrays))
+            self._charge_merge(nbytes * (1 + self.n_shards),
                                kind="broadcast",
                                physical_nbytes=physical
                                * (1 + self.n_shards))
-            gathered = ShardedValue(bats, partitioned=False)
-            # offset-translated positions now live in the gathered
-            # (global) layout — consumers must gather their sources too
-            gathered.global_oids = positions
+            gathered = ShardedValue(
+                [(oid_bat if positions else make_bat)(
+                    merged, tag="shard_gather")
+                 for _ in range(self.n_shards)],
+                partitioned=False,
+            )
+            if positions:
+                # offset-translated positions now live in the gathered
+                # (global) layout — consumers must gather their sources
+                # too
+                gathered.space = GATHERED
             value._gathered = gathered
         return value._gathered
 
@@ -1115,15 +1050,12 @@ class ShardedBackend(Backend):
     def _mark_space(self, pos, space) -> None:
         """Annotate a position column with the row space it indexes:
         per-shard counts when the space is partitioned (gathers and
-        remote fetches translate by them), or ``repl_space`` when the
-        space is identical on every shard (positions valid anywhere,
-        translation would corrupt them)."""
-        if not isinstance(pos, ShardedValue):
-            return
-        if self._needs_gather(space):
-            pos.base_rows = self._counts(space)
-        else:
-            pos.repl_space = True
+        remote fetches translate by them), or :data:`REPLICATED` when
+        the space is identical on every shard (positions valid
+        anywhere, translation would corrupt them)."""
+        if isinstance(pos, ShardedValue):
+            pos.space = (self._counts(space) if self._needs_gather(space)
+                         else REPLICATED)
 
     # -- special operators ------------------------------------------------------------
 
@@ -1179,8 +1111,7 @@ class ShardedBackend(Backend):
         out = self._fan(op, args)
         if isinstance(out, ShardedValue) \
                 and isinstance(args[0], ShardedValue):
-            out.base_rows = args[0].base_rows
-            out.repl_space = args[0].repl_space
+            out.space = args[0].space
         return out
 
     _op_oidintersect = _op_oidunion
@@ -1218,7 +1149,7 @@ class ShardedBackend(Backend):
             args = [self._gather_rows(b)] + list(args[1:])
         sorted_sv, order_sv = self._fan(op, args, partitioned=False)
         if gathered:
-            order_sv.global_oids = True
+            order_sv.space = GATHERED
         return sorted_sv, order_sv
 
     def _op_firstn(self, op: str, args):
@@ -1230,17 +1161,15 @@ class ShardedBackend(Backend):
     def _op_projection(self, op: str, args):
         oids, source = args[0], args[1]
         source_gathered = False
-        if isinstance(oids, ShardedValue) and oids.remote_oids \
-                and self._needs_gather(source) \
+        space = oids.space if isinstance(oids, ShardedValue) else None
+        if space == CONCAT and self._needs_gather(source) \
                 and self._counts(source) is not None:
             # positions refer to the concatenated layout of a row space
             # that is still partitioned (a shuffled join side): fetch
             # exactly the referenced rows from their owner shards
             # instead of broadcasting the whole column
             return self._remote_project(oids, source)
-        if isinstance(oids, ShardedValue) \
-                and (oids.global_oids or oids.remote_oids) \
-                and self._needs_gather(source):
+        if space in (GATHERED, CONCAT) and self._needs_gather(source):
             # positions refer to a gathered (global) row space: the
             # source column must be gathered the same way; whether the
             # *output* is shard-local still follows the position lists
@@ -1253,13 +1182,10 @@ class ShardedBackend(Backend):
             # a projection's output *values* are drawn from the source,
             # so whatever space those values index (row-map composition
             # through shard-local or gathered spaces) carries over
-            out.base_rows = source.base_rows
-            out.global_oids = source.global_oids
-            out.remote_oids = source.remote_oids
-            out.repl_space = source.repl_space
+            out.space = source.space
             if not source_gathered and isinstance(oids, ShardedValue) \
-                    and oids.partitioned and not oids.global_oids \
-                    and not oids.remote_oids:
+                    and oids.partitioned \
+                    and space not in (GATHERED, CONCAT):
                 # shard-local positions into a still-aligned source:
                 # the output rows remain each shard's own base rows
                 out.origin = source.origin
@@ -1274,60 +1200,25 @@ class ShardedBackend(Backend):
         are valued in; each shard then fetches its hit rows, and only
         rows owned by *another* shard are charged to the interconnect —
         the second half of the shuffle join's traffic win."""
-        counts = self._counts(source)
-        offsets = np.concatenate(
-            ([0], np.cumsum(counts[:-1]))
-        ).astype(np.int64)
-        arrays = [
-            np.asarray(self._host_values(shard, part))
-            for shard, part in enumerate(source.parts)
-        ]
-        # the source's *values* are positions into some other space when
-        # it carries that space's per-shard counts or one of the
-        # position-layout flags (role alone is not enough: a projected
-        # row map is a VALUES-role BAT of positions)
-        positions = (
-            source.base_rows is not None or source.remote_oids
-            or source.global_oids or source.repl_space
-            or any(isinstance(p, BAT) and p.role is Role.OIDS
-                   for p in source.parts)
-        )
-        if positions and not (source.global_oids or source.remote_oids
-                              or source.repl_space):
-            if source.base_rows is None:
-                raise UnsupportedOperator(
-                    "cannot re-partition a sharded position column "
-                    "whose row space is unknown (unsupported plan "
-                    "shape for SHARD)"
-                )
-            space = np.concatenate(
-                ([0], np.cumsum(source.base_rows[:-1]))
-            ).astype(np.int64)
-            arrays = [
-                a.astype(np.int64) + space[s]
-                for s, a in enumerate(arrays)
-            ]
-        concat = np.concatenate(arrays)
+        offsets = partials.offsets_of(self._counts(source))
+        arrays, positions, width = self._global_layout(source,
+                                                       "re-partition")
+        concatenated = np.concatenate(arrays)
         # an encoded source would ship fetched rows in its stored form;
         # approximate with the source's overall physical/nominal ratio
         # (position columns are never encoded, so their ratio is 1)
-        src_nominal = sum(int(np.asarray(a).nbytes) for a in arrays)
+        src_nominal = sum(int(a.nbytes) for a in arrays)
         src_ratio = (self._physical_nbytes(source.parts, arrays)
                      / src_nominal) if src_nominal else 1.0
-        bounds = np.append(offsets, len(concat)).astype(np.int64)
         parts, moved = [], 0
         for shard in range(self.n_shards):
             pos = np.asarray(
                 self._host_values(shard, oids.parts[shard])
             ).astype(np.int64, copy=False)
-            values = concat[pos]
-            owner = np.searchsorted(bounds, pos, side="right") - 1
-            moved += int(values[owner != shard].nbytes)
-            if positions:
-                parts.append(oid_bat(values.astype(OID_DTYPE),
-                                     tag="shard_fetch"))
-            else:
-                parts.append(make_bat(values, tag="shard_fetch"))
+            remote = partials.owner_of(pos, offsets) != shard
+            moved += int(np.count_nonzero(remote)) * width
+            parts.append((oid_bat if positions else make_bat)(
+                concatenated[pos], tag="shard_fetch"))
         self._charge_merge(moved, kind="shuffled",
                            physical_nbytes=int(moved * src_ratio))
         out = ShardedValue(parts, partitioned=True)
@@ -1336,10 +1227,9 @@ class ShardedBackend(Backend):
             # concatenated layout — still remote for the next hop (or
             # global / shard-agnostic when the source's values already
             # were)
-            out.global_oids = source.global_oids
-            out.repl_space = source.repl_space
-            out.remote_oids = not (source.global_oids
-                                   or source.repl_space)
+            out.space = (source.space
+                         if source.space in (GATHERED, REPLICATED)
+                         else CONCAT)
         return out
 
     # -- the join planner --------------------------------------------------------
@@ -1349,7 +1239,7 @@ class ShardedBackend(Backend):
         its table's shard key and the rows are still shard-aligned."""
         if not isinstance(value, ShardedValue) or value.origin is None:
             return None
-        if value.global_oids or value.remote_oids:
+        if value.space in (GATHERED, CONCAT):
             return None
         table, column = value.origin
         if self.partitioner.is_key_aligned(table, column):
@@ -1462,7 +1352,7 @@ class ShardedBackend(Backend):
         )
         self._mark_space(lpos, left)
         if gathered:
-            rpos.global_oids = True
+            rpos.space = GATHERED
         else:
             self._mark_space(rpos, right)
         return lpos, rpos
@@ -1478,7 +1368,7 @@ class ShardedBackend(Backend):
         aligned table's placement function; with neither aligned both
         sides re-partition by value hash.  A shuffled side's output
         positions are valued in its original concatenated row space
-        (``remote_oids``), so later projections fetch only the rows
+        (:data:`CONCAT`), so later projections fetch only the rows
         each shard holds pairs for."""
         left, right = args[0], args[1]
         if strategy == JOIN_SHUFFLE_RIGHT:
@@ -1526,7 +1416,7 @@ class ShardedBackend(Backend):
                                  tag="shard_unshuffle"))
         self.release_intermediates((pos,))
         out = ShardedValue(parts, partitioned=True)
-        out.remote_oids = True
+        out.space = CONCAT
         return out
 
     def _shuffle(self, value: ShardedValue, place):
@@ -1535,10 +1425,7 @@ class ShardedBackend(Backend):
         the per-shard global-oid arrays mapping shuffled rows back to
         the value's original concatenated layout.  Only rows that change
         shards are charged to the interconnect."""
-        counts = self._counts(value)
-        offsets = np.concatenate(
-            ([0], np.cumsum(counts[:-1]))
-        ).astype(np.int64)
+        offsets = partials.offsets_of(self._counts(value))
         dest_keys: list[list] = [[] for _ in range(self.n_shards)]
         dest_oids: list[list] = [[] for _ in range(self.n_shards)]
         moved = 0
@@ -1556,8 +1443,9 @@ class ShardedBackend(Backend):
                          if part_physical is not None and keys.nbytes
                          else 1.0)
             ids = place(keys)
-            goids = np.arange(keys.shape[0], dtype=np.int64) \
-                + offsets[shard]
+            goids = partials.offset_positions(
+                np.arange(keys.shape[0]), offsets[shard]
+            )
             for dest in range(self.n_shards):
                 mask = ids == dest
                 if not mask.any():
@@ -1576,12 +1464,9 @@ class ShardedBackend(Backend):
                            physical_nbytes=moved_physical)
         parts, mapping = [], []
         for dest in range(self.n_shards):
-            keys = (np.concatenate(dest_keys[dest]) if dest_keys[dest]
-                    else np.empty(0, dtype=dtype))
-            goids = (np.concatenate(dest_oids[dest]) if dest_oids[dest]
-                     else np.empty(0, dtype=np.int64))
-            parts.append(make_bat(keys, tag="shard_shuffle"))
-            mapping.append(goids)
+            parts.append(make_bat(partials.concat(dest_keys[dest], dtype),
+                                  tag="shard_shuffle"))
+            mapping.append(partials.concat(dest_oids[dest], np.int64))
         return ShardedValue(parts, partitioned=True), mapping
 
     def _shuffle_op(self, value):
@@ -1603,7 +1488,7 @@ class ShardedBackend(Backend):
              for m in mapping],
             partitioned=True,
         )
-        oids.remote_oids = True
+        oids.space = CONCAT
         return shuffled, oids
 
     def _op_semijoin(self, op: str, args):

@@ -165,10 +165,13 @@ def test_no_defaulted_probes_on_configs_or_backends():
     """``getattr(x.config, "name", default)`` hid a removed config field
     for a whole PR (``submit()`` lost ``trace=on``), and
     ``hasattr(x.backend, ...)`` is how a capability gets probed instead
-    of declared: neither may come back."""
+    of declared: neither may come back.  Nor may ``getattr(self,
+    "_private", default)`` — state an object owns is created in its
+    ``__init__`` (``Backend._slice_cache`` was probed for twice)."""
     probes = re.compile(
         r"""getattr\(\s*[\w.]+\.config\s*,\s*["']\w+["']\s*,"""
         r"""|hasattr\(\s*[\w.]+\.backend\s*,"""
+        r"""|getattr\(\s*self\s*,\s*["']_\w+["']\s*,"""
     )
     found = [
         f"{path.relative_to(ROOT)}:{number}: {line.strip()}"

@@ -1,0 +1,96 @@
+"""Partition, run the unmodified operator, merge — said once.
+
+The four executors that cut a column and merge partials (work-groups,
+devices, morsels, shards) had each re-derived the merge rules, and the
+copies drifted into wrong answers (``±inf`` groups, mixed-width group
+keys).  The rules now live in ``repro.monetdb.partials`` over
+``repro.kernels.fold_identity``; these checks keep a fifth copy from
+growing back.
+"""
+
+import functools
+import re
+from pathlib import Path
+
+from repro.shard.backend import ShardedValue
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+#: the one module that aligns partition-local groups and folds tables
+MERGER = "monetdb/partials.py"
+#: where the fold identity is defined
+IDENTITY = "kernels/primitives.py"
+#: the executors: they call the merger, they do not merge
+EXECUTORS = ("sched/partition.py", "morsel/run.py", "shard/backend.py")
+
+
+@functools.cache
+def sources() -> dict:
+    return {path.relative_to(SRC).as_posix(): path.read_text()
+            for path in sorted(SRC.rglob("*.py"))}
+
+
+def hits(pattern: str, flags=re.MULTILINE) -> list:
+    """``file:line`` of every match of ``pattern`` under ``src/repro``."""
+    compiled = re.compile(pattern, flags)
+    return [
+        f"{name}:{text.count(chr(10), 0, match.start()) + 1}"
+        for name, text in sources().items()
+        for match in compiled.finditer(text)
+    ]
+
+
+def files_of(found: list) -> set:
+    return {hit.rsplit(":", 1)[0] for hit in found}
+
+
+def test_one_fold_identity_and_one_slicer():
+    # module level: ``EncodedBAT.slice_rows`` is the codec-domain cut the
+    # one slicer delegates to
+    for name, home in (("fold_identity", IDENTITY), ("slice_rows", MERGER)):
+        found = hits(rf"^def {name}\(")
+        assert len(found) == 1 and files_of(found) == {home}, found
+    # both slice caches are lookups around it
+    for name in ("monetdb/interpreter.py", "sched/pool.py"):
+        assert sources()[name].count("slice_rows(bat, lo, hi)") == 1, name
+        assert 'getattr(bat, "slice_rows"' not in sources()[name], name
+
+
+def test_no_second_spelling_of_the_identity():
+    """A dtype's extreme as a ``min`` / ``max`` starting value is what
+    ``fold_identity`` is for: no ``np.finfo`` or ``np.inf`` elsewhere
+    (floats), and ``np.iinfo`` only where codecs size their payloads."""
+    assert files_of(hits(r"np\.finfo\(|np\.inf\b")) == {IDENTITY}
+    allowed = {IDENTITY, "compress/codecs.py", "compress/ops.py"}
+    assert files_of(hits(r"np\.iinfo\(")) <= allowed
+    # ... and in that file, only inside the function itself
+    before, rest = sources()[IDENTITY].split("def fold_identity(")
+    after = rest.split("\n\n\n", 1)[1]
+    assert not re.search(r"np\.(finfo|iinfo)\(|np\.inf\b", before + after)
+
+
+def test_group_alignment_and_table_folds_live_in_the_merger():
+    scatter = hits(r"np\.(add|minimum|maximum)\.at\(")
+    matrix_unique = hits(r"np\.unique\([^()]*(\([^()]*\)[^()]*)*axis=0",
+                         re.DOTALL)
+    lexsort = hits(r"np\.lexsort\(")
+    assert scatter == [] and matrix_unique == []
+    assert files_of(lexsort) == {MERGER}
+
+
+def test_executors_never_test_for_avg():
+    """``avg`` is split into its (sum, count) pair by
+    ``partials.components`` and finished by ``partials.finish_avg``;
+    an executor that compares against ``"avg"`` is merging by hand."""
+    found = [hit for hit in hits(r"""[!=]=\s*["']avg["']""")
+             if hit.rsplit(":", 1)[0] in EXECUTORS]
+    assert found == []
+    for name in EXECUTORS:
+        assert "components(" in sources()[name], name
+
+
+def test_a_sharded_value_has_one_row_space_field():
+    slots = set(ShardedValue.__slots__)
+    assert "space" in slots
+    assert not slots & {"global_oids", "remote_oids", "repl_space",
+                        "base_rows"}
+    assert len(slots) <= 12

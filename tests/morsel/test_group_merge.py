@@ -11,7 +11,9 @@ in the same order (its hash kernels are priced from their input).
 :class:`OldMorselRun` carries the replaced bodies verbatim (PR 14's
 ``TestEquivalenceWithOldBodies`` pattern); every case runs the same
 plan through both and compares results, simulated time and the replayed
-key arrays bit for bit.
+key arrays bit for bit.  Since PR 19 it also carries the per-morsel
+partial and fold bodies (scalar, shared-id and local-id tables) that
+``repro.monetdb.partials`` replaced, under the same comparison.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ import pytest
 import repro
 from repro.monetdb import bat as bat_module
 from repro.monetdb.bat import BAT, oid_bat, OID_DTYPE
-from repro.monetdb.mal import MALBuilder
+from repro.monetdb.mal import MALBuilder, Var
 from repro.morsel import run as run_module
 from repro.morsel.run import MorselRun
 
@@ -36,12 +38,14 @@ def make_bat(values, tag="", **flags):
 
 
 class OldMorselRun(MorselRun):
-    """``MorselRun`` with the pre-PR-17 merge bodies, verbatim."""
+    """``MorselRun`` with the pre-PR-17 merge bodies and the pre-PR-19
+    partial and fold bodies, verbatim."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         for chain in self._gchains.values():
             chain.update(dict={}, dtypes=None)
+        self._lgagg_parts: dict = {}
 
     def _morsel_group_ids(self, chain, env, slots):
         return self._morsel_l2g(chain, env, slots)
@@ -201,6 +205,164 @@ class OldMorselRun(MorselRun):
         self.outputs = tuple(outputs)
 
 
+    # ---- verbatim from src/repro/morsel/run.py at PR 18: the partial
+    # ---- and fold bodies ``repro.monetdb.partials`` replaced ------------
+
+    def _partial_agg(self, member, out, env, slots) -> None:
+        column = self._value(member.args[0], env, slots)
+        parts = self._agg_parts.setdefault(out.name, [])
+        if isinstance(column, BAT) and column.count == 0:
+            # keep one empty witness so a region with no surviving rows
+            # reproduces the operator's own empty-input behaviour
+            if out.name not in self._agg_witness:
+                self._agg_witness[out.name] = column
+            return
+        if out.fn == "avg":
+            s = self.backend.resolve(f"{out.module}.sum")(column)
+            c = self.backend.resolve(f"{out.module}.count")(column)
+            parts.append((s, c))
+        else:
+            parts.append(
+                self.backend.resolve(f"{out.module}.{out.fn}")(column)
+            )
+
+    def _partial_gagg(self, member, out, env, slots) -> None:
+        """Grouped aggregate: fold one morsel's per-group partial table.
+
+        Partials combine exactly — sum/count add, min/max meet at the
+        dtype identity ``segmented_reduce`` fills empty groups with, and
+        avg folds per-morsel sum+count pairs (the final divide matches
+        the whole-column kernels' ``sums / max(counts, 1)``)."""
+        gids_arg = member.args[-2]
+        chain = (self._gchains.get(gids_arg.name)
+                 if isinstance(gids_arg, Var) else None)
+        if chain is not None:
+            self._partial_lgagg(member, out, env, slots, chain)
+            return
+        args = [self._value(a, env, slots) for a in member.args]
+        parts = self._gagg_parts.setdefault(out.name, [])
+        if out.fn == "avg":
+            values, gids, ngroups = args
+            sums = self.backend.resolve(f"{out.module}.subsum")(
+                values, gids, ngroups
+            )
+            counts = self.backend.resolve(f"{out.module}.subcount")(
+                gids, ngroups
+            )
+            parts.append((self._value_array(sums),
+                          self._value_array(counts)))
+            env[f"{out.name}#sum"] = sums
+            env[f"{out.name}#count"] = counts
+            return
+        partial = self.backend.resolve(member.op)(*args)
+        parts.append(self._value_array(partial))
+        env[out.name] = partial
+
+    def _partial_lgagg(self, member, out, env, slots, chain) -> None:
+        """Grouped aggregate over in-region (per-morsel local) group ids:
+        keep the morsel's partial table together with its groups'
+        chain-wide ids; :meth:`_fold_lgagg` scatters them at finalize."""
+        ids = self._morsel_group_ids(chain, env, slots)
+        if ids.size == 0:
+            return
+        parts = self._lgagg_parts.setdefault(out.name, [])
+        args = [self._value(a, env, slots) for a in member.args]
+        if out.fn == "avg":
+            sums = self.backend.resolve(f"{out.module}.subsum")(*args)
+            counts = self.backend.resolve(f"{out.module}.subcount")(
+                *args[1:]
+            )
+            parts.append((ids, self._value_array(sums),
+                          self._value_array(counts)))
+            env[f"{out.name}#sum"] = sums
+            env[f"{out.name}#count"] = counts
+            return
+        partial = self.backend.resolve(member.op)(*args)
+        parts.append((ids, self._value_array(partial)))
+        env[out.name] = partial
+
+    def _harvest(self, local, slices, lo) -> None:
+        for out in self.spec.outputs:
+            if out.kind in ("scalar", "gagg"):
+                continue
+            if out.kind == "gscalar":
+                # collect the keys even when no aggregate consumed them
+                self._morsel_group_ids(
+                    self._ng_chains[out.name], local, slices
+                )
+                continue
+            if out.kind == "ggids":
+                chain = self._gchains[out.name]
+                ids = self._morsel_group_ids(chain, local, slices)
+                lgids = self._value_array(
+                    local[out.name]
+                ).astype(np.int64)
+                self._chunks.setdefault(out.name, []).append(ids[lgids])
+                continue
+            value = local[out.name]
+            if out.kind == "positions":
+                oids = self._positions_array(value)
+                self._chunks.setdefault(out.name, []).append(
+                    oids.astype(np.int64) + lo
+                )
+            else:
+                self._chunks.setdefault(out.name, []).append(
+                    np.asarray(self._value_array(value))
+                )
+
+    def _fold(self, out):
+        parts = self._agg_parts.get(out.name, [])
+        if not parts:
+            witness = self._agg_witness.get(out.name)
+            if witness is None:
+                raise RuntimeError(
+                    f"morsel region produced no input for {out.name}"
+                )
+            return self.backend.resolve(
+                f"{out.module}.{out.fn}"
+            )(witness)
+        if out.fn == "avg":
+            total = parts[0][0]
+            count = parts[0][1]
+            for s, c in parts[1:]:
+                total = total + s
+                count = count + c
+            return total / count
+        if out.fn in ("sum", "count"):
+            total = parts[0]
+            for p in parts[1:]:
+                total = total + p
+            return total
+        if out.fn == "min":
+            return min(parts)
+        return max(parts)
+
+    def _fold_gagg(self, out) -> BAT:
+        member = self._out_member[out.name]
+        gids_arg = member.args[-2]
+        chain = (self._gchains.get(gids_arg.name)
+                 if isinstance(gids_arg, Var) else None)
+        if chain is not None:
+            return self._fold_lgagg(out, chain)
+        parts = self._gagg_parts[out.name]
+        if out.fn == "avg":
+            total = parts[0][0].astype(np.float64)
+            counts = parts[0][1].astype(np.int64)
+            for sums, c in parts[1:]:
+                total = total + sums
+                counts = counts + c
+            folded = total / np.maximum(counts, 1)
+        elif out.fn in ("sum", "count"):
+            folded = parts[0]
+            for p in parts[1:]:
+                folded = folded + p
+        elif out.fn == "min":
+            folded = np.minimum.reduce(parts)
+        else:
+            folded = np.maximum.reduce(parts)
+        return make_bat(np.asarray(folded), tag=f"morsel_{out.name}")
+
+
 # ---- the harness ----------------------------------------------------------
 
 ROWS = 1000
@@ -273,6 +435,18 @@ def assert_same(monkeypatch, engine, table, issue):
     return new
 
 
+def spy(monkeypatch, name) -> list:
+    """Folds the new bodies ask ``partials.<name>`` for."""
+    calls, real = [], getattr(run_module.partials, name)
+
+    def counted(fold, *args, **kwargs):
+        calls.append(fold)
+        return real(fold, *args, **kwargs)
+
+    monkeypatch.setattr(run_module.partials, name, counted)
+    return calls
+
+
 AGGREGATES = ("sum(v) AS sv, sum(w) AS sw, count(*) AS n, min(w) AS lo, "
               "max(v) AS hi, avg(v) AS mv, avg(w) AS mw")
 
@@ -329,6 +503,47 @@ class TestEquivalenceWithOldBodies:
         got = assert_same(monkeypatch, engine, columns(keys),
                           lambda con: con.run_plan(program))
         assert len(got[2]) == 2
+
+    @pytest.mark.parametrize("engine", ("MS", "CPU"))
+    @pytest.mark.parametrize("keys", ("random", "holes"))
+    def test_scalar_aggregates(self, monkeypatch, engine, keys):
+        """Ungrouped: per-morsel scalars fold left to right, ``avg`` as
+        its (sum, count) pair; ``holes`` leaves morsels with no row."""
+        sql = f"SELECT {AGGREGATES} FROM t WHERE w > 3"
+        folds = spy(monkeypatch, "fold_scalars")
+        got = assert_same(monkeypatch, engine, columns(keys),
+                          lambda con: con.execute(sql))
+        assert got[2] == []             # no grouping, nothing replayed
+        # the region really folded them: 5 plain + 2 avg pairs
+        assert sorted(folds) == ["max", "min"] + ["sum"] * 7
+
+    @pytest.mark.parametrize("engine", ("MS", "CPU"))
+    def test_aggregates_over_shared_group_ids(self, monkeypatch, engine):
+        """Group ids from outside the region (an aligned input, sliced
+        with the drive): every morsel's table spans all groups and the
+        tables fold element-wise."""
+        builder = MALBuilder("aligned")
+        v, w = builder.bind("t", "v"), builder.bind("t", "w")
+        gids = builder.bind("t", "a")       # dense ids 0..4 as they are
+        scaled = builder.emit("batcalc", "mul", (v, 2.0))
+        shifted = builder.emit("batcalc", "add", (w, 1))
+        outputs = [
+            ("sv", builder.emit("aggr", "subsum", (scaled, gids, 5))),
+            ("sw", builder.emit("aggr", "subsum", (shifted, gids, 5))),
+            ("n", builder.emit("aggr", "subcount", (gids, 5))),
+            ("lo", builder.emit("aggr", "submin", (shifted, gids, 5))),
+            ("hi", builder.emit("aggr", "submax", (scaled, gids, 5))),
+            ("mv", builder.emit("aggr", "subavg", (scaled, gids, 5))),
+            ("mw", builder.emit("aggr", "subavg", (shifted, gids, 5))),
+        ]
+        program = builder.returns(outputs)
+        table = columns("falling")
+        table["a"] = table["a"].astype(np.uint32)
+        folds = spy(monkeypatch, "fold_tables")
+        got = assert_same(monkeypatch, engine, table,
+                          lambda con: con.run_plan(program))
+        assert got[2] == [] and len(got[0]) == len(outputs)
+        assert sorted(folds) == ["max", "min"] + ["sum"] * 7
 
     def test_nan_keys_stay_apart(self, monkeypatch):
         """A NaN key equals nothing, itself included: the dictionary

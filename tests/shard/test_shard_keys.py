@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro.shard import ShardPartitioner, default_key_domain
 from repro.shard.backend import (
+    CONCAT,
     JOIN_BROADCAST,
     JOIN_COLOCATED,
     JOIN_SHUFFLE_BOTH,
@@ -360,7 +361,7 @@ class TestJoinStrategies:
 
         column = bind(ColumnRef("fact", "f_key"))
         shuffled, oids = backend.resolve("shard.shuffle")(column)
-        assert shuffled.partitioned and oids.remote_oids
+        assert shuffled.partitioned and oids.space == CONCAT
         assert backend.supports("shard.shuffle")
         # shard-to-shard moves were charged
         assert backend.traffic.query.bytes_shuffled > 0

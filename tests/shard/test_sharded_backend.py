@@ -150,6 +150,44 @@ class TestEmptyShards:
         assert_results_equal(expected, got, rtol=0)
 
 
+class TestGroupKeysKeepTheirWidth:
+    """Shard-local groups align by key tuple, column by column at each
+    column's own width.  Stacked into one matrix the keys took their
+    common numpy type — float64 for (int64, float32) — where adjacent
+    int64 values beyond 2**53 collide: two of the eight groups vanished
+    and their partial sums with them.
+
+    MS children only: Ocelot's hash grouping refuses int64 keys (CHANGES
+    PR 17, "seen, not fixed")."""
+
+    SQL = "SELECT k1, k2, sum(v) AS s FROM t GROUP BY k1, k2"
+
+    @pytest.fixture
+    def wide(self):
+        rng = np.random.default_rng(7)
+        database = repro.Database()
+        database.create_table("t", {
+            "k1": ((1 << 53) + rng.integers(0, 4, 600)).astype(np.int64),
+            "k2": rng.integers(0, 2, 600).astype(np.float32),
+            "v": np.ones(600, dtype=np.int32),
+        })
+        return database
+
+    @pytest.mark.parametrize("spec", [
+        "SHARD:2xMS", "SHARD:3xMS:replicas=2",
+        "SHARD:2xMS:hash", "SHARD:3xMS:hash:replicas=2",
+    ])
+    def test_int64_beyond_2_53_with_a_float32_key(self, wide, spec):
+        expected = wide.connect("MS").execute(self.SQL)
+        got = wide.connect(spec).execute(self.SQL)
+        assert len(expected.columns["s"]) == 8
+        assert int(expected.columns["s"].sum()) == 600
+        for name, values in expected.columns.items():
+            assert got.columns[name].dtype == values.dtype, name
+            np.testing.assert_array_equal(got.columns[name], values,
+                                          err_msg=name)
+
+
 class TestTPCH:
     """The acceptance queries on the composed engine (HET children)."""
 
