@@ -18,10 +18,15 @@ Two panels:
   hit counters prove the cache path is taken and the repeat-query
   microbenchmark shows real wall-clock savings,
 * (c) sharded children — the same batch submitted on ``SHARD:<N>xCPU``
-  connections: shards are independent nodes with their own clocks, so
-  one query's driver merge overlaps another query's shard scans and the
-  concurrent batch beats the serial sum there too (more so with more
-  shards), with the scheduler's turn log showing genuine interleaving.
+  connections.  The scheduler's turn log shows genuine interleaving,
+  but every child is one command queue: there is no second device for
+  a session to overlap onto, so the batch takes the serial sum
+  (makespan / serial 1.000 on 2 and on 4 CPU shards and on MS children,
+  1.003 on GPU children, whose interleaved sessions evict each other's
+  columns) — unlike shards whose children are themselves HET pools
+  (0.69).  Until the sessions of a sharded engine paid the per-query
+  framework overhead ``begin()`` charges, this panel read 0.53 / 0.42:
+  six times 0.6 s missing from one side of the ratio.
 """
 
 import time
@@ -157,6 +162,7 @@ def run_shard_batch(db: Database, spec: str):
     for sql in WORKLOAD:                  # warm shard + plan caches
         con.execute(sql)
     serial = sum(con.execute(sql).elapsed for sql in WORKLOAD)
+    con.scheduler.turn_log.clear()        # executes are flights too
     futures = [con.submit(sql) for sql in WORKLOAD]
     con.drain()
     return serial, con.scheduler.last_batch_makespan, futures, con
@@ -165,35 +171,45 @@ def run_shard_batch(db: Database, spec: str):
 def test_fig9c_shard_children_overlap_concurrent_submits():
     db = serving_database()
     points = []
-    for shards in (2, 4):
-        serial, makespan, futures, con = run_shard_batch(
-            db, f"SHARD:{shards}xCPU"
-        )
+    for spec in ("SHARD:2xCPU", "SHARD:4xCPU", "SHARD:2xGPU",
+                 "SHARD:2xMS", "SHARD:2xHET"):
+        serial, makespan, futures, con = run_shard_batch(db, spec)
         assert makespan is not None
         assert all(future.done() for future in futures)
-        # per-shard clocks run concurrently across sessions: the batch
-        # beats serial well beyond scheduling noise
-        assert makespan < 0.75 * serial
-        # and the scheduler genuinely interleaved the sessions rather
-        # than draining them FIFO: the turn log switches sessions often
+        if spec.endswith("xCPU"):
+            # every session paid its nodes' per-query framework cost
+            overhead = con.backend.query_overhead_s()
+            assert overhead > 0.5
+            assert all(f.result().elapsed >= overhead for f in futures)
+        # the scheduler genuinely interleaved the sessions rather than
+        # draining them FIFO: the turn log switches sessions often
         sessions = [session for session, _ in con.scheduler.turn_log]
         switches = sum(
             1 for a, b in zip(sessions, sessions[1:]) if a != b
         )
         assert len(set(sessions)) == len(WORKLOAD)
         assert switches >= len(WORKLOAD)
-        points.append(Measurement(x=shards, millis={
+        points.append(Measurement(x=spec, millis={
             "serial": serial * 1e3, "pipelined": makespan * 1e3,
         }))
     series = Series(
-        name="fig9c: N=6 mixed queries on SHARD:<n>xCPU",
-        x_label="shards",
+        name="fig9c: N=6 mixed queries on SHARD:<n>x<child>",
+        x_label="engine",
         labels=("serial", "pipelined"),
         points=points,
     )
     emit(series)
-    # more shards shrink the pipelined makespan further
-    assert points[1].millis["pipelined"] < points[0].millis["pipelined"]
+    ratio = {p.x: p.millis["pipelined"] / p.millis["serial"] for p in points}
+    # single-queue children: interleaving is not overlap — the batch
+    # takes the serial sum, to the rounding of adding it up another way
+    # on CPU children ...
+    assert 0.99 < ratio["SHARD:2xCPU"] <= 1.0 + 1e-9
+    assert 0.99 < ratio["SHARD:4xCPU"] <= 1.0 + 1e-9
+    assert 0.99 < ratio["SHARD:2xMS"] <= 1.0 + 1e-9
+    # ... and a little over it where sessions contend for device memory
+    assert 1.0 <= ratio["SHARD:2xGPU"] < 1.01
+    # children that are device pools do overlap their queues
+    assert ratio["SHARD:2xHET"] < 0.8
 
 
 def test_fig9c_shard_pipelined_results_identical_to_ms():

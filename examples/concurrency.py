@@ -86,6 +86,7 @@ def main() -> None:
     print("  submit() opens one session per query; the scheduler advances")
     print("  them round-robin, one MAL instruction per turn, and only the")
     print("  owning session waits at its cross-device sync points.")
+    con.scheduler.turn_log.clear()         # the executes were flights too
     futures = [con.submit(sql) for _label, sql in WORKLOAD]
     con.drain()
     for (label, _sql), future in zip(WORKLOAD, futures):
@@ -97,7 +98,7 @@ def main() -> None:
           f"({makespan / serial:.2f}x of serial — the GPU queries ran")
     print("   inside the CPU-bound query's window)")
 
-    first_turns = ", ".join(s for s, _op in con.scheduler.turn_log[:4])
+    first_turns = ", ".join(s for s, _op in list(con.scheduler.turn_log)[:4])
     print(f"\n  fairness: first four scheduler turns went to [{first_turns}]")
 
 

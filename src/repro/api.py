@@ -36,10 +36,11 @@ on HET — per-instruction placement scoring, and the counters show it:
     >>> con.plan_cache.stats.hits >= 1
     True
 
-``submit`` is the asynchronous variant: it returns a
-:class:`~repro.serve.session.QueryFuture` served by a fair round-robin
-session scheduler, which on the HET engine overlaps independent queries
-across the device pool's per-device timelines:
+``submit`` returns a :class:`~repro.serve.session.QueryFuture` served
+by the connection's fair round-robin session scheduler, which on the HET
+engine overlaps independent queries across the device pool's per-device
+timelines — and ``execute`` is ``submit(...).result()``, so a query
+costs the same simulated time through either:
 
     >>> f1 = con.submit("SELECT sum(y) AS s FROM points WHERE x = 0")
     >>> f2 = con.submit("SELECT sum(y) AS s FROM points WHERE x = 1")
@@ -54,10 +55,10 @@ from typing import Optional
 import numpy as np
 
 from .engines import default_registry
-from .monetdb.interpreter import QueryResult, run_program
+from .monetdb.interpreter import QueryResult
 from .monetdb.mal import MALProgram
 from .monetdb.storage import Catalog
-from .serve.plancache import PlanCache
+from .serve.plancache import CachedPlan, PlanCache
 from .serve.session import QueryFuture, SessionScheduler
 from .sql.lower import SchemaProvider
 
@@ -137,93 +138,73 @@ class Connection:
                 f"Database.connect({self.engine!r})"
             )
 
-    # -- synchronous execution ----------------------------------------------
+    # -- execution: every statement is a flight of the session scheduler ------
 
     def execute(self, sql: str, name: str = "query",
                 analyze: bool = False) -> QueryResult:
-        """Parse, lower, optimize and run one SQL statement.
+        """Parse, lower, optimize and run one SQL statement:
+        ``submit(...).result()`` without a deadline — a one-flight
+        batch, or one more flight of the batch already in the air.
 
         Statements are auto-parameterised: literals are normalised into
         bind parameters before the plan-cache lookup, so every literal
         variation of one query shape is a cache hit against a single
         template plan (values are substituted into a bound copy at
-        execute time).  Engines with the ``sessions`` capability
-        additionally replay the cached placement trace, skipping
-        per-instruction scoring on repeat queries.
+        execute time).  HET and SHARD additionally replay the cached
+        decision trace instead of re-scoring repeat queries.
 
         ``analyze=True`` forces tracing on for this statement regardless
         of the spec's ``trace=`` setting: the returned result carries a
         :class:`~repro.obs.tracer.Tracer` on ``result.trace`` (per-span
         simulated timings, Chrome export, per-operator profile).
         """
-        self._check_open()
-        tracer = self._new_tracer(force=analyze)
-        cache_stats = self.plan_cache.stats
-        misses_before = cache_stats.misses
-        entry, program = self.plan_cache.prepare(
-            sql, self.config, self.database.schema, name=name
-        )
-        if tracer is not None:
-            tracer.event("plan_cache.lookup", cat="plancache",
-                         hit=cache_stats.misses == misses_before,
-                         query=name)
-        return self._run_cached(entry, program, tracer=tracer, name=name)
+        return self._submit(
+            sql, name, self._new_tracer(force=analyze)
+        ).result()
 
     def _new_tracer(self, force: bool = False):
         """A fresh per-query :class:`~repro.obs.tracer.Tracer` when the
         statement runs traced (``trace=on`` spec / ``REPRO_TRACE`` /
-        ``force``), else None — for ``execute`` and ``submit`` alike."""
+        ``force``), else None."""
         if force or self.config.effective("trace"):
             from .obs import Tracer
 
             return Tracer(engine=self.config.spec)
         return None
 
-    #: bounded node-failure retries per statement on the synchronous path
-    MAX_TRANSIENT_RETRIES = 8
+    def _prepare(self, sql: str, name: str, tracer=None, config=None):
+        """``(entry, executable program)`` of ``sql`` through the plan
+        cache, noting hit or miss on the statement's tracer."""
+        self._check_open()
+        cache_stats = self.plan_cache.stats
+        misses_before = cache_stats.misses
+        prepared = self.plan_cache.prepare(
+            sql, config or self.config, self.database.schema, name=name
+        )
+        if tracer is not None:
+            tracer.event("plan_cache.lookup", cat="plancache",
+                         hit=cache_stats.misses == misses_before,
+                         query=name)
+        return prepared
 
-    def _run_cached(self, entry, program=None, tracer=None,
-                    name: str = "query") -> QueryResult:
-        from .serve.faults import TransientFault
-
-        backend = self.backend
-        sessions = backend.sessions
-        if program is None:
-            program = entry.program
-        for attempt in range(self.MAX_TRANSIENT_RETRIES + 1):
-            backend.query_boundary()
-            backend.health.admit(backend.label)
-            if tracer is not None:
-                tracer.event(
-                    "admission", cat="admission", attempt=attempt,
-                    breakers={b.name: b.state for b in backend.health},
-                )
-            if sessions is not None:
-                sessions.arm(entry.placements)
-            try:
-                result = run_program(program, backend, tracer=tracer)
-            except TransientFault as fault:
-                # a node-level failure: consult the breaker board; a
-                # tripped breaker reroutes reads around the sick node
-                # (the placement trace is stale either way)
-                entry.placements = None
-                action = backend.note_node_failure(fault)
-                if action == "fail" or attempt >= self.MAX_TRANSIENT_RETRIES:
-                    raise
-                continue
-            if sessions is not None:
-                trace, replayed = sessions.trace()
-                entry.placements = trace
-                self.plan_cache.stats.placement_reuses += replayed
-            backend.health.record_success()
-            self._record_query(name, result.elapsed)
-            return result
+    def _submit(self, sql: str, name: str, tracer,
+                timeout: Optional[float] = None) -> QueryFuture:
+        """The one way a statement becomes a query: compiled through
+        the plan cache, then a flight of the session scheduler."""
+        entry, program = self._prepare(sql, name, tracer)
+        return self.scheduler.submit(
+            entry, name=name, timeout=timeout, program=program,
+            tracer=tracer,
+        )
 
     def run_plan(self, program: MALProgram) -> QueryResult:
-        """Run an already-compiled MAL program (uncached path)."""
+        """Run an already-compiled MAL program (uncached: a throw-away
+        plan-cache entry, the same flight otherwise)."""
         self._check_open()
         plan = self.config.plan(program)
-        return run_program(plan, self.backend)
+        return self.scheduler.submit(
+            CachedPlan(key=(), program=plan), name=plan.name
+        ).result()
 
     def explain(self, sql: str, name: str = "query",
                 no_fuse: bool = False, no_morsel: bool = False,
@@ -251,15 +232,13 @@ class Connection:
         which is the truth on partitioned tables.  ``no_fuse`` /
         ``no_morsel`` are ignored under ``analyze`` — the profile
         describes the plan this connection executes."""
-        self._check_open()
         config = self.config
         if no_fuse and not analyze:
             config = config.with_knob_off("fusion")
         if no_morsel and not analyze:
             config = config.with_knob_off("morsel")
-        entry, program = self.plan_cache.prepare(
-            sql, config, self.database.schema, name=name
-        )
+        tracer = self._new_tracer(force=True) if analyze else None
+        entry, program = self._prepare(sql, name, tracer, config)
         text = program.format()
         encodings = self._plan_encodings(program)
         if encodings:
@@ -267,8 +246,10 @@ class Connection:
         if analyze:
             from .obs import render_profile
 
-            result = self.execute(sql, name=name, analyze=True)
-            text += "\n" + render_profile(result.trace)
+            self.scheduler.submit(
+                entry, name=name, program=program, tracer=tracer
+            ).result()
+            text += "\n" + render_profile(tracer)
         return text
 
     def _plan_encodings(self, program: MALProgram) -> list[str]:
@@ -319,12 +300,7 @@ class Connection:
             self._metrics = MetricsRegistry(self)
         return self._metrics
 
-    def _record_query(self, name: str, elapsed_s: float) -> None:
-        """Count one completed query (and log it when it exceeds the
-        spec's ``obs_slow_ms=`` threshold)."""
-        self.metrics.record_query(name, elapsed_s)
-
-    # -- asynchronous sessions ------------------------------------------------
+    # -- the session scheduler --------------------------------------------------
 
     @property
     def scheduler(self) -> SessionScheduler:
@@ -335,37 +311,28 @@ class Connection:
 
     def submit(self, sql: str, name: str = "query",
                timeout: Optional[float] = None) -> QueryFuture:
-        """Admit one statement for pipelined execution; returns a future.
+        """Admit one statement as a flight of the scheduler; returns a future.
 
         In-flight queries advance one instruction per turn, round-robin.
-        On engines with the ``sessions`` capability (HET, SHARD) their
-        simulated timelines overlap across the device pool or the
-        shards (independent queries on different devices run
-        concurrently); single-timeline engines execute FIFO.  Drive the
-        scheduler with :meth:`drain` or by awaiting any future's
-        ``result()``.
+        Where the engine's timeline lets sessions overlap (HET's device
+        pool, SHARD's children) several are in flight at once and
+        independent queries on different devices run at the same
+        simulated time; on a serial timeline (MS, MP, CPU, GPU) they
+        take the machine one after the other.  Drive the scheduler with
+        :meth:`drain` or by awaiting any future's ``result()``.
 
         ``timeout`` is a deadline in simulated seconds: a query still
-        running past it fails with
-        :class:`~repro.serve.session.QueryTimeout` (checked
-        cooperatively at turn granularity).  Defaults to the engine
-        spec's ``timeout=`` parameter (0 = none).
+        running past it fails with :class:`~repro.serve.session
+        .QueryTimeout` (checked cooperatively at turn granularity).
+        Defaults to the engine spec's ``timeout=`` parameter (0 = none).
         """
-        self._check_open()
-        entry, program = self.plan_cache.prepare(
-            sql, self.config, self.database.schema, name=name
-        )
         if timeout is None:
             timeout = self.config.effective("timeout") or None
-        return self.scheduler.submit(
-            entry, name=name, timeout=timeout, program=program,
-            tracer=self._new_tracer(),
-        )
+        return self._submit(sql, name, self._new_tracer(), timeout)
 
     def drain(self) -> None:
         """Run every submitted query to completion."""
-        if self._scheduler is not None:
-            self._scheduler.drain()
+        self.scheduler.drain()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -496,8 +463,7 @@ class Database:
                 )
             cluster.request_resize(target)
             resized += 1
-            scheduler = connection._scheduler
-            if scheduler is None or scheduler.idle:
+            if connection.scheduler.idle:
                 # nothing in flight: drive the staged migration to
                 # completion here (a busy scheduler does it when its
                 # batch drains)

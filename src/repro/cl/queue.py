@@ -22,9 +22,11 @@ current makespan; measurements bracket work between two ``finish()`` calls.
 **Per-session timelines** (serve layer, see ARCHITECTURE.md): when the
 session scheduler interleaves several queries on one device queue, each
 command is attributed to the queue's ``current_session``.  A session has
-its own *floor* — the epoch before which none of its commands may start
-(a session-scoped sync point, e.g. a cross-device hand-over of *its*
-operand) — and its own completion frontier.  The queue's global engine
+its own *floor* — the epoch before which none of its commands may be
+enqueued (a session-scoped sync point, e.g. a cross-device hand-over of
+*its* operand; the clock of the session's host thread, so every enqueue
+moves it on by the submit cost exactly as a joined queue's host clock
+would) — and its own completion frontier.  The queue's global engine
 clocks still serialise same-device commands in order (device contention
 stays real); only the cross-device barriers stop being global, which is
 what lets independent queries overlap on different devices.
@@ -117,14 +119,21 @@ class CommandQueue:
     ) -> Event:
         """Place one command on ``engine``; ``ready`` is the latest end
         among the events it waits for."""
-        self.host_time += self.device.host_submit_time()
+        submit = self.device.host_submit_time()
+        self.host_time += submit
         event = Event(command_type, label)
         event.t_queued = self.host_time
         event.t_submit = self.host_time
-        start = max(self._engine_time[engine], event.t_submit, ready)
         session = self.current_session
         if session is not None:
-            start = max(start, self._session_floor.get(session, 0.0))
+            # the session's floor is its host thread's clock: it cannot
+            # enqueue before its own sync point, and the enqueue costs
+            # what it costs a plain query joined at that point
+            event.t_submit = self._session_floor[session] = max(
+                self._session_floor.get(session, 0.0) + submit,
+                self.host_time,
+            )
+        start = max(self._engine_time[engine], event.t_submit, ready)
         event.t_start = start
         event.t_end = start + duration
         event.status = EventStatus.COMPLETE

@@ -201,12 +201,12 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
     Knob("timeout", "timeout=<seconds>",
          "'off' or a positive number of seconds",
          default=0.0, off=0.0, parse=_positive_seconds,
-         doc="default deadline (simulated seconds) of queries submitted "
-             "through the session scheduler"),
+         doc="default deadline (simulated seconds) of every submit(); "
+             "execute() sets none"),
     Knob("admission", "admission=<n>", "'off' or a positive query count",
          default=0, off=0, parse=_count,
-         doc="how many queries the session scheduler admits "
-             "concurrently"),
+         doc="how many queries — submit() or execute() — the session "
+             "scheduler admits concurrently"),
 )}
 
 #: the knobs whose effective value is part of a plan's identity

@@ -41,20 +41,25 @@ class Backend(abc.ABC):
     every other method has a working default (ARCHITECTURE.md lists
     them and who overrides which).
 
-    What only some engines can do is not a method here but one of four
-    **capability attributes**, each holding the object that does it or
-    ``None`` — callers test ``is not None`` and call the object:
+    What engines do differently is not a method here but one of four
+    **capability attributes** holding the object that does it — the
+    first two on every backend, the others the object or ``None``
+    (callers test ``is not None`` and call the object):
 
+    * :attr:`sessions` — the timeline queries run on as *sessions* and
+      the per-query state of each (a :class:`QuerySessions`).  The
+      default is a :class:`SerialTimeline` over :meth:`begin` /
+      :meth:`elapsed`, one query at a time; HET's device pool and
+      SHARD's child clocks overlap sessions, and record/replay each
+      query's decision trace;
+    * :attr:`health` — the circuit-breaker board;
     * :attr:`memory` — device memory that queries allocate from and
       that is handed back when each ends (a
       :class:`~repro.ocelot.memory.QueryMemory`; Ocelot, HET, and SHARD
-      over such children);
-    * :attr:`sessions` — several queries in flight on per-session
-      timelines, and recording/replaying each query's decision trace
-      (a :class:`QuerySessions`; HET and SHARD);
+      over such children), else ``None``;
     * :attr:`cluster` — an elastic node roster: node count, online
-      resize, failover routing, ``cluster.*`` counters (SHARD);
-    * :attr:`health` — the circuit-breaker board every backend has.
+      resize, failover routing, ``cluster.*`` counters (SHARD), else
+      ``None``.
     """
 
     #: configuration label as used in the paper's figures (MS/MP/CPU/GPU).
@@ -62,7 +67,8 @@ class Backend(abc.ABC):
 
     #: capability: the Memory Managers behind the engine's queries
     memory = None
-    #: capability: per-session timelines + decision-trace replay
+    #: capability: the timeline queries run on as sessions; engines
+    #: with their own set it before ``Backend.__init__`` runs
     sessions: "QuerySessions | None" = None
     #: capability: the elastic cluster topology
     cluster = None
@@ -83,6 +89,8 @@ class Backend(abc.ABC):
         #: capability: circuit breakers — one under the key ``"self"``
         #: for the backend as a whole, tiered backends add one per node
         self.health = BreakerBoard()
+        if self.sessions is None:
+            self.sessions = QuerySessions(QueryState, SerialTimeline(self))
         self._registry: dict[str, Callable] = {}
         #: (bat_id, lo, hi) -> sub-range view BAT (:meth:`slice_base`)
         self._slice_cache: dict[tuple[int, int, int], BAT] = {}
@@ -288,45 +296,89 @@ class Backend(abc.ABC):
         }
 
 
-class QuerySessions:
-    """The ``sessions`` capability: per-query state of an engine that
-    keeps several queries in flight.
+@dataclass
+class QueryState:
+    """What every engine keeps per query: the decisions it took, in
+    order, and the recorded ones it may consume instead of deciding
+    (``None`` = decide fresh).  Engines subclass it with their own
+    per-query fields; one that decides nothing uses it as is."""
 
-    One *plain* slot serves ``execute()`` — the engine's ``begin()``
-    calls :meth:`reset` — and there is one slot per open ``submit()``
-    session; :attr:`current` is the slot dispatches read and write.
-    Each slot is a fresh instance of the engine's own state dataclass
-    (``new_state()``), which carries at least ``trace`` (the decisions
-    taken, in order), ``replay`` (recorded decisions to consume, or
-    ``None`` to decide fresh) and ``replay_pos``.  ``timeline`` is the
-    engine's simulated clocks: ``open_session``/``close_session``
-    return a session's submit/completion epoch, ``set_session``
-    attributes subsequent work, ``makespan`` is the shared frontier.
+    trace: list = field(default_factory=list)
+    replay: "list | None" = None
+    replay_pos: int = 0
+    #: the session's completion epoch once it closed
+    completed: "float | None" = None
+
+
+class SerialTimeline:
+    """The default timeline: the backend's own ``begin()``/``elapsed()``
+    clock, one query at a time.
+
+    A timeline is where queries run as sessions.  ``open_session``
+    returns a session's submit epoch, ``set_session`` attributes the
+    work that follows to it (``None``: to nobody), ``session_time`` is
+    how far it has got — read without synchronising — and
+    ``close_session`` returns its ``(completion epoch, elapsed
+    seconds)``; ``makespan`` is the shared frontier.  :attr:`overlaps`
+    says whether sessions opened together can run at the same simulated
+    time — an observed property of the engine, and the one thing the
+    session scheduler asks: it admits one flight at a time where they
+    cannot.  Here opening *is* ``begin()``, the price *is*
+    ``elapsed()``, and epochs are the running sum of the prices."""
+
+    overlaps = False
+
+    def __init__(self, backend: Backend):
+        self.backend = backend
+        self._epoch = 0.0
+
+    def open_session(self, session: str) -> float:
+        self.backend.begin()
+        return self._epoch
+
+    def set_session(self, session: "str | None") -> None:
+        pass
+
+    def session_time(self, session: str) -> float:
+        return self._epoch + self.backend.elapsed_now()
+
+    def close_session(self, session: str) -> tuple[float, float]:
+        elapsed = self.backend.elapsed()
+        self._epoch += elapsed
+        return self._epoch, elapsed
+
+    def makespan(self) -> float:
+        return self._epoch
+
+
+class QuerySessions:
+    """The ``sessions`` capability: the queries in flight on an
+    engine's timeline, and the per-query state of each.
+
+    Whoever drives a query — the session scheduler, :func:`run_program`
+    — calls :meth:`open` for a session, :meth:`activate` around every
+    step and :meth:`close` for the price.  Each session owns a fresh
+    instance of the engine's state dataclass (``new_state()``, a
+    :class:`QueryState`); :attr:`current` is the one dispatches read
+    and write — the active session's, and after it closed still the
+    last query's, which is what ``query_overhead_s()`` and the decision
+    logs report.  (An engine driven directly through ``begin()`` — a
+    shard's child, a unit test — has no session: its ``begin()`` puts a
+    fresh state there itself.)  ``timeline`` is the engine's simulated
+    clocks; :class:`SerialTimeline` documents the protocol.
     """
 
     def __init__(self, new_state, timeline):
         self._new_state = new_state
         self.timeline = timeline
-        self.plain = new_state()
         #: session name -> state of every open session
         self.open_states: dict = {}
         self.active: "str | None" = None
-        self.current = self.plain
-        self._armed = None
-
-    def arm(self, placements) -> None:
-        """Hand the next plain query a recorded decision trace."""
-        self._armed = placements or None
-
-    def reset(self) -> None:
-        """A plain query begins: fresh state, consuming the armed trace."""
-        self.plain = self._new_state()
-        self.plain.replay, self._armed = self._armed, None
-        if self.active is None:
-            self.current = self.plain
+        self.current = new_state()
 
     def open(self, session: str, replay=None) -> float:
-        """Register one in-flight query; returns its submit epoch."""
+        """Register one in-flight query, handing it a recorded decision
+        trace to consume; returns its submit epoch."""
         state = self._new_state()
         state.replay = replay or None
         self.open_states[session] = state
@@ -334,26 +386,36 @@ class QuerySessions:
 
     def activate(self, session: "str | None") -> None:
         """Attribute subsequent dispatches (and their simulated time) to
-        ``session`` — ``None`` restores the plain slot."""
+        ``session``; ``None`` detaches the timeline between turns."""
         self.active = session
-        self.current = (self.plain if session is None
-                        else self.open_states[session])
+        if session is not None:
+            self.current = self.open_states[session]
         self.timeline.set_session(session)
 
-    def close(self, session: str) -> float:
-        """Drop a finished query's state; returns its completion epoch."""
-        self.open_states.pop(session, None)
+    def close(self, session: str) -> tuple[float, float]:
+        """Drop a query's session; returns its ``(completion epoch,
+        elapsed seconds)``.  Closing twice is harmless."""
+        state = self.open_states.get(session)
+        if state is None:
+            return self.timeline.makespan(), 0.0
         if self.active == session:
             self.activate(None)
-        return self.timeline.close_session(session)
+        state.completed, elapsed = self.timeline.close_session(session)
+        del self.open_states[session]
+        return state.completed, elapsed
+
+    def clock(self, session: str):
+        """A tracer's clock for ``session``: how far it has got (read
+        without synchronising) and, once closed, where it ended — what
+        the query does after its price was taken is not on it."""
+        state = self.open_states[session]
+        return lambda: (self.timeline.session_time(session)
+                        if state.completed is None else state.completed)
 
     def trace(self) -> tuple[list, int]:
         """The current query's decisions; ``(trace, replayed)`` where
         ``replayed`` counts those served from the installed replay."""
         return list(self.current.trace), self.current.replay_pos
-
-    def makespan(self) -> float:
-        return self.timeline.makespan()
 
 
 @dataclass
@@ -385,13 +447,14 @@ class QueryResult:
 class ProgramRun:
     """Stepwise execution of one program: one instruction per step.
 
-    ``run_program`` drives a :class:`ProgramRun` to completion for the
-    classic one-query-at-a-time path.  The serve layer's session
-    scheduler (see ARCHITECTURE.md) instead interleaves ``step()`` calls
-    of several in-flight queries round-robin, which is what lets
-    independent queries overlap on the heterogeneous pool's per-device
-    timelines.  Each run owns its private variable environment, so
-    concurrent queries are isolated by construction.
+    Whoever drives it opened a session on the backend's timeline
+    first: the serve layer's session scheduler (see ARCHITECTURE.md)
+    interleaves the ``step()`` calls of the queries in flight
+    round-robin, which is what lets independent queries overlap on the
+    heterogeneous pool's per-device timelines; ``run_program`` steps
+    one to the end without a connection.  Each run owns its private
+    variable environment, so concurrent queries are isolated by
+    construction.
 
     The run *is* the query as far as device memory goes: before every
     step it claims the backend's ``memory`` capability, so whatever the
@@ -405,9 +468,9 @@ class ProgramRun:
                  tracer=None):
         self.program = program
         self.backend = backend
-        #: optional per-query tracer; the caller installs the backend's
-        #: clock on it before constructing the run (see
-        #: :func:`run_program` and the session scheduler)
+        #: optional per-query tracer; the caller installs its session's
+        #: clock on it before constructing the run
+        #: (:meth:`QuerySessions.clock`)
         self.tracer = tracer
         self._root_span = None
         self._instr_span = None
@@ -643,19 +706,29 @@ class ProgramRun:
         )
 
 
+#: the session :func:`run_program` runs its query as
+LONE_SESSION = "run"
+
+
 def run_program(program: MALProgram, backend: Backend,
                 tracer=None) -> QueryResult:
-    """Interpret ``program`` on ``backend`` and collect its result set.
+    """Interpret ``program`` on ``backend`` and collect its result set:
+    the connection-less driver — one session opened on the backend's
+    timeline, run to completion and closed for its price, exactly the
+    calls the session scheduler makes for a lone flight.
 
     ``tracer`` (a :class:`repro.obs.tracer.Tracer`) turns on span
-    recording for this query; its clock is pointed at the backend's
-    per-query simulated clock."""
-    backend.begin()
+    recording for this query, on the session's simulated clock."""
+    sessions = backend.sessions
+    sessions.open(LONE_SESSION)
+    sessions.activate(LONE_SESSION)
     if tracer is not None:
-        tracer.clock = backend.elapsed_now
+        tracer.clock = sessions.clock(LONE_SESSION)
     run = ProgramRun(program, backend, tracer=tracer)
     try:
         run.run()
-        return run.collect(backend.elapsed())
+        _completion, elapsed = sessions.close(LONE_SESSION)
+        return run.collect(elapsed)
     finally:
         run.close()
+        sessions.close(LONE_SESSION)

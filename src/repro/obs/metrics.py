@@ -66,12 +66,11 @@ class MetricsRegistry:
             "plan_cache": connection.plan_cache.stats,
             **backend.counters(),
             "breaker": backend.health.counters(),
-        }
-        if connection._scheduler is not None:
-            sources["scheduler"] = connection._scheduler.counters()
-        sources["obs"] = {
-            "queries": self.queries,
-            "slow_queries": len(self.slow_queries),
+            "scheduler": connection.scheduler.counters(),
+            "obs": {
+                "queries": self.queries,
+                "slow_queries": len(self.slow_queries),
+            },
         }
         out: dict[str, object] = {}
         for namespace, stats in sources.items():

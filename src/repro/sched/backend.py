@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 from ..monetdb.bat import BAT, Role
 from ..monetdb.backends import MonetDBSequential
-from ..monetdb.interpreter import Backend, QuerySessions
+from ..monetdb.interpreter import Backend, QuerySessions, QueryState
 from ..monetdb.storage import Catalog
 from ..ocelot.memory import QueryMemory
 from ..ocelot.operators import HOST_CODE
@@ -53,19 +53,16 @@ from .pool import DevicePool
 
 
 @dataclass
-class _QueryState:
-    """Per-query scheduling state (one per in-flight session query)."""
+class _QueryState(QueryState):
+    """Per-query scheduling state (one per in-flight query): ``trace``
+    and ``replay`` hold ``(function, Placement)`` decisions in dispatch
+    order — harvested by the plan cache, replayed instead of re-scored."""
 
     #: devices whose fixed per-query framework cost was already paid
     overhead_charged: set[int] = field(default_factory=set)
     #: (function, "split"|device index) per dispatched instruction —
     #: introspection for tests and examples
     decision_log: list[tuple[str, object]] = field(default_factory=list)
-    #: full decisions in dispatch order, harvested by the plan cache
-    trace: list[tuple[str, Placement]] = field(default_factory=list)
-    #: cached decisions to replay instead of re-scoring; ``None`` = score
-    replay: list[tuple[str, Placement]] | None = None
-    replay_pos: int = 0
 
     def next_replayed(self, function: str, args) -> Placement | None:
         """The cached decision for this dispatch, or ``None`` (and replay
@@ -109,7 +106,7 @@ class HeterogeneousBackend(Backend):
         self._t0 = 0.0
         #: capability: one :class:`_QueryState` per in-flight query on
         #: the pool's per-device timelines
-        self.sessions = QuerySessions(_QueryState, self.pool)
+        self.sessions = QuerySessions(self._new_query, self.pool)
         #: device every dispatch is pinned to while a morsel is in
         #: flight (``morsel_scope``); None = normal cost placement
         self._pinned_device: int | None = None
@@ -274,10 +271,7 @@ class HeterogeneousBackend(Backend):
                 idx for idx in range(len(self.pool.engines))
                 if idx not in self.placer.banned
             ] or list(range(len(self.pool.engines)))
-            self._pinned_device = min(
-                candidates,
-                key=lambda idx: self.pool.engines[idx].queue.makespan(),
-            )
+            self._pinned_device = min(candidates, key=self.pool.frontier)
             try:
                 yield self._pinned_device
             finally:
@@ -387,16 +381,22 @@ class HeterogeneousBackend(Backend):
 
     # -- timing --------------------------------------------------------------------
 
-    def begin(self) -> None:
+    def _new_query(self) -> _QueryState:
+        # the fallback's clock is only ever read as a delta around one
+        # foreign operator, so every new query may zero it (and drop
+        # its per-operator cost trace)
         self.fallback.begin()
-        self.sessions.reset()
+        return _QueryState()
+
+    def begin(self) -> None:
+        self.sessions.current = self._new_query()
         self._t0 = self.pool.join_clocks()
 
     def elapsed(self) -> float:
         return self.pool.join_clocks() - self._t0
 
     def elapsed_now(self) -> float:
-        return self.pool.observe_clocks() - self._t0
+        return self.pool.makespan() - self._t0
 
     def query_overhead_s(self) -> float:
         return sum(

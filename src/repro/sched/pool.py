@@ -31,7 +31,12 @@ from ..ocelot.memory import BufferKind
 
 
 class DevicePool:
-    """All devices the heterogeneous scheduler may place work on."""
+    """All devices the heterogeneous scheduler may place work on — and
+    the engine's timeline (see :class:`~repro.monetdb.interpreter
+    .SerialTimeline` for the protocol): one command queue per device,
+    so sessions on different devices run at the same simulated time."""
+
+    overlaps = True
 
     def __init__(
         self,
@@ -52,6 +57,8 @@ class DevicePool:
         #: session whose commands are currently being scheduled (serve
         #: layer); ``None`` = plain one-query-at-a-time execution
         self.current_session: str | None = None
+        #: submit epoch of every open session
+        self._epochs: dict[str, float] = {}
         catalog.on_delete(self._drop_slices)
 
     def __len__(self) -> int:
@@ -209,16 +216,14 @@ class DevicePool:
     def makespan(self) -> float:
         return max(engine.queue.makespan() for engine in self.engines)
 
-    def observe_clocks(self) -> float:
-        """Read-only :meth:`join_clocks`: the same instant, but no
-        timeline is floored — mid-query observers (the tracer) use
-        this so sampling the clock never perturbs the schedule."""
-        session = self.current_session
-        if session is not None:
-            return max(
-                engine.queue.session_time(session) for engine in self.engines
-            )
-        return self.makespan()
+    def frontier(self, device: int) -> float:
+        """When ``device`` could take the current session's next
+        command: its queue's frontier, or the session's floor there
+        where that is later (a plain query's joins move the queue's
+        clocks themselves)."""
+        queue = self.engines[device].queue
+        return max(queue.makespan(),
+                   queue.session_time(self.current_session))
 
     # -- session lifecycle (serve layer) ----------------------------------------
 
@@ -237,18 +242,19 @@ class DevicePool:
         same epoch — otherwise a session submitted after a CPU-heavy
         batch could schedule GPU commands into that queue's idle past
         and report an impossibly small latency."""
-        epoch = max(engine.queue.makespan() for engine in self.engines)
+        epoch = self._epochs[session] = self.makespan()
         for engine in self.engines:
             engine.queue.open_session(session, epoch)
         return epoch
 
-    def close_session(self, session: str) -> float:
+    def close_session(self, session: str) -> tuple[float, float]:
         """Drop a session's tracking state; returns its completion epoch
-        (the latest frontier it reached on any queue)."""
+        (the latest frontier it reached on any queue) and the seconds
+        since its submit epoch."""
         t = self.session_time(session)
         for engine in self.engines:
             engine.queue.close_session(session)
-        return t
+        return t, t - self._epochs.pop(session)
 
     def session_time(self, session: str) -> float:
         return max(

@@ -11,12 +11,14 @@ in ARCHITECTURE.md:
   ``(SQL text, engine)`` and valid while the tables the statement
   reads stand.  Repeat queries skip straight to dispatch; DDL
   invalidates the plans that read the table it touched, no others.
-* :class:`~repro.serve.session.SessionScheduler` — ``Connection
-  .submit(sql)`` returns a :class:`~repro.serve.session.QueryFuture`;
-  in-flight queries advance one MAL instruction per turn, round-robin,
-  and on the HET engine their cross-device sync points are
-  session-scoped, so independent queries overlap on the DevicePool's
-  per-device timelines (``benchmarks/test_fig9_concurrency.py``).
+* :class:`~repro.serve.session.SessionScheduler` — the one driver:
+  ``Connection.submit(sql)`` returns a
+  :class:`~repro.serve.session.QueryFuture` and ``execute(sql)`` is
+  ``submit(sql).result()``; in-flight queries advance one MAL
+  instruction per turn, round-robin, and on the HET engine their
+  cross-device sync points are session-scoped, so independent queries
+  overlap on the DevicePool's per-device timelines
+  (``benchmarks/test_fig9_concurrency.py``).
 
 Since PR 7 the package is a full *front door* (ARCHITECTURE.md "Front
 door"): statements are auto-parameterised before the cache lookup

@@ -1,24 +1,25 @@
-"""Async sessions: ``submit()`` futures over a fair round-robin scheduler.
+"""The session scheduler: every query of a connection is one of its
+flights — ``submit()`` returns the flight's future, ``execute()`` is
+``submit().result()``.
 
 One :class:`SessionScheduler` serves one :class:`~repro.api.Connection`.
-``submit`` compiles (through the plan cache), opens a *session* — one
-in-flight query with its own interpreter environment, its own
-per-device timeline floors, and its own scheduling state — and returns
-a :class:`QueryFuture`.  The scheduler then interleaves the in-flight
-queries **one MAL instruction per turn, round-robin** (fairness: no
-query can starve another, every in-flight query advances once per
-round).
+Admitting a compiled plan opens a *session* on the backend's timeline
+(the ``sessions`` capability every backend has) — one in-flight query
+with its own interpreter environment, its own per-query engine state and
+its own clock — and the scheduler interleaves the sessions **one MAL
+instruction per turn, round-robin** (no query can starve another).
+Closing the session yields the query's price, so a query costs the same
+alone or in a batch of one, whichever call submitted it.
 
-On the heterogeneous engine this pipelines for real: each instruction
-is placed by the cost placer as usual, but cross-device sync points are
-*session-scoped* (see :meth:`repro.cl.queue.CommandQueue
-.advance_session_to`), so a query running on the GPU's queue and a
-query running on the CPU's queue overlap in simulated time — N
-independent queries finish in less wall-clock makespan than the same
-queries run serially, while same-device work still serialises in-order
-on the shared queue (contention stays real).  Engines with a single
-timeline (MS/MP/CPU/GPU) accept ``submit`` too but execute FIFO, one
-query at a time — there is no second device queue to overlap onto.
+Whether several flights are in the air at once is the timeline's to say
+(``timeline.overlaps``), and the only thing the scheduler asks it.  On
+HET, cross-device sync points are session-scoped (see
+:meth:`repro.cl.queue.CommandQueue.advance_session_to`), so a query on
+the GPU's queue and one on the CPU's overlap in simulated time — N
+independent queries finish in less makespan than run serially — while
+same-device work still serialises in order on the shared queue.  On a
+serial timeline (MS/MP/CPU/GPU: there is no second queue to overlap
+onto) the flights take the machine one at a time, in submission order.
 
 The scheduler is also the serving tier's **admission controller**:
 
@@ -26,23 +27,21 @@ The scheduler is also the serving tier's **admission controller**:
   parameter) and an optional memory budget
   (:attr:`SessionScheduler.memory_budget`, bytes of estimated base-
   column footprint) hold excess submissions in a pending queue;
-* queries that hit transient device memory pressure park and re-run
-  serially after the batch, with **bounded** re-parks
-  (:data:`MAX_PARKS`) so a persistently failing query terminates with
-  its original error;
+* queries that hit device memory pressure park and re-run alone after
+  the batch, with **bounded** re-parks (:data:`MAX_PARKS`) so a
+  persistently failing query terminates with its original error;
 * while parked queries wait, *new* submissions are held back too — the
-  retry queue drains first, so a steady arrival stream can no longer
-  starve a parked query;
+  retry queue drains first, so a steady arrival stream cannot starve a
+  parked query;
 * transient node failures (:class:`~repro.serve.faults.TransientFault`)
   are reported to the backend's circuit breakers
   (``note_node_failure``): a tripped breaker takes the sick node out
-  of service, every in-flight query is parked (its placement trace and
+  of service, every in-flight query is parked (its decision trace and
   partial state predate the topology change) and re-run against the
   healthy remainder;
 * ``submit(timeout=...)`` sets a deadline in simulated seconds and
   :meth:`QueryFuture.cancel` withdraws a query — both enforced
-  cooperatively at turn granularity (morsel-granular through
-  ``ProgramRun.step`` on pipelined engines).
+  cooperatively at turn granularity (one morsel inside a ``morsel.run``).
 
 Execution is cooperative and single-threaded: ``QueryFuture.result()``
 or ``SessionScheduler.drain()`` drive the interleaving.  Results are
@@ -54,7 +53,7 @@ are immutable) — property-tested under device memory pressure in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..monetdb.interpreter import ProgramRun, QueryResult
@@ -66,6 +65,8 @@ from .resilience import CircuitOpen
 #: how often one query may park (OOM or transient fault) before its
 #: failure is surfaced instead of retried
 MAX_PARKS = 3
+#: turns :attr:`SessionScheduler.turn_log` remembers
+TURN_LOG = 1024
 
 
 class QueryTimeout(RuntimeError):
@@ -80,10 +81,10 @@ class QueryFuture:
     """Handle to one submitted query; resolves when the scheduler has
     run the query to completion."""
 
-    def __init__(self, scheduler: "SessionScheduler", session: str,
-                 name: str):
+    def __init__(self, scheduler: "SessionScheduler", name: str):
         self._scheduler = scheduler
-        self.session = session
+        #: the session of the latest attempt ("" until admitted)
+        self.session = ""
         self.name = name
         self.submit_epoch = 0.0
         self.completion_epoch: Optional[float] = None
@@ -125,14 +126,22 @@ class QueryFuture:
 
 @dataclass
 class _InFlight:
-    """One admitted query: its stepper, future and plan-cache entry."""
+    """One submitted query: its plan, its future (which names its
+    session) and — while admitted — its stepper."""
 
-    session: str
-    run: Optional[ProgramRun]
     future: QueryFuture
-    entry: Optional[CachedPlan] = None
-    steps: int = 0
-    extra: dict = field(default_factory=dict)
+    entry: CachedPlan
+    program: object
+    tracer: object = None
+    #: simulated seconds allowed from admission, and the epoch they end
+    timeout: Optional[float] = None
+    deadline: Optional[float] = None
+    #: estimated base-column bytes (0 unless a memory budget is set)
+    nbytes: int = 0
+    run: Optional[ProgramRun] = None
+    parks: int = 0
+    retried: bool = False
+    cancelled: bool = False
 
 
 class SessionScheduler:
@@ -140,15 +149,9 @@ class SessionScheduler:
 
     def __init__(self, connection):
         self.connection = connection
-        self.backend = connection.backend
-        #: the backend's ``sessions`` capability (see the Backend
-        #: protocol): engines with per-session timelines pipeline;
-        #: single-timeline engines (None) fall back to FIFO execution
-        self.sessions = self.backend.sessions
-        self.pipelined = self.sessions is not None
         self._active: deque[_InFlight] = deque()
-        #: queries that hit transient pressure or a node failure while
-        #: interleaved; re-run one at a time once the batch drains
+        #: queries that hit transient pressure or a node failure; re-run
+        #: one at a time once the batch drains
         self._retry: deque[_InFlight] = deque()
         #: admission control: submissions held back while the retry
         #: queue drains or the concurrency/memory limits are reached
@@ -162,11 +165,20 @@ class SessionScheduler:
         self.memory_budget: Optional[int] = None
         self._inflight_bytes = 0
         self._counter = 0
-        #: (session, op) per executed instruction — fairness introspection
-        self.turn_log: list[tuple[str, str]] = []
+        #: the latest :data:`TURN_LOG` turns as (session, op), for
+        #: introspection; :attr:`turns` and :attr:`parked` count all
+        self.turn_log: deque[tuple[str, str]] = deque(maxlen=TURN_LOG)
+        self.turns = 0
+        self.parked = 0
         self._batch_start: Optional[float] = None
         self._batch_end = 0.0
         self.last_batch_makespan: Optional[float] = None
+
+    @property
+    def backend(self):
+        """The connection's backend, read live (the fault harness swaps
+        it under a connection)."""
+        return self.connection.backend
 
     def __len__(self) -> int:
         return len(self._active)
@@ -179,11 +191,15 @@ class SessionScheduler:
     def counters(self) -> dict:
         """The ``scheduler.*`` metrics namespace."""
         return {
-            "parked": sum(1 for _, op in self.turn_log if op == "parked"),
-            "turns": len(self.turn_log),
+            "parked": self.parked,
+            "turns": self.turns,
             "in_flight": len(self._active),
             "pending": len(self._pending),
         }
+
+    def _log(self, session: str, op: str) -> None:
+        self.turns += 1
+        self.turn_log.append((session, op))
 
     # -- admission ----------------------------------------------------------
 
@@ -197,49 +213,35 @@ class SessionScheduler:
         deadline in simulated seconds from admission.  ``tracer`` (a
         :class:`~repro.obs.tracer.Tracer`) records the query's spans;
         the result carries it as ``result.trace``."""
-        self._counter += 1
-        session = f"s{self._counter}"
-        future = QueryFuture(self, session, name)
-        flight = _InFlight(session, None, future, entry)
-        flight.extra["program"] = (
-            program if program is not None else entry.program
-        )
-        flight.extra["bytes"] = self._estimate_bytes(flight.extra["program"])
-        if tracer is not None:
-            flight.extra["tracer"] = tracer
+        if program is None:
+            program = entry.program
+        future = QueryFuture(self, name)
+        flight = _InFlight(future, entry, program, tracer=tracer)
         if timeout is not None:
-            flight.extra["timeout"] = float(timeout)
+            flight.timeout = float(timeout)
+        if self.memory_budget is not None:
+            flight.nbytes = self._estimate_bytes(program)
         if self._batch_start is None:
-            self._batch_start = self._now()
-            self._batch_end = self._batch_start
-        if self._must_defer() or not self._admits(flight):
-            future.submit_epoch = self._now()
-            self._pending.append(flight)
-        else:
-            self._admit(flight)
+            self._batch_start = self._batch_end = \
+                self.backend.sessions.timeline.makespan()
+        self._pending.append(flight)
+        self._admit_pending()
         return future
 
-    def _must_defer(self) -> bool:
-        """New work waits while parked queries (which re-run solo) or
-        earlier deferred submissions are owed the machine."""
-        if self._retry or self._pending:
-            return True
-        return any(f.extra.get("retried") for f in self._active)
-
     def _admits(self, flight: _InFlight) -> bool:
-        """Would admitting ``flight`` keep the concurrency and memory
-        limits?  An empty machine admits anything (no deadlock on
-        oversized queries)."""
+        """Would admitting ``flight`` keep the timeline's, the
+        concurrency and the memory limits?  An empty machine admits
+        anything (no deadlock on oversized queries); a timeline whose
+        sessions cannot overlap runs one flight at a time."""
         if not self._active:
             return True
+        if not self.backend.sessions.timeline.overlaps:
+            return False
         if self.admission_limit and len(self._active) >= self.admission_limit:
             return False
-        if self.memory_budget is not None and (
-            self._inflight_bytes + flight.extra.get("bytes", 0)
-            > self.memory_budget
-        ):
-            return False
-        return True
+        return self.memory_budget is None or (
+            self._inflight_bytes + flight.nbytes <= self.memory_budget
+        )
 
     def _admit(self, flight: _InFlight) -> None:
         backend = self.backend
@@ -247,38 +249,37 @@ class SessionScheduler:
         try:
             backend.health.admit(backend.label)
         except CircuitOpen as error:
-            flight.future._error = error
-            flight.future._done = True
-            self._maybe_finish_batch()
+            self._refuse(flight.future, error)
             return
-        if self.pipelined:
-            flight.future.submit_epoch = self.sessions.open(
-                flight.session, replay=flight.entry.placements
+        self._open(flight, replay=flight.entry.placements)
+        if flight.timeout is not None:
+            flight.deadline = flight.future.submit_epoch + flight.timeout
+
+    def _open(self, flight: _InFlight, replay=None) -> None:
+        """Open ``flight``'s session (a fresh one per attempt) and put
+        it in the rotation."""
+        backend = self.backend
+        self._counter += 1
+        session = flight.future.session = f"s{self._counter}"
+        flight.future.submit_epoch = backend.sessions.open(
+            session, replay=replay
+        )
+        tracer = flight.tracer
+        if tracer is not None:
+            tracer.clock = backend.sessions.clock(session)
+            tracer.event(
+                "admission", cat="admission", attempt=flight.parks,
+                breakers={b.name: b.state for b in backend.health},
             )
-        else:
-            flight.future.submit_epoch = self._now()
-        if flight.extra.get("timeout") is not None:
-            flight.extra["deadline"] = (
-                flight.future.submit_epoch + flight.extra["timeout"]
-            )
-        flight.run = ProgramRun(flight.extra["program"], backend,
-                                tracer=self._arm_tracer(flight))
-        self._inflight_bytes += flight.extra.get("bytes", 0)
+        flight.run = ProgramRun(flight.program, backend, tracer=tracer)
+        self._inflight_bytes += flight.nbytes
         self._active.append(flight)
 
-    def _arm_tracer(self, flight: _InFlight):
-        """Point the flight's tracer (if any) at the right simulated
-        clock: the shared pool makespan when sessions pipeline (every
-        flight's spans land on one global timeline, as in fig. 9), the
-        backend's per-query clock on the FIFO path."""
-        tracer = flight.extra.get("tracer")
-        if tracer is not None:
-            tracer.clock = (self.sessions.makespan if self.pipelined
-                            else self.backend.elapsed_now)
-        return tracer
-
     def _admit_pending(self) -> None:
-        if self._retry or any(f.extra.get("retried") for f in self._active):
+        """Admit waiting submissions in order, as far as the limits go
+        — none while parked queries (which re-run solo) are owed the
+        machine."""
+        if self._retry or any(f.retried for f in self._active):
             return
         while self._pending and self._admits(self._pending[0]):
             self._admit(self._pending.popleft())
@@ -289,37 +290,26 @@ class SessionScheduler:
         included)."""
         from ..monetdb.mal import ColumnRef
 
-        catalog = self.backend.catalog
-        seen: set = set()
-        total = 0
+        columns: set = set()
 
         def walk(instructions) -> None:
-            nonlocal total
             for instruction in instructions:
                 for arg in instruction.args:
-                    members = getattr(arg, "members", None)
-                    if members is not None:
-                        walk(members)
-                        continue
-                    if not isinstance(arg, ColumnRef):
-                        continue
-                    key = (arg.table, arg.column)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    try:
-                        bat = catalog.bat(arg.table, arg.column)
-                    except KeyError:
-                        continue
-                    total += int(bat.count) * int(bat.values.dtype.itemsize)
+                    if isinstance(arg, ColumnRef):
+                        columns.add((arg.table, arg.column))
+                    else:
+                        walk(getattr(arg, "members", ()))
 
         walk(program.instructions)
+        catalog = self.backend.catalog
+        total = 0
+        for table, column in columns:
+            try:
+                bat = catalog.bat(table, column)
+            except KeyError:
+                continue
+            total += int(bat.count) * int(bat.values.dtype.itemsize)
         return total
-
-    def _now(self) -> float:
-        if self.pipelined:
-            return self.sessions.makespan()
-        return self._batch_end
 
     # -- cancellation / deadlines ---------------------------------------------
 
@@ -327,77 +317,62 @@ class SessionScheduler:
         for flight in self._pending:
             if flight.future is future:
                 self._pending.remove(flight)
-                future._error = QueryCancelled(
+                self._refuse(future, QueryCancelled(
                     f"query {future.name!r} cancelled before admission"
-                )
-                future._done = True
-                self._maybe_finish_batch()
+                ))
                 return True
         for flight in list(self._active) + list(self._retry):
             if flight.future is future:
-                flight.extra["cancelled"] = True
+                flight.cancelled = True
                 return True
         return False
-
-    def _past_deadline(self, flight: _InFlight) -> bool:
-        deadline = flight.extra.get("deadline")
-        if deadline is None:
-            return False
-        if not self.pipelined and flight.extra.get("fifo_started"):
-            now = self._batch_end + self.backend.elapsed()
-        else:
-            now = self._now()
-        return now > deadline
 
     # -- the scheduling loop ----------------------------------------------------
 
     def step(self) -> bool:
         """One fairness turn: advance the next in-flight query by one
-        instruction (pipelined) or one whole query (FIFO engines).
-        Returns False once nothing is in flight."""
+        instruction (one morsel inside a ``morsel.run``).  Returns False
+        once nothing is in flight."""
         if not self._active and self._retry:
-            self._readmit(self._retry.popleft())
-        self._admit_pending()
+            flight = self._retry.popleft()
+            # re-run a parked query alone (full device budget), deciding
+            # afresh — the recorded trace predates the pressure or the
+            # topology change (``query_boundary`` applies any pending
+            # node exclusions before the session opens)
+            self.backend.query_boundary()
+            self._open(flight)
+        if self._pending:
+            self._admit_pending()
         if not self._active:
             return False
         flight = self._active.popleft()
-        if flight.extra.get("cancelled"):
-            self._fail(flight, QueryCancelled(
-                f"query {flight.future.name!r} cancelled"
-            ))
-            return True
-        if self._past_deadline(flight):
-            self._fail(flight, QueryTimeout(
-                f"query {flight.future.name!r} exceeded its "
-                f"{flight.extra['timeout']}s deadline"
-            ))
-            return True
         try:
-            if self.pipelined:
-                done = self._step_pipelined(flight)
-            else:
-                done = self._run_fifo(flight)
+            if flight.cancelled:
+                raise QueryCancelled(
+                    f"query {flight.future.name!r} cancelled"
+                )
+            if flight.deadline is not None and flight.deadline < \
+                    self.backend.sessions.timeline.session_time(
+                        flight.future.session):
+                raise QueryTimeout(
+                    f"query {flight.future.name!r} exceeded its "
+                    f"{flight.timeout}s deadline"
+                )
+            done = self._step(flight)
         except OcelotOOM as error:
-            if flight.extra.get("parks", 0) < MAX_PARKS:
+            if flight.parks < MAX_PARKS:
                 # transient pressure from the *concurrent* working set:
                 # park the query and re-run it serially after the batch
                 self._park(flight)
             else:
                 self._fail(flight, error)
-            return True
         except TransientFault as error:
             self._on_transient(flight, error)
-            return True
         except Exception as error:
             self._fail(flight, error)
-            return True
-        if not done:
-            if self.pipelined:
+        else:
+            if not done:
                 self._active.append(flight)
-            else:
-                # FIFO engines share one clock: a started query keeps
-                # the head slot until it completes
-                self._active.appendleft(flight)
         return True
 
     def drain(self) -> None:
@@ -405,79 +380,49 @@ class SessionScheduler:
         while self.step():
             pass
 
-    # -- pipelined (heterogeneous) path ----------------------------------------
-
-    def _step_pipelined(self, flight: _InFlight) -> bool:
-        sessions = self.sessions
-        sessions.activate(flight.session)
+    def _step(self, flight: _InFlight) -> bool:
+        """Advance ``flight`` by one unit of work on its own session;
+        True when that completed it."""
+        sessions = self.backend.sessions
+        session = flight.future.session
+        sessions.activate(session)
         try:
             op = flight.run.next_op
             more = flight.run.step()
-            flight.steps += 1
-            self.turn_log.append((flight.session, op))
-            if not more:
-                self._complete_pipelined(flight)
-                return True
-            return False
+            self._log(session, op)
+            if more:
+                return False
+            self._complete(flight)
+            return True
         finally:
             sessions.activate(None)
 
-    def _complete_pipelined(self, flight: _InFlight) -> None:
-        sessions = self.sessions
-        sessions.activate(flight.session)
-        try:
-            trace, replayed = sessions.trace()
-            if flight.entry is not None:
-                flight.entry.placements = trace
-                self.connection.plan_cache.stats.placement_reuses += replayed
-        finally:
-            sessions.activate(None)
-        completion = sessions.close(flight.session)
+    def _complete(self, flight: _InFlight) -> None:
+        """The last step ran (the session is still active): hand the
+        decision trace to the plan cache, close the session for the
+        query's price, collect."""
+        sessions = self.backend.sessions
+        flight.entry.placements, replayed = sessions.trace()
+        self.connection.plan_cache.stats.placement_reuses += replayed
         future = flight.future
+        completion, elapsed = sessions.close(future.session)
         future.completion_epoch = completion
-        result = flight.run.collect(completion - future.submit_epoch)
-        self._resolve(flight, result, completion)
-
-    # -- FIFO path (single-timeline engines) --------------------------------------
-
-    def _run_fifo(self, flight: _InFlight) -> bool:
-        backend = self.backend
-        if flight.extra.get("deadline") is None:
-            backend.begin()
-            flight.run.run()
-            self.turn_log.append((flight.session, "query"))
-            return self._complete_fifo(flight)
-        # with a deadline the query advances stepwise, so the timeout
-        # check between turns sees the clock move mid-query
-        if not flight.extra.get("fifo_started"):
-            backend.begin()
-            flight.extra["fifo_started"] = True
-        op = flight.run.next_op
-        more = flight.run.step()
-        flight.steps += 1
-        self.turn_log.append((flight.session, op))
-        if more:
-            return False
-        flight.extra.pop("fifo_started", None)
-        return self._complete_fifo(flight)
-
-    def _complete_fifo(self, flight: _InFlight) -> bool:
-        elapsed = self.backend.elapsed()
-        self._batch_end += elapsed
-        flight.future.completion_epoch = self._batch_end
-        result = flight.run.collect(elapsed)
-        self._resolve(flight, result, self._batch_end)
-        return True
+        future._result = flight.run.collect(elapsed)
+        future._done = True
+        self._inflight_bytes -= flight.nbytes
+        self.backend.health.record_success()
+        self.connection.metrics.record_query(future.name, elapsed)
+        self._batch_end = max(self._batch_end, completion)
+        self._maybe_finish_batch()
 
     # -- transient failures: park / reroute / bounded retry ---------------------
 
     def _on_transient(self, flight: _InFlight, error: Exception) -> None:
         """A node-level failure: consult the breaker board and either
         retry, re-route around the tripped node, or give up."""
-        if flight.entry is not None:
-            flight.entry.placements = None
+        flight.entry.placements = None
         action = self.backend.note_node_failure(error)
-        if action == "fail" or flight.extra.get("parks", 0) >= MAX_PARKS:
+        if action == "fail" or flight.parks >= MAX_PARKS:
             self._fail(flight, error)
             return
         self._park(flight)
@@ -488,72 +433,36 @@ class SessionScheduler:
             while self._active:
                 self._park(self._active.popleft(), count=False)
 
-    def _park(self, flight: _InFlight, count: bool = True) -> None:
-        if self.pipelined:
-            self.sessions.activate(None)
-            self.sessions.close(flight.session)
-        elif flight.extra.pop("fifo_started", None):
-            self._batch_end += self.backend.elapsed()
-        # the same release a completed query gets: the half-executed
-        # run hands back everything it allocated
+    def _close(self, flight: _InFlight) -> None:
+        """End a flight that will not complete: its session closes and
+        the half-executed run hands back everything it allocated, as a
+        completed query does — nothing of it may outlive it inside the
+        long-lived cached connection."""
+        self.backend.sessions.close(flight.future.session)
         flight.run.close()
-        self.turn_log.append((flight.session, "parked"))
+        self._inflight_bytes -= flight.nbytes
+
+    def _park(self, flight: _InFlight, count: bool = True) -> None:
+        self._close(flight)
+        self.parked += 1
+        self._log(flight.future.session, "parked")
         if count:
-            flight.extra["parks"] = flight.extra.get("parks", 0) + 1
-        flight.extra["retried"] = True
-        self._inflight_bytes -= flight.extra.get("bytes", 0)
+            flight.parks += 1
+        flight.retried = True
         self._retry.append(flight)
 
-    def _readmit(self, flight: _InFlight) -> None:
-        """Re-run a parked query alone (full device budget), with fresh
-        placement scoring — the recorded trace predates the pressure or
-        the topology change (``query_boundary`` applies any pending
-        node exclusions before the session opens)."""
-        backend = self.backend
-        backend.query_boundary()
-        self._counter += 1
-        flight.session = f"s{self._counter}"
-        flight.future.session = flight.session
-        if self.pipelined:
-            flight.future.submit_epoch = self.sessions.open(flight.session)
-        else:
-            flight.future.submit_epoch = self._now()
-        flight.run = ProgramRun(flight.extra["program"], backend,
-                                tracer=self._arm_tracer(flight))
-        self._inflight_bytes += flight.extra.get("bytes", 0)
-        self._active.append(flight)
-
-    # -- completion bookkeeping ------------------------------------------------
-
-    def _resolve(self, flight: _InFlight, result: QueryResult,
-                 completion: float) -> None:
-        flight.future._result = result
-        flight.future._done = True
-        self._inflight_bytes -= flight.extra.get("bytes", 0)
-        self.backend.health.record_success()
-        self.connection._record_query(flight.future.name, result.elapsed)
-        self._batch_end = max(self._batch_end, completion)
-        self._maybe_finish_batch()
-
     def _fail(self, flight: _InFlight, error: BaseException) -> None:
-        if self.pipelined:
-            self.sessions.activate(None)
-            self.sessions.close(flight.session)
-        elif flight.extra.pop("fifo_started", None):
-            self._batch_end += self.backend.elapsed()
-        # on every engine: a half-executed query's device intermediates
-        # must not outlive it inside the long-lived cached connection
-        flight.run.close()
-        self._inflight_bytes -= flight.extra.get("bytes", 0)
-        flight.future._error = error
-        flight.future._done = True
+        self._close(flight)
+        self._refuse(flight.future, error)
+
+    def _refuse(self, future: QueryFuture, error: BaseException) -> None:
+        future._error = error
+        future._done = True
         self._maybe_finish_batch()
+
+    # -- batch bookkeeping -------------------------------------------------------
 
     def _maybe_finish_batch(self) -> None:
-        if self.idle:
-            self._finish_batch()
-
-    def _finish_batch(self) -> None:
         """The queue drained: close out the batch's makespan accounting.
 
         This is also where a staged re-shard (or a deferred replica
@@ -562,6 +471,8 @@ class SessionScheduler:
         mid-migration :meth:`QueryFuture.cancel` — has drained, the
         remaining key ranges migrate and the new layout commits, so no
         partial layout survives the batch."""
+        if not self.idle:
+            return
         if self._batch_start is not None:
             self.last_batch_makespan = self._batch_end - self._batch_start
         self._batch_start = None

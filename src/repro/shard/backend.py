@@ -77,6 +77,7 @@ from ..monetdb.bat import BAT, OID_DTYPE, Role, make_bat, oid_bat
 from ..monetdb.interpreter import (
     Backend,
     QuerySessions,
+    QueryState,
     UnsupportedOperator,
 )
 from ..monetdb.storage import Catalog
@@ -331,98 +332,126 @@ class _Grouping:
 
 
 @dataclass
-class _ShardQuery:
+class _ShardQuery(QueryState):
     """Per-query bookkeeping, one per in-flight query (the sharded
-    analogue of the heterogeneous engine's ``_QueryState``; both live in
-    a :class:`~repro.monetdb.interpreter.QuerySessions`)."""
+    analogue of the heterogeneous engine's ``_QueryState``): ``trace``
+    and ``replay`` hold the join-site decisions; the last three fields
+    are the session's account on :class:`_ShardTimelines`."""
 
     #: serial driver-side merge/gather seconds of this query
     merge_s: float = 0.0
-    #: join-site decisions, harvested by the plan cache
-    trace: list = field(default_factory=list)
-    #: installed decision trace being consumed positionally
-    replay: "list | None" = None
-    replay_pos: int = 0
+    #: the session's submit epoch
+    epoch: float = 0.0
+    #: child -> seconds past ``epoch`` at which its work there ends
+    reach: dict = field(default_factory=dict)
+    #: child -> the child-clock reading its open stretch began at
+    #: (missing: the clock's origin, i.e. the child's ``begin()``)
+    since: dict = field(default_factory=dict)
 
 
 class _ShardTimelines:
-    """Simulated per-shard clocks + the driver's merge clock.
+    """The sharded engine's timeline: a session is a query on every
+    child's own ``begin()``/``elapsed()`` clock, priced as ``elapsed()``
+    prices it — the slowest child's total plus the driver's merges.
 
-    The sharded analogue of the heterogeneous pool's device queues,
-    with exactly the surface :class:`QuerySessions` needs.  Each
-    session turn charges its measured per-shard work and driver merge
-    time here: work on one shard serialises on that shard's clock, but
-    one query's driver merge overlaps with another query's shard scans —
-    which is what makes concurrent ``submit()`` batches finish in less
-    simulated makespan than the serial sum (fig. 9, across shards)."""
+    Opening a session calls ``begin()`` on every child, which charges
+    what a query charges (a CPU child's per-query SDK cost, a HET
+    child's first-use overheads afresh).  Children are shared and the
+    scheduler single-threaded: what a child's clock gains while one
+    session *holds* the children is that session's work there, read off
+    only when the children change hands — never for a lone session,
+    whose price is therefore ``elapsed()`` to the bit.  A child's work
+    serialises across sessions on its busy-until clock, and nothing
+    joins the children between instructions.  Over single-queue
+    children a concurrent batch gains no second device, so its makespan
+    is the serial sum (fig. 9c); children that are device pools overlap
+    their own queues."""
 
-    def __init__(self, backend: "ShardedBackend", n_shards: int):
+    overlaps = True
+
+    def __init__(self, backend: "ShardedBackend"):
         self.backend = backend
-        #: one clock per *physical* shard plus the driver's merge clock
-        #: (last); a routed-around shard keeps its clock
-        self.clocks = [0.0] * (n_shards + 1)
-        #: per-session frontier: nothing of the session may start earlier
-        self.frontiers: dict[str, float] = {}
-        #: the turn in progress: (session, its state, host of each
-        #: child, per-child elapsed and the state's merge_s at activation)
-        self._turn = None
+        #: child -> epoch until which sessions keep it busy
+        self.clocks: dict = {}
+        #: the latest completion epoch (merges end past the children)
+        self.driver = 0.0
+        #: the session whose stretch is open on the children's clocks
+        self._holder: "_ShardQuery | None" = None
 
     def makespan(self) -> float:
-        return max(self.clocks)
+        return max(self.driver, max(self.clocks.values(), default=0.0))
 
-    def reseed(self, n_shards: int) -> None:
-        """A committed resize: fresh clocks, all at the old makespan."""
-        self.clocks = [self.makespan()] * (n_shards + 1)
+    def reseed(self) -> None:
+        """A committed resize replaced every child: the new ones start
+        at the old makespan."""
+        self.driver = self.makespan()
+        self.clocks.clear()
+
+    def _read(self, join: bool = False) -> dict:
+        """Every child's clock — observed, or with ``join`` through
+        ``elapsed()``, the sync point a query ends on."""
+        return {child: child.elapsed() if join else child.elapsed_now()
+                for child in self.backend.children}
+
+    def _stretch(self, state: _ShardQuery, now: dict) -> dict:
+        """Where the open stretch, ending at the child-clock readings
+        ``now``, takes ``state.reach`` — per child it advanced, queued
+        behind that child's other work."""
+        reach = {}
+        for child, reading in now.items():
+            spent = reading - state.since.get(child, 0.0)
+            if spent > 0.0:
+                reach[child] = max(
+                    state.reach.get(child, 0.0),
+                    self.clocks.get(child, 0.0) - state.epoch,
+                ) + spent
+        return reach
+
+    def _hand_over(self, state: "_ShardQuery | None",
+                   join: bool = False) -> None:
+        """Close the open stretch — charging it to its session and the
+        children's clocks — and start ``state``'s (``None``: nobody's)."""
+        holder, self._holder = self._holder, state
+        if holder is None and state is None:
+            return
+        now = self._read(join)
+        if holder is not None:
+            reach = self._stretch(holder, now)
+            holder.reach.update(reach)
+            for child, seconds in reach.items():
+                self.clocks[child] = holder.epoch + seconds
+        if state is not None:
+            state.since = now
 
     def open_session(self, session: str) -> float:
-        epoch = self.makespan()
-        self.frontiers[session] = epoch
-        return epoch
+        backend = self.backend
+        self._hand_over(None)
+        state = self._holder = backend.sessions.open_states[session]
+        state.epoch = self.makespan()
+        for child in backend.children:
+            child.begin()
+        backend.traffic.query.reset()
+        return state.epoch
 
     def set_session(self, session: "str | None") -> None:
-        """Charge the turn that just ended to its session and, unless
-        ``session`` is None, start measuring the next one.
+        state = self.backend.sessions.open_states.get(session)
+        if state is not None and state is not self._holder:
+            self._hand_over(state)
 
-        Children are shared across sessions, but the scheduler is
-        single-threaded: everything their clocks advanced since a
-        session was activated is that session's work.  Per-child deltas
-        scatter to their host nodes — additively, because two promoted
-        slots may share one host."""
-        backend = self.backend
-        if self._turn is not None:
-            previous, state, hosts, baseline, merge_base = self._turn
-            deltas = [0.0] * (len(self.clocks) - 1)
-            for host, child, before in zip(hosts, backend.children,
-                                           baseline):
-                deltas[host] += max(0.0, child.elapsed() - before)
-            merge_delta = max(0.0, state.merge_s - merge_base)
-            if merge_delta > 0.0 or any(d > 0.0 for d in deltas):
-                self.charge(previous, deltas, merge_delta)
-        if session is None:
-            self._turn = None
-        else:
-            state = backend.sessions.current
-            self._turn = (
-                session, state, backend.cluster.hosts(),
-                [child.elapsed() for child in backend.children],
-                state.merge_s,
-            )
+    def session_time(self, session: str) -> float:
+        state = self.backend.sessions.open_states[session]
+        reach = state.reach
+        if state is self._holder:
+            reach = {**reach, **self._stretch(state, self._read())}
+        return state.epoch + max(reach.values(), default=0.0) + state.merge_s
 
-    def charge(self, session: str, shard_deltas, merge_delta: float) -> None:
-        frontier = self.frontiers.get(session, 0.0)
-        reached = frontier
-        for shard, delta in enumerate(shard_deltas):
-            if delta <= 0.0:
-                continue
-            self.clocks[shard] = max(self.clocks[shard], frontier) + delta
-            reached = max(reached, self.clocks[shard])
-        if merge_delta > 0.0:
-            self.clocks[-1] = max(self.clocks[-1], reached) + merge_delta
-            reached = self.clocks[-1]
-        self.frontiers[session] = reached
-
-    def close_session(self, session: str) -> float:
-        return self.frontiers.pop(session, self.makespan())
+    def close_session(self, session: str) -> tuple[float, float]:
+        state = self.backend.sessions.open_states[session]
+        if state is self._holder:
+            self._hand_over(None, join=True)
+        elapsed = max(state.reach.values(), default=0.0) + state.merge_s
+        self.driver = max(self.driver, state.epoch + elapsed)
+        return state.epoch + elapsed, elapsed
 
 
 class ShardedBackend(Backend):
@@ -481,12 +510,10 @@ class ShardedBackend(Backend):
         self.join_strategy = join_strategy
         self._observed_joins: list[tuple] = []
         self._inferred: set[tuple] = set()
-        #: per-shard + driver clocks for pipelined sessions
-        self.pool = _ShardTimelines(self, n_shards)
-        #: capability: one :class:`_ShardQuery` per in-flight query —
-        #: shards are independent nodes with their own clocks, so one
-        #: query's driver merges overlap with another's shard scans
-        self.sessions = QuerySessions(self._new_query, self.pool)
+        #: capability: one :class:`_ShardQuery` per in-flight query on
+        #: the children's clocks
+        self.sessions = QuerySessions(self._new_query,
+                                      _ShardTimelines(self))
         if self.all_children[0].memory is not None:
             #: capability: every copy's Memory Managers — a query owns
             #: what it allocates on any node
@@ -543,16 +570,15 @@ class ShardedBackend(Backend):
         # reset in place: references to the per-query counters held
         # across queries keep reading the live object
         self.traffic.query.reset()
-        self.sessions.reset()
+        self.sessions.current = self._new_query()
 
     def query_boundary(self) -> None:
         """Between-queries hook: breaker ticks (base class) plus
-        per-query counter hygiene.  Pipelined sessions never call
-        :meth:`begin` (each flight gets its own timeline instead), and a
-        query dying mid-plan skips its own cleanup — either way the next
-        query must start from zeroed per-query traffic.  Reset is in
-        place so live references to ``traffic.query`` keep reading the
-        current counters.  This is also where the topology moves:
+        per-query counter hygiene — a query dying mid-plan skips its
+        own cleanup, and the next must start from zeroed per-query
+        traffic.  Reset is in place so live references to
+        ``traffic.query`` keep reading the current counters.  This is
+        also where the topology moves:
         cooled-down nodes rejoin, staged resizes migrate a few key
         ranges, and a healthy replicated cluster rotates its read
         routing (see :class:`~repro.shard.topology.ShardTopology`)."""
@@ -605,10 +631,6 @@ class ShardedBackend(Backend):
         concurrently, so the query's makespan is the maximum, plus the
         serial driver work (merges, gathers, broadcasts)."""
         return max(child.elapsed() for child in self.children) \
-            + self.sessions.current.merge_s
-
-    def elapsed_now(self) -> float:
-        return max(child.elapsed_now() for child in self.children) \
             + self.sessions.current.merge_s
 
     def query_overhead_s(self) -> float:
@@ -681,7 +703,7 @@ class ShardedBackend(Backend):
         (:meth:`ShardTopology.node_failed`); faults without a node fall
         back to the backend-wide breaker."""
         node = getattr(error, "node", None)
-        if node is None or not 0 <= node < len(self.pool.clocks) - 1:
+        if node is None or not 0 <= node < len(self.all_children):
             return super().note_node_failure(error)
         return self.cluster.node_failed(node)
 

@@ -18,8 +18,8 @@ values hold parts fanned over the old roster):
   boundary after the last table.
 
 The roster itself (``partitioner``, ``copies``, ``all_children``,
-``children``, the timeline ``pool``) stays on the backend, where the
-fan-out reads it; this object rewrites it.
+``children``) stays on the backend, where the fan-out reads it; this
+object rewrites it.
 """
 
 from __future__ import annotations
@@ -85,20 +85,6 @@ class ShardTopology:
         raise RuntimeError(  # pragma: no cover - invariant
             f"topology change of {self.backend.label!r} did not converge"
         )
-
-    def hosts(self) -> tuple:
-        """Physical node serving each live child, in slot order.
-
-        Without replicas this is the partitioner's active set; with
-        replicas it follows the routing's chained-declustering copy
-        choice — after a failover two slots may share one node."""
-        backend = self.backend
-        if backend.replicas > 1:
-            return tuple(
-                self.routing.host(slot)
-                for slot in range(len(backend.children))
-            )
-        return tuple(backend.partitioner.active)
 
     # -- failover ----------------------------------------------------------------
 
@@ -286,7 +272,7 @@ class ShardTopology:
         self.excluded = set()
         self._stale = False
         self._rebuild_children()
-        backend.pool.reseed(staged.n_shards)
+        backend.sessions.timeline.reseed()
         self.stats.nodes = staged.n_shards
         self.stats.replicas = staged.replicas
         self._changed()

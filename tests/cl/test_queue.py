@@ -161,6 +161,21 @@ class TestSessionTimelines:
         assert ev.t_start >= 0.5
         assert queue.session_time("s") == ev.t_end
 
+    def test_a_floored_session_pays_for_its_enqueues(self, gpu_ctx, queue):
+        """Regression: a session floored past the queue's host clock
+        started its first command *at* the floor — the enqueue's submit
+        cost hid in the idle past, and a lone session came out one
+        ``host_submit_us`` cheaper than the same query joined there."""
+        submit = queue.device.host_submit_time()
+        queue.open_session("s", 1.0)
+        queue.current_session = "s"
+        first = queue.enqueue_marker()
+        second = queue.enqueue_marker()
+        queue.current_session = None
+        assert first.t_start == 1.0 + submit
+        assert second.t_start == 1.0 + submit + submit
+        assert queue.session_time("s") == second.t_end
+
     def test_close_session_forgets_state(self, gpu_ctx, queue):
         queue.open_session("s", 2.0)
         queue.close_session("s")

@@ -90,13 +90,17 @@ class TestToyEngine:
         expected = points_db.connect("MS").execute(QUERY)
         con = points_db.connect("toy")
         assert con.engine == "TOY"
-        assert (con.backend.sessions, con.backend.cluster) == (None, None)
+        assert con.backend.cluster is None
+        # the timeline it got without writing a line: serial
+        assert not con.backend.sessions.timeline.overlaps
         assert_same(expected, con.execute(QUERY))
         assert_same(expected, con.submit(QUERY).result())
         assert "aggr.subsum" in con.explain(QUERY)
         snap = con.metrics.snapshot()
         assert snap["obs.queries"] == 2
-        assert snap["scheduler.turns"] == 1            # FIFO: one turn
+        plan = con.plan_cache.prepare(QUERY, con.config, points_db.schema)[1]
+        # both doors step the same flight: one turn per instruction
+        assert snap["scheduler.turns"] == 2 * len(plan.instructions)
         assert "compress.decode_events" in snap
         assert not any(key.startswith(("mm.", "cluster.", "interconnect."))
                        for key in snap)

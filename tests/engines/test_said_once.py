@@ -94,3 +94,52 @@ def test_a_sharded_value_has_one_row_space_field():
     assert not slots & {"global_oids", "remote_oids", "repl_space",
                         "base_rows"}
     assert len(slots) <= 12
+
+
+# -- one driver: a compiled plan becomes a result one way --------------------
+
+def docstring_line(hit: str) -> bool:
+    """Whether ``file:line`` is prose: inside a docstring or a comment."""
+    name, line = hit.rsplit(":", 1)
+    text = sources()[name].splitlines()
+    if text[int(line) - 1].lstrip().startswith("#"):
+        return True
+    quotes = sum(row.count('"""') for row in text[:int(line) - 1])
+    return quotes % 2 == 1 or '"""' in text[int(line) - 1]
+
+
+def test_one_driver_opens_runs_and_prices_a_plan():
+    """``execute`` / ``submit`` / ``run_plan`` / ``explain(analyze=True)``
+    are flights of the session scheduler; ``run_program`` is the same
+    open → step → close sequence without a connection, for the bench
+    harness and tests.  Nothing else may turn a plan into a result."""
+    calls = [hit for hit in hits(r"(?<!def )\brun_program\(")
+             if not docstring_line(hit)]
+    assert files_of(calls) == {"bench/harness.py"}, calls
+    built = hits(r"(?<![\w`])ProgramRun\(")
+    assert files_of(built) == {"monetdb/interpreter.py",
+                               "serve/session.py"}, built
+    # whoever steps a flight opened its session: the engine's clock is
+    # not restarted from the serving tier
+    begun = [hit for hit in hits(r"backend\.begin\(\)")
+             if hit.startswith(("api.py", "serve/"))]
+    assert begun == []
+
+
+def test_the_scheduler_has_one_path_and_typed_flights():
+    """No second (whole-query) path for engines whose sessions cannot
+    overlap — the timeline says so and the scheduler admits one flight
+    at a time — and a flight's state is fields, not a string-keyed dict."""
+    scheduler = sources()["serve/session.py"]
+    assert not re.search(r"pipelined|fifo|\.extra\[|\.extra\.get\(",
+                         scheduler, re.IGNORECASE)
+    assert len(re.findall(r"^    def _step\(", scheduler, re.M)) == 1
+    assert len(re.findall(r"^    def _complete\(", scheduler, re.M)) == 1
+
+
+def test_one_retry_budget_and_one_trace_hand_over():
+    assert hits(r"MAX_TRANSIENT_RETRIES|sessions\.arm\(|\b_armed\b") == []
+    # the plan cache's decision trace is handed to a session in
+    # ``sessions.open(replay=...)`` and taken back in one place
+    assert files_of(hits(r"\.placements = ")) == {"serve/session.py"}
+

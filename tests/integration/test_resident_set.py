@@ -42,8 +42,10 @@ def ocelot_specs() -> "list[str]":
         if not family.takes_child and registry.resolve(family.name).is_ocelot
     ]
     with repro.Database() as db:
-        pipelined = [name for name in leaves
-                     if db.connect(name).backend.sessions is not None]
+        pipelined = [
+            name for name in leaves
+            if db.connect(name).backend.sessions.timeline.overlaps
+        ]
     specs = leaves + [f"{name}:admission=4" for name in pipelined]
     for family in registry.families():
         if not family.takes_child:

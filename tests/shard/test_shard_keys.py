@@ -502,8 +502,9 @@ class TestStrategyReplay:
         db = make_db()
         con = db.connect("SHARD:2xMS,key=fact.f_key,key=dim.d_key")
         con.execute(JOIN_SQL)
-        con.backend.sessions.arm([("algebra.join", "shuffle-right"),
-                                  ("algebra.join", JOIN_COLOCATED)])
+        entry, _ = db.plan_cache.prepare(JOIN_SQL, con.config, db.schema)
+        entry.placements = [("algebra.join", "shuffle-right"),
+                            ("algebra.join", JOIN_COLOCATED)]
         expected = db.connect("MS").execute(JOIN_SQL)
         got = con.execute(JOIN_SQL)
         assert_results_equal(expected, got, rtol=1e-5)

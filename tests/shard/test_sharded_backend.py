@@ -297,3 +297,37 @@ class TestSessions:
         future = con.submit("SELECT x, sum(y) AS s FROM points GROUP BY x")
         con.drain()
         assert_results_equal(serial, future.result(), rtol=1e-10)
+
+    def test_a_lone_submit_pays_the_framework_overhead_each_time(self):
+        """Regression: sessions never reached the children's ``begin()``,
+        so a submitted Q6 on CPU shards cost 0.026 s where ``execute()``
+        — which pays the Intel SDK's 0.6 s per query (§5.3.2) — costs
+        0.625 s."""
+        with repro.tpch_database(sf=0.1) as db:
+            con = db.connect("SHARD:2xCPU")
+            con.execute(WORKLOAD["Q6"], name="Q6")          # warm caches
+            price = con.execute(WORKLOAD["Q6"], name="Q6").elapsed
+            overhead = con.backend.query_overhead_s()
+            assert overhead >= 0.6
+            for _ in range(2):
+                lone = con.submit(WORKLOAD["Q6"], name="Q6").result()
+                assert lone.elapsed >= overhead
+                assert lone.elapsed == pytest.approx(price, rel=1e-9)
+
+    def test_het_children_charge_first_use_on_every_session(self):
+        """Regression: a HET child clears the devices it has charged in
+        ``begin()`` only, so of all the sessions of a connection just
+        the first paid the CPU's framework overhead."""
+        rng = np.random.default_rng(31)
+        with repro.Database(data_scale=12288.0) as db:
+            db.create_table("big", {           # 3 GB a shard: CPU-bound
+                "v": rng.integers(0, 1 << 30, 1 << 17).astype(np.int32),
+            })
+            con = db.connect("SHARD:2xHET")
+            sql = "SELECT min(v) AS m FROM big"
+            price = con.execute(sql).elapsed
+            overhead = con.backend.query_overhead_s()
+            assert overhead >= 0.6                      # placed on the CPU
+            for _ in range(2):
+                assert con.submit(sql).result().elapsed >= overhead
+            assert con.execute(sql).elapsed == pytest.approx(price, rel=0.05)

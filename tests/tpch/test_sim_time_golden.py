@@ -25,6 +25,15 @@ higher (the two warm Q6 cells, which launch neither, moved by 3e-15
 relative because the clock they are subtracted from moved), placement
 reuses equal; summed elapsed CPU and SHARD:2xCPU -8.8 %, GPU and HET
 -50.4 %, pipelined makespans -25 ... -52 % (table in CHANGES.md).
+**The pipelined section was regenerated at PR 20**, which made
+``execute()`` a one-flight batch of the scheduler and a session cost
+what ``begin()``/``elapsed()`` cost: the 112 execute cells stayed
+bit-identical through it (they were that PR's guard), all 84 pipelined
+checksums and placement reuses too; the SHARD cells rose by the
+per-query framework overhead their sessions had never paid (makespan
+3.41 -> 11.79 s on SHARD:2xCPU, whose 14 serial executes sum to 11.80)
+and the HET cells moved by <= 0.1 % (a session floored past a queue's
+host clock now pays its enqueues' submit cost).
 
 A change that means to alter the cost model or a result deletes the
 cells it moves and regenerates them (``--regen`` only adds cells that
