@@ -21,7 +21,6 @@ ARCHITECTURE.md for the layer map (sql -> monetdb/MAL -> ocelot -> cl
 """
 
 from . import (
-    bench,
     cl,
     fuse,
     kernels,
@@ -54,7 +53,6 @@ __all__ = [
     "Database",
     "EngineSpecError",
     "QueryResult",
-    "bench",
     "cl",
     "engine_table_markdown",
     "engines",

@@ -1,6 +1,8 @@
-"""``repro.bench`` — the benchmark harness (S7): the five engine
-configurations, microbenchmark and TPC-H drivers, and paper-style
-reporting.  (Layer map: ARCHITECTURE.md; figure recipes: README.md.)"""
+"""``repro.bench`` — the benchmark harness (S7): the figure shapes,
+microbenchmark and TPC-H drivers, and paper-style reporting.  A leaf:
+the figure reproductions under ``benchmarks/`` import it, nothing in
+``repro`` does.  (Layer map: ARCHITECTURE.md; figure recipes:
+README.md.)"""
 
 from .configs import ALL_LABELS, EngineConfig
 from .harness import BenchContext, Measurement, Series, uniform_column

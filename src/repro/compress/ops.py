@@ -34,6 +34,7 @@ import numpy as np
 
 from ..monetdb.bat import BAT, oid_bat
 from ..monetdb.costmodel import OpCost
+from ..monetdb.ops import COMPRESS_MODULE, DEVICE_MODULE, OPS
 from .codecs import DictEncoding, FOREncoding, RLEEncoding, _narrowest_uint
 from .encoded import EncodedBAT
 
@@ -47,14 +48,14 @@ def _encoding(b, mode: str):
     return b.encoding
 
 
-def _resolver(backend, fn: str, native_module: str):
+def _resolver(backend, fn: str):
     """The delegate for ``fn``: the Ocelot form when the backend has
     one (device execution over the narrow payload), else the native
     host operator."""
-    ocelot = f"ocelot.{fn}"
+    ocelot = f"{DEVICE_MODULE}.{fn}"
     if backend.supports(ocelot):
         return backend.resolve(ocelot)
-    return backend.resolve(f"{native_module}.{fn}")
+    return backend.resolve(OPS[fn].op)
 
 
 def _charge(backend, op: str, elements: int, per_ns_attr: str = "agg_ns",
@@ -141,7 +142,7 @@ def _rle_row_oids(encoding: RLEEncoding, run_idx: np.ndarray) -> np.ndarray:
 
 def _compressed_select(backend, b, cand, lo, hi, li, hi_incl, anti, mode):
     encoding = _encoding(b, mode)
-    select = _resolver(backend, "select", "algebra")
+    select = _resolver(backend, "select")
     if encoding is None:
         return select(b, cand, lo, hi, li, hi_incl, anti)
 
@@ -224,7 +225,7 @@ def _compressed_scalar_agg(backend, b, agg: str, mode: str):
         _charge(backend, "compress.count", b.count)
         return int(b.count)
     if encoding is None:
-        return _resolver(backend, agg, "aggr")(b)
+        return _resolver(backend, agg)(b)
 
     if agg in ("sum", "avg"):
         if isinstance(encoding, DictEncoding):
@@ -253,9 +254,9 @@ def _compressed_scalar_agg(backend, b, agg: str, mode: str):
         return encoding.dictionary[int(code)].item()
     if isinstance(encoding, RLEEncoding):
         # fold over the run values (the delegate charges n_runs work)
-        return _resolver(backend, agg, "aggr")(b.run_value_bat())
+        return _resolver(backend, agg)(b.run_value_bat())
     # FOR: fold the deltas, add the frame back
-    reduced = _resolver(backend, agg, "aggr")(b.code_bat())
+    reduced = _resolver(backend, agg)(b.code_bat())
     return (np.int64(encoding.frame) + np.int64(reduced)).astype(
         encoding.dtype
     ).item()
@@ -270,22 +271,22 @@ def _compressed_group(backend, b, mode: str):
         # codes/deltas are order-isomorphic to the values (sorted
         # dictionary, positive frame offsets): grouping them yields the
         # same dense ascending-key gids and group count
-        return _resolver(backend, "group", "group")(b.code_bat())
-    return _resolver(backend, "group", "group")(b)
+        return _resolver(backend, "group")(b.code_bat())
+    return _resolver(backend, "group")(b)
 
 
 def _compressed_grouped_minmax(backend, b, gids, ngroups, agg: str,
                                mode: str):
     encoding = _encoding(b, mode)
     if not isinstance(encoding, DictEncoding):
-        return _resolver(backend, agg, "aggr")(b, gids, ngroups)
+        return _resolver(backend, agg)(b, gids, ngroups)
     # per-group min/max commute with the monotone code -> value map:
     # reduce the codes, map the winners through the dictionary, and
     # return the result *still dictionary-encoded* (late
     # materialisation: it only decodes if the result set reads it)
     reduced = _sync_to_host(
         backend,
-        _resolver(backend, agg, "aggr")(b.code_bat(), gids, ngroups),
+        _resolver(backend, agg)(b.code_bat(), gids, ngroups),
     )
     codes = reduced.values.astype(
         _narrowest_uint(max(len(encoding.dictionary) - 1, 0)), copy=False
@@ -320,13 +321,15 @@ def register_compress_ops(backend) -> None:
     backend.register("compress.select", op_select)
     backend.register("compress.thetaselect", op_thetaselect)
     backend.register("compress.group", op_group)
-    for agg in ("sum", "min", "max", "count", "avg"):
-        def op_scalar(b, mode, _agg=agg):
-            return _compressed_scalar_agg(backend, b, _agg, mode)
-        backend.register(f"compress.{agg}", op_scalar)
-    for agg in ("submin", "submax"):
-        def op_grouped(b, gids, ngroups, mode, _agg=agg):
-            return _compressed_grouped_minmax(
-                backend, b, gids, ngroups, _agg, mode
-            )
-        backend.register(f"compress.{agg}", op_grouped)
+    for row in OPS.values():
+        if row.compressed and row.cls == "scalar_agg":
+            def op(b, mode, _agg=row.function):
+                return _compressed_scalar_agg(backend, b, _agg, mode)
+        elif row.compressed and row.cls == "grouped_agg":
+            def op(b, gids, ngroups, mode, _agg=row.function):
+                return _compressed_grouped_minmax(
+                    backend, b, gids, ngroups, _agg, mode
+                )
+        else:
+            continue
+        backend.register(f"{COMPRESS_MODULE}.{row.function}", op)

@@ -22,18 +22,12 @@ so compiled-with and compiled-without plans never mix.
 
 from __future__ import annotations
 
+from ..monetdb import ops
 from ..monetdb.dataflow import splice
 from ..monetdb.mal import MALInstruction, MALProgram, Var
 
 #: admissible settings of the ``compression`` knob
 MODES = ("off", "auto", "dict", "rle", "for")
-
-#: scalar aggregates with a compressed-domain evaluation
-_SCALAR_AGGS = ("sum", "min", "max", "count", "avg")
-
-#: grouped aggregates with a compressed-domain evaluation (dictionary
-#: order isomorphism: min/max commute with the code mapping)
-_GROUPED_AGGS = ("submin", "submax")
 
 
 def compress_program(program: MALProgram, mode: str) -> MALProgram:
@@ -74,17 +68,13 @@ def _compressed(instruction: MALInstruction, mode: str) -> MALInstruction:
 
 
 def _rewrite(instruction: MALInstruction, is_bind, mode: str):
-    """The ``compress.*`` replacement for one instruction, or None."""
-    op = instruction.op
+    """The ``compress.*`` replacement for one instruction, or None: the
+    MonetDB form of an operator that has a compressed one
+    (:data:`repro.monetdb.ops.OPS`), reading a base column directly."""
+    row = ops.lookup(instruction.module, instruction.function)
     args = instruction.args
-    if op in ("algebra.select", "algebra.thetaselect", "group.group"):
-        if args and is_bind(args[0]):
-            return _compressed(instruction, mode)
-        return None
-    if instruction.module == "aggr":
-        fn = instruction.function
-        if fn in _SCALAR_AGGS and len(args) == 1 and is_bind(args[0]):
-            return _compressed(instruction, mode)
-        if fn in _GROUPED_AGGS and args and is_bind(args[0]):
-            return _compressed(instruction, mode)
+    if row is not None and row.compressed \
+            and instruction.module == row.module \
+            and args and is_bind(args[0]):
+        return _compressed(instruction, mode)
     return None

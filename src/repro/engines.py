@@ -50,11 +50,15 @@ from typing import Callable, NamedTuple, Optional
 
 from .compress import passes as compress_passes
 from .fuse import passes as fuse_passes
+from .monetdb.backends import MonetDBParallel, MonetDBSequential
 from .monetdb.interpreter import Backend
 from .monetdb.mal import MALProgram
+from .monetdb.ops import operator_table_markdown
 from .monetdb.storage import Catalog
 from .morsel import passes as morsel_passes
 from .ocelot import rewriter
+from .ocelot.engine import OcelotBackend
+from .sched.backend import HeterogeneousBackend
 
 
 class EngineSpecError(ValueError):
@@ -567,14 +571,54 @@ class EngineRegistry:
 
 
 #: the process-wide default registry; the five paper configurations are
-#: registered by :mod:`repro.bench.configs`, the sharded engine by
-#: :mod:`repro.shard`.
+#: registered below, the sharded engine by :mod:`repro.shard`.
 default_registry = EngineRegistry()
 
 
 def register_engine(family: EngineFamily, override: bool = False) -> None:
     """Register an engine family with the default registry."""
     default_registry.register(family, override=override)
+
+
+def _paper_engine(name: str, description: str, make, *,
+                  is_ocelot: bool) -> None:
+    """Register a family resolving to one fixed configuration (plus the
+    engine knobs every family accepts, :data:`KNOBS`)."""
+
+    def configure(spec: EngineSpec, registry) -> EngineConfig:
+        return EngineConfig(label=name, make=make, is_ocelot=is_ocelot,
+                            description=description)
+
+    register_engine(EngineFamily(name=name, configure=configure,
+                                 description=description, syntax=name))
+
+
+# the paper's four configurations (§5.1) plus the HET extension (§7)
+_paper_engine(
+    "MS", "sequential MonetDB baseline (single core)",
+    lambda cat, scale: MonetDBSequential(cat, data_scale=scale),
+    is_ocelot=False,
+)
+_paper_engine(
+    "MP", "parallel MonetDB (Mitosis + Dataflow, hand-tuned)",
+    lambda cat, scale: MonetDBParallel(cat, data_scale=scale),
+    is_ocelot=False,
+)
+_paper_engine(
+    "CPU", "Ocelot on the simulated Intel Xeon (Intel SDK)",
+    lambda cat, scale: OcelotBackend(cat, "cpu", data_scale=scale),
+    is_ocelot=True,
+)
+_paper_engine(
+    "GPU", "Ocelot on the simulated NVIDIA GTX 460",
+    lambda cat, scale: OcelotBackend(cat, "gpu", data_scale=scale),
+    is_ocelot=True,
+)
+_paper_engine(
+    "HET", "heterogeneous scheduler owning CPU and GPU at once",
+    lambda cat, scale: HeterogeneousBackend(cat, data_scale=scale),
+    is_ocelot=True,
+)
 
 
 def engines() -> list[EngineFamily]:
@@ -622,13 +666,15 @@ def knob_table_markdown() -> str:
 
 def _print_tables() -> None:  # pragma: no cover - CLI convenience
     # running as ``python -m repro.engines`` executes a *copy* of this
-    # module with its own (empty) registry; go through the canonical
-    # package attribute so the table reflects the real registrations
+    # module with its own registry; go through the canonical package
+    # attribute so the table reflects every registration (SHARD too)
     import repro
 
     print(repro.engine_table_markdown())
     print()
     print(knob_table_markdown())
+    print()
+    print(operator_table_markdown())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -34,7 +34,6 @@ from .expr import (
     node_dtype,
 )
 from .passes import (
-    FUSABLE_CALC,
     MIN_REGION,
     count_pipes,
     fuse_program,
@@ -45,7 +44,6 @@ __all__ = [
     "FIn",
     "FOp",
     "FSelect",
-    "FUSABLE_CALC",
     "FusedOutput",
     "FusedPipe",
     "KERNEL_CACHE",

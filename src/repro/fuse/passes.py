@@ -46,10 +46,9 @@ the non-fused path cannot rot.
 
 from __future__ import annotations
 
+from ..monetdb import ops
 from ..monetdb.backends import select_bounds_to_op
-from ..monetdb.calc import CALC_OPS, COMPARE_FNS
 from ..monetdb.dataflow import (
-    BAT_RESULTS,
     bat_var_names,
     collapse,
     connected_components,
@@ -59,23 +58,18 @@ from ..monetdb.dataflow import (
 from ..monetdb.mal import MALInstruction, MALProgram, Var
 from .expr import FConst, FIn, FOp, FSelect, FusedOutput, FusedPipe
 
-#: element-wise batcalc functions the pass may fold into a region
-FUSABLE_CALC = (
-    frozenset(CALC_OPS) | frozenset(COMPARE_FNS) | {"ifthenelse"}
-)
-
 #: minimum region size worth replacing with a fused instruction
 MIN_REGION = 2
 
-_SELECT_OPS = frozenset({"algebra.select", "algebra.thetaselect"})
 
-
-def _bat_result_flags(instruction: MALInstruction) -> tuple:
-    if instruction.module in ("batcalc", "fuse"):
-        return (True,) * len(instruction.results)
-    return BAT_RESULTS.get(
-        instruction.function, (False,) * len(instruction.results)
-    )
+def _member_class(instruction: MALInstruction) -> "str | None":
+    """The class of a MonetDB-form operator the pass may fold into a
+    region — element-wise ``batcalc`` and selections — else ``None``."""
+    row = ops.lookup(instruction.module, instruction.function)
+    if row is not None and instruction.module == row.module \
+            and row.cls in ("ewise", "select"):
+        return row.cls
+    return None
 
 
 def fuse_program(program: MALProgram,
@@ -86,7 +80,7 @@ def fuse_program(program: MALProgram,
         return program     # already fused: the pass is a no-op
     result_vars = {var.name for _, var in program.result_columns}
     total_uses = var_uses(instructions)
-    bat_vars = bat_var_names(instructions, _bat_result_flags)
+    bat_vars = bat_var_names(instructions)
 
     # -- phase 1: sealed super-regions (member indices) ---------------------
     regions: list[list[int]] = []
@@ -97,9 +91,8 @@ def fuse_program(program: MALProgram,
     def classify(instruction: MALInstruction):
         """``"calc"`` / ``"select"`` if the instruction can join the
         open region (or start one, for calcs) right now, else ``None``."""
-        if instruction.module == "batcalc" \
-                and instruction.function in FUSABLE_CALC \
-                and len(instruction.results) == 1:
+        cls = _member_class(instruction)
+        if cls == "ewise" and len(instruction.results) == 1:
             var_args = instruction.var_args()
             if not var_args:
                 return None
@@ -108,7 +101,7 @@ def fuse_program(program: MALProgram,
             if all(a.name in bat_vars for a in var_args):
                 return "calc"
             return None
-        if instruction.op in _SELECT_OPS:
+        if cls == "select":
             args = instruction.args
             src = args[0]
             if not isinstance(src, Var) or src.name not in region_defs \

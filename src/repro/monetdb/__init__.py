@@ -25,7 +25,7 @@ from .backends import (
     hash_join_pairs,
     select_bounds_to_op,
 )
-from .calc import CALC_OPS, COMPARE_FNS, calc_result_dtype
+from .calc import COMPARE_FNS, calc_result_dtype
 from .costmodel import DEFAULT_COST_MODEL, MonetDBCostModel, OpCost
 from .interpreter import Backend, QueryResult, UnsupportedOperator, run_program
 from .mal import NIL, ColumnRef, MALBuilder, MALInstruction, MALProgram, Var
@@ -35,7 +35,6 @@ __all__ = [
     "ALIGNMENT",
     "BAT",
     "Backend",
-    "CALC_OPS",
     "COMPARE_FNS",
     "Catalog",
     "ColumnRef",

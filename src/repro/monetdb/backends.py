@@ -29,7 +29,6 @@ from ..kernels.selection import predicate_mask
 from .bat import BAT, OID_DTYPE, Role, bitmap_bat, make_bat, oid_bat
 from .calc import (
     CALC_FNS,
-    CALC_OPS,
     COMPARE_FNS,
     calc_result_dtype,
     grouped_dtype,
@@ -37,6 +36,7 @@ from .calc import (
 from .costmodel import DEFAULT_COST_MODEL, MonetDBCostModel, OpCost
 from .interpreter import Backend
 from .mal import ColumnRef
+from .ops import of_class
 from .storage import Catalog
 
 
@@ -149,12 +149,13 @@ class MonetDBBackend(Backend):
         reg("bat.mirror", m.op_mirror)
         reg("group.group", m.op_group)
         reg("group.subgroup", m.op_subgroup)
-        for agg in ("sum", "min", "max", "count", "avg"):
-            reg(f"aggr.{agg}", self._make_scalar_agg(agg))
-        for agg in ("sum", "min", "max", "avg"):
-            reg(f"aggr.sub{agg}", self._make_grouped_agg(agg))
-        reg("aggr.subcount", m.op_subcount)
-        for op in CALC_OPS:
+        for row in of_class("scalar_agg"):
+            reg(row.op, self._make_scalar_agg(row.agg))
+        for row in of_class("grouped_agg"):
+            # counting group ids takes no values column
+            reg(row.op, m.op_subcount if row.nargs == 2
+                else self._make_grouped_agg(row.agg))
+        for op in CALC_FNS:
             reg(f"batcalc.{op}", self._make_calc(op))
         for op in COMPARE_FNS:
             reg(f"batcalc.{op}", self._make_compare(op))

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-CALC_OPS = ("add", "sub", "mul", "div", "intdiv", "and", "or")
-
 
 def _logical_and(a, b):
     return np.logical_and(a, b).astype(np.uint8)

@@ -15,22 +15,7 @@ from collections import Counter
 from typing import Callable, Iterable, Optional
 
 from .mal import MALInstruction, MALProgram, Var
-
-#: which result positions of an operator are BAT-valued, by function
-#: name — the producer whitelist that keeps scalar-valued variables
-#: (``aggr.sum``, ``group.group``'s ngroups, ``calc.*``) out of regions.
-#: Module-agnostic: one entry covers ``algebra.select``,
-#: ``ocelot.select`` and ``compress.select``.
-BAT_RESULTS = {
-    "bind": (True,), "projection": (True,),
-    "select": (True,), "thetaselect": (True,),
-    "sort": (True, True), "join": (True, True), "thetajoin": (True, True),
-    "semijoin": (True,), "antijoin": (True,), "firstn": (True,),
-    "mirror": (True,), "group": (True, False), "subgroup": (True, False),
-    "oidunion": (True,), "oidintersect": (True,),
-    "subsum": (True,), "submin": (True,), "submax": (True,),
-    "subcount": (True,), "subavg": (True,), "sync": (True,),
-}
+from .ops import bat_results
 
 
 def is_literal(arg) -> bool:
@@ -47,15 +32,15 @@ def var_uses(instructions: Iterable[MALInstruction]) -> Counter:
     return uses
 
 
-def bat_var_names(instructions: Iterable[MALInstruction],
-                  bat_flags: Callable[[MALInstruction], tuple]) -> set[str]:
-    """Names of the variables ``bat_flags`` marks BAT-valued.
+def bat_var_names(instructions: Iterable[MALInstruction]) -> set[str]:
+    """Names of the variables that hold BATs
+    (:func:`repro.monetdb.ops.bat_results`).
 
     SSA: producers precede consumers, so the full set is exactly what
     incremental availability would have been at each use."""
     names: set[str] = set()
     for instruction in instructions:
-        for var, is_bat in zip(instruction.results, bat_flags(instruction)):
+        for var, is_bat in zip(instruction.results, bat_results(instruction)):
             if is_bat:
                 names.add(var.name)
     return names

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..kernels import fold_identity
 from .bat import BAT, Role
+from .ops import OPS
 
 _FOLDS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
@@ -96,20 +97,18 @@ def owner_of(positions, offsets) -> np.ndarray:
 def components(fn: str, args) -> list:
     """``[(aggregate, its arguments)]`` whose partials merge exactly
     into ``fn(*args)``: itself — except that partial averages do not
-    merge, so ``avg`` is its sum and count (``subavg``: ``subsum`` and
-    ``subcount``, which takes no values column), folded separately and
-    finished by :func:`finish_avg`."""
-    if not fn.endswith("avg"):
+    merge, so ``avg`` is the parts its row names (its sum and count;
+    ``subcount`` takes no values column), folded separately and finished
+    by :func:`finish_avg`."""
+    row = OPS.get(fn)
+    if row is None or not row.parts:        # (a fused pipe is no row)
         return [(fn, args)]
-    stem = fn[:-3]
-    return [(stem + "sum", args),
-            (stem + "count", args[1:] if stem else args)]
+    return [(part, args[row.nargs - OPS[part].nargs:]) for part in row.parts]
 
 
 def fold_of(fn: str) -> str:
     """The fold merging ``fn``'s partials (count partials add up)."""
-    fold = fn.removeprefix("sub")
-    return "sum" if fold == "count" else fold
+    return OPS[fn].fold
 
 
 def finish_avg(sums, counts):
@@ -124,9 +123,14 @@ def finish_avg(sums, counts):
 def fold_scalars(fold: str, parts):
     """Scalar partials fold left to right with Python's own ``+`` /
     ``min`` / ``max``: float sums keep partition order and Python ints
-    do not wrap."""
+    do not wrap.  A NaN partial is the ``min`` / ``max`` — what the
+    whole-column operators answer (Python's own pick would depend on
+    where the NaN's partition comes in the order)."""
     if fold == "sum":
         return functools.reduce(operator.add, parts)
+    for part in parts:
+        if part != part:
+            return part
     return min(parts) if fold == "min" else max(parts)
 
 

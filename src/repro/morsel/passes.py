@@ -84,9 +84,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..fuse.passes import FUSABLE_CALC
+from ..monetdb import ops
 from ..monetdb.dataflow import (
-    BAT_RESULTS,
     bat_var_names,
     collapse,
     connected_components,
@@ -102,22 +101,23 @@ DEFAULT_MORSEL_SIZE = 65536
 #: nothing from morsel-at-a-time execution)
 MIN_REGION = 2
 
-_SELECT_OPS = frozenset({
-    "algebra.select", "algebra.thetaselect",
-    "ocelot.select", "ocelot.thetaselect",
-    "compress.select", "compress.thetaselect",
-})
-_PROJECTION_OPS = frozenset({"algebra.projection", "ocelot.projection"})
-_PIPE_OPS = frozenset({"fuse.pipe", "ocelot.pipe"})
-_OIDCOMBINE_OPS = frozenset({
-    "algebra.oidunion", "algebra.oidintersect",
-    "ocelot.oidunion", "ocelot.oidintersect",
-})
-_SCALAR_AGG_FNS = frozenset({"sum", "min", "max", "count", "avg"})
-_GROUP_AGG_FNS = frozenset({
-    "subsum", "submin", "submax", "subcount", "subavg",
-})
-_AGG_MODULES = frozenset({"aggr", "ocelot"})
+#: operator classes whose positions result may drive a
+#: positions-driven region (a select result, a combined candidate list,
+#: a sort order)
+_DRIVING = ("select", "oidcombine", "sort")
+
+
+def _class_of(instruction: MALInstruction) -> "str | None":
+    """The operator class the pass treats ``instruction`` as, in either
+    vocabulary (the MonetDB modules or the post-rewrite Ocelot module).
+    Compressed-execution forms are opaque leaves — except selections,
+    which stream like plain ones."""
+    row = ops.lookup(instruction.module, instruction.function)
+    if row is None or (instruction.module == ops.COMPRESS_MODULE
+                       and row.cls != "select"):
+        return None
+    return row.cls
+
 
 #: the driving row space of a table-driven region (the bound oid space)
 _DRIVE = "D"
@@ -153,24 +153,14 @@ class MorselRegion:
     sliced: tuple = ()
 
     def __repr__(self) -> str:
-        ops = "; ".join(m.op for m in self.members)
+        members = "; ".join(m.op for m in self.members)
         outs = ", ".join(
             f"{o.name}:{o.fn or o.kind}" for o in self.outputs
         )
         return (
             f"region<{self.table}, {self.size} rows/morsel | "
-            f"{ops} | out: {outs}>"
+            f"{members} | out: {outs}>"
         )
-
-
-def _bat_flags(instruction: MALInstruction) -> tuple:
-    if (instruction.module in ("batcalc", "fuse")
-            or instruction.function in FUSABLE_CALC
-            or instruction.function == "pipe"):
-        return (True,) * len(instruction.results)
-    return BAT_RESULTS.get(
-        instruction.function, (False,) * len(instruction.results)
-    )
 
 
 def morselize_program(program: MALProgram,
@@ -183,9 +173,9 @@ def morselize_program(program: MALProgram,
     result_vars = {var.name for _, var in program.result_columns}
 
     total_uses = var_uses(instructions)
-    bat_vars = bat_var_names(instructions, _bat_flags)
+    bat_vars = bat_var_names(instructions)
     bind_table: dict[str, str] = {}
-    consumed_by: dict[str, list[str]] = {}
+    consumed_by: dict[str, list[MALInstruction]] = {}
     positions_vars: set[str] = set()
     for instruction in instructions:
         if instruction.op == "sql.bind" and instruction.results:
@@ -193,18 +183,19 @@ def morselize_program(program: MALProgram,
             table = getattr(ref, "table", None)
             if table is not None:
                 bind_table[instruction.results[0].name] = table
-        if instruction.op in _SELECT_OPS or instruction.op in _OIDCOMBINE_OPS:
-            positions_vars.add(instruction.results[0].name)
-        elif instruction.function == "sort" and len(instruction.results) == 2:
-            positions_vars.add(instruction.results[1].name)
-        elif instruction.op in _PIPE_OPS:
+        if _class_of(instruction) in _DRIVING:
+            for var, result in zip(
+                    instruction.results,
+                    ops.OPS[instruction.function].results):
+                if result.kind == "positions":
+                    positions_vars.add(var.name)
+        elif instruction.function == "pipe":
             for var, out in zip(instruction.results,
                                 instruction.args[0].outputs):
                 if out.is_select:
                     positions_vars.add(var.name)
-        for arg in instruction.args:
-            if isinstance(arg, Var):
-                consumed_by.setdefault(arg.name, []).append(instruction.op)
+        for arg in instruction.var_args():
+            consumed_by.setdefault(arg.name, []).append(instruction)
 
     # -- phase 1: sealed super-regions ---------------------------------------
     #: (member indices, drive) per sealed region
@@ -230,7 +221,7 @@ def morselize_program(program: MALProgram,
         ``(kind, space)`` per result; ``modes`` the input-mode
         assignments the member relies on; ``drive`` the (possibly newly
         proposed) region drive."""
-        op = instruction.op
+        cls = _class_of(instruction)
         modes: list[tuple[str, str]] = []
         proposal: list = [drive[0]]
 
@@ -293,7 +284,7 @@ def morselize_program(program: MALProgram,
                         return None
             return space
 
-        if op in _SELECT_OPS:
+        if cls == "select":
             src, cand = instruction.args[0], instruction.args[1]
             space = align((src,)) if isinstance(src, Var) else None
             if space is None:
@@ -307,7 +298,7 @@ def morselize_program(program: MALProgram,
                 return None
             return ((("positions", space),), tuple(modes), proposal[0])
 
-        if op in _PROJECTION_OPS:
+        if cls == "gather":
             oids, src = instruction.args[0], instruction.args[1]
             if not isinstance(oids, Var):
                 return None
@@ -343,9 +334,7 @@ def morselize_program(program: MALProgram,
             kinds = (("value", f"proj:{oids.name}"),)
             return (kinds, tuple(modes), proposal[0])
 
-        if (instruction.module in ("batcalc", "ocelot")
-                and instruction.function in FUSABLE_CALC
-                and len(instruction.results) == 1):
+        if cls == "ewise" and len(instruction.results) == 1:
             var_args = instruction.var_args()
             if not var_args:
                 return None
@@ -354,7 +343,7 @@ def morselize_program(program: MALProgram,
                 return None
             return ((("value", space),), tuple(modes), proposal[0])
 
-        if op in _PIPE_OPS:
+        if instruction.function == "pipe":
             spec = instruction.args[0]
             var_args = instruction.var_args()
             if not var_args:
@@ -368,7 +357,7 @@ def morselize_program(program: MALProgram,
             )
             return (kinds, tuple(modes), proposal[0])
 
-        if op in _OIDCOMBINE_OPS:
+        if cls == "oidcombine":
             a, b = instruction.args[0], instruction.args[1]
             if not isinstance(a, Var) or not isinstance(b, Var):
                 return None
@@ -377,8 +366,7 @@ def morselize_program(program: MALProgram,
                 return None
             return ((("positions", ea[1]),), tuple(modes), proposal[0])
 
-        if (instruction.function == "group"
-                and instruction.module in ("group", "ocelot")
+        if (cls == "group"
                 and len(instruction.results) == 2
                 and len(instruction.args) == 1
                 and isinstance(instruction.args[0], Var)):
@@ -391,8 +379,7 @@ def morselize_program(program: MALProgram,
             kinds = (("ggids", space), ("gscalar", space))
             return (kinds, tuple(modes), proposal[0])
 
-        if (instruction.function == "subgroup"
-                and instruction.module in ("group", "ocelot")
+        if (cls == "group"
                 and len(instruction.results) == 2
                 and len(instruction.args) == 3):
             col, parent, ngroups = instruction.args
@@ -410,11 +397,9 @@ def morselize_program(program: MALProgram,
             kinds = (("ggids", space), ("gscalar", space))
             return (kinds, tuple(modes), proposal[0])
 
-        if (instruction.module in _AGG_MODULES
-                and instruction.function in _GROUP_AGG_FNS
-                and len(instruction.results) == 1):
+        if cls == "grouped_agg" and len(instruction.results) == 1:
             args = instruction.args
-            expect = 2 if instruction.function == "subcount" else 3
+            expect = ops.OPS[instruction.function].nargs
             if len(args) != expect:
                 return None
             gids, ngroups = args[-2], args[-1]
@@ -443,8 +428,7 @@ def morselize_program(program: MALProgram,
             kinds = (("gagg", space),)
             return (kinds, tuple(modes), proposal[0])
 
-        if (instruction.module in _AGG_MODULES
-                and instruction.function in _SCALAR_AGG_FNS
+        if (cls == "scalar_agg"
                 and len(instruction.args) == 1
                 and isinstance(instruction.args[0], Var)):
             if vspace(instruction.args[0]) is None:
@@ -573,21 +557,17 @@ def _build_region(indices, instructions, drive, member_kinds, member_modes,
                     # morsel-local offsets into a derived space are not
                     # reconstructible base oids: leave the region alone
                     return None
-                if any(op in ("ocelot.oidunion", "ocelot.oidintersect")
-                       for op in consumed_by.get(var.name, ())):
+                if any(consumer.module == ops.DEVICE_MODULE
+                       and _class_of(consumer) == "oidcombine"
+                       for consumer in consumed_by.get(var.name, ())):
                     # single-device Ocelot's bitmap algebra rejects
                     # host oid lists — keep the whole-column path here
                     return None
                 drive_positions.add(var.name)
-            if kind == "scalar":
+            if kind in ("scalar", "gagg"):
                 outputs.append(MorselOutput(
-                    var.name, "scalar",
-                    fn=member.function, module=member.module,
-                ))
-            elif kind == "gagg":
-                outputs.append(MorselOutput(
-                    var.name, "gagg",
-                    fn=member.function[3:], module=member.module,
+                    var.name, kind, fn=ops.OPS[member.function].agg,
+                    module=member.module,
                 ))
             else:
                 outputs.append(MorselOutput(var.name, kind))

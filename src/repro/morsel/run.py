@@ -458,9 +458,7 @@ class MorselRun:
     def _positions_array(self, bat: BAT) -> np.ndarray:
         bat = self._to_host(bat)
         if bat.role is Role.BITMAP:
-            values = np.asarray(bat.peek_values())
-            nbits = getattr(bat, "nbits", None) or values.shape[0]
-            return np.flatnonzero(values[:nbits])
+            return np.flatnonzero(np.asarray(bat.peek_values()))
         return partials.host_tail(bat)
 
     # -- liveness ------------------------------------------------------------

@@ -15,14 +15,13 @@ from .autotune import (
 )
 from .engine import OcelotBackend, OcelotEngine
 from .memory import BufferKind, CacheEntry, MemoryManager, OcelotOOM
-from .rewriter import OCELOT_MAP, count_syncs, rewrite_for_ocelot
+from .rewriter import count_syncs, rewrite_for_ocelot
 
 __all__ = [
     "BufferKind",
     "CacheEntry",
     "DeviceCharacteristics",
     "MemoryManager",
-    "OCELOT_MAP",
     "OcelotBackend",
     "OcelotEngine",
     "OcelotOOM",

@@ -10,8 +10,9 @@ Manager, and offers shared host-code helpers.
 drop-in replacements.  MAL instructions in the ``ocelot`` module dispatch
 to host code; anything else (``sql.bind``, operators Ocelot does not
 support, such as ``algebra.firstn``) falls back to an embedded sequential
-MonetDB backend — the paper's mixed execution mode, with the rewriter
-guaranteeing ``sync`` boundaries in between.
+MonetDB backend — the paper's mixed execution mode
+(:class:`MixedExecutionBackend`, shared with the heterogeneous
+scheduler).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .. import cl
 from ..cl import CommandQueue, Context, Device
 from ..kernels import KERNEL_LIBRARY
+from ..monetdb import ops
 from ..monetdb.bat import BAT, OID_DTYPE, Role
 from ..monetdb.interpreter import Backend
 from ..monetdb.backends import MonetDBSequential
@@ -120,7 +122,110 @@ class OcelotEngine:
         return buf
 
 
-class OcelotBackend(Backend):
+class MixedExecutionBackend(Backend):
+    """An Ocelot operator where there is one, embedded sequential
+    MonetDB for the rest — the paper's mixed execution mode (§3.2), the
+    rewriter guaranteeing ``sync`` boundaries in between.  Shared by the
+    single-device backend and the heterogeneous scheduler, which differ
+    in how a device operator is bound (:meth:`_bind`) and on which
+    timeline MonetDB's host time lands (:meth:`_charge_host`).
+
+    Mixed execution is also decided at run time, from operand types
+    alone: the device forms hash four-byte keys, so an operator whose
+    hashed operand (:attr:`repro.monetdb.ops.Op.hashed`) is eight bytes
+    wide runs its MonetDB form instead (:meth:`_run_on_monetdb`)."""
+
+    #: the embedded MonetDB; set by the engine before ``Backend.__init__``
+    fallback: MonetDBSequential
+
+    # -- registration ---------------------------------------------------------
+
+    def _register_ops(self) -> None:
+        from . import operators
+        from ..compress.ops import register_compress_ops
+
+        for name in operators.HOST_CODE:
+            self.register(f"{ops.DEVICE_MODULE}.{name}",
+                          self._four_byte_keys(name, self._bind(name)))
+        # compressed-execution forms, registered on *this* backend so
+        # their internal delegation targets the ocelot.* operators above
+        # (the narrow code payloads are what gets placed, uploaded and
+        # cached) instead of the host fallback
+        register_compress_ops(self)
+
+    def _bind(self, function: str):
+        """The callable ``ocelot.<function>`` resolves to."""
+        raise NotImplementedError
+
+    def _charge_host(self, seconds: float) -> None:
+        """Fold MonetDB host time into the engine's timeline."""
+        raise NotImplementedError
+
+    def resolve(self, op: str):
+        fn = self._registry.get(op)
+        return fn if fn is not None else self._foreign(op)
+
+    def _foreign(self, op: str):
+        """Delegate to MonetDB, its host time folded into the engine's
+        timeline (the host drives the device queues)."""
+        inner = self.fallback.resolve(op)
+
+        def foreign(*args):
+            before = self.fallback.elapsed()
+            out = inner(*args)
+            seconds = self.fallback.elapsed() - before
+            if seconds:
+                self._charge_host(seconds)
+            return out
+
+        return foreign
+
+    def supports(self, op: str) -> bool:
+        return op in self._registry or self.fallback.supports(op)
+
+    # -- run-time mixed execution -----------------------------------------------
+
+    def _four_byte_keys(self, function: str, device_op):
+        """``device_op``, handing operators with an eight-byte hashed
+        operand back to MonetDB — decided from the dtype alone."""
+        row = ops.OPS.get(function)
+        if row is None or not row.hashed:
+            return device_op
+
+        def op(*args):
+            if any(isinstance(args[i], BAT) and args[i].dtype.itemsize == 8
+                   for i in row.hashed):
+                return self._run_on_monetdb(row, args)
+            return device_op(*args)
+
+        return op
+
+    def _run_on_monetdb(self, row: ops.Op, args):
+        """Sync the operands and run the row's MonetDB form; its results
+        are MonetDB-owned, so syncs planned for them are no-ops."""
+        sync = self.resolve("ocelot.sync")
+        for arg in args:
+            if isinstance(arg, BAT):
+                sync(arg)
+        foreign = self._foreign(row.op)
+        if self.tracer is None:
+            return foreign(*args)
+        with self.tracer.span(f"dispatch.{row.function}", cat="dispatch",
+                              tid="MonetDB", device="MonetDB"):
+            return foreign(*args)
+
+    # -- result collection ----------------------------------------------------------
+
+    def collect(self, value):
+        if isinstance(value, BAT) and not value.has_host_values:
+            raise RuntimeError(
+                f"result BAT {value.tag!r} reached the result set without a "
+                f"sync — rewriter bug"
+            )
+        return super().collect(value)
+
+
+class OcelotBackend(MixedExecutionBackend):
     """MAL backend dispatching to Ocelot host code (drop-in operators)."""
 
     def __init__(
@@ -137,50 +242,22 @@ class OcelotBackend(Backend):
         self._t0 = 0.0
         super().__init__(catalog)
 
-    # -- registration ---------------------------------------------------------
-
-    def _register_ops(self) -> None:
+    def _bind(self, function: str):
         from . import operators
 
-        engine = self.engine
+        engine, fn = self.engine, operators.HOST_CODE[function]
 
-        def bind_host_code(fn):
-            def op(*args):
-                # Auto-pin the operator's working set (paper §3.3: the
-                # Memory Manager uses reference counting to prevent
-                # evicting buffers that are currently in use).
-                with engine.memory.operator_scope():
-                    return fn(engine, *args)
+        def op(*args):
+            # Auto-pin the operator's working set (paper §3.3: the
+            # Memory Manager uses reference counting to prevent
+            # evicting buffers that are currently in use).
+            with engine.memory.operator_scope():
+                return fn(engine, *args)
 
-            return op
+        return op
 
-        for name, fn in operators.HOST_CODE.items():
-            self.register(f"ocelot.{name}", bind_host_code(fn))
-        # compressed-execution forms, registered on *this* backend so
-        # their internal delegation targets the ocelot.* device
-        # operators (the dictionary codes get uploaded and cached at
-        # payload width) instead of the host fallback
-        from ..compress.ops import register_compress_ops
-
-        register_compress_ops(self)
-
-    def resolve(self, op: str):
-        if op in self._registry:
-            return self._registry[op]
-        # Mixed execution: delegate to MonetDB, folding its time into the
-        # host timeline (the rewriter has already inserted syncs).
-        inner = self.fallback.resolve(op)
-
-        def foreign(*args):
-            before = self.fallback.elapsed()
-            out = inner(*args)
-            self.engine.queue.host_time += self.fallback.elapsed() - before
-            return out
-
-        return foreign
-
-    def supports(self, op: str) -> bool:
-        return op in self._registry or self.fallback.supports(op)
+    def _charge_host(self, seconds: float) -> None:
+        self.engine.queue.host_time += seconds
 
     # -- timing ----------------------------------------------------------------------
 
@@ -207,13 +284,3 @@ class OcelotBackend(Backend):
     def shutdown(self) -> None:
         """Release every device buffer this backend's engine caches."""
         self.engine.memory.shutdown()
-
-    # -- result collection ----------------------------------------------------------
-
-    def collect(self, value):
-        if isinstance(value, BAT) and not value.has_host_values:
-            raise RuntimeError(
-                f"result BAT {value.tag!r} reached the result set without a "
-                f"sync — rewriter bug"
-            )
-        return super().collect(value)

@@ -14,93 +14,34 @@ MonetDB-boundary syncs stay static (inserted here), while *device
 crossing* syncs cannot be known at plan time — placement is cost-based
 and data-gravity-driven — so the scheduler inserts them dynamically
 (:meth:`repro.sched.pool.DevicePool.ensure_on` joins the two queues'
-makespans whenever an operand changes devices).  This module contributes
-the static operator knowledge the scheduler needs: which Ocelot
-functions are row-independent and therefore safe to split across devices
-(partitioned fan-out with a host-side merge).
+makespans whenever an operand changes devices).
+
+Which operators have an Ocelot form, and which of their results are
+BATs, is read off the operator table (:mod:`repro.monetdb.ops`).
 """
 
 from __future__ import annotations
 
+from ..monetdb import ops
 from ..monetdb.mal import MALInstruction, MALProgram, Var
 
-#: MonetDB op -> (ocelot function, result kinds).  ``bat`` results become
-#: Ocelot-owned and need a sync at ownership boundaries; ``scalar``
-#: results are host values already.
-OCELOT_MAP: dict[str, tuple[str, tuple[str, ...]]] = {
-    "algebra.select": ("select", ("bat",)),
-    "algebra.thetaselect": ("thetaselect", ("bat",)),
-    "algebra.projection": ("projection", ("bat",)),
-    "algebra.join": ("join", ("bat", "bat")),
-    "algebra.thetajoin": ("thetajoin", ("bat", "bat")),
-    "algebra.semijoin": ("semijoin", ("bat",)),
-    "algebra.antijoin": ("antijoin", ("bat",)),
-    "algebra.sort": ("sort", ("bat", "bat")),
-    "bat.mirror": ("mirror", ("bat",)),
-    "group.group": ("group", ("bat", "scalar")),
-    "group.subgroup": ("subgroup", ("bat", "scalar")),
-    "aggr.sum": ("sum", ("scalar",)),
-    "aggr.min": ("min", ("scalar",)),
-    "aggr.max": ("max", ("scalar",)),
-    "aggr.count": ("count", ("scalar",)),
-    "aggr.avg": ("avg", ("scalar",)),
-    "aggr.subsum": ("subsum", ("bat",)),
-    "aggr.submin": ("submin", ("bat",)),
-    "aggr.submax": ("submax", ("bat",)),
-    "aggr.subcount": ("subcount", ("bat",)),
-    "aggr.subavg": ("subavg", ("bat",)),
-    "algebra.oidunion": ("oidunion", ("bat",)),
-    "algebra.oidintersect": ("oidintersect", ("bat",)),
-    "algebra.hashbuild": ("hashbuild", ("scalar",)),
-    "batcalc.add": ("add", ("bat",)),
-    "batcalc.sub": ("sub", ("bat",)),
-    "batcalc.mul": ("mul", ("bat",)),
-    "batcalc.div": ("div", ("bat",)),
-    "batcalc.intdiv": ("intdiv", ("bat",)),
-    "batcalc.and": ("and", ("bat",)),
-    "batcalc.or": ("or", ("bat",)),
-    "batcalc.eq": ("eq", ("bat",)),
-    "batcalc.ne": ("ne", ("bat",)),
-    "batcalc.lt": ("lt", ("bat",)),
-    "batcalc.le": ("le", ("bat",)),
-    "batcalc.gt": ("gt", ("bat",)),
-    "batcalc.ge": ("ge", ("bat",)),
-    "batcalc.ifthenelse": ("ifthenelse", ("bat",)),
-}
 
-
-#: Result kinds of the compressed-execution forms (module ``compress``),
-#: mirroring OCELOT_MAP: ``bat`` results may come back device-owned
-#: when the runtime operator delegated to an ocelot.* implementation.
-_COMPRESS_RESULT_KINDS: dict[str, tuple[str, ...]] = {
-    "select": ("bat",),
-    "thetaselect": ("bat",),
-    "group": ("bat", "scalar"),
-    "submin": ("bat",),
-    "submax": ("bat",),
-    "sum": ("scalar",),
-    "min": ("scalar",),
-    "max": ("scalar",),
-    "count": ("scalar",),
-    "avg": ("scalar",),
-}
-
-
-#: Row-independent Ocelot functions, by fan-out shape (consumed by the
-#: heterogeneous scheduler).  Element-wise ops merge by concatenation,
-#: selections by offsetting + concatenating the qualifying-oid lists,
-#: grouped aggregates by folding the per-device ngroups-wide partials.
-EWISE_FUNCTIONS = frozenset({
-    "add", "sub", "mul", "div", "intdiv", "and", "or",
-    "eq", "ne", "lt", "le", "gt", "ge", "ifthenelse",
-})
-SELECT_FUNCTIONS = frozenset({"select", "thetaselect"})
-GROUPED_AGG_FUNCTIONS = frozenset({
-    "subsum", "submin", "submax", "subcount", "subavg",
-})
-PARTITIONABLE_FUNCTIONS = (
-    EWISE_FUNCTIONS | SELECT_FUNCTIONS | GROUPED_AGG_FUNCTIONS
-)
+def _ocelot_module(instruction: MALInstruction) -> "str | None":
+    """The module ``instruction`` runs under on an Ocelot engine, else
+    ``None``: a MonetDB form with a device form and a fused region (one
+    generated kernel) are rerouted; a compressed-execution form stays —
+    it delegates to the ``ocelot.*`` operators itself, so its BAT
+    results may come back device-owned (if not, their sync is a no-op)."""
+    if instruction.op == "fuse.pipe":
+        return ops.DEVICE_MODULE
+    row = ops.lookup(instruction.module, instruction.function)
+    if row is None:
+        return None
+    if instruction.module == ops.COMPRESS_MODULE:
+        return ops.COMPRESS_MODULE
+    if instruction.module == row.module and row.device:
+        return ops.DEVICE_MODULE
+    return None
 
 
 def rewrite_for_ocelot(program: MALProgram) -> MALProgram:
@@ -125,46 +66,15 @@ def rewrite_for_ocelot(program: MALProgram) -> MALProgram:
 
     for instruction in program.instructions:
         args = tuple(resolve(a) for a in instruction.args)
-        if instruction.module == "fuse":
-            # fused regions (repro.fuse) run as one generated Ocelot
-            # kernel; every live output is a device-resident BAT
-            out.instructions.append(
-                MALInstruction(
-                    instruction.results, "ocelot", instruction.function,
-                    args,
-                )
-            )
-            for var in instruction.results:
-                ocelot_owned.add(var.name)
-            continue
-        if instruction.module == "compress":
-            # compressed-execution forms (repro.compress) stay as-is:
-            # the runtime operator delegates to the ocelot.* device
-            # implementations itself, so BAT results may come back
-            # device-owned and need syncs at ownership boundaries
-            # (host-produced results are MonetDB-owned already and the
-            # inserted sync is then a no-op)
-            out.instructions.append(
-                MALInstruction(
-                    instruction.results, "compress", instruction.function,
-                    args,
-                )
-            )
-            kinds = _COMPRESS_RESULT_KINDS.get(
-                instruction.function, ("bat",)
-            )
-            for var, kind in zip(instruction.results, kinds):
-                if kind == "bat":
-                    ocelot_owned.add(var.name)
-            continue
-        mapping = OCELOT_MAP.get(instruction.op)
-        if mapping is not None:
-            function, kinds = mapping
-            out.instructions.append(
-                MALInstruction(instruction.results, "ocelot", function, args)
-            )
-            for var, kind in zip(instruction.results, kinds):
-                if kind == "bat":
+        module = _ocelot_module(instruction)
+        if module is not None:
+            out.instructions.append(MALInstruction(
+                instruction.results, module, instruction.function, args
+            ))
+            for var, is_bat in zip(instruction.results,
+                                   ops.bat_results(instruction)):
+                if is_bat:
+                    # scalar results are host values already
                     ocelot_owned.add(var.name)
             continue
         # Stays on MonetDB: ownership must be handed back first.

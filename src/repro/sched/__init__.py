@@ -47,8 +47,8 @@ Partitioned fan-out (:mod:`~repro.sched.partition`)
 ---------------------------------------------------
 
 Row-independent operators (element-wise calc, selections, grouped
-aggregation partials — :data:`repro.ocelot.rewriter
-.PARTITIONABLE_FUNCTIONS`) are additionally offered to the fan-out
+aggregation partials — :data:`repro.monetdb.ops.ROW_INDEPENDENT`)
+are additionally offered to the fan-out
 planner: the input oid-range is split across devices proportionally to
 measured throughput (a water-filling balance that accounts for each
 device's fixed launch/sync cost), capped by memory capacity, executed

@@ -42,11 +42,12 @@ from dataclasses import dataclass, field
 
 from ..monetdb.bat import BAT, Role
 from ..monetdb.backends import MonetDBSequential
-from ..monetdb.interpreter import Backend, QuerySessions, QueryState
+from ..monetdb.interpreter import QuerySessions, QueryState
+from ..monetdb.ops import OPS
 from ..monetdb.storage import Catalog
+from ..ocelot.engine import MixedExecutionBackend
 from ..ocelot.memory import QueryMemory
 from ..ocelot.operators import HOST_CODE
-from ..ocelot.rewriter import SELECT_FUNCTIONS
 from .partition import execute_split
 from .placer import CostPlacer, Placement
 from .pool import DevicePool
@@ -60,8 +61,8 @@ class _QueryState(QueryState):
 
     #: devices whose fixed per-query framework cost was already paid
     overhead_charged: set[int] = field(default_factory=set)
-    #: (function, "split"|device index) per dispatched instruction —
-    #: introspection for tests and examples
+    #: (function, "split" | device index | "monetdb") per dispatched
+    #: instruction — introspection for tests and examples
     decision_log: list[tuple[str, object]] = field(default_factory=list)
 
     def next_replayed(self, function: str, args) -> Placement | None:
@@ -82,7 +83,7 @@ class _QueryState(QueryState):
         return decision
 
 
-class HeterogeneousBackend(Backend):
+class HeterogeneousBackend(MixedExecutionBackend):
     """MAL backend scheduling one plan across every pooled device."""
 
     label = "HET"
@@ -118,59 +119,33 @@ class HeterogeneousBackend(Backend):
 
     # -- registration ---------------------------------------------------------
 
-    def _register_ops(self) -> None:
-        for name in HOST_CODE:
-            self.register(f"ocelot.{name}", self._bind(name))
-        # compressed-execution forms: their internal delegation hits the
-        # ocelot.* bindings above, i.e. the cost-based placer — the
-        # narrow code payloads are what gets placed, uploaded and cached
-        from ..compress.ops import register_compress_ops
-
-        register_compress_ops(self)
-
     def _bind(self, function: str):
         def op(*args):
             return self._dispatch(function, args)
 
         return op
 
-    def resolve(self, op: str):
-        if op in self._registry:
-            return self._registry[op]
-        return self._foreign(op)
+    def _charge_host(self, seconds: float) -> None:
+        # MonetDB's host time blocks both device queues (the host
+        # drives them)
+        self.pool.charge_host(seconds)
 
-    def _foreign(self, op: str):
-        """Mixed execution: delegate to MonetDB; its host time blocks
-        both device queues (the host drives them)."""
-        inner = self.fallback.resolve(op)
-
-        def foreign(*args):
-            before = self.fallback.elapsed()
-            out = inner(*args)
-            host_seconds = self.fallback.elapsed() - before
-            if host_seconds:
-                self.pool.charge_host(host_seconds)
-            return out
-
-        return foreign
-
-    def supports(self, op: str) -> bool:
-        return op in self._registry or self.fallback.supports(op)
+    def _run_on_monetdb(self, row, args):
+        self.decision_log.append((row.function, "monetdb"))
+        return super()._run_on_monetdb(row, args)
 
     # -- dispatch ----------------------------------------------------------------
 
     def _dispatch(self, function: str, args):
         if function == "sync":
             return self._sync(args[0])
-        if function in ("oidunion", "oidintersect"):
-            bats = [a for a in args if isinstance(a, BAT)]
-            if not any(b.role is Role.BITMAP for b in bats):
-                # fanned-out selections merge into host oid *lists*;
-                # Ocelot's bitmap algebra needs at least one bitmap, so
-                # pure list combination is host work (mixed execution)
-                for b in bats:
-                    self._sync(b)
-                return self._foreign(f"algebra.{function}")(*args)
+        row = OPS.get(function)
+        if row is not None and row.cls == "oidcombine" and not any(
+                isinstance(a, BAT) and a.role is Role.BITMAP for a in args):
+            # fanned-out selections merge into host oid *lists*;
+            # Ocelot's bitmap algebra needs at least one bitmap, so
+            # pure list combination is host work (mixed execution)
+            return self._run_on_monetdb(row, args)
         state = self.sessions.current
         decision = state.next_replayed(function, args)
         if decision is not None and self.placer.banned and (
@@ -243,7 +218,7 @@ class HeterogeneousBackend(Backend):
             finally:
                 if tracer is not None:
                     tracer.end(span)
-        if function in SELECT_FUNCTIONS:
+        if row is not None and row.cls == "select":
             self._observe_selection(function, args, out)
         return out
 
@@ -409,13 +384,3 @@ class HeterogeneousBackend(Backend):
     def shutdown(self) -> None:
         """Release the whole pool's device state (connection close)."""
         self.pool.shutdown()
-
-    # -- result collection ----------------------------------------------------------
-
-    def collect(self, value):
-        if isinstance(value, BAT) and not value.has_host_values:
-            raise RuntimeError(
-                f"result BAT {value.tag!r} reached the result set without "
-                f"a sync — rewriter bug"
-            )
-        return super().collect(value)

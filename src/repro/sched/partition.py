@@ -18,8 +18,8 @@ import numpy as np
 
 from ..monetdb import partials
 from ..monetdb.bat import BAT, OID_DTYPE, Role
+from ..monetdb.ops import OPS, class_of
 from ..ocelot.operators import HOST_CODE, op_sync
-from ..ocelot.rewriter import GROUPED_AGG_FUNCTIONS, SELECT_FUNCTIONS
 from .pool import DevicePool
 
 
@@ -86,7 +86,8 @@ def _to_host(engine, bat: BAT) -> np.ndarray:
 
 def _merge_output(function: str, pieces) -> BAT:
     """``pieces``: ``(first row, host partial)`` per partition."""
-    if function in SELECT_FUNCTIONS:
+    cls = class_of(function)
+    if cls == "select":
         # per-partition lists ascend and partitions are disjoint ranges,
         # so the concatenation is the globally ascending oid list MS
         # produces
@@ -97,8 +98,8 @@ def _merge_output(function: str, pieces) -> BAT:
         return BAT(oids.astype(OID_DTYPE), Role.OIDS, key=True,
                    tag="het_sel")
     tables = [partial for _lo, partial in pieces]
-    if function in GROUPED_AGG_FUNCTIONS:
-        values = partials.fold_tables(partials.fold_of(function), tables)
+    if cls == "grouped_agg":
+        values = partials.fold_tables(OPS[function].fold, tables)
         tag = f"het_{function}"
     else:
         values = np.concatenate(tables)

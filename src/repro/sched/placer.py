@@ -9,7 +9,7 @@ zero-copy CPU unless the work is large enough to amortise the PCIe hop.
 
 Row-independent operators (selection, element-wise calc, grouped
 aggregation partials — see
-:data:`repro.ocelot.rewriter.PARTITIONABLE_FUNCTIONS`) are additionally
+:data:`repro.monetdb.ops.ROW_INDEPENDENT`) are additionally
 offered to the **fan-out planner**: the input oid-range is split across
 devices proportionally to their measured throughput (a water-filling
 balance that accounts for each device's fixed launch/sync cost), capped
@@ -26,11 +26,7 @@ from dataclasses import dataclass
 
 from ..cl import GB
 from ..monetdb.bat import BAT
-from ..ocelot.rewriter import (
-    GROUPED_AGG_FUNCTIONS,
-    PARTITIONABLE_FUNCTIONS,
-    SELECT_FUNCTIONS,
-)
+from ..monetdb.ops import ROW_INDEPENDENT, class_of
 from .costs import (
     EST_SELECTIVITY,
     bat_nominal_bytes,
@@ -150,18 +146,18 @@ class CostPlacer:
     # -- fan-out planning --------------------------------------------------------
 
     def _splittable(self, function: str, args) -> bool:
+        cls = class_of(function)
         if function == "pipe":
             # fused regions stay element-wise per row, so pure-value
             # pipes fan out like any batcalc; a fused *selection*
             # output is device-shaped (bitmap) and is placed whole
             if any(o.is_select for o in args[0].outputs):
                 return False
-        elif function not in PARTITIONABLE_FUNCTIONS:
+        elif cls not in ROW_INDEPENDENT:
             return False
         if len(self.pool) - len(self.banned) < 2:
             return False
-        if function in SELECT_FUNCTIONS and len(args) > 1 \
-                and args[1] is not None:
+        if cls == "select" and len(args) > 1 and args[1] is not None:
             return False   # candidate-constrained selections stay whole
         bats = [a for a in args if isinstance(a, BAT)]
         if not bats:
@@ -191,11 +187,12 @@ class CostPlacer:
         bytes_per_row = sum(b.dtype.itemsize for b in bats) * scale
 
         # per-row downloaded partial bytes and merged host bytes by class
-        if function in SELECT_FUNCTIONS:
+        cls = class_of(function)
+        if cls == "select":
             selectivity = self._selectivity(function, args)
             down_per_row = 4.0 * selectivity * scale
             merge_bytes = selectivity * n * 4.0 * scale
-        elif function in GROUPED_AGG_FUNCTIONS:
+        elif cls == "grouped_agg":
             down_per_row = 0.0     # partials are ngroups-wide
             merge_bytes = 0.0      # folded below via the shape's out
         elif function == "pipe":
@@ -219,7 +216,7 @@ class CostPlacer:
             rates.append(per_row)
             fix = (shape.launches + 4) * chars.launch_overhead_s \
                 + 2 * chars.transfer_latency_s
-            if function in GROUPED_AGG_FUNCTIONS:
+            if cls == "grouped_agg":
                 fix += chars.transfer_seconds(shape.out_bytes)
                 merge_bytes = max(merge_bytes, shape.out_bytes)
             fixed.append(fix)

@@ -72,7 +72,7 @@ import numpy as np
 
 from ..cl import GB
 from ..engines import EngineConfig
-from ..monetdb import partials
+from ..monetdb import ops, partials
 from ..monetdb.bat import BAT, OID_DTYPE, Role, make_bat, oid_bat
 from ..monetdb.interpreter import (
     Backend,
@@ -182,10 +182,6 @@ class ShardTraffic:
         return {"interconnect": total, "interconnect.query": self.query}
 
 
-_SCALAR_AGGS = frozenset({"sum", "min", "max", "count", "avg"})
-_GROUPED_AGGS = frozenset(
-    {"subsum", "submin", "submax", "subcount", "subavg"}
-)
 #: ``ShardedValue.space`` of a position column not valued in one
 #: shard's own rows (those carry the space's per-shard row counts):
 #: positions referring to a *gathered* (global) row space — projections
@@ -850,8 +846,10 @@ class ShardedBackend(Backend):
             for arg in args:
                 if isinstance(arg, ShardedValue) and arg.parts[0] is first:
                     # an identity operator (``sync`` returns its
-                    # argument): one set of parts under two names
+                    # argument): one set of parts under two names,
+                    # indexing the same row space
                     out.shares, arg.holds = arg, arg.holds + 1
+                    out.space = arg.space
                     break
         return out
 
@@ -861,18 +859,46 @@ class ShardedBackend(Backend):
         # aggregate partials consumed by a downstream operator merge
         # here — the cluster plan's scatter/gather boundary
         args = [self._demote(a) for a in args]
-        fn = op.split(".", 1)[1] if "." in op else op
-        if fn in _SCALAR_AGGS or fn in _GROUPED_AGGS:
+        module, _, fn = op.rpartition(".")
+        row = ops.lookup(module, fn)
+        if row is None:
+            # structural instructions: a bind and a fused region say
+            # what they produce, anything else fans out as it is
+            if fn == "bind":
+                return self._fan_bind(op, args)
+            if fn == "pipe":
+                return self._fan_pipe(op, args)
+            return self._fan(op, args)
+        if row.agg:
             if not any(self._needs_gather(a) for a in args):
                 # rows every shard holds alike: a result, not a partial
                 return self._fan(op, args, partitioned=False)
-            if fn in _SCALAR_AGGS:
-                return self._scalar_agg(op, fn, args)
-            return self._grouped_agg(op, fn, args)
-        handler = getattr(self, f"_op_{fn}", None)
+            if row.cls == "scalar_agg":
+                return self._scalar_agg(module, row, args)
+            return self._grouped_agg(module, row, args)
+        # operator classes that need global context have a handler
+        handler = getattr(self, f"_fan_{row.cls}", None)
         if handler is not None:
-            return handler(op, args)
-        return self._fan(op, args)
+            return handler(row, op, args)
+        out = self._fan(op, args)
+        self._mark_positions(row, out, args)
+        return out
+
+    def _mark_positions(self, row, out, args) -> None:
+        """Annotate every positions result of a plainly fanned operator
+        with its row space, as its table row says: the rows of an
+        argument (shard-local positions into it), or the space another
+        position column already indexes."""
+        outs = out if isinstance(out, tuple) else (out,)
+        for value, result in zip(outs, row.results):
+            if result.kind != "positions" \
+                    or not isinstance(value, ShardedValue):
+                continue
+            arg = args[result.of]
+            if not result.same_space:
+                self._mark_space(value, arg)
+            elif isinstance(arg, ShardedValue):
+                value.space = arg.space
 
     def _demote(self, value):
         """Merge an aggregate-partial argument and broadcast the result."""
@@ -895,8 +921,7 @@ class ShardedBackend(Backend):
 
     # -- aggregates -----------------------------------------------------------------
 
-    def _scalar_agg(self, op: str, fn: str, args):
-        module = op.split(".", 1)[0]
+    def _scalar_agg(self, module: str, row, args):
         # shards whose filtered input is empty contribute the fold
         # identity, not a partial — single-node engines (rightly) refuse
         # e.g. min() over an empty column, and a shard must not turn a
@@ -920,7 +945,7 @@ class ShardedBackend(Backend):
 
         return self._tag_partials(
             [(name, fan_active(f"{module}.{name}"))
-             for name, _args in partials.components(fn, args)]
+             for name, _args in partials.components(row.function, args)]
         )
 
     def _tag_partials(self, fanned, grouping=None):
@@ -936,20 +961,21 @@ class ShardedBackend(Backend):
             pair=tuple(partial for _name, partial in fanned),
         )
 
-    def _grouped_agg(self, op: str, fn: str, args):
-        gids = args[0] if fn == "subcount" else args[1]
+    def _grouped_agg(self, module: str, row, args):
+        gids = args[row.nargs - 2]       # (..., gids, ngroups)
         grouping = getattr(gids, "group", None) if isinstance(
             gids, ShardedValue) else None
         if grouping is None:
             raise UnsupportedOperator(
-                f"{op} over partitioned rows without a sharded grouping "
+                f"{module}.{row.function} over partitioned rows without a "
+                f"sharded grouping "
                 f"— plan shape not supported by the SHARD engine"
             )
-        module = op.split(".", 1)[0]
         return self._tag_partials(
             [(name, self._fan(f"{module}.{name}", part_args,
                               partitioned=True))
-             for name, part_args in partials.components(fn, args)],
+             for name, part_args
+             in partials.components(row.function, args)],
             grouping,
         )
 
@@ -1081,7 +1107,7 @@ class ShardedBackend(Backend):
 
     # -- special operators ------------------------------------------------------------
 
-    def _op_bind(self, op: str, args):
+    def _fan_bind(self, op: str, args):
         ref = args[0]
         partitioned = self.partitioner.is_partitioned(ref.table)
         out = self._fan(op, args, partitioned=partitioned)
@@ -1101,15 +1127,7 @@ class ShardedBackend(Backend):
             )
         return out
 
-    def _op_select(self, op: str, args):
-        out = self._fan(op, args)
-        self._mark_space(out, args[0])
-        return out
-
-    _op_thetaselect = _op_select
-    _op_mirror = _op_select
-
-    def _op_pipe(self, op, args):
+    def _fan_pipe(self, op, args):
         """Fused regions (repro.fuse) fan out unchanged — they stay
         element-wise per row, so each shard runs the same single-pass
         kernel over its slice.  Selection outputs are shard-local
@@ -1129,42 +1147,28 @@ class ShardedBackend(Backend):
                 self._mark_space(value, space)
         return out
 
-    def _op_oidunion(self, op: str, args):
-        out = self._fan(op, args)
-        if isinstance(out, ShardedValue) \
-                and isinstance(args[0], ShardedValue):
-            out.space = args[0].space
-        return out
-
-    _op_oidintersect = _op_oidunion
-
-    def _op_group(self, op: str, args):
-        b = args[0]
+    def _fan_group(self, row, op: str, args):
+        """``group`` / ``subgroup`` over partitioned rows: every shard
+        numbers its own groups; a :class:`_Grouping` aligns them by key."""
         gids, ngroups = self._fan(op, args)
-        if self._needs_gather(b):
-            gids.group = _Grouping(
-                self, b, gids, [int(n) for n in ngroups.parts],
-            )
-        return gids, ngroups
-
-    def _op_subgroup(self, op: str, args):
-        b, outer_gids = args[0], args[1]
-        gids, ngroups = self._fan(op, args)
-        if gids.partitioned:
-            outer = getattr(outer_gids, "group", None) if isinstance(
-                outer_gids, ShardedValue) else None
+        if not gids.partitioned:
+            return gids, ngroups
+        outer = outer_gids = None
+        if row.nargs == 3:          # (column, outer gids, outer ngroups)
+            outer_gids = args[1]
+            outer = getattr(outer_gids, "group", None)
             if outer is None:
                 raise UnsupportedOperator(
                     f"{op}: subgrouping partitioned rows without a "
                     f"sharded outer grouping is not supported"
                 )
-            gids.group = _Grouping(
-                self, b, gids, [int(n) for n in ngroups.parts],
-                outer=outer, outer_gids=outer_gids,
-            )
+        gids.group = _Grouping(
+            self, args[0], gids, [int(n) for n in ngroups.parts],
+            outer=outer, outer_gids=outer_gids,
+        )
         return gids, ngroups
 
-    def _op_sort(self, op: str, args):
+    def _fan_sort(self, row, op: str, args):
         b = args[0]
         gathered = self._needs_gather(b)
         if gathered:
@@ -1174,13 +1178,17 @@ class ShardedBackend(Backend):
             order_sv.space = GATHERED
         return sorted_sv, order_sv
 
-    def _op_firstn(self, op: str, args):
+    def _fan_topn(self, row, op: str, args):
         b = args[0]
-        if self._needs_gather(b):
+        gathered = self._needs_gather(b)
+        if gathered:
             args = [self._gather_rows(b)] + list(args[1:])
-        return self._fan(op, args, partitioned=False)
+        top = self._fan(op, args, partitioned=False)
+        if gathered:
+            top.space = GATHERED
+        return top
 
-    def _op_projection(self, op: str, args):
+    def _fan_gather(self, row, op: str, args):
         oids, source = args[0], args[1]
         source_gathered = False
         space = oids.space if isinstance(oids, ShardedValue) else None
@@ -1347,7 +1355,7 @@ class ShardedBackend(Backend):
             for p in value.parts
         )
 
-    def _op_join(self, op: str, args):
+    def _fan_join(self, row, op: str, args):
         left, right = args[0], args[1]
         strategy = self._plan_join(op, left, right)
         if strategy == JOIN_COLOCATED:
@@ -1360,10 +1368,11 @@ class ShardedBackend(Backend):
         if strategy in (JOIN_SHUFFLE_LEFT, JOIN_SHUFFLE_RIGHT,
                         JOIN_SHUFFLE_BOTH):
             return self._shuffle_join(op, args, strategy)
-        return self._broadcast_join(op, args)
+        return self._fan_nljoin(row, op, args)
 
-    def _broadcast_join(self, op: str, args):
-        """The PR-3 fallback: gather the build side to every shard."""
+    def _fan_nljoin(self, row, op: str, args):
+        """Broadcast join — a theta join's only plan and the equi-join's
+        PR-3 fallback: gather the build side to every shard."""
         left, right = args[0], args[1]
         gathered = False
         if self._needs_gather(left) and self._needs_gather(right):
@@ -1378,8 +1387,6 @@ class ShardedBackend(Backend):
         else:
             self._mark_space(rpos, right)
         return lpos, rpos
-
-    _op_thetajoin = _broadcast_join
 
     def _shuffle_join(self, op: str, args, strategy: str):
         """Hash-shuffle join: re-partition the unaligned side(s) by key
@@ -1513,7 +1520,7 @@ class ShardedBackend(Backend):
         oids.space = CONCAT
         return shuffled, oids
 
-    def _op_semijoin(self, op: str, args):
+    def _fan_membership(self, row, op: str, args):
         left, right = args[0], args[1]
         lkey, rkey = self._aligned_key(left), self._aligned_key(right)
         if self._needs_gather(right) and not (
@@ -1525,8 +1532,6 @@ class ShardedBackend(Backend):
         out = self._fan(op, args, partitioned=self._needs_gather(left))
         self._mark_space(out, left)
         return out
-
-    _op_antijoin = _op_semijoin
 
     # -- protocol: result collection ---------------------------------------------------
 

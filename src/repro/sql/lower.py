@@ -701,8 +701,11 @@ class Compiler:
                     )
             outputs = new_outputs
         if select.limit is not None:
+            # the first n rows in the outputs' own order — the n
+            # smallest row ids, whatever the columns hold
+            rows = self.b.emit("bat", "mirror", (outputs[0][1],))
             top = self.b.emit(
-                "algebra", "firstn", (outputs[0][1], select.limit, True)
+                "algebra", "firstn", (rows, select.limit, True)
             )
             outputs = [
                 (name, self.b.emit("algebra", "projection", (top, var)))

@@ -8,10 +8,12 @@ keys).  The rules now live in ``repro.monetdb.partials`` over
 growing back.
 """
 
+import ast
 import functools
 import re
 from pathlib import Path
 
+from repro.monetdb.ops import OPS
 from repro.shard.backend import ShardedValue
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -143,3 +145,88 @@ def test_one_retry_budget_and_one_trace_hand_over():
     # ``sessions.open(replay=...)`` and taken back in one place
     assert files_of(hits(r"\.placements = ")) == {"serve/session.py"}
 
+
+# -- one operator table: an operator's facts are declared once ---------------
+
+#: where operator names may be spelled as a collection: the table, and
+#: the per-backend *implementation* registries a contract test holds
+#: equal to it (``tests/engines/test_operator_table.py``)
+OPERATOR_TABLE = "monetdb/ops.py"
+IMPLEMENTATIONS = {
+    "ocelot/operators.py",      # HOST_CODE
+    "monetdb/backends.py",      # MonetDBBackend._register_ops
+    "compress/ops.py",          # register_compress_ops
+    "sched/costs.py",           # shape_of
+}
+#: layers where the same words name something else: SQL keywords and
+#: the lowerer's emit tables above MAL; numpy bodies, kernel op codes
+#: and generated-kernel symbols below it
+OTHER_VOCABULARIES = ("sql/", "kernels/", "monetdb/calc.py", "fuse/expr.py",
+                      "fuse/codegen.py")
+#: fold kinds are partials' own vocabulary, not operator names
+FOLDS = {"sum", "min", "max"}
+
+
+def spelled_operator_lists() -> list:
+    """``file:line`` of every set / tuple / list / dict literal under
+    ``src/repro`` that spells three or more operator function names
+    (bare or module-qualified)."""
+    found = []
+    for name, text in sources().items():
+        if name == OPERATOR_TABLE or name in IMPLEMENTATIONS \
+                or name.startswith(OTHER_VOCABULARIES):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
+                items = node.elts
+            elif isinstance(node, ast.Dict):
+                items = [key for key in node.keys if key is not None]
+            else:
+                continue
+            names = {
+                item.value.rsplit(".", 1)[-1] for item in items
+                if isinstance(item, ast.Constant)
+                and isinstance(item.value, str)
+            } & set(OPS)
+            if len(names) >= 3 and not names <= FOLDS:
+                found.append(f"{name}:{node.lineno}: {sorted(names)}")
+    return found
+
+
+def test_no_second_operator_vocabulary():
+    assert spelled_operator_lists() == []
+    gone = hits(r"OCELOT_MAP = \{|_COMPRESS_RESULT_KINDS|BAT_RESULTS = \{|"
+                r"_SCALAR_AGGS|_GROUPED_AGGS|_SCALAR_AGG_FNS|_GROUP_AGG_FNS|"
+                r"_OIDCOMBINE_OPS|_PIPE_OPS|_PROJECTION_OPS|_AGG_MODULES|"
+                r"FUSABLE_CALC|PARTITIONABLE_FUNCTIONS")
+    assert gone == []
+
+
+def test_aggregates_are_not_parsed_out_of_their_names():
+    """``subavg`` is ``avg`` over groups because its row says so — not
+    because of how it is spelled."""
+    surgery = hits(r"""(endswith|startswith|removeprefix|removesuffix)"""
+                   r"""\(["'](sub|avg|sum|count)["']\)"""
+                   r"""|function\[3:\]|fn\[:-3\]|stem \+""")
+    assert surgery == []
+
+
+def test_shard_dispatches_by_class_without_aliased_handlers():
+    shard = sources()["shard/backend.py"]
+    assert not re.search(r"^    _\w+ = _\w+$", shard, re.M)
+    assert "_op_" not in shard
+
+
+def test_the_rewriter_has_one_retarget_branch():
+    rewriter = sources()["ocelot/rewriter.py"]
+    body = rewriter.split("def rewrite_for_ocelot(")[1]
+    assert body.count("MALInstruction(") == 3   # sync, retarget, stays
+    assert body.count("ocelot_owned.add(") == 1
+
+
+def test_the_bench_harness_is_a_leaf():
+    """The engine registry fills itself; nothing in ``repro`` imports
+    the figure harness."""
+    importers = [hit for hit in hits(r"^\s*(from|import) [\w.]*\bbench\b")
+                 if not hit.startswith("bench/")]
+    assert importers == []

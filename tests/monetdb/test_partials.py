@@ -116,8 +116,7 @@ def pieces_of(values, bounds):
 @given(st.data())
 def test_scalar_partials_merge_to_the_whole_column(fn, data):
     summed = fn in ("sum", "avg")
-    values = data.draw(columns(nan=summed or fn == "count", summed=summed,
-                               shapes=SHAPES[1:]))
+    values = data.draw(columns(summed=summed, shapes=SHAPES[1:]))
     bounds = data.draw(cuts(values.size))
     # every executor skips the pieces that hold no row
     pieces = [p for p in pieces_of(values, bounds) if p.size]
@@ -129,7 +128,9 @@ def test_scalar_partials_merge_to_the_whole_column(fn, data):
     got = merged[0] if len(merged) == 1 else finish_avg(*merged)
     whole = ms(f"aggr.{fn}", make_bat(values))
     if not summed or (fn == "sum" and values.dtype.kind != "f"):
-        assert got == whole and type(got) is type(whole)
+        # a NaN anywhere is the min / max, as in the whole column
+        assert got == whole or (got != got and whole != whole)
+        assert type(got) is type(whole)
         return
     if values.dtype.kind == "f":
         totals = [float(np.sum(p, dtype=np.float64)) for p in pieces]
@@ -152,6 +153,17 @@ def test_scalar_sums_do_not_wrap_and_keep_partition_order():
     assert fold_scalars("sum", parts) == ((1e16 + 1.0) - 1e16) + 1.0
     assert fold_scalars("sum", parts) != functools.reduce(
         operator.add, reversed(parts))
+
+
+@pytest.mark.parametrize("fold", ("min", "max"))
+def test_a_nan_partial_is_the_min_and_the_max_wherever_it_comes(fold):
+    """Python's ``min`` / ``max`` answer by operand order once a NaN is
+    among them; the whole-column operators propagate it."""
+    for parts in ([np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.nan],
+                  [np.float32(np.nan), np.float32(-np.inf)]):
+        assert np.isnan(fold_scalars(fold, parts))
+    assert fold_scalars(fold, [3, 1, 2]) == {"min": 1, "max": 3}[fold]
+    assert type(fold_scalars(fold, [2**70, 1])) is int
 
 
 def test_avg_of_a_group_nobody_saw_is_zero():

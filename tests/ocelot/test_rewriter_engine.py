@@ -5,8 +5,8 @@ import pytest
 
 from repro.monetdb import Catalog, MALBuilder, Owner, run_program
 from repro.monetdb.mal import Var
+from repro.monetdb.ops import OPS
 from repro.ocelot import (
-    OCELOT_MAP,
     OcelotBackend,
     count_syncs,
     rewrite_for_ocelot,
@@ -95,7 +95,7 @@ def test_rename_propagates_to_later_uses():
 def test_map_covers_all_host_code():
     from repro.ocelot.operators import HOST_CODE
 
-    mapped = {fn for fn, _kinds in OCELOT_MAP.values()}
+    mapped = {row.function for row in OPS.values() if row.device}
     # sync is inserted (not mapped) and fused pipes are rerouted via the
     # fuse-module special case; everything else must be reachable
     assert mapped == set(HOST_CODE) - {"sync", "pipe"}

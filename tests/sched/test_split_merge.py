@@ -19,12 +19,16 @@ from repro.monetdb import Catalog
 from repro.monetdb.bat import BAT, OID_DTYPE, Role
 from repro.monetdb.mal import Var
 from repro.monetdb.calc import grouped_dtype
+from repro.monetdb.ops import of_class
 from repro.ocelot.operators import HOST_CODE, op_sync
-from repro.ocelot.rewriter import GROUPED_AGG_FUNCTIONS, SELECT_FUNCTIONS
 from repro.sched import HeterogeneousBackend
 from repro.sched import backend as backend_module
 from repro.sched.partition import execute_split
 from repro.sched.pool import DevicePool
+
+# the old body's two vocabulary sets, now read off the operator table
+SELECT_FUNCTIONS = {row.function for row in of_class("select")}
+GROUPED_AGG_FUNCTIONS = {row.function for row in of_class("grouped_agg")}
 
 # ---- verbatim from src/repro/sched/partition.py at PR 18 ------------------
 # (``execute_split`` renamed ``old_execute_split`` at its definition only)
