@@ -2,9 +2,10 @@
 
 Complex predicates combine selection bitmaps with bit operations; when a
 downstream operator (or MonetDB) needs tuple IDs, the bitmap is
-materialised into a list of qualifying oids in two steps: a per-partition
-set-bit count, a prefix sum over the counts to obtain unique write
-offsets, and an offset-addressed write (paper §4.1.2, scan after [33]).
+materialised into a list of qualifying oids in two launches: a
+per-partition set-bit count whose last work-group scans the counts into
+unique write offsets (``bitmap_offsets``), and an offset-addressed write
+(paper §4.1.2, scan after [33]).
 """
 
 from __future__ import annotations
@@ -111,15 +112,20 @@ __kernel void bitmap_not(__global uchar* res, __global const uchar* a,
 )
 
 
-def _bitmap_count_vec(ctx, counts, bitmap, nbytes, parts):
-    """Per-partition set-bit counts (stage 1 of materialisation)."""
-    nbytes, parts = int(nbytes), int(parts)
+def _partition_counts(bitmap, nbytes: int, parts: int) -> np.ndarray:
+    """Set bits in each of the ``parts`` contiguous byte ranges."""
     bounds = chunk_bounds(nbytes, parts)
     per_byte = POPCOUNT[bitmap[:nbytes]]
     sums = np.add.reduceat(per_byte, bounds[:-1]) if nbytes else np.zeros(parts)
     # reduceat quirk: empty trailing partitions repeat the previous slice.
     sizes = np.diff(bounds)
-    counts[:parts] = np.where(sizes > 0, sums, 0)
+    return np.where(sizes > 0, sums, 0)
+
+
+def _bitmap_count_vec(ctx, counts, bitmap, nbytes, parts):
+    """Per-partition set-bit counts (a selection's cardinality)."""
+    nbytes, parts = int(nbytes), int(parts)
+    counts[:parts] = _partition_counts(bitmap, nbytes, parts)
 
 
 def _bitmap_count_work(ctx, counts, bitmap, nbytes, parts):
@@ -132,14 +138,18 @@ def _bitmap_count_work(ctx, counts, bitmap, nbytes, parts):
     )
 
 
-def _bitmap_count_ref(wi, counts, bitmap, nbytes, parts):
-    nbytes, parts = int(nbytes), int(parts)
+def _count_partitions_ref(wi, counts, bitmap, nbytes: int, parts: int):
+    """This work-item's partitions: their set bits into ``counts``."""
     bounds = chunk_bounds(nbytes, parts)
     for p in wi.partition(parts):
         total = 0
         for j in range(bounds[p], bounds[p + 1]):
             total += int(POPCOUNT[bitmap[j]])
         counts[p] = total
+
+
+def _bitmap_count_ref(wi, counts, bitmap, nbytes, parts):
+    _count_partitions_ref(wi, counts, bitmap, int(nbytes), int(parts))
     return
     yield  # pragma: no cover
 
@@ -162,8 +172,74 @@ __kernel void bitmap_count(__global uint* counts,
 )
 
 
+def _bitmap_offsets_vec(ctx, offsets, bitmap, nbytes, parts):
+    """Stage 1 of materialisation: the ``parts + 1`` write offsets —
+    the exclusive scan of the per-partition counts, the total last."""
+    nbytes, parts = int(nbytes), int(parts)
+    offsets[0] = 0
+    np.cumsum(_partition_counts(bitmap, nbytes, parts),
+              out=offsets[1 : parts + 1])
+
+
+def _bitmap_offsets_work(ctx, offsets, bitmap, nbytes, parts):
+    nbytes, parts = int(nbytes), int(parts)
+    item = offsets.dtype.itemsize
+    return KernelWork(
+        elements=nbytes * 8,
+        # the count streams the bitmap; the scan is the work-efficient
+        # one over the counters (~2 reads + 2 writes each)
+        bytes_read=nbytes + 2 * parts * item,
+        bytes_written=3 * parts * item,
+        ops=nbytes + 2 * parts,
+        # one ticket per work-group elects the last to finish, whatever
+        # the data volume (kernel_time scales every count by data_scale)
+        atomic_ops=ctx.num_groups / ctx.data_scale,
+        atomic_addresses=1,
+    )
+
+
+def _bitmap_offsets_ref(wi, offsets, bitmap, nbytes, parts):
+    """Every item leaves its partitions' counts one slot up; the last
+    work-group to finish scans them down into place.  The interpreter
+    runs work-groups in order, so that is the highest-numbered one (a
+    device elects it with one atomic ticket per group)."""
+    nbytes, parts = int(nbytes), int(parts)
+    _count_partitions_ref(wi, offsets[1:], bitmap, nbytes, parts)
+    yield
+    last_group = wi.global_size() // wi.local_size() - 1
+    if wi.group_id() == last_group and wi.local_id() == 0:
+        running = 0
+        for p in range(parts):
+            count = int(offsets[p + 1])
+            offsets[p] = running
+            running += count
+        offsets[parts] = running
+    return
+
+
+BITMAP_OFFSETS = KernelDef(
+    name="bitmap_offsets",
+    params=params("out:offsets in:bitmap scalar:nbytes scalar:parts"),
+    vec_fn=_bitmap_offsets_vec,
+    work_fn=_bitmap_offsets_work,
+    ref_fn=_bitmap_offsets_ref,
+    source="""
+__kernel void bitmap_offsets(__global uint* offsets,
+                             __global const uchar* bitmap, uint nbytes,
+                             uint parts) {
+    uint total = 0;
+    for (uint j = FIRST(nbytes); j < LAST(nbytes); j += STEP)
+        total += popcount(bitmap[j]);
+    offsets[1 + partition_id()] = total;
+    if (!LAST_GROUP_TO_FINISH()) return;  /* one atomic ticket per group */
+    /* exclusive scan of offsets[1 .. parts] into offsets[0 .. parts] */
+}
+""",
+)
+
+
 def _bitmap_write_oids_vec(ctx, oids, bitmap, offsets, n_bits, parts):
-    """Stage 3: write positions of set bits at per-partition offsets.
+    """Stage 2: write positions of set bits at per-partition offsets.
 
     The vectorised driver emits all set-bit positions in ascending order —
     identical to the concatenation of the per-partition writes, because
@@ -267,6 +343,7 @@ LIBRARY = {
         BITMAP_BINOP,
         BITMAP_NOT,
         BITMAP_COUNT,
+        BITMAP_OFFSETS,
         BITMAP_WRITE_OIDS,
         OIDS_TO_BITMAP,
     )

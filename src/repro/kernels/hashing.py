@@ -16,10 +16,17 @@ The paper's scheme, reproduced faithfully:
    ~75 % fill rate (host policy, :mod:`repro.ocelot.operators.hashing`).
 
 No stash is used (the paper found none needed).  Tables are two ``uint32``
-arrays (keys, values); ``EMPTY`` (0xFFFFFFFF) marks free slots, so keys
-must not take that value — column values are bijectively encoded first
+arrays: keys, and for each occupied slot the *row index* of an input key
+equal to the slot's — which of several equal keys is a legal outcome of
+the race, and ``keys[tvals[slot]] == tkeys[slot]`` whichever it is.  A
+caller that wants another value per key indexes its own column with the
+row; ranks and run ids *are* the row index of a sorted distinct input.
+``EMPTY`` (0xFFFFFFFF) marks free slots, so keys must not take that value
+— column values are bijectively encoded first
 (:func:`repro.kernels.radix_sort.encode_keys` never produces 0xFFFFFFFF
-for int32/float32; uint32 callers reserve it).
+for int32/float32; uint32 callers reserve it).  A free slot's value is
+undefined: nothing initialises the value column, and a probe reads a
+value only where the key matched.
 
 The vectorised driver emulates CAS deterministically: within one insertion
 round the lowest-index pending key wins a contested slot, a legal CAS
@@ -80,24 +87,24 @@ def _scalar_slot(key: int, func: int, m: int) -> int:
 # optimistic round
 # ---------------------------------------------------------------------------
 
-def _ht_optimistic_vec(ctx, tkeys, tvals, keys, vals, n, m):
+def _ht_optimistic_vec(ctx, tkeys, tvals, keys, n, m):
     n, m = int(n), int(m)
     slots = hash_slot(keys[:n], 0, m)
     # Unsynchronised writes: numpy scatter keeps the *last* write per slot,
-    # a legal outcome of the data race.  Key and value are written by the
-    # same thread, so (key, value) stay consistent per slot.
+    # a legal outcome of the data race.  Key and row index are written by
+    # the same thread, so (key, row) stay consistent per slot.
     tkeys[slots] = keys[:n]
-    tvals[slots] = vals[:n]
+    tvals[slots] = np.arange(n, dtype=tvals.dtype)
 
 
-def _ht_optimistic_work(ctx, tkeys, tvals, keys, vals, n, m):
+def _ht_optimistic_work(ctx, tkeys, tvals, keys, n, m):
     n = int(n)
     distinct = _distinct_slot_estimate(keys[:n], int(m))
     table_bytes = 8 * int(m)
     random = 8 * n if table_bytes > _CACHE_RESIDENT_BYTES else 0
     return KernelWork(
         elements=n,
-        bytes_read=8 * n,
+        bytes_read=4 * n,
         random_bytes=random,
         ops=6 * n,  # one strong hash
         atomic_ops=n,  # unsynchronised but *contended* writes
@@ -125,30 +132,29 @@ def _count_distinct(keys: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
-def _ht_optimistic_ref(wi, tkeys, tvals, keys, vals, n, m):
+def _ht_optimistic_ref(wi, tkeys, tvals, keys, n, m):
     n, m = int(n), int(m)
     for i in wi.partition(n):
         slot = _scalar_slot(int(keys[i]), 0, m)
         tkeys[slot] = keys[i]
-        tvals[slot] = vals[i]
+        tvals[slot] = i
     return
     yield  # pragma: no cover
 
 
 HT_OPTIMISTIC = KernelDef(
     name="ht_insert_optimistic",
-    params=params("inout:tkeys inout:tvals in:keys in:vals scalar:n scalar:m"),
+    params=params("inout:tkeys inout:tvals in:keys scalar:n scalar:m"),
     vec_fn=_ht_optimistic_vec,
     work_fn=_ht_optimistic_work,
     ref_fn=_ht_optimistic_ref,
     source="""
 __kernel void ht_insert_optimistic(__global uint* tkeys, __global uint* tvals,
-                                   __global const uint* keys,
-                                   __global const uint* vals, uint n, uint m) {
+                                   __global const uint* keys, uint n, uint m) {
     for (uint i = FIRST(n); i < LAST(n); i += STEP) {
         uint slot = hash0(keys[i]) % m;      /* no synchronisation */
         tkeys[slot] = keys[i];
-        tvals[slot] = vals[i];
+        tvals[slot] = i;                     /* the value is the row */
     }
 }
 """,
@@ -232,7 +238,7 @@ __kernel void ht_check(__global uchar* fail, __global uint* fail_count,
 # pessimistic round (one kernel: each thread CAS-loops until insertion)
 # ---------------------------------------------------------------------------
 
-def _insert_round(tkeys, tvals, pending_keys, pending_vals, slots):
+def _insert_round(tkeys, tvals, pending_keys, pending_rows, slots):
     """Deterministic CAS emulation for one probe position.
 
     Every pending key attempts ``CAS(tkeys[slot], EMPTY -> key)``; ties on
@@ -247,25 +253,25 @@ def _insert_round(tkeys, tvals, pending_keys, pending_vals, slots):
         contenders = np.flatnonzero(empty)[::-1]
         won = slots[contenders]
         tkeys[won] = pending_keys[contenders]
-        tvals[won] = pending_vals[contenders]
+        tvals[won] = pending_rows[contenders]
         occupant = tkeys[slots]
     return occupant == pending_keys
 
 
-def _ht_pessimistic_vec(ctx, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m):
+def _ht_pessimistic_vec(ctx, tkeys, tvals, stats, keys, fail_bitmap, n, m):
     n, m = int(n), int(m)
     failed = np.unpackbits(fail_bitmap, bitorder="little", count=n).view(bool)
-    pending_keys = keys[:n][failed]
-    pending_vals = vals[:n][failed]
+    pending_rows = np.flatnonzero(failed)
+    pending_keys = keys[:n][pending_rows]
     cas_attempts = 0
     for func in range(NUM_HASH_FUNCTIONS):
         if pending_keys.size == 0:
             break
         slots = hash_slot(pending_keys, func, m)
         cas_attempts += int(pending_keys.size)
-        unplaced = ~_insert_round(tkeys, tvals, pending_keys, pending_vals, slots)
+        unplaced = ~_insert_round(tkeys, tvals, pending_keys, pending_rows, slots)
         pending_keys = pending_keys[unplaced]
-        pending_vals = pending_vals[unplaced]
+        pending_rows = pending_rows[unplaced]
 
     if pending_keys.size:
         base = hash_slot(pending_keys, NUM_HASH_FUNCTIONS - 1, m)
@@ -273,10 +279,10 @@ def _ht_pessimistic_vec(ctx, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m)
             slots = (base + distance) % m
             cas_attempts += int(pending_keys.size)
             unplaced = ~_insert_round(
-                tkeys, tvals, pending_keys, pending_vals, slots
+                tkeys, tvals, pending_keys, pending_rows, slots
             )
             pending_keys = pending_keys[unplaced]
-            pending_vals = pending_vals[unplaced]
+            pending_rows = pending_rows[unplaced]
             base = base[unplaced]
             if pending_keys.size == 0:
                 break
@@ -286,7 +292,7 @@ def _ht_pessimistic_vec(ctx, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m)
     ctx.counters["cas_attempts"] = cas_attempts
 
 
-def _ht_pessimistic_work(ctx, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m):
+def _ht_pessimistic_work(ctx, tkeys, tvals, stats, keys, fail_bitmap, n, m):
     n = int(n)
     attempts = ctx.counters.get("cas_attempts", 0)
     distinct = _distinct_slot_estimate(keys[:n], int(m))
@@ -302,7 +308,7 @@ def _ht_pessimistic_work(ctx, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m
     )
 
 
-def _ht_pessimistic_ref(wi, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m):
+def _ht_pessimistic_ref(wi, tkeys, tvals, stats, keys, fail_bitmap, n, m):
     """Sequential turn-taking emulation of the CAS loop.
 
     Work-items take turns in local-id order (one barrier per turn), each
@@ -317,7 +323,7 @@ def _ht_pessimistic_ref(wi, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m):
                 byte, bit = divmod(i, 8)
                 if not (fail_bitmap[byte] & (1 << bit)):
                     continue
-                key, val = int(keys[i]), int(vals[i])
+                key = int(keys[i])
                 placed = False
                 for func in range(NUM_HASH_FUNCTIONS):
                     slot = _scalar_slot(key, func, m)
@@ -326,7 +332,7 @@ def _ht_pessimistic_ref(wi, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m):
                         break
                     if int(tkeys[slot]) == int(EMPTY):
                         tkeys[slot] = key
-                        tvals[slot] = val
+                        tvals[slot] = i
                         placed = True
                         break
                 if not placed:
@@ -335,7 +341,7 @@ def _ht_pessimistic_ref(wi, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m):
                         slot = (base + distance) % m
                         if int(tkeys[slot]) in (key, int(EMPTY)):
                             tkeys[slot] = key
-                            tvals[slot] = val
+                            tvals[slot] = i
                             placed = True
                             break
                 if not placed:
@@ -347,8 +353,8 @@ def _ht_pessimistic_ref(wi, tkeys, tvals, stats, keys, vals, fail_bitmap, n, m):
 HT_PESSIMISTIC = KernelDef(
     name="ht_insert_pessimistic",
     params=params(
-        "inout:tkeys inout:tvals out:stats in:keys in:vals "
-        "in:fail_bitmap scalar:n scalar:m"
+        "inout:tkeys inout:tvals out:stats in:keys in:fail_bitmap "
+        "scalar:n scalar:m"
     ),
     vec_fn=_ht_pessimistic_vec,
     work_fn=_ht_pessimistic_work,
@@ -357,18 +363,20 @@ HT_PESSIMISTIC = KernelDef(
 __kernel void ht_insert_pessimistic(__global uint* tkeys, __global uint* tvals,
                                     __global uint* stats,
                                     __global const uint* keys,
-                                    __global const uint* vals, uint n, uint m) {
+                                    __global const uchar* fail,
+                                    uint n, uint m) {
     for (uint i = FIRST(n); i < LAST(n); i += STEP) {
+        if (!TESTBIT(fail, i)) continue;
         uint k = keys[i];
         for (int f = 0; f < 6; ++f) {            /* six strong hashes */
             uint s = hash(f, k) % m;
             uint old = atomic_cmpxchg(&tkeys[s], EMPTY, k);
-            if (old == EMPTY || old == k) { tvals[s] = vals[i]; goto next; }
+            if (old == EMPTY || old == k) { tvals[s] = i; goto next; }
         }
         uint s = hash(5, k) % m;                 /* then linear probing */
         for (int d = 1; d <= PROBE_LIMIT; ++d) {
             uint old = atomic_cmpxchg(&tkeys[(s + d) % m], EMPTY, k);
-            if (old == EMPTY || old == k) { tvals[(s + d) % m] = vals[i]; goto next; }
+            if (old == EMPTY || old == k) { tvals[(s + d) % m] = i; goto next; }
         }
         atomic_inc(&stats[1]);                   /* unplaced: restart bigger */
     next:;

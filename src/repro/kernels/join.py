@@ -95,7 +95,7 @@ __kernel void join_gather_counts(__global uint* counts,
 
 def _join_expand_vec(
     ctx, left_out, right_out, offsets, run_idx, run_starts, run_counts,
-    build_oids, left_oids, found_bitmap, n,
+    build_oids, found_bitmap, n,
 ):
     n = int(n)
     found = np.unpackbits(found_bitmap, bitorder="little", count=n).astype(bool)
@@ -110,7 +110,7 @@ def _join_expand_vec(
         return
     offs = offsets[rows].astype(np.int64)
     total = int(cnts.sum())
-    left_out[:total] = np.repeat(left_oids[rows], cnts)
+    left_out[:total] = np.repeat(rows, cnts)
     intra = np.arange(total, dtype=np.int64) - np.repeat(offs, cnts)
     right_positions = np.repeat(run_starts[runs].astype(np.int64), cnts) + intra
     right_out[:total] = build_oids[right_positions]
@@ -118,13 +118,13 @@ def _join_expand_vec(
 
 def _join_expand_work(
     ctx, left_out, right_out, offsets, run_idx, run_starts, run_counts,
-    build_oids, left_oids, found_bitmap, n,
+    build_oids, found_bitmap, n,
 ):
     n = int(n)
     total = left_out.size
     return KernelWork(
         elements=n,
-        bytes_read=12 * n + (n + 7) // 8,
+        bytes_read=8 * n + (n + 7) // 8,
         random_bytes=4 * total,
         bytes_written=8 * total,
         ops=n + 2 * total,
@@ -133,7 +133,7 @@ def _join_expand_work(
 
 def _join_expand_ref(
     wi, left_out, right_out, offsets, run_idx, run_starts, run_counts,
-    build_oids, left_oids, found_bitmap, n,
+    build_oids, found_bitmap, n,
 ):
     for i in wi.partition(int(n)):
         byte, bit = divmod(i, 8)
@@ -143,7 +143,7 @@ def _join_expand_ref(
         cursor = int(offsets[i])
         start = int(run_starts[run])
         for k in range(int(run_counts[run])):
-            left_out[cursor + k] = left_oids[i]
+            left_out[cursor + k] = i
             right_out[cursor + k] = build_oids[start + k]
     return
     yield  # pragma: no cover
@@ -153,7 +153,7 @@ JOIN_EXPAND = KernelDef(
     name="join_expand",
     params=params(
         "out:left_out out:right_out in:offsets in:run_idx in:run_starts "
-        "in:run_counts in:build_oids in:left_oids in:found_bitmap scalar:n"
+        "in:run_counts in:build_oids in:found_bitmap scalar:n"
     ),
     vec_fn=_join_expand_vec,
     work_fn=_join_expand_work,
@@ -215,7 +215,7 @@ __kernel void nlj_count(__global uint* counts, __global const T* left,
 
 
 def _nlj_write_vec(
-    ctx, left_out, right_out, offsets, left, right, left_oids, right_oids, nl, nr, op
+    ctx, left_out, right_out, offsets, left, right, nl, nr, op
 ):
     nl, nr = int(nl), int(nr)
     rhs = right[:nr]
@@ -232,12 +232,12 @@ def _nlj_write_vec(
             np.arange(li.size, dtype=np.int64)
             - np.repeat(np.concatenate(([0], np.cumsum(cnts)[:-1])), cnts)
         )
-        left_out[positions] = left_oids[rows]
-        right_out[positions] = right_oids[ri]
+        left_out[positions] = rows
+        right_out[positions] = ri
 
 
 def _nlj_write_work(
-    ctx, left_out, right_out, offsets, left, right, left_oids, right_oids, nl, nr, op
+    ctx, left_out, right_out, offsets, left, right, nl, nr, op
 ):
     nl, nr = int(nl), int(nr)
     total = left_out.size
@@ -250,15 +250,15 @@ def _nlj_write_work(
 
 
 def _nlj_write_ref(
-    wi, left_out, right_out, offsets, left, right, left_oids, right_oids, nl, nr, op
+    wi, left_out, right_out, offsets, left, right, nl, nr, op
 ):
     nr = int(nr)
     for i in wi.partition(int(nl)):
         cursor = int(offsets[i])
         hits = np.nonzero(_theta_mask(left[i : i + 1], right[:nr], op)[0])[0]
         for j in hits:
-            left_out[cursor] = left_oids[i]
-            right_out[cursor] = right_oids[j]
+            left_out[cursor] = i
+            right_out[cursor] = j
             cursor += 1
     return
     yield  # pragma: no cover
@@ -268,7 +268,7 @@ NLJ_WRITE = KernelDef(
     name="nlj_write",
     params=params(
         "out:left_out out:right_out in:offsets in:left in:right "
-        "in:left_oids in:right_oids scalar:nl scalar:nr scalar:op"
+        "scalar:nl scalar:nr scalar:op"
     ),
     vec_fn=_nlj_write_vec,
     work_fn=_nlj_write_work,
@@ -279,7 +279,7 @@ __kernel void nlj_write(__global uint* lo, __global uint* ro,
     uint cursor = offsets[i];
     for (uint j = 0; j < nr; ++j)
         if (PREDICATE(left[i], right[j])) {
-            lo[cursor] = left_oids[i]; ro[cursor++] = right_oids[j];
+            lo[cursor] = i; ro[cursor++] = j;
         }
 }
 """,

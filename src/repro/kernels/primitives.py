@@ -215,6 +215,94 @@ __kernel void gather(__global T* res, __global const T* src,
 )
 
 
+def _gather_add_vec(ctx, out, src, idx, n, frame):
+    """``out[i] = src[idx[i]] + frame``, the sum taken at ``out``'s width
+    (frame-of-reference decode: a narrow code plus a frame beyond it)."""
+    n = int(n)
+    codes = src.take(idx[:n].astype(np.int64, copy=False))
+    np.add(codes, out.dtype.type(frame), out=out[:n], casting="unsafe")
+
+
+def _gather_add_work(ctx, out, src, idx, n, frame):
+    n = int(n)
+    return KernelWork(
+        elements=n,
+        bytes_read=n * idx.dtype.itemsize,
+        bytes_written=n * out.dtype.itemsize,
+        random_bytes=n * src.dtype.itemsize,
+        ops=2 * n,
+    )
+
+
+def _gather_add_ref(wi, out, src, idx, n, frame):
+    # exact sum, then C's narrowing cast to T (integer columns only)
+    wrap = (1 << (8 * out.dtype.itemsize)) - 1
+    for i in wi.partition(int(n)):
+        total = (int(src[idx[i]]) + int(frame)) & wrap
+        out[i] = np.uint64(total).astype(out.dtype)
+    return
+    yield  # pragma: no cover
+
+
+GATHER_ADD = KernelDef(
+    name="gather_add",
+    params=params("out:res in:src in:idx scalar:n scalar:frame"),
+    vec_fn=_gather_add_vec,
+    work_fn=_gather_add_work,
+    ref_fn=_gather_add_ref,
+    source="""
+__kernel void gather_add(__global T* res, __global const CODE* src,
+                         __global const uint* idx, uint n, T frame) {
+    for (uint i = FIRST(n); i < LAST(n); i += STEP)
+        res[i] = (T)src[idx[i]] + frame;
+}
+""",
+)
+
+
+def _gather2_vec(ctx, out, src, mid, idx, n):
+    """``out[i] = src[mid[idx[i]]]`` — a gather through two index
+    vectors; only the ``n`` addressed entries of ``mid`` are read."""
+    n = int(n)
+    inner = mid.take(idx[:n].astype(np.int64, copy=False))
+    np.take(src, inner.astype(np.int64, copy=False), out=out[:n])
+
+
+def _gather2_work(ctx, out, src, mid, idx, n):
+    n = int(n)
+    return KernelWork(
+        elements=n,
+        bytes_read=n * idx.dtype.itemsize,
+        bytes_written=n * out.dtype.itemsize,
+        random_bytes=n * (mid.dtype.itemsize + src.dtype.itemsize),
+        ops=2 * n,
+    )
+
+
+def _gather2_ref(wi, out, src, mid, idx, n):
+    for i in wi.partition(int(n)):
+        out[i] = src[mid[idx[i]]]
+    return
+    yield  # pragma: no cover
+
+
+GATHER2 = KernelDef(
+    name="gather2",
+    params=params("out:res in:src in:mid in:idx scalar:n"),
+    vec_fn=_gather2_vec,
+    work_fn=_gather2_work,
+    ref_fn=_gather2_ref,
+    source="""
+__kernel void gather2(__global T* res, __global const T* src,
+                      __global const MID* mid, __global const uint* idx,
+                      uint n) {
+    for (uint i = FIRST(n); i < LAST(n); i += STEP)
+        res[i] = src[mid[idx[i]]];
+}
+""",
+)
+
+
 def _scatter_vec(ctx, out, src, idx, n):
     n = int(n)
     out[idx[:n].astype(np.int64, copy=False)] = src[:n]
@@ -400,7 +488,9 @@ __kernel void ewise(__global T* res, __global const T* a,
 
 def _ewise_scalar_vec(ctx, out, a, n, op, value):
     n = int(n)
-    _BINOPS[op](a[:n], a.dtype.type(value), out=out[:n], casting="unsafe")
+    # the constant has the *result's* type (``T cnst``): an int column
+    # times 0.5 is a float column, and 0.5 must not become int(0.5)
+    _BINOPS[op](a[:n], out.dtype.type(value), out=out[:n], casting="unsafe")
 
 
 def _ewise_scalar_work(ctx, out, a, n, op, value):
@@ -690,6 +780,8 @@ LIBRARY = {
     for k in (
         PREFIX_SUM,
         GATHER,
+        GATHER_ADD,
+        GATHER2,
         SCATTER,
         REDUCE_PARTIAL,
         REDUCE_FINAL,

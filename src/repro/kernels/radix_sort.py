@@ -10,14 +10,16 @@ constant: the paper uses 8 on the CPU and 4 on the GPU) in three kernels:
    buckets of the same digit are consecutive, and an exclusive prefix sum
    yields the global write offset for every (digit, thread) pair,
 3. ``radix_reorder`` — every thread scatters its chunk stably to the
-   offsets.
+   offsets (``radix_reorder_first`` in the first pass, where a key's
+   payload is its own position and no payload column exists yet).
 
 The reorder step requires contiguous per-thread chunks for stability, so
 this kernel family always partitions chunk-wise on both device types (the
 histogram/scatter locality is what the radix approach buys).  Keys are
 bijectively encoded to ``uint32`` so signed integers and IEEE floats sort
-correctly (``key_encode``), and the payload permutation is carried through
-every pass so the caller can reorder arbitrary columns afterwards.
+correctly (``key_encode``), and the payload permutation — started by the
+first pass, from the positions — is carried through every later pass so
+the caller can reorder arbitrary columns afterwards.
 
 ``local_sort`` is the other end of the size range: when keys and
 positions fit one work-group's ``__local`` memory the whole sort is a
@@ -278,7 +280,9 @@ __kernel void radix_offsets(__global uint* offsets, __global const uint* hist,
 )
 
 
-def _radix_reorder_vec(ctx, keys_out, payload_out, keys, payload, offsets, n, shift, parts):
+def _radix_reorder_vec(ctx, keys_out, payload_out, keys, payload, offsets,
+                       n, shift, parts):
+    """``payload=None`` is the first pass: the payload is the position."""
     n, shift = int(n), int(shift)
     # Stable order by digit == concatenation of the per-thread stable
     # scatters, because chunks are contiguous (module docstring).
@@ -286,24 +290,27 @@ def _radix_reorder_vec(ctx, keys_out, payload_out, keys, payload, offsets, n, sh
         _digits(keys[:n], shift, _radix_bits(ctx)), kind="stable"
     )
     keys_out[:n] = keys[:n][order]
-    payload_out[:n] = payload[:n][order]
+    payload_out[:n] = order if payload is None else payload[:n][order]
 
 
-def _radix_reorder_work(ctx, keys_out, payload_out, keys, payload, offsets, n, shift, parts):
+def _radix_reorder_work(ctx, keys_out, payload_out, keys, payload, offsets,
+                        n, shift, parts):
     n = int(n)
-    item = keys.dtype.itemsize + payload.dtype.itemsize
+    key_item, pay_item = keys.dtype.itemsize, payload_out.dtype.itemsize
+    read_item = key_item if payload is None else key_item + pay_item
     # The scatter targets RADIX open output streams per thread: mostly
     # sequential cache-line fills, with a small truly-random component.
     return KernelWork(
         elements=n,
-        bytes_read=n * item + offsets.nbytes,
-        bytes_written=n * item,
+        bytes_read=n * read_item + offsets.nbytes,
+        bytes_written=n * (key_item + pay_item),
         random_bytes=n * 2,
         ops=2 * n,
     )
 
 
-def _radix_reorder_ref(wi, keys_out, payload_out, keys, payload, offsets, n, shift, parts):
+def _radix_reorder_ref(wi, keys_out, payload_out, keys, payload, offsets,
+                       n, shift, parts):
     bits = int(wi.define("RADIX_BITS", 8))
     radix = 1 << bits
     n, shift, parts = int(n), int(shift), int(parts)
@@ -316,9 +323,16 @@ def _radix_reorder_ref(wi, keys_out, payload_out, keys, payload, offsets, n, shi
             pos = cursors[d]
             cursors[d] += 1
             keys_out[pos] = keys[i]
-            payload_out[pos] = payload[i]
+            payload_out[pos] = i if payload is None else payload[i]
     return
     yield  # pragma: no cover
+
+
+def _first_pass(body):
+    """``body`` without its ``payload`` parameter."""
+    def first(ctx, keys_out, payload_out, keys, *rest):
+        return body(ctx, keys_out, payload_out, keys, None, *rest)
+    return first
 
 
 RADIX_REORDER = KernelDef(
@@ -340,6 +354,33 @@ __kernel void radix_reorder(__global uint* keys_out, __global uint* pay_out,
         uint d = (keys[i] >> shift) & (RADIX - 1);
         keys_out[cursors[d]] = keys[i];
         pay_out[cursors[d]++] = pay[i];
+    }
+}
+""",
+)
+
+
+RADIX_REORDER_FIRST = KernelDef(
+    name="radix_reorder_first",
+    params=params(
+        "out:keys_out out:payload_out in:keys in:offsets "
+        "scalar:n scalar:shift scalar:parts"
+    ),
+    vec_fn=_first_pass(_radix_reorder_vec),
+    work_fn=_first_pass(_radix_reorder_work),
+    ref_fn=_first_pass(_radix_reorder_ref),
+    source="""
+__kernel void radix_reorder_first(__global uint* keys_out,
+                                  __global uint* pay_out,
+                                  __global const uint* keys,
+                                  __global const uint* offsets,
+                                  uint n, uint shift) {
+    /* radix_reorder with pay[i] == i: the payload is the position */
+    uint cursors[RADIX]; /* loaded from offsets[tid] */
+    for (uint i = CHUNK_LO; i < CHUNK_HI; ++i) {
+        uint d = (keys[i] >> shift) & (RADIX - 1);
+        keys_out[cursors[d]] = keys[i];
+        pay_out[cursors[d]++] = i;
     }
 }
 """,
@@ -451,5 +492,5 @@ __kernel void local_sort(__global KEY* keys_out, __global uint* order_out,
 LIBRARY = {
     k.name: k
     for k in (KEY_ENCODE, RADIX_HISTOGRAM, RADIX_OFFSETS, RADIX_REORDER,
-              LOCAL_SORT)
+              RADIX_REORDER_FIRST, LOCAL_SORT)
 }

@@ -79,25 +79,31 @@ def _as_candidate_bitmap(engine: OcelotEngine, cand: BAT, n_bits: int):
     return bm
 
 
+def materialize_launches(total: int = 1) -> int:
+    """Kernels :func:`_materialize_bitmap` launches for ``total`` set
+    bits: the offsets, and the writes when there is something to write."""
+    return 2 if total else 1
+
+
 def _materialize_bitmap(engine: OcelotEngine, bitmap_buf, n_bits: int,
                         tag: str = "oids"):
-    """Bitmap -> qualifying-oid list (paper §4.1.2): per-partition counts,
-    prefix sum for unique write offsets, offset-addressed writes.
+    """Bitmap -> qualifying-oid list (paper §4.1.2): the launch that
+    counts per partition also scans the counts into unique write offsets
+    (the total, read back, sizes the result), then offset-addressed
+    writes (:func:`materialize_launches`).
 
     Returns ``(oids_buffer, count)``.
     """
     parts = engine.invocations
-    nbytes = bitmap_nbytes(n_bits)
-    counts = engine.temp(parts, np.uint32, tag="bm_counts")
-    engine.launch("bitmap_count", counts, bitmap_buf, nbytes, parts)
     offsets = engine.temp(parts + 1, np.uint32, tag="bm_offsets")
-    engine.launch("prefix_sum", offsets, counts, parts)
+    engine.launch("bitmap_offsets", offsets, bitmap_buf,
+                  bitmap_nbytes(n_bits), parts)
     total = int(engine.readback(offsets)[parts])
     oids = engine.result_buffer(max(total, 1), OID_DTYPE, tag=tag)
     if total:
         engine.launch("bitmap_write_oids", oids, bitmap_buf, offsets,
                       n_bits, parts)
-    engine.release(counts, offsets)
+    engine.release(offsets)
     return oids, total
 
 
@@ -145,7 +151,7 @@ def _encode_keys(engine: OcelotEngine, bat_or_buf, n: int, dtype):
 def sort_launches(engine: OcelotEngine, n: int, key_itemsize: int):
     """Which way :func:`_radix_sort` sorts ``n`` keys of ``key_itemsize``
     bytes on ``engine``'s device, and how many kernels that launches:
-    ``("none", 0)``, ``("local", 1)`` or ``("radix", 1 + 3 * passes)``.
+    ``("none", 0)``, ``("local", 1)`` or ``("radix", 3 * passes)``.
 
     Chosen from what the host knows before the first launch — ``n``, the
     key width, the context's ``data_scale`` and the device's local
@@ -160,15 +166,16 @@ def sort_launches(engine: OcelotEngine, n: int, key_itemsize: int):
     if nominal <= engine.device.profile.local_mem_bytes:
         return "local", 1
     passes = num_passes(engine.radix_bits, key_itemsize * 8)
-    return "radix", 1 + 3 * passes
+    return "radix", 3 * passes
 
 
 def _radix_sort(engine: OcelotEngine, keys_buf, n: int):
     """Sort ``keys_buf`` (uint32/uint64) with the launches its size needs
     (:func:`sort_launches`): none for ``n <= 1``; one ``local_sort`` when
     the nominal keys and positions fit one work-group's local memory;
-    else the full binary radix sort (paper §4.1.3), ``iota`` + three
-    kernels per pass.  All three give the stable order.
+    else the full binary radix sort (paper §4.1.3), three kernels per
+    pass — the first pass's reorder writes the positions as its payload,
+    so nothing initialises one.  All three give the stable order.
 
     Consumes ``keys_buf``; returns ``(sorted_keys, order)`` — the sorted
     keys and the sort permutation, buffers owned by the caller.
@@ -188,19 +195,25 @@ def _radix_sort(engine: OcelotEngine, keys_buf, n: int):
     bits = engine.radix_bits
     radix = 1 << bits
     parts = engine.invocations
-    keys_a, pay_a = keys_buf, engine.iota(n, tag="sort_pay")
+    keys_a, pay_a = keys_buf, None
     keys_b = engine.result_buffer(n, keys_buf.dtype, tag="sort_keys_b")
-    pay_b = engine.result_buffer(n, OID_DTYPE, tag="sort_pay_b")
+    pay_b = engine.result_buffer(n, OID_DTYPE, tag="sort_pay")
     hist = engine.temp(parts * radix, np.uint32, tag="radix_hist")
     offsets = engine.temp(parts * radix, np.uint32, tag="radix_offsets")
     for p in range(num_passes(bits, keys_buf.dtype.itemsize * 8)):
         shift = p * bits
         engine.launch("radix_histogram", hist, keys_a, n, shift, parts)
         engine.launch("radix_offsets", offsets, hist, parts)
-        engine.launch(
-            "radix_reorder", keys_b, pay_b, keys_a, pay_a, offsets,
-            n, shift, parts,
-        )
+        if pay_a is None:
+            engine.launch("radix_reorder_first", keys_b, pay_b, keys_a,
+                          offsets, n, shift, parts)
+            # the payload ping-pong's other half, written from pass two
+            pay_a = engine.result_buffer(n, OID_DTYPE, tag="sort_pay_b")
+        else:
+            engine.launch(
+                "radix_reorder", keys_b, pay_b, keys_a, pay_a, offsets,
+                n, shift, parts,
+            )
         keys_a, keys_b = keys_b, keys_a
         pay_a, pay_b = pay_b, pay_a
     engine.release(hist, offsets)
@@ -210,12 +223,24 @@ def _radix_sort(engine: OcelotEngine, keys_buf, n: int):
     return keys_a, pay_a
 
 
-def _build_hash_table(engine: OcelotEngine, keys_buf, vals_buf, n: int,
+def hash_build_launches(failures: bool = False) -> int:
+    """Kernels one :func:`_build_hash_table` attempt launches: ``fill``
+    (the key column only), optimistic round, check round, and the
+    pessimistic round when the check found ``failures``."""
+    return 4 if failures else 3
+
+
+def _build_hash_table(engine: OcelotEngine, keys_buf, n: int,
                       size_hint: int | None = None):
-    """Optimistic/pessimistic parallel hash build (paper §4.1.4):
-    ``fill``, ``fill``, optimistic round, check round — which counts the
-    keys it finds missing, so the pessimistic round is launched only
-    when that count, read back, is non-zero (4 launches, or 5).
+    """Optimistic/pessimistic parallel hash build (paper §4.1.4) over
+    ``keys_buf``; a slot's value is the row index of its key, so a caller
+    with ranks or run ids to look up passes the keys in that order.
+
+    ``fill`` of the key column, optimistic round, check round — which
+    counts the keys it finds missing, so the pessimistic round is
+    launched only when that count, read back, is non-zero
+    (:func:`hash_build_launches`).  The value column is never
+    initialised: a free slot's value is undefined and nothing reads it.
 
     Over-allocates 1.4x for the observed ~75 % fill rate; restarts with a
     doubled table on pessimistic failure.  Returns ``(tkeys, tvals, m)``.
@@ -228,9 +253,7 @@ def _build_hash_table(engine: OcelotEngine, keys_buf, vals_buf, n: int,
         tkeys = engine.temp(m, np.uint32, tag="ht_keys")
         tvals = engine.temp(m, np.uint32, tag="ht_vals")
         engine.launch("fill", tkeys, m, EMPTY)
-        engine.launch("fill", tvals, m, 0)
-        engine.launch("ht_insert_optimistic", tkeys, tvals, keys_buf,
-                      vals_buf, n, m)
+        engine.launch("ht_insert_optimistic", tkeys, tvals, keys_buf, n, m)
         fail_bm = engine.temp(bitmap_nbytes(n), np.uint8, tag="ht_fail")
         fail_count = engine.temp(1, np.uint32, tag="ht_fail_total",
                                  zeroed=True)
@@ -241,7 +264,7 @@ def _build_hash_table(engine: OcelotEngine, keys_buf, vals_buf, n: int,
         if failed:
             stats = engine.temp(2, np.uint32, tag="ht_stats", zeroed=True)
             engine.launch("ht_insert_pessimistic", tkeys, tvals, stats,
-                          keys_buf, vals_buf, fail_bm, n, m)
+                          keys_buf, fail_bm, n, m)
             unplaced = int(engine.readback(stats)[1])
             engine.release(stats)
         engine.release(fail_bm)
@@ -256,16 +279,25 @@ def _build_hash_table(engine: OcelotEngine, keys_buf, vals_buf, n: int,
         return tkeys, tvals, m
 
 
+def dense_ids_launches() -> int:
+    """Kernels :func:`_dense_ids` launches when no build fails and the
+    distinct keys fit local memory (a grouping's usually do): two
+    builds, the occupied-slot bitmap and its materialisation, the gather
+    of the distinct keys, their one-launch sort and the probe."""
+    return 2 * hash_build_launches() + materialize_launches() + 4
+
+
 def _dense_ids(engine: OcelotEngine, ukeys_buf, n: int):
     """Dense group ids (ascending key order) for encoded uint32 keys.
 
-    Hash grouping (paper §4.1.6): hash table for the distinct set, dense
-    ids via rank of the sorted distinct keys, assignment via look-ups.
-    Returns ``(gids_buffer, ngroups)``.
+    Hash grouping (paper §4.1.6): a hash table for the distinct set
+    (its values unused), a second one over the *sorted* distinct keys —
+    whose values, being row indices, are the ranks — and assignment via
+    look-ups.  Returns ``(gids_buffer, ngroups)``.
     """
     if n == 0:
         return engine.result_buffer(1, np.uint32, tag="gids"), 0
-    tkeys, tvals, m = _build_hash_table(engine, ukeys_buf, ukeys_buf, n)
+    tkeys, tvals, m = _build_hash_table(engine, ukeys_buf, n)
     occupied = engine.temp(bitmap_nbytes(m), np.uint8, tag="ht_occ")
     engine.launch("select_bitmap", occupied, tkeys, m, "!=", EMPTY, None, False)
     slots, n_unique = _materialize_bitmap(engine, occupied, m, tag="ht_slots")
@@ -274,15 +306,14 @@ def _dense_ids(engine: OcelotEngine, ukeys_buf, n: int):
     engine.release(occupied, slots, tkeys, tvals)
     sorted_unique, ranks_payload = _radix_sort(engine, unique, n_unique)
     engine.release(ranks_payload)
-    ranks = engine.iota(n_unique, tag="ranks")
     rk, rv, m2 = _build_hash_table(
-        engine, sorted_unique, ranks, n_unique, size_hint=n_unique
+        engine, sorted_unique, n_unique, size_hint=n_unique
     )
     gids = engine.result_buffer(n, np.uint32, tag="gids")
     found = engine.temp(bitmap_nbytes(n), np.uint8, tag="gids_found",
                         zeroed=True)
     engine.launch("ht_probe", gids, found, rk, rv, ukeys_buf, n, m2)
-    engine.release(found, sorted_unique, ranks, rk, rv)
+    engine.release(found, sorted_unique, rk, rv)
     return gids, n_unique
 
 
@@ -324,38 +355,42 @@ def _select_common(engine, b, cand, op, lo, hi, anti):
 # projection — the left fetch join (§4.1.2)
 # ---------------------------------------------------------------------------
 
+def projection_launches(oids) -> int:
+    """Kernels :func:`op_projection` launches: one gather — which also
+    decodes a dict or FOR column — after materialising a bitmap of oids
+    that has no cached oid list yet."""
+    bitmap = isinstance(oids, BAT) and oids.role is Role.BITMAP
+    cached = bitmap and oids.aux.get("oid_view") is not None
+    return 1 + (materialize_launches() if bitmap and not cached else 0)
+
+
 def _project_encoded(engine: OcelotEngine, oids: BAT, b: BAT):
     """Device-side projection against a compressed base column.
 
-    Late materialisation without a host decode: gather the narrow code
-    payload by oid, then rebuild values *on the device* — a second
-    gather against the (tiny) dictionary table, or an element-wise
-    frame add for FOR.  The code buffer is what the Memory Manager
-    caches, so the device working set stays at payload width.  RLE has
-    no run-lookup kernel; those columns return ``None`` and take the
-    ordinary upload path.
+    Late materialisation without a host decode, in one launch: the
+    gather decodes as it fetches — through the (tiny) dictionary table
+    for dict (``out[i] = dict[codes[oids[i]]]``), adding the frame at
+    the column's width for FOR.  The code buffer is what the Memory
+    Manager caches, so the device working set stays at payload width.
+    RLE has no run-lookup kernel; those columns return ``None`` and take
+    the ordinary upload path.
     """
     encoding = getattr(b, "encoding", None)
     if encoding is None or encoding.kind not in ("dict", "for"):
         return None
-    code = b.code_bat()
-    codes_buf = engine.buffer_of(code)
+    codes_buf = engine.buffer_of(b.code_bat())
     with engine.memory.pinned(codes_buf):
         oid_buf, count, unique = _oids_of(engine, oids)
-        codes = engine.temp(max(count, 1), code.dtype, tag="proj_codes")
-        if count:
-            engine.launch("gather", codes, codes_buf, oid_buf, count)
         out = engine.result_buffer(max(count, 1), b.dtype, tag="proj")
         if encoding.kind == "dict":
             dict_buf = engine.buffer_of(b.dict_bat())
             with engine.memory.pinned(dict_buf):
                 if count:
-                    engine.launch("gather", out, dict_buf, codes, count)
-        else:
-            frame = engine.temp(max(count, 1), b.dtype, tag="proj_frame")
-            if count:
-                engine.launch("fill", frame, count, encoding.frame)
-                engine.launch("ewise", out, codes, frame, count, "add")
+                    engine.launch("gather2", out, dict_buf, codes_buf,
+                                  oid_buf, count)
+        elif count:
+            engine.launch("gather_add", out, codes_buf, oid_buf, count,
+                          encoding.frame)
     return engine.device_bat(
         out, Role.VALUES, count=count, key=bool(b.key and unique)
     )
@@ -389,6 +424,24 @@ def op_projection(engine: OcelotEngine, oids: BAT, b: BAT):
 # ---------------------------------------------------------------------------
 # joins (§4.1.5)
 # ---------------------------------------------------------------------------
+
+def join_launches(engine: OcelotEngine, n_build: int) -> int:
+    """Kernels :func:`op_join` launches over a key build side of
+    ``n_build`` rows whose table is not cached.  The table
+    (:func:`_join_table_for`): encode, sort (four-byte keys), run ids 3,
+    run counts 2, run starts, distinct keys, build; then encode, probe,
+    materialise and the two-level gather of the hits."""
+    table = (1 + sort_launches(engine, n_build, 4)[1] + 7
+             + hash_build_launches())
+    return table + 2 + materialize_launches() + 1
+
+
+def membership_launches(keep_matching: bool = True) -> int:
+    """Kernels a semijoin launches (an antijoin inverts the hits first):
+    encode and build one side, encode and probe the other, materialise."""
+    return (1 + hash_build_launches() + 2 + (0 if keep_matching else 1)
+            + materialize_launches())
+
 
 def _join_table_for(engine: OcelotEngine, r: BAT):
     """The multi-stage hash lookup table of the build side.
@@ -435,11 +488,11 @@ def _join_table_for(engine: OcelotEngine, r: BAT):
     unique = engine.temp(max(n_runs, 1), np.uint32, tag="jt_unique")
     if n_runs:
         engine.launch("gather", unique, sorted_keys, run_starts, n_runs)
-    run_ids = engine.iota(n_runs, tag="jt_ids")
+    # a run's id is its key's row in ``unique``: the table's own value
     tkeys, tvals, m = _build_hash_table(
-        engine, unique, run_ids, n_runs, size_hint=n_runs
+        engine, unique, n_runs, size_hint=n_runs
     )
-    engine.release(sorted_keys, unique, run_ids)
+    engine.release(sorted_keys, unique)
     table = {
         "tkeys": tkeys, "tvals": tvals, "m": m,
         "run_starts": run_starts, "run_counts": run_counts,
@@ -468,11 +521,10 @@ def op_join(engine: OcelotEngine, l: BAT, r: BAT):
         lpos, total = _materialize_bitmap(engine, found, n, tag="join_l")
         rpos = engine.result_buffer(max(total, 1), OID_DTYPE, tag="join_r")
         if total:
-            # compact the run indices to the found rows first (misses
-            # hold the EMPTY sentinel and must never be dereferenced)
-            rid_hit = engine.temp(total, np.uint32, tag="join_rid_hit")
-            engine.launch("gather", rid_hit, run_idx, lpos, total)
-            engine.launch("gather", rpos, table["build_oids"], rid_hit, total)
+            # through the found rows only: a miss holds the EMPTY
+            # sentinel, which must never be dereferenced
+            engine.launch("gather2", rpos, table["build_oids"], run_idx,
+                          lpos, total)
     else:
         counts = engine.temp(max(n, 1), np.uint32, tag="join_counts")
         engine.launch(
@@ -482,14 +534,13 @@ def op_join(engine: OcelotEngine, l: BAT, r: BAT):
         offsets = engine.temp(max(n, 1) + 1, np.uint32, tag="join_offsets")
         engine.launch("prefix_sum", offsets, counts, n)
         total = int(engine.readback(offsets)[n])
-        left_iota = engine.iota(n, tag="join_liota")
         lpos = engine.result_buffer(max(total, 1), OID_DTYPE, tag="join_l")
         rpos = engine.result_buffer(max(total, 1), OID_DTYPE, tag="join_r")
         if total:
             engine.launch(
                 "join_expand", lpos, rpos, offsets, run_idx,
                 table["run_starts"], table["run_counts"],
-                table["build_oids"], left_iota, found, n,
+                table["build_oids"], found, n,
             )
     return (
         engine.device_bat(lpos, Role.OIDS, count=total),
@@ -509,7 +560,7 @@ def op_antijoin(engine: OcelotEngine, l: BAT, r: BAT):
 def _membership(engine, l, r, keep_matching):
     n_r = _count_of(r)
     rkeys = _encode_keys(engine, r, n_r, r.dtype)
-    tkeys, tvals, m = _build_hash_table(engine, rkeys, rkeys, n_r)
+    tkeys, tvals, m = _build_hash_table(engine, rkeys, n_r)
     n = _count_of(l)
     lkeys = _encode_keys(engine, l, n, l.dtype)
     hits = engine.temp(max(n, 1), np.uint32, tag="semi_hits")
@@ -534,14 +585,11 @@ def op_thetajoin(engine: OcelotEngine, l: BAT, r: BAT, op: str):
     offsets = engine.temp(max(nl, 1) + 1, np.uint32, tag="nlj_offsets")
     engine.launch("prefix_sum", offsets, counts, nl)
     total = int(engine.readback(offsets)[nl])
-    l_iota = engine.iota(nl, tag="nlj_li")
-    r_iota = engine.iota(nr, tag="nlj_ri")
     lpos = engine.result_buffer(max(total, 1), OID_DTYPE, tag="nlj_l")
     rpos = engine.result_buffer(max(total, 1), OID_DTYPE, tag="nlj_r")
     if total:
         engine.launch(
-            "nlj_write", lpos, rpos, offsets, lbuf, rbuf, l_iota, r_iota,
-            nl, nr, op,
+            "nlj_write", lpos, rpos, offsets, lbuf, rbuf, nl, nr, op,
         )
     return (
         engine.device_bat(lpos, Role.OIDS, count=total),
@@ -596,6 +644,16 @@ def _sorted_group_ids(engine: OcelotEngine, b: BAT, n: int):
     ngroups = int(engine.readback(excl)[n]) + (1 if n else 0)
     engine.release(bounds, excl)
     return gids, ngroups
+
+
+def group_launches(function: str, sorted_input: bool) -> int:
+    """Kernels ``group`` / ``subgroup`` launch: boundaries, scan and add
+    over a sorted column, else encode + :func:`_dense_ids`; a subgroup
+    then combines with the outer ids and densifies the pairs."""
+    inner = 3 if sorted_input else 1 + dense_ids_launches()
+    if function == "group":
+        return inner
+    return inner + 1 + dense_ids_launches()
 
 
 def _group_id_buffer(engine: OcelotEngine, b: BAT, n: int):
@@ -912,7 +970,7 @@ def op_hashbuild(engine: OcelotEngine, b: BAT):
     the paper's hashing microbenchmark (Fig. 5(e)/(f))."""
     n = _count_of(b)
     ukeys = _encode_keys(engine, b, n, b.dtype)
-    _tkeys, _tvals, m = _build_hash_table(engine, ukeys, ukeys, n)
+    _tkeys, _tvals, m = _build_hash_table(engine, ukeys, n)
     return int(m)
 
 

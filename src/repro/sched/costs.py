@@ -21,7 +21,14 @@ from ..kernels.radix_sort import key_dtype_for, num_passes
 from ..monetdb.bat import BAT, Role
 from ..ocelot.autotune import DeviceCharacteristics
 from ..ocelot.engine import OcelotEngine
-from ..ocelot.operators import sort_launches
+from ..ocelot.operators import (
+    group_launches,
+    hash_build_launches,
+    join_launches,
+    membership_launches,
+    projection_launches,
+    sort_launches,
+)
 
 #: assumed selectivity when a selection's output size is unknown
 EST_SELECTIVITY = 0.15
@@ -80,12 +87,16 @@ def shape_of(function: str, args, scale: float,
         out = rows * item * scale
         return OpShape(stream_bytes=rows * 4 * scale + out,
                        gather_bytes=rows * item * scale,
-                       launches=2, out_bytes=out)
+                       launches=projection_launches(oids), out_bytes=out)
     if function in ("join", "semijoin", "antijoin"):
+        if function == "join":
+            launches = join_launches(engine, bat_rows(args[1]))
+        else:
+            launches = membership_launches(function == "semijoin")
         return OpShape(stream_bytes=8 * in_bytes, gather_bytes=in_bytes,
                        atomic_ops=nominal_rows,
                        atomic_addresses=nominal_rows,
-                       launches=18, out_bytes=in_bytes)
+                       launches=launches, out_bytes=in_bytes)
     if function == "thetajoin":
         l_rows, r_rows = bat_rows(args[0]), bat_rows(args[1])
         pairs = (l_rows * scale) * max(r_rows * scale, 1.0)
@@ -105,13 +116,14 @@ def shape_of(function: str, args, scale: float,
     if function in ("group", "subgroup"):
         sorted_input = bool(bats) and bats[0].sorted
         factor = 2 if function == "subgroup" else 1
+        launches = group_launches(function, sorted_input)
         if sorted_input and function == "group":
-            return OpShape(stream_bytes=3 * in_bytes, launches=4,
+            return OpShape(stream_bytes=3 * in_bytes, launches=launches,
                            out_bytes=n * 4 * scale)
         return OpShape(stream_bytes=factor * 8 * in_bytes,
                        atomic_ops=factor * nominal_rows,
                        atomic_addresses=max(nominal_rows, 1.0),
-                       launches=factor * 16, out_bytes=n * 4 * scale)
+                       launches=launches, out_bytes=n * 4 * scale)
     if function in ("subsum", "submin", "submax", "subcount", "subavg"):
         gids = args[0] if function == "subcount" else args[1]
         ngroups = float(args[-1]) if args else 1.0
@@ -135,7 +147,7 @@ def shape_of(function: str, args, scale: float,
         return OpShape(stream_bytes=6 * in_bytes,
                        atomic_ops=nominal_rows,
                        atomic_addresses=max(nominal_rows, 1.0),
-                       launches=5)  # key encode + a build without failures
+                       launches=1 + hash_build_launches())  # + key encode
     if function == "mirror":
         out = n * 4 * scale
         return OpShape(stream_bytes=out, launches=1, out_bytes=out)

@@ -78,6 +78,78 @@ class TestRefVsVec:
         assert np.array_equal(ref[0], vec[0])
         assert np.array_equal(ref[0], src[idx])
 
+    @pytest.mark.parametrize("code_dtype", (np.uint8, np.uint32, np.int64))
+    def test_gather_add_widens_before_it_adds(self, device, code_dtype):
+        """FOR decode: codes at their dtype's maximum plus a frame far
+        outside the code's range, summed at the column's width."""
+        out_dtype = np.int64 if code_dtype is np.int64 else np.int32
+        top = 255 if code_dtype is np.uint8 else 2**32 - 1
+        frame = -(2**31) if code_dtype is np.uint32 else 70_000
+        rng = np.random.default_rng(7)
+        codes = rng.integers(0, top, 64, endpoint=True).astype(code_dtype)
+        codes[:3] = top
+        idx = rng.integers(0, 64, 40).astype(np.uint32)
+
+        def make():
+            return [np.zeros(40, out_dtype), codes.copy(), idx.copy(), 40,
+                    frame]
+
+        ref, vec = _run_both("gather_add", make, device)
+        assert np.array_equal(ref[0], vec[0])
+        assert [int(v) for v in vec[0]] == [int(codes[i]) + frame
+                                            for i in idx]
+
+    def test_gather2(self, device):
+        rng = np.random.default_rng(8)
+        src = rng.normal(size=9).astype(np.float32)
+        mid = rng.integers(0, 9, 64).astype(np.uint8)
+        idx = rng.integers(0, 64, 40).astype(np.uint32)
+
+        def make():
+            return [np.zeros(40, np.float32), src.copy(), mid.copy(),
+                    idx.copy(), 40]
+
+        ref, vec = _run_both("gather2", make, device)
+        assert np.array_equal(ref[0], vec[0])
+        assert np.array_equal(vec[0], src[mid[idx]])
+
+    @pytest.mark.parametrize("op, value", (("mul", 0.5), ("add", 2.5),
+                                           ("sub", 0.25), ("rsub", 1.5)))
+    def test_ewise_scalar_constant_has_the_result_type(self, device, op,
+                                                       value):
+        """int column, float constant, float result: the constant is not
+        truncated to the column's type."""
+        col = np.arange(-20, 20, dtype=np.int32)
+
+        def make():
+            return [np.zeros(40, np.float64), col.copy(), 40, op, value]
+
+        ref, vec = _run_both("ewise_scalar", make, device)
+        assert np.array_equal(ref[0], vec[0])
+        expected = {"mul": col * value, "add": col + value,
+                    "sub": col - value, "rsub": value - col}[op]
+        assert np.array_equal(vec[0], expected)
+
+    @pytest.mark.parametrize("n_bits, parts", ((77, 8), (77, 200), (8, 16),
+                                               (1, 16)))
+    def test_bitmap_offsets(self, device, n_bits, parts):
+        """Counts and their scan in one launch; the last of the two
+        work-groups scans.  ``parts`` beyond the bytes (and the set
+        bits) leaves empty partitions."""
+        rng = np.random.default_rng(n_bits + parts)
+        nbytes = (n_bits + 7) // 8
+        bitmap = np.packbits(rng.integers(0, 2, n_bits).astype(np.uint8),
+                             bitorder="little")
+
+        def make():
+            return [np.full(parts + 1, 0x7FFFFFFF, np.uint32),
+                    bitmap.copy(), nbytes, parts]
+
+        ref, vec = _run_both("bitmap_offsets", make, device)
+        assert np.array_equal(ref[0], vec[0])
+        assert vec[0][0] == 0 and vec[0][parts] == count_bits(bitmap, n_bits)
+        assert np.all(np.diff(vec[0].astype(np.int64)) >= 0)
+
     def test_select_bitmap(self, device):
         rng = np.random.default_rng(2)
         col = rng.integers(0, 50, 77).astype(np.int32)
@@ -166,6 +238,18 @@ class TestRefVsVec:
         assert np.array_equal(o_r, o_v)
         assert np.array_equal(ko_r, ko_v)
         assert np.array_equal(po_r, po_v)
+        # the first pass's own kernel: the same scatter with the iota
+        # payload above written by the kernel itself, on both drivers
+        _h, _o, ko_f, po_f = stage(True)
+        run_reference(KERNEL_LIBRARY["radix_reorder_first"],
+                      [ko_f, po_f, keys, o_r, n, 0, parts],
+                      8, 4, defines=defines, device=device)
+        assert np.array_equal(ko_f, ko_v) and np.array_equal(po_f, po_v)
+        _h, _o, ko_f, po_f = stage(False)
+        KERNEL_LIBRARY["radix_reorder_first"].vec_fn(
+            ctx, ko_f, po_f, keys, o_v, n, 0, parts
+        )
+        assert np.array_equal(ko_f, ko_v) and np.array_equal(po_f, po_v)
         # and the pass is a correct stable partial sort by digit
         digits = ko_v & (radix - 1)
         assert np.all(np.diff(digits.astype(np.int64)) >= 0)
@@ -183,8 +267,7 @@ class TestRefVsVec:
         ctx = ExecContext(device=device, defines=merged, global_size=16,
                           local_size=8)
         KERNEL_LIBRARY["ht_insert_optimistic"].vec_fn(
-            ctx, tkeys, tvals, keys, np.arange(100, dtype=np.uint32),
-            100, m,
+            ctx, tkeys, tvals, keys, 100, m,
         )
         fail = np.zeros((100 + 7) // 8, np.uint8)
         fail_count = np.zeros(1, np.uint32)
@@ -192,8 +275,7 @@ class TestRefVsVec:
                                           100, m)
         stats = np.zeros(2, np.uint32)
         KERNEL_LIBRARY["ht_insert_pessimistic"].vec_fn(
-            ctx, tkeys, tvals, stats, keys,
-            np.arange(100, dtype=np.uint32), fail, 100, m,
+            ctx, tkeys, tvals, stats, keys, fail, 100, m,
         )
         assert stats[1] == 0
 
@@ -208,6 +290,54 @@ class TestRefVsVec:
         assert np.array_equal(ref[0], vec[0])
         assert np.array_equal(ref[1], vec[1])
 
+    @pytest.mark.parametrize("duplicates", (False, True))
+    def test_hash_inserts_store_the_row(self, device, duplicates):
+        """Both inserts on both drivers: every occupied slot's value is
+        the row of a key equal to the slot's, whatever the value column
+        held.  Which of two colliding keys keeps its first-choice slot,
+        and which duplicate's row survives, is the race's to pick: the
+        drivers agree where they write in the same order (distinct keys,
+        the CPU's chunked partition)."""
+        n, m = 200, 331
+        keys = (np.arange(n, dtype=np.uint32) * 2654435761) % 100_003
+        if duplicates:
+            keys = keys % 37
+        fail = np.zeros((n + 7) // 8, np.uint8)
+
+        def table():
+            return np.full(m, EMPTY, np.uint32), np.full(m, 0x7FFFFFFF,
+                                                         np.uint32)
+
+        def optimistic():
+            return [*table(), keys.copy(), n, m]
+
+        ref, vec = _run_both("ht_insert_optimistic", optimistic, device)
+        tables = []
+        for tkeys, tvals in (ref[:2], vec[:2]):
+            count = np.zeros(1, np.uint32)
+            KERNEL_LIBRARY["ht_check"].vec_fn(None, fail, count, tkeys,
+                                              keys, n, m)
+            assert duplicates or count[0] > 0
+            stats = np.zeros(2, np.uint32)
+            args = [tkeys, tvals, stats, keys.copy(), fail.copy(), n, m]
+            if tkeys is ref[0]:
+                run_reference(KERNEL_LIBRARY["ht_insert_pessimistic"], args,
+                              16, 8, device=device)
+            else:
+                from repro.cl.kernel import ExecContext
+
+                KERNEL_LIBRARY["ht_insert_pessimistic"].vec_fn(
+                    ExecContext(device, {}, 16, 8), *args)
+            assert stats[1] == 0
+            occupied = tkeys != EMPTY
+            assert np.array_equal(keys[tvals[occupied]], tkeys[occupied])
+            assert (tvals[~occupied] == 0x7FFFFFFF).all()
+            assert np.array_equal(np.unique(tkeys[occupied]), np.unique(keys))
+            tables.append((tkeys, tvals))
+        if not duplicates and device.is_cpu:
+            assert np.array_equal(tables[0][0], tables[1][0])
+            assert np.array_equal(tables[0][1], tables[1][1])
+
     def test_hash_check_bitmap_and_count(self, device):
         """Colliding keys after an optimistic-only build: both drivers
         flag the same overwritten keys and count them."""
@@ -220,7 +350,7 @@ class TestRefVsVec:
         ctx = ExecContext(device=device, defines={}, global_size=16,
                           local_size=8)
         KERNEL_LIBRARY["ht_insert_optimistic"].vec_fn(
-            ctx, tkeys, tvals, keys, keys, 200, m)
+            ctx, tkeys, tvals, keys, 200, m)
 
         def make():
             return [np.zeros(25, np.uint8), np.zeros(1, np.uint32),

@@ -229,6 +229,14 @@ CASES = [
      False),
     ("SELECT min(v) AS lo, max(v) AS hi, sum(v) AS s FROM edges", True),
     ("SELECT id, v FROM edges ORDER BY v DESC LIMIT 2", True),
+    # a constant the column's type cannot hold, on either side
+    ("SELECT sum(v * 0.5) AS a, sum(v + 2.5) AS b FROM t255", True),
+    ("SELECT sum(v - 0.25) AS s FROM t256 WHERE k < 10", True),
+    ("SELECT id, 1.5 - v AS d, v * 100000 AS e FROM t255 WHERE k < 3 "
+     "ORDER BY id", True),
+    ("SELECT t256.k AS k, sum(1.5 - t256.v) AS s, sum(t900.f * 3) AS t "
+     "FROM t900 JOIN t256 ON t900.id = t256.id GROUP BY t256.k ORDER BY k",
+     True),
     # shapes around the operators: HAVING, IN, NOT, CASE, subqueries
     ("SELECT k, sum(v) AS s FROM t256 GROUP BY k HAVING sum(v) > 0 "
      "ORDER BY k", True),

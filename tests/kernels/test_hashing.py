@@ -13,21 +13,29 @@ from repro.kernels.hashing import (
 )
 
 
-def build_table(rig, keys: np.ndarray, vals: np.ndarray, m: int):
+def build_table(rig, keys: np.ndarray, m: int):
+    """``(tkeys, tvals, unplaced)``; a slot's value is its key's row.
+    The value column starts as garbage: nothing may depend on it."""
     n = keys.size
     tkeys = rig.empty(m, np.uint32)
-    tvals = rig.empty(m, np.uint32)
+    tvals = rig.buf(np.full(m, 0x7FFFFFFF, np.uint32))
     rig.run("fill", tkeys, m, int(EMPTY))
-    rig.run("fill", tvals, m, 0)
-    kb, vb = rig.buf(keys), rig.buf(vals)
-    rig.run("ht_insert_optimistic", tkeys, tvals, kb, vb, n, m)
+    kb = rig.buf(keys)
+    rig.run("ht_insert_optimistic", tkeys, tvals, kb, n, m)
     fail = rig.zeros(bitmap_nbytes(n), np.uint8)
     fail_count = rig.zeros(1, np.uint32)
     rig.run("ht_check", fail, fail_count, tkeys, kb, n, m)
     assert int(fail_count.array[0]) == count_bits(fail.array, n)
     stats = rig.zeros(2, np.uint32)
-    rig.run("ht_insert_pessimistic", tkeys, tvals, stats, kb, vb, fail, n, m)
+    rig.run("ht_insert_pessimistic", tkeys, tvals, stats, kb, fail, n, m)
     return tkeys, tvals, int(stats.array[1])
+
+
+def assert_values_are_rows(tkeys, tvals, keys):
+    """``keys[tvals[slot]] == tkeys[slot]`` for every occupied slot —
+    which of several equal keys' rows survives is the race's to pick."""
+    occupied = tkeys != EMPTY
+    assert np.array_equal(keys[tvals[occupied]], tkeys[occupied])
 
 
 def probe(rig, tkeys, tvals, keys: np.ndarray, m: int):
@@ -61,39 +69,36 @@ class TestBuildProbe:
     def test_unique_keys_all_inserted(self, rig):
         keys = (np.arange(500, dtype=np.uint32) * 2654435761) % 1_000_000
         keys = np.unique(keys).astype(np.uint32)
-        vals = np.arange(keys.size, dtype=np.uint32)
         m = int(1.4 * keys.size) + 1
-        tkeys, tvals, unplaced = build_table(rig, keys, vals, m)
+        tkeys, tvals, unplaced = build_table(rig, keys, m)
         assert unplaced == 0
         got, mask = probe(rig, tkeys, tvals, keys, m)
         assert mask.all()
-        assert np.array_equal(got, vals)
+        assert np.array_equal(got, np.arange(keys.size))
 
     def test_duplicate_keys_one_slot(self, rig):
         keys = np.full(1000, 7, dtype=np.uint32)
-        vals = keys.copy()
-        tkeys, tvals, unplaced = build_table(rig, keys, vals, 101)
+        tkeys, tvals, unplaced = build_table(rig, keys, 101)
         assert unplaced == 0
         occupied = int((tkeys.array != EMPTY).sum())
         assert occupied == 1
+        assert_values_are_rows(tkeys.array, tvals.array, keys)
 
     def test_absent_keys_not_found(self, rig):
         keys = np.arange(0, 100, 2, dtype=np.uint32)       # evens
-        tkeys, tvals, _ = build_table(rig, keys, keys, 149)
+        tkeys, tvals, _ = build_table(rig, keys, 149)
         absent = np.arange(1, 100, 2, dtype=np.uint32)      # odds
         _, mask = probe(rig, tkeys, tvals, absent, 149)
         assert not mask.any()
 
     def test_mixed_probe(self, rig):
         keys = np.array([10, 20, 30], dtype=np.uint32)
-        tkeys, tvals, _ = build_table(
-            rig, keys, np.array([1, 2, 3], np.uint32), 17
-        )
+        tkeys, tvals, _ = build_table(rig, keys, 17)
         got, mask = probe(
             rig, tkeys, tvals, np.array([20, 99, 10], np.uint32), 17
         )
         assert list(mask) == [True, False, True]
-        assert got[0] == 2 and got[2] == 1
+        assert got[0] == 1 and got[2] == 0 and got[1] == EMPTY
 
     def test_fill_rate_75_percent(self, rig):
         """The paper's sizing: 1.4x over-allocation for ~75 % fill."""
@@ -101,7 +106,7 @@ class TestBuildProbe:
             np.random.default_rng(3).integers(0, 2**30, 4000)
         ).astype(np.uint32)
         m = int(1.4 * keys.size) + 1
-        tkeys, tvals, unplaced = build_table(rig, keys, keys, m)
+        tkeys, tvals, unplaced = build_table(rig, keys, m)
         assert unplaced == 0
         fill = float((tkeys.array != EMPTY).sum()) / m
         assert 0.6 < fill < 0.8
@@ -109,26 +114,25 @@ class TestBuildProbe:
     def test_overfull_table_reports_unplaced(self, rig):
         keys = np.arange(200, dtype=np.uint32)
         m = 100  # cannot possibly fit
-        _, _, unplaced = build_table(rig, keys, keys, m)
+        _, _, unplaced = build_table(rig, keys, m)
         assert unplaced > 0
 
     @given(st.integers(1, 400), st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_probe_total_property(self, n, seed):
-        """Every inserted key is found with its value; vec driver only."""
+        """Every inserted key is found with its row; vec driver only."""
         from repro.cl.kernel import ExecContext
         from repro.kernels import KERNEL_LIBRARY
         from repro import cl
 
         rng = np.random.default_rng(seed)
         keys = np.unique(rng.integers(0, 2**31, n)).astype(np.uint32)
-        vals = (keys * 3 + 1).astype(np.uint32)
         m = int(1.4 * keys.size) + 7
         ctx = ExecContext(cl.get_device("cpu"), {}, 64, 16)
         tkeys = np.full(m, EMPTY, np.uint32)
-        tvals = np.zeros(m, np.uint32)
+        tvals = np.full(m, 0x7FFFFFFF, np.uint32)
         KERNEL_LIBRARY["ht_insert_optimistic"].vec_fn(
-            ctx, tkeys, tvals, keys, vals, keys.size, m
+            ctx, tkeys, tvals, keys, keys.size, m
         )
         fail = np.zeros(bitmap_nbytes(keys.size), np.uint8)
         fail_count = np.zeros(1, np.uint32)
@@ -137,7 +141,7 @@ class TestBuildProbe:
         assert fail_count[0] == count_bits(fail, keys.size)
         stats = np.zeros(2, np.uint32)
         KERNEL_LIBRARY["ht_insert_pessimistic"].vec_fn(
-            ctx, tkeys, tvals, stats, keys, vals, fail, keys.size, m
+            ctx, tkeys, tvals, stats, keys, fail, keys.size, m
         )
         assert stats[1] == 0
         out = np.zeros(keys.size, np.uint32)
@@ -146,20 +150,16 @@ class TestBuildProbe:
             ctx, out, found, tkeys, tvals, keys, keys.size, m
         )
         assert count_bits(found, keys.size) == keys.size
-        assert np.array_equal(out, vals)
+        assert np.array_equal(out, np.arange(keys.size))
 
     def test_table_pairs_consistent(self, rig):
-        """(key, value) slots are written together: values match keys."""
+        """(key, row) slots are written together: rows match keys."""
         keys = np.unique(
             np.random.default_rng(5).integers(0, 10**6, 2000)
         ).astype(np.uint32)
-        vals = (keys ^ 0xABCD).astype(np.uint32)
         m = int(1.4 * keys.size) + 1
-        tkeys, tvals, _ = build_table(rig, keys, vals, m)
-        occupied = tkeys.array != EMPTY
-        assert np.array_equal(
-            tvals.array[occupied], tkeys.array[occupied] ^ 0xABCD
-        )
+        tkeys, tvals, _ = build_table(rig, keys, m)
+        assert_values_are_rows(tkeys.array, tvals.array, keys)
 
     def test_probe_limit_bounds_linear_scan(self):
         assert PROBE_LIMIT >= 16
@@ -171,7 +171,14 @@ class TestBuildProbe:
 # (64-bit hashing, ``np.unique`` estimator, re-gathering probe); the current
 # kernels must reproduce their tables, bitmaps, stats, counters and
 # ``KernelWork`` exactly — simulated time is derived from the last three.
+#
+# The old inserts stored a caller's value column in a value column the host
+# had zeroed: ``fill(tvals, 0)``, ``iota(vals)``, insert.  The current ones
+# store the row, initialise nothing and must build the table that sequence
+# built — in every occupied slot; a free slot keeps whatever it held.
 # ---------------------------------------------------------------------------
+
+POISON = np.uint32(0x7FFFFFFF)
 
 _OLD_MULTIPLIERS = np.array(
     [2654435761, 2246822519, 3266489917, 668265263, 374761393, 2166136261],
@@ -203,6 +210,13 @@ def old_distinct_slot_estimate(keys, m):
     if distinct >= sample.size // 2:  # looks unique-ish: extrapolate
         distinct = int(distinct * keys.size / sample.size)
     return max(1, min(distinct, m))
+
+
+def old_optimistic_vec(tkeys, tvals, keys, vals, n, m):
+    n, m = int(n), int(m)
+    slots = old_hash_slot(keys[:n], 0, m)
+    tkeys[slots] = keys[:n]
+    tvals[slots] = vals[:n]
 
 
 def old_insert_round(tkeys, tvals, pending_keys, pending_vals, slots):
@@ -364,7 +378,7 @@ class TestEquivalenceWithOldBodies:
         from repro.kernels import KERNEL_LIBRARY as lib
 
         keys = make_keys(kind, n)
-        vals = (np.arange(n, dtype=np.uint32) * 7 + 3).astype(np.uint32)
+        vals = np.arange(n, dtype=np.uint32)   # the old callers' iota
         # hits, misses next to hits, and keys next to EMPTY
         probe_keys = np.concatenate(
             (keys[::2], keys[::3] + np.uint32(1), keys[:5] - np.uint32(1))
@@ -373,14 +387,28 @@ class TestEquivalenceWithOldBodies:
         for m in dict.fromkeys(table_sizes(n)):
             if n > 65_537 and m == 16:
                 continue  # 64 full-length probe rounds x 2; covered at 65 537
+            where = (kind, n, m)
+
+            def same_table():
+                occupied = tkeys != EMPTY
+                assert np.array_equal(tkeys, old_tk), where
+                assert np.array_equal(tvals[occupied], old_tv[occupied]), where
+                assert (tvals[~occupied] == POISON).all(), where
+                assert_values_are_rows(tkeys, tvals, keys)
+
             ctx = vec_ctx()
+            old_tk = np.full(m, EMPTY, np.uint32)
+            old_tv = np.zeros(m, np.uint32)
+            old_optimistic_vec(old_tk, old_tv, keys, vals, n, m)
             tkeys = np.full(m, EMPTY, np.uint32)
-            tvals = np.zeros(m, np.uint32)
-            lib["ht_insert_optimistic"].vec_fn(ctx, tkeys, tvals, keys, vals, n, m)
+            tvals = np.full(m, POISON, np.uint32)
+            lib["ht_insert_optimistic"].vec_fn(ctx, tkeys, tvals, keys, n, m)
+            same_table()
+            # the value column is no longer read: half the streamed bytes
             assert lib["ht_insert_optimistic"].work_fn(
-                ctx, tkeys, tvals, keys, vals, n, m
+                ctx, tkeys, tvals, keys, n, m
             ) == KernelWork(
-                elements=n, bytes_read=8 * n,
+                elements=n, bytes_read=4 * n,
                 random_bytes=old_random_bytes(8, n, m), ops=6 * n,
                 atomic_ops=n,
                 atomic_addresses=old_distinct_slot_estimate(keys, m),
@@ -390,18 +418,15 @@ class TestEquivalenceWithOldBodies:
             lib["ht_check"].vec_fn(ctx, fail, fail_count, tkeys, keys, n, m)
             assert fail_count[0] == count_bits(fail, n)
 
-            old_tk, old_tv = tkeys.copy(), tvals.copy()
             old_stats = np.zeros(2, np.uint32)
             attempts = old_pessimistic_vec(
                 old_tk, old_tv, old_stats, keys, vals, fail, n, m
             )
             ctx = vec_ctx()
             stats = np.zeros(2, np.uint32)
-            args = (ctx, tkeys, tvals, stats, keys, vals, fail, n, m)
+            args = (ctx, tkeys, tvals, stats, keys, fail, n, m)
             lib["ht_insert_pessimistic"].vec_fn(*args)
-            where = (kind, n, m)
-            assert np.array_equal(tkeys, old_tk), where
-            assert np.array_equal(tvals, old_tv), where
+            same_table()
             assert np.array_equal(stats, old_stats), where
             assert lib["ht_insert_pessimistic"].work_fn(*args) == KernelWork(
                 elements=n, bytes_read=(n + 7) // 8,
@@ -413,7 +438,7 @@ class TestEquivalenceWithOldBodies:
             p = probe_keys.size
             old_out = np.zeros(max(p, 1), np.uint32)
             old_found = np.full(bitmap_nbytes(p) + 1, 0xFF, np.uint8)
-            lookups = old_probe_vec(old_out, old_found, tkeys, tvals,
+            lookups = old_probe_vec(old_out, old_found, old_tk, old_tv,
                                     probe_keys, p, m)
             ctx = vec_ctx()
             out = np.zeros(max(p, 1), np.uint32)
@@ -444,7 +469,7 @@ class TestEquivalenceWithOldBodies:
         ctx, other = vec_ctx(), vec_ctx()
         defines = ctx.defines
         lib["ht_insert_pessimistic"].vec_fn(
-            ctx, tkeys, tvals, stats, keys, keys, fail, 300, 431)
+            ctx, tkeys, tvals, stats, keys, fail, 300, 431)
         lib["ht_probe"].vec_fn(
             ctx, np.zeros(300, np.uint32), fail, tkeys, tvals, keys, 300, 431)
         assert ctx.defines is defines and defines == {}
@@ -483,9 +508,8 @@ class TestCheckCountsItsOwnFailures:
         tkeys = rig.empty(m, np.uint32)
         tvals = rig.empty(m, np.uint32)
         rig.run("fill", tkeys, m, int(EMPTY))
-        rig.run("fill", tvals, m, 0)
         if table == "optimistic":
-            rig.run("ht_insert_optimistic", tkeys, tvals, kb, kb, n, m)
+            rig.run("ht_insert_optimistic", tkeys, tvals, kb, n, m)
         fail = rig.empty(bitmap_nbytes(n), np.uint8)
         count = rig.zeros(1, np.uint32)
         rig.run("ht_check", fail, count, tkeys, kb, n, m)

@@ -21,10 +21,8 @@ class TestNestedLoopJoin:
         assert total == 6
         l_out = rig.empty(total, np.uint32)
         r_out = rig.empty(total, np.uint32)
-        l_oids = rig.buf(np.arange(3, dtype=np.uint32))
-        r_oids = rig.buf(np.arange(3, dtype=np.uint32))
         rig.run("nlj_write", l_out, r_out, offsets, rig.buf(left),
-                rig.buf(right), l_oids, r_oids, 3, 3, "<")
+                rig.buf(right), 3, 3, "<")
         pairs = set(zip(l_out.array.tolist(), r_out.array.tolist()))
         expected = {
             (i, j) for i in range(3) for j in range(3)
@@ -69,11 +67,10 @@ class TestJoinExpansion:
         rig.run("prefix_sum", offsets, rig.buf(counts), 2)
         lpos = rig.empty(3, np.uint32)
         rpos = rig.empty(3, np.uint32)
-        left_oids = rig.buf(np.array([100, 200], np.uint32))
         rig.run("join_expand", lpos, rpos, offsets, rig.buf(run_idx),
                 rig.buf(run_starts), rig.buf(run_counts),
-                rig.buf(build_oids), left_oids, rig.buf(found), 2)
-        assert np.array_equal(lpos.array, [100, 200, 200])
+                rig.buf(build_oids), rig.buf(found), 2)
+        assert np.array_equal(lpos.array, [0, 1, 1])   # the probe rows
         assert np.array_equal(rpos.array, [20, 10, 11])
 
 

@@ -84,6 +84,104 @@ class TestGatherScatter:
         assert np.array_equal(back, src)
 
 
+# ---------------------------------------------------------------------------
+# The decoding gathers are pinned to the launch sequences they replace,
+# kept verbatim from the previous ``_project_encoded`` / ``op_join``
+# (``engine.launch`` -> ``rig.run``): same columns out, never more work.
+# ---------------------------------------------------------------------------
+
+DECODE_SIZES = (0, 1, 7, 255, 256, 257, 65_537)
+
+
+def work_of(rig, kernel, *args):
+    from repro.cl.kernel import ExecContext
+    from repro.kernels import KERNEL_LIBRARY as lib
+
+    arrays = [getattr(a, "array", a) for a in args]
+    return lib[kernel].work_fn(ExecContext(rig.ctx.device, {}, 64, 16),
+                               *arrays)
+
+
+def no_more_work(new, old):
+    return all(getattr(new, field) <= getattr(old, field) for field in (
+        "bytes_read", "bytes_written", "random_bytes", "ops", "atomic_ops"))
+
+
+class TestDecodingGathers:
+    @pytest.mark.parametrize("code_dtype, col_dtype, frame", (
+        (np.uint8, np.int32, 70_000),          # frame beyond the code
+        (np.uint8, np.int32, 2**31 - 256),     # sum at the column's top
+        (np.uint32, np.int32, -(2**31)),       # uint16 payloads arrive so
+        (np.uint32, np.uint32, 5),
+        (np.int64, np.int64, -(2**62)),
+    ))
+    @pytest.mark.parametrize("n", DECODE_SIZES)
+    def test_gather_add_is_gather_fill_ewise(self, rig, n, code_dtype,
+                                             col_dtype, frame):
+        rng = np.random.default_rng(n)
+        rows = max(n, 1) + 3
+        top = min(np.iinfo(code_dtype).max,
+                  np.iinfo(col_dtype).max - frame)
+        codes = rng.integers(0, top, rows, endpoint=True).astype(code_dtype)
+        codes[:2] = top                         # the dtype's maximum
+        codes_buf = rig.buf(codes)
+        oid_buf = rig.buf(rng.integers(0, rows, max(n, 1)).astype(np.uint32))
+
+        got = rig.buf(np.full(max(n, 1), 77, col_dtype))
+        rig.run("gather_add", got, codes_buf, oid_buf, n, frame)
+
+        gathered = rig.empty(max(n, 1), code_dtype, tag="proj_codes")
+        rig.run("gather", gathered, codes_buf, oid_buf, n)
+        out = rig.buf(np.full(max(n, 1), 77, col_dtype))
+        frame_buf = rig.empty(max(n, 1), col_dtype, tag="proj_frame")
+        rig.run("fill", frame_buf, n, frame)
+        rig.run("ewise", out, gathered, frame_buf, n, "add")
+
+        assert np.array_equal(got.array, out.array)
+        expected = [int(codes[i]) + frame for i in oid_buf.array[:n]]
+        assert [int(v) for v in got.array[:n]] == expected
+        old = (work_of(rig, "gather", gathered, codes_buf, oid_buf, n)
+               + work_of(rig, "fill", frame_buf, n, frame)
+               + work_of(rig, "ewise", out, gathered, frame_buf, n, "add"))
+        assert no_more_work(
+            work_of(rig, "gather_add", got, codes_buf, oid_buf, n, frame),
+            old)
+
+    @pytest.mark.parametrize("mid_dtype, src_dtype", (
+        (np.uint8, np.float32),     # dict decode: codes, value table
+        (np.uint32, np.int32),
+        (np.uint32, np.uint32),     # join hit: run ids, build oids
+    ))
+    @pytest.mark.parametrize("n", DECODE_SIZES)
+    def test_gather2_is_two_gathers(self, rig, n, mid_dtype, src_dtype):
+        rng = np.random.default_rng(n + 1)
+        rows = max(n, 1) + 3
+        table = min(256, np.iinfo(mid_dtype).max + 1)
+        src = rng.integers(0, 10**6, table).astype(src_dtype)
+        mid = rng.integers(0, table, rows).astype(mid_dtype)
+        mid[:2] = table - 1                     # the last entry
+        # rows the index never names hold a value that must not be
+        # dereferenced (a probe miss's EMPTY)
+        idx = rng.integers(0, rows - 1, max(n, 1)).astype(np.uint32)
+        mid[rows - 1] = np.iinfo(mid_dtype).max
+        src_buf, mid_buf, idx_buf = rig.buf(src), rig.buf(mid), rig.buf(idx)
+
+        got = rig.buf(np.full(max(n, 1), 77, src_dtype))
+        rig.run("gather2", got, src_buf, mid_buf, idx_buf, n)
+
+        hit = rig.empty(max(n, 1), mid_dtype, tag="join_rid_hit")
+        rig.run("gather", hit, mid_buf, idx_buf, n)
+        out = rig.buf(np.full(max(n, 1), 77, src_dtype))
+        rig.run("gather", out, src_buf, hit, n)
+
+        assert np.array_equal(got.array, out.array)
+        assert np.array_equal(got.array[:n], src[mid[idx[:n]]])
+        old = (work_of(rig, "gather", hit, mid_buf, idx_buf, n)
+               + work_of(rig, "gather", out, src_buf, hit, n))
+        assert no_more_work(
+            work_of(rig, "gather2", got, src_buf, mid_buf, idx_buf, n), old)
+
+
 class TestReduce:
     @pytest.mark.parametrize("op,np_fn", [
         ("sum", np.sum), ("min", np.min), ("max", np.max),
@@ -127,6 +225,21 @@ class TestEwise:
         assert np.allclose(out.array, 1.0 - a)
         rig.run("ewise_scalar", out, rig.buf(a), 10, "rdiv", 100.0)
         assert np.allclose(out.array, 100.0 / a)
+
+    @pytest.mark.parametrize("op, value", (
+        ("mul", 0.5), ("add", 2.5), ("sub", 0.25), ("rsub", 1.5),
+        ("mul", 100_000), ("rdiv", 1.0)))
+    def test_ewise_scalar_constant_has_the_result_type(self, rig, op, value):
+        """An int column and a constant its type cannot hold: the
+        constant is cast to the *result's* type, as the reference does."""
+        a = np.arange(-5, 995, dtype=np.int32)
+        a[a == 0] = 7
+        wide = np.float64 if isinstance(value, float) else np.int64
+        out = rig.empty(1000, wide)
+        rig.run("ewise_scalar", out, rig.buf(a), 1000, op, value)
+        expected = _BINOPS[op](a.astype(wide), wide(value))
+        assert out.array.dtype == wide
+        assert np.array_equal(out.array, expected)
 
     def test_ewise_intdiv(self, rig):
         dates = np.array([19940101, 19951231, 19980715], dtype=np.int32)

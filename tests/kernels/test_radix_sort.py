@@ -68,14 +68,19 @@ class TestKeyEncoding:
         assert num_passes(8, 64) == 8
 
 
-def _ladder(rig, ukeys, n):
+def _ladder(rig, ukeys, n, iota_first=False):
     """The full multi-pass pipeline over unsigned keys, as the host
-    drives it: ``(sorted keys, order)`` arrays."""
+    drives it: ``(sorted keys, order)`` arrays.  ``iota_first`` is the
+    sequence it drove before the first pass wrote the positions itself
+    (an ``iota`` payload through ``radix_reorder`` in every pass), kept
+    as the reference ``radix_reorder_first`` is pinned to."""
     bits = 8 if rig.ctx.device.is_cpu else 4
     radix = 1 << bits
     parts = rig.ctx.device.profile.total_invocations
-    payload = rig.empty(n, np.uint32)
-    rig.run("iota", payload, n, 0)
+    # garbage, not zeros: the first pass must not read its payload
+    payload = rig.buf(np.full(max(n, 1), 0x7FFFFFFF, np.uint32))
+    if iota_first:
+        rig.run("iota", payload, n, 0)
     keys_b = rig.empty(n, ukeys.dtype)
     pay_b = rig.empty(n, np.uint32)
     hist = rig.empty(parts * radix, np.uint32)
@@ -84,8 +89,12 @@ def _ladder(rig, ukeys, n):
     for p in range(num_passes(bits, 8 * ukeys.dtype.itemsize)):
         rig.run("radix_histogram", hist, keys_a, n, p * bits, parts)
         rig.run("radix_offsets", offsets, hist, parts)
-        rig.run("radix_reorder", keys_b, pay_b, keys_a, pay_a, offsets,
-                n, p * bits, parts)
+        if p or iota_first:
+            rig.run("radix_reorder", keys_b, pay_b, keys_a, pay_a, offsets,
+                    n, p * bits, parts)
+        else:
+            rig.run("radix_reorder_first", keys_b, pay_b, keys_a, offsets,
+                    n, p * bits, parts)
         keys_a, keys_b = keys_b, keys_a
         pay_a, pay_b = pay_b, pay_a
     return keys_a.array[:n].copy(), pay_a.array[:n].copy()
@@ -230,6 +239,58 @@ class TestEquivalenceWithOldBodies:
             assert np.array_equal(out[1], old_out[1])
 
 
+class TestFirstPassWritesThePositions:
+    """``radix_reorder_first`` is pinned to what it replaces: an
+    ``iota`` launch and ``radix_reorder`` reading it."""
+
+    @pytest.mark.parametrize("key_dtype", (np.uint32, np.uint64))
+    @pytest.mark.parametrize("n", (0, 1, 7, 255, 256, 257, 65_537))
+    def test_same_ladder_one_launch_fewer(self, rig, n, key_dtype):
+        rng = np.random.default_rng(n)
+        top = np.iinfo(key_dtype).max
+        keys = rng.integers(0, top, n, dtype=key_dtype, endpoint=True)
+        keys[: n // 3] = top                        # a skewed digit
+        launched = rig.queue.stats.kernels_launched
+        now = _ladder(rig, rig.buf(keys.copy()), n)
+        launched_now = rig.queue.stats.kernels_launched - launched
+        old = _ladder(rig, rig.buf(keys.copy()), n, iota_first=True)
+        launched_old = (rig.queue.stats.kernels_launched - launched
+                        - launched_now)
+        assert np.array_equal(now[0], old[0])
+        assert np.array_equal(now[1], old[1])
+        assert np.array_equal(now[1], np.argsort(keys, kind="stable"))
+        assert launched_now == launched_old - 1
+
+    @pytest.mark.parametrize("bits,parts", ((8, 256), (4, 1344), (4, 7)))
+    @pytest.mark.parametrize("n", (0, 1, 7, 65_537))
+    def test_one_pass_and_its_work(self, n, bits, parts):
+        """Same columns out; the same work minus the payload it no
+        longer reads, so never more simulated time."""
+        from repro.kernels import KERNEL_LIBRARY as lib
+
+        keys = np.random.default_rng(n).integers(
+            0, 2**32, n, dtype=np.uint32)
+        iota = np.arange(n, dtype=np.uint32)
+        ctx = radix_ctx(bits)
+        hist = np.zeros(parts * (1 << bits), np.uint32)
+        offsets = np.zeros_like(hist)
+        lib["radix_histogram"].vec_fn(ctx, hist, keys, n, bits, parts)
+        lib["radix_offsets"].vec_fn(ctx, offsets, hist, parts)
+        out = [np.zeros(max(n, 1), np.uint32) for _ in range(2)]
+        old_out = [np.zeros(max(n, 1), np.uint32) for _ in range(2)]
+        first = (ctx, *out, keys, offsets, n, bits, parts)
+        old = (ctx, *old_out, keys, iota, offsets, n, bits, parts)
+        lib["radix_reorder_first"].vec_fn(*first)
+        lib["radix_reorder"].vec_fn(*old)
+        assert np.array_equal(out[0], old_out[0])
+        assert np.array_equal(out[1], old_out[1])
+        work = lib["radix_reorder_first"].work_fn(*first)
+        old_work = lib["radix_reorder"].work_fn(*old)
+        assert work.bytes_read == old_work.bytes_read - 4 * n
+        assert (work.bytes_written, work.random_bytes, work.ops) == (
+            old_work.bytes_written, old_work.random_bytes, old_work.ops)
+
+
 # ---------------------------------------------------------------------------
 # ``local_sort`` is pinned to what it replaces: one launch must return the
 # (sorted keys, order) of the radix ladder bit for bit — duplicates are the
@@ -336,7 +397,7 @@ class TestSortExits:
         passes = num_passes(engine.radix_bits, 8 * (pair_bytes - 4))
         assert sort_launches(engine, fits, pair_bytes - 4) == ("local", 1)
         assert sort_launches(engine, fits + 1, pair_bytes - 4) == (
-            "radix", 1 + 3 * passes)
+            "radix", 3 * passes)
 
         rng = np.random.default_rng(fits)
         keys = rng.integers(0, 50, fits + 1).astype(key_dtype)
@@ -347,7 +408,9 @@ class TestSortExits:
         assert np.array_equal(order, expected)
         assert np.array_equal(sorted_keys, keys[:fits][expected])
         sorted_keys, order, launched = _sort_through_host_code(engine, keys)
-        assert launched == ["iota"] + passes * [
+        assert launched == [
+            "radix_histogram", "radix_offsets", "radix_reorder_first"
+        ] + (passes - 1) * [
             "radix_histogram", "radix_offsets", "radix_reorder"]
         assert np.array_equal(order, np.argsort(keys, kind="stable"))
 
@@ -406,11 +469,13 @@ class TestLocalSortNeverCostsMoreThanTheLadder:
         n, checked = 2, 0
         while sort_launches(engine, n, itemsize)[0] == "local":
             local = seconds("local_sort", keys, pay, keys, n)
-            ladder = seconds("iota", pay, n, 0) + passes * (
+            ladder = passes * (
                 seconds("radix_histogram", hist, keys, n, 0, parts)
                 + seconds("radix_offsets", hist, hist, parts)
-                + seconds("radix_reorder", keys, pay, keys, pay, hist,
-                          n, 0, parts))
+            ) + seconds(
+                "radix_reorder_first", keys, pay, keys, hist, n, 0, parts
+            ) + (passes - 1) * seconds(
+                "radix_reorder", keys, pay, keys, pay, hist, n, 0, parts)
             assert local <= ladder, (n, local, ladder)
             checked += 1
             n += 1

@@ -78,18 +78,65 @@ class TestBitmapAlgebra:
         assert POPCOUNT[0b10110000] == 3
 
 
+def old_offsets(rig, bm, n_bits, parts):
+    """The two launches ``bitmap_offsets`` replaces, verbatim from the
+    previous ``_materialize_bitmap`` (``engine.launch`` -> ``rig.run``)."""
+    nbytes = bitmap_nbytes(n_bits)
+    counts = rig.empty(parts, np.uint32, tag="bm_counts")
+    rig.run("bitmap_count", counts, bm, nbytes, parts)
+    offsets = rig.empty(parts + 1, np.uint32, tag="bm_offsets")
+    rig.run("prefix_sum", offsets, counts, parts)
+    return offsets.array[: parts + 1].copy()
+
+
+class TestOffsetsComeFromTheCountingLaunch:
+    @pytest.mark.parametrize("parts", (1, 16, 1344))
+    @pytest.mark.parametrize("bits", ("all", "none", "random", "one"))
+    @pytest.mark.parametrize("n", (0, 1, 7, 255, 256, 257, 65_537))
+    def test_one_launch_is_the_old_two(self, rig, n, bits, parts):
+        """All-set, none-set, one bit (``parts`` > set bits) and random
+        bitmaps; every n but 256 leaves a partial tail byte."""
+        from repro.cl import KernelWork
+        from repro.cl.kernel import ExecContext
+        from repro.kernels import KERNEL_LIBRARY as lib
+
+        rng = np.random.default_rng(n + parts)
+        flags = {"all": np.ones(n, np.uint8), "none": np.zeros(n, np.uint8),
+                 "random": rng.integers(0, 2, n).astype(np.uint8),
+                 "one": (np.arange(n) == n // 2).astype(np.uint8)}[bits]
+        packed = np.packbits(flags, bitorder="little")
+        bm = rig.buf(packed if packed.size else np.zeros(1, np.uint8))
+        offsets = rig.buf(np.full(parts + 1, 0x7FFFFFFF, np.uint32))
+        before = rig.queue.stats.kernels_launched
+        rig.run("bitmap_offsets", offsets, bm, bitmap_nbytes(n), parts)
+        assert rig.queue.stats.kernels_launched == before + 1
+        assert np.array_equal(offsets.array, old_offsets(rig, bm, n, parts))
+        assert offsets.array[parts] == int(flags.sum())
+        # the two launches' work in one, plus a ticket per work-group
+        ctx = ExecContext(rig.ctx.device, {}, 64, 16, data_scale=100.0)
+        counts = np.zeros(parts, np.uint32)
+        args = (bm.array, bitmap_nbytes(n), parts)
+        old = (lib["bitmap_count"].work_fn(ctx, counts, *args)
+               + lib["prefix_sum"].work_fn(ctx, offsets.array, counts, parts))
+        assert lib["bitmap_offsets"].work_fn(
+            ctx, offsets.array, *args
+        ) == KernelWork(
+            elements=8 * bitmap_nbytes(n), bytes_read=old.bytes_read,
+            bytes_written=old.bytes_written, ops=old.ops,
+            atomic_ops=4 / 100.0, atomic_addresses=1,
+        )
+
+
 class TestMaterialisation:
-    """count -> prefix sum -> write (paper §4.1.2)."""
+    """offsets -> write (paper §4.1.2)."""
 
     def _materialise(self, rig, bits: np.ndarray):
         n = len(bits)
         packed = np.packbits(bits, bitorder="little")
         bm = rig.buf(packed if packed.size else np.zeros(1, np.uint8))
         parts = 16
-        counts = rig.zeros(parts, np.uint32)
-        rig.run("bitmap_count", counts, bm, bitmap_nbytes(n), parts)
-        offsets = rig.zeros(parts + 1, np.uint32)
-        rig.run("prefix_sum", offsets, counts, parts)
+        offsets = rig.empty(parts + 1, np.uint32)
+        rig.run("bitmap_offsets", offsets, bm, bitmap_nbytes(n), parts)
         total = int(offsets.array[parts])
         oids = rig.zeros(max(total, 1), np.uint32)
         if total:
@@ -126,12 +173,10 @@ class TestMaterialisation:
             packed[-1] &= tail_mask(n)
         ctx = ExecContext(cl.get_device("cpu"), {}, 16, 16)
         parts = 16
-        counts = np.zeros(parts, np.uint32)
-        KERNEL_LIBRARY["bitmap_count"].vec_fn(
-            ctx, counts, packed, bitmap_nbytes(n), parts
+        offsets = np.full(parts + 1, 0x7FFFFFFF, np.uint32)
+        KERNEL_LIBRARY["bitmap_offsets"].vec_fn(
+            ctx, offsets, packed, bitmap_nbytes(n), parts
         )
-        offsets = np.zeros(parts + 1, np.uint32)
-        KERNEL_LIBRARY["prefix_sum"].vec_fn(ctx, offsets, counts, parts)
         total = int(offsets[parts])
         expected = np.nonzero(
             np.unpackbits(packed, bitorder="little", count=n)

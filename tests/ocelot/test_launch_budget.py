@@ -13,6 +13,7 @@ TPC-H queries at SF 0.1, second (warm) pass, per engine, default knobs.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,6 +21,8 @@ import numpy as np
 import pytest
 
 import repro
+from repro.compress.codecs import DictEncoding, FOREncoding
+from repro.compress.encoded import EncodedBAT
 from repro.kernels.hashing import EMPTY
 from repro.kernels.radix_sort import num_passes
 from repro.monetdb import Catalog
@@ -44,9 +47,17 @@ def launches(engine, fn, *args):
     """``(kernels fn launched, fn's result)``; the caller holds the
     operator scope the result's buffers live in."""
     stats = engine.queue.stats
+    stats.events.clear()
     before = stats.kernels_launched
     out = fn(engine, *args)
     return stats.kernels_launched - before, out
+
+
+def failed_builds(engine) -> int:
+    """Builds in the last :func:`launches` whose check found failures:
+    each adds the pessimistic round, and only that."""
+    return sum(event.label == "ht_insert_pessimistic"
+               for event in engine.queue.stats.events)
 
 
 def device_keys(engine, values):
@@ -56,9 +67,9 @@ def device_keys(engine, values):
 
 
 def ladder(engine, key_dtype) -> int:
-    """iota + three kernels per radix pass."""
+    """Three kernels per radix pass, nothing before the first."""
     passes = num_passes(engine.radix_bits, 8 * np.dtype(key_dtype).itemsize)
-    return 1 + 3 * passes
+    return 3 * passes
 
 
 class TestSort:
@@ -100,29 +111,79 @@ class TestHashBuild:
     def build(self, engine, keys):
         with engine.memory.operator_scope():
             buf = device_keys(engine, keys)
-            got, (tkeys, _tvals, m) = launches(
-                engine, operators._build_hash_table, buf, buf, keys.size)
+            got, (tkeys, tvals, m) = launches(
+                engine, operators._build_hash_table, buf, keys.size)
             present = np.isin(keys, tkeys.array[:m])
             assert present.all() and EMPTY not in keys
+            occupied = tkeys.array[:m] != EMPTY
+            assert np.array_equal(keys[tvals.array[:m][occupied]],
+                                  tkeys.array[:m][occupied])
             return got
 
-    def test_four_launches_without_failures(self, engine):
-        # fill, fill, optimistic, check
-        assert self.build(engine, np.full(1000, 7, np.uint32)) == 4
-        assert self.build(engine, np.zeros(0, np.uint32)) == 4
-        assert self.build(engine, np.arange(1, dtype=np.uint32)) == 4
+    def test_three_launches_without_failures(self, engine):
+        # fill (the keys only), optimistic, check
+        assert operators.hash_build_launches() == 3
+        assert self.build(engine, np.full(1000, 7, np.uint32)) == 3
+        assert self.build(engine, np.zeros(0, np.uint32)) == 3
+        assert self.build(engine, np.arange(1, dtype=np.uint32)) == 3
 
-    def test_five_with(self, engine):
+    def test_four_with(self, engine):
         # ... + pessimistic, because colliding keys overwrote each other
         keys = (np.arange(5000, dtype=np.uint32) * 2654435761) % 1_000_003
-        assert self.build(engine, keys.astype(np.uint32)) == 5
+        assert operators.hash_build_launches(failures=True) == 4
+        assert self.build(engine, keys.astype(np.uint32)) == 4
+
+
+class TestMaterialise:
+    @pytest.mark.parametrize("bits, budget", ((0, 1), (1, 2), (77, 2)))
+    def test_offsets_then_writes(self, engine, bits, budget):
+        flags = np.zeros(77, np.uint8)
+        flags[:bits] = 1
+        with engine.memory.operator_scope():
+            bitmap = device_keys(engine, np.packbits(flags,
+                                                     bitorder="little"))
+            got, (oids, total) = launches(
+                engine, operators._materialize_bitmap, bitmap, 77)
+            assert total == bits
+            assert np.array_equal(oids.array[:total], np.arange(bits))
+        assert got == budget == operators.materialize_launches(bits)
+
+
+class TestProjection:
+    """A projection is one gather, decoding included."""
+
+    @pytest.mark.parametrize("codec", (FOREncoding, DictEncoding))
+    def test_encoded_column(self, engine, codec):
+        rng = np.random.default_rng(4)
+        values = (rng.integers(0, 50, 4000) * 3 + 100_000).astype(np.int32)
+        column = EncodedBAT(codec.encode(values))
+        oids = BAT(rng.integers(0, 4000, 900).astype(np.uint32))
+        with engine.memory.operator_scope():
+            got, out = launches(engine, operators.op_projection, oids, column)
+            assert np.array_equal(engine.buffer_of(out).array[:900],
+                                  values[oids.values])
+        assert got == 1 == operators.projection_launches(oids)
+
+    def test_bitmap_of_oids_is_materialised_once(self, engine):
+        column = BAT(np.arange(100, dtype=np.int32))
+        with engine.memory.operator_scope():
+            selected = operators.op_thetaselect(engine, column, None, 90,
+                                                ">=")
+            assert operators.projection_launches(selected) == 3
+            got, _out = launches(engine, operators.op_projection, selected,
+                                 column)
+            assert got == 3
+            assert operators.projection_launches(selected) == 1
+            got, _out = launches(engine, operators.op_projection, selected,
+                                 column)
+            assert got == 1
 
 
 class TestCompositeHelpers:
     def test_dense_ids(self, engine):
-        """build 4, occupied-slot bitmap 1, materialise 3, gather 1, sort
-        (20 distinct keys fit) 1, rank iota 1, build 5 (two of the 20
-        collide in the 29-slot rank table), probe 1."""
+        """build 3, occupied-slot bitmap 1, materialise 2, gather 1, sort
+        (20 distinct keys fit) 1, build 3 + 1 (two of the 20 collide in
+        the 29-slot rank table), probe 1."""
         rng = np.random.default_rng(2)
         keys = (rng.integers(0, 20, 3000) * 977).astype(np.uint32)
         with engine.memory.operator_scope():
@@ -132,12 +193,12 @@ class TestCompositeHelpers:
             assert ngroups == 20
             _values, dense = np.unique(keys, return_inverse=True)
             assert np.array_equal(gids.array[: keys.size], dense)
-        assert got == 17
+            assert failed_builds(engine) == 1
+        assert got == 13 == operators.dense_ids_launches() + 1
 
     def test_join_table_over_an_intermediate(self, engine):
         """encode 1, sort (fits) 1, run ids 3, run counts 2, run starts 1,
-        unique keys 1, run-id iota 1, build 4 — the ladder alone was 13
-        (CPU) or 25 (GPU) of what used to be 29 or 41."""
+        unique keys 1, build 3 (+ 1: keys collide in the table)."""
         rng = np.random.default_rng(3)
         build_side = BAT(rng.integers(0, 50, 40).astype(np.int32))
         assert not build_side.is_base
@@ -145,7 +206,70 @@ class TestCompositeHelpers:
             got, table = launches(
                 engine, operators._join_table_for, build_side)
             assert table["n_runs"] == np.unique(build_side.values).size
-        assert got == 15
+            assert failed_builds(engine) == 1
+        assert got == 12 + 1
+
+    @pytest.mark.parametrize("unique_build", (True, False))
+    def test_join(self, engine, unique_build):
+        """Table 12, then encode 1, probe 1 and — over a key build side —
+        materialise 2 and one two-level gather of the hits; else counts,
+        scan and expand."""
+        rng = np.random.default_rng(5)
+        build = rng.permutation(60)[:40] if unique_build \
+            else rng.integers(0, 30, 40)
+        probe = rng.integers(0, 60, 500)
+        left = BAT(probe.astype(np.int32))
+        right = BAT(build.astype(np.int32))
+        with engine.memory.operator_scope():
+            got, (lpos, rpos) = launches(engine, operators.op_join, left,
+                                         right)
+            l_rows = engine.buffer_of(lpos).array[: lpos.count]
+            r_rows = engine.buffer_of(rpos).array[: rpos.count]
+            assert np.array_equal(probe[l_rows], build[r_rows])
+            assert lpos.count == (probe[:, None] == build).sum()
+            failed = failed_builds(engine)
+        assert got == 12 + 5 + failed
+        if unique_build:
+            assert got == operators.join_launches(engine, 40) + failed
+
+    @pytest.mark.parametrize("keep", (True, False))
+    def test_membership(self, engine, keep):
+        rng = np.random.default_rng(6)
+        left = BAT(rng.integers(0, 60, 500).astype(np.int32))
+        right = BAT(rng.integers(0, 30, 40).astype(np.int32))
+        with engine.memory.operator_scope():
+            got, pos = launches(engine, operators._membership, left, right,
+                                keep)
+            rows = engine.buffer_of(pos).array[: pos.count]
+            expected = np.isin(left.values, right.values) == keep
+            assert np.array_equal(rows, np.flatnonzero(expected))
+            failed = failed_builds(engine)
+        assert got - failed == operators.membership_launches(keep) == (
+            8 if keep else 9)
+
+    def test_group_and_subgroup(self, engine):
+        rng = np.random.default_rng(7)
+        a = BAT(rng.integers(0, 7, 2000).astype(np.int32))
+        b = BAT(rng.integers(0, 5, 2000).astype(np.int32))
+        ordered = BAT(np.sort(a.values), sorted_=True)
+        with engine.memory.operator_scope():
+            got, (gids, n_a) = launches(engine, operators.op_group, a)
+            assert got - failed_builds(engine) == 13 == (
+                operators.group_launches("group", False))
+            got, (_g, n_ab) = launches(engine, operators.op_subgroup, b,
+                                       gids, n_a)
+            assert got - failed_builds(engine) == 26 == (
+                operators.group_launches("subgroup", False))
+            assert (n_a, n_ab) == (7, 35)
+            got, _out = launches(engine, operators.op_group, ordered)
+            assert got == operators.group_launches("group", True) == 3
+
+    def test_hashbuild(self, engine):
+        column = BAT(np.full(3000, 11, dtype=np.int32))
+        with engine.memory.operator_scope():
+            got, _m = launches(engine, operators.op_hashbuild, column)
+            assert not failed_builds(engine)
+        assert got == 1 + operators.hash_build_launches() == 4
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +293,16 @@ def test_every_sort_and_build_in_a_query_issues_what_its_size_needs(
         con.execute(WORKLOAD[name], name=name)
     names = [kernel for _engine, kernel, _args in log]
     assert "local_sort" in names and "ht_check" in names
+    # no launch only prepares an operand: one ``fill`` per build (the
+    # key column), no ``iota`` ahead of a sort or a build, no scan of
+    # counters a launch just wrote, no gather feeding only a gather
+    filled = [args[2] for _e, kernel, args in log
+              if kernel == "fill" and args[1] > 1]    # (autotune fills 1)
+    assert filled == names.count("ht_insert_optimistic") * [EMPTY]
+    assert "iota" not in names
+    assert "gather2" in names
+    if os.environ.get("REPRO_COMPRESSION") != "off":    # CI's knob-ab cell
+        assert "gather_add" in names
     for (eng, kernel, args), (_e, following, _a) in zip(log, log[1:]):
         if kernel == "local_sort":
             keys, n = args[2], args[3]
@@ -181,6 +315,9 @@ def test_every_sort_and_build_in_a_query_issues_what_its_size_needs(
         if kernel == "ht_check":
             # the count comes back from the check itself
             assert following != "bitmap_count"
+        if kernel == "bitmap_count":
+            # ... and write offsets from ``bitmap_offsets``
+            assert following != "prefix_sum"
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +357,6 @@ def test_launches_per_query_match_the_census(label, monkeypatch):
 
 
 def regen() -> None:
-    import os
-
     for var in ENV_VARS:
         os.environ.pop(var, None)
     table = {label: census(label) for label in ENGINES}

@@ -33,7 +33,15 @@ checksums and placement reuses too; the SHARD cells rose by the
 per-query framework overhead their sessions had never paid (makespan
 3.41 -> 11.79 s on SHARD:2xCPU, whose 14 serial executes sum to 11.80)
 and the HET cells moved by <= 0.1 % (a session floored past a queue's
-host clock now pays its enqueues' submit cost).
+host clock now pays its enqueues' submit cost).  **Both were
+regenerated at PR 22**, which removed the launches that only prepared an
+operand for the next one (a hash table's value-column ``fill``, the
+``iota``s, the scan after ``bitmap_count``, the frame ``fill`` + add and
+the index-only gather of a decoding projection): all 196 checksums and
+every placement-reuse count identical, no elapsed time, completion epoch
+or makespan higher; summed elapsed CPU -4.6 %, SHARD:2xCPU -4.4 %, GPU
+and HET -5.5 %, pipelined makespans -4.4 ... -5.7 % (comparison output
+in docs/changes/PR-22.md).
 
 A change that means to alter the cost model or a result deletes the
 cells it moves and regenerates them (``--regen`` only adds cells that
