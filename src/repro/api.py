@@ -113,18 +113,6 @@ class Connection:
         self._scheduler: Optional[SessionScheduler] = None
         self._metrics = None
         self._closed = False
-        # elastic engines announce topology changes (a replica
-        # promotion, a committed re-shard); eagerly purge the cached
-        # placement/join traces that reference the departed roster
-        if self.backend.cluster is not None:
-            self.backend.cluster.on_change = self._on_topology_change
-
-    def _on_topology_change(self, backend) -> None:
-        """The backend's roster moved: every memoised placement trace
-        of this engine references a node that may no longer serve its
-        slot, so they are dropped *now* — not lazily at the next
-        lookup (see :meth:`PlanCache.invalidate_placements`)."""
-        self.plan_cache.invalidate_placements(self.config.spec)
 
     @property
     def engine(self) -> str:
@@ -150,8 +138,8 @@ class Connection:
         bind parameters before the plan-cache lookup, so every literal
         variation of one query shape is a cache hit against a single
         template plan (values are substituted into a bound copy at
-        execute time).  HET and SHARD additionally replay the cached
-        decision trace instead of re-scoring repeat queries.
+        execute time).  HET additionally replays the cached placement
+        trace instead of re-scoring repeat queries.
 
         ``analyze=True`` forces tracing on for this statement regardless
         of the spec's ``trace=`` setting: the returned result carries a
@@ -416,9 +404,9 @@ class Database:
         table prefix, so ``lineitem.l_orderkey`` and
         ``orders.o_orderkey`` meet in ``"orderkey"``) co-partition, and
         equi-joins on their keys run shard-local with zero driver
-        traffic (:mod:`repro.shard`).  Counts as DDL: cached plans
-        over this table and over the tables keyed in its domain
-        invalidate, and live sharded backends re-partition.
+        traffic (:mod:`repro.shard`).  Live sharded backends
+        re-partition; no cached plan recompiles (a key is layout, and
+        a plan holds none).
         """
         self.catalog.declare_shard_key(table, column, domain=domain)
         self._after_ddl()
@@ -444,9 +432,7 @@ class Database:
     def remove_shard(self) -> None:
         """Shrink every live sharded connection's cluster by one node.
 
-        Online like :meth:`add_shard` — and cached plans whose
-        placement traces reference the departing roster member are
-        eagerly invalidated when the new layout commits."""
+        Online like :meth:`add_shard`."""
         self._resize_shards(-1)
 
     def _resize_shards(self, delta: int) -> None:

@@ -50,8 +50,8 @@ class Backend(abc.ABC):
       the per-query state of each (a :class:`QuerySessions`).  The
       default is a :class:`SerialTimeline` over :meth:`begin` /
       :meth:`elapsed`, one query at a time; HET's device pool and
-      SHARD's child clocks overlap sessions, and record/replay each
-      query's decision trace;
+      SHARD's child clocks overlap sessions, and HET records and
+      replays each query's placement trace;
     * :attr:`health` — the circuit-breaker board;
     * :attr:`memory` — device memory that queries allocate from and
       that is handed back when each ends (a
@@ -225,16 +225,6 @@ class Backend(abc.ABC):
 
     # -- morsel-driven execution -------------------------------------------------
 
-    def morsel_runner(self, spec, inputs):
-        """Build the executor for one ``morsel.run`` instruction.
-
-        The default streams oid-range slices through the region (see
-        :class:`repro.morsel.run.MorselRun`); backends whose values are
-        not plain host BATs run the region whole-column instead."""
-        from ..morsel.run import MorselRun
-
-        return MorselRun(self, spec, inputs)
-
     def morsel_scope(self):
         """Context manager entered around each morsel of a region.
 
@@ -298,10 +288,10 @@ class Backend(abc.ABC):
 
 @dataclass
 class QueryState:
-    """What every engine keeps per query: the decisions it took, in
-    order, and the recorded ones it may consume instead of deciding
-    (``None`` = decide fresh).  Engines subclass it with their own
-    per-query fields; one that decides nothing uses it as is."""
+    """What every engine keeps per query: the decisions worth
+    replaying (HET's placements; empty elsewhere), in order, and the
+    recorded ones it may consume instead of deciding (``None`` = decide
+    fresh).  Engines subclass it with their own per-query fields."""
 
     trace: list = field(default_factory=list)
     replay: "list | None" = None
@@ -612,9 +602,11 @@ class ProgramRun:
     def _step_morsel(self, instruction) -> bool:
         """Advance an in-flight morsel region by one morsel."""
         if self._morsel_run is None:
+            from ..morsel.run import MorselRun
+
             spec = instruction.args[0]
             inputs = [self.resolve_arg(a) for a in instruction.args[1:]]
-            self._morsel_run = self.backend.morsel_runner(spec, inputs)
+            self._morsel_run = MorselRun(self.backend, spec, inputs)
         if self._morsel_run.step():
             return True
         outputs = self._morsel_run.outputs

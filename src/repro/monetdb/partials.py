@@ -173,17 +173,22 @@ def distinct_rows(columns) -> "tuple[np.ndarray, np.ndarray]":
     """``(run of every row, first row of every run)`` of equal-length
     key columns, runs numbered in ascending key-tuple order.
 
-    Rows with equal key tuples (``==`` per column, so ``-0.0`` meets
-    ``0.0`` and a NaN meets nothing) share a run.  One stable lexsort
-    over the **separate** columns brings equal tuples together, earliest
-    row first — never a common-dtype matrix: float64 cannot tell
-    adjacent int64 keys beyond 2**53 apart."""
+    Rows with equal key tuples share a run — ``==`` per column, so
+    ``-0.0`` meets ``0.0``, and a NaN meets a NaN: every engine's
+    ``group`` puts the NaNs of a column in one group, sorted last.  One
+    stable lexsort over the **separate** columns brings equal tuples
+    together, earliest row first — never a common-dtype matrix: float64
+    cannot tell adjacent int64 keys beyond 2**53 apart."""
     order = np.lexsort(columns[::-1])
     starts = np.zeros(order.size, dtype=bool)
     starts[:1] = True
     for column in columns:
         ordered = column[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
+        differ = ordered[1:] != ordered[:-1]
+        if ordered.dtype.kind == "f":
+            nan = np.isnan(ordered)
+            differ &= ~(nan[1:] & nan[:-1])
+        starts[1:] |= differ
     runs = np.empty(order.size, dtype=np.int64)
     runs[order] = np.cumsum(starts) - 1
     return runs, order[starts]

@@ -75,22 +75,13 @@ class Catalog:
 
     **Versions.**  What is expensive to rebuild is invalidated at the
     granularity of the thing that changed (§4.3 drops device copies
-    *per BAT*), so the catalog keeps three counters, all drawn from one
-    monotonic sequence:
-
-    * :attr:`version` moves on every DDL statement and every
-      :meth:`bump_version` — "did anything change at all";
-    * :meth:`table_version` is the value :attr:`version` took when that
-      table was last created or had its shard key declared, or when a
-      table in its key domain was (they co-partition, so one's layout
-      moves with the other's); ``None`` for a table that does not
-      exist.  A dropped-and-recreated table never reuses a stamp;
-    * :attr:`epoch` moves only with :meth:`bump_version` — a layout
-      change with no table to pin it on (a roster change, a sharded
-      engine adopting an inferred key).
-
-    A compiled plan is valid while the stamps of the tables it reads
-    and the epoch are what they were (:mod:`repro.serve.plancache`).
+    *per BAT*): :attr:`version` counts the tables ever created and
+    :meth:`table_version` is the value it took when that table was
+    (``None`` for a table that does not exist; a dropped-and-recreated
+    table never reuses a stamp).  A compiled plan is valid while the
+    tables it reads carry the stamps it was compiled against
+    (:mod:`repro.serve.plancache`).  A shard key is layout, not schema:
+    declaring one stamps nothing.
     """
 
     def __init__(self) -> None:
@@ -101,12 +92,9 @@ class Catalog:
         #: per-catalog compression counters, shared by every EncodedBAT
         #: this catalog creates (``compress.*`` in ``Connection.metrics``)
         self.compression = CompressionStats()
-        #: monotonic DDL counter; every create/drop/key declaration and
-        #: every :meth:`bump_version` moves it
+        #: monotonic stamp source; every ``create_table`` moves it
         self.version = 0
-        #: the :attr:`version` of the latest :meth:`bump_version`
-        self.epoch = 0
-        #: table -> the :attr:`version` that last touched it
+        #: table -> the :attr:`version` that created it
         self._table_versions: dict[str, int] = {}
         #: declared shard keys: table -> (column, domain | None).  Pure
         #: metadata at this layer — the sharded engine's partitioner
@@ -139,7 +127,8 @@ class Catalog:
         for bat in bats.values():
             bat.is_base = True
         self._tables[table] = bats
-        self._stamp({table})
+        self.version += 1
+        self._table_versions[table] = self.version
 
     def _column_bat(self, arr: np.ndarray, tag: str) -> BAT:
         """A base column's BAT: encoded when a codec pays off."""
@@ -160,10 +149,8 @@ class Catalog:
     def drop_table(self, table: str) -> None:
         for bat in self._tables.pop(table).values():
             self._fire_delete(bat)
-        touched = self._key_domain_members(table)
         self.shard_keys.pop(table, None)
         del self._table_versions[table]
-        self._stamp(touched - {table})
 
     def declare_shard_key(self, table: str, column: str,
                           domain: "str | None" = None) -> None:
@@ -172,52 +159,18 @@ class Catalog:
         ``domain`` names the shared key space; tables declaring keys in
         the same domain co-partition (``lineitem.l_orderkey`` and
         ``orders.o_orderkey`` both default to domain ``"orderkey"`` —
-        see :func:`default_key_domain`).  This is DDL: it stamps the
-        table and every table keyed in the domain it leaves or joins
-        (cached plans over them recompile — their join strategies may
-        depend on the old layout) and prompts live sharded backends to
-        re-partition.
+        see :func:`default_key_domain`).  Layout, not schema: no table
+        is stamped and no cached plan recompiles; live sharded backends
+        re-partition (:meth:`Backend.schema_changed`) and decide their
+        joins against the new layout.
         """
         self.bat(table, column)     # raises on unknown table/column
-        touched = self._key_domain_members(table)
         self.shard_keys[table] = (column, domain)
-        self._stamp(touched | self._key_domain_members(table))
-
-    def bump_version(self) -> None:
-        """Move the catalog-wide :attr:`epoch` without a schema change.
-
-        For layout changes that invalidate *every* cached plan — the
-        sharded engine adopting an inferred shard key or changing its
-        roster, which re-partitions tables and stales any memoised join
-        strategy — and have no catalog table to pin it on."""
-        self.version += 1
-        self.epoch = self.version
 
     def table_version(self, table: str) -> "int | None":
         """The stamp of ``table`` (see the class docstring), ``None``
         when it does not exist."""
         return self._table_versions.get(table)
-
-    def _stamp(self, tables) -> None:
-        """One DDL statement: move :attr:`version`, stamp ``tables``."""
-        self.version += 1
-        for table in tables:
-            self._table_versions[table] = self.version
-
-    def _key_domain_members(self, table: str) -> set:
-        """``table`` plus every table declared in its shard-key domain."""
-        domain = self._key_domain(table)
-        if domain is None:
-            return {table}
-        return {other for other in self.shard_keys
-                if self._key_domain(other) == domain}
-
-    def _key_domain(self, table: str) -> "str | None":
-        key = self.shard_keys.get(table)
-        if key is None:
-            return None
-        column, domain = key
-        return domain or default_key_domain(column)
 
     # -- lookup ----------------------------------------------------------------
 

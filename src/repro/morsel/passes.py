@@ -7,8 +7,8 @@ element-wise ``batcalc`` / fused ``fuse.pipe`` work and terminal
 aggregations — and replaces each region with a single ``morsel.run``
 instruction carrying a :class:`MorselRegion` spec.
 
-At execution time the interpreter hands the spec to the backend's
-``morsel_runner`` (see :class:`repro.morsel.run.MorselRun`), which breaks
+At execution time the interpreter hands the spec to a
+:class:`repro.morsel.run.MorselRun`, which breaks
 the driving row space into fixed-size morsels and streams each morsel
 through the whole region: intermediates stay morsel-sized and are
 released at last use instead of end-of-query, which is exactly the

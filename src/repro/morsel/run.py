@@ -25,9 +25,10 @@ Two execution modes:
     One member instruction per step against the full inputs — bitwise
     the old instruction-at-a-time semantics (same operators, same
     order, same errors), but still with last-use release of region
-    intermediates.  Chosen when the table fits in a single morsel, when
-    no input is a plain BAT (the sharded backend's distributed values),
-    or when the backend requests it.
+    intermediates.  Chosen by the run itself, from its inputs: when the
+    table fits in a single morsel, or when a sliced input is not a
+    plain BAT (the sharded backend's distributed values, whose rows
+    already live morsel-like on N nodes).
 
 Row-order preservation of every member operator makes the sliced mode
 exact: selections emit ascending slice-local positions (offset by ``lo``
@@ -52,8 +53,7 @@ from .passes import MorselRegion
 class MorselRun:
     """Stepwise executor for one :class:`MorselRegion`."""
 
-    def __init__(self, backend, spec: MorselRegion, inputs,
-                 whole: bool = False):
+    def __init__(self, backend, spec: MorselRegion, inputs):
         self.backend = backend
         self.spec = spec
         self.inputs = list(inputs)
@@ -69,7 +69,7 @@ class MorselRun:
         self._n = next(iter(counts)) if counts else 0
         size = int(spec.size)
         self.whole = bool(
-            whole or size <= 0 or len(counts) != 1 or self._n <= size
+            size <= 0 or len(counts) != 1 or self._n <= size
             or not all(isinstance(v, BAT) for v in to_cut)
         )
         if not self.whole:

@@ -69,7 +69,8 @@ def render_profile(tracer, header: str = "EXPLAIN ANALYZE") -> str:
 
 
 def _notes(tracer) -> list[str]:
-    """Footnotes: cache decisions, runtime encodings, interconnect."""
+    """Footnotes: cache decisions, runtime encodings, the sharded
+    engine's join strategies, interconnect."""
     notes = []
     for event in tracer.events:
         if event["name"] == "plan_cache.lookup":
@@ -80,6 +81,10 @@ def _notes(tracer) -> list[str]:
         notes.append("# encodings (observed): " + ", ".join(
             f"{column}={codes}" for column, codes in encodings.items()
         ))
+    joins = [f"{span.name}={span.args['strategy']}"
+             for span in tracer.walk() if "strategy" in span.args]
+    if joins:
+        notes.append("# joins: " + ", ".join(joins))
     charges = [e for e in tracer.events
                if e["cat"] == "interconnect"]
     if charges:

@@ -16,36 +16,30 @@ front half of the query lifecycle is cacheable:
   every knob a compiled plan depends on (fusion, morsel size,
   compression mode — spec setting *and* environment override), so
   plans compiled under different settings of one statement stay apart.
-* **validity** — per table, the way the paper's Ocelot drops device
-  copies per BAT (§4.3) instead of flushing the device: an entry
-  records :meth:`~repro.monetdb.storage.Catalog.table_version` of each
-  base table the lowerer resolved in FROM (``MALProgram.tables`` on
+* **validity** — one rule: **a cached plan is valid while the tables
+  it reads are the tables it was compiled against** — per table, the
+  way the paper's Ocelot drops device copies per BAT (§4.3) instead of
+  flushing the device.  An entry records
+  :meth:`~repro.monetdb.storage.Catalog.table_version` of each base
+  table the lowerer resolved in FROM (``MALProgram.tables`` on
   ``compile_sql``'s output — the compile consults the schema for those
-  tables only, and no rewrite pass reads the catalog) plus the
-  catalog-wide :attr:`~repro.monetdb.storage.Catalog.epoch`, and is
-  served only while all of them still match.  A ``CREATE``/``DROP``/
-  ``declare_shard_key`` therefore recompiles the statements that read
-  the table it touched (or a table keyed in the same shard-key domain)
-  and no others; only :meth:`~repro.monetdb.storage.Catalog.bump_version`
-  — a roster change, a sharded engine adopting an inferred key — moves
-  the epoch and with it every plan.  A stale entry met by a lookup is
-  one counted invalidation and one miss, and is replaced in place;
-  queries already admitted keep the entry they were bound to.
+  tables only, and no rewrite pass reads the catalog) and is served
+  only while all of them still match.  A ``CREATE``/``DROP`` therefore
+  recompiles the statements that read the table it touched and no
+  others; a shard-key declaration, a failover, a resize or a
+  ``keys=infer`` adoption recompiles nothing, because a plan holds
+  nothing about a layout (the sharded engine decides each join when it
+  runs).  A stale entry met by a lookup is one counted invalidation and
+  one miss, and is replaced in place; queries already admitted keep the
+  entry they were bound to.
 * **value** — the *rewritten* :class:`~repro.monetdb.mal.MALProgram`
-  (plans are immutable and re-runnable), plus the backend's recorded
-  decision sequence from the latest run, installed as a replay on the
-  next one through the backend's ``sessions`` capability
-  (:class:`repro.monetdb.interpreter.QuerySessions`): the HET
-  placer's per-instruction placements
-  or the sharded engine's per-join-site strategies
-  (co-located / shuffle / broadcast, see
-  :meth:`repro.shard.backend.ShardedBackend._plan_join`) — a repeat
-  query replays the chosen join strategy instead of re-planning.  The
-  trace lives and dies with its entry; a trace that outlives a layout
-  change its tables' stamps did not see (engine-local ``key=``
-  parameters re-banding a domain) is still safe, because SHARD checks
-  every replayed strategy against the current layout
-  (``_join_valid``) and plans afresh from the first mismatch.
+  (plans are immutable and re-runnable), plus — on the heterogeneous
+  engine — the placer's per-instruction decisions from the latest run,
+  installed as a replay on the next one through the backend's
+  ``sessions`` capability
+  (:class:`repro.monetdb.interpreter.QuerySessions`), which skips
+  re-scoring every instruction.  The trace lives and dies with its
+  entry and is validated per instruction as it replays.
 * **eviction** — least-recently-used beyond ``max_entries``; entries
   that no longer validate are purged (and counted) by
   :meth:`invalidate_schema`, which every ``Database`` DDL call runs.
@@ -93,9 +87,8 @@ class CachedPlan:
     key: tuple
     program: object                    # rewritten MALProgram
     #: the catalog state the compile depended on: the stamp of every
-    #: base table in FROM, and the catalog-wide epoch
+    #: base table in FROM
     versions: dict = field(default_factory=dict)
-    epoch: int = 0
     #: [(function, Placement), ...] recorded by the HET backend on the
     #: most recent run of this plan; None until the plan first executes
     #: on the heterogeneous engine
@@ -127,10 +120,9 @@ class PlanCache:
         return (sql_cache_key(sql), config.spec, name) + config.plan_key()
 
     def _valid(self, entry: CachedPlan) -> bool:
-        """Whether the catalog still is what ``entry`` compiled against."""
+        """Whether the tables ``entry`` reads are the ones it compiled
+        against."""
         catalog = self.catalog
-        if entry.epoch != catalog.epoch:
-            return False
         for table, version in entry.versions.items():
             if catalog.table_version(table) != version:
                 return False
@@ -170,7 +162,6 @@ class PlanCache:
             key=key, program=config.plan(compiled),
             versions={table: catalog.table_version(table)
                       for table in compiled.tables},
-            epoch=catalog.epoch,
         )
         self._entries[key] = entry
         while len(self._entries) > self.max_entries:
@@ -221,18 +212,8 @@ class PlanCache:
             entry.binds.move_to_end(values)
         return entry, bound
 
+    # no caller; the frozen perf/yardstick/spans.py binds it (ROADMAP 3)
     def invalidate_placements(self, engine_spec: str) -> int:
-        """Eagerly purge one engine's entries on a topology change.
-
-        A shard promotion or a committed re-shard makes every memoised
-        placement/join-strategy trace of that engine refer to a
-        departed roster member.  The accompanying epoch bump already
-        prevents stale *lookups*, but the stale entries — and their
-        placement traces, which the retry path writes back into even
-        mid-failover — must not linger until a lazy
-        :meth:`invalidate_schema` sweep: the whole engine's entries are
-        dropped the moment the topology moves (none of them validates
-        under the bumped epoch anyway)."""
         stale = [
             key for key in self._entries if key[1] == engine_spec
         ]

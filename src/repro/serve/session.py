@@ -36,9 +36,9 @@ The scheduler is also the serving tier's **admission controller**:
 * transient node failures (:class:`~repro.serve.faults.TransientFault`)
   are reported to the backend's circuit breakers
   (``note_node_failure``): a tripped breaker takes the sick node out
-  of service, every in-flight query is parked (its decision trace and
-  partial state predate the topology change) and re-run against the
-  healthy remainder;
+  of service, every in-flight query is parked (its partial state — on
+  HET its placement trace too — predates the topology change) and
+  re-run against the healthy remainder;
 * ``submit(timeout=...)`` sets a deadline in simulated seconds and
   :meth:`QueryFuture.cancel` withdraws a query — both enforced
   cooperatively at turn granularity (one morsel inside a ``morsel.run``).
@@ -335,10 +335,10 @@ class SessionScheduler:
         once nothing is in flight."""
         if not self._active and self._retry:
             flight = self._retry.popleft()
-            # re-run a parked query alone (full device budget), deciding
-            # afresh — the recorded trace predates the pressure or the
-            # topology change (``query_boundary`` applies any pending
-            # node exclusions before the session opens)
+            # re-run a parked query alone (full device budget), placing
+            # afresh — HET's recorded trace predates the pressure or the
+            # breaker trip (``query_boundary`` applies any pending node
+            # exclusions before the session opens)
             self.backend.query_boundary()
             self._open(flight)
         if self._pending:
@@ -399,8 +399,9 @@ class SessionScheduler:
 
     def _complete(self, flight: _InFlight) -> None:
         """The last step ran (the session is still active): hand the
-        decision trace to the plan cache, close the session for the
-        query's price, collect."""
+        placement trace to the plan cache (HET records one; every other
+        engine's is empty), close the session for the query's price,
+        collect."""
         sessions = self.backend.sessions
         flight.entry.placements, replayed = sessions.trace()
         self.connection.plan_cache.stats.placement_reuses += replayed

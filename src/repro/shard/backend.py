@@ -49,13 +49,11 @@ broadcast it.  A join whose *both* sides are partitioned goes through a
   baseline): gather the build side to the driver and re-broadcast it
   to every shard.
 
-The chosen strategy per join site is recorded as a decision trace and
-memoised by the serve layer's plan cache (the same ``sessions``
-capability the heterogeneous engine provides), so a repeat query
-replays its strategies instead of re-planning; DDL on a table the
-statement reads (or on one keyed in the same domain) invalidates the
-trace with the plan, and every replayed strategy is re-checked against
-the current layout whatever the plan cache believed.
+The strategy is decided when the join runs, from the operands and the
+live partitioner — the plan carries nothing about the layout, so a
+cached plan stays valid across key declarations, failovers and resizes.
+Each site's choice is logged in the query's ``decision_log`` and shown
+by ``explain(analyze=True)``.
 
 Gathers, shuffles and merges charge simulated interconnect + driver
 time and are counted per byte moved in :class:`InterconnectTraffic`
@@ -96,7 +94,7 @@ FAN_RETRIES = 2
 #: simulated backoff charged per in-place retry (doubles per attempt)
 RETRY_BACKOFF_S = 200e-6
 
-#: join strategies the planner can pick (and the plan cache replays)
+#: join strategies the planner can pick
 JOIN_LOCAL = "local"                  # >=1 side replicated: plain fan-out
 JOIN_COLOCATED = "colocated"          # key-aligned sides: zero traffic
 JOIN_SHUFFLE_LEFT = "shuffle-left"    # re-partition left to right's keys
@@ -330,10 +328,12 @@ class _Grouping:
 @dataclass
 class _ShardQuery(QueryState):
     """Per-query bookkeeping, one per in-flight query (the sharded
-    analogue of the heterogeneous engine's ``_QueryState``): ``trace``
-    and ``replay`` hold the join-site decisions; the last three fields
-    are the session's account on :class:`_ShardTimelines`."""
+    analogue of the heterogeneous engine's ``_QueryState``); the last
+    three fields are the session's account on :class:`_ShardTimelines`."""
 
+    #: (join op, strategy) per join site, in execution order —
+    #: introspection for tests and examples
+    decision_log: list = field(default_factory=list)
     #: serial driver-side merge/gather seconds of this query
     merge_s: float = 0.0
     #: the session's submit epoch
@@ -523,6 +523,10 @@ class ShardedBackend(Backend):
     def n_shards(self) -> int:
         return len(self.children)
 
+    @property
+    def decision_log(self) -> list:
+        return self.sessions.current.decision_log
+
     def _new_query(self) -> _ShardQuery:
         """State for a query that is starting (``begin`` or a session
         opening); one starting on a degraded cluster is a degraded
@@ -581,20 +585,6 @@ class ShardedBackend(Backend):
         super().query_boundary()
         self.traffic.query.reset()
         self.cluster.boundary(idle=not self.sessions.open_states)
-
-    # -- morsel-driven execution -----------------------------------------------
-
-    def morsel_runner(self, spec, inputs):
-        """Morsel regions run whole-column on the sharded engine: its
-        values are distributed :class:`ShardedValue` fans whose rows
-        already live morsel-like on N nodes, and the fan/merge machinery
-        (traces, traffic, metadata propagation) must see exactly the
-        member instructions it would otherwise.  The region still steps
-        one member per scheduler turn, so in-flight queries interleave
-        at sub-query granularity."""
-        from ..morsel.run import MorselRun
-
-        return MorselRun(self, spec, inputs, whole=True)
 
     def release_intermediates(self, values) -> None:
         """A dead value — with its ``avg`` pair and cached gather —
@@ -730,11 +720,10 @@ class ShardedBackend(Backend):
 
         A join the planner could not co-locate between two base columns
         is the signal: both tables adopt those columns as keys in one
-        shared domain, the partitioner re-slices them, and the parent
-        catalog's epoch bumps so cached plans (whose memoised strategies
-        assumed the old layout) recompile.  Each table is adopted at
-        most once — the first observed join wins — so repeated queries
-        cannot thrash the layout."""
+        shared domain and the partitioner re-slices them (the next run
+        of the same cached plan finds the join co-located).  Each table
+        is adopted at most once — the first observed join wins — so
+        repeated queries cannot thrash the layout."""
         adopted = False
         for (lt, lc), (rt, rc) in self._observed_joins:
             if lt == rt:
@@ -755,7 +744,6 @@ class ShardedBackend(Backend):
             adopted = True
         if adopted:
             self.partitioner.sync()
-            self.catalog.bump_version()
 
     def _component_values(self, value):
         """A value's ShardedValues incl. avg pairs and cached gathers."""
@@ -1277,27 +1265,10 @@ class ShardedBackend(Backend):
         return None
 
     def _plan_join(self, op: str, left, right) -> str:
-        """Pick (or replay) the strategy for one equi-join site.
-
-        Every ``algebra.join`` call appends exactly one decision to the
-        query's trace, so a memoised trace replays positionally.  A
-        replayed decision is checked against the current layout: the
-        plan cache drops a trace when a table its statement reads (or
-        the roster) changes, but a layout can also move under a valid
-        plan — an engine-local ``key=`` table created in a domain
-        re-bands its neighbours — and the check keeps such a trace
-        from ever producing a wrong join."""
-        state = self.sessions.current
-        if state.replay is not None \
-                and state.replay_pos < len(state.replay):
-            site, strategy = state.replay[state.replay_pos]
-            if site == op and self._join_valid(strategy, left, right):
-                state.replay_pos += 1
-                state.trace.append((op, strategy))
-                return strategy
-            state.replay = None     # out of step: plan fresh from here
+        """The strategy for one equi-join site, logged in the query's
+        ``decision_log``."""
         strategy = self._decide_join(left, right)
-        state.trace.append((op, strategy))
+        self.sessions.current.decision_log.append((op, strategy))
         return strategy
 
     def _decide_join(self, left, right) -> str:
@@ -1326,28 +1297,6 @@ class ShardedBackend(Backend):
             return JOIN_SHUFFLE_BOTH
         return JOIN_BROADCAST
 
-    def _join_valid(self, strategy: str, left, right) -> bool:
-        if strategy == JOIN_LOCAL:
-            return not (self._needs_gather(left)
-                        and self._needs_gather(right))
-        if strategy == JOIN_BROADCAST:
-            return True     # correct in every layout, never optimal
-        if strategy == JOIN_COLOCATED:
-            lkey, rkey = self._aligned_key(left), self._aligned_key(right)
-            return bool(lkey and rkey
-                        and self.partitioner.co_located(lkey, rkey))
-        if strategy == JOIN_SHUFFLE_RIGHT:
-            return bool(self._aligned_key(left)
-                        and self._counts(right) is not None)
-        if strategy == JOIN_SHUFFLE_LEFT:
-            return bool(self._aligned_key(right)
-                        and self._counts(left) is not None)
-        if strategy == JOIN_SHUFFLE_BOTH:
-            return self._counts(left) is not None \
-                and self._counts(right) is not None \
-                and self._shuffleable(left) and self._shuffleable(right)
-        return False
-
     @staticmethod
     def _shuffleable(value) -> bool:
         return all(
@@ -1358,6 +1307,8 @@ class ShardedBackend(Backend):
     def _fan_join(self, row, op: str, args):
         left, right = args[0], args[1]
         strategy = self._plan_join(op, left, right)
+        if self.tracer is not None:
+            self.tracer.annotate(strategy=strategy)
         if strategy == JOIN_COLOCATED:
             # key-aligned sides: every matching pair is already on one
             # shard — the join fans out with zero driver traffic

@@ -43,9 +43,6 @@ class ShardTopology:
         self.routing = ReplicaRouting(n_shards, backend.replicas)
         #: the ``cluster.*`` counters (promotions, migrations, retries, ...)
         self.stats = ClusterStats(nodes=n_shards, replicas=backend.replicas)
-        #: observer fired after any applied topology change (the
-        #: connection hooks eager plan-cache invalidation here)
-        self.on_change = None
         #: staged partitioner of an in-progress online resize
         self.staged: "ShardPartitioner | None" = None
         #: physical shard ids currently routed around (open breakers;
@@ -186,14 +183,9 @@ class ShardTopology:
         self._changed()
 
     def _changed(self) -> None:
-        """The roster moved: bump the catalog epoch (memoised join
-        traces assumed the old roster) and fire the observer so
-        trace-carrying plan-cache entries are invalidated eagerly, not
-        lazily."""
+        """The roster moved — counted, and told to nobody: cached plans
+        carry no layout."""
         self.stats.topology_changes += 1
-        self.backend.catalog.bump_version()
-        if self.on_change is not None:
-            self.on_change(self.backend)
 
     # -- read load balancing across healthy replicas ----------------------------
 
@@ -201,9 +193,7 @@ class ShardTopology:
         """Round-robin reads over each slot's copies, one rotation per
         query boundary — only on a fully healthy cluster (no
         promotions, no staged resize, no open breakers), so balancing
-        never interferes with failover or migration.  Copies are
-        identical, so no version bump: memoised join traces stay valid
-        across rotations."""
+        never interferes with failover or migration."""
         if self.backend.replicas <= 1 or self.pending:
             return
         if self.routing.degraded or self.backend.health.open_nodes():
@@ -222,8 +212,8 @@ class ShardTopology:
         incrementally at query boundaries: in-flight queries keep
         draining against the old layout, and the swap commits only once
         every table is installed and no session is in flight.  New
-        admissions after the commit route to the new topology (the
-        catalog-epoch bump recompiles their plans)."""
+        admissions after the commit route to the new topology, running
+        the plans they already had."""
         if n_new < 1:
             raise ValueError("need at least one shard")
         current = self.backend.partitioner

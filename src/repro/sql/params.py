@@ -152,6 +152,15 @@ def parameterise(text: str) -> "tuple[str, tuple]":
     Literals the plan genuinely depends on stay inline: the ``LIMIT``
     row count (the plan's ``firstn`` argument) and any date/interval
     shape the parser could not fold.
+
+    Placeholders are numbered by ``(kind, value)``, not by position,
+    and that is load-bearing: the binder matches SELECT expressions
+    against GROUP BY / ORDER BY ones structurally, so ``SELECT a + 1 …
+    GROUP BY a + 1`` only binds if both ``1`` s are the same ``?0i``.
+    The cost: literals that are equal by coincidence share an index
+    too, so ``WHERE v <= 1 AND g < 1`` (``?0i … ?0i``) and ``WHERE v <=
+    0 AND g < 1`` (``?0i … ?1i``) are two templates — two compiles, two
+    cache entries, each answering as its literal text does.
     """
     from ..tpch.schema import date_literal
 

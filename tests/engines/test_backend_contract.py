@@ -162,7 +162,7 @@ def test_backend_names_equal_the_documented_protocol():
     assert defined == documented_names()
     methods = [name for name in defined
                if callable(getattr(Backend, name, None))]
-    assert len(methods) <= 21
+    assert len(methods) <= 20
 
 
 def test_no_defaulted_probes_on_configs_or_backends():

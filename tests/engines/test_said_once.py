@@ -146,6 +146,22 @@ def test_one_retry_budget_and_one_trace_hand_over():
     assert files_of(hits(r"\.placements = ")) == {"serve/session.py"}
 
 
+# -- a plan does not know the cluster ----------------------------------------
+
+def test_nothing_about_a_layout_is_recorded_replayed_or_stamped():
+    """SHARD decides each join from the layout in front of it, so there
+    is no strategy trace to validate, no catalog-wide epoch, no roster
+    observer, no key-domain stamping — and the runtime decides who runs
+    a ``morsel.run`` region whole, not a backend hook."""
+    gone = hits(r"bump_version|catalog\.epoch|entry\.epoch|on_change|"
+                r"_join_valid|morsel_runner|_key_domain_members")
+    assert gone == [], gone
+    assert hits(r"\bwhole=") == []
+    # the one replay left is HET's, counted where it is handed back
+    written = hits(r"\.placement_reuses\s*(\+=|-=|=(?!=))")
+    assert files_of(written) == {"serve/session.py"}, written
+
+
 # -- one operator table: an operator's facts are declared once ---------------
 
 #: where operator names may be spelled as a collection: the table, and

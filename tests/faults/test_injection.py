@@ -216,3 +216,61 @@ class TestTransientRerouteViaSubmit:
         assert_results_equal(clean[QUERY], faulted.result())
         assert_results_equal(clean[OTHER], innocent.result())
         assert con.backend.cluster.excluded == {1}
+
+
+class TestRegionMembers:
+    """A whole-backend wrap reaches inside ``morsel.run``: the
+    interpreter builds the region's runner over the backend it was
+    given — the wrapper — so every member operator of every morsel
+    passes the schedule.  (A backend hook used to build the runner, and
+    the proxy handed that hook to the wrapped backend: members bypassed
+    the schedule and a fault planned on one could never fire.)"""
+
+    FILTERED = "SELECT x, sum(y) AS s FROM points WHERE y < 0.5 GROUP BY x"
+    MORSELS = 4
+
+    def _plan(self, con):
+        program = con.execute(self.FILTERED).program
+        regions = [(index, instruction.args[0]) for index, instruction
+                   in enumerate(program.instructions)
+                   if instruction.op == "morsel.run"]
+        if not con.config.effective("morsel"):
+            pytest.skip("REPRO_MORSEL=off: the plan has no region")
+        assert regions, program.format()
+        return program, regions
+
+    def test_the_wrapper_counts_member_operators(
+        self, points_db, assert_results_equal
+    ):
+        con = points_db.connect(f"MS:morsel={4000 // self.MORSELS}")
+        clean = con.execute(self.FILTERED)
+        program, regions = self._plan(con)
+        faulty = _faulty(con, {})
+        assert_results_equal(clean, con.execute(self.FILTERED))
+        top_level = len(program.instructions) - len(regions)
+        members = sum(len(region.members) for _index, region in regions)
+        assert members >= 3
+        # every member once per morsel (the group merge's replay on top)
+        assert faulty.ops_seen >= top_level + members * self.MORSELS
+
+    def test_a_fault_on_a_member_reaches_the_scheduler(
+        self, points_db, assert_results_equal
+    ):
+        con = points_db.connect(f"MS:morsel={4000 // self.MORSELS}")
+        clean = con.execute(self.FILTERED)
+        program, regions = self._plan(con)
+        first, region = regions[0]
+        member_ops = {member.op for member in region.members}
+        top_level_ops = {i.op for i in program.instructions}
+        assert not member_ops <= top_level_ops
+        # the operators before the region, then into its second morsel
+        count = first + len(region.members) + 2
+        faulty = _faulty(con, {count: OcelotOOM("boom")})
+        future = con.submit(self.FILTERED)
+        con.drain()
+        assert [(n, op) for n, op, _error in faulty.injected] == [
+            (count, region.members[1].op)]
+        assert future.exception() is None
+        assert_results_equal(clean, future.result())
+        parked = [op for _s, op in con.scheduler.turn_log if op == "parked"]
+        assert len(parked) == 1

@@ -83,6 +83,10 @@ def tables() -> "dict[str, dict[str, np.ndarray]]":
     rng = np.random.default_rng(21)
     noisy = rng.normal(0, 100, 900).astype(np.float32)
     noisy[[100, 700]] = INF, NAN    # the NaN: last shard, a late morsel
+    # a float *key* with NaNs on every shard and in every morsel (its
+    # own generator: the columns above keep their values)
+    nan_key = np.random.default_rng(24).normal(0, 2, 900).round(0)
+    nan_key[::7] = NAN
     return {
         # eight-byte integer keys: negatives, beyond 2**32, neighbours
         # beyond 2**53 (which a float64 detour would merge), duplicates
@@ -135,6 +139,7 @@ def tables() -> "dict[str, dict[str, np.ndarray]]":
             "f": rng.normal(0, 100, 900).astype(np.float32),
             "kk": rng.integers(-2 ** 40, 2 ** 40, 900).astype(np.int64),
             "n": noisy,
+            "q": nan_key.astype(np.float32),
         },
         "dim": {
             "k": ramp(24),
@@ -196,6 +201,15 @@ CASES = [
      True),
     ("SELECT k, min(n) AS a, max(n) AS b FROM t900 GROUP BY k ORDER BY k",
      True),
+    # NaN as a group key: one group (SQLite: the NULL group, which it
+    # sorts first and the engines last — compared as multisets)
+    ("SELECT q, count(*) AS c, sum(f) AS s FROM t900 GROUP BY q", False),
+    ("SELECT q, sum(id) AS s, min(n) AS lo FROM t900 WHERE k < 20 "
+     "GROUP BY q", False),
+    ("SELECT k, q, count(*) AS c FROM t900 WHERE id > 100 GROUP BY k, q",
+     False),
+    ("SELECT q, k, max(f) AS hi FROM t900 WHERE k < 4 GROUP BY q, k", False),
+    ("SELECT x, count(*) AS c, sum(id) AS s FROM odd GROUP BY x", False),
     # the replication boundary, both sides of a join
     ("SELECT k, count(*) AS c, sum(v) AS s, min(v) AS lo FROM t255 "
      "GROUP BY k ORDER BY k", True),
@@ -259,6 +273,9 @@ CASES = [
      "ON wide.k = wide_dim.k GROUP BY wide.k ORDER BY k DESC LIMIT 2", True),
     ("SELECT t900.kk AS kk, dim.w AS w FROM t900 JOIN dim "
      "ON t900.k = dim.k WHERE dim.w < -40 AND t900.kk > 0 ORDER BY kk",
+     True),
+    # one literal at two sites the binder matches structurally
+    ("SELECT k + 1 AS x, sum(v) AS s FROM t256 GROUP BY k + 1 ORDER BY x",
      True),
     # single-row and empty tables
     ("SELECT k, sum(v) AS s, count(*) AS c FROM one GROUP BY k", True),

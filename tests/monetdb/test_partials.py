@@ -9,10 +9,9 @@ float sums against the same left-to-right fold written out by hand
 (their association order *is* the contract) and, loosely, against the
 whole-column sum.
 
-Not covered, on purpose: NaN *keys* (a NaN equals nothing, so no two
-engines agree on its group) and scalar ``min`` / ``max`` over NaN
-*values* — Python's ``min`` / ``max`` over the partials are
-order-dependent there, at every executor, before and after this module.
+NaN is covered both ways: as a *key* the NaNs of a column are one group,
+sorted last, on every engine, so they must be one merged group; as a
+*value* a NaN partial is the ``min`` / ``max`` wherever it comes.
 """
 
 import functools
@@ -191,15 +190,15 @@ def ms_table(fn, values, gids, ngroups):
 
 @st.composite
 def keyed_tables(draw, summed):
-    """``(key columns, value column)``: 1-3 keys of mixed widths (no NaN
-    key), values of any dtype."""
+    """``(key columns, value column)``: 1-3 keys of mixed widths (NaN
+    among the float ones), values of any dtype."""
     n = draw(st.integers(0, 40))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     keys = []
     for dtype in draw(st.lists(st.sampled_from(DTYPES), min_size=1,
                                max_size=3)):
-        pool = np.array(special_values(dtype), dtype=dtype)
+        pool = np.array(special_values(dtype, nan=True), dtype=dtype)
         few = pool[rng.permutation(pool.size)[:draw(st.integers(1, 4))]]
         keys.append(np.ascontiguousarray(few[rng.integers(few.size, size=n)]))
     vdtype = np.dtype(draw(st.sampled_from(DTYPES)))
@@ -317,6 +316,22 @@ def test_distinct_rows_never_meets_keys_in_a_common_dtype():
 def test_signed_zero_keys_are_one_group():
     runs, first = distinct_rows([np.array([0.0, -0.0, 1.0, -0.0])])
     assert runs.tolist() == [0, 0, 1, 0] and first.tolist() == [0, 2]
+
+
+def test_nan_keys_are_one_group_sorted_last():
+    """Every engine's ``group`` gives the NaNs of a column one id, the
+    last; merged partitions must not count one group per NaN."""
+    nan = np.nan
+    runs, first = distinct_rows([np.array([nan, 1.0, nan, -np.inf, nan],
+                                          dtype=np.float32)])
+    assert runs.tolist() == [2, 1, 2, 0, 2] and first.tolist() == [3, 1, 0]
+    # per column: (NaN, 1) and (NaN, 2) differ, (NaN, 1) twice does not
+    runs, first = distinct_rows([np.array([nan, nan, 0.5, nan]),
+                                 np.array([1, 2, 1, 1], dtype=np.int64)])
+    assert runs.tolist() == [1, 2, 0, 1] and first.tolist() == [2, 0, 1]
+    gids, ngroups = ms_grouping([np.array([nan, nan, 0.5, nan]),
+                                 np.array([1, 2, 1, 1], dtype=np.int64)])
+    assert gids.values.tolist() == runs.tolist() and ngroups == 3
 
 
 # -- row-shaped outputs -----------------------------------------------------

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.api import Database
+from repro.sched.placer import CostPlacer
 from repro.serve import PlanCache, sql_cache_key
+from repro.serve.faults import NodeFault, wrap_shard_node
 
 SQL = "SELECT x, sum(y) AS total FROM points GROUP BY x"
 
@@ -90,29 +92,43 @@ def sole_entry(db):
     return entry
 
 
+def recreate(db, table):
+    """DDL on ``table``: dropped and created again over the same rows."""
+    columns = {name: db.catalog.bat(table, name).values
+               for name in db.catalog.columns(table)}
+    db.drop_table(table)
+    db.create_table(table, columns)
+
+
 class TestInvalidation:
     """A DDL statement invalidates the plans that read the table it
     touched — and no others."""
 
-    def test_ddl_bumps_schema_version_and_invalidates(self, db):
+    def test_ddl_on_a_table_invalidates_the_plans_that_read_it(self, db):
         con = db.connect("CPU")
         con.execute(SQL)
         entry = sole_entry(db)
         stats = db.plan_cache.stats
-        # DDL on a table the statement never reads: the catalog version
-        # still moves, the plan stays
-        version = db.catalog.version
+        # DDL on a table the statement never reads: the plan stays
+        stamp = db.catalog.table_version("points")
         db.create_table("other", {"z": np.arange(4, dtype=np.int32)})
-        assert db.catalog.version == version + 1
+        assert db.catalog.table_version("other") > stamp
+        assert db.catalog.table_version("points") == stamp
         con.execute(SQL)
         assert (stats.hits, stats.misses, stats.invalidations) == (1, 1, 0)
         assert sole_entry(db) is entry
-        # DDL on the table it reads: one invalidation, one miss
+        # a shard key is layout, not schema: nothing is stamped
         db.declare_shard_key("points", "x")
-        assert db.catalog.version == version + 2
+        assert db.catalog.table_version("points") == stamp
+        con.execute(SQL)
+        assert (stats.hits, stats.misses, stats.invalidations) == (2, 1, 0)
+        assert sole_entry(db) is entry
+        # DDL on the table it reads: one invalidation, one miss
+        recreate(db, "points")
+        assert db.catalog.table_version("points") > stamp
         assert stats.invalidations == 1 and len(db.plan_cache) == 0
         con.execute(SQL)
-        assert (stats.hits, stats.misses, stats.invalidations) == (1, 2, 1)
+        assert (stats.hits, stats.misses, stats.invalidations) == (2, 2, 1)
         assert sole_entry(db) is not entry
 
     def test_ddl_mid_batch_invalidates_without_breaking_in_flight(self, db):
@@ -141,7 +157,7 @@ class TestInvalidation:
         assert sole_entry(db) is entry
 
         in_flight_2 = underway()
-        db.declare_shard_key("points", "x")
+        recreate(db, "points")
         assert stats.invalidations == 1
         after_ddl = con.submit(SQL)       # recompiles (stale entry gone)
         con.drain()
@@ -187,6 +203,100 @@ class TestPlacementReplay:
         assert con.plan_cache.stats.placement_reuses == decisions
 
 
+# -- a plan does not know the cluster -----------------------------------------
+
+JOIN = ("SELECT sum(v * w) AS s FROM fact JOIN dim ON fact.k = dim.k "
+        "WHERE w < 0.5")
+
+
+def grow(db, shard):
+    shard.execute(JOIN)
+    db.add_shard()
+    assert shard.backend.partitioner.n_shards == 4
+
+
+def kill(db, shard):
+    shard.execute(JOIN)
+    for wrapper in wrap_shard_node(shard.backend, 0):
+        wrapper.always = NodeFault("node 0 down")
+    shard.execute(JOIN)             # rides the failover out
+    assert shard.backend.cluster.stats.promotions >= 1
+
+
+def adopt(db, shard):
+    shard.execute(JOIN)             # observes the join, adopts both keys
+    assert shard.backend.partitioner.key_of("fact") is not None
+
+
+#: ``(event, the spec it happens to, a fresh spec with the layout it
+#: leaves behind)``
+ROSTER_EVENTS = [
+    (grow, "SHARD:3xCPU,replicas=2", "SHARD:4xCPU,replicas=2"),
+    (kill, "SHARD:4xCPU,replicas=2", "SHARD:4xCPU"),
+    (adopt, "SHARD:2xCPU,keys=infer", "SHARD:2xCPU,key=fact.k,key=dim.k"),
+]
+
+
+@pytest.mark.parametrize("event, spec, fresh_spec", ROSTER_EVENTS,
+                         ids=[event.__name__ for event, *_ in ROSTER_EVENTS])
+def test_a_roster_change_touches_no_other_engine(monkeypatch, event, spec,
+                                                 fresh_spec):
+    """A resize, a failover and a ``keys=infer`` adoption concern the
+    SHARD connection they happen to, and not even its plans: HET's and
+    CPU's next statements are hits (HET's with every placement
+    replayed, none re-scored), and so is the SHARD connection's own —
+    which decides its joins as a fresh connection on that layout does.
+    (With a catalog-wide epoch each of the three recompiled every
+    engine's plans: a miss and 33 ``CostPlacer.choose`` calls per HET
+    Q3 on ``tpch_database(0.1)``.)"""
+    rng = np.random.default_rng(41)
+    db = Database()
+    db.create_table("fact", {
+        "k": rng.integers(0, 500, 6000).astype(np.int32),
+        "v": rng.random(6000).astype(np.float32),
+    })
+    db.create_table("dim", {
+        "k": np.arange(500, dtype=np.int32),
+        "w": rng.random(500).astype(np.float32),
+    })
+    scored = []
+    choose = CostPlacer.choose
+    monkeypatch.setattr(
+        CostPlacer, "choose",
+        lambda self, *a, **k: scored.append(a[0]) or choose(self, *a, **k))
+    het, cpu, shard = db.connect("HET"), db.connect("CPU"), db.connect(spec)
+    expected = [con.execute(JOIN).column("s") for con in (het, cpu)
+                for _ in range(2)]
+    assert scored
+    others = dict(db.plan_cache._entries)
+    stats = db.plan_cache.stats
+
+    event(db, shard)
+
+    assert stats.invalidations == 0
+    before = (stats.hits, stats.misses)
+    del scored[:]
+    reuses = stats.placement_reuses
+    for con, want in zip((het, cpu), expected[1::2]):
+        assert np.array_equal(con.execute(JOIN).column("s"), want)
+    assert (stats.hits, stats.misses, stats.invalidations) == (
+        before[0] + 2, before[1], 0)
+    assert scored == []
+    assert stats.placement_reuses > reuses
+    for key, entry in others.items():
+        assert db.plan_cache._entries[key] is entry
+    # the SHARD connection's own plan survived what happened to it
+    got = shard.execute(JOIN)
+    assert (stats.hits, stats.misses, stats.invalidations) == (
+        before[0] + 3, before[1], 0)
+    assert np.allclose(got.column("s"), expected[-1], rtol=1e-5)
+    fresh = db.connect(fresh_spec)
+    fresh.execute(JOIN)
+    assert shard.backend.decision_log == fresh.backend.decision_log
+    assert shard.backend.decision_log      # a join site was decided
+    db.close()
+
+
 class TestConnectionReuse:
     """Regression: ``Database.execute`` used to build a fresh backend
     (cold device caches, re-probed devices) on every call."""
@@ -221,17 +331,19 @@ class TestPlanCacheUnit:
         assert len(cache) == 1
         assert cache.lookup(points, config, db.schema) is entry
         assert (cache.stats.hits, cache.stats.misses) == (1, 2)
+        # a key declaration stamps nothing: still the same entry
+        db.catalog.declare_shard_key("points", "x")
+        assert cache.invalidate_schema() == 0
+        assert cache.lookup(points, config, db.schema) is entry
         # DDL on `points` (no purge in between): the lookup itself finds
         # the entry stale — one invalidation, one miss, replaced in place
-        db.catalog.declare_shard_key("points", "x")
+        recreate(db, "points")
         assert cache.lookup(points, config, db.schema) is not entry
-        assert (cache.stats.hits, cache.stats.misses) == (1, 3)
+        assert (cache.stats.hits, cache.stats.misses) == (2, 3)
         assert len(cache) == 1
-        # the epoch stales everything
-        db.catalog.bump_version()
-        assert cache.invalidate_schema() == 1
-        assert len(cache) == 0
-        assert cache.stats.invalidations == 3
+        # nothing is catalog-wide: what is left stays valid
+        assert cache.invalidate_schema() == 0
+        assert cache.stats.invalidations == 2
 
     def test_no_param_verdicts_do_not_pile_up(self, db):
         """Regression: the negative cache of non-parameterisable

@@ -134,10 +134,9 @@ class TestReplicatedExecution:
             row[0] for row in backend.partitioner.copies
         ]
 
-    def test_read_balancing_rotates_without_version_bump(self, db):
+    def test_read_balancing_rotates_without_recompiling(self, db):
         con = db.connect("SHARD:4xCPU,replicas=2")
         backend = con.backend
-        version = db.catalog.version
         for _ in range(4):
             con.execute(AGG)
         stats = backend.cluster.stats
@@ -147,7 +146,8 @@ class TestReplicatedExecution:
             assert backend.children[slot] is \
                 backend.copies[slot][backend.cluster.routing.copy_of[slot]]
         # ...but never re-partitions or invalidates plans
-        assert db.catalog.version == version
+        cache = db.plan_cache.stats
+        assert (cache.misses, cache.hits, cache.invalidations) == (1, 3, 0)
         assert stats.topology_changes == 0
 
 
@@ -186,29 +186,34 @@ class TestFailover:
         con.execute(AGG)
         assert backend.cluster.stats.degraded_reads > before
 
-    def test_promotion_invalidates_cached_join_traces(self, db):
-        """Satellite: topology changes purge the engine's memoised
-        placement/join-strategy traces eagerly, not lazily."""
+    def test_promotion_keeps_cached_plans(self, db):
+        """A failover is a routing change and a plan holds no routing:
+        the statement that rode it out, and the next one, run the plan
+        compiled before the node died — and decide their joins as a
+        fresh connection on the same layout does."""
         con = db.connect("SHARD:4xCPU,replicas=2")
         con.execute(JOIN)
-        con.execute(JOIN)                  # second run stores the trace
+        con.execute(JOIN)
         spec = con.engine
-
-        stale_keys = [
-            key for key, entry in db.plan_cache._entries.items()
-            if key[1] == spec and entry.placements is not None
-        ]
-        assert stale_keys, "no trace was memoised"
-        invalidations = db.plan_cache.stats.invalidations
+        entries = {key: entry for key, entry
+                   in db.plan_cache._entries.items() if key[1] == spec}
+        assert entries
         for wrapper in wrap_shard_node(con.backend, 0):
             wrapper.always = NodeFault("node 0 down")
-        clean = db.connect("SHARD:4xCPU").execute(JOIN)
+        fresh = db.connect("SHARD:4xCPU")
+        clean = fresh.execute(JOIN)
+        stats = db.plan_cache.stats
+        before = (stats.misses, stats.invalidations)
         assert_results_equal(clean, con.execute(JOIN))
-        # the pre-failover traces were purged the moment the topology
-        # moved (the post-failover run memoises a fresh one)
-        assert all(key not in db.plan_cache._entries
-                   for key in stale_keys)
-        assert db.plan_cache.stats.invalidations > invalidations
+        assert con.backend.cluster.stats.promotions >= 1
+        assert con.backend.decision_log == fresh.backend.decision_log
+        hits = stats.hits
+        assert_results_equal(clean, con.execute(JOIN))
+        assert stats.hits == hits + 1
+        assert (stats.misses, stats.invalidations) == before
+        for key, entry in entries.items():
+            assert db.plan_cache._entries[key] is entry
+            assert not entry.placements
 
     def test_recovery_rejoins_the_primary(self, db):
         con = db.connect("SHARD:4xCPU,replicas=2")

@@ -207,8 +207,11 @@ class TestResizeUnderTraffic:
         )
 
 
-class TestResizeInvalidation:
-    def test_commit_bumps_version_and_purges_traces(self, db):
+class TestResizeKeepsPlans:
+    def test_commit_recompiles_nothing(self, db):
+        """A committed resize replaces every child and recompiles no
+        plan: the next statement is a hit on the entry it had, and
+        decides its joins as a fresh connection on the new layout."""
         db.create_table("dim", {
             "k": np.arange(400, dtype=np.int64),
             "w": np.linspace(0.0, 1.0, 400),
@@ -217,20 +220,26 @@ class TestResizeInvalidation:
                 "ON fact.k = dim.k WHERE w < 0.5")
         con = db.connect("SHARD:4xCPU,replicas=2")
         con.execute(join)
-        con.execute(join)                   # memoise the join trace
+        con.execute(join)
         spec = con.engine
-        assert any(
-            key[1] == spec and entry.placements is not None
-            for key, entry in db.plan_cache._entries.items()
-        )
-        version = db.catalog.version
+        entries = {key: entry for key, entry
+                   in db.plan_cache._entries.items() if key[1] == spec}
+        assert entries
+        stats = db.plan_cache.stats
+        before = (stats.hits, stats.misses, stats.invalidations)
+        changes = con.backend.cluster.stats.topology_changes
         db.add_shard()
-        assert db.catalog.version > version
-        assert not any(
-            key[1] == spec and entry.placements is not None
-            for key, entry in db.plan_cache._entries.items()
-        )
+        assert con.backend.cluster.stats.topology_changes == changes + 1
+        assert con.backend.partitioner.n_shards == 5
         assert_results_equal(
             db.connect("CPU").execute(join), con.execute(join),
             rtol=1e-5,
         )
+        assert (stats.hits, stats.misses, stats.invalidations) == (
+            before[0] + 1, before[1] + 1, before[2])    # the miss: CPU's
+        for key, entry in entries.items():
+            assert db.plan_cache._entries[key] is entry
+            assert not entry.placements
+        fresh = db.connect("SHARD:5xCPU,replicas=2")
+        fresh.execute(join)
+        assert con.backend.decision_log == fresh.backend.decision_log

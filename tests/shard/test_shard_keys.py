@@ -4,7 +4,8 @@ Covers the key-placement schemes (hash mix / range bands over shared
 domains), the partitioner edge cases (skew, the replication threshold
 boundary, DDL re-sync under a declared key), the join strategies
 (co-located / shuffle / broadcast) with their interconnect-traffic
-counters, runtime key inference, and plan-cache strategy replay.
+counters, runtime key inference, and the rule that a join's strategy is
+decided when it runs — a cached plan holds none.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import repro
 from repro.shard import ShardPartitioner, default_key_domain
 from repro.shard.backend import (
     CONCAT,
+    ShardedBackend,
     JOIN_BROADCAST,
     JOIN_COLOCATED,
     JOIN_SHUFFLE_BOTH,
@@ -54,7 +56,7 @@ JOIN_SQL = ("SELECT g, sum(v * w) AS s FROM fact "
 
 def join_trace(con):
     """The join-site decisions of the connection's last query."""
-    return con.backend.sessions.trace()[0]
+    return list(con.backend.decision_log)
 
 
 def query_traffic(con, scope="interconnect.query"):
@@ -331,6 +333,37 @@ class TestJoinStrategies:
             ("algebra.join", "shuffle-right")
         ]
 
+    @pytest.mark.parametrize("params, strategy", [
+        (",key=fact.f_key,key=dim.d_key", JOIN_COLOCATED),
+        (",key=dim.d_key", "shuffle-left"),
+        (",key=fact.f_key", "shuffle-right"),
+        ("", JOIN_SHUFFLE_BOTH),
+        ("", JOIN_BROADCAST),           # the fallback: keys cannot shuffle
+        (",join=broadcast", JOIN_BROADCAST),
+    ])
+    def test_explain_analyze_prints_the_strategy_of_every_join_site(
+            self, monkeypatch, params, strategy):
+        if (params, strategy) == ("", JOIN_BROADCAST):
+            monkeypatch.setattr(ShardedBackend, "_shuffleable",
+                                staticmethod(lambda value: False))
+        db = make_db()
+        con = db.connect("SHARD:3xMS" + params)
+        assert "# joins:" not in con.explain(JOIN_SQL)      # runtime truth
+        text = con.explain(JOIN_SQL, analyze=True)
+        assert f"# joins: algebra.join={strategy}\n" in text + "\n"
+        assert join_trace(con) == [("algebra.join", strategy)]
+        # two sites, in execution order; a replicated side joins locally
+        db.create_table("tiny", {"t_key": np.arange(6, dtype=np.int32),
+                                 "z": np.arange(6, dtype=np.int32)})
+        both = ("SELECT sum(v * w) AS s, sum(z) AS sz FROM fact "
+                "JOIN dim ON f_key = d_key JOIN tiny ON g = t_key")
+        text = con.explain(both, analyze=True)
+        assert (f"# joins: algebra.join={strategy}, algebra.join=local"
+                in text)
+        # engines that decide no join print no such line
+        assert "# joins:" not in db.connect("MS").explain(JOIN_SQL,
+                                                          analyze=True)
+
     def test_traffic_counters_accumulate_and_reset(self):
         db = make_db()
         con = db.connect("SHARD:2xMS,join=broadcast")
@@ -408,24 +441,39 @@ class TestKeyInference:
         assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
         assert query_traffic(con)["shuffled"] == 0
 
-    def test_adoption_bumps_schema_version_and_recompiles(self):
+    def test_adoption_recompiles_nothing(self):
+        """An adopted key is layout: the plan that observed the join is
+        the plan that runs it co-located — on this connection and on
+        every other engine's."""
         db = make_db()
         con = db.connect("SHARD:2xMS,keys=infer")
-        version = db.catalog.version
-        misses = con.plan_cache.stats.misses
+        other = db.connect("CPU")
+        other.execute(JOIN_SQL)
+        stats = db.plan_cache.stats
         con.execute(JOIN_SQL)
-        assert db.catalog.version > version
-        con.execute(JOIN_SQL)       # old plan invalidated: a fresh miss
-        assert con.plan_cache.stats.misses == misses + 2
+        (entry,) = [e for key, e in db.plan_cache._entries.items()
+                    if key[1] == con.engine]
+        before = (stats.misses, stats.invalidations)
+        assert con.backend.partitioner.key_of("fact") is not None
+        con.execute(JOIN_SQL)
+        other.execute(JOIN_SQL)
+        assert (stats.misses, stats.invalidations) == before
+        assert entry in db.plan_cache._entries.values()
+        assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
 
     def test_adoption_happens_once(self):
         db = make_db()
         con = db.connect("SHARD:2xMS,keys=infer")
         con.execute(JOIN_SQL)
-        version = db.catalog.version
+        partitioner = con.backend.partitioner
+        keys = (partitioner.key_of("fact"), partitioner.key_of("dim"))
+        assert None not in keys
+        slices = [catalog.version for catalog in partitioner.catalogs]
         con.execute(JOIN_SQL)
         con.execute(JOIN_SQL)
-        assert db.catalog.version == version
+        assert (partitioner.key_of("fact"), partitioner.key_of("dim")) == keys
+        # ... and nothing was re-sliced again
+        assert [c.version for c in partitioner.catalogs] == slices
 
     def test_adoption_waits_for_statements_in_flight(self):
         """Regression (found by the DDL-interleaving property): a
@@ -439,15 +487,19 @@ class TestKeyInference:
         in_flight = con.submit(JOIN_SQL)
         for _ in range(3):
             assert con.scheduler.step()     # the join site is planned
-        version = db.catalog.version
+        partitioner = con.backend.partitioner
+        slices = [catalog.version for catalog in partitioner.catalogs]
         con.execute("SELECT sum(v) AS s FROM fact")
-        assert db.catalog.version == version    # not adopted mid-join
-        assert con.backend.partitioner.key_of("fact") is None
+        # not adopted mid-join: no key, and no table re-sliced
+        assert partitioner.key_of("fact") is None
+        assert partitioner.key_of("dim") is None
+        assert [c.version for c in partitioner.catalogs] == slices
         con.drain()
         assert_results_equal(expected, in_flight.result(), rtol=1e-5)
         # the observation kept: adopted once the connection went quiet
-        assert db.catalog.version > version
-        assert con.backend.partitioner.key_of("fact") is not None
+        assert partitioner.key_of("fact") is not None
+        assert partitioner.key_of("dim") is not None
+        assert [c.version for c in partitioner.catalogs] != slices
         assert_results_equal(expected, con.execute(JOIN_SQL), rtol=1e-5)
 
     def test_keys_off_ignores_declarations(self):
@@ -462,43 +514,57 @@ class TestKeyInference:
         assert con.backend.partitioner.key_of("fact") is None
 
 
-class TestStrategyReplay:
-    def test_repeat_query_replays_the_strategy(self):
-        db = make_db()
-        con = db.connect("SHARD:2xMS,key=fact.f_key,key=dim.d_key")
-        con.execute(JOIN_SQL)
-        reuses = con.plan_cache.stats.placement_reuses
-        con.execute(JOIN_SQL)
-        assert con.plan_cache.stats.placement_reuses == reuses + 1
-        assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
+class TestStrategyDecidedAtRunTime:
+    """A cached SHARD plan is its program and nothing else: every join
+    site is decided from the operands and the live partitioner when it
+    runs, so there is no strategy to record, replay or invalidate."""
 
-    def test_ddl_invalidates_the_memoised_strategy(self):
+    def test_repeat_query_decides_again_and_replays_nothing(self):
         db = make_db()
         con = db.connect("SHARD:2xMS,key=fact.f_key,key=dim.d_key")
+        con.execute(JOIN_SQL)
         stats = con.plan_cache.stats
+        hits = stats.hits
         con.execute(JOIN_SQL)
+        assert stats.hits == hits + 1
+        assert stats.placement_reuses == 0
+        assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
         (entry,) = db.plan_cache._entries.values()
-        misses, reuses = stats.misses, stats.placement_reuses
-        # DDL on a table the join never reads: same plan, and the
-        # memoised strategy replays
-        db.create_table("other", {"z": np.arange(4, dtype=np.int32)})
-        con.execute(JOIN_SQL)
-        assert (stats.misses, stats.invalidations) == (misses, 0)
-        assert stats.placement_reuses == reuses + 1
-        assert list(db.plan_cache._entries.values()) == [entry]
-        # DDL on a table it reads: recompiled, strategy re-planned ...
-        db.declare_shard_key("dim", "d_key")
-        assert stats.invalidations == 1
-        con.execute(JOIN_SQL)
-        assert stats.misses == misses + 1
-        assert stats.placement_reuses == reuses + 1
-        con.execute(JOIN_SQL)       # ... and memoised again
-        assert stats.placement_reuses == reuses + 2
+        assert not entry.placements
 
-    def test_stale_trace_is_sanity_checked(self):
-        """A replayed decision that no longer matches the layout plans
-        fresh instead of mis-executing (belt and braces: the plan-cache
-        key already prevents this via the schema version)."""
+    def test_a_key_declaration_keeps_the_plan_and_moves_the_decision(self):
+        db = make_db()
+        con = db.connect("SHARD:2xMS")
+        stats = con.plan_cache.stats
+        expected = db.connect("MS").execute(JOIN_SQL)
+        con.execute(JOIN_SQL)
+        assert join_trace(con)[0][1] != JOIN_COLOCATED
+        entry = db.plan_cache._entries[
+            next(k for k in db.plan_cache._entries if k[1] == con.engine)]
+        misses = stats.misses
+        # a shard key is layout, not schema: same plan, new decision
+        db.declare_shard_key("fact", "f_key")
+        db.declare_shard_key("dim", "d_key")
+        got = con.execute(JOIN_SQL)
+        assert (stats.misses, stats.invalidations) == (misses, 0)
+        assert entry in db.plan_cache._entries.values()
+        assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
+        assert query_traffic(con)["shuffled"] == 0
+        assert_results_equal(expected, got, rtol=1e-5)
+        # DDL on a table the join reads: recompiled (both engines' plans)
+        columns = {name: db.catalog.bat("dim", name).values
+                   for name in db.catalog.columns("dim")}
+        db.drop_table("dim")
+        db.create_table("dim", columns)
+        assert stats.invalidations == 2
+        assert_results_equal(expected, con.execute(JOIN_SQL), rtol=1e-5)
+        assert stats.misses == misses + 1
+        # the re-created table lost its declared key with the drop
+        assert join_trace(con)[0][1] != JOIN_COLOCATED
+
+    def test_a_trace_left_in_an_entry_is_ignored(self):
+        """Whatever an entry's ``placements`` holds (HET's replay slot),
+        SHARD decides from the layout in front of it."""
         db = make_db()
         con = db.connect("SHARD:2xMS,key=fact.f_key,key=dim.d_key")
         con.execute(JOIN_SQL)
@@ -508,6 +574,7 @@ class TestStrategyReplay:
         expected = db.connect("MS").execute(JOIN_SQL)
         got = con.execute(JOIN_SQL)
         assert_results_equal(expected, got, rtol=1e-5)
+        assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
 
 
 class TestStaleLayoutRegression:

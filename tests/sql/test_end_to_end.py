@@ -156,6 +156,28 @@ def test_year_extraction_grouping(db, raw):
     )
 
 
+def test_grouping_by_an_expression_with_a_literal(db, raw):
+    """SELECT and GROUP BY expressions are matched structurally, so the
+    two ``1`` s must become the *same* bind parameter: ``parameterise``
+    numbers placeholders by value, not by position (positional
+    numbering makes this ``BindError: expression Column('cust') is
+    neither a group key nor an aggregate``).  The second text shares
+    the template and shows the bound value reaches both sites."""
+    orders, _ = raw
+    for shift in (1, 7):
+        got = run_everywhere(
+            db,
+            f"SELECT cust + {shift} AS x, sum(okey) AS s FROM orders "
+            f"GROUP BY cust + {shift} ORDER BY x",
+        )
+        keys = np.unique(orders["cust"])
+        assert np.array_equal(got.columns["x"], keys + shift)
+        assert np.array_equal(
+            got.columns["s"],
+            [int(orders["okey"][orders["cust"] == k].sum()) for k in keys],
+        )
+
+
 def test_explain_shows_rewritten_plan(db):
     connection = db.connect("GPU")
     sql = "SELECT sum(price) AS p FROM orders WHERE price >= 0.0"

@@ -41,7 +41,11 @@ the index-only gather of a decoding projection): all 196 checksums and
 every placement-reuse count identical, no elapsed time, completion epoch
 or makespan higher; summed elapsed CPU -4.6 %, SHARD:2xCPU -4.4 %, GPU
 and HET -5.5 %, pipelined makespans -4.4 ... -5.7 % (comparison output
-in docs/changes/PR-22.md).
+in docs/changes/PR-22.md).  **The two SHARD pipelined engines were
+regenerated at PR 24**, which stopped SHARD recording and replaying its
+join strategies: of the 208 fields exactly two differ, their warm
+``placement_reuses`` (36 -> 0; the counter is HET's alone now) — every
+time, epoch, makespan and checksum identical (docs/changes/PR-24.md).
 
 A change that means to alter the cost model or a result deletes the
 cells it moves and regenerates them (``--regen`` only adds cells that
