@@ -414,7 +414,10 @@ class Database:
     def _after_ddl(self) -> None:
         self.plan_cache.invalidate_schema()
         for connection in list(self._connections.values()):
-            connection.backend.schema_changed()
+            if connection.backend.schema_changed():
+                # a neighbour keyed in the touched table's domain was
+                # re-sliced under the statements in flight: re-run them
+                connection.scheduler.park_in_flight()
 
     # -- elastic re-sharding -----------------------------------------------
 

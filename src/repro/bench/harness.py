@@ -52,9 +52,6 @@ class Series:
     def column(self, label: str) -> list:
         return [p.millis.get(label) for p in self.points]
 
-    def xs(self) -> list:
-        return [p.x for p in self.points]
-
 
 class BenchContext:
     """Catalog + per-configuration backend cache for one dataset."""

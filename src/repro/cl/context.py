@@ -92,10 +92,6 @@ class Context:
             del self._buffers[buf.buffer_id]
             self.allocated_nominal -= buf.nominal_nbytes
 
-    @property
-    def live_buffers(self) -> int:
-        return len(self._buffers)
-
     # -- program cache ----------------------------------------------------------
 
     def cached_program(self, key: tuple) -> "Program | None":

@@ -233,9 +233,6 @@ class Program:
         except KeyError:
             raise InvalidKernelArgs(f"program has no kernel {name!r}") from None
 
-    def kernel_names(self) -> list[str]:
-        return sorted(self._kernels)
-
     def __contains__(self, name: str) -> bool:
         return name in self._kernels
 

@@ -15,7 +15,7 @@ comparable with the paper's measurements (see DESIGN.md §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass
@@ -61,10 +61,3 @@ class KernelWork:
             atomic_ops=self.atomic_ops + other.atomic_ops,
             atomic_addresses=max(self.atomic_addresses, other.atomic_addresses),
         )
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_read + self.bytes_written + self.random_bytes
-
-    def is_empty(self) -> bool:
-        return all(getattr(self, f.name) == 0 for f in fields(self))

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..monetdb.bat import BAT, oid_bat
+from ..monetdb.bat import oid_bat
 from ..monetdb.costmodel import OpCost
 from ..monetdb.ops import COMPRESS_MODULE, DEVICE_MODULE, OPS
+from ..monetdb.partials import host_array
 from .codecs import DictEncoding, FOREncoding, RLEEncoding, _narrowest_uint
 from .encoded import EncodedBAT
 
@@ -71,13 +72,6 @@ def _charge(backend, op: str, elements: int, per_ns_attr: str = "agg_ns",
         work=model.ns(elements, getattr(model, per_ns_attr)),
         merge_bytes=merge_bytes,
     ))
-
-
-def _sync_to_host(backend, bat):
-    """Materialise a delegate's (possibly device-owned) BAT result."""
-    if isinstance(bat, BAT) and not bat.has_host_values:
-        return backend.resolve("ocelot.sync")(bat)
-    return bat
 
 
 # -- selections ------------------------------------------------------------
@@ -162,10 +156,9 @@ def _compressed_select(backend, b, cand, lo, hi, li, hi_incl, anti, mode):
     # RLE: select over the run values (n_runs elements), then expand
     # qualifying runs into row oids; candidates intersect afterwards
     # because they are row positions, not run positions.
-    run_sel = _sync_to_host(
+    run_idx = host_array(
         backend, select(b.run_value_bat(), None, lo, hi, li, hi_incl, anti)
-    )
-    run_idx = run_sel.values.astype(np.int64, copy=False)
+    ).astype(np.int64, copy=False)
     oids = _rle_row_oids(encoding, run_idx)
     if cand is not None:
         oids = np.intersect1d(
@@ -284,11 +277,11 @@ def _compressed_grouped_minmax(backend, b, gids, ngroups, agg: str,
     # reduce the codes, map the winners through the dictionary, and
     # return the result *still dictionary-encoded* (late
     # materialisation: it only decodes if the result set reads it)
-    reduced = _sync_to_host(
+    reduced = host_array(
         backend,
         _resolver(backend, agg)(b.code_bat(), gids, ngroups),
     )
-    codes = reduced.values.astype(
+    codes = reduced.astype(
         _narrowest_uint(max(len(encoding.dictionary) - 1, 0)), copy=False
     )
     return EncodedBAT(

@@ -42,10 +42,6 @@ class CompressionStats:
     partial_decodes: int = 0
 
     @property
-    def bytes_saved(self) -> int:
-        return self.bytes_nominal - self.bytes_physical
-
-    @property
     def ratio(self) -> float:
         """Nominal / physical bytes over the encoded columns (>= 1)."""
         if self.bytes_physical <= 0:

@@ -245,8 +245,3 @@ class FusedPipe:
             f"{o.name}={render(o.expr, names)}" for o in self.outputs
         )
         return "{" + body + "}"
-
-
-def input_dtypes_of(inputs) -> list[np.dtype]:
-    """Dtypes of the runtime operands (BATs or arrays) of a pipe call."""
-    return [value.dtype for value in inputs]

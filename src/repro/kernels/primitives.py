@@ -1,4 +1,4 @@
-"""Parallel primitives: scan, gather, scatter, reduce, element-wise maps.
+"""Parallel primitives: scan, gather, reduce, element-wise maps.
 
 These are the building blocks the paper's operators are composed from
 (prefix sums for write-offset computation [33], gather/scatter [18],
@@ -93,11 +93,7 @@ _BINOPS = {
     "or": _logical_or,
 }
 
-_REDUCERS = {
-    "sum": (np.sum, np.add),
-    "min": (np.min, np.minimum),
-    "max": (np.max, np.maximum),
-}
+_REDUCERS = {"sum": np.sum, "min": np.min, "max": np.max}
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +169,7 @@ __kernel void prefix_sum(__global T* res, __global const T* inp, uint n) {
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter
+# gather
 # ---------------------------------------------------------------------------
 
 def _gather_vec(ctx, out, src, idx, n):
@@ -303,44 +299,6 @@ __kernel void gather2(__global T* res, __global const T* src,
 )
 
 
-def _scatter_vec(ctx, out, src, idx, n):
-    n = int(n)
-    out[idx[:n].astype(np.int64, copy=False)] = src[:n]
-
-
-def _scatter_work(ctx, out, src, idx, n):
-    n = int(n)
-    return KernelWork(
-        elements=n,
-        bytes_read=n * (src.dtype.itemsize + idx.dtype.itemsize),
-        random_bytes=n * out.dtype.itemsize,
-        ops=n,
-    )
-
-
-def _scatter_ref(wi, out, src, idx, n):
-    for i in wi.partition(int(n)):
-        out[idx[i]] = src[i]
-    return
-    yield  # pragma: no cover
-
-
-SCATTER = KernelDef(
-    name="scatter",
-    params=params("inout:res in:src in:idx scalar:n"),
-    vec_fn=_scatter_vec,
-    work_fn=_scatter_work,
-    ref_fn=_scatter_ref,
-    source="""
-__kernel void scatter(__global T* res, __global const T* src,
-                      __global const uint* idx, uint n) {
-    for (uint i = FIRST(n); i < LAST(n); i += STEP)
-        res[idx[i]] = src[i];
-}
-""",
-)
-
-
 # ---------------------------------------------------------------------------
 # binary reduction (ungrouped aggregation, paper §4.1.7 / [18])
 # ---------------------------------------------------------------------------
@@ -348,7 +306,7 @@ __kernel void scatter(__global T* res, __global const T* src,
 def _reduce_partial_vec(ctx, partials, inp, n, op):
     """Stage 1: each work-group reduces its partition into one slot."""
     n = int(n)
-    reducer, _ = _REDUCERS[op]
+    reducer = _REDUCERS[op]
     groups = partials.shape[0]
     bounds = chunk_bounds(n, groups)
     identity = fold_identity(op, partials.dtype)
@@ -371,35 +329,6 @@ def _reduce_partial_work(ctx, partials, inp, n, op):
     )
 
 
-def _reduce_partial_ref(wi, partials, inp, n, op):
-    """Tree reduction in local memory — the classic binary reduction.
-
-    Each thread accumulates a private value over its partition, then the
-    work-group folds values pairwise with barriers between levels.
-    Partials are staged through the output slice of this group.
-    """
-    n = int(n)
-    _, pairwise = _REDUCERS[op]
-    acc = None
-    for i in wi.partition(n):
-        acc = inp[i] if acc is None else pairwise(acc, inp[i])
-    # Stage private accumulators through a group-local window of `partials`
-    # laid out as [groups, local_size] by the reference launcher.
-    row = partials[wi.group_id()]
-    identity = fold_identity(op, partials.dtype)
-    row[wi.local_id()] = identity if acc is None else acc
-    yield
-    size = wi.local_size() // 2
-    while size >= 1:
-        if wi.local_id() < size:
-            row[wi.local_id()] = pairwise(
-                row[wi.local_id()], row[wi.local_id() + size]
-            )
-        yield
-        size //= 2
-    return
-
-
 REDUCE_PARTIAL = KernelDef(
     name="reduce_partial",
     params=params("out:partials in:inp scalar:n scalar:op"),
@@ -418,7 +347,7 @@ __kernel void reduce_partial(__global ACC* partials, __global const T* inp,
 
 
 def _reduce_final_vec(ctx, out, partials, count, op):
-    reducer, _ = _REDUCERS[op]
+    reducer = _REDUCERS[op]
     out[0] = reducer(partials[: int(count)])
 
 
@@ -782,7 +711,6 @@ LIBRARY = {
         GATHER,
         GATHER_ADD,
         GATHER2,
-        SCATTER,
         REDUCE_PARTIAL,
         REDUCE_FINAL,
         EWISE,

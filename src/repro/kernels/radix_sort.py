@@ -77,10 +77,6 @@ def key_dtype_for(dtype: np.dtype) -> np.dtype:
     return np.dtype(_KEY_SPECS[np.dtype(dtype)][1])
 
 
-def key_bits_for(dtype: np.dtype) -> int:
-    return key_dtype_for(dtype).itemsize * 8
-
-
 def encode_keys(col: np.ndarray) -> np.ndarray:
     """Order-preserving bijection into unsigned keys (host-side mirror).
 

@@ -67,10 +67,3 @@ def grouped_dtype(agg: str, values_dtype) -> np.dtype:
     if agg == "sum":
         return np.dtype(np.float64 if values_dtype.kind == "f" else np.int64)
     return values_dtype
-
-
-def broadcast_operands(a, b):
-    """Resolve (array|scalar, array|scalar) operands to numpy values."""
-    a_arr = np.asarray(a) if not np.isscalar(a) else a
-    b_arr = np.asarray(b) if not np.isscalar(b) else b
-    return a_arr, b_arr

@@ -251,13 +251,16 @@ class Backend(abc.ABC):
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def schema_changed(self) -> None:
+    def schema_changed(self) -> bool:
         """Hook: the owning database ran DDL against the catalog.
 
         Stateless backends need nothing (they read the catalog on every
         bind); backends holding derived schema state — e.g. the sharded
-        engine's per-shard catalogs — resynchronise here."""
+        engine's per-shard catalogs — resynchronise here, and return
+        True when that moved rows of a table that existed before: the
+        statements in flight read the old layout and must re-run."""
         self._slice_cache.clear()
+        return False
 
     def shutdown(self) -> None:
         """Hook: the owning connection closed; release device state."""

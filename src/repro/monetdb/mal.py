@@ -73,9 +73,6 @@ class MALInstruction:
     def op(self) -> str:
         return f"{self.module}.{self.function}"
 
-    def with_module(self, module: str) -> "MALInstruction":
-        return MALInstruction(self.results, module, self.function, self.args)
-
     def var_args(self) -> list[Var]:
         return [a for a in self.args if isinstance(a, Var)]
 

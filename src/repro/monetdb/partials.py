@@ -11,10 +11,13 @@ take their partition's offset first (:func:`offset_positions`); scalar
 aggregates :func:`fold_scalars`; tables over shared group ids
 :func:`fold_tables`; tables over partition-local ids scatter through a
 slot map (:func:`scatter_tables`, slots from :func:`group_keys` and
-:func:`distinct_rows`); ``avg`` is never merged itself but as its
+:func:`merge_groups`); ``avg`` is never merged itself but as its
 ``(sum, count)`` pair (:func:`components`, :func:`finish_avg`).  What
 an empty partition contributes is :func:`repro.kernels.fold_identity`,
-the work-group level of the same scheme.  ARCHITECTURE.md
+the work-group level of the same scheme.  Every merge is host
+arithmetic over partials read by :func:`host_array`: the only operator
+a merge runs is the sync that brings a partial to the host.
+ARCHITECTURE.md
 §"Partitioned execution: one slicer, one merger" maps kinds to
 executors and lists what must not move.
 """
@@ -169,16 +172,21 @@ def group_keys(gids, columns) -> list:
     return [np.asarray(column)[first] for column in columns]
 
 
-def distinct_rows(columns) -> "tuple[np.ndarray, np.ndarray]":
-    """``(run of every row, first row of every run)`` of equal-length
-    key columns, runs numbered in ascending key-tuple order.
+def merge_groups(tables) -> "tuple[np.ndarray, int]":
+    """``(merged id of every local group, merged group count)`` from one
+    key table per partition (:func:`group_keys` output), ids partition
+    after partition and ascending with the key tuple — the numbering
+    every engine's ``group`` / ``subgroup`` chain gives the whole column.
 
-    Rows with equal key tuples share a run — ``==`` per column, so
-    ``-0.0`` meets ``0.0``, and a NaN meets a NaN: every engine's
-    ``group`` puts the NaNs of a column in one group, sorted last.  One
-    stable lexsort over the **separate** columns brings equal tuples
-    together, earliest row first — never a common-dtype matrix: float64
-    cannot tell adjacent int64 keys beyond 2**53 apart."""
+    Equal key tuples share an id — ``==`` per column, so ``-0.0`` meets
+    ``0.0``, and a NaN meets a NaN: every engine's ``group`` puts the
+    NaNs of a column in one group, sorted last.  One stable lexsort over
+    the **separate** columns brings equal tuples together — never a
+    common-dtype matrix: float64 cannot tell adjacent int64 keys beyond
+    2**53 apart."""
+    columns = [np.concatenate(column) for column in zip(*tables)]
+    if not columns:
+        return np.empty(0, dtype=np.int64), 0
     order = np.lexsort(columns[::-1])
     starts = np.zeros(order.size, dtype=bool)
     starts[:1] = True
@@ -189,6 +197,25 @@ def distinct_rows(columns) -> "tuple[np.ndarray, np.ndarray]":
             nan = np.isnan(ordered)
             differ &= ~(nan[1:] & nan[:-1])
         starts[1:] |= differ
-    runs = np.empty(order.size, dtype=np.int64)
-    runs[order] = np.cumsum(starts) - 1
-    return runs, order[starts]
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, int(np.count_nonzero(starts))
+
+
+# -- reading a partial on the host ------------------------------------------
+
+def synced(owner, value):
+    """``value``, a device-resident BAT's tail handed back to the host
+    first through the ``ocelot.sync`` of ``owner`` — the backend (or
+    shard child) that produced it, so the transfer lands on that
+    backend's clock.  Reads nothing: an encoded column stays encoded."""
+    if isinstance(value, BAT) and not value.has_host_values:
+        owner.resolve("ocelot.sync")(value)
+    return value
+
+
+def host_array(owner, value) -> np.ndarray:
+    """A partial's values on the host (:func:`synced`), cut to its
+    logical count (:func:`host_tail`)."""
+    value = synced(owner, value)
+    return host_tail(value) if isinstance(value, BAT) else np.asarray(value)

@@ -12,7 +12,7 @@ Two of the paper's §4.3 MonetDB modifications live here:
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -192,10 +192,6 @@ class Catalog:
     def row_count(self, table: str) -> int:
         first = next(iter(self._tables[table].values()))
         return first.count
-
-    def base_bats(self) -> Iterator[BAT]:
-        for cols in self._tables.values():
-            yield from cols.values()
 
     # -- Ocelot callbacks (paper §4.3) -------------------------------------------
 

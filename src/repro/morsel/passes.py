@@ -32,13 +32,13 @@ Two region shapes share one machinery:
 
 Grouping itself (``group.group``/``group.subgroup``) may join a region
 too: each morsel is grouped *locally* with the backend's own operators,
-the run maintains a global dictionary of distinct key tuples, and the
-grouped-aggregate partials are scattered through the local→global slot
-mapping.  Dense group-id numbering in every backend is a function of
-the distinct key set alone (ascending keys; ``subgroup`` ranks
-lexicographic ``(parent, inner)`` pairs), so replaying the chain over
-the collected distinct keys at finalize reproduces the whole-column
-ids exactly — at dictionary size instead of column size.  The gids
+the run keeps every morsel's local key tuples, and the grouped-aggregate
+partials are scattered through the local→merged id mapping.  Dense
+group-id numbering in every backend ascends with the key tuple
+(``subgroup`` ranks lexicographic ``(parent, inner)`` pairs), so
+ranking the collected key tuples on the host at finalize
+(:func:`repro.monetdb.partials.merge_groups`) reproduces the
+whole-column ids exactly, with no operator dispatched.  The gids
 column and the full-width grouping hash table never materialise unless
 a gids definition actually escapes the region.
 
@@ -373,8 +373,8 @@ def morselize_program(program: MALProgram,
             space = align(instruction.args)
             if space is None:
                 return None
-            # per-morsel local grouping; the run's key dictionary makes
-            # the ids global again at finalize.  Neither result may be
+            # per-morsel local grouping; the run ranks the morsels' key
+            # tuples at finalize.  Neither result may be
             # consumed except by subgroup / grouped aggregates below.
             kinds = (("ggids", space), ("gscalar", space))
             return (kinds, tuple(modes), proposal[0])
@@ -406,7 +406,7 @@ def morselize_program(program: MALProgram,
             gentry = defs.get(gids.name) if isinstance(gids, Var) else None
             if gentry is not None and gentry[0] == "ggids":
                 # in-region grouping: per-morsel local partials, merged
-                # through the run's key dictionary at finalize
+                # through the run's ranked key tuples at finalize
                 if not isinstance(ngroups, Var) \
                         or defs.get(ngroups.name, ("",))[0] != "gscalar":
                     return None

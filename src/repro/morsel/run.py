@@ -74,10 +74,10 @@ class MorselRun:
         )
         if not self.whole:
             # sliced inputs may be device-resident (an aligned group-id
-            # column, an escaped positions list): bring them host-side
+            # column, an escaped positions list): sync them host-side
             # once so every [lo, hi) cut is a cheap view
             for name in self._sliced_names:
-                self._slots[name] = self._to_host(self._slots[name])
+                partials.synced(self.backend, self._slots[name])
         self.outputs = None
         self._out_specs = {out.name: out for out in spec.outputs}
         # group chains: members grouped per morsel with the backend's
@@ -89,16 +89,13 @@ class MorselRun:
             if len(member.results) != 2:
                 continue
             if member.function == "group" and len(member.args) == 1:
-                base = {"members": (member,), "keys": (member.args[0],)}
+                base = {"keys": (member.args[0],)}
             elif (member.function == "subgroup"
                     and len(member.args) == 3
                     and isinstance(member.args[1], Var)
                     and member.args[1].name in self._gchains):
                 parent = self._gchains[member.args[1].name]
-                base = {
-                    "members": parent["members"] + (member,),
-                    "keys": parent["keys"] + (member.args[0],),
-                }
+                base = {"keys": parent["keys"] + (member.args[0],)}
             else:
                 continue
             base.update(
@@ -258,7 +255,8 @@ class MorselRun:
         for k, table in enumerate(tables):
             env[f"{out.name}#{k}"] = table   # released with the morsel
         self._gagg_parts.setdefault(out.name, []).append(
-            (ids, [self._value_array(table) for table in tables])
+            (ids, [partials.host_array(self.backend, table)
+                   for table in tables])
         )
 
     # -- in-region grouping (local groups, merged by key at finalize) --------
@@ -267,20 +265,21 @@ class MorselRun:
         """Chain-wide ids of one morsel's local groups.
 
         Each local group's key tuple is appended to the chain's key
-        columns and a group's id is its row there (:meth:`_chain_gids`
+        tables and a group's id is its row there (:meth:`_chain_gids`
         merges equal tuples at finalize).  Memoised per morsel in
         ``env`` under ``<gids>#ids``."""
         cached = env.get(f"{chain['gids']}#ids")
         if cached is not None:
             return cached
         gbat = env[chain["gids"]]
-        lgids = self._value_array(gbat).astype(np.int64)
+        lgids = partials.host_array(self.backend, gbat).astype(np.int64)
         lng = int(env[chain["ng"]])
         if chain["gdtype"] is None and isinstance(gbat, BAT):
             chain["gdtype"] = gbat.dtype
         if lng:
             chain["cols"].append(partials.group_keys(lgids, [
-                self._value_array(self._value(arg, env, slots))
+                partials.host_array(self.backend,
+                                    self._value(arg, env, slots))
                 for arg in chain["keys"]
             ]))
         ids = np.arange(chain["count"], chain["count"] + lng,
@@ -291,47 +290,13 @@ class MorselRun:
 
     def _chain_gids(self, chain) -> "tuple[np.ndarray, int]":
         """``(final group id of every chain-wide id, group count)``,
-        computed once at finalize.
-
-        Merges the morsels' key tuples — slots numbered in first-seen
-        order, what a dictionary filled row by row would hand out, and
-        the order the distinct keys are replayed in — then replays the
-        grouping chain over the distinct ones with the backend's own
-        operators: dense-id numbering is a function of the distinct key
-        set alone in every backend (ascending keys; ``subgroup`` ranks
-        lexicographic ``(parent, inner)`` pairs), so this reproduces
-        the whole-column numbering at distinct-key size."""
+        ranked once at finalize on the host: the merged ids ascend with
+        the key tuple, which is the numbering the whole column's
+        ``group`` / ``subgroup`` chain gives in every backend."""
         merged = chain.get("merged")
-        if merged is not None:
-            return merged
-        if not chain["cols"]:
-            chain["merged"] = (np.empty(0, dtype=np.int64), 0)
-            return chain["merged"]
-        cols = [np.concatenate(column) for column in zip(*chain["cols"])]
-        runs, first = partials.distinct_rows(cols)
-        seen = np.argsort(first)            # runs in first-seen order
-        slot_of_run = np.empty(first.size, dtype=np.int64)
-        slot_of_run[seen] = np.arange(first.size)
-        n = int(first.size)
-        scratch = []
-        gids = ngroups = None
-        for member, column in zip(chain["members"], cols):
-            kbat = make_bat(column[first[seen]], tag="morsel_gkeys")
-            fn = self.backend.resolve(member.op)
-            if member.function == "group":
-                gids, ngroups = fn(kbat)
-            else:
-                gids, ngroups = fn(kbat, gids, ngroups)
-            scratch.extend((kbat, gids))
-        rank = self._value_array(gids).astype(np.int64)
-        if int(ngroups) != n:
-            raise RuntimeError(
-                f"morsel group merge: {n} distinct keys but the replay "
-                f"produced {int(ngroups)} groups"
-            )
-        self.backend.release_intermediates(scratch)
-        chain["merged"] = (rank[slot_of_run[runs]], n)
-        return chain["merged"]
+        if merged is None:
+            merged = chain["merged"] = partials.merge_groups(chain["cols"])
+        return merged
 
     # -- escaping outputs ----------------------------------------------------
 
@@ -348,8 +313,8 @@ class MorselRun:
             if out.kind == "ggids":
                 chain = self._gchains[out.name]
                 ids = self._morsel_group_ids(chain, local, slices)
-                lgids = self._value_array(
-                    local[out.name]
+                lgids = partials.host_array(
+                    self.backend, local[out.name]
                 ).astype(np.int64)
                 self._chunks.setdefault(out.name, []).append(ids[lgids])
                 continue
@@ -357,7 +322,7 @@ class MorselRun:
             self._chunks.setdefault(out.name, []).append(
                 partials.offset_positions(self._positions_array(value), lo)
                 if out.kind == "positions"
-                else np.asarray(self._value_array(value))
+                else partials.host_array(self.backend, value)
             )
 
     def _finalize(self) -> None:
@@ -443,23 +408,11 @@ class MorselRun:
 
     # -- host materialisation ------------------------------------------------
 
-    def _to_host(self, bat: BAT) -> BAT:
-        if not bat.has_host_values and self.backend.supports("ocelot.sync"):
-            synced = self.backend.resolve("ocelot.sync")(bat)
-            if isinstance(synced, BAT):
-                return synced
-        return bat
-
-    def _value_array(self, bat):
-        if not isinstance(bat, BAT):
-            return np.asarray(bat)
-        return partials.host_tail(self._to_host(bat))
-
     def _positions_array(self, bat: BAT) -> np.ndarray:
-        bat = self._to_host(bat)
+        values = partials.host_array(self.backend, bat)
         if bat.role is Role.BITMAP:
             return np.flatnonzero(np.asarray(bat.peek_values()))
-        return partials.host_tail(bat)
+        return values
 
     # -- liveness ------------------------------------------------------------
 

@@ -74,12 +74,6 @@ class DeviceCharacteristics:
     #: at (capacity-clamped on small devices; the interpolation anchor)
     atomic_probe_hi: float = 65536.0
 
-    @property
-    def contention_penalty(self) -> float:
-        """How much this device hates contended atomics (CPU >> GPU)."""
-        return self.atomic_contended_ns / max(self.atomic_uncontended_ns,
-                                              1e-9)
-
     def atomic_ns(self, addresses: float) -> float:
         """Per-op atomic cost at a given distinct-target count,
         log-interpolated between the two probe points (4 and

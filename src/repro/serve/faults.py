@@ -77,8 +77,20 @@ class FaultyBackend:
         #: [(count, op, error), ...] for every fault actually raised
         self.injected: list = []
 
+    #: what the proxy keeps for itself; every other attribute is the
+    #: wrapped backend's, written as well as read — a traced run or a
+    #: shard fan-out sets ``backend.tracer`` on whatever it was handed
+    _OWN = frozenset(("inner", "schedule", "node", "ops_seen", "always",
+                      "injected"))
+
     def __getattr__(self, name):
         return getattr(self.inner, name)
+
+    def __setattr__(self, name, value):
+        if name in self._OWN:
+            object.__setattr__(self, name, value)
+        else:
+            setattr(self.inner, name, value)
 
     def _raise_scheduled(self, op: str) -> None:
         self.ops_seen += 1

@@ -38,7 +38,9 @@ The scheduler is also the serving tier's **admission controller**:
   (``note_node_failure``): a tripped breaker takes the sick node out
   of service, every in-flight query is parked (its partial state — on
   HET its placement trace too — predates the topology change) and
-  re-run against the healthy remainder;
+  re-run against the healthy remainder; a DDL that re-slices a table
+  the sharded layout already held parks them the same way
+  (:meth:`SessionScheduler.park_in_flight`);
 * ``submit(timeout=...)`` sets a deadline in simulated seconds and
   :meth:`QueryFuture.cancel` withdraws a query — both enforced
   cooperatively at turn granularity (one morsel inside a ``morsel.run``).
@@ -428,11 +430,16 @@ class SessionScheduler:
             return
         self._park(flight)
         if action == "rerouted":
-            # the topology changed: every other in-flight query's
-            # partial state and placements predate it — park them all
-            # (their park doesn't count against their retry budget)
-            while self._active:
-                self._park(self._active.popleft(), count=False)
+            self.park_in_flight()
+
+    def park_in_flight(self) -> None:
+        """The layout under every in-flight query moved — a node was
+        routed around, or a DDL re-sliced a table they may read: their
+        partial state and placements predate it, so park them all to
+        re-run against the new one (not counted against their retry
+        budget)."""
+        while self._active:
+            self._park(self._active.popleft(), count=False)
 
     def _close(self, flight: _InFlight) -> None:
         """End a flight that will not complete: its session closes and

@@ -22,7 +22,7 @@ via ``key=<table>.<column>`` parameters, or inferred from observed join
 columns under ``keys=infer``), rows are then placed by key value, and
 the join planner runs key-aligned equi-joins entirely shard-local —
 zero driver traffic — with a hash-shuffle re-partition
-(``shard.shuffle``) covering the unaligned cases and the PR-3
+of the join keys covering the unaligned cases and the
 broadcast-gather kept as the ``join=broadcast`` baseline.
 
 Registered as the ``SHARD`` engine family::

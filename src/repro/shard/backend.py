@@ -39,7 +39,7 @@ broadcast it.  A join whose *both* sides are partitioned goes through a
   (:class:`~repro.shard.partition.ShardPartitioner`), so every matching
   pair already lives on one shard: the join fans out shard-local with
   *zero* driver traffic;
-* **shuffle** — the ``shard.shuffle`` operator hash-re-partitions the
+* **shuffle** — the join hash-re-partitions the
   *smaller* side's (key, oid) pairs shard-to-shard (to the keyed side's
   placement when one side is key-aligned, by value hash on both sides
   otherwise); later projections through the shuffled side's positions
@@ -281,15 +281,16 @@ class _Grouping:
         cached = self._key_cache.get(shard)
         if cached is not None:
             return cached
-        values = self.backend._host_values(shard, self.key_bats[shard])
+        child = self.backend.children[shard]
+        values = partials.host_array(child, self.key_bats[shard])
         if self.outer is None:
             keys = [np.unique(values)]
         else:
-            gids = self.backend._host_values(
-                shard, self.gids_bats[shard]
+            gids = partials.host_array(
+                child, self.gids_bats[shard]
             ).astype(np.int64, copy=False)
-            outer_gids = self.backend._host_values(
-                shard, self.outer_gids[shard]
+            outer_gids = partials.host_array(
+                child, self.outer_gids[shard]
             ).astype(np.int64, copy=False)
             outer_of, inner = partials.group_keys(gids, (outer_gids, values))
             keys = [column[outer_of]
@@ -313,15 +314,16 @@ class _Grouping:
         if self._merged is None:
             tables = [self.key_columns(s)
                       for s in range(len(self.key_bats))]
-            columns = [np.concatenate(column) for column in zip(*tables)]
-            runs, first = partials.distinct_rows(columns)
+            ids, n = partials.merge_groups(tables)
             bounds = np.cumsum([table[0].shape[0] for table in tables])
-            self._merged = (first.size, np.split(runs, bounds[:-1]))
+            self._merged = (n, np.split(ids, bounds[:-1]))
             # cost-model oddity kept for the golden (ROADMAP): the key
             # tables used to be stacked into one matrix of the columns'
             # common numpy type, and that matrix is what is charged
-            width = np.result_type(*[c.dtype for c in columns]).itemsize
-            self.backend._charge_merge(runs.size * len(columns) * width)
+            width = np.result_type(
+                *[column.dtype for table in tables for column in table]
+            ).itemsize
+            self.backend._charge_merge(ids.size * len(tables[0]) * width)
         return self._merged
 
 
@@ -538,14 +540,9 @@ class ShardedBackend(Backend):
     # -- protocol: registration / resolution ---------------------------------
 
     def _register_ops(self) -> None:
-        """Own operators (the children cover everything else): the hash
-        re-partition primitive backing the shuffle join."""
-        self.register("shard.shuffle", self._shuffle_op)
+        """No operator of its own: every one fans out to the children."""
 
     def resolve(self, op: str):
-        own = self._registry.get(op)
-        if own is not None:
-            return own
         # existence check up front so unsupported ops fail like any
         # other backend's resolve (children share one operator set)
         self.children[0].resolve(op)
@@ -556,11 +553,10 @@ class ShardedBackend(Backend):
         return fan
 
     def supports(self, op: str) -> bool:
-        return op in self._registry or self.children[0].supports(op)
+        return self.children[0].supports(op)
 
     def supported_ops(self) -> list[str]:
-        return sorted(set(self.children[0].supported_ops())
-                      | set(self._registry))
+        return self.children[0].supported_ops()
 
     # -- protocol: timing ------------------------------------------------------
 
@@ -672,16 +668,19 @@ class ShardedBackend(Backend):
 
     # -- protocol: lifecycle ------------------------------------------------------
 
-    def schema_changed(self) -> None:
+    def schema_changed(self) -> bool:
         """Parent DDL: re-partition and bump every shard's catalog.
 
         The partitioner re-slices any table whose layout signature
         changed (a declared key, moved domain bounds), so join planning
         never sees shard slices laid out by a scheme the catalog no
-        longer declares.  A staged resize restarts from the new schema
-        (its pre-DDL layout plan is void)."""
-        self.partitioner.sync()
+        longer declares — a DDL on one table re-slices every table keyed
+        in its domain, which is when this returns True.  A staged
+        resize restarts from the new schema (its pre-DDL layout plan is
+        void)."""
+        moved = self.partitioner.sync()
         self.cluster.schema_changed()
+        return moved
 
     def note_node_failure(self, error) -> str:
         """A :class:`~repro.serve.faults.NodeFault` carrying a shard id
@@ -763,19 +762,6 @@ class ShardedBackend(Backend):
             a.parts[shard] if isinstance(a, ShardedValue) else a
             for a in args
         ]
-
-    def _host_values(self, shard: int, part) -> np.ndarray:
-        """Host tail of one shard's BAT, syncing through the shard's own
-        backend (charging that shard's clock) when device-resident.
-
-        Cut to the logical count (:func:`~repro.monetdb.partials
-        .host_tail`), or gathers and folds would fabricate a phantom
-        row for a shard whose filter matched nothing."""
-        if not isinstance(part, BAT):
-            return part
-        if not part.has_host_values:
-            self.children[shard].resolve("ocelot.sync")(part)
-        return partials.host_tail(part)
 
     def _dispatch(self, shard: int, op: str, args):
         """Run one operator on one shard, absorbing transient blips
@@ -988,7 +974,7 @@ class ShardedBackend(Backend):
         if value.pair is not None:
             return partials.finish_avg(*map(self._fold_grouped, value.pair))
         return partials.scatter_tables(value.merge, n_global, zip(maps, (
-            np.asarray(self._host_values(shard, part))
+            partials.host_array(self.children[shard], part)
             for shard, part in enumerate(value.parts)
         )))
 
@@ -1008,7 +994,7 @@ class ShardedBackend(Backend):
         their space's per-shard row counts, those already valued in a
         global or shard-agnostic layout stay as they are."""
         arrays = [
-            np.asarray(self._host_values(shard, part))
+            partials.host_array(self.children[shard], part)
             for shard, part in enumerate(value.parts)
         ]
         positions = value.space is not None or any(
@@ -1229,9 +1215,9 @@ class ShardedBackend(Backend):
         src_ratio = (self._physical_nbytes(source.parts, arrays)
                      / src_nominal) if src_nominal else 1.0
         parts, moved = [], 0
-        for shard in range(self.n_shards):
-            pos = np.asarray(
-                self._host_values(shard, oids.parts[shard])
+        for shard, child in enumerate(self.children):
+            pos = partials.host_array(
+                child, oids.parts[shard]
             ).astype(np.int64, copy=False)
             remote = partials.owner_of(pos, offsets) != shard
             moved += int(np.count_nonzero(remote)) * width
@@ -1388,9 +1374,9 @@ class ShardedBackend(Backend):
             self._mark_space(pos, side)
             return pos
         parts = []
-        for shard in range(self.n_shards):
-            local = np.asarray(
-                self._host_values(shard, pos.parts[shard])
+        for shard, child in enumerate(self.children):
+            local = partials.host_array(
+                child, pos.parts[shard]
             ).astype(np.int64, copy=False)
             parts.append(oid_bat(mapping[shard][local].astype(OID_DTYPE),
                                  tag="shard_unshuffle"))
@@ -1400,7 +1386,7 @@ class ShardedBackend(Backend):
         return out
 
     def _shuffle(self, value: ShardedValue, place):
-        """The ``shard.shuffle`` primitive: re-partition a key column by
+        """The shuffle join's primitive: re-partition a key column by
         key value.  Returns the shuffled column (a new ShardedValue) and
         the per-shard global-oid arrays mapping shuffled rows back to
         the value's original concatenated layout.  Only rows that change
@@ -1411,9 +1397,9 @@ class ShardedBackend(Backend):
         moved = 0
         moved_physical = 0
         dtype = None
-        for shard in range(self.n_shards):
+        for shard, child in enumerate(self.children):
             part = value.parts[shard]
-            keys = np.asarray(self._host_values(shard, part))
+            keys = partials.host_array(child, part)
             dtype = keys.dtype if dtype is None else dtype
             # encoded key columns ship their moved rows in stored form;
             # approximate with the part's physical/nominal ratio (oids
@@ -1448,28 +1434,6 @@ class ShardedBackend(Backend):
                                   tag="shard_shuffle"))
             mapping.append(partials.concat(dest_oids[dest], np.int64))
         return ShardedValue(parts, partitioned=True), mapping
-
-    def _shuffle_op(self, value):
-        """``shard.shuffle(column)``: hash re-partition a partitioned
-        column by value; returns the shuffled column and the positions
-        (in the input's concatenated layout) each shuffled row came
-        from."""
-        if not self._needs_gather(value) \
-                or self._counts(value) is None:
-            raise UnsupportedOperator(
-                "shard.shuffle needs a partitioned column of per-shard "
-                "BATs"
-            )
-        shuffled, mapping = self._shuffle(
-            value, self.partitioner.default_placement
-        )
-        oids = ShardedValue(
-            [oid_bat(m.astype(OID_DTYPE), tag="shard_shuffle_oids")
-             for m in mapping],
-            partitioned=True,
-        )
-        oids.space = CONCAT
-        return shuffled, oids
 
     def _fan_membership(self, row, op: str, args):
         left, right = args[0], args[1]
@@ -1513,7 +1477,7 @@ class ShardedBackend(Backend):
                 "shards)"
             )
         arrays = [
-            np.atleast_1d(np.asarray(self._host_values(shard, part)))
+            np.atleast_1d(partials.host_array(self.children[shard], part))
             for shard, part in enumerate(value.parts)
         ]
         merged = np.concatenate(arrays)

@@ -88,20 +88,6 @@ def hash_placement(values: np.ndarray, n_shards: int) -> np.ndarray:
         return (h % np.uint64(n_shards)).astype(np.int64)
 
 
-def range_placement(values: np.ndarray, n_shards: int,
-                    bounds: tuple[float, float]) -> np.ndarray:
-    """Value -> shard id by N equal-width bands over ``bounds``.
-
-    Values outside the bounds (a probe-side key missing from the domain
-    tables) clip into the edge bands — placement stays total, and a key
-    absent from the build side simply finds no match there."""
-    lo, hi = bounds
-    v = np.asarray(values).astype(np.float64, copy=False)
-    span = max(float(hi) - float(lo), 0.0) + 1.0
-    ids = np.floor((v - float(lo)) * n_shards / span).astype(np.int64)
-    return np.clip(ids, 0, n_shards - 1)
-
-
 def skew_bands(values: np.ndarray, n_bands: int) -> np.ndarray:
     """Histogram-aware band boundaries: ``min(n_bands, n_distinct)``
     non-empty value bands over the observed keys.
@@ -423,8 +409,10 @@ class ShardPartitioner:
                 installed += 1
         return installed
 
-    def sync(self) -> None:
-        """Bring every shard catalog up to date with the parent.
+    def sync(self) -> bool:
+        """Bring every shard catalog up to date with the parent; returns
+        whether a table that was already installed got re-sliced (rows
+        moved under whatever still reads the old slices).
 
         New parent tables are partitioned or replicated per the size
         policy; dropped parent tables are dropped from every shard
@@ -444,10 +432,13 @@ class ShardPartitioner:
             if name not in parent_tables:
                 del self.partitioned[name]
                 self._signatures.pop(name, None)
+        installed = dict(self._signatures)
         self._refresh_layout(parent_tables)
         for name in self.parent.tables():
             self._install_table(name)
         self._pending_tables = None
+        return any(self._signatures[name] != signature
+                   for name, signature in installed.items())
 
     # -- staged migration (online re-sharding) -------------------------------
 

@@ -79,6 +79,24 @@ def test_group_alignment_and_table_folds_live_in_the_merger():
     assert files_of(lexsort) == {MERGER}
 
 
+def test_a_merge_is_host_arithmetic_over_one_host_read():
+    """Morsel and SHARD align partition-local groups with one
+    ``partials.merge_groups`` — no executor replays a grouping through
+    the backend — and read a partial on the host through one
+    ``partials.host_array``; the other sync is mixed execution's own
+    (a device split syncs per device on that device's queue)."""
+    gone = hits(r"distinct_rows|morsel_gkeys|\b_host_values\b|"
+                r"_sync_to_host|_shuffle_op|replay produced|"
+                r"_value_array|name=\"scatter\"")
+    assert gone == [], gone
+    assert files_of(hits(r"def _to_host\(")) == {"sched/partition.py"}
+    syncs = hits(r"resolve\(\"ocelot\.sync\"\)")
+    assert files_of(syncs) == {MERGER, "ocelot/engine.py"}, syncs
+    for name in ("morsel/run.py", "shard/backend.py"):
+        assert "merge_groups(" in sources()[name], name
+    assert '"members"' not in sources()["morsel/run.py"]
+
+
 def test_executors_never_test_for_avg():
     """``avg`` is split into its (sum, count) pair by
     ``partials.components`` and finished by ``partials.finish_avg``;

@@ -250,8 +250,9 @@ class TestRegionMembers:
         top_level = len(program.instructions) - len(regions)
         members = sum(len(region.members) for _index, region in regions)
         assert members >= 3
-        # every member once per morsel (the group merge's replay on top)
-        assert faulty.ops_seen >= top_level + members * self.MORSELS
+        # every member once per morsel, and nothing else: the group
+        # merge at finalize is host arithmetic
+        assert faulty.ops_seen == top_level + members * self.MORSELS
 
     def test_a_fault_on_a_member_reaches_the_scheduler(
         self, points_db, assert_results_equal
@@ -274,3 +275,41 @@ class TestRegionMembers:
         assert_results_equal(clean, future.result())
         parked = [op for _s, op in con.scheduler.turn_log if op == "parked"]
         assert len(parked) == 1
+
+
+class TestTracedThroughTheWrapper:
+    """A traced run and a shard fan-out hand their tracer to the backend
+    they were given (``backend.tracer = …``); through a wrapper that is
+    the wrapped backend's, or its dispatch spans go missing."""
+
+    FILTERED = "SELECT x, sum(y) AS s FROM points WHERE y < 0.5 GROUP BY x"
+
+    @staticmethod
+    def _dispatch_spans(result) -> int:
+        return sum(1 for span in result.trace.walk() if span.cat == "dispatch")
+
+    def test_a_whole_backend_wrap_keeps_the_dispatch_spans(
+        self, points_db, assert_results_equal
+    ):
+        con = points_db.connect("HET:trace=on")
+        clean = con.execute(self.FILTERED)
+        assert self._dispatch_spans(clean) > 0
+        _faulty(con, {})
+        wrapped = con.execute(self.FILTERED)
+        assert_results_equal(clean, wrapped)
+        assert self._dispatch_spans(wrapped) == self._dispatch_spans(clean)
+
+    def test_a_wrapped_shard_child_keeps_its_dispatch_spans(
+        self, points_db, assert_results_equal
+    ):
+        con = points_db.connect("SHARD:2xHET,trace=on")
+        clean = con.execute(self.FILTERED)
+        wrap_shard_child(con.backend, 1)
+        wrapped = con.execute(self.FILTERED)
+        assert_results_equal(clean, wrapped)
+        spans = [span for span in wrapped.trace.walk()
+                 if span.cat == "dispatch"]
+        assert len(spans) == self._dispatch_spans(clean)
+        # shard 1's lane still holds its child's dispatches
+        lanes = {span.parent.tid for span in spans}
+        assert lanes == {"shard0", "shard1"}

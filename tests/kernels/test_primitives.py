@@ -1,4 +1,4 @@
-"""Parallel primitives: scan, gather/scatter, reduce, element-wise."""
+"""Parallel primitives: scan, gather, reduce, element-wise."""
 
 import numpy as np
 import pytest
@@ -48,40 +48,13 @@ class TestPrefixSum:
             )
 
 
-class TestGatherScatter:
+class TestGather:
     def test_gather(self, rig):
         src = np.arange(100, dtype=np.float32) * 1.5
         idx = np.array([5, 0, 99, 50, 5], dtype=np.uint32)
         out = rig.empty(5, np.float32)
         rig.run("gather", out, rig.buf(src), rig.buf(idx), 5)
         assert np.array_equal(out.array, src[idx])
-
-    def test_scatter(self, rig):
-        src = np.array([10, 20, 30], dtype=np.int32)
-        idx = np.array([7, 1, 4], dtype=np.uint32)
-        out = rig.zeros(10, np.int32)
-        rig.run("scatter", out, rig.buf(src), rig.buf(idx), 3)
-        expected = np.zeros(10, np.int32)
-        expected[idx] = src
-        assert np.array_equal(out.array, expected)
-
-    @given(st.integers(1, 500), st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_gather_scatter_roundtrip(self, n, seed):
-        """scatter(out, gather(src, perm), perm) == src for permutations."""
-        from repro.cl.kernel import ExecContext
-        from repro.kernels import KERNEL_LIBRARY
-        from repro import cl
-
-        rng = np.random.default_rng(seed)
-        src = rng.integers(0, 1000, n).astype(np.int32)
-        perm = rng.permutation(n).astype(np.uint32)
-        ctx = ExecContext(cl.get_device("gpu"), {}, 64, 16)
-        gathered = np.zeros(n, np.int32)
-        KERNEL_LIBRARY["gather"].vec_fn(ctx, gathered, src, perm, n)
-        back = np.zeros(n, np.int32)
-        KERNEL_LIBRARY["scatter"].vec_fn(ctx, back, gathered, perm, n)
-        assert np.array_equal(back, src)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernels.radix_sort import (
     encode_keys,
-    key_bits_for,
     key_dtype_for,
     key_kind_for,
     num_passes,
@@ -57,8 +56,7 @@ class TestKeyEncoding:
         assert key_kind_for(np.float32) == 2
         assert key_kind_for(np.uint32) == 0
         assert key_dtype_for(np.float64) == np.uint64
-        assert key_bits_for(np.int32) == 32
-        assert key_bits_for(np.float64) == 64
+        assert key_dtype_for(np.int32) == np.uint32
         with pytest.raises(TypeError):
             key_kind_for(np.int16)
 

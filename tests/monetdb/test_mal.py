@@ -37,13 +37,6 @@ def test_format_column_ref_and_strings():
     assert "'<='" in ins2.format() or '"<="' in ins2.format()
 
 
-def test_with_module_swap():
-    ins = MALInstruction((Var("X_1"),), "algebra", "select", (Var("X_0"),))
-    swapped = ins.with_module("ocelot")
-    assert swapped.op == "ocelot.select"
-    assert swapped.results == ins.results
-
-
 def test_var_args_extraction():
     ins = MALInstruction(
         (Var("X_2"),), "algebra", "projection", (Var("X_0"), Var("X_1"), 5)

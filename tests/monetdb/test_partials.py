@@ -28,12 +28,12 @@ from repro.monetdb import partials
 from repro.monetdb.partials import (
     components,
     concat,
-    distinct_rows,
     finish_avg,
     fold_of,
     fold_scalars,
     fold_tables,
     group_keys,
+    merge_groups,
     offset_positions,
     offsets_of,
     owner_of,
@@ -225,21 +225,23 @@ def test_grouped_partials_scatter_to_the_whole_column(fn, data):
         sizes.append(ngroups)
         tables.append([ms_table(name, values[lo:hi], gids, ngroups)
                        for name in names])
-    columns_ = [np.concatenate(column) for column in zip(*local_keys)]
-    runs, first = distinct_rows(columns_)
-    slots = np.split(runs, np.cumsum(sizes)[:-1])
+    ids, n = merge_groups(local_keys)
+    slots = np.split(ids, np.cumsum(sizes)[:-1])
     merged = [
-        scatter_tables(fold_of(name), first.size,
+        scatter_tables(fold_of(name), n,
                        zip(slots, (part[k] for part in tables)))
         for k, name in enumerate(names)
     ]
     got = merged[0] if len(merged) == 1 else finish_avg(*merged)
 
     gids, ngroups = ms_grouping(keys)
-    assert first.size == ngroups
+    assert n == ngroups
     # merged group ids ascend by key tuple, like the whole column's
-    for column, expected in zip(columns_, group_keys(gids.values, keys)):
-        np.testing.assert_array_equal(column[first], expected)
+    for k, expected in enumerate(group_keys(gids.values, keys)):
+        column = np.concatenate([table[k] for table in local_keys])
+        at = np.empty_like(expected)
+        at[ids] = column
+        np.testing.assert_array_equal(at, expected)
         assert column.dtype == expected.dtype
     whole = ms_table(fn, values, gids, ngroups)
     assert got.dtype == whole.dtype
@@ -300,38 +302,64 @@ def test_untouched_slots_hold_the_fold_identity(fold, dtype):
     assert scatter_tables(fold, 0, [], np.int64).dtype == np.int64
 
 
-def test_distinct_rows_never_meets_keys_in_a_common_dtype():
+def test_merge_groups_never_meets_keys_in_a_common_dtype():
     """(int64, float32) promotes to float64, where 2**53 and 2**53 + 1
     are one number — the SHARD bug this module's lexsort fixes."""
     k1 = np.array([2**53 + 1, 2**53, 2**53 + 1, 2**53], dtype=np.int64)
     k2 = np.array([1.0, 1.0, 1.0, -0.0], dtype=np.float32)
-    runs, first = distinct_rows([k1, k2])
-    assert runs.tolist() == [2, 1, 2, 0] and first.tolist() == [3, 1, 0]
+    # two partitions: ids come back partition after partition
+    ids, n = merge_groups([[k1[:2], k2[:2]], [k1[2:], k2[2:]]])
+    assert ids.tolist() == [2, 1, 2, 0] and n == 3
     stacked = np.column_stack([k1, k2])
     assert np.unique(stacked, axis=0).shape[0] == 2     # what went wrong
-    empty = distinct_rows([np.empty(0, np.int64), np.empty(0, np.float32)])
-    assert empty[0].size == 0 and empty[1].size == 0
+    empty = merge_groups([[np.empty(0, np.int64), np.empty(0, np.float32)]])
+    assert empty[0].size == 0 and empty[1] == 0
+    assert merge_groups([])[0].dtype == np.int64 and merge_groups([])[1] == 0
 
 
 def test_signed_zero_keys_are_one_group():
-    runs, first = distinct_rows([np.array([0.0, -0.0, 1.0, -0.0])])
-    assert runs.tolist() == [0, 0, 1, 0] and first.tolist() == [0, 2]
+    ids, n = merge_groups([[np.array([0.0, -0.0])], [np.array([1.0, -0.0])]])
+    assert ids.tolist() == [0, 0, 1, 0] and n == 2
 
 
 def test_nan_keys_are_one_group_sorted_last():
     """Every engine's ``group`` gives the NaNs of a column one id, the
     last; merged partitions must not count one group per NaN."""
     nan = np.nan
-    runs, first = distinct_rows([np.array([nan, 1.0, nan, -np.inf, nan],
-                                          dtype=np.float32)])
-    assert runs.tolist() == [2, 1, 2, 0, 2] and first.tolist() == [3, 1, 0]
+    ids, n = merge_groups([[np.array([nan, 1.0, nan], dtype=np.float32)],
+                           [np.array([-np.inf, nan], dtype=np.float32)]])
+    assert ids.tolist() == [2, 1, 2, 0, 2] and n == 3
     # per column: (NaN, 1) and (NaN, 2) differ, (NaN, 1) twice does not
-    runs, first = distinct_rows([np.array([nan, nan, 0.5, nan]),
-                                 np.array([1, 2, 1, 1], dtype=np.int64)])
-    assert runs.tolist() == [1, 2, 0, 1] and first.tolist() == [2, 0, 1]
-    gids, ngroups = ms_grouping([np.array([nan, nan, 0.5, nan]),
-                                 np.array([1, 2, 1, 1], dtype=np.int64)])
-    assert gids.values.tolist() == runs.tolist() and ngroups == 3
+    keys = [np.array([nan, nan, 0.5, nan]),
+            np.array([1, 2, 1, 1], dtype=np.int64)]
+    ids, n = merge_groups([keys])
+    assert ids.tolist() == [1, 2, 0, 1] and n == 3
+    gids, ngroups = ms_grouping(keys)
+    assert gids.values.tolist() == ids.tolist() and ngroups == 3
+
+
+@BOUNDED
+@given(st.data())
+def test_integer_keys_merge_like_a_unique_over_stacked_tuples(data):
+    """Over integer keys a common int64 matrix loses nothing, so the
+    merge must be ``np.unique(axis=0)``: the same count, and every local
+    group the rank of its tuple among the distinct ones."""
+    dtypes = data.draw(st.lists(st.sampled_from((np.int32, np.int64)),
+                                min_size=1, max_size=3))
+    pools = [np.array(special_values(dtype), dtype=dtype) for dtype in dtypes]
+    tables = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        rows = data.draw(st.integers(0, 12))
+        picks = [data.draw(st.lists(st.integers(0, pool.size - 1),
+                                    min_size=rows, max_size=rows))
+                 for pool in pools]
+        tables.append([pool[pick] for pool, pick in zip(pools, picks)])
+    ids, n = merge_groups(tables)
+    stacked = np.vstack([np.column_stack([c.astype(np.int64) for c in t])
+                         for t in tables])
+    unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    assert n == unique.shape[0]
+    assert ids.tolist() == np.asarray(inverse).reshape(-1).tolist()
 
 
 # -- row-shaped outputs -----------------------------------------------------

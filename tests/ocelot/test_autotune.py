@@ -48,7 +48,10 @@ class TestProbe:
                                          data_scale=128.0).engine)
         gpu = probe_device(OcelotBackend(catalog, "gpu",
                                          data_scale=128.0).engine)
-        assert cpu.contention_penalty > gpu.contention_penalty
+        def penalty(chars):
+            return chars.atomic_contended_ns / chars.atomic_uncontended_ns
+
+        assert penalty(cpu) > penalty(gpu)
         assert gpu.stream_gbs > cpu.stream_gbs
 
 

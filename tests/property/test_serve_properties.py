@@ -217,6 +217,10 @@ def _table(name: str, rows: int, dtype, colours, seed: int):
             "u_k": rng.permutation(max(rows, 64))[:rows].astype(np.int32),
             "w": rng.integers(0, 100, rows).astype(dtype),
         }, None
+    if name == "x":
+        # no statement reads it; keyed into ``t`` / ``u``'s domain its
+        # far wider keys move their band cuts
+        return {"x_k": rng.integers(-50000, 50000, rows).astype(dtype)}, None
     return {"z": rng.integers(0, 9, rows).astype(dtype)}, None
 
 
@@ -233,7 +237,7 @@ STATEMENTS = {
     "other": (("other",), "SELECT sum(z) AS s, count(*) AS n FROM other"),
 }
 
-_tables = st.sampled_from(("t", "u", "other"))
+_tables = st.sampled_from(("t", "u", "other", "x"))
 # the join twice: it is what ``keys=infer`` adopts a key from
 _statements = st.tuples(st.sampled_from(sorted(STATEMENTS) + ["join"]),
                         st.sampled_from((5, 31, 63)))
@@ -242,7 +246,7 @@ _steps = st.one_of(
               st.sampled_from((np.int32, np.int64, np.float32)),
               st.sampled_from(COLOURS), st.integers(0, 3)),
     st.tuples(st.just("drop"), _tables),
-    st.tuples(st.just("key"), st.sampled_from(("t", "u")),
+    st.tuples(st.just("key"), st.sampled_from(("t", "u", "x")),
               st.sampled_from((None, "own"))),
     st.tuples(st.just("resize"), st.sampled_from((+1, -1))),
     st.tuples(st.just("execute"), _statements),
@@ -292,7 +296,10 @@ class _Interleaving:
         old and new storage — its answer is its own business, finishing
         is not.  ``t`` and ``u`` count as one: keyed in one domain
         (declared, or adopted by ``keys=infer``) they co-partition, and
-        DDL on either re-slices both at once."""
+        DDL on either re-slices both at once.  ``x`` counts as itself
+        alone, though keyed into that domain a DDL on it re-slices
+        ``t`` and ``u`` too: statements over them must still answer as
+        they would have at submission."""
         tables = {"t", "u"} if table in ("t", "u") else {table}
         self.flying = [
             (future, read, None if tables & set(read) else expected)
@@ -418,6 +425,12 @@ class _Interleaving:
            ("key", "u", None), ("execute", ("string", 31)),
            ("create", "t", 255, np.float32, COLOURS[2], 1),
            ("execute", ("string", 31)), ("drain",)],
+)
+@example(      # a DDL on x re-slices t and u under a join in flight
+    engine="SHARD:2xCPU", infer=False,
+    steps=[("key", "t", None), ("key", "u", None),
+           ("create", "x", 700, np.int32, None, 0),
+           ("submit", ("join", 31), 4), ("key", "x", None), ("drain",)],
 )
 @settings(max_examples=80, deadline=None)
 def test_ddl_interleavings_never_serve_a_stale_plan(engine, infer, steps):

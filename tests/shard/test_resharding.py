@@ -243,3 +243,64 @@ class TestResizeKeepsPlans:
         fresh = db.connect("SHARD:5xCPU,replicas=2")
         fresh.execute(join)
         assert con.backend.decision_log == fresh.backend.decision_log
+
+
+class TestDDLReslicesANeighbour:
+    """A DDL on one table re-slices every table keyed in its domain.
+    The statements in flight over those neighbours held slices of the
+    old layout (positions into rows that moved), so they park and re-run
+    on the new one — the failover path — instead of crashing
+    (``IndexError`` in the next gather) or answering from a mix."""
+
+    JOIN = ("SELECT sum(v) AS s, count(*) AS n FROM a JOIN b "
+            "ON a.k = b.k WHERE w < 5")
+
+    @staticmethod
+    def keyed(spec):
+        rng = np.random.default_rng(3)
+        database = Database()
+        database.create_table("a", {
+            "k": rng.integers(0, 1000, 4000).astype(np.int32),
+            "v": rng.integers(0, 10, 4000).astype(np.int32),
+        })
+        database.create_table("b", {
+            "k": np.arange(1000, dtype=np.int32),
+            "w": rng.integers(0, 100, 1000).astype(np.int32),
+        })
+        database.declare_shard_key("a", "k", "kd")
+        database.declare_shard_key("b", "k", "kd")
+        return database, database.connect(spec)
+
+    @staticmethod
+    def wide():
+        return {"k": np.arange(-50000, 50000, 50, dtype=np.int32)}
+
+    def ddl(self, database, variant):
+        if variant == "create":
+            database.create_table("c", self.wide())
+            database.declare_shard_key("c", "k", "kd")
+        elif variant == "drop":
+            database.drop_table("c")
+        else:
+            database.create_table("c", self.wide())     # keyed nowhere
+
+    @pytest.mark.parametrize("spec, variant, parks", [
+        ("SHARD:3xCPU", "create", 3),
+        ("SHARD:3xCPU", "drop", 3),
+        ("SHARD:3xCPU", "unkeyed", 0),
+        ("CPU", "create", 0),
+    ])
+    def test_statements_in_flight_re_run(self, spec, variant, parks):
+        database, con = self.keyed(spec)
+        with database:
+            expected = database.connect("MS").execute(self.JOIN)
+            if variant == "drop":
+                database.create_table("c", self.wide())
+                database.declare_shard_key("c", "k", "kd")
+            futures = [con.submit(self.JOIN) for _ in range(3)]
+            for _ in range(7):
+                con.scheduler.step()
+            self.ddl(database, variant)
+            for future in futures:
+                assert_results_equal(expected, future.result(), rtol=0)
+            assert con.scheduler.parked == parks

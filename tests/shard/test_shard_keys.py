@@ -14,13 +14,12 @@ import pytest
 import repro
 from repro.shard import ShardPartitioner, default_key_domain
 from repro.shard.backend import (
-    CONCAT,
     ShardedBackend,
     JOIN_BROADCAST,
     JOIN_COLOCATED,
     JOIN_SHUFFLE_BOTH,
 )
-from repro.shard.partition import hash_placement, range_placement
+from repro.shard.partition import hash_placement
 
 
 def assert_results_equal(expected, got, rtol=1e-6):
@@ -78,11 +77,6 @@ class TestPlacementFunctions:
         assert pa[0] == pa[2] == pb[1]
         assert pa[3] == pb[0]
         assert set(hash_placement(np.arange(1000), 4)) == {0, 1, 2, 3}
-
-    def test_range_placement_bands_and_clipping(self):
-        v = np.array([0, 249, 250, 999, -5, 2000])
-        ids = range_placement(v, 4, (0, 999))
-        assert list(ids) == [0, 0, 1, 3, 0, 3]
 
     def test_non_numeric_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -381,39 +375,37 @@ class TestJoinStrategies:
         snap = db.connect("MS").metrics.snapshot()
         assert not any(key.startswith("interconnect.") for key in snap)
 
-    def test_shard_shuffle_operator(self):
-        """``shard.shuffle`` is a first-class backend operator: it
-        re-partitions a column by value and returns the origin
-        positions of every shuffled row."""
+    def test_shuffle_moves_rows_by_value(self):
+        """The shuffle join's primitive re-partitions a column by value
+        and maps every shuffled row back to its source position; it is
+        no operator a plan can name."""
+        from repro.monetdb import partials
+        from repro.monetdb.mal import ColumnRef
+
         db = make_db()
         con = db.connect("SHARD:3xMS")
         backend = con.backend
         backend.begin()
-        bind = backend.resolve("sql.bind")
-        from repro.monetdb.mal import ColumnRef
-
-        column = bind(ColumnRef("fact", "f_key"))
-        shuffled, oids = backend.resolve("shard.shuffle")(column)
-        assert shuffled.partitioned and oids.space == CONCAT
-        assert backend.supports("shard.shuffle")
+        assert not backend.supports("shard.shuffle")
+        column = backend.resolve("sql.bind")(ColumnRef("fact", "f_key"))
+        place = backend.partitioner.default_placement
+        shuffled, mapping = backend._shuffle(column, place)
+        assert shuffled.partitioned and len(mapping) == 3
         # shard-to-shard moves were charged
         assert backend.traffic.query.bytes_shuffled > 0
+
+        def host(value):
+            return [partials.host_array(child, part)
+                    for child, part in zip(backend.children, value.parts)]
+
+        for dest, keys in enumerate(host(shuffled)):
+            assert np.all(place(keys) == dest)
+        merged = np.concatenate(host(shuffled))
         parent = db.catalog.bat("fact", "f_key").values
-        merged = np.concatenate([
-            np.asarray(backend._host_values(s, p))
-            for s, p in enumerate(shuffled.parts)
-        ])
         np.testing.assert_array_equal(np.sort(merged), np.sort(parent))
-        # the oids map every shuffled row back to its source position
-        concat = np.concatenate([
-            np.asarray(backend._host_values(s, p))
-            for s, p in enumerate(column.parts)
-        ])
-        goids = np.concatenate([
-            np.asarray(backend._host_values(s, p))
-            for s, p in enumerate(oids.parts)
-        ]).astype(np.int64)
-        np.testing.assert_array_equal(concat[goids], merged)
+        # the mapping sends every shuffled row back to its source position
+        concat = np.concatenate(host(column))
+        np.testing.assert_array_equal(concat[np.concatenate(mapping)], merged)
 
     def test_thetajoin_still_broadcasts(self):
         db = make_db()

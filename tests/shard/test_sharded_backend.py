@@ -290,6 +290,87 @@ class TestLimitsAreExplicit:
             con.run_plan(program)
 
 
+class TestPositionColumns:
+    """Plans SQL does not produce: a *position* column gathered and
+    re-broadcast (shard-local positions translate by their space's row
+    counts) and a row map fetched through remotely behind a shuffle
+    join."""
+
+    @pytest.fixture
+    def joined(self):
+        rng = np.random.default_rng(11)
+        database = repro.Database()
+        database.create_table("fact", {
+            "f_key": rng.integers(0, 600, 3000).astype(np.int32),
+            "v": rng.random(3000).astype(np.float32),
+        })
+        database.create_table("dim", {       # partitioned: >= 256 rows
+            "d_key": np.arange(600, dtype=np.int32),
+            "w": rng.random(600).astype(np.float32),
+        })
+        return database
+
+    @staticmethod
+    def sorted_candidates():
+        from repro.monetdb.mal import MALBuilder
+
+        b = MALBuilder("sorted_candidates")
+        cand = b.emit("algebra", "thetaselect",
+                      (b.bind("fact", "v"), None, 0.1, "<"))
+        positions, order = b.emit("algebra", "sort", (cand, True),
+                                  n_results=2)
+        return b.returns([("p", positions), ("o", order)])
+
+    @staticmethod
+    def row_map_behind_a_shuffle():
+        """The dim side of the pair list points into a selection of
+        ``dim``, whose row map is fetched remotely, then ``w`` through
+        that."""
+        from repro.monetdb.mal import MALBuilder
+
+        b = MALBuilder("row_map")
+        w = b.bind("dim", "w")
+        cand = b.emit("algebra", "thetaselect", (w, None, 0.5, "<"))
+        keys = b.emit("algebra", "projection", (cand, b.bind("dim", "d_key")))
+        _lpos, rpos = b.emit("algebra", "join",
+                             (b.bind("fact", "f_key"), keys), n_results=2)
+        dim_rows = b.emit("algebra", "projection", (rpos, cand))
+        picked = b.emit("algebra", "projection", (dim_rows, w))
+        return b.returns([("w", picked)])
+
+    @pytest.mark.parametrize("spec", ["SHARD:2xMS", "SHARD:3xMS:hash",
+                                      "SHARD:2xCPU"])
+    def test_a_gathered_position_column(self, joined, spec):
+        program = self.sorted_candidates()
+        expected = joined.connect("MS").run_plan(program)
+        con = joined.connect(spec)
+        got = con.run_plan(program)
+        if "hash" in spec:
+            # positions into the shard-order layout, not the base order
+            assert got.n_rows == expected.n_rows
+        else:
+            assert_results_equal(expected, got, rtol=0)
+        # translated positions are charged at the int64 they are
+        # computed in (ROADMAP item 4), gathered and re-broadcast
+        rows, n = got.n_rows, con.backend.n_shards
+        assert con.backend.traffic.query.bytes_broadcast == \
+            rows * 8 * (1 + n)
+
+    @pytest.mark.parametrize("spec", ["SHARD:2xMS", "SHARD:3xMS:hash",
+                                      "SHARD:2xCPU"])
+    def test_a_row_map_fetched_through_remotely(self, joined, spec):
+        program = self.row_map_behind_a_shuffle()
+        expected = joined.connect("MS").run_plan(program)
+        con = joined.connect(spec)
+        got = con.run_plan(program)
+        [(op, strategy)] = con.backend.decision_log
+        assert op.endswith(".join") and strategy.startswith("shuffle")
+        # pairs come back in shard order: the same rows, reordered
+        np.testing.assert_array_equal(np.sort(got.column("w")),
+                                      np.sort(expected.column("w")))
+        assert con.backend.traffic.query.bytes_shuffled > 0
+
+
 class TestSessions:
     def test_submit_works_fifo(self, db):
         con = db.connect("SHARD:2xMS")
