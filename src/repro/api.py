@@ -424,18 +424,21 @@ class Database:
     def add_shard(self) -> None:
         """Grow every live sharded connection's cluster by one node.
 
-        The re-shard is **online**: the new layout is staged and key
-        ranges migrate incrementally at query boundaries, so in-flight
-        ``submit()`` batches drain against the old layout while new
-        admissions route to the new one.  On an idle connection the
-        migration is driven to completion before returning.
+        The re-shard is **online**: the new node gets a fresh id and the
+        roster plus that id is queued; in-flight ``submit()`` batches
+        drain against the installed layout, and the first query
+        boundary with nothing in flight re-slices every table over the
+        new roster — before returning, on an idle connection.
         """
         self._resize_shards(+1)
 
     def remove_shard(self) -> None:
         """Shrink every live sharded connection's cluster by one node.
 
-        Online like :meth:`add_shard`."""
+        Online like :meth:`add_shard`.  An excluded node (a tripped one
+        on a ``replicas=1`` cluster) retires first, else the highest
+        node id; a shrink that would leave no healthy node raises
+        ``ValueError``."""
         self._resize_shards(-1)
 
     def _resize_shards(self, delta: int) -> None:
@@ -453,9 +456,8 @@ class Database:
             cluster.request_resize(target)
             resized += 1
             if connection.scheduler.idle:
-                # nothing in flight: drive the staged migration to
-                # completion here (a busy scheduler does it when its
-                # batch drains)
+                # nothing in flight: install the queued roster here (a
+                # busy scheduler does it when its batch drains)
                 cluster.settle()
         if not resized:
             raise RuntimeError(

@@ -120,55 +120,40 @@ class FaultyBackend:
         return guarded
 
 
-def _swap_child(backend, child, faulty) -> None:
-    """Replace ``child`` with ``faulty`` wherever the sharded backend
-    holds it (copy grid, physical roster, active set), so the wrap
-    survives roster rebuilds after promotions and rotations."""
-    for row in getattr(backend, "copies", []):
-        for index, copy in enumerate(row):
-            if copy is child:
-                row[index] = faulty
-    for index, entry in enumerate(backend.all_children):
-        if entry is child:
-            backend.all_children[index] = faulty
-    for index, active in enumerate(backend.children):
-        if active is child:
-            backend.children[index] = faulty
+def _wrap(backend, node: int, copy: int,
+          schedule: dict | None) -> FaultyBackend:
+    """Wrap one child of a sharded backend's node grid in place.  The
+    grid is what every later re-route or layout install reads, so the
+    wrap lasts as long as the node does; the live child list is patched
+    too."""
+    row = backend.grid[node]
+    child = row[copy]
+    faulty = row[copy] = FaultyBackend(child, schedule, node=node)
+    backend.children = [faulty if live is child else live
+                        for live in backend.children]
+    return faulty
 
 
 def wrap_shard_child(backend, shard: int,
                      schedule: dict | None = None) -> FaultyBackend:
-    """Wrap one child of a :class:`~repro.shard.backend.ShardedBackend`
-    in a :class:`FaultyBackend` attributed to that shard, in place.
-
-    Replaces the child in the copy grid, the physical roster
-    (``all_children``) and the active set (``children``), so injected
-    faults carry the shard id and the breaker board can route around
-    it.
+    """Wrap the primary child of physical node ``shard`` of a
+    :class:`~repro.shard.backend.ShardedBackend` in a
+    :class:`FaultyBackend` attributed to that node, in place, so
+    injected faults carry the node id and the breaker board can route
+    around it.
     """
-    child = backend.all_children[shard]
-    faulty = FaultyBackend(child, schedule, node=shard)
-    _swap_child(backend, child, faulty)
-    return faulty
+    return _wrap(backend, shard, 0, schedule)
 
 
 def wrap_shard_node(backend, node: int,
                     schedule: dict | None = None) -> list:
-    """Wrap every copy *hosted* on one physical node of a replicated
+    """Wrap every copy *hosted* on one physical node of a
     :class:`~repro.shard.backend.ShardedBackend`, in place.
 
-    Chained declustering puts copy ``k`` of slot ``s`` on node
+    Chained declustering puts copy ``k`` of slot ``s`` on roster node
     ``(s + k) % N``, so killing a node means failing several slots'
     copies at once; the returned wrappers all carry ``node`` so every
     injected fault charges that node's breaker.
     """
-    n = len(backend.copies)
-    wrapped = []
-    for slot, row in enumerate(backend.copies):
-        for k, child in enumerate(list(row)):
-            if (slot + k) % n != node:
-                continue
-            faulty = FaultyBackend(child, schedule, node=node)
-            _swap_child(backend, child, faulty)
-            wrapped.append(faulty)
-    return wrapped
+    return [_wrap(backend, node, copy, schedule)
+            for copy in range(len(backend.grid[node]))]

@@ -473,12 +473,11 @@ class SessionScheduler:
     def _maybe_finish_batch(self) -> None:
         """The queue drained: close out the batch's makespan accounting.
 
-        This is also where a staged re-shard (or a deferred replica
-        promotion) completes: in-flight queries executed against the
-        old layout, and now that the batch — including any
-        mid-migration :meth:`QueryFuture.cancel` — has drained, the
-        remaining key ranges migrate and the new layout commits, so no
-        partial layout survives the batch."""
+        This is also where a queued roster (a re-shard, a rejoin) or a
+        deferred replica promotion lands: in-flight queries executed
+        against the installed layout, and now that the batch —
+        including any :meth:`QueryFuture.cancel` — has drained, the new
+        one is installed, so no queued layout outlives the batch."""
         if not self.idle:
             return
         if self._batch_start is not None:

@@ -41,13 +41,17 @@ The spec's child component is resolved through the same registry, so
 anything registered with :func:`repro.register_engine` — including
 other composites-to-be — can serve as the per-node engine.
 
-Since PR 10 the cluster is **elastic** (ARCHITECTURE.md "Elastic
-cluster"): ``replicas=<r>`` keeps every key range on r
-chained-declustered copies — reads rotate across healthy copies, a
-breaker trip promotes a replica *without re-partitioning* — and
-``Database.add_shard()`` / ``remove_shard()`` re-shard online,
-migrating key ranges incrementally at query boundaries while in-flight
-``submit()`` batches drain against the old layout.
+The cluster is **elastic** (ARCHITECTURE.md "Elastic cluster"): every
+node keeps its id, catalogs, children and breaker while it is a member,
+and a layout is a roster of node ids
+(:class:`~repro.shard.topology.ShardTopology`).  ``replicas=<r>`` keeps
+every key range on r chained-declustered copies — reads rotate across
+healthy copies, a breaker trip promotes a replica *without
+re-partitioning*.  Excluding a tripped ``replicas=1`` node, its rejoin,
+and ``Database.add_shard()`` / ``remove_shard()`` all queue a new
+roster, installed with one in-place re-sync at the next query boundary
+with nothing in flight; in-flight ``submit()`` batches drain against
+the installed layout.
 """
 
 from __future__ import annotations

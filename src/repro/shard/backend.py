@@ -379,12 +379,6 @@ class _ShardTimelines:
     def makespan(self) -> float:
         return max(self.driver, max(self.clocks.values(), default=0.0))
 
-    def reseed(self) -> None:
-        """A committed resize replaced every child: the new ones start
-        at the old makespan."""
-        self.driver = self.makespan()
-        self.clocks.clear()
-
     def _read(self, join: bool = False) -> dict:
         """Every child's clock — observed, or with ``join`` through
         ``elapsed()``, the sync point a query ends on."""
@@ -473,33 +467,24 @@ class ShardedBackend(Backend):
         self.label = label
         self.child_config = child_config
         self.data_scale = float(data_scale)
-        self.replicas = min(int(replicas), n_shards)
         self.partitioner = ShardPartitioner(
             catalog, n_shards, mode=mode,
             min_partition_rows=min_partition_rows,
             shard_keys=shard_keys,
             use_declared_keys=use_declared_keys,
-            replicas=self.replicas,
+            replicas=replicas,
         )
-        #: ``copies[slot][k]`` — one child backend per copy catalog;
-        #: chained declustering maps copy ``k`` of slot ``s`` onto
-        #: physical node ``(s + k) % N``
-        self.copies: list[list[Backend]] = [
-            [child_config.make(copy_catalog, data_scale)
-             for copy_catalog in row]
-            for row in self.partitioner.copies
-        ]
-        #: the primary-copy roster, one child per shard slot; the
-        #: fault harness wraps entries here (``wrap_shard_child``)
-        self.all_children: list[Backend] = [
-            row[0] for row in self.copies
-        ]
-        #: the *active* children every fan-out/merge loop runs over —
-        #: shrinks when a shard's circuit breaker trips (route-around)
-        self.children: list[Backend] = list(self.all_children)
+        #: ``grid[node][k]`` — the child backend over node ``node``'s
+        #: catalog ``k``; a node keeps its children (and any fault
+        #: wrapper around them) for as long as it is in the cluster
+        self.grid: dict[int, list[Backend]] = {}
+        self.make_children()
+        #: the live copy of every slot, in slot order: the list every
+        #: fan-out/merge loop runs over
+        self.children: list[Backend] = []
         #: capability: routing, failover, read rotation, online resize
-        #: — everything that ever rewrites the roster above
-        self.cluster = ShardTopology(self, int(replicas))
+        #: — everything that ever rewrites the two above
+        self.cluster = ShardTopology(self)
         #: interconnect byte counters (``interconnect.*`` metrics)
         self.traffic = ShardTraffic()
         #: ``keys=infer``: adopt observed join columns as shard keys
@@ -512,18 +497,30 @@ class ShardedBackend(Backend):
         #: the children's clocks
         self.sessions = QuerySessions(self._new_query,
                                       _ShardTimelines(self))
-        if self.all_children[0].memory is not None:
+        if self.children[0].memory is not None:
             #: capability: every copy's Memory Managers — a query owns
             #: what it allocates on any node
             self.memory = QueryMemory(lambda: [
-                manager for row in self.copies for child in row
+                manager for row in self.grid.values() for child in row
                 for manager in child.memory.managers()
             ])
         super().__init__(catalog)
 
+    def make_children(self) -> None:
+        """A child backend for every node catalog that has none yet."""
+        for node, catalogs in self.partitioner.nodes.items():
+            row = self.grid.setdefault(node, [])
+            row.extend(self.child_config.make(catalog, self.data_scale)
+                       for catalog in catalogs[len(row):])
+
     @property
     def n_shards(self) -> int:
         return len(self.children)
+
+    @property
+    def replicas(self) -> int:
+        """Copies of every slot the installed layout keeps."""
+        return self.partitioner.replicas
 
     @property
     def decision_log(self) -> list:
@@ -575,9 +572,10 @@ class ShardedBackend(Backend):
         traffic.  Reset is in place so live references to
         ``traffic.query`` keep reading the current counters.  This is
         also where the topology moves:
-        cooled-down nodes rejoin, staged resizes migrate a few key
-        ranges, and a healthy replicated cluster rotates its read
-        routing (see :class:`~repro.shard.topology.ShardTopology`)."""
+        cooled-down nodes rejoin, a queued roster is installed once no
+        session is in flight, and a healthy replicated cluster rotates
+        its read routing (see
+        :class:`~repro.shard.topology.ShardTopology`)."""
         super().query_boundary()
         self.traffic.query.reset()
         self.cluster.boundary(idle=not self.sessions.open_states)
@@ -656,7 +654,8 @@ class ShardedBackend(Backend):
         so the storage picture spans all of them, and the memory
         managers (none for MonetDB children, one per pooled device for
         Ocelot/HET children) are summed over the whole copy grid."""
-        nodes = [child.counters() for row in self.copies for child in row]
+        nodes = [child.counters()
+                 for row in self.grid.values() for child in row]
         compress = self.catalog.compression.snapshot()
         for node in nodes:
             compress.add(node["compress"])
@@ -675,12 +674,9 @@ class ShardedBackend(Backend):
         changed (a declared key, moved domain bounds), so join planning
         never sees shard slices laid out by a scheme the catalog no
         longer declares — a DDL on one table re-slices every table keyed
-        in its domain, which is when this returns True.  A staged
-        resize restarts from the new schema (its pre-DDL layout plan is
-        void)."""
-        moved = self.partitioner.sync()
-        self.cluster.schema_changed()
-        return moved
+        in its domain, which is when this returns True.  A queued roster
+        needs nothing: its install re-syncs from the schema it finds."""
+        return self.partitioner.sync() > 0
 
     def note_node_failure(self, error) -> str:
         """A :class:`~repro.serve.faults.NodeFault` carrying a shard id
@@ -688,12 +684,12 @@ class ShardedBackend(Backend):
         (:meth:`ShardTopology.node_failed`); faults without a node fall
         back to the backend-wide breaker."""
         node = getattr(error, "node", None)
-        if node is None or not 0 <= node < len(self.all_children):
+        if node is None or node not in self.grid:
             return super().note_node_failure(error)
         return self.cluster.node_failed(node)
 
     def shutdown(self) -> None:
-        for row in self.copies:
+        for row in self.grid.values():
             for child in row:
                 child.shutdown()
 

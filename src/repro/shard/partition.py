@@ -36,25 +36,24 @@ to every shard: dimension tables must be joinable everywhere without a
 shuffle.  DDL on the parent database re-syncs every shard catalog
 (creating/dropping per-shard tables bumps each child's schema version,
 which is what invalidates per-shard cached state).  Every table carries
-a **layout signature** (partitioned?, mode, key, band cuts, N); when a
-re-sync observes a changed signature — a key was declared, a DDL
-widened a range domain — the table is dropped from every shard and
-re-partitioned, so a stale layout can never satisfy a co-partitioning
-check it no longer honours.
+a **layout signature** (partitioned?, mode, key, band cuts, roster);
+when a re-sync observes a changed signature — a key was declared, a DDL
+widened a range domain, the roster moved — the table is dropped from
+every shard and re-partitioned, so a stale layout can never satisfy a
+co-partitioning check it no longer honours.
 
-**Replicas.**  With ``replicas=R`` every key-range slot keeps R
-identical copy catalogs (``self.copies[slot]``); the backend maps copy
-``k`` of slot ``s`` onto physical node ``(s + k) % N`` (chained
-declustering) and routes reads between them.  The partitioner installs
-the same slice into every copy, so a node failure never moves data —
-failover is purely the backend's routing choice.  ``self.catalogs``
-remains the list of primary copies, which is what every layout check
-and test inspects.
-
-**Online re-sharding.**  A partitioner built with ``eager=False`` stays
-empty until :meth:`begin_migration`; :meth:`migrate_step` then installs
-tables one at a time, so the backend can move key ranges incrementally
-at query boundaries while in-flight work drains against the old layout.
+**Nodes and the roster.**  Catalogs belong to physical *nodes*, keyed
+by node id (``self.nodes[node][k]``), and a node keeps its catalogs for
+as long as it is in the cluster.  The layout is a **roster**: the node
+ids holding data, in slot order — slot ``i`` is ``roster[i]``.  With
+``replicas=R`` every slot keeps R identical copies, copy ``k`` of slot
+``s`` on node ``roster[(s + k) % N]`` (chained declustering,
+:meth:`host`), so a node failure never moves data — failover is purely
+the backend's routing choice.  Changing the layout is assigning a new
+roster and calling :meth:`sync`: the roster is part of every layout
+signature, so every table re-slices in place over it, and a node off
+the roster is left empty.  ``self.catalogs`` is the slots' primary
+copies, which is what every layout check and test inspects.
 """
 
 from __future__ import annotations
@@ -143,7 +142,8 @@ def band_placement(values: np.ndarray,
 
 
 class ShardPartitioner:
-    """Keeps N shard catalogs (x R copies) in sync with one parent."""
+    """Keeps the catalogs of a roster of nodes (x R copies) in sync
+    with one parent."""
 
     def __init__(
         self,
@@ -154,22 +154,21 @@ class ShardPartitioner:
         shard_keys: "dict[str, str] | None" = None,
         use_declared_keys: bool = True,
         replicas: int = 1,
-        eager: bool = True,
     ):
         if n_shards < 1:
             raise ValueError("need at least one shard")
         if mode not in ("range", "hash"):
             raise ValueError(f"unknown partition mode {mode!r}")
-        if not 1 <= replicas <= n_shards:
-            raise ValueError(
-                f"replicas must be in 1..{n_shards}, got {replicas}"
-            )
+        if replicas < 1:
+            raise ValueError(f"replicas must be at least 1, got {replicas}")
         self.parent = parent
-        self.n_shards = n_shards
         self.mode = mode
-        self.replicas = replicas
-        self.min_partition_rows_raw = int(min_partition_rows)
-        self.min_partition_rows = max(int(min_partition_rows), n_shards)
+        #: the requested copies per slot; the layout keeps
+        #: ``min(R, len(roster))`` of them (:attr:`replicas`)
+        self._replicas = int(replicas)
+        #: the requested replication floor; the layout raises it to the
+        #: slot count (:attr:`min_partition_rows`)
+        self._min_partition_rows = int(min_partition_rows)
         #: honour keys declared on the parent catalog (the ``keys=off``
         #: spec flag clears this: pure row-id placement, the PR-3 layout)
         self.use_declared_keys = use_declared_keys
@@ -179,18 +178,12 @@ class ShardPartitioner:
             table: (column, None)
             for table, column in (shard_keys or {}).items()
         }
-        #: ``copies[slot][k]`` — copy ``k`` of slot ``slot``'s slice;
-        #: every copy in a row holds identical data
-        self.copies = [
-            [Catalog() for _ in range(replicas)]
-            for _ in range(n_shards)
-        ]
-        #: the primary copies — the list every layout check inspects
-        self.catalogs = [row[0] for row in self.copies]
-        #: physical shard ids currently holding data, in logical order;
-        #: the circuit-breaker board shrinks this to route around a sick
-        #: node (:meth:`set_active`) and restores it on recovery
-        self.active: tuple = tuple(range(n_shards))
+        #: node id -> its catalogs; catalog ``k`` holds copy ``k`` of
+        #: the slot :meth:`host` places there (a node off the roster,
+        #: or a copy the layout does not keep, holds nothing)
+        self.nodes: dict[int, list[Catalog]] = {}
+        #: the node ids holding data, in slot order
+        self.roster: tuple = tuple(range(n_shards))
         #: table -> True if partitioned, False if replicated
         self.partitioned: dict[str, bool] = {}
         #: effective keys this sync: table -> (column, domain)
@@ -201,43 +194,44 @@ class ShardPartitioner:
         self.bands: dict[str, np.ndarray] = {}
         #: table -> layout signature of the slices currently installed
         self._signatures: dict[str, tuple] = {}
-        #: tables still to install during a staged migration
-        self._pending_tables: "list[str] | None" = None
-        if eager:
-            self.sync()
+        self.sync()
 
     def is_partitioned(self, table: str) -> bool:
         return self.partitioned.get(table, False)
 
     @property
-    def n_active(self) -> int:
-        """How many shards currently hold data (placement fan-out)."""
-        return len(self.active)
+    def n_shards(self) -> int:
+        """How many slots the layout has (placement fan-out)."""
+        return len(self.roster)
+
+    @property
+    def replicas(self) -> int:
+        """Copies the layout keeps of every slot."""
+        return min(self._replicas, len(self.roster))
+
+    @property
+    def min_partition_rows(self) -> int:
+        """Below this row count a table is replicated to every slot."""
+        return max(self._min_partition_rows, len(self.roster))
+
+    def host(self, slot: int, copy: int = 0) -> int:
+        """The node holding copy ``copy`` of ``slot``."""
+        return self.roster[(slot + copy) % len(self.roster)]
+
+    def copies(self, slot: int) -> list:
+        """``slot``'s copy catalogs, the primary first; every one holds
+        identical data."""
+        return [self.nodes[self.host(slot, k)][k]
+                for k in range(self.replicas)]
+
+    @property
+    def catalogs(self) -> list:
+        """Every slot's primary copy, in slot order."""
+        return [self.nodes[node][0] for node in self.roster]
 
     def _all_catalogs(self):
-        for row in self.copies:
+        for row in self.nodes.values():
             yield from row
-
-    def set_active(self, active) -> None:
-        """Re-partition every table over the given physical shards.
-
-        ``active`` is the physical shard ids (in logical order) that
-        should hold data; excluded shards are emptied.  Changing the
-        active set changes every table's layout signature, so the next
-        :meth:`sync` (run immediately) drops and re-slices everything —
-        route-around is a full re-partition, exactly what an
-        unreplicated cluster must pay to shed a dead node.  (With
-        ``replicas > 1`` the backend never calls this on failure: the
-        ranges are already resident elsewhere and failover is a pure
-        routing change.)"""
-        active = tuple(active)
-        if not active:
-            raise ValueError("need at least one active shard")
-        if sorted(set(active)) != sorted(active) or not all(
-                0 <= p < self.n_shards for p in active):
-            raise ValueError(f"bad active shard set {active!r}")
-        self.active = active
-        self.sync()
 
     # -- shard keys ----------------------------------------------------------
 
@@ -280,14 +274,14 @@ class ShardPartitioner:
     def key_placement(self, domain: str):
         """The value-to-shard function of one key domain."""
         if self.mode == "hash":
-            return lambda values: hash_placement(values, self.n_active)
+            return lambda values: hash_placement(values, self.n_shards)
         boundaries = self.bands[domain]
         return lambda values: band_placement(values, boundaries)
 
     def default_placement(self, values: np.ndarray) -> np.ndarray:
         """Domain-free placement for ad-hoc shuffles (both-side hash
         re-partition of a join on undeclared columns)."""
-        return hash_placement(values, self.n_active)
+        return hash_placement(values, self.n_shards)
 
     def _effective_keys(self, parent_tables) -> dict:
         declared: dict[str, tuple[str, "str | None"]] = {}
@@ -315,14 +309,14 @@ class ShardPartitioner:
         column, domain = key
         values = self.parent.bat(name, column).values
         ids = self.key_placement(domain)(values)
-        return [ids == shard for shard in range(self.n_active)]
+        return [ids == shard for shard in range(self.n_shards)]
 
     def _slice(self, values: np.ndarray, shard: int) -> np.ndarray:
         n = values.shape[0]
         if self.mode == "hash":
-            return values[shard::self.n_active]
-        lo = shard * n // self.n_active
-        hi = (shard + 1) * n // self.n_active
+            return values[shard::self.n_shards]
+        lo = shard * n // self.n_shards
+        hi = (shard + 1) * n // self.n_shards
         return values[lo:hi]
 
     def _signature(self, name: str, partition: bool) -> tuple:
@@ -333,7 +327,7 @@ class ShardPartitioner:
             boundaries = self.bands.get(key[1])
             if boundaries is not None:
                 cuts = tuple(boundaries.tolist())
-        return (partition, self.mode, key, bounds, cuts, self.active)
+        return (partition, self.mode, key, bounds, cuts, self.roster)
 
     # -- synchronisation -----------------------------------------------------
 
@@ -367,63 +361,56 @@ class ShardPartitioner:
                 observed = np.concatenate(
                     [np.asarray(a, dtype=np.float64) for a in arrays]
                 )
-                self.bands[domain] = skew_bands(observed, self.n_active)
+                self.bands[domain] = skew_bands(observed, self.n_shards)
 
     def _install_table(self, name: str) -> int:
-        """(Re-)install one table's slices; returns the number of
-        logical slots that received fresh data (ranges moved)."""
+        """(Re-)install one table's slices if its layout signature
+        changed; returns the number of slots that received rows."""
         rows = self.parent.row_count(name)
         partition = rows >= self.min_partition_rows
         self.partitioned[name] = partition
         signature = self._signature(name, partition)
-        if self._signatures.get(name) != signature:
-            for catalog in self._all_catalogs():
-                if catalog.has_table(name):
-                    catalog.drop_table(name)
+        if self._signatures.get(name) == signature:
+            return 0
+        for catalog in self._all_catalogs():
+            if catalog.has_table(name):
+                catalog.drop_table(name)
         self._signatures[name] = signature
-        for phys in set(range(self.n_shards)) - set(self.active):
-            for catalog in self.copies[phys]:
-                if catalog.has_table(name):
-                    catalog.drop_table(name)
         masks = self._slice_masks(name) if partition else None
-        installed = 0
-        for shard, phys in enumerate(self.active):
-            columns = None
-            fresh = False
-            for catalog in self.copies[phys]:
-                if catalog.has_table(name):
-                    continue
-                if columns is None:
-                    columns = {}
-                    for column in self.parent.columns(name):
-                        values = self.parent.bat(name, column).values
-                        if not partition:
-                            columns[column] = values
-                        elif masks is not None:
-                            columns[column] = values[masks[shard]]
-                        else:
-                            columns[column] = self._slice(values, shard)
+        for slot in range(self.n_shards):
+            columns = {}
+            for column in self.parent.columns(name):
+                values = self.parent.bat(name, column).values
+                if not partition:
+                    columns[column] = values
+                elif masks is not None:
+                    columns[column] = values[masks[slot]]
+                else:
+                    columns[column] = self._slice(values, slot)
+            for catalog in self.copies(slot):
                 catalog.create_table(name, columns)
-                fresh = True
-            if fresh:
-                installed += 1
-        return installed
+        return self.n_shards
 
-    def sync(self) -> bool:
-        """Bring every shard catalog up to date with the parent; returns
-        whether a table that was already installed got re-sliced (rows
-        moved under whatever still reads the old slices).
+    def sync(self) -> int:
+        """Bring every node's catalogs up to date with the parent over
+        the current roster; returns how many slots received re-sliced
+        rows of a table that was already installed (rows moved under
+        whatever still reads the old slices).
 
-        New parent tables are partitioned or replicated per the size
-        policy; dropped parent tables are dropped from every shard
-        (firing the per-shard delete callbacks, so shard-local device
-        caches release their buffers).  A table whose layout signature
-        changed — key declared, band cuts moved, partition policy
-        flipped — is dropped and re-partitioned, so shard slices always
-        reflect the placement function the co-partitioning checks
-        assume.  Both directions bump each child catalog's schema
+        A node new to the roster gets its catalogs here.  New parent
+        tables are partitioned or replicated per the size policy;
+        dropped parent tables are dropped from every node (firing the
+        per-node delete callbacks, so node-local device caches release
+        their buffers).  A table whose layout signature changed — key
+        declared, band cuts moved, partition policy flipped, roster
+        changed — is dropped everywhere and re-partitioned, so slices
+        always reflect the placement function the co-partitioning
+        checks assume.  Both directions bump each child catalog's schema
         version.
         """
+        for node in self.roster:
+            row = self.nodes.setdefault(node, [])
+            row.extend(Catalog() for _ in range(len(row), self.replicas))
         parent_tables = set(self.parent.tables())
         for catalog in self._all_catalogs():
             for stale in set(catalog.tables()) - parent_tables:
@@ -432,39 +419,11 @@ class ShardPartitioner:
             if name not in parent_tables:
                 del self.partitioned[name]
                 self._signatures.pop(name, None)
-        installed = dict(self._signatures)
+        installed = set(self._signatures)
         self._refresh_layout(parent_tables)
-        for name in self.parent.tables():
-            self._install_table(name)
-        self._pending_tables = None
-        return any(self._signatures[name] != signature
-                   for name, signature in installed.items())
-
-    # -- staged migration (online re-sharding) -------------------------------
-
-    def begin_migration(self) -> None:
-        """Prepare an incremental :meth:`sync`: compute the new layout
-        now, but defer installing tables to :meth:`migrate_step` calls
-        (one per query boundary), so a resize proceeds while queries
-        keep running against the old partitioner."""
-        parent_tables = set(self.parent.tables())
-        self._refresh_layout(parent_tables)
-        self._pending_tables = sorted(parent_tables)
-
-    def migrate_step(self, tables: int = 1) -> int:
-        """Install up to ``tables`` pending tables; returns how many
-        logical key-range slots received data."""
         moved = 0
-        while tables > 0 and self._pending_tables:
-            name = self._pending_tables.pop(0)
-            moved += self._install_table(name)
-            tables -= 1
+        for name in self.parent.tables():
+            fresh = self._install_table(name)
+            if name in installed:
+                moved += fresh
         return moved
-
-    @property
-    def migration_done(self) -> bool:
-        """True once a started migration has installed every table."""
-        return (
-            self._pending_tables is not None
-            and not self._pending_tables
-        )

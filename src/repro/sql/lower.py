@@ -208,6 +208,14 @@ class Compiler:
     # -- literals against dictionary columns --------------------------------------
 
     def _literal_for(self, bound: Bound, column: str, literal) -> object:
+        if isinstance(literal, ast.Neg):
+            # a negative number: ``parameterise`` leaves the sign
+            # outside the placeholder
+            number = literal.operand
+            if isinstance(number, ast.Param) and number.kind in ("i", "f") or \
+                    isinstance(number, ast.Literal) \
+                    and isinstance(number.value, (int, float)):
+                return -self._literal_for(bound, column, number)
         if isinstance(literal, ast.Param):
             if literal.kind != "s":
                 return ParamRef(literal.index)

@@ -180,6 +180,21 @@ def test_nothing_about_a_layout_is_recorded_replayed_or_stamped():
     assert files_of(written) == {"serve/session.py"}, written
 
 
+def test_a_layout_changes_one_way():
+    """Exclusion, rejoin and resize all install a roster of physical
+    node ids: no active set beside it, no staged second partitioner
+    migrated a few tables at a time, no renumbered roster, and one grid
+    holds a node's children."""
+    gone = hits(r"\bset_active\b|\bn_active\b|partitioner\.active\b|"
+                r"begin_migration|migrate_step|migration_done|"
+                r"_pending_tables|min_partition_rows_raw|\beager=|"
+                r"_advance_resize|_commit_resize|MIGRATE_TABLES_PER_BOUNDARY|"
+                r"\.staged\b|\breseed\b|all_children|_swap_child")
+    assert gone == [], gone
+    installed = hits(r"partitioner\.roster = ")
+    assert files_of(installed) == {"shard/topology.py"}, installed
+
+
 # -- one operator table: an operator's facts are declared once ---------------
 
 #: where operator names may be spelled as a collection: the table, and

@@ -140,11 +140,11 @@ class TestShardRouteAround:
         assert_results_equal(clean, con.execute(QUERY))
         backend = con.backend
         assert backend.cluster.excluded == {1}
-        assert backend.partitioner.active == (0, 2)
+        assert backend.partitioner.roster == (0, 2)
         assert len(backend.children) == 2
         assert backend.health.breaker(("shard", 1)).state == "open"
         # the sick node's physical roster slot is untouched
-        assert backend.all_children[1] is sick
+        assert backend.grid[1][0] is sick
 
     def test_excluded_shard_receives_no_work(
         self, points_db, assert_results_equal
@@ -183,7 +183,7 @@ class TestShardRouteAround:
         assert breaker.trips == 2            # initial trip + failed probe
         assert breaker.state == "closed"
         assert backend.cluster.excluded == set()
-        assert backend.partitioner.active == (0, 1, 2)
+        assert backend.partitioner.roster == (0, 1, 2)
         assert len(backend.children) == 3
         assert len(sick.injected) == 4       # every scheduled fault fired
 

@@ -1,11 +1,12 @@
 """Seeded chaos: the elastic cluster under randomized fire (PR 10).
 
 Every TPC-H workload query must return the clean run's answer while
-nodes are killed, promoted, recovered, and the cluster is grown and
-shrunk mid-workload.  The schedule is randomized but reproducible: the
-seed comes from ``REPRO_CHAOS_SEED`` (CI sets it per run and prints
-it), defaults to a fixed value locally, and is embedded in every
-assertion context so a failure names the exact schedule that broke.
+nodes are killed, promoted or excluded, recovered, and the cluster is
+grown and shrunk mid-workload.  The schedule is randomized but
+reproducible: the seed comes from ``REPRO_CHAOS_SEED`` (CI sets it per
+run and prints it), defaults to a fixed value locally, and is embedded
+in every assertion context so a failure names the exact schedule that
+broke.
 """
 
 import os
@@ -71,7 +72,6 @@ class TestSeededChaos:
                 events.append(f"recover node {victim}")
             elif index == grow_at:
                 tpch_db.add_shard()
-                wrappers = []        # the resize rebuilt the roster
                 events.append("add_shard -> 5")
             elif index == shrink_at:
                 tpch_db.remove_shard()
@@ -89,6 +89,63 @@ class TestSeededChaos:
         assert stats.ranges_migrated > 0, detail
         assert stats.topology_changes >= 2, detail
         assert backend.cluster.nodes == 4, detail
+
+    def test_workload_survives_exclude_grow_rejoin_shrink(
+        self, tpch_db, assert_results_equal
+    ):
+        """The ``replicas=1`` arc — kill (the node is excluded),
+        ``add_shard`` while it is out, heal (it rejoins as itself),
+        ``remove_shard`` — at seeded positions inside a seeded
+        permutation of all 14 workload queries."""
+        rng = np.random.default_rng(SEED + 2)
+        con = tpch_db.connect("SHARD:4xCPU")
+        clean = {qid: con.execute(sql) for qid, sql in WORKLOAD.items()}
+        backend = con.backend
+
+        qids = sorted(WORKLOAD)
+        order = [qids[i] for i in rng.permutation(len(qids))]
+        kill_at = int(rng.integers(0, 4))
+        grow_at = kill_at + int(rng.integers(1, 3))
+        recover_at = grow_at + int(rng.integers(1, 3))
+        shrink_at = recover_at + int(rng.integers(1, 3))
+        victim = int(rng.integers(0, 4))
+        events: list = []
+        wrappers: list = []
+
+        for index, qid in enumerate(order):
+            if index == kill_at:
+                wrappers = _kill(backend, victim)
+                events.append(f"kill node {victim}")
+            elif index == grow_at:
+                tpch_db.add_shard()
+                assert backend.cluster.excluded == {victim}, events
+                events.append("add_shard -> 5")
+            elif index == recover_at:
+                _heal(wrappers)
+                for _ in range(80):
+                    if not backend.cluster.excluded:
+                        break
+                    backend.query_boundary()
+                events.append(f"recover node {victim}")
+            elif index == shrink_at:
+                tpch_db.remove_shard()
+                events.append("remove_shard -> 4")
+            context = (f"REPRO_CHAOS_SEED={SEED + 2} step {index} "
+                       f"query {qid} after {events}")
+            assert_results_equal(
+                clean[qid], con.execute(WORKLOAD[qid]), context
+            )
+
+        stats = backend.cluster.stats
+        detail = f"REPRO_CHAOS_SEED={SEED + 2} events {events}"
+        assert backend.health.breaker(("shard", victim)).trips >= 1, detail
+        assert stats.ranges_migrated > 0, detail
+        assert stats.topology_changes >= 4, detail
+        assert backend.cluster.nodes == 4, detail
+        assert backend.cluster.excluded == set(), detail
+        # the rejoined node is the one that was killed, wrapper and all
+        assert backend.grid[victim] == wrappers, detail
+        assert victim in backend.partitioner.roster, detail
 
     def test_rolling_kills_every_node(
         self, points_db, assert_results_equal
@@ -119,4 +176,4 @@ class TestSeededChaos:
         assert stats.recoveries >= 4
         # the whole rolling restart never re-partitioned anything
         assert dict(backend.partitioner._signatures) == signatures
-        assert tuple(backend.partitioner.active) == (0, 1, 2, 3)
+        assert backend.partitioner.roster == (0, 1, 2, 3)

@@ -61,7 +61,7 @@ class TestShardDifferential:
         assert excluded_during[0], "the trip never happened"
         # ...and the cooldown probe re-admitted it mid-workload
         assert not excluded_during[-1], "the shard never rejoined"
-        assert backend.partitioner.active == (0, 1)
+        assert backend.partitioner.roster == (0, 1)
         assert breaker.state == "closed"
 
 

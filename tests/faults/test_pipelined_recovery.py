@@ -50,7 +50,7 @@ class TestHalfOpenUnderTraffic:
         assert not backend.cluster.routing.degraded, "probe never rejoined"
         assert backend.cluster.stats.recoveries >= 1
         # layout never moved through the whole arc
-        assert backend.partitioner.active == (0, 1)
+        assert backend.partitioner.roster == (0, 1)
 
     def test_failed_probe_retrips_without_wrong_results(
         self, points_db, assert_results_equal

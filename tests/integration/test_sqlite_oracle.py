@@ -256,6 +256,11 @@ CASES = [
      "ORDER BY k", True),
     ("SELECT id FROM t255 WHERE k IN (1, 5, 16) AND NOT v < 0 ORDER BY id",
      True),
+    # negative numbers in a list: the sign stays outside the placeholder
+    ("SELECT id, v FROM t255 WHERE v IN (1, -5) ORDER BY id", True),
+    ("SELECT id FROM odd WHERE y IN (1, -5) ORDER BY id", True),
+    ("SELECT count(*) AS c, sum(v) AS s FROM t255 WHERE v NOT IN (-5, 2)",
+     True),
     ("SELECT id, CASE WHEN v > 0 THEN v ELSE 0 END AS p FROM t255 "
      "WHERE id < 40 ORDER BY id", True),
     ("SELECT id FROM t900 WHERE f > (SELECT avg(f) FROM t900) ORDER BY id",

@@ -124,14 +124,16 @@ class TestReplicatedExecution:
 
     def test_copies_hold_identical_slices(self, db):
         backend = db.connect("SHARD:4xCPU,replicas=3").backend
-        for slot, row in enumerate(backend.partitioner.copies):
-            primary = row[0]
-            for copy_catalog in row[1:]:
+        partitioner = backend.partitioner
+        for slot in range(partitioner.n_shards):
+            primary, *row = partitioner.copies(slot)
+            for copy_catalog in row:
                 assert copy_catalog.row_count("fact") == \
                     primary.row_count("fact")
         # the primary list stays the catalogs alias older code uses
-        assert backend.partitioner.catalogs == [
-            row[0] for row in backend.partitioner.copies
+        assert partitioner.catalogs == [
+            partitioner.copies(slot)[0]
+            for slot in range(partitioner.n_shards)
         ]
 
     def test_read_balancing_rotates_without_recompiling(self, db):
@@ -143,8 +145,9 @@ class TestReplicatedExecution:
         assert stats.reads_balanced >= 2
         # rotation swaps which copy serves reads...
         for slot in range(4):
-            assert backend.children[slot] is \
-                backend.copies[slot][backend.cluster.routing.copy_of[slot]]
+            copy = backend.cluster.routing.copy_of[slot]
+            host = backend.partitioner.host(slot, copy)
+            assert backend.children[slot] is backend.grid[host][copy]
         # ...but never re-partitions or invalidates plans
         cache = db.plan_cache.stats
         assert (cache.misses, cache.hits, cache.invalidations) == (1, 3, 0)
@@ -157,7 +160,7 @@ class TestFailover:
         clean = con.execute(GROUPED)
         backend = con.backend
         signatures = dict(backend.partitioner._signatures)
-        active = tuple(backend.partitioner.active)
+        roster = backend.partitioner.roster
 
         wrappers = wrap_shard_node(backend, 2)
         assert len(wrappers) == 2                   # primary + a replica
@@ -171,7 +174,7 @@ class TestFailover:
         assert backend.cluster.routing.degraded
         # the acceptance assertion: failover is a pure routing change
         assert dict(backend.partitioner._signatures) == signatures
-        assert tuple(backend.partitioner.active) == active
+        assert backend.partitioner.roster == roster
         assert backend.health.breaker(("shard", 2)).trips >= 1
 
     def test_degraded_reads_are_counted(self, db):

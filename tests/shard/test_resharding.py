@@ -1,14 +1,18 @@
 """Online re-sharding (PR 10): ``Database.add_shard`` /
-``remove_shard`` migrate key ranges incrementally at query boundaries
-— in-flight ``submit()`` batches drain against the old layout while
-new admissions route to the new one — and the committed layout is
-indistinguishable from a freshly-built cluster of the same size.
+``remove_shard`` queue a new roster of nodes, installed at the first
+query boundary with nothing in flight — in-flight ``submit()`` batches
+drain against the old layout while new admissions route to the new one
+— and the installed layout is indistinguishable from a freshly-built
+cluster of the same size.  A node keeps its id, child, breaker and
+fault wrapper through a resize: a dead node stays dead.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import Database
+from repro.serve.faults import NodeFault, wrap_shard_child, wrap_shard_node
+from repro.serve.resilience import DEFAULT_COOLDOWN
 from repro.serve.session import QueryCancelled
 
 
@@ -109,35 +113,6 @@ class TestResize:
         with pytest.raises(RuntimeError):
             db.add_shard()
 
-    def test_migration_is_incremental(self, db):
-        """The staged layout migrates a bounded number of tables per
-        query boundary, not all at once."""
-        rng = np.random.default_rng(61)
-        for name in ("extra_a", "extra_b", "extra_c"):
-            db.create_table(name, {
-                "k": rng.integers(0, 400, 4000).astype(np.int64),
-                "v": rng.random(4000).astype(np.float64),
-            })
-        con = db.connect("SHARD:4xCPU,replicas=2")
-        con.execute(AGG)
-        backend = con.backend
-        backend.cluster.request_resize(5)
-        assert backend.cluster.pending
-        assert backend.cluster.nodes == 5         # staged target
-        assert backend.partitioner.n_shards == 4    # not committed yet
-        assert len(backend.cluster.staged._pending_tables) == 4
-        migrated = backend.cluster.stats.ranges_migrated
-        backend.query_boundary()                    # moves 2 of 4 tables
-        assert backend.cluster.stats.ranges_migrated > migrated
-        assert backend.cluster.pending
-        assert len(backend.cluster.staged._pending_tables) == 2
-        boundaries = 0
-        while backend.cluster.pending:
-            backend.query_boundary()
-            boundaries += 1
-        assert boundaries >= 1
-        assert backend.partitioner.n_shards == 5
-
 
 class TestResizeUnderTraffic:
     def test_in_flight_batches_drain_against_old_layout(self, db):
@@ -185,8 +160,7 @@ class TestResizeUnderTraffic:
         # no half-migrated layout survives the cancelled batch
         assert not backend.cluster.pending
         assert backend.partitioner.n_shards == 5
-        assert backend.partitioner.migration_done or \
-            backend.partitioner._pending_tables is None
+        assert backend.partitioner.roster == backend.cluster.roster
         assert_results_equal(
             fresh_result(GROUPED, 5, 2), con.execute(GROUPED)
         )
@@ -304,3 +278,89 @@ class TestDDLReslicesANeighbour:
             for future in futures:
                 assert_results_equal(expected, future.result(), rtol=0)
             assert con.scheduler.parked == parks
+
+
+class TestResizeKeepsNodes:
+    """A resize adds or retires node ids; it never rebuilds the nodes
+    that stay, so it cannot "heal" one whose breaker is still open."""
+
+    @staticmethod
+    def exclude_node_1(db):
+        con = db.connect("SHARD:3xCPU")
+        clean = con.execute(GROUPED)
+        sick = wrap_shard_child(con.backend, 1, {
+            k: NodeFault("shard 1 down", node=1) for k in (1, 2, 3)
+        })
+        assert_results_equal(clean, con.execute(GROUPED))
+        assert con.backend.cluster.excluded == {1}
+        return con, clean, sick
+
+    def test_excluded_node_stays_out_through_add_shard(self, db):
+        con, clean, sick = self.exclude_node_1(db)
+        backend = con.backend
+        db.add_shard()
+        assert backend.cluster.excluded == {1}
+        assert backend.partitioner.roster == (0, 2, 3)
+        assert backend.health.breaker(("shard", 1)).state == "open"
+        assert backend.grid[1][0] is sick
+        assert_results_equal(clean, con.execute(GROUPED), rtol=1e-5)
+        # the breaker cools down: the node rejoins as itself
+        for _ in range(DEFAULT_COOLDOWN):
+            con.execute(GROUPED)
+        assert backend.cluster.excluded == set()
+        assert backend.partitioner.roster == (0, 1, 2, 3)
+        assert backend.grid[1][0] is sick
+        assert_results_equal(
+            fresh_result(GROUPED, 4, 1), con.execute(GROUPED)
+        )
+
+    def test_promoted_cluster_stays_degraded_through_add_shard(self, db):
+        con = db.connect("SHARD:4xCPU,replicas=2")
+        clean = con.execute(GROUPED)
+        backend = con.backend
+        wrappers = wrap_shard_node(backend, 2)
+        for wrapper in wrappers:
+            wrapper.always = NodeFault("node 2 down")
+        assert_results_equal(clean, con.execute(GROUPED))
+        assert backend.cluster.routing.degraded
+        db.add_shard()
+        assert backend.cluster.routing.degraded
+        assert backend.partitioner.roster == (0, 1, 2, 3, 4)
+        assert backend.grid[2] == wrappers
+        assert backend.health.breaker(("shard", 2)).state == "open"
+        assert not any(child in wrappers for child in backend.children)
+        assert_results_equal(clean, con.execute(GROUPED), rtol=1e-5)
+
+    def test_remove_shard_retires_the_excluded_node(self, db):
+        con, clean, _sick = self.exclude_node_1(db)
+        backend = con.backend
+        db.remove_shard()
+        assert backend.cluster.nodes == 2
+        assert backend.cluster.excluded == set()
+        assert backend.partitioner.roster == (0, 2)
+        assert sorted(backend.grid) == [0, 2]
+        assert_results_equal(clean, con.execute(GROUPED))
+
+    def test_remove_shard_retires_the_highest_id(self, db):
+        con = db.connect("SHARD:4xCPU")
+        clean = con.execute(GROUPED)
+        db.remove_shard()
+        backend = con.backend
+        assert backend.partitioner.roster == (0, 1, 2)
+        assert sorted(backend.grid) == [0, 1, 2]
+        db.add_shard()                  # a fresh id, never a reused one
+        assert backend.partitioner.roster == (0, 1, 2, 4)
+        assert_results_equal(clean, con.execute(GROUPED), rtol=1e-5)
+
+    def test_shrink_leaving_no_healthy_node_is_refused(self, db):
+        con = db.connect("SHARD:2xCPU,replicas=2")
+        clean = con.execute(GROUPED)
+        backend = con.backend
+        for wrapper in wrap_shard_node(backend, 0):
+            wrapper.always = NodeFault("node 0 down")
+        assert_results_equal(clean, con.execute(GROUPED))
+        with pytest.raises(ValueError, match="no healthy node"):
+            db.remove_shard()
+        assert backend.cluster.nodes == 2
+        assert not backend.cluster.pending
+        assert_results_equal(clean, con.execute(GROUPED))
