@@ -4,9 +4,9 @@ The engine executes one operator-at-a-time plan per query; a serving
 system faces *streams* of queries, most of them repeats.  This demo
 walks the two serve-layer pieces (see ARCHITECTURE.md, "serve"):
 
-1. the **plan cache** — repeating a statement skips parse, lowering,
-   the Ocelot rewrite and (on HET) per-instruction placement scoring;
-   the hit/miss/replay counters and the wall clock both show it;
+1. the **plan cache** — repeating a statement skips parse, lowering
+   and the Ocelot rewrite; the hit/miss counters and the wall clock
+   both show it;
 2. **async sessions** — ``Connection.submit`` returns a future; the
    round-robin session scheduler interleaves in-flight queries one MAL
    instruction per turn, and because cross-device sync points are
@@ -52,10 +52,9 @@ def main() -> None:
     con = db.connect("HET")
 
     print("== 1. the plan cache ==")
-    print("  First run of each statement compiles (miss) and records the")
-    print("  placer's decisions; the second run is a hit that *replays*")
-    print("  them — placement is deterministic given the measured device")
-    print("  profiles, so there is nothing to re-score.")
+    print("  First run of each statement compiles (miss); the second run")
+    print("  is a hit, which the placer still places from what is")
+    print("  resident on each device.")
     for _label, sql in WORKLOAD:
         con.execute(sql)
     print(f"  after first pass : {con.plan_cache.stats}")
@@ -65,7 +64,7 @@ def main() -> None:
     warm_wall = time.perf_counter() - t0
     print(f"  after second pass: {con.plan_cache.stats}")
     print(f"  (second pass wall clock: {warm_wall * 1e3:.1f} ms — no parse,"
-          f" no rewrite, no scoring)")
+          f" no rewrite)")
 
     print("\n== 2. serial baseline ==")
     print("  Executed one after another, each query joins both device")

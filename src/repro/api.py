@@ -138,8 +138,7 @@ class Connection:
         bind parameters before the plan-cache lookup, so every literal
         variation of one query shape is a cache hit against a single
         template plan (values are substituted into a bound copy at
-        execute time).  HET additionally replays the cached placement
-        trace instead of re-scoring repeat queries.
+        execute time).
 
         ``analyze=True`` forces tracing on for this statement regardless
         of the spec's ``trace=`` setting: the returned result carries a

@@ -36,8 +36,8 @@ a plan already containing ``fuse.pipe`` instructions is returned
 unchanged.  It runs inside every engine's optimizer pipeline
 (:meth:`repro.engines.EngineConfig.plan`), *before* the Ocelot
 rewriter, which then reroutes ``fuse.pipe`` to ``ocelot.pipe`` — so
-the serve layer's plan cache memoises fused plans and HET placement
-traces replay over them.
+the serve layer's plan cache memoises fused plans and HET places each
+region as one operator.
 
 Gated by the ``fusion`` engine knob (:data:`repro.engines.KNOBS`): the
 CI knob A/B job runs the whole TPC-H correctness suite with it off so

@@ -50,8 +50,7 @@ class Backend(abc.ABC):
       the per-query state of each (a :class:`QuerySessions`).  The
       default is a :class:`SerialTimeline` over :meth:`begin` /
       :meth:`elapsed`, one query at a time; HET's device pool and
-      SHARD's child clocks overlap sessions, and HET records and
-      replays each query's placement trace;
+      SHARD's child clocks overlap sessions;
     * :attr:`health` — the circuit-breaker board;
     * :attr:`memory` — device memory that queries allocate from and
       that is handed back when each ends (a
@@ -182,7 +181,7 @@ class Backend(abc.ABC):
 
         Returns the serving layer's next move: ``"retry"`` (same
         topology), ``"rerouted"`` (the node was taken out of service —
-        placement traces are stale, re-plan), or ``"fail"`` (no healthy
+        re-run on what is left), or ``"fail"`` (no healthy
         topology remains; surface the error).  The single-node default
         charges the backend's own breaker: while it stays closed the
         query may retry, once it trips there is nowhere to route.
@@ -291,14 +290,9 @@ class Backend(abc.ABC):
 
 @dataclass
 class QueryState:
-    """What every engine keeps per query: the decisions worth
-    replaying (HET's placements; empty elsewhere), in order, and the
-    recorded ones it may consume instead of deciding (``None`` = decide
-    fresh).  Engines subclass it with their own per-query fields."""
+    """What every engine keeps per query.  Engines subclass it with
+    their own per-query fields."""
 
-    trace: list = field(default_factory=list)
-    replay: "list | None" = None
-    replay_pos: int = 0
     #: the session's completion epoch once it closed
     completed: "float | None" = None
 
@@ -369,12 +363,9 @@ class QuerySessions:
         self.active: "str | None" = None
         self.current = new_state()
 
-    def open(self, session: str, replay=None) -> float:
-        """Register one in-flight query, handing it a recorded decision
-        trace to consume; returns its submit epoch."""
-        state = self._new_state()
-        state.replay = replay or None
-        self.open_states[session] = state
+    def open(self, session: str) -> float:
+        """Register one in-flight query; returns its submit epoch."""
+        self.open_states[session] = self._new_state()
         return self.timeline.open_session(session)
 
     def activate(self, session: "str | None") -> None:
@@ -404,11 +395,6 @@ class QuerySessions:
         state = self.open_states[session]
         return lambda: (self.timeline.session_time(session)
                         if state.completed is None else state.completed)
-
-    def trace(self) -> tuple[list, int]:
-        """The current query's decisions; ``(trace, replayed)`` where
-        ``replayed`` counts those served from the installed replay."""
-        return list(self.current.trace), self.current.replay_pos
 
 
 @dataclass

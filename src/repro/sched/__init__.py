@@ -75,8 +75,7 @@ Execution mechanics
   :meth:`repro.cl.queue.CommandQueue.advance_session_to`);
 * :class:`~repro.sched.backend.HeterogeneousBackend` — the fifth engine
   configuration (``db.connect("HET")``): routes
-  every ``ocelot.*`` instruction through the placer (or replays the
-  plan cache's recorded decisions for repeat queries), keeps per-query
+  every ``ocelot.*`` instruction through the placer, keeps per-query
   scheduling state per session, charges framework overheads per device
   on first use, runs ``ocelot.sync`` on the device homing the operand,
   and falls back to embedded sequential MonetDB for unsupported

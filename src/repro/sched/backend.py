@@ -22,18 +22,16 @@ touches the CPU never pays the CPU SDK's overhead.
 The ``sessions`` capability (see ARCHITECTURE.md and :mod:`repro.serve`):
 
 * **per-query state** — every per-query bit of state (overhead charging,
-  the decision log, the placement trace) lives in a :class:`_QueryState`
-  held by a :class:`~repro.monetdb.interpreter.QuerySessions` over the
-  device pool; the session scheduler opens one state per in-flight query
-  and activates it around each interpreted instruction, so N queries can
+  the decision log) lives in a :class:`_QueryState` held by a
+  :class:`~repro.monetdb.interpreter.QuerySessions` over the device
+  pool; the session scheduler opens one state per in-flight query and
+  activates it around each interpreted instruction, so N queries can
   interleave on the shared pool without corrupting each other's
-  bookkeeping;
-* **placement replay** — the plan cache records the placer's decision
-  sequence for a plan (placement is deterministic given the measured
-  device characteristics) and installs it on the next run, which skips
-  re-scoring every instruction.  Replay is validated per instruction
-  (function name and split bounds) and falls back to fresh scoring on
-  any divergence.
+  bookkeeping.
+
+A cached plan holds no placement: every dispatch is placed from the
+operands and residency in front of it, as Ocelot decides per BAT from
+where it lives (§4.3).
 """
 
 from __future__ import annotations
@@ -49,38 +47,19 @@ from ..ocelot.engine import MixedExecutionBackend
 from ..ocelot.memory import QueryMemory
 from ..ocelot.operators import HOST_CODE
 from .partition import execute_split
-from .placer import CostPlacer, Placement
+from .placer import CostPlacer
 from .pool import DevicePool
 
 
 @dataclass
 class _QueryState(QueryState):
-    """Per-query scheduling state (one per in-flight query): ``trace``
-    and ``replay`` hold ``(function, Placement)`` decisions in dispatch
-    order — harvested by the plan cache, replayed instead of re-scored."""
+    """Per-query scheduling state (one per in-flight query)."""
 
     #: devices whose fixed per-query framework cost was already paid
     overhead_charged: set[int] = field(default_factory=set)
     #: (function, "split" | device index | "monetdb") per dispatched
     #: instruction — introspection for tests and examples
     decision_log: list[tuple[str, object]] = field(default_factory=list)
-
-    def next_replayed(self, function: str, args) -> Placement | None:
-        """The cached decision for this dispatch, or ``None`` (and replay
-        is abandoned) when the recorded sequence diverges."""
-        if self.replay is None or self.replay_pos >= len(self.replay):
-            return None
-        recorded_fn, decision = self.replay[self.replay_pos]
-        if recorded_fn != function:
-            self.replay = None   # plan diverged: score the rest fresh
-            return None
-        if decision.split is not None:
-            bats = [a for a in args if isinstance(a, BAT)]
-            if not bats or decision.split[-1][2] != bats[0].count:
-                self.replay = None
-                return None
-        self.replay_pos += 1
-        return decision
 
 
 class HeterogeneousBackend(MixedExecutionBackend):
@@ -147,48 +126,33 @@ class HeterogeneousBackend(MixedExecutionBackend):
             # pure list combination is host work (mixed execution)
             return self._run_on_monetdb(row, args)
         state = self.sessions.current
-        decision = state.next_replayed(function, args)
-        if decision is not None and self.placer.banned and (
-                decision.device in self.placer.banned
-                or (decision.split is not None
-                    and any(d in self.placer.banned
-                            for d, _lo, _hi in decision.split))):
-            # the trace predates a breaker trip: score fresh from here
-            state.replay = None
-            decision = None
-        if decision is None:
-            decision = self.placer.choose(
-                function, args, charged=frozenset(state.overhead_charged)
-            )
         if self._pinned_device is not None:
             # a morsel is in flight: the whole morsel runs on the device
             # chosen at scope entry (the morsel, not the operator, is
-            # the stealing unit) — the replay slot above is still
-            # consumed so recorded traces stay aligned
-            decision = Placement(
-                device=self._pinned_device,
-                predicted_s=(decision.predicted_s
-                             if decision.split is None else 0.0),
+            # the stealing unit), so there is nothing to score
+            device, split = self._pinned_device, None
+        else:
+            decision = self.placer.choose(
+                function, args, charged=frozenset(state.overhead_charged)
             )
-        state.trace.append((function, decision))
+            device, split = decision.device, decision.split
         tracer = self.tracer
-        if decision.split is not None:
+        if split is not None:
             state.decision_log.append((function, "split"))
             if tracer is not None:
                 span = tracer.begin(
                     f"dispatch.{function}", cat="dispatch", device="split",
-                    shares=[[d, hi - lo] for d, lo, hi in decision.split],
+                    shares=[[d, hi - lo] for d, lo, hi in split],
                 )
             try:
                 out = execute_split(
-                    self.pool, function, args, decision.split,
+                    self.pool, function, args, split,
                     charge_overhead=self._charge_overhead,
                 )
             finally:
                 if tracer is not None:
                     tracer.end(span)
         else:
-            device = decision.device
             engine = self.pool.engines[device]
             state.decision_log.append((function, device))
             self._charge_overhead(device)

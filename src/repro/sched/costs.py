@@ -173,6 +173,14 @@ def shape_of(function: str, args, scale: float,
     return OpShape(stream_bytes=in_bytes + out, launches=1, out_bytes=out)
 
 
+def shapes_of(function: str, args, scale: float, engines) -> list[OpShape]:
+    """:func:`shape_of` on each of ``engines`` — computed once where the
+    shape does not depend on the device (only join and sort launches do)."""
+    if function in ("join", "sort"):
+        return [shape_of(function, args, scale, engine) for engine in engines]
+    return [shape_of(function, args, scale, engines[0])] * len(engines)
+
+
 def shape_seconds(chars: DeviceCharacteristics, shape: OpShape) -> float:
     """Measured-profile prediction of one operator's device seconds."""
     t = shape.launches * chars.launch_overhead_s

@@ -30,8 +30,8 @@ from ..monetdb.ops import ROW_INDEPENDENT, class_of
 from .costs import (
     EST_SELECTIVITY,
     bat_nominal_bytes,
-    shape_of,
     shape_seconds,
+    shapes_of,
 )
 from .pool import DevicePool
 from .stats import SelectivityStats
@@ -95,15 +95,21 @@ class CostPlacer:
 
     # -- single-device scoring ------------------------------------------------
 
-    def operand_transfer_s(self, bat: BAT, device: int) -> float:
-        """Cost of making one operand consumable on ``device`` now."""
+    def _operands(self, args) -> list[tuple[BAT, float, int | None]]:
+        """``(bat, nominal bytes, home device)`` per BAT operand: what
+        every device's score reads, found once per instruction."""
         pool = self.pool
-        chars = pool.characteristics[device]
         scale = pool.data_scale
-        home = pool.home_of(bat)
+        return [(a, bat_nominal_bytes(a, scale), pool.home_of(a))
+                for a in args if isinstance(a, BAT)]
+
+    def operand_transfer_s(self, bat: BAT, nbytes: float, home: int | None,
+                           device: int) -> float:
+        """Cost of making one operand consumable on ``device`` now."""
         if home == device:
             return 0.0
-        nbytes = bat_nominal_bytes(bat, scale)
+        pool = self.pool
+        chars = pool.characteristics[device]
         if home is not None and not bat.has_host_values:
             # homed on the other device (resident or offloaded there):
             # read back / restore there, then upload here
@@ -120,27 +126,22 @@ class CostPlacer:
             return 0.0
         return chars.transfer_seconds(nbytes)
 
-    def score_single(self, function: str, args, device: int) -> float:
+    def score_single(self, shape, operands, device: int) -> float:
+        """Predicted seconds of ``shape`` whole on ``device``, operand
+        transfers included (``operands`` as :meth:`_operands`)."""
         if device in self.banned:
             return float("inf")
-        pool = self.pool
-        engine = pool.engines[device]
-        chars = pool.characteristics[device]
-        scale = pool.data_scale
-        shape = shape_of(function, args, scale, engine)
+        chars = self.pool.characteristics[device]
         if chars.global_mem_bytes:
             budget = MEMORY_FRACTION * chars.global_mem_bytes
             need = shape.out_bytes + sum(
-                bat_nominal_bytes(a, scale)
-                for a in args
-                if isinstance(a, BAT)
+                nbytes for _bat, nbytes, _home in operands
             )
             if need > budget:
                 return float("inf")
         t = shape_seconds(chars, shape)
-        for a in args:
-            if isinstance(a, BAT):
-                t += self.operand_transfer_s(a, device)
+        for bat, nbytes, home in operands:
+            t += self.operand_transfer_s(bat, nbytes, home, device)
         return t
 
     # -- fan-out planning --------------------------------------------------------
@@ -170,15 +171,16 @@ class CostPlacer:
                 return False
         return True
 
-    def plan_split(self, function: str, args,
+    def plan_split(self, function: str, args, shapes,
                    charged: frozenset = frozenset()
                    ) -> tuple[list, float, float] | None:
         """Water-filling shares + predicted makespan, or ``None``.
 
-        Returns ``(plan, with_wake_s, work_s)``: the makespan including
-        the wake-up cost of still-idle devices, and the pure-work
-        makespan used for the margin test (wake costs are step functions
-        that would distort a multiplicative margin).
+        ``shapes`` holds the operator's shape on each device.  Returns
+        ``(plan, with_wake_s, work_s)``: the makespan including the
+        wake-up cost of still-idle devices, and the pure-work makespan
+        used for the margin test (wake costs are step functions that
+        would distort a multiplicative margin).
         """
         pool = self.pool
         scale = pool.data_scale
@@ -206,7 +208,7 @@ class CostPlacer:
         rates, fixed, wake, caps = [], [], [], []
         for idx, engine in enumerate(pool.engines):
             chars = pool.characteristics[idx]
-            shape = shape_of(function, args, scale, engine)
+            shape = shapes[idx]
             var_s = shape_seconds(chars, shape) \
                 - shape.launches * chars.launch_overhead_s
             per_row = max(var_s / n, 1e-15)
@@ -305,21 +307,25 @@ class CostPlacer:
         waking a still-idle device adds its overhead to the score, so
         zero-cost instructions never drag the Intel SDK's ~1 s intercept
         into a query that otherwise runs entirely on the GPU."""
-        count = len(self.pool)
+        pool = self.pool
+        count = len(pool)
+        shapes = shapes_of(function, args, pool.data_scale, pool.engines)
+        operands = self._operands(args)
         work = [
-            self.score_single(function, args, idx) for idx in range(count)
+            self.score_single(shapes[idx], operands, idx)
+            for idx in range(count)
         ]
         totals = []
         for idx in range(count):
             extra = 0.0
             if idx not in charged:
-                extra = self.pool.engines[idx].device.profile \
+                extra = pool.engines[idx].device.profile \
                     .framework_overhead_s
             totals.append(work[idx] + extra)
         best = min(range(count), key=totals.__getitem__)
         decision = Placement(device=best, predicted_s=totals[best])
         if self._splittable(function, args):
-            planned = self.plan_split(function, args, charged)
+            planned = self.plan_split(function, args, shapes, charged)
             if planned is not None:
                 plan, with_wake, work_only = planned
                 if ((work_only < SPLIT_MARGIN * work[best]

@@ -1,12 +1,9 @@
-"""The plan cache: memoised ``compile_sql`` -> rewrite -> placement.
+"""The plan cache: memoised ``compile_sql`` -> rewrite.
 
 Repeat queries are the common case in a serving system, and everything
-between the SQL text and the first dispatched instruction is
-deterministic here: parsing, lowering, the engine's optimizer pipeline
-(the Ocelot rewriter), and — for the heterogeneous engine — the cost
-placer's per-instruction decisions, which depend only on the measured
-device characteristics and the (immutable) base data.  So the whole
-front half of the query lifecycle is cacheable:
+between the SQL text and the executable plan is deterministic here:
+parsing, lowering and the engine's optimizer pipeline (the Ocelot
+rewriter).  So that front half of the query lifecycle is cacheable:
 
 * **key** — ``(SQL text, canonical engine spec, program name)`` plus
   :meth:`repro.engines.EngineConfig.plan_key`.  The engine component
@@ -33,13 +30,9 @@ front half of the query lifecycle is cacheable:
   one miss, and is replaced in place; queries already admitted keep the
   entry they were bound to.
 * **value** — the *rewritten* :class:`~repro.monetdb.mal.MALProgram`
-  (plans are immutable and re-runnable), plus — on the heterogeneous
-  engine — the placer's per-instruction decisions from the latest run,
-  installed as a replay on the next one through the backend's
-  ``sessions`` capability
-  (:class:`repro.monetdb.interpreter.QuerySessions`), which skips
-  re-scoring every instruction.  The trace lives and dies with its
-  entry and is validated per instruction as it replays.
+  (plans are immutable and re-runnable) and nothing a run decides: the
+  heterogeneous engine places every dispatch from the operands and
+  residency in front of it, as the paper's Ocelot decides per BAT.
 * **eviction** — least-recently-used beyond ``max_entries``; entries
   that no longer validate are purged (and counted) by
   :meth:`invalidate_schema`, which every ``Database`` DDL call runs.
@@ -69,30 +62,23 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
-    #: placer decisions replayed from a cached trace instead of scored
-    placement_reuses: int = 0
 
     def __str__(self) -> str:
         return (
             f"hits={self.hits} misses={self.misses} "
-            f"invalidations={self.invalidations} "
-            f"placement_reuses={self.placement_reuses}"
+            f"invalidations={self.invalidations}"
         )
 
 
 @dataclass
 class CachedPlan:
-    """One memoised plan plus its latest placement trace."""
+    """One memoised plan."""
 
     key: tuple
     program: object                    # rewritten MALProgram
     #: the catalog state the compile depended on: the stamp of every
     #: base table in FROM
     versions: dict = field(default_factory=dict)
-    #: [(function, Placement), ...] recorded by the HET backend on the
-    #: most recent run of this plan; None until the plan first executes
-    #: on the heterogeneous engine
-    placements: list | None = None
     hits: int = 0
     #: bound-program LRU for parameterised plans: values tuple -> the
     #: executable program with those values substituted
@@ -100,7 +86,7 @@ class CachedPlan:
 
 
 class PlanCache:
-    """LRU cache of compiled, rewritten, placement-annotated plans."""
+    """LRU cache of compiled, rewritten plans."""
 
     def __init__(self, catalog, max_entries: int = 256):
         self.catalog = catalog
@@ -212,7 +198,7 @@ class PlanCache:
             entry.binds.move_to_end(values)
         return entry, bound
 
-    # no caller; the frozen perf/yardstick/spans.py binds it (ROADMAP 3)
+    # no caller; the frozen perf/yardstick/spans.py binds it by name
     def invalidate_placements(self, engine_spec: str) -> int:
         stale = [
             key for key in self._entries if key[1] == engine_spec

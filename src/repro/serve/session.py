@@ -36,8 +36,8 @@ The scheduler is also the serving tier's **admission controller**:
 * transient node failures (:class:`~repro.serve.faults.TransientFault`)
   are reported to the backend's circuit breakers
   (``note_node_failure``): a tripped breaker takes the sick node out
-  of service, every in-flight query is parked (its partial state — on
-  HET its placement trace too — predates the topology change) and
+  of service, every in-flight query is parked (its partial state
+  predates the topology change) and
   re-run against the healthy remainder; a DDL that re-slices a table
   the sharded layout already held parks them the same way
   (:meth:`SessionScheduler.park_in_flight`);
@@ -132,7 +132,6 @@ class _InFlight:
     session) and — while admitted — its stepper."""
 
     future: QueryFuture
-    entry: CachedPlan
     program: object
     tracer: object = None
     #: simulated seconds allowed from admission, and the epoch they end
@@ -218,7 +217,7 @@ class SessionScheduler:
         if program is None:
             program = entry.program
         future = QueryFuture(self, name)
-        flight = _InFlight(future, entry, program, tracer=tracer)
+        flight = _InFlight(future, program, tracer=tracer)
         if timeout is not None:
             flight.timeout = float(timeout)
         if self.memory_budget is not None:
@@ -253,19 +252,17 @@ class SessionScheduler:
         except CircuitOpen as error:
             self._refuse(flight.future, error)
             return
-        self._open(flight, replay=flight.entry.placements)
+        self._open(flight)
         if flight.timeout is not None:
             flight.deadline = flight.future.submit_epoch + flight.timeout
 
-    def _open(self, flight: _InFlight, replay=None) -> None:
+    def _open(self, flight: _InFlight) -> None:
         """Open ``flight``'s session (a fresh one per attempt) and put
         it in the rotation."""
         backend = self.backend
         self._counter += 1
         session = flight.future.session = f"s{self._counter}"
-        flight.future.submit_epoch = backend.sessions.open(
-            session, replay=replay
-        )
+        flight.future.submit_epoch = backend.sessions.open(session)
         tracer = flight.tracer
         if tracer is not None:
             tracer.clock = backend.sessions.clock(session)
@@ -337,10 +334,9 @@ class SessionScheduler:
         once nothing is in flight."""
         if not self._active and self._retry:
             flight = self._retry.popleft()
-            # re-run a parked query alone (full device budget), placing
-            # afresh — HET's recorded trace predates the pressure or the
-            # breaker trip (``query_boundary`` applies any pending node
-            # exclusions before the session opens)
+            # re-run a parked query alone (full device budget)
+            # (``query_boundary`` applies any pending node exclusions
+            # before the session opens)
             self.backend.query_boundary()
             self._open(flight)
         if self._pending:
@@ -400,15 +396,10 @@ class SessionScheduler:
             sessions.activate(None)
 
     def _complete(self, flight: _InFlight) -> None:
-        """The last step ran (the session is still active): hand the
-        placement trace to the plan cache (HET records one; every other
-        engine's is empty), close the session for the query's price,
-        collect."""
-        sessions = self.backend.sessions
-        flight.entry.placements, replayed = sessions.trace()
-        self.connection.plan_cache.stats.placement_reuses += replayed
+        """The last step ran (the session is still active): close the
+        session for the query's price, collect."""
         future = flight.future
-        completion, elapsed = sessions.close(future.session)
+        completion, elapsed = self.backend.sessions.close(future.session)
         future.completion_epoch = completion
         future._result = flight.run.collect(elapsed)
         future._done = True
@@ -423,7 +414,6 @@ class SessionScheduler:
     def _on_transient(self, flight: _InFlight, error: Exception) -> None:
         """A node-level failure: consult the breaker board and either
         retry, re-route around the tripped node, or give up."""
-        flight.entry.placements = None
         action = self.backend.note_node_failure(error)
         if action == "fail" or flight.parks >= MAX_PARKS:
             self._fail(flight, error)
@@ -435,7 +425,7 @@ class SessionScheduler:
     def park_in_flight(self) -> None:
         """The layout under every in-flight query moved — a node was
         routed around, or a DDL re-sliced a table they may read: their
-        partial state and placements predate it, so park them all to
+        partial state predates it, so park them all to
         re-run against the new one (not counted against their retry
         budget)."""
         while self._active:

@@ -157,11 +157,17 @@ def test_the_scheduler_has_one_path_and_typed_flights():
     assert len(re.findall(r"^    def _complete\(", scheduler, re.M)) == 1
 
 
-def test_one_retry_budget_and_one_trace_hand_over():
+def test_one_retry_budget():
     assert hits(r"MAX_TRANSIENT_RETRIES|sessions\.arm\(|\b_armed\b") == []
-    # the plan cache's decision trace is handed to a session in
-    # ``sessions.open(replay=...)`` and taken back in one place
-    assert files_of(hits(r"\.placements = ")) == {"serve/session.py"}
+
+
+def test_a_plan_holds_no_placement():
+    """HET places every dispatch from the operands and residency in
+    front of it: no decision trace is recorded, cached, handed to a
+    session, replayed or counted."""
+    gone = hits(r"next_replayed|replay_pos|\.placements\b|placement_reuses|"
+                r"sessions\.trace\(|replay=")
+    assert gone == [], gone
 
 
 # -- a plan does not know the cluster ----------------------------------------
@@ -175,9 +181,6 @@ def test_nothing_about_a_layout_is_recorded_replayed_or_stamped():
                 r"_join_valid|morsel_runner|_key_domain_members")
     assert gone == [], gone
     assert hits(r"\bwhole=") == []
-    # the one replay left is HET's, counted where it is handed back
-    written = hits(r"\.placement_reuses\s*(\+=|-=|=(?!=))")
-    assert files_of(written) == {"serve/session.py"}, written
 
 
 def test_a_layout_changes_one_way():

@@ -217,6 +217,27 @@ class TestTransientRerouteViaSubmit:
         assert_results_equal(clean[OTHER], innocent.result())
         assert con.backend.cluster.excluded == {1}
 
+    def test_blips_on_every_shard_exhaust_the_one_retry_budget(
+        self, points_db, assert_results_equal
+    ):
+        """Four blips on four different shards trip no breaker (three in
+        a row on one node would): the flight parks ``MAX_PARKS`` times
+        and then surfaces the fault — ``execute()`` has no retry budget
+        of its own — and the next statement is served."""
+        con = points_db.connect("SHARD:4xMS")
+        clean = con.execute(QUERY)
+        for shard in range(4):
+            wrap_shard_child(con.backend, shard, {
+                1: NodeFault(f"shard {shard} down", node=shard)})
+        with pytest.raises(NodeFault):
+            con.execute(QUERY)
+        parked = [op for _s, op in con.scheduler.turn_log
+                  if op == "parked"]
+        assert len(parked) == MAX_PARKS
+        assert_results_equal(clean, con.execute(QUERY))
+        assert all(breaker.state == "closed"
+                   for breaker in con.backend.health)
+
 
 class TestRegionMembers:
     """A whole-backend wrap reaches inside ``morsel.run``: the

@@ -2,8 +2,8 @@
 
 Two contracts the serving layer must never bend:
 
-* **plan-cache transparency** — a cached (and, on HET, placement-
-  replayed) plan produces a ``QueryResult`` identical to compiling the
+* **plan-cache transparency** — a cached plan produces a
+  ``QueryResult`` identical to compiling the
   same SQL fresh, on every engine; DDL invalidates the plans that read
   the table it touched, so a recreated table is never served from a
   stale plan — under any interleaving of DDL, roster changes and
@@ -74,7 +74,7 @@ def test_cached_plan_is_transparent(engine, hi, ngroups):
     con = db.connect(engine)
     sql = f"SELECT g, sum(v) AS s FROM t WHERE v <= {hi} GROUP BY g"
     first = con.execute(sql)            # compiles (miss)
-    cached = con.execute(sql)           # cache hit (+ replay on HET)
+    cached = con.execute(sql)           # cache hit
     assert db.plan_cache.stats.hits >= 1
     fresh = con.run_plan(compile_sql(sql, db.schema))   # never cached
     _compare(fresh, first, (engine, "first"))
@@ -110,8 +110,7 @@ def test_ddl_invalidates_instead_of_serving_stale_plans(engine, seed):
 
 def _pressure_connection(db: Database, gpu_mem_mb: float):
     """Swap the HET connection's pool for one with a tiny-memory GPU
-    (and drop plans recorded against the standard pool — placement
-    replay assumes an unchanged device pool)."""
+    (and drop the plans compiled before)."""
     con = db.connect("HET")
     gpu = cl.Device(cl.NVIDIA_GTX460.with_memory(int(gpu_mem_mb * cl.MB)))
     con.backend = HeterogeneousBackend(

@@ -216,7 +216,6 @@ class TestFailover:
         assert (stats.misses, stats.invalidations) == before
         for key, entry in entries.items():
             assert db.plan_cache._entries[key] is entry
-            assert not entry.placements
 
     def test_recovery_rejoins_the_primary(self, db):
         con = db.connect("SHARD:4xCPU,replicas=2")

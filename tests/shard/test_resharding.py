@@ -213,7 +213,6 @@ class TestResizeKeepsPlans:
             before[0] + 1, before[1] + 1, before[2])    # the miss: CPU's
         for key, entry in entries.items():
             assert db.plan_cache._entries[key] is entry
-            assert not entry.placements
         fresh = db.connect("SHARD:5xCPU,replicas=2")
         fresh.execute(join)
         assert con.backend.decision_log == fresh.backend.decision_log

@@ -519,10 +519,7 @@ class TestStrategyDecidedAtRunTime:
         hits = stats.hits
         con.execute(JOIN_SQL)
         assert stats.hits == hits + 1
-        assert stats.placement_reuses == 0
         assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
-        (entry,) = db.plan_cache._entries.values()
-        assert not entry.placements
 
     def test_a_key_declaration_keeps_the_plan_and_moves_the_decision(self):
         db = make_db()
@@ -554,18 +551,16 @@ class TestStrategyDecidedAtRunTime:
         # the re-created table lost its declared key with the drop
         assert join_trace(con)[0][1] != JOIN_COLOCATED
 
-    def test_a_trace_left_in_an_entry_is_ignored(self):
-        """Whatever an entry's ``placements`` holds (HET's replay slot),
-        SHARD decides from the layout in front of it."""
+    def test_an_entry_holds_the_plan_and_nothing_a_run_decided(self):
+        """A plan-cache entry is the compiled program, the table stamps
+        it compiled against and its bound copies: no slot for a join
+        strategy (or a HET placement) a run could leave behind."""
         db = make_db()
         con = db.connect("SHARD:2xMS,key=fact.f_key,key=dim.d_key")
         con.execute(JOIN_SQL)
         entry, _ = db.plan_cache.prepare(JOIN_SQL, con.config, db.schema)
-        entry.placements = [("algebra.join", "shuffle-right"),
-                            ("algebra.join", JOIN_COLOCATED)]
-        expected = db.connect("MS").execute(JOIN_SQL)
-        got = con.execute(JOIN_SQL)
-        assert_results_equal(expected, got, rtol=1e-5)
+        assert set(vars(entry)) == {"key", "program", "versions", "hits",
+                                    "binds"}
         assert join_trace(con) == [("algebra.join", JOIN_COLOCATED)]
 
 
