@@ -37,21 +37,32 @@ def segmented_reduce(
     ngroups = int(ngroups)
     if op == "count":
         return np.bincount(gids, minlength=ngroups).astype(dtype)
-    if op == "sum":
+    if op == "sum" and (np.dtype(dtype).kind == "f" or _float64_exact(vals)):
         return np.bincount(gids, weights=vals, minlength=ngroups).astype(dtype)
     out = np.full(ngroups, fold_identity(op, dtype), dtype=dtype)
     if gids.size == 0:
         return out
     order = np.argsort(gids, kind="stable")
     sorted_gids = gids[order]
-    sorted_vals = vals[order]
+    sorted_vals = vals[order].astype(dtype, copy=False)
     boundaries = np.concatenate(
         ([0], np.nonzero(sorted_gids[1:] != sorted_gids[:-1])[0] + 1)
     )
-    reducer = np.minimum if op == "min" else np.maximum
+    reducer = {"sum": np.add, "min": np.minimum, "max": np.maximum}[op]
     reduced = reducer.reduceat(sorted_vals, boundaries)
     out[sorted_gids[boundaries]] = reduced
     return out
+
+
+def _float64_exact(vals: np.ndarray) -> bool:
+    """Whether float64 adds any subset of the integers ``vals`` exactly
+    (``bincount``'s weights are float64; otherwise the integer sum folds
+    sorted runs): four-byte values always do below 2**22 rows,
+    eight-byte ones while ``n * max|v|`` < 2**53."""
+    n = vals.size
+    if n == 0 or vals.dtype.itemsize <= 4 and n < 2 ** 22:
+        return True
+    return max(-int(vals.min()), int(vals.max())) * n < 2 ** 53
 
 
 def _grouped_partial_vec(ctx, partials, gids, vals, n, ngroups, op, accums, in_local):

@@ -21,12 +21,15 @@ equal to the slot's — which of several equal keys is a legal outcome of
 the race, and ``keys[tvals[slot]] == tkeys[slot]`` whichever it is.  A
 caller that wants another value per key indexes its own column with the
 row; ranks and run ids *are* the row index of a sorted distinct input.
-``EMPTY`` (0xFFFFFFFF) marks free slots, so keys must not take that value
-— column values are bijectively encoded first
-(:func:`repro.kernels.radix_sort.encode_keys` never produces 0xFFFFFFFF
-for int32/float32; uint32 callers reserve it).  A free slot's value is
-undefined: nothing initialises the value column, and a probe reads a
-value only where the key matched.
+``EMPTY`` (0xFFFFFFFF) marks free slots, so no table holds that key.
+Column values are bijectively encoded first
+(:func:`repro.kernels.radix_sort.encode_keys`), and one value of every
+four-byte type encodes to it (int32 ``2**31 - 1``; uint32 callers such
+as FOR deltas reach it too).  The check round flags such a build with
+:data:`MARKER_FLAG` in its failure count, and the host hands the
+operator to MonetDB; a probe key equal to ``EMPTY`` misses.  A free
+slot's value is undefined: nothing initialises the value column, and a
+probe reads a value only where the key matched.
 
 The vectorised driver emulates CAS deterministically: within one insertion
 round the lowest-index pending key wins a contested slot, a legal CAS
@@ -41,6 +44,10 @@ import numpy as np
 from ..cl import CLError, KernelDef, KernelWork, params
 
 EMPTY = np.uint32(0xFFFFFFFF)
+
+#: set in ``ht_check``'s failure count when a key equals ``EMPTY``; a
+#: genuine count stays below it (``n`` is an oid count)
+MARKER_FLAG = 0x80000000
 
 #: Number of strong hash functions before linear probing (paper §4.1.4).
 NUM_HASH_FUNCTIONS = 6
@@ -62,6 +69,10 @@ _MIXERS = np.array(
 
 class TableFull(CLError):
     """Pessimistic insertion exceeded the probe limit; restart bigger."""
+
+
+class MarkerKey(CLError):
+    """A build key equals ``EMPTY``, which no slot can hold."""
 
 
 def hash_slot(keys: np.ndarray, func: int, m: int) -> np.ndarray:
@@ -172,7 +183,8 @@ def _ht_check_vec(ctx, fail_bitmap, fail_count, tkeys, keys, n, m):
     packed = np.packbits(failed, bitorder="little")
     fail_bitmap[: packed.size] = packed
     fail_bitmap[packed.size :] = 0
-    fail_count[0] = np.count_nonzero(failed)
+    fail_count[0] = np.count_nonzero(failed) | (
+        MARKER_FLAG if (keys[:n] == EMPTY).any() else 0)
 
 
 def _ht_check_work(ctx, fail_bitmap, fail_count, tkeys, keys, n, m):
@@ -198,7 +210,7 @@ def _ht_check_ref(wi, fail_bitmap, fail_count, tkeys, keys, n, m):
     does first; the sum is the same."""
     n, m = int(n), int(m)
     nbytes = (n + 7) // 8
-    failures = 0
+    failures, marker = 0, 0
     for j in wi.partition(nbytes):
         byte = 0
         for k in range(8):
@@ -206,10 +218,12 @@ def _ht_check_ref(wi, fail_bitmap, fail_count, tkeys, keys, n, m):
             if i < n and tkeys[_scalar_slot(int(keys[i]), 0, m)] != keys[i]:
                 byte |= 1 << k
                 failures += 1
+            if i < n and keys[i] == EMPTY:
+                marker = MARKER_FLAG
         fail_bitmap[j] = byte
     for turn in range(wi.local_size()):
         if wi.local_id() == turn:
-            fail_count[0] += failures
+            fail_count[0] = (int(fail_count[0]) + failures) | marker
         yield
     return
 
@@ -226,7 +240,8 @@ HT_CHECK = KernelDef(
 __kernel void ht_check(__global uchar* fail, __global uint* fail_count,
                        __global const uint* tkeys,
                        __global const uint* keys, uint n, uint m) {
-    /* bit i set <=> keys[i] was overwritten during the optimistic round */
+    /* bit i set <=> keys[i] was overwritten during the optimistic round;
+       a key equal to EMPTY also sets MARKER_FLAG in fail_count */
     __local uint failures;                  /* work-group reduction ... */
     if (lid == 0 && failures) atomic_add(fail_count, failures);
 }                                           /* ... one atomic per group */
@@ -395,12 +410,15 @@ def _ht_probe_vec(ctx, out_vals, found_bitmap, tkeys, tvals, keys, n, m):
     # h0 runs over the whole input; later rounds over the compacted misses
     pending_keys = keys[:n]
     slots = hash_slot(pending_keys, 0, m)
-    found = tkeys.take(slots) == pending_keys
+    marker = pending_keys == EMPTY      # in no table: a free slot's key
+    found = (tkeys.take(slots) == pending_keys) & ~marker
     result = out_vals[:n]
     result[:] = tvals.take(slots)
     lookups = n
     pending = np.flatnonzero(~found)
     result[pending] = EMPTY
+    if marker.any():
+        pending = pending[~marker[pending]]
     pending_keys = pending_keys.take(pending)
     for func in range(1, NUM_HASH_FUNCTIONS):
         if pending.size == 0:
@@ -464,12 +482,12 @@ def _ht_probe_ref(wi, out_vals, found_bitmap, tkeys, tvals, keys, n, m):
         key = int(keys[i])
         value, hit = int(EMPTY), False
         slot = 0
-        for func in range(NUM_HASH_FUNCTIONS):
+        for func in range(NUM_HASH_FUNCTIONS if key != EMPTY else 0):
             slot = _scalar_slot(key, func, m)
             if int(tkeys[slot]) == key:
                 value, hit = int(tvals[slot]), True
                 break
-        if not hit:
+        if not hit and key != EMPTY:
             base = _scalar_slot(key, NUM_HASH_FUNCTIONS - 1, m)
             for distance in range(1, PROBE_LIMIT + 1):
                 slot = (base + distance) % m
@@ -498,7 +516,8 @@ HT_PROBE = KernelDef(
 __kernel void ht_probe(__global uint* vals, __global uchar* found,
                        __global const uint* tkeys, __global const uint* tvals,
                        __global const uint* keys, uint n, uint m) {
-    /* h0..h5, then linear probing until hit or EMPTY */
+    /* h0..h5, then linear probing until hit or EMPTY; the key EMPTY
+       itself misses at once */
 }
 """,
 )

@@ -22,6 +22,7 @@ import numpy as np
 from .. import cl
 from ..cl import CommandQueue, Context, Device
 from ..kernels import KERNEL_LIBRARY
+from ..kernels.hashing import MarkerKey
 from ..monetdb import ops
 from ..monetdb.bat import BAT, OID_DTYPE, Role
 from ..monetdb.interpreter import Backend
@@ -187,7 +188,9 @@ class MixedExecutionBackend(Backend):
 
     def _four_byte_keys(self, function: str, device_op):
         """``device_op``, handing operators with an eight-byte hashed
-        operand back to MonetDB — decided from the dtype alone."""
+        operand back to MonetDB — decided from the dtype alone — and
+        those whose hash build meets the one four-byte key a device
+        table cannot hold (:class:`~repro.kernels.hashing.MarkerKey`)."""
         row = ops.OPS.get(function)
         if row is None or not row.hashed:
             return device_op
@@ -196,7 +199,10 @@ class MixedExecutionBackend(Backend):
             if any(isinstance(args[i], BAT) and args[i].dtype.itemsize == 8
                    for i in row.hashed):
                 return self._run_on_monetdb(row, args)
-            return device_op(*args)
+            try:
+                return device_op(*args)
+            except MarkerKey:
+                return self._run_on_monetdb(row, args)
 
         return op
 

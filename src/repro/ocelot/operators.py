@@ -40,7 +40,7 @@ import numpy as np
 
 from ..cl import Local
 from ..kernels.aggregation import accumulators_for
-from ..kernels.hashing import EMPTY, TableFull
+from ..kernels.hashing import EMPTY, MARKER_FLAG, MarkerKey, TableFull
 from ..kernels.radix_sort import key_dtype_for, key_kind_for, num_passes
 from ..kernels.selection import bitmap_nbytes
 from ..fuse.dispatch import op_pipe
@@ -243,7 +243,8 @@ def _build_hash_table(engine: OcelotEngine, keys_buf, n: int,
     initialised: a free slot's value is undefined and nothing reads it.
 
     Over-allocates 1.4x for the observed ~75 % fill rate; restarts with a
-    doubled table on pessimistic failure.  Returns ``(tkeys, tvals, m)``.
+    doubled table on pessimistic failure.  Returns ``(tkeys, tvals, m)``;
+    raises :class:`MarkerKey` when a key is the free-slot marker.
     """
     base = size_hint if size_hint is not None else n
     m = max(16, int(1.4 * base) + 1)
@@ -260,6 +261,9 @@ def _build_hash_table(engine: OcelotEngine, keys_buf, n: int,
         engine.launch("ht_check", fail_bm, fail_count, tkeys, keys_buf, n, m)
         failed = int(engine.readback_scalar(fail_count))
         engine.release(fail_count)
+        if failed & MARKER_FLAG:
+            engine.release(fail_bm, tkeys, tvals)
+            raise MarkerKey("a key equals the hash tables' free-slot marker")
         unplaced = 0
         if failed:
             stats = engine.temp(2, np.uint32, tag="ht_stats", zeroed=True)

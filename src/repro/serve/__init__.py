@@ -40,7 +40,7 @@ from .faults import (
     RetryableFault,
     TransientFault,
 )
-from .plancache import CachedPlan, CacheStats, PlanCache, sql_cache_key
+from .plancache import CachedPlan, CacheStats, PlanCache
 from .resilience import BreakerBoard, CircuitBreaker, CircuitOpen
 from .session import (
     MAX_PARKS,
@@ -66,5 +66,4 @@ __all__ = [
     "RetryableFault",
     "SessionScheduler",
     "TransientFault",
-    "sql_cache_key",
 ]

@@ -5,9 +5,11 @@ between the SQL text and the executable plan is deterministic here:
 parsing, lowering and the engine's optimizer pipeline (the Ocelot
 rewriter).  So that front half of the query lifecycle is cacheable:
 
-* **key** — ``(SQL text, canonical engine spec, program name)`` plus
-  :meth:`repro.engines.EngineConfig.plan_key`.  The engine component
-  is :attr:`repro.engines.EngineConfig.spec` — e.g. ``"CPU"`` or
+* **key** — ``(template, canonical engine spec, program name)`` plus
+  :meth:`repro.engines.EngineConfig.plan_key`.  The template is the
+  statement as :func:`repro.sql.params.parameterise` renders it: every
+  literal a bind marker, whitespace and comments gone.  The engine
+  component is :attr:`repro.engines.EngineConfig.spec` — e.g. ``"CPU"`` or
   ``"SHARD:4xHET"`` — so differently-parameterized instances of one
   family never share plans; the plan key holds the effective value of
   every knob a compiled plan depends on (fusion, morsel size,
@@ -45,8 +47,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-
-from ..sql.lower import sql_cache_key
 
 #: bound (value-substituted) programs kept per parameterised entry, so
 #: repeat executions with the same argument values reuse the identical
@@ -92,18 +92,13 @@ class PlanCache:
         self.catalog = catalog
         self.max_entries = max_entries
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
-        #: templates whose parameterised form cannot compile (the plan
-        #: needs the concrete value) -> the literal-text entry compiled
-        #: in its place, whose validity the verdict shares; those
-        #: statements fall back to literal-text compilation
-        self._no_param: OrderedDict[str, CachedPlan] = OrderedDict()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def _key(self, sql: str, config, name: str) -> tuple:
-        return (sql_cache_key(sql), config.spec, name) + config.plan_key()
+        return (sql, config.spec, name) + config.plan_key()
 
     def _valid(self, entry: CachedPlan) -> bool:
         """Whether the tables ``entry`` reads are the ones it compiled
@@ -113,17 +108,6 @@ class PlanCache:
             if catalog.table_version(table) != version:
                 return False
         return True
-
-    def _literal_only(self, template: str) -> bool:
-        """Whether ``template`` is negative-cached by a verdict that
-        still stands (one that does not is dropped)."""
-        witness = self._no_param.get(template)
-        if witness is None:
-            return False
-        if self._valid(witness):
-            return True
-        del self._no_param[template]
-        return False
 
     def lookup(self, sql: str, config, schema, name: str = "query"
                ) -> CachedPlan:
@@ -159,35 +143,16 @@ class PlanCache:
         """Parameterised lookup: ``(entry, executable program)``.
 
         Literals in ``sql`` are normalised into bind parameters first,
-        so every literal variation of one query shape shares a single
-        cached template plan; the concrete values are substituted into
-        a bound copy here (memoised per values tuple).  Statements
-        whose template cannot compile — the plan genuinely depends on
-        a literal's value — are negative-cached and served through the
-        legacy literal-text path.
+        so every literal variation of one query shape — constant
+        arithmetic included — shares a single cached template plan; the
+        concrete values are substituted into a bound copy here
+        (memoised per values tuple).  A statement without literals binds
+        to the entry's program itself.
         """
-        from ..sql.params import ParamBindError, bind_program, parameterise
+        from ..sql.params import bind_program, parameterise
 
         template, values = parameterise(sql)
-        if not values:
-            # zero-parameter statements still benefit: the template is
-            # whitespace/comment-normalised, and the entry's program is
-            # the executable program
-            entry = self.lookup(template, config, schema, name=name)
-            return entry, entry.program
-        entry = None
-        if not self._literal_only(template):
-            try:
-                entry = self.lookup(template, config, schema, name=name)
-            except ParamBindError:
-                pass
-        if entry is None:
-            entry = self.lookup(sql, config, schema, name=name)
-            self._no_param[template] = entry
-            self._no_param.move_to_end(template)
-            while len(self._no_param) > self.max_entries:
-                self._no_param.popitem(last=False)
-            return entry, entry.program
+        entry = self.lookup(template, config, schema, name=name)
         bound = entry.binds.get(values)
         if bound is None:
             bound = bind_program(entry.program, values, schema)
@@ -218,12 +183,8 @@ class PlanCache:
                  if not self._valid(entry)]
         for key in stale:
             del self._entries[key]
-        for template, witness in list(self._no_param.items()):
-            if not self._valid(witness):
-                del self._no_param[template]
         self.stats.invalidations += len(stale)
         return len(stale)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._no_param.clear()

@@ -24,16 +24,15 @@ survives — matching Ocelot's string support (paper Appendix A).
 Compilation is pure: the same text against the same schema always
 yields the same program, which is what lets the serve layer's plan
 cache (:mod:`repro.serve.plancache`) memoise ``compile_sql`` keyed by
-:func:`sql_cache_key`.  The schema is consulted only through the
-:class:`SchemaProvider` calls, and only for the base tables resolved in
-FROM; the program lists them (``MALProgram.tables``), so the cache can
-keep a plan for exactly as long as *those* tables stand.  (Layer map:
-ARCHITECTURE.md §"sql".)
+the template :func:`repro.sql.params.parameterise` renders.  The schema
+is consulted only through the :class:`SchemaProvider` calls, and only
+for the base tables resolved in FROM; the program lists them
+(``MALProgram.tables``), so the cache can keep a plan for exactly as
+long as *those* tables stand.  (Layer map: ARCHITECTURE.md §"sql".)
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
@@ -59,9 +58,7 @@ class SchemaProvider(Protocol):
     def dictionary_code(self, dictionary: str, literal: str) -> int: ...
 
 
-#: AST nodes the binder treats as constants; Param compiles to a
-#: ParamRef placeholder bound to a concrete value at execute time
-_LITERAL_NODES = (ast.Literal, ast.DateLiteral, ast.Param)
+_ARITH_OPS = {"add", "sub", "mul", "div"}
 
 _CMP_OPS = {"eq", "ne", "lt", "le", "gt", "ge"}
 _CMP_TO_THETA = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
@@ -208,14 +205,15 @@ class Compiler:
     # -- literals against dictionary columns --------------------------------------
 
     def _literal_for(self, bound: Bound, column: str, literal) -> object:
+        """What a constant (:func:`_is_constant`) compares with
+        ``column`` as: a number or dictionary code, or a ParamRef that
+        binds to one; a sign or arithmetic folds here."""
         if isinstance(literal, ast.Neg):
-            # a negative number: ``parameterise`` leaves the sign
-            # outside the placeholder
-            number = literal.operand
-            if isinstance(number, ast.Param) and number.kind in ("i", "f") or \
-                    isinstance(number, ast.Literal) \
-                    and isinstance(number.value, (int, float)):
-                return -self._literal_for(bound, column, number)
+            return -self._literal_for(bound, column, literal.operand)
+        if isinstance(literal, ast.BinOp):
+            return _fold(literal.op,
+                         self._literal_for(bound, column, literal.left),
+                         self._literal_for(bound, column, literal.right))
         if isinstance(literal, ast.Param):
             if literal.kind != "s":
                 return ParamRef(literal.index)
@@ -320,18 +318,18 @@ class Compiler:
             if expr.op in _CMP_OPS:
                 return (
                     isinstance(expr.left, ast.Column)
-                    and isinstance(expr.right, _LITERAL_NODES)
+                    and _is_constant(expr.right)
                 ) or (
                     isinstance(expr.right, ast.Column)
-                    and isinstance(expr.left, _LITERAL_NODES)
+                    and _is_constant(expr.left)
                 )
             return False
         if isinstance(expr, ast.Between):
-            return isinstance(expr.operand, ast.Column) and isinstance(
-                expr.low, _LITERAL_NODES
-            ) and isinstance(expr.high, _LITERAL_NODES)
+            return isinstance(expr.operand, ast.Column) and _is_constant(
+                expr.low) and _is_constant(expr.high)
         if isinstance(expr, ast.InList):
-            return isinstance(expr.operand, ast.Column)
+            return isinstance(expr.operand, ast.Column) and all(
+                map(_is_constant, expr.items))
         if isinstance(expr, ast.Not):
             return self._is_sargable(expr.operand, bound)
         return False
@@ -341,12 +339,12 @@ class Compiler:
         """Candidate chain for a sargable predicate on one table."""
         if isinstance(expr, ast.Not):
             return self._compile_sarg(bound, expr.operand, cand, not anti)
-        if isinstance(expr, ast.BinOp) and expr.op == "and" and not anti:
-            left = self._compile_sarg(bound, expr.left, cand)
-            return self._compile_sarg(bound, expr.right, left)
-        if isinstance(expr, ast.BinOp) and expr.op == "or" and not anti:
-            left = self._compile_sarg(bound, expr.left, cand)
-            right = self._compile_sarg(bound, expr.right, cand)
+        if isinstance(expr, ast.BinOp) and expr.op in ("and", "or"):
+            # De Morgan: under NOT an AND selects as an OR, and back
+            left = self._compile_sarg(bound, expr.left, cand, anti)
+            if (expr.op == "and") != anti:
+                return self._compile_sarg(bound, expr.right, left, anti)
+            right = self._compile_sarg(bound, expr.right, cand, anti)
             return self.b.emit("algebra", "oidunion", (left, right))
         if isinstance(expr, ast.BinOp) and expr.op in _CMP_OPS:
             column, op, literal = self._normalise_cmp(expr)
@@ -586,15 +584,13 @@ class Compiler:
 
     def _compile_cmp_operands(self, pipeline, expr: ast.BinOp):
         """Comparison operands with dictionary-code resolution."""
-        left_lit = isinstance(expr.left, _LITERAL_NODES)
-        right_lit = isinstance(expr.right, _LITERAL_NODES)
-        if isinstance(expr.left, ast.Column) and right_lit:
+        if isinstance(expr.left, ast.Column) and _is_constant(expr.right):
             bound, column = self._resolve(expr.left, pipeline.bounds)
             return (
                 pipeline.value_of_column(expr.left),
                 self._literal_for(bound, column, expr.right),
             )
-        if isinstance(expr.right, ast.Column) and left_lit:
+        if isinstance(expr.right, ast.Column) and _is_constant(expr.left):
             bound, column = self._resolve(expr.right, pipeline.bounds)
             return (
                 self._literal_for(bound, column, expr.left),
@@ -897,6 +893,19 @@ def _contains_agg(expr) -> bool:
     return False
 
 
+def _is_constant(expr, numeric: bool = False) -> bool:
+    """A literal, or a sign or ``+ - * /`` over numeric constants: what
+    may stand wherever a literal may."""
+    if isinstance(expr, ast.Param):
+        return not numeric or expr.kind != "s"
+    if isinstance(expr, (ast.Literal, ast.DateLiteral)):
+        return not numeric or not isinstance(expr.value, str)
+    if isinstance(expr, ast.Neg):
+        return _is_constant(expr.operand, True)
+    return isinstance(expr, ast.BinOp) and expr.op in _ARITH_OPS \
+        and _is_constant(expr.left, True) and _is_constant(expr.right, True)
+
+
 def _fold(op: str, left, right):
     if op == "add":
         return left + right
@@ -925,21 +934,3 @@ def compile_sql(text: str, schema: SchemaProvider,
     from .parser import parse
 
     return Compiler(schema, name=name).compile(parse(text))
-
-
-_STRING_LITERAL = re.compile(r"('(?:[^']|'')*')")
-
-
-def sql_cache_key(text: str) -> str:
-    """Whitespace-insensitive identity of one SQL statement.
-
-    Collapses runs of whitespace *outside* single-quoted string literals
-    so reformatted but identical queries share a plan-cache entry,
-    without ever touching literal contents.
-    """
-    parts = _STRING_LITERAL.split(text.strip())
-    # even indices are non-literal segments, odd indices the literals
-    return "".join(
-        part if i % 2 else re.sub(r"\s+", " ", part)
-        for i, part in enumerate(parts)
-    )

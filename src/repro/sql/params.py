@@ -16,7 +16,9 @@ parameters *before* the cache key is computed:
   nodes into :class:`ParamRef` placeholders that flow into MAL
   instruction arguments exactly where the literal value would sit,
   recording any plan-time arithmetic (negation, interval folds,
-  dictionary lookups) as a replayable step list.
+  dictionary lookups) as a replayable step list.  A step's operand may
+  itself be a parameter, so constant arithmetic (``x < 1 + 2``) binds
+  like a lone literal and every template compiles.
 * :func:`bind_program` substitutes concrete values for every
   :class:`ParamRef` in a compiled template — including inside fused
   expression trees and morsel regions — producing the executable plan
@@ -36,21 +38,16 @@ from .lexer import SQLSyntaxError, Token, tokenize
 # ``tpch.workload``.
 
 
-class ParamBindError(ValueError):
-    """The statement cannot be parameterised (the plan would need the
-    concrete value at compile time); callers fall back to compiling the
-    literal text."""
-
-
 @dataclass(frozen=True)
 class ParamRef:
     """A placeholder for parameter ``index`` inside a compiled plan.
 
     ``steps`` records plan-time arithmetic the binder performed on the
     literal it replaced — e.g. ``1 - ?0f`` folds to a ParamRef with a
-    ``("sub~", 1)`` step — replayed over the concrete value at bind
-    time by :meth:`apply`.  A ``("dict", name)`` step resolves a string
-    parameter to its dictionary code.
+    ``("sub~", 1)`` step — replayed over the concrete values at bind
+    time by :meth:`apply`.  A step's operand may be another ParamRef
+    (``?0i + ?1i``), resolved from the same values.  A ``("dict",
+    name)`` step resolves a string parameter to its dictionary code.
     """
 
     index: int
@@ -58,9 +55,11 @@ class ParamRef:
 
     # -- bind-time evaluation ------------------------------------------------
 
-    def apply(self, value, schema=None):
-        out = value
+    def apply(self, values: tuple, schema=None):
+        out = values[self.index]
         for op, arg in self.steps:
+            if isinstance(arg, ParamRef):
+                arg = arg.apply(values, schema)
             if op == "dict":
                 out = schema.dictionary_code(arg, out)
             elif op == "neg":
@@ -84,14 +83,12 @@ class ParamRef:
             elif op == "intdiv":
                 out = out // arg
             else:  # pragma: no cover - steps are built below
-                raise ParamBindError(f"unknown parameter step {op!r}")
+                raise ValueError(f"unknown parameter step {op!r}")
         return out
 
     # -- plan-time constant folding (mirrors _fold in lower.py) --------------
 
     def _step(self, op: str, arg) -> "ParamRef":
-        if isinstance(arg, ParamRef):
-            raise ParamBindError("arithmetic between two parameters")
         return ParamRef(self.index, self.steps + ((op, arg),))
 
     def intdiv(self, arg: int) -> "ParamRef":
@@ -269,7 +266,7 @@ def _bind_instruction(instruction, values, schema):
 
 def _bind_arg(arg, values, schema):
     if isinstance(arg, ParamRef):
-        return arg.apply(values[arg.index], schema)
+        return arg.apply(values, schema)
     # fused expression trees and morsel regions carry nested payloads;
     # imported lazily to keep this module free of heavyweight deps
     from ..fuse.expr import FusedPipe
@@ -315,7 +312,7 @@ def _bind_node(node, memo, values, schema):
     out = node
     if isinstance(node, FConst):
         if isinstance(node.value, ParamRef):
-            out = FConst(node.value.apply(values[node.value.index], schema))
+            out = FConst(node.value.apply(values, schema))
     elif isinstance(node, FOp):
         args = tuple(
             _bind_node(child, memo, values, schema) for child in node.args
@@ -327,9 +324,9 @@ def _bind_node(node, memo, values, schema):
         lo = node.lo
         hi = node.hi
         if isinstance(lo, ParamRef):
-            lo = lo.apply(values[lo.index], schema)
+            lo = lo.apply(values, schema)
         if isinstance(hi, ParamRef):
-            hi = hi.apply(values[hi.index], schema)
+            hi = hi.apply(values, schema)
         if child is not node.child or lo is not node.lo or hi is not node.hi:
             out = FSelect(child, node.op, lo, hi, node.anti)
     memo[id(node)] = out

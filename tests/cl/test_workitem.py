@@ -360,6 +360,40 @@ class TestRefVsVec:
         assert np.array_equal(ref[0], vec[0])
         assert ref[1][0] == vec[1][0] == count_bits(vec[0], 200) > 0
 
+    def test_the_free_slot_marker_is_in_no_table(self, device):
+        """A key equal to ``EMPTY`` (int32 ``2**31 - 1``, encoded) cannot
+        sit in a slot: both drivers flag the build holding it, and a
+        probe for it misses instead of matching a free slot."""
+        from repro.kernels.hashing import MARKER_FLAG
+
+        m = 37
+        keys = np.array([4, 9, EMPTY, 4], np.uint32)
+        tkeys = np.full(m, EMPTY, np.uint32)
+        tvals = np.zeros(m, np.uint32)
+        KERNEL_LIBRARY["ht_insert_optimistic"].vec_fn(
+            None, tkeys, tvals, keys, 4, m)
+
+        def check():
+            return [np.zeros(1, np.uint8), np.zeros(1, np.uint32),
+                    tkeys.copy(), keys.copy(), 4, m]
+
+        ref, vec = _run_both("ht_check", check, device)
+        count = int(vec[1][0])
+        assert int(ref[1][0]) == count
+        assert count & MARKER_FLAG
+        assert count & ~MARKER_FLAG == count_bits(vec[0], 4)
+
+        def probe():
+            return [np.zeros(3, np.uint32), np.zeros(1, np.uint8),
+                    tkeys.copy(), tvals.copy(),
+                    np.array([EMPTY, 9, EMPTY], np.uint32), 3, m]
+
+        ref, vec = _run_both("ht_probe", probe, device)
+        for out, found in (ref[:2], vec[:2]):
+            assert np.unpackbits(found, bitorder="little", count=3).tolist() \
+                == [0, 1, 0]
+            assert out[0] == out[2] == EMPTY and out[1] == 1
+
     @pytest.mark.parametrize("key_dtype", (np.uint32, np.uint64))
     @pytest.mark.parametrize("n", (0, 1, 2, 3, 7, 8, 9, 33, 64, 100))
     def test_local_sort(self, device, n, key_dtype):

@@ -170,6 +170,14 @@ def test_a_plan_holds_no_placement():
     assert gone == [], gone
 
 
+def test_a_statement_is_served_one_way():
+    """Constant arithmetic binds as parameters, so the plan cache keeps
+    no literal-text fork: no negative cache, no bind-failure fallback,
+    no second key beside the template."""
+    gone = hits(r"_no_param|_literal_only|ParamBindError|sql_cache_key")
+    assert gone == [], gone
+
+
 # -- a plan does not know the cluster ----------------------------------------
 
 def test_nothing_about_a_layout_is_recorded_replayed_or_stamped():

@@ -12,11 +12,12 @@ engines have no NULL, so a NaN is an ordinary value that aggregates
 propagate.  The engines run under whatever ``REPRO_*`` environment the
 process has, which is how CI's knob A/B cells reach every spec here.
 
-(The first, fixed-table slice of ROADMAP item 1's oracle; the
-generated-query strategy is its own PR.)
+(The fixed-table slice of ROADMAP item 1's oracle; the generated
+statements are ``test_generated_oracle.py``.)
 """
 
 import math
+import re
 import sqlite3
 
 import numpy as np
@@ -150,6 +151,12 @@ def tables() -> "dict[str, dict[str, np.ndarray]]":
             "v": np.array([-2 ** 31, -1, 0, 1, 2 ** 31 - 2, 2 ** 31 - 1],
                           np.int32),
         },
+        # 2**31 - 1 encodes to the device hash tables' free-slot marker
+        "edges_dim": {
+            "k": np.array([2 ** 31 - 1, 1, -2 ** 31, 5, 2 ** 31 - 1],
+                          np.int32),
+            "w": ramp(5),
+        },
         "one": {"id": ramp(1), "k": np.array([5], np.int32),
                 "v": np.array([2.5], np.float32)},
         "none": {"id": ramp(0), "k": ramp(0), "v": ramp(0, np.float32)},
@@ -167,6 +174,9 @@ CASES = [
     ("SELECT k, count(*) AS c, sum(v) AS s FROM wide GROUP BY k ORDER BY k",
      True),
     ("SELECT min(k) AS lo, max(k) AS hi, count(k) AS c FROM wide", True),
+    # grouped sums of eight-byte integers beyond 2**53 stay exact
+    ("SELECT k, sum(k) AS s FROM wide_dim GROUP BY k", False),
+    ("SELECT w, sum(k) AS s, avg(k) AS a FROM wide_dim GROUP BY w", False),
     ("SELECT wide.id AS id, wide_dim.w AS w FROM wide "
      "JOIN wide_dim ON wide.k = wide_dim.k", False),
     ("SELECT wide.id AS id FROM wide SEMI JOIN wide_dim "
@@ -243,6 +253,17 @@ CASES = [
      False),
     ("SELECT min(v) AS lo, max(v) AS hi, sum(v) AS s FROM edges", True),
     ("SELECT id, v FROM edges ORDER BY v DESC LIMIT 2", True),
+    # int32 2**31 - 1 as a hashed key: a group, a join key on both sides,
+    # a probe key with no partner
+    ("SELECT v, count(*) AS c FROM edges GROUP BY v", False),
+    ("SELECT id, v, count(*) AS c FROM edges GROUP BY id, v", False),
+    ("SELECT k, sum(w) AS s FROM edges_dim GROUP BY k", False),
+    ("SELECT edges.id AS id, edges_dim.w AS w FROM edges "
+     "JOIN edges_dim ON edges.v = edges_dim.k", False),
+    ("SELECT edges.id AS id FROM edges SEMI JOIN dim "
+     "ON edges.v = dim.k ORDER BY id", True),
+    ("SELECT edges.id AS id FROM edges ANTI JOIN edges_dim "
+     "ON edges.v = edges_dim.k ORDER BY id", True),
     # a constant the column's type cannot hold, on either side
     ("SELECT sum(v * 0.5) AS a, sum(v + 2.5) AS b FROM t255", True),
     ("SELECT sum(v - 0.25) AS s FROM t256 WHERE k < 10", True),
@@ -261,6 +282,17 @@ CASES = [
     ("SELECT id FROM odd WHERE y IN (1, -5) ORDER BY id", True),
     ("SELECT count(*) AS c, sum(v) AS s FROM t255 WHERE v NOT IN (-5, 2)",
      True),
+    # constant expressions wherever a literal goes
+    ("SELECT id, v FROM t255 WHERE k IN (1 + 1, 3) ORDER BY id", True),
+    ("SELECT count(*) AS c, sum(v) AS s FROM t255 "
+     "WHERE v NOT IN (5, -16 - 100.0, 2 * -3)", True),
+    ("SELECT id FROM odd WHERE y BETWEEN 0 - 10 AND 2 * 5 ORDER BY id", True),
+    ("SELECT id FROM t256 WHERE NOT k IN (7 - 1, -(0 - 4)) AND v > 1 - 2 "
+     "ORDER BY id", True),
+    # NOT over a conjunction or a disjunction selects by De Morgan
+    ("SELECT id FROM t255 WHERE NOT (v < 0 OR k > 5) ORDER BY id", True),
+    ("SELECT id FROM t255 WHERE NOT (v < 0 AND NOT k IN (2, 3)) "
+     "ORDER BY id", True),
     ("SELECT id, CASE WHEN v > 0 THEN v ELSE 0 END AS p FROM t255 "
      "WHERE id < 40 ORDER BY id", True),
     ("SELECT id FROM t900 WHERE f > (SELECT avg(f) FROM t900) ORDER BY id",
@@ -329,13 +361,47 @@ def _sum(values):
         else float(np.sum(np.array(values, np.float64)))
 
 
+#: what ``sum`` / ``avg`` / ``count`` of no rows answer on the engines
+_EMPTY_ANSWER = {"sum": "0", "avg": "0.0", "count": "0"}
+_AGGREGATE_CALL = re.compile(r"\b(sum|avg|count)\(", re.IGNORECASE)
+
+
+def answering_empty_input(sql: str) -> str:
+    """``f(…)`` -> ``coalesce(f(…), CASE count(*) WHEN 0 THEN <zero>
+    END)`` for ``sum`` / ``avg`` / ``count``: Python's ``sqlite3`` hands
+    back NULL for a user aggregate that never stepped, without calling
+    its ``finalize``.  The zero stands only when the aggregate saw no
+    rows, so a NaN result (a NULL) stays one."""
+    out, at = [], 0
+    for match in _AGGREGATE_CALL.finditer(sql):
+        if sql.startswith("*)", match.end()):
+            continue
+        depth, end = 1, match.end()
+        while depth:
+            depth += {"(": 1, ")": -1}.get(sql[end], 0)
+            end += 1
+        zero = _EMPTY_ANSWER[match.group(1).lower()]
+        out += [sql[at:match.start()], "coalesce(", sql[match.start():end],
+                f", CASE count(*) WHEN 0 THEN {zero} END)"]
+        at = end
+    return "".join(out) + sql[at:]
+
+
+class _Reference(sqlite3.Connection):
+    def execute(self, sql, *args):
+        return super().execute(answering_empty_input(sql), *args)
+
+
 def reference(data) -> sqlite3.Connection:
     """The same rows in SQLite.  **NaN = NULL**, said here once: SQLite
     stores a NaN as NULL and hands a NaN result back as NULL, so
     :func:`same_value` takes the two for equal, and the aggregates are
     replaced by ones that treat a NULL the way the engines treat a NaN
-    (and answer 0 for an empty ``sum`` / ``avg``, where SQL says NULL)."""
-    con = sqlite3.connect(":memory:")
+    (and answer 0 for an empty ``sum`` / ``avg`` / ``count``, where SQL
+    says NULL — see :func:`answering_empty_input`).  ``min`` / ``max``
+    of no rows have no NULL-less answer: every spec raises
+    ``ValueError`` (single-node semantics), where SQL answers NULL."""
+    con = sqlite3.connect(":memory:", factory=_Reference)
     con.create_aggregate("min", 1, _aggregate(_extreme(min)))
     con.create_aggregate("max", 1, _aggregate(_extreme(max)))
     con.create_aggregate("sum", 1, _aggregate(_sum))
@@ -451,6 +517,19 @@ def test_a_batch_in_flight_agrees_too(db, expected, spec):
         for (sql, ordered), future in zip(batch, futures)
     ]
     assert not any(wrong), f"{spec}:\n" + "\n".join(filter(None, wrong))
+
+
+def test_the_reference_answers_empty_input_as_the_engines_do():
+    """``sum`` / ``avg`` / ``count`` of no rows are 0, not SQLite's
+    NULL; a NaN result stays NULL (= NaN)."""
+    con = reference({"t": {"a": ramp(4)},
+                     "f": {"x": np.array([NAN, 1.0])}})
+    empty = "SELECT sum(a), avg(a), count(a) FROM t WHERE a > 10"
+    assert con.execute(empty).fetchall() == [(0, 0.0, 0)]
+    assert con.execute("SELECT sum(x), avg(x), count(x) FROM f"
+                       ).fetchall() == [(None, None, 2)]
+    assert con.execute("SELECT a, sum(a) FROM t WHERE a > 1 GROUP BY a"
+                       ).fetchall() == [(2, 2), (3, 3)]
 
 
 def test_min_and_max_of_nothing_are_refused(db):

@@ -6,8 +6,9 @@ import pytest
 
 import repro
 from repro.api import Database
-from repro.serve import PlanCache, sql_cache_key
+from repro.serve import PlanCache
 from repro.serve.faults import NodeFault, wrap_shard_node
+from repro.sql.params import parameterise
 from repro.tpch import WORKLOAD
 
 SQL = "SELECT x, sum(y) AS total FROM points GROUP BY x"
@@ -43,8 +44,13 @@ class TestKeying:
         assert con.plan_cache.stats.hits == 1
 
     def test_string_literals_keep_their_spacing(self):
-        assert sql_cache_key("SELECT 'a  b'") != sql_cache_key("SELECT 'a b'")
-        assert sql_cache_key("SELECT  1") == sql_cache_key("SELECT 1")
+        """The template is the key: whitespace outside a literal goes,
+        a literal's own spacing travels with its value."""
+        spaced, plain = parameterise("SELECT 'a  b'"), parameterise(
+            "SELECT 'a b'")
+        assert spaced[0] == plain[0] and spaced[1] != plain[1]
+        assert spaced[1] == ("a  b",)
+        assert parameterise("SELECT  1") == parameterise("SELECT 1")
 
     def test_engines_do_not_share_entries(self, db):
         db.connect("MS").execute(SQL)
@@ -400,32 +406,28 @@ class TestPlanCacheUnit:
         assert cache.invalidate_schema() == 0
         assert cache.stats.invalidations == 2
 
-    def test_no_param_verdicts_do_not_pile_up(self, db):
-        """Regression: the negative cache of non-parameterisable
-        templates held one ``(template, version)`` pair per DDL, for
-        ever.  A verdict now stands exactly as long as a plan over the
-        same tables would."""
+    def test_constant_arithmetic_shares_one_template(self, db):
+        """Arithmetic between literals binds like a lone literal: three
+        variants are one compile and one entry (each used to compile its
+        literal text beside a negative-cache verdict), and the entry
+        lives and dies with its table like any other."""
         cache = db.plan_cache
         con = db.connect("MS")
-        sql = "SELECT sum(y) AS s FROM points WHERE x < 1 + 2"
-        columns = {name: db.catalog.bat("points", name).values
-                   for name in ("x", "y")}
-        expected = con.execute(sql).column("s")
-        assert len(cache._no_param) == 1
-        for _ in range(200):
-            db.drop_table("points")
-            db.create_table("points", columns)
-            assert np.array_equal(con.execute(sql).column("s"), expected)
-        assert len(cache._no_param) <= 1
-        # ... survives DDL elsewhere (no re-probe of the template:
-        # the literal text is a straight hit) ...
-        misses = cache.stats.misses
+        base = "SELECT sum(y) AS s FROM points WHERE x < "
+        variants = [base + f"{a} + {a + 1}" for a in (1, 3, 5)]
+        got = [con.execute(sql).column("s") for sql in variants]
+        assert (cache.stats.misses, cache.stats.hits, len(cache)) == (1, 2, 1)
+        for answer, bound in zip(got, (3, 7, 11)):
+            assert np.array_equal(answer,
+                                  con.execute(base + str(bound)).column("s"))
+        # DDL elsewhere keeps the entry; DDL on `points` stales it once
         db.create_table("other", {"z": np.arange(4, dtype=np.int32)})
-        con.execute(sql)
-        assert cache.stats.misses == misses
-        # ... and is bounded like the entries are
-        cache.max_entries = 4
-        for terms in range(2, 10):      # eight distinct templates
-            con.execute("SELECT sum(y) AS s FROM points WHERE x < "
-                        + " + ".join(["1"] * terms))
-        assert len(cache._no_param) == 4
+        hits = cache.stats.hits
+        assert np.array_equal(con.execute(variants[0]).column("s"), got[0])
+        assert cache.stats.hits == hits + 1
+        # ... the template and the lone literal's plan both read `points`
+        misses = cache.stats.misses
+        recreate(db, "points")
+        assert (len(cache), cache.stats.invalidations) == (0, 2)
+        assert np.array_equal(con.execute(variants[1]).column("s"), got[1])
+        assert cache.stats.misses == misses + 1
