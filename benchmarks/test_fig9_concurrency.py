@@ -29,6 +29,7 @@ Two panels:
   six times 0.6 s missing from one side of the ratio.
 """
 
+import gc
 import time
 
 import numpy as np
@@ -135,6 +136,10 @@ def test_fig9b_plan_cache_repeat_query_speedup():
     con.execute(sql)                       # warm everything once
     runs = 25
 
+    # each window starts from a full collection, so the test session's
+    # next oldest-generation pass (~100 ms over every object the suite
+    # holds) cannot land inside one window and swamp what it times
+    gc.collect()
     t0 = time.perf_counter()
     for _ in range(runs):
         db.plan_cache.clear()              # force the cold path
@@ -142,6 +147,7 @@ def test_fig9b_plan_cache_repeat_query_speedup():
     cold = time.perf_counter() - t0
 
     hits_before = db.plan_cache.stats.hits
+    gc.collect()
     t0 = time.perf_counter()
     for _ in range(runs):
         con.execute(sql)
