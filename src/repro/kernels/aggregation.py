@@ -39,18 +39,12 @@ def segmented_reduce(
         return np.bincount(gids, minlength=ngroups).astype(dtype)
     if op == "sum" and (np.dtype(dtype).kind == "f" or _float64_exact(vals)):
         return np.bincount(gids, weights=vals, minlength=ngroups).astype(dtype)
+    # one unbuffered scatter-reduce, in row order, into the identity; a
+    # NaN propagates as it does through a reduction, without the warning
     out = np.full(ngroups, fold_identity(op, dtype), dtype=dtype)
-    if gids.size == 0:
-        return out
-    order = np.argsort(gids, kind="stable")
-    sorted_gids = gids[order]
-    sorted_vals = vals[order].astype(dtype, copy=False)
-    boundaries = np.concatenate(
-        ([0], np.nonzero(sorted_gids[1:] != sorted_gids[:-1])[0] + 1)
-    )
     reducer = {"sum": np.add, "min": np.minimum, "max": np.maximum}[op]
-    reduced = reducer.reduceat(sorted_vals, boundaries)
-    out[sorted_gids[boundaries]] = reduced
+    with np.errstate(invalid="ignore"):
+        reducer.at(out, gids, vals.astype(dtype, copy=False))
     return out
 
 

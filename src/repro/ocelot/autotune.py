@@ -37,6 +37,7 @@ from .. import cl
 from ..kernels import KERNEL_LIBRARY
 from .engine import OcelotEngine
 from .memory import BufferKind
+from .operators import radix_parts
 
 #: fixed probe size: big enough to expose bandwidth, small enough to be
 #: instant (the paper's "standardized benchmarks")
@@ -243,14 +244,18 @@ def estimate_sort_cost(
     """Predicted radix-sort seconds from the measured characteristics.
 
     Per pass: three launches, one streaming read for the histogram, a
-    histogram/offsets volume of ``partitions * 2^bits`` counters
-    (processed at streaming rate), and a read+write data shuffle.
-    Infeasible widths (counters spill out of local memory) are infinite.
+    histogram/offsets volume of ``2^bits`` counters per partition
+    (processed at streaming rate; the operator's own partition count,
+    :func:`~repro.ocelot.operators.radix_parts`), and a read+write data
+    shuffle.  Infeasible widths (counters spill out of local memory) are
+    infinite.
     """
     if not radix_feasible(chars, bits):
         return float("inf")
     passes = -(-key_bits // bits)
-    histogram_bytes = chars.partitions * (1 << bits) * 4
+    keys = math.ceil(column_bytes / (key_bits // 8))
+    histogram_bytes = radix_parts(keys, bits, chars.partitions) \
+        * (1 << bits) * 4
     payload = 2.0  # keys + payload
     per_pass = (
         3 * chars.launch_overhead_s

@@ -157,7 +157,8 @@ def sort_launches(engine: OcelotEngine, n: int, key_itemsize: int):
     key width, the context's ``data_scale`` and the device's local
     memory size (``CL_DEVICE_LOCAL_MEM_SIZE``) — the same rule on every
     device.  The HET placer prices a sort with this function too, so
-    estimate and operator cannot disagree.
+    estimate and operator cannot disagree.  The ladder's width
+    (:func:`radix_parts`) moves no launch: three per pass at any width.
     """
     if n <= 1:
         return "none", 0
@@ -169,13 +170,27 @@ def sort_launches(engine: OcelotEngine, n: int, key_itemsize: int):
     return "radix", 3 * passes
 
 
+def radix_parts(n: int, radix_bits: int, invocations: int) -> int:
+    """How many partitions the radix ladder sorts ``n`` keys on: the
+    device's ``invocations`` (4 · nc · na, §4.2), but no more than
+    ``⌈n / 2^radix_bits⌉`` — a partition's private histogram has
+    ``2^radix_bits`` bins, so the histograms never hold a partition's
+    worth more counters than there are keys.  From
+    ``n ≥ invocations · 2^radix_bits`` on this is the device's width.
+    :func:`repro.ocelot.autotune.estimate_sort_cost` prices a sort with
+    the same rule."""
+    return min(invocations, -(-n // (1 << radix_bits)))
+
+
 def _radix_sort(engine: OcelotEngine, keys_buf, n: int):
     """Sort ``keys_buf`` (uint32/uint64) with the launches its size needs
     (:func:`sort_launches`): none for ``n <= 1``; one ``local_sort`` when
     the nominal keys and positions fit one work-group's local memory;
     else the full binary radix sort (paper §4.1.3), three kernels per
     pass — the first pass's reorder writes the positions as its payload,
-    so nothing initialises one.  All three give the stable order.
+    so nothing initialises one.  The ladder's histograms are sized to
+    ``n`` (:func:`radix_parts`), not to the device.  All three give the
+    stable order.
 
     Consumes ``keys_buf``; returns ``(sorted_keys, order)`` — the sorted
     keys and the sort permutation, buffers owned by the caller.
@@ -194,7 +209,7 @@ def _radix_sort(engine: OcelotEngine, keys_buf, n: int):
         return sorted_keys, order
     bits = engine.radix_bits
     radix = 1 << bits
-    parts = engine.invocations
+    parts = radix_parts(n, bits, engine.invocations)
     keys_a, pay_a = keys_buf, None
     keys_b = engine.result_buffer(n, keys_buf.dtype, tag="sort_keys_b")
     pay_b = engine.result_buffer(n, OID_DTYPE, tag="sort_pay")

@@ -607,12 +607,9 @@ class Compiler:
 
     def _projection_phase(self, pipeline: "_Pipeline",
                           select: ast.Select) -> list[tuple[str, Var]]:
-        has_aggs = any(
-            _contains_agg(item.expr) for item in select.items
-        ) or (select.having is not None)
         if select.group_by:
             return self._grouped_outputs(pipeline, select)
-        if has_aggs:
+        if _one_row(select):
             return self._scalar_outputs(pipeline, select)
         outputs = []
         for index, item in enumerate(select.items):
@@ -675,20 +672,17 @@ class Compiler:
     # ===================================================================
 
     def _order_limit_phase(self, select: ast.Select, outputs):
+        """``ORDER BY`` one output column, then ``LIMIT``.  An ungrouped
+        aggregate's one row is in order already and survives any
+        ``LIMIT`` but 0, which its scalars cannot express: refused."""
+        if _one_row(select):
+            if select.order_by is not None:
+                self._sort_index(select, outputs)
+            if select.limit == 0:
+                raise BindError("LIMIT 0 of an ungrouped aggregate")
+            return outputs
         if select.order_by is not None:
-            target = select.order_by.expr
-            sort_index = None
-            for index, (name, _var) in enumerate(outputs):
-                if isinstance(target, ast.Column) and target.name == name:
-                    sort_index = index
-                    break
-                if select.items[index].expr == target:
-                    sort_index = index
-                    break
-            if sort_index is None:
-                raise BindError(
-                    "ORDER BY must reference an output column"
-                )
+            sort_index = self._sort_index(select, outputs)
             sort_var = outputs[sort_index][1]
             sorted_var, order = self.b.emit(
                 "algebra", "sort", (sort_var, select.order_by.descending),
@@ -716,6 +710,17 @@ class Compiler:
                 for name, var in outputs
             ]
         return outputs
+
+    @staticmethod
+    def _sort_index(select: ast.Select, outputs) -> int:
+        """The output column ``ORDER BY`` names."""
+        target = select.order_by.expr
+        for index, (name, _var) in enumerate(outputs):
+            if isinstance(target, ast.Column) and target.name == name:
+                return index
+            if select.items[index].expr == target:
+                return index
+        raise BindError("ORDER BY must reference an output column")
 
 
 # =======================================================================
@@ -874,6 +879,13 @@ def _flatten_and(expr: Optional[ast.Expr]) -> list[ast.Expr]:
     if isinstance(expr, ast.BinOp) and expr.op == "and":
         return _flatten_and(expr.left) + _flatten_and(expr.right)
     return [expr]
+
+
+def _one_row(select: ast.Select) -> bool:
+    """An ungrouped aggregate: one row of scalars, whatever the input."""
+    return not select.group_by and (
+        select.having is not None
+        or any(_contains_agg(item.expr) for item in select.items))
 
 
 def _contains_agg(expr) -> bool:

@@ -14,7 +14,13 @@ here too.  The statements cover the constant surface a plan binds:
   same constant at two sites (``parameterise`` numbers placeholders by
   *(kind, value)*, so equal literals share one);
 * outputs — projections, ``GROUP BY`` with ``count`` / ``sum`` /
-  ``min`` / ``max`` / ``avg``, and ungrouped aggregates.
+  ``min`` / ``max`` / ``avg``, and ungrouped aggregates;
+* order — ``ORDER BY`` one output column, ``ASC`` / ``DESC`` or neither,
+  with or without a ``LIMIT``.  The ordered column's sequence must
+  equal SQLite's; within a run of equal values the rows compare as a
+  multiset, and the run a ``LIMIT`` cuts in two compares on the ordered
+  column alone (which of the tied rows make the cut is either engine's
+  to pick).
 
 Generated around, said once here:
 
@@ -31,10 +37,23 @@ Generated around, said once here:
   compares to a tolerance scaled by the column's Σ|x|.
 * ``min`` / ``max`` of no rows raise (see ``reference()``): they appear
   ungrouped only without ``WHERE`` over a non-empty table.
+* **No ``LIMIT 0`` of an ungrouped aggregate**: its one row of scalars
+  has no empty form, and every spec refuses the text.
+* **An ordered column is exact and NaN-free**: never a column holding a
+  NaN (SQLite sorts its NULL first, the engines sort a NaN last), an
+  aggregate over one, a float ``sum`` / ``avg`` (compared to a
+  tolerance) or an ``avg`` (the engines add eight-byte ints in float64).
 
-Joins, ``HAVING``, ``ORDER BY`` and ``LIMIT`` are not generated yet.
+Joins and ``HAVING`` are not generated yet.
+
+The same statements run once more over :func:`ocelot_specs` on a
+``Database(data_scale=100)``.  There a sort takes the one-launch local
+exit only up to 61 keys on the GPU and 327 on the CPU (at the default
+``data_scale=1``: 6 144 and 32 768, more rows than any table here
+holds), so ``GROUP BY`` and ``ORDER BY`` reach the radix ladder.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +62,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 import repro
+from test_resident_set import ocelot_specs
 from test_sqlite_oracle import (
     SPECS, reference, rows_of, same_value, sort_key, tables,
 )
@@ -153,6 +173,21 @@ class Statement:
     sql: str
     #: per output column: the absolute tolerance a float sum gets
     tolerances: tuple
+    #: the output column ``ORDER BY`` names, and the ``LIMIT``
+    order: "int | None" = None
+    limit: "int | None" = None
+
+    @property
+    def reference_sql(self) -> str:
+        """The text SQLite answers: one row past the ``LIMIT``, which
+        tells whether the limit cuts a run of ties."""
+        if self.limit is None:
+            return self.sql
+        return self.sql.rsplit(" LIMIT ", 1)[0] + f" LIMIT {self.limit + 1}"
+
+
+#: what a generated ``LIMIT`` takes
+LIMITS = (0, 1, 2, 3, 5, 10, 100)
 
 
 @st.composite
@@ -164,16 +199,20 @@ def statements(draw) -> Statement:
     where = draw(st.one_of(st.none(), predicates(filterable)))
     shape = draw(st.sampled_from(("project", "group", "aggregate")))
     outputs, tolerances, group_by = [], [], ""
+    #: the outputs an ORDER BY may name
+    orderable = []
     if shape == "project":
         outputs = draw(st.lists(st.sampled_from(names), min_size=1,
                                 max_size=3))
         tolerances = [0.0] * len(outputs)
+        orderable = [i for i, c in enumerate(outputs) if c in filterable]
     else:
         if shape == "group":
             keys = draw(st.lists(st.sampled_from(names), min_size=1,
                                  max_size=2, unique=True))
             outputs += keys
             tolerances += [0.0] * len(keys)
+            orderable = [i for i, c in enumerate(keys) if c in filterable]
             group_by = f" GROUP BY {', '.join(keys)}"
         functions = ["count", "sum", "avg"]
         if shape == "group" or where is None and len(data[names[0]]):
@@ -186,6 +225,7 @@ def statements(draw) -> Statement:
             if function == "count(*)":
                 outputs.append("count(*)")
                 tolerances.append(0.0)
+                orderable.append(len(outputs) - 1)
                 continue
             if function in ("sum", "avg") and not _summable(values):
                 function = "count"
@@ -194,10 +234,22 @@ def statements(draw) -> Statement:
                 1e-6 * _scale(values)
                 if function in ("sum", "avg") and values.dtype.kind == "f"
                 else 0.0)
+            if function == "count" or function in ("sum", "min", "max") \
+                    and not tolerances[-1] and not _has_nan(values):
+                orderable.append(len(outputs) - 1)
     items = ", ".join(f"{out} AS o{i}" for i, out in enumerate(outputs))
     sql = f"SELECT {items} FROM {table}" \
         + (f" WHERE {where}" if where else "") + group_by
-    return Statement(sql, tuple(tolerances))
+    order = limit = None
+    if orderable and draw(st.booleans()):
+        order = draw(st.sampled_from(orderable))
+        direction = draw(st.sampled_from(("", " ASC", " DESC")))
+        sql += f" ORDER BY o{order}{direction}"
+        limit = draw(st.one_of(st.none(), st.sampled_from(
+            LIMITS[1:] if shape == "aggregate" else LIMITS)))
+        if limit is not None:
+            sql += f" LIMIT {limit}"
+    return Statement(sql, tuple(tolerances), order, limit)
 
 
 def _close(got, want, tolerance) -> bool:
@@ -207,11 +259,41 @@ def _close(got, want, tolerance) -> bool:
         and math.isfinite(want) and abs(got - want) <= tolerance
 
 
-def _mismatch(statement, spec, door, got, want) -> "str | None":
+def _same_rows(statement, got, want) -> bool:
+    """``got`` and ``want`` hold the same rows, as multisets."""
     got, want = sorted(got, key=sort_key), sorted(want, key=sort_key)
-    if len(got) == len(want) and all(
-            all(map(_close, g, w, statement.tolerances))
-            for g, w in zip(got, want)):
+    return len(got) == len(want) and all(
+        all(map(_close, g, w, statement.tolerances))
+        for g, w in zip(got, want))
+
+
+def _ordered_agree(statement, got, want) -> bool:
+    """The ordered column's sequence is SQLite's, and each run of ties
+    holds the same rows — but for a run the ``LIMIT`` cuts in two.
+    ``want`` is the answer to :attr:`Statement.reference_sql`."""
+    column, limit = statement.order, statement.limit
+    cut = limit is not None and 0 < limit < len(want) \
+        and want[limit - 1][column] == want[limit][column]
+    want = want[:limit]
+    if [row[column] for row in got] != [row[column] for row in want]:
+        return False
+
+    def runs(rows):
+        return [list(run) for _value, run in
+                itertools.groupby(rows, key=lambda row: row[column])]
+
+    pairs = list(zip(runs(got), runs(want)))
+    if cut:
+        pairs.pop()
+    return all(_same_rows(statement, g, w) for g, w in pairs)
+
+
+def _mismatch(statement, spec, door, got, want) -> "str | None":
+    if statement.order is None:
+        if _same_rows(statement, got, want):
+            return None
+        got, want = sorted(got, key=sort_key), sorted(want, key=sort_key)
+    elif _ordered_agree(statement, got, want):
         return None
     return (f"{spec} via {door}: {statement.sql}\n"
             f"    engine: {got[:12]}\n    sqlite: {want[:12]}")
@@ -219,12 +301,21 @@ def _mismatch(statement, spec, door, got, want) -> "str | None":
 
 # -- the oracle ---------------------------------------------------------------
 
+def database(data_scale: float = 1.0):
+    with repro.Database(data_scale=data_scale) as db:
+        for name, columns in TABLES.items():
+            db.create_table(name, columns)
+        yield db
+
+
 @pytest.fixture(scope="module")
 def db():
-    with repro.Database() as database:
-        for name, columns in TABLES.items():
-            database.create_table(name, columns)
-        yield database
+    yield from database()
+
+
+@pytest.fixture(scope="module")
+def db_scaled():
+    yield from database(data_scale=100)
 
 
 @pytest.fixture(scope="module")
@@ -234,13 +325,13 @@ def sqlite():
     con.close()
 
 
-def agree(db, sqlite, batch):
+def agree(db, sqlite, batch, specs=SPECS):
     """Every spec answers every statement of ``batch`` through
     ``execute()``, then all of them in one ``submit()`` batch, as
     SQLite does."""
-    wanted = [sqlite.execute(s.sql).fetchall() for s in batch]
+    wanted = [sqlite.execute(s.reference_sql).fetchall() for s in batch]
     wrong = []
-    for spec in SPECS:
+    for spec in specs:
         con = db.connect(spec)
         for statement, want in zip(batch, wanted):
             try:
@@ -281,3 +372,41 @@ def test_generated_statements_agree_with_sqlite(db, sqlite, batch):
 @given(batch=batches)
 def test_generated_statements_soak(db, sqlite, batch):
     agree(db, sqlite, batch)
+
+
+@seed(31)
+@settings(max_examples=60, **_settings)
+@given(batch=batches)
+def test_generated_statements_agree_at_data_scale_100(db_scaled, sqlite,
+                                                      batch):
+    agree(db_scaled, sqlite, batch, specs=ocelot_specs())
+
+
+@pytest.mark.parametrize("kind", ("CPU", "GPU"))
+@pytest.mark.parametrize("statement", (
+    Statement("SELECT id AS o0, count(*) AS o1 FROM t900 GROUP BY id",
+              (0.0, 0.0)),
+    Statement("SELECT id AS o0, f AS o1 FROM t900 ORDER BY o1 DESC",
+              (0.0, 0.0), order=1),
+), ids=("group by", "order by"))
+def test_data_scale_100_runs_the_radix_ladder(db_scaled, sqlite, kind,
+                                              statement, monkeypatch):
+    """What makes the run above worth its time: a ``GROUP BY`` and an
+    ``ORDER BY`` of 900 rows launch ``radix_reorder`` on both devices,
+    on fewer partitions than the device has invocations."""
+    from repro.ocelot.engine import OcelotEngine
+
+    reorders = []
+    launch = OcelotEngine.launch
+
+    def spy(engine, kernel_name, *args, **kwargs):
+        if kernel_name == "radix_reorder":
+            reorders.append((args[-1], engine.invocations))
+        return launch(engine, kernel_name, *args, **kwargs)
+
+    monkeypatch.setattr(OcelotEngine, "launch", spy)
+    got = rows_of(db_scaled.connect(kind).execute(statement.sql))
+    assert _mismatch(statement, kind, "execute", got,
+                     sqlite.execute(statement.sql).fetchall()) is None
+    assert reorders
+    assert all(parts < invocations for parts, invocations in reorders)

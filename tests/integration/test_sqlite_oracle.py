@@ -314,6 +314,11 @@ CASES = [
     # one literal at two sites the binder matches structurally
     ("SELECT k + 1 AS x, sum(v) AS s FROM t256 GROUP BY k + 1 ORDER BY x",
      True),
+    # ORDER BY / LIMIT over an ungrouped aggregate's one row
+    ("SELECT count(k) AS c FROM dim ORDER BY c", True),
+    ("SELECT count(*) AS c, sum(v) AS s FROM t255 ORDER BY s DESC LIMIT 1",
+     True),
+    ("SELECT min(k) AS lo, max(k) AS hi FROM wide LIMIT 3", True),
     # single-row and empty tables
     ("SELECT k, sum(v) AS s, count(*) AS c FROM one GROUP BY k", True),
     ("SELECT min(v) AS lo, max(v) AS hi, avg(v) AS a FROM one", True),

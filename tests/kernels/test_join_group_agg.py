@@ -1,5 +1,7 @@
 """Join expansion, grouping, and grouped-aggregation kernels."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +118,96 @@ class TestSegmentedReduce:
             if members.size:
                 assert mins[g] == members.min()
                 assert maxs[g] == members.max()
+
+
+def reference_reduce(gids, vals, ngroups, op, dtype):
+    """Per group, in Python: the group's values cast to ``dtype``, in
+    row order; a NaN answers ``min`` / ``max`` once it is seen; a group
+    without rows answers the fold's identity.  ``sum`` is exact (ints)."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "f":
+        empty = {"min": math.inf, "max": -math.inf, "sum": 0.0}[op]
+    else:
+        info = np.iinfo(dtype)
+        empty = {"min": int(info.max), "max": int(info.min), "sum": 0}[op]
+    out = []
+    for g in range(ngroups):
+        members = [dtype.type(v).item() for v, gid in zip(vals, gids)
+                   if gid == g]
+        if not members:
+            out.append(empty)
+        elif op == "sum":
+            out.append(sum(members))
+        elif any(v != v for v in members):
+            out.append(math.nan)
+        else:
+            out.append((min if op == "min" else max)(members))
+    return out
+
+
+def assert_reduces_like_the_reference(gids, vals, ngroups, op, dtype):
+    got = segmented_reduce(gids, vals, ngroups, op, dtype)
+    assert got.dtype == np.dtype(dtype)
+    want = reference_reduce(gids, vals, ngroups, op, dtype)
+    for g, expected in enumerate(want):
+        value = got[g].item()
+        if expected != expected:
+            assert value != value, (g, value)
+            continue
+        assert value == expected, (g, value, expected)
+        # ±0.0 tie: whichever it is, it is one of the group's own values
+        members = vals.astype(dtype)[gids == g]
+        if op != "sum" and members.size:
+            assert got[g].tobytes() in {m.tobytes() for m in members}
+
+
+SPECIALS = (math.nan, 0.0, -0.0, math.inf, -math.inf)
+
+
+class TestSegmentedReduceAgainstPython:
+    """``min`` / ``max`` and the integer ``sum`` that float64 cannot add
+    exactly, per group against a Python fold."""
+
+    @given(
+        st.lists(st.tuples(
+            st.integers(0, 5),
+            st.one_of(st.sampled_from(SPECIALS),
+                      st.floats(-1e6, 1e6, width=32))),
+            max_size=60),
+        st.sampled_from((np.float32, np.float64)),
+        st.sampled_from(("min", "max")),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_floats_nan_signed_zeros_and_infinities(self, pairs, dtype, op):
+        gids = np.array([g for g, _v in pairs], dtype=np.uint32)
+        vals = np.array([v for _g, v in pairs], dtype=dtype)
+        # groups 6 and 7 never hold a row
+        assert_reduces_like_the_reference(gids, vals, 8, op, dtype)
+
+    @pytest.mark.parametrize("op", ("min", "max", "sum"))
+    def test_int64_past_two_to_the_53(self, op):
+        big = 2 ** 53
+        vals = np.array([big + 1, big, -big - 1, 2 ** 60, big + 3, -1,
+                         -2 ** 60, big + 1], dtype=np.int64)
+        gids = np.array([0, 0, 1, 1, 2, 2, 3, 0], dtype=np.uint32)
+        assert_reduces_like_the_reference(gids, vals, 5, op, np.int64)
+
+    @pytest.mark.parametrize("dtype", (np.int32, np.int64, np.float32,
+                                       np.float64))
+    @pytest.mark.parametrize("op", ("min", "max", "sum"))
+    def test_empty_input(self, op, dtype):
+        gids, vals = np.zeros(0, np.uint32), np.zeros(0, dtype)
+        if op == "sum" and np.dtype(dtype).kind == "f":
+            return          # float sums take bincount's path
+        assert_reduces_like_the_reference(gids, vals, 3, op, dtype)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("op", ("min", "max"))
+    def test_float64_values_into_a_float32_output(self, op):
+        vals = np.array([1e-50, -1e-50, 1.0000000001, 1.0, 3e38, 1e39,
+                         -1e39, 2.5], dtype=np.float64)
+        gids = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.uint32)
+        assert_reduces_like_the_reference(gids, vals, 5, op, np.float32)
 
 
 class TestGroupedAggKernels:

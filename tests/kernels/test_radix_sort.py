@@ -445,7 +445,7 @@ class TestLocalSortNeverCostsMoreThanTheLadder:
         from repro import cl
         from repro.cl.kernel import ExecContext
         from repro.kernels import KERNEL_LIBRARY as lib
-        from repro.ocelot.operators import sort_launches
+        from repro.ocelot.operators import radix_parts, sort_launches
 
         engine = _engine(kind, data_scale)
         device, profile = engine.device, engine.device.profile
@@ -453,12 +453,11 @@ class TestLocalSortNeverCostsMoreThanTheLadder:
                           profile.total_invocations, profile.work_group_size,
                           data_scale=data_scale)
         submit = device.host_submit_time()
-        parts, radix = profile.total_invocations, 1 << engine.radix_bits
+        bits = engine.radix_bits
         itemsize = np.dtype(key_dtype).itemsize
-        passes = num_passes(engine.radix_bits, 8 * itemsize)
+        passes = num_passes(bits, 8 * itemsize)
         keys = np.zeros(1, key_dtype)       # work_fns read dtype + n only
         pay = np.zeros(1, np.uint32)
-        hist = np.zeros(parts * radix, np.uint32)
 
         def seconds(name, *args):
             work = lib[name].work_fn(ctx, *args)
@@ -466,6 +465,9 @@ class TestLocalSortNeverCostsMoreThanTheLadder:
 
         n, checked = 2, 0
         while sort_launches(engine, n, itemsize)[0] == "local":
+            # the ladder _radix_sort would run: histograms sized to n
+            parts = radix_parts(n, bits, profile.total_invocations)
+            hist = np.zeros(parts << bits, np.uint32)
             local = seconds("local_sort", keys, pay, keys, n)
             ladder = passes * (
                 seconds("radix_histogram", hist, keys, n, 0, parts)
@@ -479,3 +481,148 @@ class TestLocalSortNeverCostsMoreThanTheLadder:
             n += 1
         assert checked == int(
             profile.local_mem_bytes // ((itemsize + 4) * data_scale)) - 1
+
+
+# ---------------------------------------------------------------------------
+# The ladder's width is sized to n (``operators.radix_parts``): at every
+# width the rule gives, the work-item reference and the vectorised bodies
+# agree, and the columns out are those of the device-wide width.
+# ---------------------------------------------------------------------------
+
+def _sized_n(case: str, radix: int, invocations: int) -> int:
+    return {
+        "one part": radix - 3,
+        "below the global size": 5 * radix,
+        "ragged": 37 * radix + 5,
+        "full width - 1": invocations * radix - 1,
+        "full width + 1": invocations * radix + 1,
+    }[case]
+
+
+def _ladder_pass(body, device, keys, n, parts, bits):
+    """One first pass (``radix_reorder_first``) and one later pass
+    (``radix_reorder``) at ``parts``: every array each kernel wrote."""
+    from repro.cl.compiler import default_defines
+    from repro.cl.kernel import ExecContext
+    from repro.cl.workitem import run_reference
+    from repro.kernels import KERNEL_LIBRARY as lib
+
+    profile = device.profile
+    defines = {**default_defines(device.device_type), "RADIX_BITS": bits}
+    size = (profile.total_invocations, profile.work_group_size)
+    ctx = ExecContext(device, defines, *size)
+
+    def run(name, *args):
+        if body == "ref":
+            run_reference(lib[name], list(args), *size, defines=defines,
+                          device=device)
+        else:
+            lib[name].vec_fn(ctx, *args)
+
+    written = []
+    pay = None
+    for shift in (0, bits):
+        hist = np.full(parts << bits, 7, np.uint32)
+        offsets = np.full(parts << bits, 7, np.uint32)
+        keys_out = np.zeros(n, keys.dtype)
+        pay_out = np.zeros(n, np.uint32)
+        run("radix_histogram", hist, keys, n, shift, parts)
+        run("radix_offsets", offsets, hist, parts)
+        if pay is None:
+            run("radix_reorder_first", keys_out, pay_out, keys, offsets, n,
+                shift, parts)
+        else:
+            run("radix_reorder", keys_out, pay_out, keys, pay, offsets, n,
+                shift, parts)
+        written += [hist, offsets, keys_out, pay_out]
+        keys, pay = keys_out, pay_out
+    return written
+
+
+class TestSizedLadder:
+    @pytest.mark.parametrize("case", ("one part", "below the global size",
+                                      "ragged", "full width - 1",
+                                      "full width + 1"))
+    @pytest.mark.parametrize("kind", ("cpu", "gpu"))
+    def test_reference_matches_vectorised(self, kind, case):
+        from repro import cl
+        from repro.ocelot.operators import radix_parts
+
+        device = cl.get_device(kind)
+        bits = 8 if kind == "cpu" else 4
+        invocations = device.profile.total_invocations
+        n = _sized_n(case, 1 << bits, invocations)
+        parts = radix_parts(n, bits, invocations)
+        assert parts == {"one part": 1, "below the global size": 5,
+                         "ragged": 38}.get(case, invocations)
+        keys = np.random.default_rng(n).integers(
+            0, 2 ** 32, n, dtype=np.uint32)
+        keys[: n // 3] = 0xFFFFFFF0                 # a skewed digit
+        ref = _ladder_pass("ref", device, keys, n, parts, bits)
+        vec = _ladder_pass("vec", device, keys, n, parts, bits)
+        for got, want in zip(ref, vec):
+            assert np.array_equal(got, want)
+        # the columns out are those of the device-wide width
+        wide = _ladder_pass("vec", device, keys, n, invocations, bits)
+        for got, want in zip(vec[2:4] + vec[6:8], wide[2:4] + wide[6:8]):
+            assert np.array_equal(got, want)
+        order = np.argsort(keys & ((1 << 2 * bits) - 1), kind="stable")
+        assert np.array_equal(vec[7], order)
+
+    @pytest.mark.parametrize("n", (2, 15, 16, 17, 1343 * 16, 1344 * 16,
+                                   1344 * 16 + 1, 10 ** 7))
+    def test_the_rule(self, n):
+        from repro.ocelot.operators import radix_parts
+
+        parts = radix_parts(n, 4, 1344)
+        assert parts == min(1344, -(-n // 16))
+        # the histograms hold fewer counters than n plus one histogram
+        assert 1 <= parts and 16 * (parts - 1) < n
+
+
+def test_radix_sort_and_the_tuner_read_one_rule(monkeypatch):
+    """``_radix_sort`` sizes its histograms, and ``estimate_sort_cost``
+    prices them, by ``operators.radix_parts`` and nothing else."""
+    import importlib
+    import math
+
+    from repro.ocelot import operators
+
+    autotune = importlib.import_module("repro.ocelot.autotune")
+    assert autotune.radix_parts is operators.radix_parts
+    calls = []
+
+    def rule(n, radix_bits, invocations):
+        calls.append((n, radix_bits, invocations))
+        return 3                    # a width no other formula gives
+
+    monkeypatch.setattr(operators, "radix_parts", rule)
+    monkeypatch.setattr(autotune, "radix_parts", rule)
+
+    engine = _engine("gpu", 100.0)
+    launched = []
+    launch = engine.launch
+
+    def spy(name, *args):
+        launched.append((name, args[-1]))
+        return launch(name, *args)
+
+    monkeypatch.setattr(engine, "launch", spy)
+    keys = np.random.default_rng(5).integers(0, 2 ** 32, 500, np.uint32)
+    _keys, order, _names = _sort_through_host_code(engine, keys)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert calls == [(500, engine.radix_bits, engine.invocations)]
+    assert {parts for name, parts in launched
+            if name.startswith("radix_")} == {3}
+
+    chars = autotune.DeviceCharacteristics(
+        device_name="d", stream_gbs=10.0, gather_gbs=5.0,
+        launch_overhead_s=1e-5, atomic_contended_ns=1.0,
+        atomic_uncontended_ns=0.5, partitions=1344, local_mem_bytes=49152,
+        work_group_size=192)
+    calls.clear()
+    cost = autotune.estimate_sort_cost(chars, 4, column_bytes=4000.0)
+    assert calls == [(1000, 4, 1344)]
+    monkeypatch.undo()
+    assert cost < autotune.estimate_sort_cost(chars, 4, column_bytes=4000.0)
+    assert math.isfinite(cost)
