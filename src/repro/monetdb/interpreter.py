@@ -192,31 +192,20 @@ class Backend(abc.ABC):
             return "fail"
         return "retry"
 
-    def end_of_query(self, leftovers: list) -> None:
-        """Hook: a query is over — finished, failed or cancelled — and
-        the values still in its environment go out of scope.
-
-        Receives every variable left, result columns included (they
-        were collected to the host first); the backend decides what
-        recycling means for its value model — the default drops
-        non-base BATs through the catalog's recycle callbacks (which
-        the Ocelot Memory Managers subscribe to).  What the query
-        allocated on a device and never put in a variable is swept
-        afterwards through the :attr:`memory` capability
-        (:meth:`ProgramRun.close`).
-        """
-        self.release_intermediates(leftovers)
-
     def release_intermediates(self, values) -> None:
         """Recycle values whose last consumer has run.
 
         The interpreter's liveness pass and the morsel executor call
-        this as soon as a variable goes dead — mid-query — instead of
-        waiting for :meth:`end_of_query`: the early path that holds the
-        peak down.  The default mirrors the end-of-query recycling
-        (non-base BATs through the catalog's recycle callbacks, which
-        is idempotent); the sharded engine unwraps its values and
-        defers parts a lazy merge has yet to read.
+        this as soon as a variable goes dead — mid-query — and
+        :meth:`ProgramRun.close` once more when the query is over
+        (finished, failed or cancelled) with every variable it still
+        holds, result columns included (they were collected to the
+        host first).  The default recycles non-base BATs through the
+        catalog's recycle callbacks (which the Ocelot Memory Managers
+        subscribe to; idempotent); the sharded engine unwraps its
+        values and defers parts a lazy merge has yet to read.  What the
+        query allocated on a device and never put in a variable is
+        swept afterwards through the :attr:`memory` capability.
         """
         for value in values:
             if isinstance(value, BAT) and not value.is_base:
@@ -501,12 +490,18 @@ class ProgramRun:
         self._claim()
         if self.tracer is not None:
             return self._step_traced()
-        instruction = self.program.instructions[self._pc]
-        if instruction.op == "morsel.run":
-            return self._step_morsel(instruction)
-        fn = self.backend.resolve(instruction.op)
-        args = [self.resolve_arg(a) for a in instruction.args]
-        out = fn(*args)
+        return self._advance(self.program.instructions[self._pc])
+
+    def _advance(self, instruction) -> bool:
+        """Run ``instruction`` — the one at ``_pc`` — or one morsel of
+        it; returns whether work remains."""
+        if instruction.op != "morsel.run":
+            fn = self.backend.resolve(instruction.op)
+            out = fn(*[self.resolve_arg(a) for a in instruction.args])
+        else:
+            out = self._step_morsel(instruction)
+            if out is None:
+                return True
         self._assign(instruction, out)
         self._release_dead(self._pc)
         self._pc += 1
@@ -537,21 +532,11 @@ class ProgramRun:
         previous = self.backend.tracer
         self.backend.tracer = tracer
         try:
-            if instruction.op == "morsel.run":
-                more = self._step_morsel(instruction)
-            else:
-                fn = self.backend.resolve(instruction.op)
-                args = [self.resolve_arg(a) for a in instruction.args]
-                out = fn(*args)
-                self._assign(instruction, out)
-                self._release_dead(pc)
-                self._pc += 1
-                more = not self.done
+            return self._advance(instruction)
         finally:
             self.backend.tracer = previous
             if self._pc != pc:
                 self._close_instruction_span(instruction, span)
-        return more
 
     def _close_instruction_span(self, instruction, span) -> None:
         from ..obs.tracer import describe_value
@@ -588,8 +573,9 @@ class ProgramRun:
             for var, value in zip(results, out):
                 self.env[var.name] = value
 
-    def _step_morsel(self, instruction) -> bool:
-        """Advance an in-flight morsel region by one morsel."""
+    def _step_morsel(self, instruction):
+        """Advance an in-flight morsel region by one morsel; its outputs
+        once the last one ran, else None."""
         if self._morsel_run is None:
             from ..morsel.run import MorselRun
 
@@ -597,16 +583,10 @@ class ProgramRun:
             inputs = [self.resolve_arg(a) for a in instruction.args[1:]]
             self._morsel_run = MorselRun(self.backend, spec, inputs)
         if self._morsel_run.step():
-            return True
+            return None
         outputs = self._morsel_run.outputs
         self._morsel_run = None
-        self._assign(
-            instruction,
-            outputs if len(instruction.results) != 1 else outputs[0],
-        )
-        self._release_dead(self._pc)
-        self._pc += 1
-        return not self.done
+        return outputs if len(instruction.results) != 1 else outputs[0]
 
     def _release_dead(self, index: int) -> None:
         """Recycle every variable whose last static use just ran."""
@@ -646,15 +626,16 @@ class ProgramRun:
 
     def close(self) -> None:
         """The query is over: everything it still holds is released —
-        the environment through ``end_of_query``, then whatever device
-        memory the run owns and no variable names.  Idempotent; the one
-        release path of success, failure and cancel."""
+        the environment through the liveness release
+        (``release_intermediates``), then whatever device memory the
+        run owns and no variable names.  Idempotent; the one release
+        path of success, failure and cancel."""
         if self._closed:
             return
         self._closed = True
         self._morsel_run = None
         try:
-            self.backend.end_of_query(list(self.env.values()))
+            self.backend.release_intermediates(list(self.env.values()))
         finally:
             memory = self.backend.memory
             if memory is not None:

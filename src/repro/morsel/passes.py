@@ -69,10 +69,13 @@ Safety rules, in order:
 * a component is dropped — left exactly in place — when an escaping
   positions column lives in a derived space (its morsel-local offsets
   are not reconstructible), when one value is used both sliced and
-  whole, or when an escaping positions column feeds a single-device
-  Ocelot ``oidunion``/``oidintersect`` (whose bitmap algebra rejects
-  host oid lists), or when the component is smaller than
-  ``MIN_REGION``.
+  whole, or when the component is smaller than ``MIN_REGION``.
+
+An escaping positions column is a host oid list on every engine; an oid
+combination outside the region that meets two of them runs on MonetDB
+by the Ocelot engines' one hand-back rule
+(:meth:`repro.ocelot.engine.MixedExecutionBackend._hand_back`), so the
+pass need not know which engine it plans for.
 
 Gated and sized by the ``morsel`` engine knob
 (:data:`repro.engines.KNOBS`) — the whole-column path stays the A/B
@@ -175,7 +178,6 @@ def morselize_program(program: MALProgram,
     total_uses = var_uses(instructions)
     bat_vars = bat_var_names(instructions)
     bind_table: dict[str, str] = {}
-    consumed_by: dict[str, list[MALInstruction]] = {}
     positions_vars: set[str] = set()
     for instruction in instructions:
         if instruction.op == "sql.bind" and instruction.results:
@@ -194,8 +196,6 @@ def morselize_program(program: MALProgram,
                                 instruction.args[0].outputs):
                 if out.is_select:
                     positions_vars.add(var.name)
-        for arg in instruction.var_args():
-            consumed_by.setdefault(arg.name, []).append(instruction)
 
     # -- phase 1: sealed super-regions ---------------------------------------
     #: (member indices, drive) per sealed region
@@ -500,15 +500,14 @@ def morselize_program(program: MALProgram,
         lambda component: _build_region(
             component, instructions, drive_of[component[-1]],
             member_kinds, member_modes,
-            total_uses, consumed_by, result_vars, size,
+            total_uses, result_vars, size,
         ),
         min_region,
     )
 
 
 def _build_region(indices, instructions, drive, member_kinds, member_modes,
-                  total_uses, consumed_by, result_vars,
-                  size) -> "MALInstruction | None":
+                  total_uses, result_vars, size) -> "MALInstruction | None":
     """One ``morsel.run`` instruction for a component (or ``None`` when
     the component is unsafe or has no live output — emit unchanged)."""
     members = [instructions[i] for i in indices]
@@ -556,12 +555,6 @@ def _build_region(indices, instructions, drive, member_kinds, member_modes,
                 if space != drive_space:
                     # morsel-local offsets into a derived space are not
                     # reconstructible base oids: leave the region alone
-                    return None
-                if any(consumer.module == ops.DEVICE_MODULE
-                       and _class_of(consumer) == "oidcombine"
-                       for consumer in consumed_by.get(var.name, ())):
-                    # single-device Ocelot's bitmap algebra rejects
-                    # host oid lists — keep the whole-column path here
                     return None
                 drive_positions.add(var.name)
             if kind in ("scalar", "gagg"):

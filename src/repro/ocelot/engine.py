@@ -131,10 +131,8 @@ class MixedExecutionBackend(Backend):
     in how a device operator is bound (:meth:`_bind`) and on which
     timeline MonetDB's host time lands (:meth:`_charge_host`).
 
-    Mixed execution is also decided at run time, from operand types
-    alone: the device forms hash four-byte keys, so an operator whose
-    hashed operand (:attr:`repro.monetdb.ops.Op.hashed`) is eight bytes
-    wide runs its MonetDB form instead (:meth:`_run_on_monetdb`)."""
+    Mixed execution is also decided at run time, by one rule for every
+    engine over the devices (:meth:`_hand_back`)."""
 
     #: the embedded MonetDB; set by the engine before ``Backend.__init__``
     fallback: MonetDBSequential
@@ -147,7 +145,7 @@ class MixedExecutionBackend(Backend):
 
         for name in operators.HOST_CODE:
             self.register(f"{ops.DEVICE_MODULE}.{name}",
-                          self._four_byte_keys(name, self._bind(name)))
+                          self._hand_back(name, self._bind(name)))
         # compressed-execution forms, registered on *this* backend so
         # their internal delegation targets the ocelot.* operators above
         # (the narrow code payloads are what gets placed, uploaded and
@@ -186,18 +184,27 @@ class MixedExecutionBackend(Backend):
 
     # -- run-time mixed execution -----------------------------------------------
 
-    def _four_byte_keys(self, function: str, device_op):
-        """``device_op``, handing operators with an eight-byte hashed
-        operand back to MonetDB — decided from the dtype alone — and
-        those whose hash build meets the one four-byte key a device
-        table cannot hold (:class:`~repro.kernels.hashing.MarkerKey`)."""
+    def _hand_back(self, function: str, device_op):
+        """``device_op``, handing the operator back to MonetDB where the
+        device forms cannot run it: an eight-byte hashed operand
+        (:attr:`repro.monetdb.ops.Op.hashed`; device tables hold
+        four-byte keys), an oid combination of two oid lists (the device
+        combines bitmaps), or a hash build that meets the one four-byte
+        key a device table cannot hold
+        (:class:`~repro.kernels.hashing.MarkerKey`)."""
         row = ops.OPS.get(function)
-        if row is None or not row.hashed:
+        if row is None or not (row.hashed or row.cls == "oidcombine"):
             return device_op
 
+        def device_cannot(args) -> bool:
+            if row.cls == "oidcombine":
+                return not any(isinstance(a, BAT) and a.role is Role.BITMAP
+                               for a in args)
+            return any(isinstance(args[i], BAT)
+                       and args[i].dtype.itemsize == 8 for i in row.hashed)
+
         def op(*args):
-            if any(isinstance(args[i], BAT) and args[i].dtype.itemsize == 8
-                   for i in row.hashed):
+            if device_cannot(args):
                 return self._run_on_monetdb(row, args)
             try:
                 return device_op(*args)

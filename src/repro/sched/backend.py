@@ -13,7 +13,9 @@ with *all* simulated devices and routes every instruction through the
   concurrent queues and merges the partials on the host;
 * ``ocelot.sync`` always runs on the device holding the operand;
 * unsupported operators fall back to embedded sequential MonetDB, their
-  host time folded into the joined timeline (mixed execution, §3.2).
+  host time folded into the joined timeline (mixed execution, §3.2), as
+  do, before placement, the operators the Ocelot engines' one hand-back
+  rule sends there (:class:`~repro.ocelot.engine.MixedExecutionBackend`).
 
 Per-query framework overheads (the Intel SDK's fixed cost) are charged
 per device *on first use within the query*, so a query that never
@@ -118,13 +120,6 @@ class HeterogeneousBackend(MixedExecutionBackend):
     def _dispatch(self, function: str, args):
         if function == "sync":
             return self._sync(args[0])
-        row = OPS.get(function)
-        if row is not None and row.cls == "oidcombine" and not any(
-                isinstance(a, BAT) and a.role is Role.BITMAP for a in args):
-            # fanned-out selections merge into host oid *lists*;
-            # Ocelot's bitmap algebra needs at least one bitmap, so
-            # pure list combination is host work (mixed execution)
-            return self._run_on_monetdb(row, args)
         state = self.sessions.current
         if self._pinned_device is not None:
             # a morsel is in flight: the whole morsel runs on the device
@@ -182,6 +177,7 @@ class HeterogeneousBackend(MixedExecutionBackend):
             finally:
                 if tracer is not None:
                     tracer.end(span)
+        row = OPS.get(function)
         if row is not None and row.cls == "select":
             self._observe_selection(function, args, out)
         return out

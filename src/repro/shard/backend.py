@@ -53,7 +53,10 @@ The strategy is decided when the join runs, from the operands and the
 live partitioner — the plan carries nothing about the layout, so a
 cached plan stays valid across key declarations, failovers and resizes.
 Each site's choice is logged in the query's ``decision_log`` and shown
-by ``explain(analyze=True)``.
+by ``explain(analyze=True)``.  Under ``keys=infer`` a join that could
+not co-locate queues its columns as shard keys, adopted at the next
+quiet query boundary like every other layout change
+(:mod:`repro.shard.topology`).
 
 Gathers, shuffles and merges charge simulated interconnect + driver
 time and are counted per byte moved in :class:`InterconnectTraffic`
@@ -491,7 +494,9 @@ class ShardedBackend(Backend):
         self.infer_keys = infer_keys
         #: ``join=broadcast`` forces the PR-3 baseline for benchmarks
         self.join_strategy = join_strategy
-        self._observed_joins: list[tuple] = []
+        #: ``keys=infer``: the base-column pairs of joins it could not
+        #: co-locate, adopted at the next quiet boundary
+        self.observed_joins: list[tuple] = []
         self._inferred: set[tuple] = set()
         #: capability: one :class:`_ShardQuery` per in-flight query on
         #: the children's clocks
@@ -571,14 +576,17 @@ class ShardedBackend(Backend):
         own cleanup, and the next must start from zeroed per-query
         traffic.  Reset is in place so live references to
         ``traffic.query`` keep reading the current counters.  This is
-        also where the topology moves:
-        cooled-down nodes rejoin, a queued roster is installed once no
-        session is in flight, and a healthy replicated cluster rotates
-        its read routing (see
-        :class:`~repro.shard.topology.ShardTopology`)."""
+        also where the layout moves: with no session in flight,
+        ``keys=infer`` adopts the join keys it observed; cooled-down
+        nodes rejoin, a queued roster is installed once no session is
+        in flight, and a healthy replicated cluster rotates its read
+        routing (see :class:`~repro.shard.topology.ShardTopology`)."""
         super().query_boundary()
         self.traffic.query.reset()
-        self.cluster.boundary(idle=not self.sessions.open_states)
+        idle = not self.sessions.open_states
+        if idle and self.observed_joins:
+            self._adopt_inferred_keys()
+        self.cluster.boundary(idle=idle)
 
     def release_intermediates(self, values) -> None:
         """A dead value — with its ``avg`` pair and cached gather —
@@ -693,23 +701,6 @@ class ShardedBackend(Backend):
             for child in row:
                 child.shutdown()
 
-    def end_of_query(self, leftovers: list) -> None:
-        per_child: list[list] = [[] for _ in self.children]
-        for value in leftovers:
-            for sv in self._component_values(value):
-                for parts, part in zip(per_child, sv.parts):
-                    parts.append(part)
-        for child, parts in zip(self.children, per_child):
-            child.end_of_query(parts)
-        if self.infer_keys:
-            if self.sessions.open_states:
-                # adoption re-slices tables, and the statements still
-                # in flight hold values laid out the old way: keep the
-                # observations until the last of them is over
-                return
-            self._adopt_inferred_keys()
-        self._observed_joins = []
-
     def _adopt_inferred_keys(self) -> None:
         """``keys=infer``: adopt observed join columns as shard keys.
 
@@ -718,9 +709,11 @@ class ShardedBackend(Backend):
         shared domain and the partitioner re-slices them (the next run
         of the same cached plan finds the join co-located).  Each table
         is adopted at most once — the first observed join wins — so
-        repeated queries cannot thrash the layout."""
+        repeated queries cannot thrash the layout.  Called only with no
+        statement in flight: those hold values laid out the old way."""
+        observed, self.observed_joins = self.observed_joins, []
         adopted = False
-        for (lt, lc), (rt, rc) in self._observed_joins:
+        for (lt, lc), (rt, rc) in observed:
             if lt == rt:
                 continue                      # self-joins teach nothing
             if self.partitioner.key_of(lt) or self.partitioner.key_of(rt):
@@ -1264,11 +1257,13 @@ class ShardedBackend(Backend):
         rkey = self._aligned_key(right)
         if lkey and rkey and self.partitioner.co_located(lkey, rkey):
             return JOIN_COLOCATED
-        if isinstance(left, ShardedValue) and left.origin \
-                and isinstance(right, ShardedValue) and right.origin:
+        if self.infer_keys and isinstance(left, ShardedValue) \
+                and left.origin and isinstance(right, ShardedValue) \
+                and right.origin:
             # a broadcast/shuffle between two base columns is the
-            # signal the key-inference satellite adopts (keys=infer)
-            self._observed_joins.append((left.origin, right.origin))
+            # signal keys=infer adopts, a layout change queued for the
+            # next quiet boundary (``ShardTopology.pending``)
+            self.observed_joins.append((left.origin, right.origin))
         lcounts, rcounts = self._counts(left), self._counts(right)
         if lkey and rcounts is not None:
             return JOIN_SHUFFLE_RIGHT

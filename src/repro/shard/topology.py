@@ -14,7 +14,9 @@ boundary with no session in flight install it with one in-place
 * **rejoin** — a node whose breaker admits work again comes back;
 * **resize** — :meth:`request_resize` gives new nodes fresh ids and
   puts them on the roster, or retires members (an excluded node first,
-  else the highest id).
+  else the highest id);
+* **key adoption** (``keys=infer``) — a join that could not co-locate
+  queues its columns as shard keys, adopted before any roster install.
 
 A failover parks every statement in flight, so the boundary after it is
 quiet and an exclusion lands there; statements in flight during a
@@ -77,9 +79,11 @@ class ShardTopology:
 
     @property
     def pending(self) -> bool:
-        """Whether a change (a queued roster, a deferred re-route) waits
-        for a query boundary."""
-        return self._stale or self._queued()
+        """Whether a change (a queued roster, a deferred re-route, a
+        ``keys=infer`` observation to adopt) waits for a query
+        boundary."""
+        return (self._stale or self._queued()
+                or bool(self.backend.observed_joins))
 
     def _queued(self) -> bool:
         """Whether the roster or the membership differs from the

@@ -608,7 +608,12 @@ class Compiler:
     def _projection_phase(self, pipeline: "_Pipeline",
                           select: ast.Select) -> list[tuple[str, Var]]:
         if select.group_by:
-            return self._grouped_outputs(pipeline, select)
+            return self._grouped_outputs(pipeline, select, select.group_by)
+        if _one_row(select) and select.limit == 0:
+            # one row of scalars has no empty form: grouped by a column,
+            # the aggregate has rows for the LIMIT to cut
+            return self._grouped_outputs(pipeline, select,
+                                         [pipeline.anchor()])
         if _one_row(select):
             return self._scalar_outputs(pipeline, select)
         outputs = []
@@ -621,10 +626,9 @@ class Compiler:
             outputs.append((_output_name(item, index), var))
         return outputs
 
-    def _grouped_outputs(self, pipeline, select) -> list[tuple[str, Var]]:
-        key_vars = [
-            self._value_expr(pipeline, key) for key in select.group_by
-        ]
+    def _grouped_outputs(self, pipeline, select,
+                         group_by) -> list[tuple[str, Var]]:
+        key_vars = [self._value_expr(pipeline, key) for key in group_by]
         for var in key_vars:
             if not isinstance(var, Var):
                 raise BindError("GROUP BY over a constant")
@@ -635,7 +639,7 @@ class Compiler:
             gids, ngroups = self.b.emit(
                 "group", "subgroup", (key_var, gids, ngroups), n_results=2
             )
-        group_env = _GroupEnv(self, pipeline, select.group_by, key_vars,
+        group_env = _GroupEnv(self, pipeline, group_by, key_vars,
                               gids, ngroups)
         outputs = []
         for index, item in enumerate(select.items):
@@ -674,12 +678,11 @@ class Compiler:
     def _order_limit_phase(self, select: ast.Select, outputs):
         """``ORDER BY`` one output column, then ``LIMIT``.  An ungrouped
         aggregate's one row is in order already and survives any
-        ``LIMIT`` but 0, which its scalars cannot express: refused."""
-        if _one_row(select):
+        ``LIMIT`` but 0 (compiled grouped, see :meth:`_projection_phase`,
+        and cut here)."""
+        if _one_row(select) and select.limit != 0:
             if select.order_by is not None:
                 self._sort_index(select, outputs)
-            if select.limit == 0:
-                raise BindError("LIMIT 0 of an ungrouped aggregate")
             return outputs
         if select.order_by is not None:
             sort_index = self._sort_index(select, outputs)
@@ -737,6 +740,12 @@ class _Pipeline:
 
     def alias_set(self) -> set:
         return {bound.alias for bound in self.bounds}
+
+    def anchor(self) -> ast.Column:
+        """The first bound relation's first column: one value per row."""
+        bound = self.bounds[0]
+        return ast.Column(bound.alias,
+                          self.compiler._bound_columns(bound)[0])
 
     def value_of_column(self, column: ast.Column) -> Var:
         bound, name = self.compiler._resolve(column, self.bounds)
@@ -836,7 +845,8 @@ class _ScalarEnv:
         b = self.compiler.b
         if isinstance(expr, ast.Agg):
             if expr.func == "count" and expr.argument is None:
-                anchor = self._anchor_column()
+                anchor = self.pipeline.value_of_column(
+                    self.pipeline.anchor())
                 return b.emit("aggr", "count", (anchor,))
             argument = self.compiler._value_expr(self.pipeline,
                                                  expr.argument)
@@ -856,13 +866,6 @@ class _ScalarEnv:
         if isinstance(expr, ast.ScalarSubquery):
             return self.compiler._compile_scalar_subquery(expr.query)
         raise BindError(f"non-aggregate {expr!r} in a scalar select")
-
-    def _anchor_column(self) -> Var:
-        bound = self.pipeline.bounds[0]
-        column = self.compiler._bound_columns(bound)[0]
-        return self.pipeline.value_of_column(
-            ast.Column(bound.alias, column)
-        )
 
 
 # =======================================================================

@@ -178,6 +178,17 @@ def test_a_statement_is_served_one_way():
     assert gone == [], gone
 
 
+def test_one_hand_back_rule_and_one_release():
+    """What the devices cannot run goes to MonetDB by one rule
+    (``MixedExecutionBackend._hand_back``), which no pass or dispatcher
+    repeats, and a query's values go out of scope through the liveness
+    release alone."""
+    gone = hits(r"end_of_query|_four_byte_keys|consumed_by")
+    assert gone == [], gone
+    caught = hits(r"except MarkerKey")
+    assert files_of(caught) == {"ocelot/engine.py"}, caught
+
+
 # -- a plan does not know the cluster ----------------------------------------
 
 def test_nothing_about_a_layout_is_recorded_replayed_or_stamped():

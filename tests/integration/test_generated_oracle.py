@@ -37,8 +37,6 @@ Generated around, said once here:
   compares to a tolerance scaled by the column's Σ|x|.
 * ``min`` / ``max`` of no rows raise (see ``reference()``): they appear
   ungrouped only without ``WHERE`` over a non-empty table.
-* **No ``LIMIT 0`` of an ungrouped aggregate**: its one row of scalars
-  has no empty form, and every spec refuses the text.
 * **An ordered column is exact and NaN-free**: never a column holding a
   NaN (SQLite sorts its NULL first, the engines sort a NaN last), an
   aggregate over one, a float ``sum`` / ``avg`` (compared to a
@@ -245,8 +243,7 @@ def statements(draw) -> Statement:
         order = draw(st.sampled_from(orderable))
         direction = draw(st.sampled_from(("", " ASC", " DESC")))
         sql += f" ORDER BY o{order}{direction}"
-        limit = draw(st.one_of(st.none(), st.sampled_from(
-            LIMITS[1:] if shape == "aggregate" else LIMITS)))
+        limit = draw(st.one_of(st.none(), st.sampled_from(LIMITS)))
         if limit is not None:
             sql += f" LIMIT {limit}"
     return Statement(sql, tuple(tolerances), order, limit)

@@ -319,6 +319,9 @@ CASES = [
     ("SELECT count(*) AS c, sum(v) AS s FROM t255 ORDER BY s DESC LIMIT 1",
      True),
     ("SELECT min(k) AS lo, max(k) AS hi FROM wide LIMIT 3", True),
+    # ... and LIMIT 0 of it: no row
+    ("SELECT count(*) AS c, sum(v) AS s, avg(v) AS a FROM t255 "
+     "WHERE v > 3 LIMIT 0", True),
     # single-row and empty tables
     ("SELECT k, sum(v) AS s, count(*) AS c FROM one GROUP BY k", True),
     ("SELECT min(v) AS lo, max(v) AS hi, avg(v) AS a FROM one", True),

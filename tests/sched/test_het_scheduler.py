@@ -247,13 +247,13 @@ class TestPartitionedFanOut:
         right = execute_split(
             backend.pool, "thetaselect", (bat, None, 3 << 28, ">="), plan
         )
-        out = backend._dispatch("oidunion", (left, right))
+        out = backend.resolve("ocelot.oidunion")(left, right)
         values = bat.values
         expected = np.nonzero(
             (values < (1 << 29)) | (values >= (3 << 28))
         )[0]
         assert np.array_equal(out.values.astype(np.int64), expected)
-        inter = backend._dispatch("oidintersect", (left, right))
+        inter = backend.resolve("ocelot.oidintersect")(left, right)
         expected = np.nonzero(
             (values < (1 << 29)) & (values >= (3 << 28))
         )[0]

@@ -494,6 +494,40 @@ class TestKeyInference:
         assert [c.version for c in partitioner.catalogs] != slices
         assert_results_equal(expected, con.execute(JOIN_SQL), rtol=1e-5)
 
+    def test_adoption_is_a_queued_layout_change(self):
+        """An observed join queues the adoption as a roster change is
+        queued: ``cluster.pending`` while the statement is in flight,
+        nothing re-sliced, and the ``settle()`` of the drained batch
+        lands it."""
+        db = make_db()
+        expected = db.connect("MS").execute(JOIN_SQL)
+        con = db.connect("SHARD:2xCPU,keys=infer")
+        cluster, partitioner = con.backend.cluster, con.backend.partitioner
+        slices = [catalog.version for catalog in partitioner.catalogs]
+        assert not cluster.pending
+        landed = []
+        settle = cluster.settle
+
+        def watched_settle():
+            before = partitioner.key_of("fact")
+            settle()
+            landed.append((before, partitioner.key_of("fact")))
+
+        cluster.settle = watched_settle
+        future = con.submit(JOIN_SQL)
+        while not cluster.pending:
+            assert con.scheduler.step()     # up to the join site
+        assert not future.done()
+        assert partitioner.key_of("fact") is None
+        assert [c.version for c in partitioner.catalogs] == slices
+        con.drain()
+        assert_results_equal(expected, future.result(), rtol=1e-5)
+        (before, after), = landed
+        assert before is None and after is not None
+        assert partitioner.key_of("dim") is not None
+        assert [c.version for c in partitioner.catalogs] != slices
+        assert not cluster.pending
+
     def test_keys_off_ignores_declarations(self):
         db = make_db()
         db.declare_shard_key("fact", "f_key")
