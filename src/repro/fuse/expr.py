@@ -34,7 +34,9 @@ from typing import Optional
 import numpy as np
 
 from ..kernels.selection import predicate_mask
-from ..monetdb.calc import CALC_FNS, COMPARE_FNS, calc_result_dtype
+from ..monetdb.calc import (
+    CALC_FNS, COMPARE_FNS, calc_result_dtype, ifthenelse, ifthenelse_dtype,
+)
 
 _OP_SYMBOL = {
     "add": "+", "sub": "-", "mul": "*", "div": "/", "intdiv": "//",
@@ -91,10 +93,11 @@ def node_dtype(node, input_dtypes) -> np.dtype:
         if node.op in COMPARE_FNS:
             return np.dtype(np.uint8)
         if node.op == "ifthenelse":
-            return np.result_type(
-                node_dtype(node.args[1], input_dtypes),
-                node_dtype(node.args[2], input_dtypes),
-            )
+            return ifthenelse_dtype(*(
+                arg.value if isinstance(arg, FConst)
+                else node_dtype(arg, input_dtypes)
+                for arg in node.args[1:]
+            ))
         return calc_result_dtype(
             node_dtype(node.args[0], input_dtypes),
             node_dtype(node.args[1], input_dtypes),
@@ -135,9 +138,7 @@ def evaluate(node, inputs, memo: Optional[dict] = None):
             for v in vals
         ]
         if node.op == "ifthenelse":
-            out = np.where(
-                np.asarray(vals[0]) != 0, vals[1], vals[2]
-            ).astype(np.result_type(dts[1], dts[2]), copy=False)
+            out = ifthenelse(*vals)
         elif node.op in COMPARE_FNS:
             out = COMPARE_FNS[node.op](vals[0], vals[1]).astype(np.uint8)
         else:

@@ -7,37 +7,32 @@ in-region value — and replaces each region with **one** ``fuse.pipe``
 instruction carrying the region's expression tree
 (:class:`~repro.fuse.expr.FusedPipe`).
 
-Safety rules, in order:
+What joins a region (:class:`_Region`):
 
-* an instruction only joins a region if every BAT operand is *known* to
-  be a BAT (producer whitelist — a ``batcalc`` over an aggregate scalar
-  variable stays unfused),
-* a region is **sealed** the moment any non-member consumes one of its
-  definitions; values consumed outside the region become *live outputs*
-  of the pipe (written by the single pass), values consumed only inside
-  become intermediates and are never materialised,
-* a sealed region is split into **connected components** (instructions
-  sharing a variable, transitively).  Element-wise operators require
-  equal-length operands, so a connected component provably lives in one
-  row space — the single row count its generated kernel iterates over;
-  two unrelated chains (a lineitem predicate and a HAVING filter over
-  an ngroups-wide column) never share a pass,
-* selection members are terminal: their (oid/bitmap) result never feeds
-  a calc node inside the same region — the region seals first,
-* components below ``MIN_REGION`` instructions are left exactly in
-  place (fusing a single operator saves nothing).
+* an element-wise instruction whose every operand is *known* to be a BAT
+  (producer whitelist — a ``batcalc`` over an aggregate scalar variable
+  stays unfused),
+* a selection over one of the region's values, unconstrained by a
+  candidate list, with literal bounds.  Selections are terminal: their
+  (oid/bitmap) result never feeds a calc inside the same region.
 
-Each fused component replaces its members with one ``fuse.pipe`` at the
-*last* member's position; every other instruction keeps its place.
-That placement is safe by construction: operands are defined before
-their consuming member, and the seal rule guarantees no external
-consumer appears before the seal point.  The pass is **idempotent** —
-a plan already containing ``fuse.pipe`` instructions is returned
-unchanged.  It runs inside every engine's optimizer pipeline
-(:meth:`repro.engines.EngineConfig.plan`), *before* the Ocelot
-rewriter, which then reroutes ``fuse.pipe`` to ``ocelot.pipe`` — so
-the serve layer's plan cache memoises fused plans and HET places each
-region as one operator.
+Everything else is the shared region finder's
+(:func:`repro.monetdb.dataflow.collapse_regions`): when a region seals,
+how it splits into connected components (element-wise operators need
+equal-length operands, so each component lives in one row space — two
+unrelated chains, a lineitem predicate and a HAVING filter over an
+ngroups-wide column, never share a pass), which values escape, and
+where the ``fuse.pipe`` lands.  Escaping values become the pipe's live
+outputs (written by the single pass); values read only inside it are
+never materialised.  Components below ``MIN_REGION`` instructions stay
+in place (fusing a single operator saves nothing).
+
+The pass is **idempotent** — a plan already containing ``fuse.pipe``
+instructions is returned unchanged.  It runs inside every engine's
+optimizer pipeline (:meth:`repro.engines.EngineConfig.plan`), *before*
+the Ocelot rewriter, which then reroutes ``fuse.pipe`` to
+``ocelot.pipe`` — so the serve layer's plan cache memoises fused plans
+and HET places each region as one operator.
 
 Gated by the ``fusion`` engine knob (:data:`repro.engines.KNOBS`): the
 CI knob A/B job runs the whole TPC-H correctness suite with it off so
@@ -48,13 +43,7 @@ from __future__ import annotations
 
 from ..monetdb import ops
 from ..monetdb.backends import select_bounds_to_op
-from ..monetdb.dataflow import (
-    bat_var_names,
-    collapse,
-    connected_components,
-    is_literal,
-    var_uses,
-)
+from ..monetdb.dataflow import bat_var_names, collapse_regions, is_literal
 from ..monetdb.mal import MALInstruction, MALProgram, Var
 from .expr import FConst, FIn, FOp, FSelect, FusedOutput, FusedPipe
 
@@ -72,40 +61,43 @@ def _member_class(instruction: MALInstruction) -> "str | None":
     return None
 
 
-def fuse_program(program: MALProgram,
-                 min_region: int = MIN_REGION) -> MALProgram:
-    """Rewrite ``program``, replacing fusable regions with ``fuse.pipe``."""
-    instructions = program.instructions
-    if any(i.module == "fuse" for i in instructions):
-        return program     # already fused: the pass is a no-op
-    result_vars = {var.name for _, var in program.result_columns}
-    total_uses = var_uses(instructions)
-    bat_vars = bat_var_names(instructions)
+class _Region:
+    """An open fusion region: what its members define, and which of
+    those are selection results (terminal)."""
 
-    # -- phase 1: sealed super-regions (member indices) ---------------------
-    regions: list[list[int]] = []
-    members: list[int] = []
-    region_defs: set[str] = set()       # all member result variables
-    select_defs: set[str] = set()       # results of fused selections
+    def __init__(self, bat_vars: set[str]):
+        self.bat_vars = bat_vars
+        self.defs: set[str] = set()
+        self.select_defs: set[str] = set()
 
-    def classify(instruction: MALInstruction):
-        """``"calc"`` / ``"select"`` if the instruction can join the
-        open region (or start one, for calcs) right now, else ``None``."""
+    def admit(self, index: int, instruction: MALInstruction) -> bool:
+        kind = self._kind(instruction)
+        if kind is None:
+            return False
+        name = instruction.results[0].name
+        self.defs.add(name)
+        if kind == "select":
+            self.select_defs.add(name)
+        return True
+
+    def _kind(self, instruction: MALInstruction) -> "str | None":
+        """``"calc"`` / ``"select"`` if the instruction can join this
+        region right now, else ``None``."""
         cls = _member_class(instruction)
         if cls == "ewise" and len(instruction.results) == 1:
             var_args = instruction.var_args()
             if not var_args:
                 return None
-            if any(a.name in select_defs for a in var_args):
+            if any(a.name in self.select_defs for a in var_args):
                 return None        # selection results are terminal
-            if all(a.name in bat_vars for a in var_args):
+            if all(a.name in self.bat_vars for a in var_args):
                 return "calc"
             return None
         if cls == "select":
             args = instruction.args
             src = args[0]
-            if not isinstance(src, Var) or src.name not in region_defs \
-                    or src.name in select_defs:
+            if not isinstance(src, Var) or src.name not in self.defs \
+                    or src.name in self.select_defs:
                 return None        # only selections over in-region values
             if args[1] is not None:     # candidate-constrained: keep whole
                 return None
@@ -114,66 +106,28 @@ def fuse_program(program: MALProgram,
             return "select"
         return None
 
-    def seal():
-        if members:
-            regions.append(list(members))
-        members.clear()
-        region_defs.clear()
-        select_defs.clear()
 
-    for index, instruction in enumerate(instructions):
-        kind = classify(instruction)
-        if members and kind is None and any(
-            isinstance(a, Var) and a.name in region_defs
-            for a in instruction.args
-        ):
-            # a non-member consumes a region value: seal the region so
-            # its live outputs materialise before this consumer
-            seal()
-            kind = classify(instruction)
-        if kind is not None:
-            members.append(index)
-            region_defs.add(instruction.results[0].name)
-            if kind == "select":
-                select_defs.add(instruction.results[0].name)
-    seal()
-
-    # -- phase 2: connected components within each sealed region ------------
-    # (shared variables, transitively: element-wise operators require
-    # equal-length operands, so each component lives in one row space)
-    components: list[list[int]] = []
-    for region in regions:
-        components.extend(connected_components(region, instructions))
-
-    # -- phase 3: emit, collapsing each large-enough component to one
-    # fuse.pipe at its last member's position --------------------------------
-    return collapse(
-        program, components,
-        lambda component: _build_pipe(
-            [instructions[i] for i in component], total_uses, result_vars
-        ),
-        min_region,
+def fuse_program(program: MALProgram,
+                 min_region: int = MIN_REGION) -> MALProgram:
+    """Rewrite ``program``, replacing fusable regions with ``fuse.pipe``."""
+    if any(i.module == "fuse" for i in program.instructions):
+        return program     # already fused: the pass is a no-op
+    bat_vars = bat_var_names(program.instructions)
+    return collapse_regions(
+        program, lambda: _Region(bat_vars), _build_pipe, min_region
     )
 
 
-def _build_pipe(members, total_uses, result_vars):
-    """One ``fuse.pipe`` instruction for a closed region (or ``None``
-    when the region has no live output — emit unchanged, stay safe)."""
+def _build_pipe(region, members, inputs, escaping) -> MALInstruction:
+    """One ``fuse.pipe`` instruction for a component: its expression
+    tree over ``inputs``, with one live output per escaping value."""
+    slot = {var.name: i for i, var in enumerate(inputs)}
     exprs: dict[str, object] = {}
-    inputs: list[Var] = []
-    input_index: dict[str, int] = {}
 
     def as_node(arg):
         if isinstance(arg, Var):
             node = exprs.get(arg.name)
-            if node is not None:
-                return node
-            slot = input_index.get(arg.name)
-            if slot is None:
-                slot = len(inputs)
-                input_index[arg.name] = slot
-                inputs.append(arg)
-            return FIn(slot)
+            return node if node is not None else FIn(slot[arg.name])
         return FConst(arg)
 
     for member in members:
@@ -192,19 +146,13 @@ def _build_pipe(members, total_uses, result_vars):
             node = FSelect(as_node(src), op, lo_v, hi_v, bool(anti))
         exprs[member.results[0].name] = node
 
-    internal = var_uses(members)
-    outputs, out_vars = [], []
-    for member in members:
-        var = member.results[0]
-        external = total_uses[var.name] - internal[var.name]
-        if external > 0 or var.name in result_vars:
-            outputs.append(FusedOutput(var.name, exprs[var.name]))
-            out_vars.append(var)
-    if not outputs:
-        return None
-    spec = FusedPipe(outputs=tuple(outputs), inputs=tuple(inputs))
+    outputs = tuple(
+        FusedOutput(var.name, exprs[var.name]) for _, var in escaping
+    )
+    spec = FusedPipe(outputs=outputs, inputs=tuple(inputs))
     return MALInstruction(
-        tuple(out_vars), "fuse", "pipe", (spec,) + tuple(inputs)
+        tuple(var for _, var in escaping), "fuse", "pipe",
+        (spec,) + tuple(inputs),
     )
 
 

@@ -558,7 +558,9 @@ __kernel void compare_vv(__global uchar* res, __global const T* a,
 
 def _compare_vs_vec(ctx, out, a, n, op, value):
     n = int(n)
-    out[:n] = _CMPOPS[op](a[:n], a.dtype.type(value)).astype(np.uint8)
+    # numpy's rule for a Python constant: a float32 column compares in
+    # float32, an int column against 7.5 or 2**31 exactly
+    out[:n] = _CMPOPS[op](a[:n], value).astype(np.uint8)
 
 
 def _compare_vs_work(ctx, out, a, n, op, value):

@@ -32,6 +32,7 @@ from .calc import (
     COMPARE_FNS,
     calc_result_dtype,
     grouped_dtype,
+    ifthenelse,
 )
 from .costmodel import DEFAULT_COST_MODEL, MonetDBCostModel, OpCost
 from .interpreter import Backend
@@ -548,11 +549,7 @@ class MonetDBBackend(Backend):
 
     def op_ifthenelse(self, cond: BAT, a, b) -> BAT:
         cond_v = cond.values
-        a_v, b_v = self._tail(a), self._tail(b)
-        a_dt = a_v.dtype if isinstance(a_v, np.ndarray) else np.min_scalar_type(a_v)
-        b_dt = b_v.dtype if isinstance(b_v, np.ndarray) else np.min_scalar_type(b_v)
-        dtype = np.result_type(a_dt, b_dt)
-        out = np.where(cond_v != 0, a_v, b_v).astype(dtype, copy=False)
+        out = ifthenelse(cond_v, self._tail(a), self._tail(b))
         model = self.model
         self._charge(
             OpCost(

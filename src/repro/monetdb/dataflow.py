@@ -1,12 +1,12 @@
 """Dataflow helpers shared by the plan rewrite passes.
 
 The compress, fuse and morsel passes (:mod:`repro.compress.passes`,
-:mod:`repro.fuse.passes`, :mod:`repro.morsel.passes`) all read the same
-facts off a :class:`~repro.monetdb.mal.MALProgram` — how often a
-variable is consumed, which variables hold BATs, which members of a
-sealed region share a row space — and all end by emitting the program
-with some instructions replaced.  Those pieces live here once; *what*
-may join a region, and when a region seals, stays with each pass.
+:mod:`repro.fuse.passes`, :mod:`repro.morsel.passes`) all end by
+emitting the program with some instructions replaced (:func:`splice`).
+The fuse and morsel passes share one region finder,
+:func:`collapse_regions`, which owns when a region seals, how it splits
+and what escapes it; a pass says only *what joins a region* (its region
+object's ``admit``) and *what a component becomes* (its builder).
 """
 
 from __future__ import annotations
@@ -22,16 +22,6 @@ def is_literal(arg) -> bool:
     return not isinstance(arg, Var)
 
 
-def var_uses(instructions: Iterable[MALInstruction]) -> Counter:
-    """How many times each variable is consumed as an argument."""
-    uses: Counter = Counter()
-    for instruction in instructions:
-        for arg in instruction.args:
-            if isinstance(arg, Var):
-                uses[arg.name] += 1
-    return uses
-
-
 def bat_var_names(instructions: Iterable[MALInstruction]) -> set[str]:
     """Names of the variables that hold BATs
     (:func:`repro.monetdb.ops.bat_results`).
@@ -44,34 +34,6 @@ def bat_var_names(instructions: Iterable[MALInstruction]) -> set[str]:
             if is_bat:
                 names.add(var.name)
     return names
-
-
-def connected_components(region: list[int], instructions) -> list[list[int]]:
-    """Split one sealed region into variable-connected components."""
-    parent: dict[str, str] = {}
-
-    def find(name: str) -> str:
-        root = name
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        parent[name] = root
-        return root
-
-    def union(a: str, b: str) -> None:
-        parent[find(a)] = find(b)
-
-    for index in region:
-        instruction = instructions[index]
-        names = [instruction.results[0].name] + [
-            a.name for a in instruction.var_args()
-        ]
-        for other in names[1:]:
-            union(names[0], other)
-    grouped: dict[str, list[int]] = {}
-    for index in region:
-        root = find(instructions[index].results[0].name)
-        grouped.setdefault(root, []).append(index)
-    return list(grouped.values())
 
 
 def splice(program: MALProgram, replacements: dict[int, MALInstruction],
@@ -94,20 +56,105 @@ def splice(program: MALProgram, replacements: dict[int, MALInstruction],
     return out
 
 
-def collapse(program: MALProgram, components: Iterable[list[int]],
-             build: Callable[[list[int]], Optional[MALInstruction]],
-             min_region: int) -> MALProgram:
-    """Collapse each large-enough component to the one instruction
-    ``build`` makes of it, at its *last* member's position; components
-    ``build`` declines (``None``) are left exactly in place."""
+def _components(region: list[int], instructions) -> list[list[int]]:
+    """Split one sealed region into variable-connected components."""
+    parent: dict[str, str] = {}
+
+    def find(name: str) -> str:
+        root = name
+        while parent.setdefault(root, root) != root:
+            root = parent[root]
+        parent[name] = root
+        return root
+
+    for index in region:
+        instruction = instructions[index]
+        first = find(instruction.results[0].name)
+        for arg in instruction.var_args():
+            parent[find(arg.name)] = first
+    grouped: dict[str, list[int]] = {}
+    for index in region:
+        root = find(instructions[index].results[0].name)
+        grouped.setdefault(root, []).append(index)
+    return list(grouped.values())
+
+
+def collapse_regions(program: MALProgram, new_region: Callable,
+                     build: Callable[..., Optional[MALInstruction]],
+                     min_region: int) -> MALProgram:
+    """Collapse the regions ``new_region`` admits, one instruction each.
+
+    A region object has ``defs`` (the names its members define) and
+    ``admit(index, instruction)``, which records a member and returns
+    True, or returns False and changes nothing.  One sweep grows an open
+    region (a fresh ``new_region()``) with every instruction it admits.
+    An instruction it refuses seals it when the instruction reads one of
+    its ``defs`` (they must materialise before that reader) or could
+    start a region of its own (tried on a fresh ``new_region()``, which
+    becomes the open region: a new pipeline); anything else — a bind or
+    a join placed between two members — leaves it open.  Each sealed region
+    splits into variable-connected components; a component with at least
+    ``min_region`` members and an escaping definition goes to
+    ``build(region, members, inputs, escaping)``:
+
+    * ``members`` — its member instructions, in plan order;
+    * ``inputs`` — the :class:`Var` s it reads but does not define, in
+      first-use order;
+    * ``escaping`` — ``(member, var)`` for each definition read outside
+      the component or returned as a result column, in plan order.
+
+    The built instruction replaces the component at its *last* member's
+    position — safe because operands precede their members and the seal
+    rule puts every outside reader after the seal point.  Components
+    that are too small, have nothing escaping, or ``build`` declines
+    (``None``) are left exactly in place.
+    """
+    instructions = program.instructions
+    result_vars = {var.name for _, var in program.result_columns}
+    reads = Counter(
+        arg.name for instruction in instructions
+        for arg in instruction.var_args()
+    )
+
+    sealed: list[tuple[object, list[int]]] = []
+    region, indices = new_region(), []
+    for index, instruction in enumerate(instructions):
+        if region.admit(index, instruction):
+            indices.append(index)
+        elif indices:
+            fresh = new_region()
+            started = fresh.admit(index, instruction)
+            if started or any(arg.name in region.defs
+                              for arg in instruction.var_args()):
+                sealed.append((region, indices))
+                region, indices = fresh, [index] if started else []
+    sealed.append((region, indices))
+
     replacements: dict[int, MALInstruction] = {}
     dropped: set[int] = set()
-    for component in components:
-        if len(component) < min_region:
-            continue
-        built = build(component)
-        if built is None:
-            continue
-        dropped.update(component)
-        replacements[component[-1]] = built
+    for region, indices in sealed:
+        for component in _components(indices, instructions):
+            if len(component) < min_region:
+                continue
+            members = [instructions[i] for i in component]
+            internal = Counter(
+                arg.name for member in members for arg in member.var_args()
+            )
+            escaping = [
+                (member, var) for member in members for var in member.results
+                if reads[var.name] > internal[var.name]
+                or var.name in result_vars
+            ]
+            if not escaping:
+                continue
+            defined = {var for member in members for var in member.results}
+            inputs = list(dict.fromkeys(
+                arg for member in members for arg in member.var_args()
+                if arg not in defined
+            ))
+            built = build(region, members, inputs, escaping)
+            if built is None:
+                continue
+            dropped.update(component)
+            replacements[component[-1]] = built
     return splice(program, replacements, dropped)

@@ -47,7 +47,8 @@ The pass understands both operator vocabularies — the MonetDB modules
 module — so it runs *after* the Ocelot rewriter in every engine's
 optimizer pipeline (:meth:`repro.engines.EngineConfig.plan`).
 
-Safety rules, in order:
+What joins a region (:class:`_Region`), and what a component may
+become:
 
 * every member is row-order-preserving (selections emit ascending
   positions, gathers and element-wise kernels preserve row order), so
@@ -62,14 +63,18 @@ Safety rules, in order:
   member may join as an **aligned input** (sliced with the drive) only
   when the member's in-region operands live in the drive space itself —
   the one space fixed ``[lo, hi)`` ranges actually cut; plan validity
-  guarantees the positional pairing that slicing preserves,
-* a region is sealed the moment any non-member consumes one of its
-  definitions (the fusion pass's rule) and split into variable-connected
-  components,
-* a component is dropped — left exactly in place — when an escaping
-  positions column lives in a derived space (its morsel-local offsets
-  are not reconstructible), when one value is used both sliced and
-  whole, or when the component is smaller than ``MIN_REGION``.
+  guarantees the positional pairing that slicing preserves, and one
+  value is never used both sliced and whole,
+* a component is left exactly in place when an escaping positions
+  column lives in a derived space (its morsel-local offsets are not
+  reconstructible).
+
+When a region seals (a non-member reads one of its values, or an
+instruction over a different drive starts a pipeline of its own), how
+it splits into variable-connected components, and which of those are
+large enough (``MIN_REGION``) and have something escaping, is the
+shared region finder's (:func:`repro.monetdb.dataflow.collapse_regions`),
+the one the fusion pass uses.
 
 An escaping positions column is a host oid list on every engine; an oid
 combination outside the region that meets two of them runs on MonetDB
@@ -88,13 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..monetdb import ops
-from ..monetdb.dataflow import (
-    bat_var_names,
-    collapse,
-    connected_components,
-    is_literal,
-    var_uses,
-)
+from ..monetdb.dataflow import bat_var_names, collapse_regions, is_literal
 from ..monetdb.mal import MALInstruction, MALProgram, Var
 
 #: default morsel size (rows per batch) — L2-friendly for 4-byte tails
@@ -166,64 +165,49 @@ class MorselRegion:
         )
 
 
-def morselize_program(program: MALProgram,
-                      size: int = DEFAULT_MORSEL_SIZE,
-                      min_region: int = MIN_REGION) -> MALProgram:
-    """Rewrite ``program``, collapsing pipelined regions to ``morsel.run``."""
-    instructions = program.instructions
-    if any(i.module == "morsel" for i in instructions):
-        return program      # already morselized: the pass is a no-op
-    result_vars = {var.name for _, var in program.result_columns}
+def _space_of_drive(drive) -> "str | None":
+    if drive is None:
+        return None
+    return _DRIVE if drive[0] == "table" else f"proj:{drive[1]}"
 
-    total_uses = var_uses(instructions)
-    bat_vars = bat_var_names(instructions)
-    bind_table: dict[str, str] = {}
-    positions_vars: set[str] = set()
-    for instruction in instructions:
-        if instruction.op == "sql.bind" and instruction.results:
-            ref = instruction.args[0]
-            table = getattr(ref, "table", None)
-            if table is not None:
-                bind_table[instruction.results[0].name] = table
-        if _class_of(instruction) in _DRIVING:
-            for var, result in zip(
-                    instruction.results,
-                    ops.OPS[instruction.function].results):
-                if result.kind == "positions":
-                    positions_vars.add(var.name)
-        elif instruction.function == "pipe":
-            for var, out in zip(instruction.results,
-                                instruction.args[0].outputs):
-                if out.is_select:
-                    positions_vars.add(var.name)
 
-    # -- phase 1: sealed super-regions ---------------------------------------
-    #: (member indices, drive) per sealed region
-    regions: list[tuple[list[int], tuple]] = []
-    members: list[int] = []
-    #: member def -> (kind, row space); spaces: _DRIVE, "proj:<oids>", …
-    defs: dict[str, tuple[str, str]] = {}
-    #: the open region's drive: ("table", name) | ("positions", var)
-    drive: list = [None]
-    #: region input name -> "sliced" | "whole"
-    input_mode: dict[str, str] = {}
-    member_kinds: dict[int, tuple] = {}
-    member_modes: dict[int, tuple] = {}
+class _Region:
+    """An open pipelined region: its definitions with their row spaces,
+    its drive, and how each input is passed."""
 
-    def space_of_drive(d) -> "str | None":
-        if d is None:
-            return None
-        return _DRIVE if d[0] == "table" else f"proj:{d[1]}"
+    def __init__(self, bind_table: dict[str, str], positions_vars: set[str],
+                 bat_vars: set[str]):
+        self.bind_table = bind_table
+        self.positions_vars = positions_vars
+        self.bat_vars = bat_vars
+        #: member def -> (kind, row space); spaces: _DRIVE, "proj:<oids>", …
+        self.defs: dict[str, tuple[str, str]] = {}
+        #: ("table", name) | ("positions", var)
+        self.drive = None
+        #: region input name -> "sliced" | "whole"
+        self.input_mode: dict[str, str] = {}
 
-    def classify(instruction: MALInstruction):
-        """``(kinds, modes, drive)`` if the instruction can join the open
+    def admit(self, index: int, instruction: MALInstruction) -> bool:
+        plan = self._plan(instruction)
+        if plan is None:
+            return False
+        kinds, modes, self.drive = plan
+        self.input_mode.update(modes)
+        for var, entry in zip(instruction.results, kinds):
+            self.defs[var.name] = entry
+        return True
+
+    def _plan(self, instruction: MALInstruction):
+        """``(kinds, modes, drive)`` if the instruction can join this
         region right now, else ``None``.  ``kinds`` holds one
         ``(kind, space)`` per result; ``modes`` the input-mode
         assignments the member relies on; ``drive`` the (possibly newly
         proposed) region drive."""
+        defs, input_mode = self.defs, self.input_mode
+        bind_table, bat_vars = self.bind_table, self.bat_vars
         cls = _class_of(instruction)
         modes: list[tuple[str, str]] = []
-        proposal: list = [drive[0]]
+        proposal: list = [self.drive]
 
         def mode_ok(name: str, mode: str) -> bool:
             prev = input_mode.get(name)
@@ -252,7 +236,7 @@ def morselize_program(program: MALProgram,
                     return _DRIVE
                 return None
             if input_mode.get(arg.name) == "sliced":
-                space = space_of_drive(proposal[0])
+                space = _space_of_drive(proposal[0])
                 if space is not None and mode_ok(arg.name, "sliced"):
                     return space
             return None
@@ -277,7 +261,7 @@ def morselize_program(program: MALProgram,
                 return None
             space = spaces.pop()
             if ext:
-                if space != space_of_drive(proposal[0]):
+                if space != _space_of_drive(proposal[0]):
                     return None
                 for arg in ext:
                     if not mode_ok(arg.name, "sliced"):
@@ -307,7 +291,7 @@ def morselize_program(program: MALProgram,
                 if entry[0] != "positions":
                     return None
                 space = vspace(src)
-                if space is None and entry[1] == space_of_drive(proposal[0]):
+                if space is None and entry[1] == _space_of_drive(proposal[0]):
                     # gather through drive-space (slice-local) positions
                     # from an aligned external column
                     space = align((src,)) if isinstance(src, Var) else None
@@ -318,7 +302,7 @@ def morselize_program(program: MALProgram,
             # a gather through an external positions column drives (or
             # joins) a positions-driven region: the sources stay whole,
             # the positions are cut into morsels
-            if oids.name not in positions_vars:
+            if oids.name not in self.positions_vars:
                 return None
             if proposal[0] is None:
                 proposal[0] = ("positions", oids.name)
@@ -437,144 +421,82 @@ def morselize_program(program: MALProgram,
 
         return None
 
-    def seal():
-        if members and drive[0] is not None:
-            regions.append((list(members), drive[0]))
-        members.clear()
-        defs.clear()
-        input_mode.clear()
-        drive[0] = None
 
-    def admit(index: int, instruction: MALInstruction, plan) -> None:
-        kinds, modes, proposed = plan
-        members.append(index)
-        drive[0] = proposed
-        for name, mode in modes:
-            input_mode[name] = mode
-        for var, entry in zip(instruction.results, kinds):
-            defs[var.name] = entry
-        member_kinds[index] = kinds
-        member_modes[index] = modes
-
-    for index, instruction in enumerate(instructions):
-        plan = classify(instruction)
-        if members and plan is None and any(
-            isinstance(a, Var) and a.name in defs
-            for a in instruction.args
-        ):
-            seal()
-            plan = classify(instruction)
-        elif members and plan is None:
-            # the instruction may be unable to join only because the
-            # open region is driven elsewhere (a new pipeline over a
-            # different table): if it could *start* a region, seal the
-            # open one and let it.  Tried against cleared state and
-            # rolled back when it changes nothing, so instructions that
-            # are no member under any drive (binds, joins, sorts) never
-            # cut a region short.
-            saved = (dict(defs), dict(input_mode), drive[0])
-            defs.clear()
-            input_mode.clear()
-            drive[0] = None
-            plan = classify(instruction)
-            defs.update(saved[0])
-            input_mode.update(saved[1])
-            drive[0] = saved[2]
-            if plan is not None:
-                seal()
-        if plan is not None:
-            admit(index, instruction, plan)
-    seal()
-
-    # -- phase 2: variable-connected components ------------------------------
-    components: list[list[int]] = []
-    drive_of: dict[int, tuple] = {}     # by a component's last member
-    for indices, region_drive in regions:
-        for component in connected_components(indices, instructions):
-            components.append(component)
-            drive_of[component[-1]] = region_drive
-
-    # -- phase 3: emit -------------------------------------------------------
-    return collapse(
-        program, components,
-        lambda component: _build_region(
-            component, instructions, drive_of[component[-1]],
-            member_kinds, member_modes,
-            total_uses, result_vars, size,
+def morselize_program(program: MALProgram,
+                      size: int = DEFAULT_MORSEL_SIZE,
+                      min_region: int = MIN_REGION) -> MALProgram:
+    """Rewrite ``program``, collapsing pipelined regions to ``morsel.run``."""
+    instructions = program.instructions
+    if any(i.module == "morsel" for i in instructions):
+        return program      # already morselized: the pass is a no-op
+    bat_vars = bat_var_names(instructions)
+    bind_table: dict[str, str] = {}
+    positions_vars: set[str] = set()
+    for instruction in instructions:
+        if instruction.op == "sql.bind" and instruction.results:
+            ref = instruction.args[0]
+            table = getattr(ref, "table", None)
+            if table is not None:
+                bind_table[instruction.results[0].name] = table
+        if _class_of(instruction) in _DRIVING:
+            for var, result in zip(
+                    instruction.results,
+                    ops.OPS[instruction.function].results):
+                if result.kind == "positions":
+                    positions_vars.add(var.name)
+        elif instruction.function == "pipe":
+            for var, out in zip(instruction.results,
+                                instruction.args[0].outputs):
+                if out.is_select:
+                    positions_vars.add(var.name)
+    return collapse_regions(
+        program,
+        lambda: _Region(bind_table, positions_vars, bat_vars),
+        lambda region, members, inputs, escaping: _build_region(
+            region, members, inputs, escaping, size
         ),
         min_region,
     )
 
 
-def _build_region(indices, instructions, drive, member_kinds, member_modes,
-                  total_uses, result_vars, size) -> "MALInstruction | None":
+def _build_region(region, members, inputs, escaping,
+                  size) -> "MALInstruction | None":
     """One ``morsel.run`` instruction for a component (or ``None`` when
-    the component is unsafe or has no live output — emit unchanged)."""
-    members = [instructions[i] for i in indices]
-    drive_space = _DRIVE if drive[0] == "table" else f"proj:{drive[1]}"
-
-    defs: dict[str, tuple[str, str]] = {}
-    for i in indices:
-        for var, entry in zip(instructions[i].results, member_kinds[i]):
-            defs[var.name] = entry
-    mode: dict[str, str] = {}
-    for i in indices:
-        for name, m in member_modes[i]:
-            if name in defs:
-                continue
-            if mode.get(name, m) != m:
-                return None    # one value used both sliced and whole
-            mode[name] = m
-
-    inputs: list[Var] = []
+    an escaping positions column cannot be rebuilt — emit unchanged)."""
+    drive_space = _space_of_drive(region.drive)
     sliced: list[bool] = []
-    seen: set[str] = set()
-    for member in members:
-        for arg in member.var_args():
-            if arg.name in defs or arg.name in seen:
-                continue
-            m = mode.get(arg.name)
-            if m is None:
-                return None    # classification hole — stay safe
-            seen.add(arg.name)
-            inputs.append(arg)
-            sliced.append(m == "sliced")
-
-    internal = var_uses(members)
+    for var in inputs:
+        mode = region.input_mode.get(var.name)
+        if mode is None:
+            return None    # classification hole — stay safe
+        sliced.append(mode == "sliced")
 
     outputs: list[MorselOutput] = []
-    out_vars: list[Var] = []
     drive_positions: set[str] = set()
-    for member in members:
-        for var in member.results:
-            kind, space = defs[var.name]
-            external = total_uses[var.name] - internal[var.name]
-            if external <= 0 and var.name not in result_vars:
-                continue
-            if kind == "positions":
-                if space != drive_space:
-                    # morsel-local offsets into a derived space are not
-                    # reconstructible base oids: leave the region alone
-                    return None
-                drive_positions.add(var.name)
-            if kind in ("scalar", "gagg"):
-                outputs.append(MorselOutput(
-                    var.name, kind, fn=ops.OPS[member.function].agg,
-                    module=member.module,
-                ))
-            else:
-                outputs.append(MorselOutput(var.name, kind))
-            out_vars.append(var)
-    if not outputs:
-        return None
+    for member, var in escaping:
+        kind, space = region.defs[var.name]
+        if kind == "positions":
+            if space != drive_space:
+                # morsel-local offsets into a derived space are not
+                # reconstructible base oids: leave the region alone
+                return None
+            drive_positions.add(var.name)
+        if kind in ("scalar", "gagg"):
+            outputs.append(MorselOutput(
+                var.name, kind, fn=ops.OPS[member.function].agg,
+                module=member.module,
+            ))
+        else:
+            outputs.append(MorselOutput(var.name, kind))
     spec = MorselRegion(
-        table=drive[1], size=int(size), members=tuple(members),
+        table=region.drive[1], size=int(size), members=tuple(members),
         inputs=tuple(inputs), outputs=tuple(outputs),
         drive_positions=frozenset(drive_positions),
         sliced=tuple(sliced),
     )
     return MALInstruction(
-        tuple(out_vars), "morsel", "run", (spec,) + tuple(inputs)
+        tuple(var for _, var in escaping), "morsel", "run",
+        (spec,) + tuple(inputs),
     )
 
 

@@ -46,7 +46,9 @@ from ..kernels.selection import bitmap_nbytes
 from ..fuse.dispatch import op_pipe
 from ..monetdb.bat import BAT, OID_DTYPE, Owner, Role
 from ..monetdb.backends import select_bounds_to_op
-from ..monetdb.calc import calc_result_dtype, grouped_dtype
+from ..monetdb.calc import (
+    calc_result_dtype, grouped_dtype, ifthenelse_dtype,
+)
 from .engine import OcelotEngine
 from .memory import BufferKind
 
@@ -927,9 +929,8 @@ def op_ifthenelse(engine: OcelotEngine, cond: BAT, a, b):
     n = _count_of(cond)
     cond_buf = engine.buffer_of(cond)
     a_is_bat, b_is_bat = isinstance(a, BAT), isinstance(b, BAT)
-    a_dt = a.dtype if a_is_bat else _scalar_np_dtype(a)
-    b_dt = b.dtype if b_is_bat else _scalar_np_dtype(b)
-    dtype = np.result_type(a_dt, b_dt)
+    dtype = ifthenelse_dtype(a.dtype if a_is_bat else a,
+                             b.dtype if b_is_bat else b)
     out = engine.result_buffer(max(n, 1), dtype, tag="where")
     if a_is_bat and b_is_bat:
         engine.launch(

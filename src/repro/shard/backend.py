@@ -1151,6 +1151,22 @@ class ShardedBackend(Backend):
             top.space = GATHERED
         return top
 
+    def _fan_oidcombine(self, row, op: str, args):
+        """Two oid lists of one row space combine shard by shard —
+        unless one is valued in the gathered layout (a ``firstn``
+        output): then the shard-local one is gathered too, and the
+        combination runs replicated in that layout."""
+        if not any(isinstance(a, ShardedValue) and a.space == GATHERED
+                   for a in args):
+            out = self._fan(op, args)
+            self._mark_positions(row, out, args)
+            return out
+        args = [self._gather_rows(a) if self._needs_gather(a) else a
+                for a in args]
+        out = self._fan(op, args, partitioned=False)
+        out.space = GATHERED
+        return out
+
     def _fan_gather(self, row, op: str, args):
         oids, source = args[0], args[1]
         source_gathered = False

@@ -543,22 +543,9 @@ class Compiler:
                           (condition, then, otherwise))
         if isinstance(expr, ast.ScalarSubquery):
             return self._compile_scalar_subquery(expr.query)
-        if isinstance(expr, ast.Between):
-            lo = ast.BinOp("ge", expr.operand, expr.low)
-            hi = ast.BinOp("le", expr.operand, expr.high)
-            combined = ast.BinOp("and", lo, hi)
-            if expr.negated:
-                combined = ast.Not(combined)
-            return self._value_expr(pipeline, combined, as_mask=True)
-        if isinstance(expr, ast.InList):
-            eqs = [ast.BinOp("eq", expr.operand, item)
-                   for item in expr.items]
-            combined = eqs[0]
-            for eq in eqs[1:]:
-                combined = ast.BinOp("or", combined, eq)
-            if expr.negated:
-                combined = ast.Not(combined)
-            return self._value_expr(pipeline, combined, as_mask=True)
+        if isinstance(expr, (ast.Between, ast.InList)):
+            return self._value_expr(pipeline, _comparisons(expr),
+                                    as_mask=True)
         if isinstance(expr, ast.Not):
             operand = self._value_expr(pipeline, expr.operand, as_mask=True)
             return b.emit("batcalc", "eq", (operand, 0))
@@ -829,6 +816,13 @@ class _GroupEnv:
         if isinstance(expr, ast.Not):
             operand = self.compile(expr.operand)
             return b.emit("batcalc", "eq", (operand, 0))
+        if isinstance(expr, ast.Neg):
+            operand = self.compile(expr.operand)
+            if not isinstance(operand, Var):
+                return -operand
+            return b.emit("batcalc", "sub", (0, operand))
+        if isinstance(expr, (ast.Between, ast.InList)):
+            return self.compile(_comparisons(expr))
         raise BindError(
             f"expression {expr!r} is neither a group key nor an aggregate"
         )
@@ -882,6 +876,19 @@ def _flatten_and(expr: Optional[ast.Expr]) -> list[ast.Expr]:
     if isinstance(expr, ast.BinOp) and expr.op == "and":
         return _flatten_and(expr.left) + _flatten_and(expr.right)
     return [expr]
+
+
+def _comparisons(expr: "ast.Between | ast.InList") -> ast.Expr:
+    """``[NOT] BETWEEN`` / ``[NOT] IN`` as the comparisons it means."""
+    if isinstance(expr, ast.Between):
+        combined = ast.BinOp("and", ast.BinOp("ge", expr.operand, expr.low),
+                             ast.BinOp("le", expr.operand, expr.high))
+    else:
+        eqs = [ast.BinOp("eq", expr.operand, item) for item in expr.items]
+        combined = eqs[0]
+        for eq in eqs[1:]:
+            combined = ast.BinOp("or", combined, eq)
+    return ast.Not(combined) if expr.negated else combined
 
 
 def _one_row(select: ast.Select) -> bool:

@@ -189,6 +189,18 @@ def test_one_hand_back_rule_and_one_release():
     assert files_of(caught) == {"ocelot/engine.py"}, caught
 
 
+def test_one_region_finder():
+    """The fuse and morsel passes say what joins a region and what a
+    component becomes; when a region seals, its components and what
+    escapes them are ``dataflow.collapse_regions``'s alone."""
+    found = hits(r"collapse_regions\(")
+    assert files_of(found) == {"monetdb/dataflow.py", "fuse/passes.py",
+                               "morsel/passes.py"}, found
+    gone = hits(r"connected_components|var_uses|def seal\(|"
+                r"def collapse\(|member_kinds")
+    assert gone == [], gone
+
+
 # -- a plan does not know the cluster ----------------------------------------
 
 def test_nothing_about_a_layout_is_recorded_replayed_or_stamped():

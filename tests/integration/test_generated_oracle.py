@@ -1,7 +1,7 @@
 """A generated-query differential oracle: every engine against ``sqlite3``.
 
-Hypothesis writes single-table statements over the fixed oracle's
-adversarial tables (:func:`test_sqlite_oracle.tables`) and every spec of
+Hypothesis writes statements over the fixed oracle's adversarial tables
+(:func:`test_sqlite_oracle.tables`) and every spec of
 :func:`test_sqlite_oracle.engine_specs` answers each through
 ``execute()`` and once more in one ``submit()`` batch in flight; the
 reference is :func:`test_sqlite_oracle.reference`, whose data-model
@@ -13,8 +13,15 @@ here too.  The statements cover the constant surface a plan binds:
 * constants — ints and floats, negatives, constant arithmetic, and the
   same constant at two sites (``parameterise`` numbers placeholders by
   *(kind, value)*, so equal literals share one);
+* sources — one table, or two under ``JOIN … ON``, ``SEMI JOIN`` or
+  ``ANTI JOIN`` over a same-dtype key pair (:data:`JOIN_KEYS`: int32,
+  int64 and float64 keys, the empty and one-row tables among them);
 * outputs — projections, ``GROUP BY`` with ``count`` / ``sum`` /
-  ``min`` / ``max`` / ``avg``, and ungrouped aggregates;
+  ``min`` / ``max`` / ``avg``, and ungrouped aggregates; ``CASE WHEN
+  <atom> THEN <column|constant> ELSE <column|constant> END`` as a
+  projection and inside ``sum`` / ``count``; ``HAVING`` over a grouped
+  statement, a key atom or an exact aggregate (``count``, ``min`` /
+  ``max``, an int ``sum``) against a constant, or ``AND`` of two;
 * order — ``ORDER BY`` one output column, ``ASC`` / ``DESC`` or neither,
   with or without a ``LIMIT``.  The ordered column's sequence must
   equal SQLite's; within a run of equal values the rows compare as a
@@ -34,15 +41,20 @@ Generated around, said once here:
   column's type, so a float constant is one float32 holds exactly.
 * **Float sums** over ±1e300 add in float64 order on the engines and
   exactly (``math.fsum``) in the reference: a float ``sum`` / ``avg``
-  compares to a tolerance scaled by the column's Σ|x|.
+  compares to a tolerance scaled by the Σ|x| of the rows it adds (the
+  joined rows, a ``CASE``'s branches).
+* **A ``HAVING`` aggregate is exact**: no float ``sum`` and no ``avg``,
+  since a tolerance cannot decide a comparison.
 * ``min`` / ``max`` of no rows raise (see ``reference()``): they appear
   ungrouped only without ``WHERE`` over a non-empty table.
 * **An ordered column is exact and NaN-free**: never a column holding a
   NaN (SQLite sorts its NULL first, the engines sort a NaN last), an
   aggregate over one, a float ``sum`` / ``avg`` (compared to a
-  tolerance) or an ``avg`` (the engines add eight-byte ints in float64).
+  tolerance) or an ``avg`` (the engines add eight-byte ints in float64),
+  nor a ``CASE``.
 
-Joins and ``HAVING`` are not generated yet.
+Not generated yet: ``LIMIT`` without ``ORDER BY``, and generated
+tables beside the fixed ones.
 
 The same statements run once more over :func:`ocelot_specs` on a
 ``Database(data_scale=100)``.  There a sort takes the one-launch local
@@ -62,7 +74,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 import repro
 from test_resident_set import ocelot_specs
 from test_sqlite_oracle import (
-    SPECS, reference, rows_of, same_value, sort_key, tables,
+    SPECS, reference, reference_text, rows_of, same_value, sort_key, tables,
 )
 
 pytestmark = pytest.mark.filterwarnings(
@@ -136,7 +148,7 @@ def _scale(values) -> float:
 
 
 @st.composite
-def predicates(draw, columns):
+def predicates(draw, columns, depth=2):
     def atom():
         column = draw(st.sampled_from(columns))
         kind = draw(st.sampled_from(("cmp", "cmp", "between", "in")))
@@ -163,7 +175,7 @@ def predicates(draw, columns):
         return f"({predicate(depth - 1)}) {shape.upper()} " \
                f"({predicate(depth - 1)})"
 
-    return predicate(2)
+    return predicate(depth)
 
 
 @dataclass(frozen=True)
@@ -177,22 +189,95 @@ class Statement:
 
     @property
     def reference_sql(self) -> str:
-        """The text SQLite answers: one row past the ``LIMIT``, which
-        tells whether the limit cuts a run of ties."""
+        """The text SQLite answers: ``SEMI`` / ``ANTI JOIN`` in its
+        words, and one row past the ``LIMIT``, which tells whether the
+        limit cuts a run of ties."""
+        sql = reference_text(self.sql)
         if self.limit is None:
-            return self.sql
-        return self.sql.rsplit(" LIMIT ", 1)[0] + f" LIMIT {self.limit + 1}"
+            return sql
+        return sql.rsplit(" LIMIT ", 1)[0] + f" LIMIT {self.limit + 1}"
 
 
 #: what a generated ``LIMIT`` takes
 LIMITS = (0, 1, 2, 3, 5, 10, 100)
 
+#: the key columns a two-table ``JOIN … ON`` pairs, by dtype
+JOIN_KEYS = (
+    ("t255", "k"), ("t255", "v"), ("t256", "k"), ("t256", "v"),
+    ("t900", "k"), ("dim", "k"), ("edges", "v"), ("edges_dim", "k"),
+    ("one", "k"), ("none", "k"),                                 # int32
+    ("wide", "k"), ("wide_dim", "k"), ("t900", "kk"),            # int64
+    ("real", "k"), ("real_dim", "k"),                            # float64
+)
+
+
+def _qualified(table, rows=slice(None)) -> dict:
+    return {f"{table}.{column}": values[rows]
+            for column, values in TABLES[table].items()}
+
+
+@st.composite
+def sources(draw):
+    """``(FROM clause, {column: the values it holds})``: one table by
+    its bare column names, or a ``JOIN`` / ``SEMI JOIN`` / ``ANTI
+    JOIN`` of two over a same-dtype key pair by qualified names, holding
+    the joined rows (which the tolerances and the empty-input rules
+    need)."""
+    kind = draw(st.sampled_from(("table", "table", "join", "semi", "anti")))
+    if kind == "table":
+        table = draw(st.sampled_from(sorted(TABLES)))
+        return table, TABLES[table]
+    (left, lkey) = draw(st.sampled_from(JOIN_KEYS))
+    lvalues = TABLES[left][lkey]
+    (right, rkey) = draw(st.sampled_from([
+        (table, column) for table, column in JOIN_KEYS
+        if table != left and TABLES[table][column].dtype == lvalues.dtype]))
+    word = "" if kind == "join" else f"{kind.upper()} "
+    clause = f"{left} {word}JOIN {right} ON {left}.{lkey} = {right}.{rkey}"
+    matches = lvalues[:, None] == TABLES[right][rkey][None, :]
+    if kind == "join":
+        lrows, rrows = np.nonzero(matches)
+        return clause, {**_qualified(left, lrows), **_qualified(right, rrows)}
+    hit = matches.any(axis=1)
+    return clause, _qualified(left, hit if kind == "semi" else ~hit)
+
+
+@st.composite
+def cases(draw, columns, filterable):
+    """``(CASE WHEN <atom> THEN <column|constant> ELSE … END, the
+    columns and constants its branches take)``."""
+    def branch():
+        if draw(st.booleans()):
+            column = draw(st.sampled_from(columns))
+            return column, column
+        constant = draw(constants)
+        return constant.operand(), constant
+    then, otherwise = branch(), branch()
+    text = f"CASE WHEN {draw(predicates(filterable, depth=0))} " \
+        f"THEN {then[0]} ELSE {otherwise[0]} END"
+    return text, (then[1], otherwise[1])
+
+
+@st.composite
+def havings(draw, keys, exact):
+    """A ``HAVING`` predicate: a key atom or an exact aggregate compared
+    to a constant, or ``AND`` of two."""
+    def atom():
+        if keys and draw(st.booleans()):
+            return draw(predicates(keys, depth=0))
+        op = draw(st.sampled_from(("=", "<>", "<", "<=", ">", ">=")))
+        return f"{draw(st.sampled_from(exact))} {op} {draw(constants).text}"
+
+    if draw(st.booleans()):
+        return atom()
+    return f"({atom()}) AND ({atom()})"
+
 
 @st.composite
 def statements(draw) -> Statement:
-    table = draw(st.sampled_from(sorted(TABLES)))
-    data = TABLES[table]
+    source, data = draw(sources())
     names = sorted(data)
+    rows = len(data[names[0]])
     filterable = [c for c in names if not _has_nan(data[c])]
     where = draw(st.one_of(st.none(), predicates(filterable)))
     shape = draw(st.sampled_from(("project", "group", "aggregate")))
@@ -204,7 +289,11 @@ def statements(draw) -> Statement:
                                 max_size=3))
         tolerances = [0.0] * len(outputs)
         orderable = [i for i, c in enumerate(outputs) if c in filterable]
+        if draw(st.booleans()):
+            outputs.append(draw(cases(names, filterable))[0])
+            tolerances.append(0.0)
     else:
+        keys = []
         if shape == "group":
             keys = draw(st.lists(st.sampled_from(names), min_size=1,
                                  max_size=2, unique=True))
@@ -213,10 +302,10 @@ def statements(draw) -> Statement:
             orderable = [i for i, c in enumerate(keys) if c in filterable]
             group_by = f" GROUP BY {', '.join(keys)}"
         functions = ["count", "sum", "avg"]
-        if shape == "group" or where is None and len(data[names[0]]):
+        if shape == "group" or where is None and rows:
             functions += ["min", "max"]
         aggregates = draw(st.lists(
-            st.tuples(st.sampled_from(functions + ["count(*)"]),
+            st.tuples(st.sampled_from(functions + ["count(*)", "case"]),
                       st.sampled_from(names)), min_size=1, max_size=3))
         for function, column in aggregates:
             values = data[column]
@@ -224,6 +313,23 @@ def statements(draw) -> Statement:
                 outputs.append("count(*)")
                 tolerances.append(0.0)
                 orderable.append(len(outputs) - 1)
+                continue
+            if function == "case":
+                text, branches = draw(cases(names, filterable))
+                function = draw(st.sampled_from(("sum", "count")))
+                outputs.append(f"{function}({text})")
+                taken = [data[b] for b in branches if isinstance(b, str)]
+                constant = sum(abs(b.value) for b in branches
+                               if isinstance(b, Constant))
+                if function == "sum" and not all(map(_summable, taken)):
+                    outputs[-1] = f"count({text})"
+                floats = function == "sum" and (
+                    any(v.dtype.kind == "f" for v in taken) or any(
+                        isinstance(b, Constant) and isinstance(b.value, float)
+                        for b in branches))
+                tolerances.append(
+                    1e-6 * (sum(map(_scale, taken)) + constant * rows)
+                    if floats else 0.0)
                 continue
             if function in ("sum", "avg") and not _summable(values):
                 function = "count"
@@ -235,8 +341,17 @@ def statements(draw) -> Statement:
             if function == "count" or function in ("sum", "min", "max") \
                     and not tolerances[-1] and not _has_nan(values):
                 orderable.append(len(outputs) - 1)
+        if shape == "group" and draw(st.booleans()):
+            exact = ["count(*)"] + [
+                f"{function}({column})" for column in filterable
+                for function in ("count", "min", "max")
+            ] + [f"sum({column})" for column in filterable
+                 if data[column].dtype.kind != "f"
+                 and _summable(data[column])]
+            keys = [key for key in keys if key in filterable]
+            group_by += f" HAVING {draw(havings(keys, exact))}"
     items = ", ".join(f"{out} AS o{i}" for i, out in enumerate(outputs))
-    sql = f"SELECT {items} FROM {table}" \
+    sql = f"SELECT {items} FROM {source}" \
         + (f" WHERE {where}" if where else "") + group_by
     order = limit = None
     if orderable and draw(st.booleans()):

@@ -11,6 +11,13 @@ and HET answered.  Beside ``test_wide_keys.py``, the rule's other cases.
 The morsel pass no longer knows about it: a region whose positions
 escape into an oid combination outside it stays a region on every
 engine (the pass used to drop it for the Ocelot vocabulary).
+
+SHARD combines two oid lists shard by shard, which is right only while
+both are shard-local.  An ``algebra.firstn`` output is valued in the
+gathered layout; a combination that meets one gathers its other
+operand and runs replicated (``ShardedBackend._fan_oidcombine``) —
+it used to pair gathered oids with each shard's local positions and
+answer too many rows, or raise ``IndexError``.
 """
 
 import numpy as np
@@ -57,6 +64,20 @@ def escaping_positions(function: str):
     values = q.emit("algebra", "projection", (combined, a))
     return q.returns([("n", q.emit("aggr", "count", (values,))),
                       ("s", q.emit("aggr", "sum", (values,)))])
+
+
+def first_rows_with(function: str, n: int, other: str):
+    """``function`` over the first ``n`` rows of ``t`` (a ``firstn`` of
+    a mirror: gathered on SHARD) and ``other`` — a mirror of ``t.a``
+    or the selection ``a < 5`` — then a gather."""
+    q = MALBuilder("first_rows_with")
+    a = q.bind("t", "a")
+    first = q.emit("algebra", "firstn",
+                   (q.emit("bat", "mirror", (a,)), n, True))
+    rows = (q.emit("bat", "mirror", (a,)) if other == "mirror"
+            else q.emit("algebra", "thetaselect", (a, None, 5, "<")))
+    both = q.emit("algebra", function, (first, rows))
+    return q.returns([("a", q.emit("algebra", "projection", (both, a)))])
 
 
 def answers(con, program) -> dict:
@@ -116,3 +137,15 @@ def test_escaping_positions_stay_a_region(db, spec, function):
     expected = answers(db.connect("MS"), program)
     assert expected["n"][0] > 0
     assert answers(con, program) == expected
+
+
+@pytest.mark.parametrize("function", COMBINATIONS)
+@pytest.mark.parametrize("n, other", ((4, "mirror"), (600, "selection")))
+@pytest.mark.parametrize("spec", ("CPU", "SHARD:2xMS", "SHARD:2xCPU",
+                                  "SHARD:3xCPU", "SHARD:2xHET"))
+def test_first_rows_combine_with_shard_local_oids_as_ms_does(
+        db, spec, function, n, other):
+    program = first_rows_with(function, n, other)
+    expected = answers(db.connect("MS"), program)
+    assert expected["a"]
+    assert answers(db.connect(spec), program) == expected

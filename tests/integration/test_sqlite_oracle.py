@@ -295,6 +295,27 @@ CASES = [
      "ORDER BY id", True),
     ("SELECT id, CASE WHEN v > 0 THEN v ELSE 0 END AS p FROM t255 "
      "WHERE id < 40 ORDER BY id", True),
+    # CASE over two constants: their own type, not the smallest one
+    # holding their range (uint16 / float16: refused on MonetDB, and
+    # -1000.25 rounded to -1000.0 on Ocelot)
+    ("SELECT id, CASE WHEN v > 0 THEN 2.5 ELSE -1000.25 END AS p, "
+     "CASE WHEN v > 0 THEN 5 ELSE 1000 END AS q FROM t255 WHERE id < 40 "
+     "ORDER BY id", True),
+    # ... and a constant the column's type cannot hold is not wrapped
+    ("SELECT id, CASE WHEN k < 3 THEN k ELSE 2147483648 END AS p FROM t255 "
+     "WHERE id < 40 ORDER BY id", True),
+    # an unfused comparison against a constant beyond the column's type
+    ("SELECT dim.k AS k, count(CASE WHEN t900.id <= 2147483648 THEN 1 "
+     "ELSE 0 END) AS c FROM t900 JOIN dim ON t900.k = dim.k GROUP BY dim.k",
+     False),
+    # HAVING over constant expressions, IN and BETWEEN
+    ("SELECT k, count(*) AS c FROM t256 GROUP BY k "
+     "HAVING k IN (-(-3), 2 + 2) AND count(*) > -(5) ORDER BY k", True),
+    ("SELECT k, sum(v) AS s FROM t256 GROUP BY k "
+     "HAVING k NOT BETWEEN -(-3) AND 2 * 8 ORDER BY k", True),
+    # an ANTI JOIN's own WHERE stays outside the reference's subquery
+    ("SELECT t255.id AS id FROM t255 ANTI JOIN dim ON t255.k = dim.k "
+     "WHERE t255.v > 3 ORDER BY id", True),
     ("SELECT id FROM t900 WHERE f > (SELECT avg(f) FROM t900) ORDER BY id",
      True),
     ("SELECT s.k AS k, s.c AS c FROM (SELECT k, count(*) AS c FROM t900 "
@@ -430,17 +451,26 @@ def reference(data) -> sqlite3.Connection:
     return con
 
 
+#: ``ON <key> = <key>`` [``WHERE <predicate>``] and what follows
+_SEMI_TAIL = re.compile(
+    r"(?P<left>\S+) = (?P<right>\S+)(?: WHERE (?P<where>.*?))?"
+    r"(?P<tail>(?: GROUP BY | ORDER BY | LIMIT ).*)?$")
+
+
 def reference_text(sql: str) -> str:
-    """The dialect's ``SEMI`` / ``ANTI JOIN … ON`` in SQLite's words."""
+    """The dialect's ``SEMI`` / ``ANTI JOIN … ON`` in SQLite's words: a
+    ``[NOT] IN`` subquery, conjoined with the statement's own
+    ``WHERE``."""
     for kind, test in (("SEMI", "IN"), ("ANTI", "NOT IN")):
         marker = f" {kind} JOIN "
         if marker in sql:
             head, rest = sql.split(marker)
             table, rest = rest.split(" ON ", 1)
-            condition, _, tail = rest.partition(" ORDER BY ")
-            left, right = (side.strip() for side in condition.split("="))
-            return (f"{head} WHERE {left} {test} (SELECT {right} FROM "
-                    f"{table})" + (f" ORDER BY {tail}" if tail else ""))
+            on = _SEMI_TAIL.match(rest)
+            where = f"{on['left']} {test} (SELECT {on['right']} FROM {table})"
+            if on["where"]:
+                where += f" AND ({on['where']})"
+            return f"{head} WHERE {where}{on['tail'] or ''}"
     return sql
 
 
