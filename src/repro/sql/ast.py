@@ -111,6 +111,40 @@ Expr = Union[
     Case, Agg, ExtractYear, ScalarSubquery,
 ]
 
+#: the ``BinOp`` operators of ``+ - * /``
+ARITHMETIC = ("add", "sub", "mul", "div")
+
+
+def is_arithmetic(expr) -> bool:
+    """A sign, or ``+ - * /`` of two operands."""
+    return isinstance(expr, Neg) or \
+        isinstance(expr, BinOp) and expr.op in ARITHMETIC
+
+
+def children(expr) -> tuple:
+    """The expressions directly under ``expr`` — none inside a scalar
+    subquery, which is a statement of its own."""
+    if isinstance(expr, BinOp):
+        return expr.left, expr.right
+    if isinstance(expr, (Neg, Not, ExtractYear)):
+        return (expr.operand,)
+    if isinstance(expr, Between):
+        return expr.operand, expr.low, expr.high
+    if isinstance(expr, InList):
+        return (expr.operand, *expr.items)
+    if isinstance(expr, Case):
+        return expr.condition, expr.then, expr.otherwise
+    if isinstance(expr, Agg) and expr.argument is not None:
+        return (expr.argument,)
+    return ()
+
+
+def walk(expr):
+    """``expr`` and every expression under it, parents first."""
+    yield expr
+    for child in children(expr):
+        yield from walk(child)
+
 
 # -- relations ----------------------------------------------------------------
 

@@ -15,6 +15,10 @@ column-at-a-time MAL:
 * **grouping** via ``group.group`` / ``group.subgroup`` and the
   ``aggr.sub*`` family; group keys are representative-reduced with
   ``submin`` (all values within a group are equal),
+* **one expression compiler**, :meth:`Compiler._value_expr`, over three
+  scopes — a row, a group, an ungrouped aggregate's one row — that
+  differ only in what a column and an aggregate compile to and which
+  module element-wise arithmetic emits,
 * ORDER BY sorts one column and re-projects the remaining outputs.
 
 Strings exist only as dictionary codes: the binder translates string
@@ -57,8 +61,6 @@ class SchemaProvider(Protocol):
 
     def dictionary_code(self, dictionary: str, literal: str) -> int: ...
 
-
-_ARITH_OPS = {"add", "sub", "mul", "div"}
 
 _CMP_OPS = {"eq", "ne", "lt", "le", "gt", "ge"}
 _CMP_TO_THETA = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
@@ -207,45 +209,25 @@ class Compiler:
     def _literal_for(self, bound: Bound, column: str, literal) -> object:
         """What a constant (:func:`_is_constant`) compares with
         ``column`` as: a number or dictionary code, or a ParamRef that
-        binds to one; a sign or arithmetic folds here."""
-        if isinstance(literal, ast.Neg):
-            return -self._literal_for(bound, column, literal.operand)
-        if isinstance(literal, ast.BinOp):
-            return _fold(literal.op,
-                         self._literal_for(bound, column, literal.left),
-                         self._literal_for(bound, column, literal.right))
-        if isinstance(literal, ast.Param):
-            if literal.kind != "s":
-                return ParamRef(literal.index)
-            # resolve the dictionary at plan time, the code at bind time
-            if not bound.is_base:
-                raise BindError(
-                    f"string literal compared with non-base "
-                    f"column {column!r}"
-                )
-            dictionary = self.schema.dictionary(bound.table, column)
-            if dictionary is None:
-                raise BindError(
-                    f"{bound.table}.{column} is not a string column"
-                )
-            return ParamRef(literal.index, (("dict", dictionary),))
-        if isinstance(literal, ast.Literal):
-            value = literal.value
-        elif isinstance(literal, ast.DateLiteral):
-            value = literal.value
-        else:
-            raise BindError(f"expected literal, got {literal!r}")
-        if isinstance(value, str):
-            if not bound.is_base:
-                raise BindError(
-                    f"string literal {value!r} compared with non-base "
-                    f"column {column!r}"
-                )
-            dictionary = self.schema.dictionary(bound.table, column)
-            if dictionary is None:
-                raise BindError(f"{bound.table}.{column} is not a string column")
-            return self.schema.dictionary_code(dictionary, value)
-        return value
+        binds to one.  A constant reads no column, so a fresh row scope
+        over ``bound`` serves."""
+        return self._value_expr(_Pipeline(self, [bound]), literal,
+                                (bound, column))
+
+    def _dictionary(self, against, literal) -> str:
+        """The dictionary a string literal compared with ``against`` —
+        a ``(bound, column)`` — is a code of."""
+        if against is None:
+            raise BindError(f"string literal {literal!r} outside a "
+                            f"comparison")
+        bound, column = against
+        if not bound.is_base:
+            raise BindError(f"string literal {literal!r} compared with "
+                            f"non-base column {column!r}")
+        dictionary = self.schema.dictionary(bound.table, column)
+        if dictionary is None:
+            raise BindError(f"{bound.table}.{column} is not a string column")
+        return dictionary
 
     # ===================================================================
     # WHERE: sargable selection chains
@@ -273,7 +255,7 @@ class Compiler:
         for bound in bounds:
             for predicate in local_residuals.get(bound.alias, []):
                 pipeline = _Pipeline(self, [bound])
-                mask = self._value_expr(pipeline, predicate, as_mask=True)
+                mask = self._value_expr(pipeline, predicate)
                 positions = self.b.emit(
                     "algebra", "thetaselect", (mask, None, 0, "!=")
                 )
@@ -281,34 +263,8 @@ class Compiler:
         return residuals
 
     def _aliases_of(self, expr: ast.Expr, bounds: list[Bound]) -> set:
-        aliases: set[str] = set()
-
-        def walk(node):
-            if isinstance(node, ast.Column):
-                bound, _ = self._resolve(node, bounds)
-                aliases.add(bound.alias)
-            elif isinstance(node, ast.BinOp):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, (ast.Neg, ast.Not)):
-                walk(node.operand)
-            elif isinstance(node, ast.Between):
-                walk(node.operand)
-                walk(node.low)
-                walk(node.high)
-            elif isinstance(node, ast.InList):
-                walk(node.operand)
-            elif isinstance(node, ast.Case):
-                walk(node.condition)
-                walk(node.then)
-                walk(node.otherwise)
-            elif isinstance(node, ast.ExtractYear):
-                walk(node.operand)
-            elif isinstance(node, ast.Agg) and node.argument is not None:
-                walk(node.argument)
-
-        walk(expr)
-        return aliases
+        return {self._resolve(node, bounds)[0].alias
+                for node in ast.walk(expr) if isinstance(node, ast.Column)}
 
     def _is_sargable(self, expr: ast.Expr, bound: Bound) -> bool:
         if isinstance(expr, ast.BinOp):
@@ -485,9 +441,9 @@ class Compiler:
             raise BindError(f"unplaceable predicates: {pending!r}")
         if not applicable:
             return
-        mask = self._value_expr(pipeline, applicable[0], as_mask=True)
+        mask = self._value_expr(pipeline, applicable[0])
         for predicate in applicable[1:]:
-            other = self._value_expr(pipeline, predicate, as_mask=True)
+            other = self._value_expr(pipeline, predicate)
             mask = self.b.emit("batcalc", "and", (mask, other))
         positions = self.b.emit(
             "algebra", "thetaselect", (mask, None, 0, "!=")
@@ -497,96 +453,109 @@ class Compiler:
             residuals.remove(predicate)
 
     # ===================================================================
-    # value-space expression compilation
+    # expressions: one compiler, three scopes
     # ===================================================================
 
-    def _value_expr(self, pipeline: "_Pipeline", expr: ast.Expr,
-                    as_mask: bool = False):
-        """Compile ``expr`` over the pipeline's current rows.
+    def _value_expr(self, scope, expr: ast.Expr, against=None):
+        """Compile ``expr`` in ``scope``: a row (:class:`_Pipeline`), a
+        group (:class:`_GroupEnv`) or an ungrouped aggregate's one row
+        (:class:`_ScalarEnv`).  What a column and an aggregate compile
+        to, and what element-wise arithmetic emits, are the scope's;
+        every other node compiles here, once for all three.  A scope's
+        ``keys`` are the expressions besides columns it answers as it
+        does a column (a group's ``GROUP BY k + 1``).
 
-        Returns a Var (column) or a Python scalar.  With ``as_mask`` the
-        result is a uint8 predicate column.
+        Returns a Var, or a Python scalar or ParamRef for a constant.
+        ``against`` is the ``(bound, column)`` a constant compares with,
+        which a string literal is a dictionary code of.
         """
-        b = self.b
+        if isinstance(expr, ast.Column) or expr in scope.keys:
+            return scope.column(expr)
+        if isinstance(expr, ast.Agg):
+            return scope.aggregate(expr)
         if isinstance(expr, ast.Literal):
             if isinstance(expr.value, str):
-                raise BindError(
-                    f"string literal {expr.value!r} outside a comparison"
-                )
+                return self.schema.dictionary_code(
+                    self._dictionary(against, expr.value), expr.value)
             return expr.value
         if isinstance(expr, ast.DateLiteral):
             return expr.value
         if isinstance(expr, ast.Param):
-            if expr.kind == "s":
-                raise BindError("string literal outside a comparison")
-            return ParamRef(expr.index)
-        if isinstance(expr, ast.Column):
-            return pipeline.value_of_column(expr)
+            if expr.kind != "s":
+                return ParamRef(expr.index)
+            # resolve the dictionary at plan time, the code at bind time
+            dictionary = self._dictionary(against, f"?{expr.index}s")
+            return ParamRef(expr.index, (("dict", dictionary),))
         if isinstance(expr, ast.Neg):
-            operand = self._value_expr(pipeline, expr.operand)
+            operand = self._value_expr(scope, expr.operand, against)
             if not isinstance(operand, Var):
                 return -operand
-            return b.emit("batcalc", "sub", (0, operand))
+            return scope.elementwise("sub", (0, operand))
         if isinstance(expr, ast.ExtractYear):
-            operand = self._value_expr(pipeline, expr.operand)
+            operand = self._value_expr(scope, expr.operand)
             if isinstance(operand, ParamRef):
                 return operand.intdiv(10000)
             if not isinstance(operand, Var):
                 return int(operand) // 10000
-            return b.emit("batcalc", "intdiv", (operand, 10000))
+            return scope.elementwise("intdiv", (operand, 10000))
         if isinstance(expr, ast.Case):
-            condition = self._value_expr(pipeline, expr.condition,
-                                         as_mask=True)
-            then = self._value_expr(pipeline, expr.then)
-            otherwise = self._value_expr(pipeline, expr.otherwise)
-            return b.emit("batcalc", "ifthenelse",
-                          (condition, then, otherwise))
+            condition = self._value_expr(scope, expr.condition)
+            then = self._value_expr(scope, expr.then)
+            otherwise = self._value_expr(scope, expr.otherwise)
+            return scope.elementwise("ifthenelse",
+                                     (condition, then, otherwise))
         if isinstance(expr, ast.ScalarSubquery):
             return self._compile_scalar_subquery(expr.query)
         if isinstance(expr, (ast.Between, ast.InList)):
-            return self._value_expr(pipeline, _comparisons(expr),
-                                    as_mask=True)
+            return self._value_expr(scope, _comparisons(expr))
         if isinstance(expr, ast.Not):
-            operand = self._value_expr(pipeline, expr.operand, as_mask=True)
-            return b.emit("batcalc", "eq", (operand, 0))
+            operand = self._value_expr(scope, expr.operand)
+            return scope.elementwise("eq", (operand, 0))
         if isinstance(expr, ast.BinOp):
             if expr.op in ("and", "or"):
-                left = self._value_expr(pipeline, expr.left, as_mask=True)
-                right = self._value_expr(pipeline, expr.right, as_mask=True)
-                return b.emit("batcalc", expr.op, (left, right))
+                left = self._value_expr(scope, expr.left)
+                right = self._value_expr(scope, expr.right)
+                return scope.elementwise(expr.op, (left, right))
             if expr.op in _CMP_OPS:
-                left, right = self._compile_cmp_operands(pipeline, expr)
+                left, right = self._compile_cmp_operands(scope, expr)
                 if not isinstance(left, Var) and not isinstance(right, Var):
                     raise BindError("comparison of two constants")
-                return b.emit("batcalc", expr.op, (left, right))
+                return scope.elementwise(expr.op, (left, right))
             # arithmetic
-            left = self._value_expr(pipeline, expr.left)
-            right = self._value_expr(pipeline, expr.right)
+            left = self._value_expr(scope, expr.left, against)
+            right = self._value_expr(scope, expr.right, against)
             if not isinstance(left, Var) and not isinstance(right, Var):
                 return _fold(expr.op, left, right)
-            return b.emit("batcalc", expr.op, (left, right))
-        if isinstance(expr, ast.Agg):
-            raise BindError("aggregate in a non-aggregate context")
+            return scope.elementwise(expr.op, (left, right))
         raise BindError(f"cannot compile expression {expr!r}")
 
-    def _compile_cmp_operands(self, pipeline, expr: ast.BinOp):
-        """Comparison operands with dictionary-code resolution."""
+    def _compile_cmp_operands(self, scope, expr: ast.BinOp):
+        """Comparison operands; a constant compared with a column is a
+        dictionary code where the column is a string column."""
         if isinstance(expr.left, ast.Column) and _is_constant(expr.right):
-            bound, column = self._resolve(expr.left, pipeline.bounds)
+            against = self._resolve(expr.left, scope.bounds)
             return (
-                pipeline.value_of_column(expr.left),
-                self._literal_for(bound, column, expr.right),
+                scope.column(expr.left),
+                self._value_expr(scope, expr.right, against),
             )
         if isinstance(expr.right, ast.Column) and _is_constant(expr.left):
-            bound, column = self._resolve(expr.right, pipeline.bounds)
+            against = self._resolve(expr.right, scope.bounds)
             return (
-                self._literal_for(bound, column, expr.left),
-                pipeline.value_of_column(expr.right),
+                self._value_expr(scope, expr.left, against),
+                scope.column(expr.right),
             )
         return (
-            self._value_expr(pipeline, expr.left),
-            self._value_expr(pipeline, expr.right),
+            self._value_expr(scope, expr.left),
+            self._value_expr(scope, expr.right),
         )
+
+    def _aggregated(self, pipeline: "_Pipeline", agg: ast.Agg) -> Var:
+        """What an aggregate folds: its argument over the rows, never a
+        constant."""
+        argument = self._value_expr(pipeline, agg.argument)
+        if not isinstance(argument, Var):
+            raise BindError("aggregate over a constant")
+        return argument
 
     # ===================================================================
     # projection / aggregation phase
@@ -594,6 +563,10 @@ class Compiler:
 
     def _projection_phase(self, pipeline: "_Pipeline",
                           select: ast.Select) -> list[tuple[str, Var]]:
+        if select.having is not None and not select.group_by:
+            # one group's HAVING would keep or drop the one row, which
+            # no operator here expresses
+            raise BindError("HAVING needs GROUP BY")
         if select.group_by:
             return self._grouped_outputs(pipeline, select, select.group_by)
         if _one_row(select) and select.limit == 0:
@@ -602,16 +575,16 @@ class Compiler:
             return self._grouped_outputs(pipeline, select,
                                          [pipeline.anchor()])
         if _one_row(select):
-            return self._scalar_outputs(pipeline, select)
-        outputs = []
-        for index, item in enumerate(select.items):
-            var = self._value_expr(pipeline, item.expr)
-            if not isinstance(var, Var):
-                raise BindError(
-                    "constant select items need an aggregate context"
-                )
-            outputs.append((_output_name(item, index), var))
+            return self._outputs(_ScalarEnv(self, pipeline), select)
+        outputs = self._outputs(pipeline, select)
+        if not all(isinstance(var, Var) for _name, var in outputs):
+            raise BindError("constant select items need an aggregate context")
         return outputs
+
+    def _outputs(self, scope, select) -> list[tuple[str, Var]]:
+        return [(_output_name(item, index),
+                 self._value_expr(scope, item.expr))
+                for index, item in enumerate(select.items)]
 
     def _grouped_outputs(self, pipeline, select,
                          group_by) -> list[tuple[str, Var]]:
@@ -628,12 +601,9 @@ class Compiler:
             )
         group_env = _GroupEnv(self, pipeline, group_by, key_vars,
                               gids, ngroups)
-        outputs = []
-        for index, item in enumerate(select.items):
-            var = group_env.compile(item.expr)
-            outputs.append((_output_name(item, index), var))
+        outputs = self._outputs(group_env, select)
         if select.having is not None:
-            mask = group_env.compile(select.having)
+            mask = self._value_expr(group_env, select.having)
             positions = self.b.emit(
                 "algebra", "thetaselect", (mask, None, 0, "!=")
             )
@@ -642,14 +612,6 @@ class Compiler:
                                    (positions, var)))
                 for name, var in outputs
             ]
-        return outputs
-
-    def _scalar_outputs(self, pipeline, select) -> list[tuple[str, Var]]:
-        env = _ScalarEnv(self, pipeline)
-        outputs = []
-        for index, item in enumerate(select.items):
-            outputs.append((_output_name(item, index),
-                            env.compile(item.expr)))
         return outputs
 
     def _compile_scalar_subquery(self, select: ast.Select):
@@ -718,7 +680,11 @@ class Compiler:
 # =======================================================================
 
 class _Pipeline:
-    """The joined relation under construction."""
+    """The joined relation under construction, and the scope of a row
+    expression over it (see :meth:`Compiler._value_expr`): a column is
+    its value at each row; an aggregate has no place."""
+
+    keys = ()
 
     def __init__(self, compiler: Compiler, bounds: list[Bound]):
         self.compiler = compiler
@@ -749,6 +715,14 @@ class _Pipeline:
         bound.value_cache[name] = value
         return value
 
+    column = value_of_column
+
+    def aggregate(self, agg: ast.Agg):
+        raise BindError("aggregate in a non-aggregate context")
+
+    def elementwise(self, op: str, args: tuple) -> Var:
+        return self.compiler.b.emit("batcalc", op, args)
+
     def remap(self, positions: Var) -> None:
         """Fold new positions into every bound table's row map."""
         for bound in self.bounds:
@@ -762,104 +736,85 @@ class _Pipeline:
 
 
 class _GroupEnv:
-    """Compiles SELECT/HAVING expressions over a grouped relation."""
+    """The scope of a ``GROUP BY`` output or ``HAVING``: a column is the
+    group key it resolves to, read with ``aggr.submin`` (every value of
+    a group is the key); an aggregate is ``aggr.sub*``; element-wise is
+    ``batcalc``, as over rows."""
 
-    def __init__(self, compiler, pipeline, group_exprs, key_vars, gids,
+    def __init__(self, compiler, pipeline, group_by, key_vars, gids,
                  ngroups):
         self.compiler = compiler
         self.pipeline = pipeline
-        self.group_exprs = list(group_exprs)
+        self.bounds = pipeline.bounds
+        self.keys = tuple(key for key in group_by
+                          if not isinstance(key, ast.Column))
+        self._identities = [self._identity(key) for key in group_by]
         self.key_vars = key_vars
         self.gids = gids
         self.ngroups = ngroups
         self._key_cache: dict[int, Var] = {}
 
-    def compile(self, expr: ast.Expr):
-        b = self.compiler.b
-        for index, group_expr in enumerate(self.group_exprs):
-            if expr == group_expr:
-                if index not in self._key_cache:
-                    self._key_cache[index] = b.emit(
-                        "aggr", "submin",
-                        (self.key_vars[index], self.gids, self.ngroups),
-                    )
-                return self._key_cache[index]
-        if isinstance(expr, ast.Agg):
-            if expr.func == "count" and expr.argument is None:
-                return b.emit("aggr", "subcount", (self.gids, self.ngroups))
-            argument = self.compiler._value_expr(self.pipeline,
-                                                 expr.argument)
-            if not isinstance(argument, Var):
-                raise BindError("aggregate over a constant")
-            if expr.func == "count":
-                return b.emit("aggr", "subcount", (self.gids, self.ngroups))
-            return b.emit(
-                "aggr", f"sub{expr.func}",
-                (argument, self.gids, self.ngroups),
+    def _identity(self, expr):
+        """A column by what it resolves to, any other key by its
+        spelling (``SELECT k + 1 … GROUP BY k + 1``)."""
+        if isinstance(expr, ast.Column):
+            bound, name = self.compiler._resolve(expr, self.bounds)
+            return bound.alias, name
+        return expr
+
+    def column(self, expr) -> Var:
+        identity = self._identity(expr)
+        if identity not in self._identities:
+            raise BindError(f"{expr} is neither a group key nor in an "
+                            f"aggregate")
+        index = self._identities.index(identity)
+        if index not in self._key_cache:
+            self._key_cache[index] = self.compiler.b.emit(
+                "aggr", "submin",
+                (self.key_vars[index], self.gids, self.ngroups),
             )
-        if isinstance(expr, (ast.Literal, ast.DateLiteral)):
-            return expr.value
-        if isinstance(expr, ast.Param):
-            if expr.kind == "s":
-                raise BindError("string literal outside a comparison")
-            return ParamRef(expr.index)
-        if isinstance(expr, ast.BinOp):
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            if not isinstance(left, Var) and not isinstance(right, Var):
-                return _fold(expr.op, left, right)
-            if expr.op in _CMP_OPS or expr.op in ("and", "or"):
-                return b.emit("batcalc", expr.op, (left, right))
-            return b.emit("batcalc", expr.op, (left, right))
-        if isinstance(expr, ast.ScalarSubquery):
-            return self.compiler._compile_scalar_subquery(expr.query)
-        if isinstance(expr, ast.Not):
-            operand = self.compile(expr.operand)
-            return b.emit("batcalc", "eq", (operand, 0))
-        if isinstance(expr, ast.Neg):
-            operand = self.compile(expr.operand)
-            if not isinstance(operand, Var):
-                return -operand
-            return b.emit("batcalc", "sub", (0, operand))
-        if isinstance(expr, (ast.Between, ast.InList)):
-            return self.compile(_comparisons(expr))
-        raise BindError(
-            f"expression {expr!r} is neither a group key nor an aggregate"
-        )
+        return self._key_cache[index]
+
+    def aggregate(self, agg: ast.Agg) -> Var:
+        b = self.compiler.b
+        if agg.argument is None:        # count(*)
+            return b.emit("aggr", "subcount", (self.gids, self.ngroups))
+        argument = self.compiler._aggregated(self.pipeline, agg)
+        if agg.func == "count":
+            return b.emit("aggr", "subcount", (self.gids, self.ngroups))
+        return b.emit("aggr", f"sub{agg.func}",
+                      (argument, self.gids, self.ngroups))
+
+    elementwise = _Pipeline.elementwise
 
 
 class _ScalarEnv:
-    """Compiles ungrouped-aggregate SELECT items (scalar results)."""
+    """The scope of an ungrouped aggregate's one row of scalars: an
+    aggregate is ``aggr.*``, a bare column has no one value, and
+    element-wise is host arithmetic, ``calc``."""
+
+    keys = ()
 
     def __init__(self, compiler, pipeline):
         self.compiler = compiler
         self.pipeline = pipeline
+        self.bounds = pipeline.bounds
 
-    def compile(self, expr: ast.Expr):
-        b = self.compiler.b
-        if isinstance(expr, ast.Agg):
-            if expr.func == "count" and expr.argument is None:
-                anchor = self.pipeline.value_of_column(
-                    self.pipeline.anchor())
-                return b.emit("aggr", "count", (anchor,))
-            argument = self.compiler._value_expr(self.pipeline,
-                                                 expr.argument)
-            return b.emit("aggr", expr.func, (argument,))
-        if isinstance(expr, (ast.Literal, ast.DateLiteral)):
-            return expr.value
-        if isinstance(expr, ast.Param):
-            if expr.kind == "s":
-                raise BindError("string literal outside a comparison")
-            return ParamRef(expr.index)
-        if isinstance(expr, ast.BinOp):
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            if not isinstance(left, Var) and not isinstance(right, Var):
-                return _fold(expr.op, left, right)
-            return b.emit("calc", expr.op, (left, right))
-        if isinstance(expr, ast.ScalarSubquery):
-            return self.compiler._compile_scalar_subquery(expr.query)
-        raise BindError(f"non-aggregate {expr!r} in a scalar select")
+    def column(self, expr) -> Var:
+        raise BindError(f"non-aggregate {expr} in a scalar select")
+
+    def aggregate(self, agg: ast.Agg) -> Var:
+        if agg.argument is None:        # count(*): of any one column
+            argument = self.pipeline.value_of_column(self.pipeline.anchor())
+        else:
+            argument = self.compiler._aggregated(self.pipeline, agg)
+        return self.compiler.b.emit("aggr", agg.func, (argument,))
+
+    def elementwise(self, op: str, args: tuple) -> Var:
+        if op not in ast.ARITHMETIC:
+            raise BindError(f"{op!r} over ungrouped aggregates: calc has "
+                            f"only + - * /")
+        return self.compiler.b.emit("calc", op, args)
 
 
 # =======================================================================
@@ -893,26 +848,9 @@ def _comparisons(expr: "ast.Between | ast.InList") -> ast.Expr:
 
 def _one_row(select: ast.Select) -> bool:
     """An ungrouped aggregate: one row of scalars, whatever the input."""
-    return not select.group_by and (
-        select.having is not None
-        or any(_contains_agg(item.expr) for item in select.items))
-
-
-def _contains_agg(expr) -> bool:
-    if isinstance(expr, ast.Agg):
-        return True
-    if isinstance(expr, ast.BinOp):
-        return _contains_agg(expr.left) or _contains_agg(expr.right)
-    if isinstance(expr, (ast.Neg, ast.Not)):
-        return _contains_agg(expr.operand)
-    if isinstance(expr, ast.Case):
-        return any(
-            _contains_agg(e)
-            for e in (expr.condition, expr.then, expr.otherwise)
-        )
-    if isinstance(expr, ast.ExtractYear):
-        return _contains_agg(expr.operand)
-    return False
+    return not select.group_by and any(
+        isinstance(node, ast.Agg)
+        for item in select.items for node in ast.walk(item.expr))
 
 
 def _is_constant(expr, numeric: bool = False) -> bool:
@@ -922,10 +860,13 @@ def _is_constant(expr, numeric: bool = False) -> bool:
         return not numeric or expr.kind != "s"
     if isinstance(expr, (ast.Literal, ast.DateLiteral)):
         return not numeric or not isinstance(expr.value, str)
-    if isinstance(expr, ast.Neg):
-        return _is_constant(expr.operand, True)
-    return isinstance(expr, ast.BinOp) and expr.op in _ARITH_OPS \
-        and _is_constant(expr.left, True) and _is_constant(expr.right, True)
+    if not ast.is_arithmetic(expr):
+        return False
+    # a loop, not all(<generator>): one frame per level of a long chain
+    for child in ast.children(expr):
+        if not _is_constant(child, True):
+            return False
+    return True
 
 
 def _fold(op: str, left, right):

@@ -201,6 +201,38 @@ def test_one_region_finder():
     assert gone == [], gone
 
 
+def test_one_expression_compiler():
+    """A row, a group and an ungrouped aggregate's row differ only in
+    what a column and an aggregate compile to and which module
+    element-wise arithmetic emits: the scopes compile nothing
+    themselves, and every other node is dispatched on in one function
+    of ``sql/lower.py``."""
+    tree = ast.parse(sources()["sql/lower.py"])
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    for scope in ("_GroupEnv", "_ScalarEnv"):
+        methods = {node.name for node in classes[scope].body
+                   if isinstance(node, ast.FunctionDef)}
+        assert "compile" not in methods, scope
+
+    def dispatches_on(function) -> set:
+        """The ``ast.<Node>`` names an ``isinstance`` in it tests."""
+        return {
+            name.attr for call in ast.walk(function)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "isinstance"
+            for name in ast.walk(call.args[1])
+            if isinstance(name, ast.Attribute)
+            and getattr(name.value, "id", None) == "ast"
+        }
+
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    for node in ("Case", "Neg", "ExtractYear", "ScalarSubquery"):
+        found = [f.name for f in functions if node in dispatches_on(f)]
+        assert found == ["_value_expr"], (node, found)
+
+
 # -- a plan does not know the cluster ----------------------------------------
 
 def test_nothing_about_a_layout_is_recorded_replayed_or_stamped():

@@ -20,8 +20,16 @@ here too.  The statements cover the constant surface a plan binds:
   ``min`` / ``max`` / ``avg``, and ungrouped aggregates; ``CASE WHEN
   <atom> THEN <column|constant> ELSE <column|constant> END`` as a
   projection and inside ``sum`` / ``count``; ``HAVING`` over a grouped
-  statement, a key atom or an exact aggregate (``count``, ``min`` /
-  ``max``, an int ``sum``) against a constant, or ``AND`` of two;
+  statement, an atom over a key or an exact aggregate (``count``,
+  ``min`` / ``max``, an int ``sum``) — a comparison, ``[NOT] BETWEEN``
+  or ``[NOT] IN`` — perhaps under ``NOT``, or ``AND`` of two;
+* aggregate expressions — ``-agg``, ``agg ± constant`` and ``agg op
+  agg`` as grouped and ungrouped outputs, and ``CASE WHEN <atom over an
+  exact aggregate> THEN … ELSE … END`` as a grouped one, each branch an
+  aggregate or a constant;
+* spelling — one table's columns bare or qualified (``t255.k``), drawn
+  anew at each site, so ``SELECT``, ``GROUP BY`` and ``HAVING`` may
+  name one key two ways;
 * order — ``ORDER BY`` one output column, ``ASC`` / ``DESC`` or neither,
   with or without a ``LIMIT``.  The ordered column's sequence must
   equal SQLite's; within a run of equal values the rows compare as a
@@ -47,6 +55,17 @@ Generated around, said once here:
   since a tolerance cannot decide a comparison.
 * ``min`` / ``max`` of no rows raise (see ``reference()``): they appear
   ungrouped only without ``WHERE`` over a non-empty table.
+* **``HAVING`` needs ``GROUP BY``** (one group's ``HAVING`` is refused:
+  no operator keeps or drops an ungrouped aggregate's one row), and
+  **no aggregate is over a constant** (``sum(1)`` is refused): only a
+  column or a ``CASE`` is aggregated.
+* **An ungrouped aggregate's expressions are ``+ - * /``** (host
+  ``calc``; a comparison or ``CASE`` over one is refused).
+* **An int expression stays inside the four-byte range**: an int32
+  ``min`` / ``max`` under a sign or a small constant stays int32 and
+  wraps at ±2³¹ on every engine, as ``-v`` over a row does, so an int
+  aggregate expression whose bound reaches 2³¹ is drawn as the
+  aggregate alone; only ints multiply.
 * **An ordered column is exact and NaN-free**: never a column holding a
   NaN (SQLite sorts its NULL first, the engines sort a NaN last), an
   aggregate over one, a float ``sum`` / ``avg`` (compared to a
@@ -260,17 +279,94 @@ def cases(draw, columns, filterable):
 
 @st.composite
 def havings(draw, keys, exact):
-    """A ``HAVING`` predicate: a key atom or an exact aggregate compared
-    to a constant, or ``AND`` of two."""
+    """A ``HAVING`` predicate: an atom over a key or an exact aggregate
+    (a comparison either way round, ``[NOT] BETWEEN``, ``[NOT] IN``),
+    perhaps under ``NOT``, or ``AND`` of two."""
     def atom():
-        if keys and draw(st.booleans()):
-            return draw(predicates(keys, depth=0))
-        op = draw(st.sampled_from(("=", "<>", "<", "<=", ">", ">=")))
-        return f"{draw(st.sampled_from(exact))} {op} {draw(constants).text}"
+        over = keys if keys and draw(st.booleans()) else exact
+        text = draw(predicates(over, depth=0))
+        return f"NOT ({text})" if draw(st.booleans()) else text
 
     if draw(st.booleans()):
         return atom()
     return f"({atom()}) AND ({atom()})"
+
+
+@dataclass(frozen=True)
+class Term:
+    """An aggregate an expression holds: its text, the tolerance its
+    value compares to, and a bound on its magnitude if it is an int."""
+    text: str
+    tolerance: float = 0.0
+    bound: "int | None" = None
+
+
+def terms(data, spelled, minmax) -> "list[Term]":
+    """The aggregates of ``data``'s columns an expression may hold: no
+    ``avg``, no sum the engines' int64 cannot hold; ``min`` / ``max``
+    only where ``minmax``."""
+    rows = len(next(iter(data.values())))
+    out = [Term("count(*)", bound=rows)]
+    for column, values in sorted(data.items()):
+        name = spelled(column)
+        out.append(Term(f"count({name})", bound=rows))
+        if values.dtype.kind == "f":
+            out.append(Term(f"sum({name})", 1e-6 * _scale(values)))
+            out += [Term(f"{f}({name})") for f in ("min", "max") if minmax]
+            continue
+        magnitude = np.abs(values.astype(np.float64))
+        if _summable(values):
+            out.append(Term(f"sum({name})", bound=int(magnitude.sum())))
+        if minmax:
+            out += [Term(f"{f}({name})", bound=int(magnitude.max(initial=0)))
+                    for f in ("min", "max")]
+    return out
+
+
+@st.composite
+def aggregate_expressions(draw, terms) -> "tuple[str, float]":
+    """``(-agg | agg ± constant | agg op agg, its tolerance)``, or the
+    aggregate alone where an int result could leave the four-byte
+    range (an int32 ``min`` stays int32 under a sign or a small
+    constant); ``*`` pairs ints only."""
+    a = draw(st.sampled_from(terms))
+    shape = draw(st.sampled_from(("neg", "constant", "pair")))
+    text, tolerance, bound = f"-{a.text}", a.tolerance, a.bound
+    if shape == "constant":
+        op, constant = draw(st.sampled_from("+-")), draw(constants)
+        text = f"{a.text} {op} {constant.operand()}"
+        if isinstance(constant.value, float):
+            bound = None
+        elif bound is not None:
+            bound += abs(constant.value)
+    if shape == "pair":
+        b = draw(st.sampled_from(terms))
+        op = draw(st.sampled_from("+-*"))
+        text, tolerance = f"{a.text} {op} {b.text}", a.tolerance + b.tolerance
+        ints = a.bound is not None and b.bound is not None
+        if op == "*" and not ints:
+            return a.text, a.tolerance
+        bound = None if not ints else \
+            a.bound * b.bound if op == "*" else a.bound + b.bound
+    if bound is not None and bound >= 2 ** 31:
+        return a.text, a.tolerance
+    return text, tolerance
+
+
+@st.composite
+def aggregate_cases(draw, exact, terms) -> "tuple[str, float]":
+    """``(CASE WHEN <atom over an exact aggregate> THEN … ELSE … END,
+    its tolerance)``, each branch an aggregate or a constant."""
+    def branch():
+        if draw(st.booleans()):
+            term = draw(st.sampled_from(terms))
+            return term.text, term.tolerance
+        return draw(constants).operand(), 0.0
+
+    (then, a), (otherwise, b) = branch(), branch()
+    condition = draw(predicates(exact, depth=0))
+    return f"CASE WHEN {condition} THEN {then} ELSE {otherwise} END", \
+        max(a, b)
 
 
 @st.composite
@@ -293,26 +389,57 @@ def statements(draw) -> Statement:
             outputs.append(draw(cases(names, filterable))[0])
             tolerances.append(0.0)
     else:
+        table = None if " " in source else source
+
+        def spelled(column):
+            """One table's column, bare or qualified, drawn per site."""
+            return f"{table}.{column}" if table and draw(st.booleans()) \
+                else column
+
+        def exact():
+            """Aggregates compared exactly: no float sum, no avg."""
+            return ["count(*)"] + [
+                f"{function}({spelled(column)})" for column in filterable
+                for function in ("count", "min", "max")
+            ] + [f"sum({spelled(column)})" for column in filterable
+                 if data[column].dtype.kind != "f"
+                 and _summable(data[column])]
+
         keys = []
         if shape == "group":
             keys = draw(st.lists(st.sampled_from(names), min_size=1,
                                  max_size=2, unique=True))
-            outputs += keys
+            outputs += [spelled(key) for key in keys]
             tolerances += [0.0] * len(keys)
             orderable = [i for i, c in enumerate(keys) if c in filterable]
-            group_by = f" GROUP BY {', '.join(keys)}"
+            group_by = f" GROUP BY {', '.join(map(spelled, keys))}"
+        minmax = shape == "group" or where is None and rows > 0
         functions = ["count", "sum", "avg"]
-        if shape == "group" or where is None and rows:
+        if minmax:
             functions += ["min", "max"]
         aggregates = draw(st.lists(
-            st.tuples(st.sampled_from(functions + ["count(*)", "case"]),
-                      st.sampled_from(names)), min_size=1, max_size=3))
+            st.tuples(st.sampled_from(
+                functions + ["count(*)", "case", "expression"]),
+                st.sampled_from(names)), min_size=1, max_size=3))
         for function, column in aggregates:
             values = data[column]
             if function == "count(*)":
                 outputs.append("count(*)")
                 tolerances.append(0.0)
                 orderable.append(len(outputs) - 1)
+                continue
+            if function == "expression":
+                text, tolerance = draw(aggregate_expressions(
+                    terms(data, spelled, minmax)))
+                outputs.append(text)
+                tolerances.append(tolerance)
+                continue
+            if function == "case" and shape == "group" \
+                    and draw(st.booleans()):
+                text, tolerance = draw(aggregate_cases(
+                    exact(), terms(data, spelled, minmax)))
+                outputs.append(text)
+                tolerances.append(tolerance)
                 continue
             if function == "case":
                 text, branches = draw(cases(names, filterable))
@@ -333,7 +460,7 @@ def statements(draw) -> Statement:
                 continue
             if function in ("sum", "avg") and not _summable(values):
                 function = "count"
-            outputs.append(f"{function}({column})")
+            outputs.append(f"{function}({spelled(column)})")
             tolerances.append(
                 1e-6 * _scale(values)
                 if function in ("sum", "avg") and values.dtype.kind == "f"
@@ -342,14 +469,8 @@ def statements(draw) -> Statement:
                     and not tolerances[-1] and not _has_nan(values):
                 orderable.append(len(outputs) - 1)
         if shape == "group" and draw(st.booleans()):
-            exact = ["count(*)"] + [
-                f"{function}({column})" for column in filterable
-                for function in ("count", "min", "max")
-            ] + [f"sum({column})" for column in filterable
-                 if data[column].dtype.kind != "f"
-                 and _summable(data[column])]
-            keys = [key for key in keys if key in filterable]
-            group_by += f" HAVING {draw(havings(keys, exact))}"
+            keys = [spelled(key) for key in keys if key in filterable]
+            group_by += f" HAVING {draw(havings(keys, exact()))}"
     items = ", ".join(f"{out} AS o{i}" for i, out in enumerate(outputs))
     sql = f"SELECT {items} FROM {source}" \
         + (f" WHERE {where}" if where else "") + group_by

@@ -313,6 +313,17 @@ CASES = [
      "HAVING k IN (-(-3), 2 + 2) AND count(*) > -(5) ORDER BY k", True),
     ("SELECT k, sum(v) AS s FROM t256 GROUP BY k "
      "HAVING k NOT BETWEEN -(-3) AND 2 * 8 ORDER BY k", True),
+    # an aggregate inside an expression, grouped or not, and a group key
+    # however it is spelled: one expression compiler for every scope
+    ("SELECT -sum(v) AS s, -(count(*)) AS c FROM t255", True),
+    ("SELECT sum(v) * -1 AS s, max(v) - min(v) AS r FROM t256", True),
+    ("SELECT k, CASE WHEN sum(v) > 0 THEN 1 ELSE 0 END AS p FROM t256 "
+     "GROUP BY k ORDER BY k", True),
+    ("SELECT k, count(*) AS c FROM t255 GROUP BY t255.k ORDER BY k", True),
+    ("SELECT t255.k AS k, sum(v) AS s FROM t255 GROUP BY k "
+     "HAVING t255.k > 3 ORDER BY k", True),
+    ("SELECT x.k AS k, -sum(x.v) + 1 AS s FROM t256 x GROUP BY k "
+     "ORDER BY k", True),
     # an ANTI JOIN's own WHERE stays outside the reference's subquery
     ("SELECT t255.id AS id FROM t255 ANTI JOIN dim ON t255.k = dim.k "
      "WHERE t255.v > 3 ORDER BY id", True),
@@ -568,6 +579,33 @@ def test_the_reference_answers_empty_input_as_the_engines_do():
                        ).fetchall() == [(None, None, 2)]
     assert con.execute("SELECT a, sum(a) FROM t WHERE a > 1 GROUP BY a"
                        ).fetchall() == [(2, 2), (3, 3)]
+
+
+#: shapes no operator here answers: each is a ``BindError`` at compile
+#: on every spec, never a run-time error or a wrong answer
+REFUSED = {
+    # an aggregate over a constant folds no column
+    "SELECT sum(1) AS s FROM t255": "aggregate over a constant",
+    "SELECT count(1) AS c FROM t255": "aggregate over a constant",
+    "SELECT k, sum(2) AS s FROM t255 GROUP BY k":
+        "aggregate over a constant",
+    # one group's HAVING keeps or drops the one row (SQLite: no row)
+    "SELECT sum(v) AS s FROM t255 HAVING sum(v) > 100000":
+        "HAVING needs GROUP BY",
+    # an ungrouped aggregate's element-wise is calc: + - * / alone
+    "SELECT sum(v) > 0 AS p FROM t255": "'gt'",
+}
+
+
+@pytest.mark.parametrize("sql", REFUSED)
+def test_refused_shapes_are_refused_at_compile(db, sql):
+    from repro.sql import BindError, compile_sql
+
+    with pytest.raises(BindError, match=REFUSED[sql]):
+        compile_sql(sql, db.schema)
+    for spec in SPECS:
+        with pytest.raises(BindError, match=REFUSED[sql]):
+            db.connect(spec).execute(sql)
 
 
 def test_min_and_max_of_nothing_are_refused(db):
