@@ -35,7 +35,7 @@ import numpy as np
 
 from ..kernels.selection import predicate_mask
 from ..monetdb.calc import (
-    CALC_FNS, COMPARE_FNS, calc_result_dtype, ifthenelse, ifthenelse_dtype,
+    calc_result_dtype, elementwise, ifthenelse, ifthenelse_dtype,
 )
 
 _OP_SYMBOL = {
@@ -90,8 +90,6 @@ def node_dtype(node, input_dtypes) -> np.dtype:
     if isinstance(node, FConst):
         return np.min_scalar_type(node.value)
     if isinstance(node, FOp):
-        if node.op in COMPARE_FNS:
-            return np.dtype(np.uint8)
         if node.op == "ifthenelse":
             return ifthenelse_dtype(*(
                 arg.value if isinstance(arg, FConst)
@@ -110,11 +108,11 @@ def evaluate(node, inputs, memo: Optional[dict] = None):
     """Evaluate one node over the input arrays (scalar engines + the
     generated kernels' ``vec_fn`` both run through here).
 
-    Every interior node casts to its :func:`node_dtype`, mirroring the
-    per-operator ``astype`` of the unfused chain, so results agree with
-    unfused execution bit for bit on the numpy backends.  ``FSelect``
-    nodes return the boolean mask; the caller encodes it (oid list or
-    bitmap) per its backend's selection convention.
+    Every ``FOp`` is :func:`~repro.monetdb.calc.elementwise` (or
+    ``ifthenelse``), the call the unfused operators make, so results
+    agree with unfused execution bit for bit.  ``FSelect`` nodes return
+    the boolean mask; the caller encodes it (oid list or bitmap) per
+    its backend's selection convention.
     """
     if memo is None:
         memo = {}
@@ -133,19 +131,10 @@ def evaluate(node, inputs, memo: Optional[dict] = None):
         out = mask
     elif isinstance(node, FOp):
         vals = [evaluate(a, inputs, memo) for a in node.args]
-        dts = [
-            v.dtype if isinstance(v, np.ndarray) else np.min_scalar_type(v)
-            for v in vals
-        ]
         if node.op == "ifthenelse":
             out = ifthenelse(*vals)
-        elif node.op in COMPARE_FNS:
-            out = COMPARE_FNS[node.op](vals[0], vals[1]).astype(np.uint8)
         else:
-            dtype = calc_result_dtype(dts[0], dts[1], node.op)
-            out = CALC_FNS[node.op](vals[0], vals[1]).astype(
-                dtype, copy=False
-            )
+            out = elementwise(node.op, *vals)
     else:
         raise TypeError(f"cannot evaluate {node!r}")
     memo[key] = out

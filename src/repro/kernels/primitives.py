@@ -51,47 +51,93 @@ def fold_identity(fold: str, dtype):
     return dtype.type(info.max if fold == "min" else info.min)
 
 
-# Operator tables for the element-wise kernels.  MonetDB's batcalc module
-# has one operator per arithmetic op; we keep a single kernel with the op
-# as a launch argument (a compile-time constant in real OpenCL).
-def _rsub(a, b, out=None, casting="same_kind"):
-    """Reversed subtraction: ``b - a`` (scalar-minus-column expressions)."""
-    return np.subtract(b, a, out=out, casting=casting)
+# ---------------------------------------------------------------------------
+# the element-wise rule (MonetDB batcalc, fused pipes, the kernels below)
+# ---------------------------------------------------------------------------
 
-
-def _rdiv(a, b, out=None, casting="same_kind"):
-    """Reversed division: ``b / a``."""
-    return np.divide(b, a, out=out, casting=casting)
-
-
-def _logical_and(a, b, out=None, casting="same_kind"):
-    result = np.logical_and(a, b)
-    if out is not None:
-        out[...] = result
-        return out
-    return result.astype(np.uint8)
-
-
-def _logical_or(a, b, out=None, casting="same_kind"):
-    result = np.logical_or(a, b)
-    if out is not None:
-        out[...] = result
-        return out
-    return result.astype(np.uint8)
-
-
-_BINOPS = {
+#: ``batcalc``'s element-wise ops: the one table every executor computes
+#: ``a op b`` from
+ELEMENTWISE = {
     "add": np.add,
     "sub": np.subtract,
     "mul": np.multiply,
     "div": np.divide,
     "intdiv": np.floor_divide,
-    "xor": np.bitwise_xor,
-    "rsub": _rsub,
-    "rdiv": _rdiv,
-    "and": _logical_and,
-    "or": _logical_or,
+    "and": np.logical_and,
+    "or": np.logical_or,
+    "eq": np.equal,
+    "ne": np.not_equal,
+    "lt": np.less,
+    "le": np.less_equal,
+    "gt": np.greater,
+    "ge": np.greater_equal,
 }
+
+#: the comparisons of :data:`ELEMENTWISE`; they and the logical ops
+#: answer truth values (``uint8``)
+COMPARISONS = frozenset(("eq", "ne", "lt", "le", "gt", "ge"))
+_TRUTH_OPS = COMPARISONS | {"and", "or"}
+
+
+def calc_result_dtype(a_dtype, b_dtype, op: str) -> np.dtype:
+    """Result tail type of a ``batcalc`` element-wise operation.
+
+    Four-byte types stay four-byte (the paper's scope); integer division
+    widens to ``float64`` (standing in for SQL decimal division);
+    comparisons and logic answer ``uint8`` truth values.
+    """
+    a_dtype, b_dtype = np.dtype(a_dtype), np.dtype(b_dtype)
+    if op in _TRUTH_OPS:
+        return np.dtype(np.uint8)
+    if op == "div" and a_dtype.kind in "iu" and b_dtype.kind in "iu":
+        return np.dtype(np.float64)
+    return np.result_type(a_dtype, b_dtype)
+
+
+def _dtype_of(operand) -> np.dtype:
+    """A column's type; a constant's is the smallest holding its value."""
+    if isinstance(operand, np.ndarray):
+        return operand.dtype
+    return np.min_scalar_type(operand)
+
+
+def elementwise(op: str, a, b, out=None):
+    """``a op b`` over columns and constants, as every executor computes
+    it: MonetDB's ``batcalc``, the fused evaluator and the ``ewise`` /
+    ``compare`` kernels.
+
+    Arithmetic runs in the result's type (:func:`calc_result_dtype`):
+    both operands are cast to it first, so ``v + 2147483647`` over an
+    int32 ``v`` adds in int64 instead of wrapping, while ``v + 1``
+    stays int32 and wraps at 2³¹ - 1.  A comparison or a logical op
+    runs in numpy's common type of its operands — a constant compares
+    exactly, whatever the column's type — and answers ``uint8``.
+    ``out`` (a kernel's result buffer) receives the result."""
+    if op not in _TRUTH_OPS:
+        dtype = calc_result_dtype(_dtype_of(a), _dtype_of(b), op)
+        a, b = (v.astype(dtype, copy=False) if isinstance(v, np.ndarray)
+                else dtype.type(v) for v in (a, b))
+    result = ELEMENTWISE[op](a, b, out=out)
+    if out is None and op in _TRUTH_OPS:
+        return result.view(np.uint8)
+    return result
+
+
+#: a kernel's ``op`` argument beyond :data:`ELEMENTWISE`: the operand-
+#: order variants a constant on the left launches
+_REVERSED = {"rsub": "sub", "rdiv": "div"}
+
+
+def _kernel_op(op: str, a, b, out=None):
+    """``a op b`` for a kernel's ``op``: :func:`elementwise`, or a
+    variant — ``rsub`` / ``rdiv`` are ``b - a`` / ``b / a``, ``xor``
+    flips the bits of a descending sort's keys."""
+    if op == "xor":
+        return np.bitwise_xor(a, b, out=out)
+    if op in _REVERSED:
+        return elementwise(_REVERSED[op], b, a, out)
+    return elementwise(op, a, b, out)
+
 
 _REDUCERS = {"sum": np.sum, "min": np.min, "max": np.max}
 
@@ -379,7 +425,7 @@ __kernel void reduce_final(__global ACC* res, __global const ACC* partials,
 
 def _ewise_vec(ctx, out, a, b, n, op):
     n = int(n)
-    _BINOPS[op](a[:n], b[:n], out=out[:n], casting="unsafe")
+    _kernel_op(op, a[:n], b[:n], out[:n])
 
 
 def _ewise_work(ctx, out, a, b, n, op):
@@ -393,9 +439,8 @@ def _ewise_work(ctx, out, a, b, n, op):
 
 
 def _ewise_ref(wi, out, a, b, n, op):
-    fn = _BINOPS[op]
     for i in wi.partition(int(n)):
-        out[i] = fn(a[i], b[i])
+        _kernel_op(op, a[i:i + 1], b[i:i + 1], out[i:i + 1])
     return
     yield  # pragma: no cover
 
@@ -417,9 +462,9 @@ __kernel void ewise(__global T* res, __global const T* a,
 
 def _ewise_scalar_vec(ctx, out, a, n, op, value):
     n = int(n)
-    # the constant has the *result's* type (``T cnst``): an int column
+    # the constant takes the *result's* type (``T cnst``): an int column
     # times 0.5 is a float column, and 0.5 must not become int(0.5)
-    _BINOPS[op](a[:n], out.dtype.type(value), out=out[:n], casting="unsafe")
+    _kernel_op(op, a[:n], value, out[:n])
 
 
 def _ewise_scalar_work(ctx, out, a, n, op, value):
@@ -433,9 +478,8 @@ def _ewise_scalar_work(ctx, out, a, n, op, value):
 
 
 def _ewise_scalar_ref(wi, out, a, n, op, value):
-    fn = _BINOPS[op]
     for i in wi.partition(int(n)):
-        out[i] = fn(a[i], value)
+        _kernel_op(op, a[i:i + 1], value, out[i:i + 1])
     return
     yield  # pragma: no cover
 
@@ -508,19 +552,9 @@ IOTA = KernelDef(
 # comparisons and conditional selection (batcalc.{eq,...,ifthenelse})
 # ---------------------------------------------------------------------------
 
-_CMPOPS = {
-    "eq": np.equal,
-    "ne": np.not_equal,
-    "lt": np.less,
-    "le": np.less_equal,
-    "gt": np.greater,
-    "ge": np.greater_equal,
-}
-
-
 def _compare_vv_vec(ctx, out, a, b, n, op):
     n = int(n)
-    out[:n] = _CMPOPS[op](a[:n], b[:n]).astype(np.uint8)
+    elementwise(op, a[:n], b[:n], out[:n])
 
 
 def _compare_vv_work(ctx, out, a, b, n, op):
@@ -534,9 +568,8 @@ def _compare_vv_work(ctx, out, a, b, n, op):
 
 
 def _compare_vv_ref(wi, out, a, b, n, op):
-    fn = _CMPOPS[op]
     for i in wi.partition(int(n)):
-        out[i] = 1 if fn(a[i], b[i]) else 0
+        elementwise(op, a[i:i + 1], b[i:i + 1], out[i:i + 1])
     return
     yield  # pragma: no cover
 
@@ -558,9 +591,7 @@ __kernel void compare_vv(__global uchar* res, __global const T* a,
 
 def _compare_vs_vec(ctx, out, a, n, op, value):
     n = int(n)
-    # numpy's rule for a Python constant: a float32 column compares in
-    # float32, an int column against 7.5 or 2**31 exactly
-    out[:n] = _CMPOPS[op](a[:n], value).astype(np.uint8)
+    elementwise(op, a[:n], value, out[:n])
 
 
 def _compare_vs_work(ctx, out, a, n, op, value):
@@ -571,9 +602,8 @@ def _compare_vs_work(ctx, out, a, n, op, value):
 
 
 def _compare_vs_ref(wi, out, a, n, op, value):
-    fn = _CMPOPS[op]
     for i in wi.partition(int(n)):
-        out[i] = 1 if fn(a[i], value) else 0
+        elementwise(op, a[i:i + 1], value, out[i:i + 1])
     return
     yield  # pragma: no cover
 

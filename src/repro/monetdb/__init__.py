@@ -25,7 +25,7 @@ from .backends import (
     hash_join_pairs,
     select_bounds_to_op,
 )
-from .calc import COMPARE_FNS, calc_result_dtype
+from .calc import calc_result_dtype, elementwise
 from .costmodel import DEFAULT_COST_MODEL, MonetDBCostModel, OpCost
 from .interpreter import Backend, QueryResult, UnsupportedOperator, run_program
 from .mal import NIL, ColumnRef, MALBuilder, MALInstruction, MALProgram, Var
@@ -35,7 +35,6 @@ __all__ = [
     "ALIGNMENT",
     "BAT",
     "Backend",
-    "COMPARE_FNS",
     "Catalog",
     "ColumnRef",
     "DEFAULT_COST_MODEL",
@@ -59,6 +58,7 @@ __all__ = [
     "aligned_empty",
     "bitmap_bat",
     "calc_result_dtype",
+    "elementwise",
     "group_ids",
     "hash_join_pairs",
     "is_aligned",

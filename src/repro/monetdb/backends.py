@@ -27,13 +27,7 @@ import numpy as np
 from ..kernels.aggregation import segmented_reduce
 from ..kernels.selection import predicate_mask
 from .bat import BAT, OID_DTYPE, Role, bitmap_bat, make_bat, oid_bat
-from .calc import (
-    CALC_FNS,
-    COMPARE_FNS,
-    calc_result_dtype,
-    grouped_dtype,
-    ifthenelse,
-)
+from .calc import ELEMENTWISE, elementwise, grouped_dtype, ifthenelse
 from .costmodel import DEFAULT_COST_MODEL, MonetDBCostModel, OpCost
 from .interpreter import Backend
 from .mal import ColumnRef
@@ -156,10 +150,8 @@ class MonetDBBackend(Backend):
             # counting group ids takes no values column
             reg(row.op, m.op_subcount if row.nargs == 2
                 else self._make_grouped_agg(row.agg))
-        for op in CALC_FNS:
-            reg(f"batcalc.{op}", self._make_calc(op))
-        for op in COMPARE_FNS:
-            reg(f"batcalc.{op}", self._make_compare(op))
+        for op in ELEMENTWISE:
+            reg(f"batcalc.{op}", self._make_elementwise(op))
         reg("batcalc.ifthenelse", m.op_ifthenelse)
         reg("fuse.pipe", m.op_fuse_pipe)
         # host-side scalar arithmetic (MAL's calc module)
@@ -496,36 +488,11 @@ class MonetDBBackend(Backend):
 
     # -- batcalc -------------------------------------------------------------------
 
-    def _make_calc(self, op: str):
-        py_op = CALC_FNS[op]
-
+    def _make_elementwise(self, op: str):
         def fn(a, b):
             a_v, b_v = self._tail(a), self._tail(b)
             n = a_v.size if isinstance(a_v, np.ndarray) else b_v.size
-            a_dt = a_v.dtype if isinstance(a_v, np.ndarray) else np.min_scalar_type(a_v)
-            b_dt = b_v.dtype if isinstance(b_v, np.ndarray) else np.min_scalar_type(b_v)
-            dtype = calc_result_dtype(a_dt, b_dt, op)
-            out = py_op(a_v, b_v).astype(dtype, copy=False)
-            model = self.model
-            self._charge(
-                OpCost(
-                    op=f"batcalc.{op}",
-                    work=model.ns(n, model.calc_ns),
-                    merge_bytes=out.nbytes,
-                )
-            )
-            return make_bat(out)
-
-        fn.__name__ = f"op_batcalc_{op}"
-        return fn
-
-    def _make_compare(self, op: str):
-        np_fn = COMPARE_FNS[op]
-
-        def fn(a, b):
-            a_v, b_v = self._tail(a), self._tail(b)
-            n = a_v.size if isinstance(a_v, np.ndarray) else b_v.size
-            out = np_fn(a_v, b_v).astype(np.uint8)
+            out = elementwise(op, a_v, b_v)
             model = self.model
             self._charge(
                 OpCost(

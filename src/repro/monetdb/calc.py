@@ -1,62 +1,26 @@
-"""Shared ``batcalc`` semantics (result types, predicate application).
+"""Shared ``batcalc`` semantics: the element-wise rule, result types.
 
-Both the MonetDB baselines and Ocelot's host code use these rules, so the
-four configurations produce identical expression results — the drop-in
-contract of the paper.
+The paper's Ocelot operators are drop-in replacements for MonetDB's, so
+every configuration must answer alike.  An element-wise ``a op b`` is
+therefore computed one way, by :func:`elementwise` over one table,
+:data:`ELEMENTWISE`, in the type :func:`calc_result_dtype` names — and
+every executor calls it: MonetDB's ``batcalc`` operators (MS, MP), the
+fused evaluator (:func:`repro.fuse.expr.evaluate`: a ``fuse.pipe`` on
+MS / MP and the body of every generated Ocelot kernel), and the Ocelot
+``ewise`` / ``ewise_scalar`` / ``compare_vv`` / ``compare_vs`` kernels
+the host code launches.  The rule is defined beside those kernels, in
+:mod:`repro.kernels.primitives` (the kernel library sits below this
+package); the engines import it from here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.primitives import (
+    COMPARISONS, ELEMENTWISE, calc_result_dtype, elementwise,
+)
 from .bat import TAIL_DTYPES
-
-
-def _logical_and(a, b):
-    return np.logical_and(a, b).astype(np.uint8)
-
-
-def _logical_or(a, b):
-    return np.logical_or(a, b).astype(np.uint8)
-
-
-#: op name -> numpy implementation, the single source of truth shared
-#: by the MonetDB baselines and the fused-expression evaluator (the
-#: Ocelot kernels keep their own launch-argument table in
-#: :mod:`repro.kernels.primitives`, which additionally carries the
-#: reversed/bitwise variants the device code needs)
-CALC_FNS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-    "intdiv": np.floor_divide,
-    "and": _logical_and,
-    "or": _logical_or,
-}
-
-COMPARE_FNS = {
-    "eq": np.equal,
-    "ne": np.not_equal,
-    "lt": np.less,
-    "le": np.less_equal,
-    "gt": np.greater,
-    "ge": np.greater_equal,
-}
-
-
-def calc_result_dtype(a_dtype: np.dtype, b_dtype: np.dtype, op: str) -> np.dtype:
-    """Result tail type of a ``batcalc`` arithmetic operation.
-
-    Four-byte types stay four-byte (the paper's scope); integer division
-    widens to ``float64`` (standing in for SQL decimal division).
-    """
-    a_dtype, b_dtype = np.dtype(a_dtype), np.dtype(b_dtype)
-    if op in ("and", "or"):
-        return np.dtype(np.uint8)
-    if op == "div" and a_dtype.kind in "iu" and b_dtype.kind in "iu":
-        return np.dtype(np.float64)
-    return np.result_type(a_dtype, b_dtype)
 
 
 def ifthenelse_dtype(then, otherwise) -> np.dtype:

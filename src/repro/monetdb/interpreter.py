@@ -22,7 +22,6 @@ import numpy as np
 
 from .bat import BAT
 from .mal import MALProgram, Var
-from .partials import slice_rows
 from .storage import Catalog
 
 
@@ -91,8 +90,6 @@ class Backend(abc.ABC):
         if self.sessions is None:
             self.sessions = QuerySessions(QueryState, SerialTimeline(self))
         self._registry: dict[str, Callable] = {}
-        #: (bat_id, lo, hi) -> sub-range view BAT (:meth:`slice_base`)
-        self._slice_cache: dict[tuple[int, int, int], BAT] = {}
         self._register_ops()
 
     # -- registration -------------------------------------------------------
@@ -222,20 +219,11 @@ class Backend(abc.ABC):
         return contextlib.nullcontext()
 
     def slice_base(self, bat: BAT, lo: int, hi: int) -> BAT:
-        """Cached view of rows ``[lo, hi)`` of a host-resident BAT.
-
-        The full range returns the BAT itself, and a slice of a
-        persistent column counts as base storage like the column
-        (:func:`~repro.monetdb.partials.slice_rows` — the HET backend
-        delegates to its pool's cache over the same constructor, shared
-        with device placement)."""
-        if lo == 0 and hi == bat.count:
-            return bat
-        key = (bat.bat_id, lo, hi)
-        sliced = self._slice_cache.get(key)
-        if sliced is None:
-            sliced = self._slice_cache[key] = slice_rows(bat, lo, hi)
-        return sliced
+        """Cached view of rows ``[lo, hi)`` of a host-resident BAT: the
+        catalog's (:meth:`Catalog.slice`, which device partitions share).
+        A slice of a persistent column counts as base storage like the
+        column (:func:`~repro.monetdb.partials.slice_rows`)."""
+        return self.catalog.slice(bat, lo, hi)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -247,7 +235,6 @@ class Backend(abc.ABC):
         engine's per-shard catalogs — resynchronise here, and return
         True when that moved rows of a table that existed before: the
         statements in flight read the old layout and must re-run."""
-        self._slice_cache.clear()
         return False
 
     def shutdown(self) -> None:

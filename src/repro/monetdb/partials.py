@@ -40,7 +40,8 @@ _FOLDS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 def slice_rows(bat: BAT, lo: int, hi: int) -> BAT:
     """Rows ``[lo, hi)`` of a host-resident BAT as a new BAT over a view
-    (uncached — the executors' slice caches call this on a miss)."""
+    (uncached — the one slice cache, :meth:`Catalog.slice`, calls this on
+    a miss)."""
     cut = getattr(bat, "slice_rows", None)
     if cut is not None:
         # an encoded column slices in the code domain — never decode a

@@ -7,6 +7,9 @@ Two of the paper's §4.3 MonetDB modifications live here:
 * the catalog fires callbacks when BATs are deleted or recycled, so the
   Ocelot Memory Manager can drop the corresponding device buffers from
   its cache immediately.
+
+It also keeps the row-range views of BATs (:meth:`Catalog.slice`), as
+MonetDB's BBP registers its view BATs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .bat import BAT, make_bat
+from .partials import slice_rows
 
 ALIGNMENT = 128
 
@@ -89,6 +93,8 @@ class Catalog:
 
         self._tables: dict[str, dict[str, BAT]] = {}
         self._delete_callbacks: list[Callable[[BAT], None]] = []
+        #: bat_id -> {(lo, hi): view BAT} (:meth:`slice`)
+        self._slices: dict[int, dict[tuple[int, int], BAT]] = {}
         #: per-catalog compression counters, shared by every EncodedBAT
         #: this catalog creates (``compress.*`` in ``Connection.metrics``)
         self.compression = CompressionStats()
@@ -193,6 +199,30 @@ class Catalog:
         first = next(iter(self._tables[table].values()))
         return first.count
 
+    # -- views -----------------------------------------------------------------
+
+    def slice(self, bat: BAT, lo: int, hi: int) -> BAT:
+        """Cached view of rows ``[lo, hi)`` of a host-resident BAT; the
+        full range is the BAT itself.
+
+        The one slice cache, read by morsel steps
+        (:meth:`Backend.slice_base`) and device partitions (HET's fan-out
+        and placer alike, so a slice already resident on a device costs
+        no re-upload).  A BAT's slices go when it is deleted or recycled,
+        each with its own notification (its device copies go too)."""
+        if lo == 0 and hi == bat.count:
+            return bat
+        slices = self._slices.setdefault(bat.bat_id, {})
+        sliced = slices.get((lo, hi))
+        if sliced is None:
+            sliced = slices[(lo, hi)] = slice_rows(bat, lo, hi)
+        return sliced
+
+    def cached_slice(self, bat: BAT, lo: int, hi: int) -> "BAT | None":
+        """The cached ``[lo, hi)`` view of ``bat``, if :meth:`slice` made
+        one."""
+        return self._slices.get(bat.bat_id, {}).get((lo, hi))
+
     # -- Ocelot callbacks (paper §4.3) -------------------------------------------
 
     def on_delete(self, callback: Callable[[BAT], None]) -> None:
@@ -213,6 +243,8 @@ class Catalog:
         # drop those device copies along with the column itself
         for derived in getattr(bat, "derived_bats", ()):
             self._fire_delete(derived)
+        for sliced in self._slices.pop(bat.bat_id, {}).values():
+            self._fire_delete(sliced)
         for callback in self._delete_callbacks:
             callback(bat)
 

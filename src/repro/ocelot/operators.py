@@ -28,13 +28,19 @@ Operator catalogue (module-level ``HOST_CODE`` maps MAL names here):
 ``subgroup``       hash grouping with dense ascending ids (§4.1.6)
 ``sum``/...        binary-reduction scalar aggregates (§4.1.7)
 ``subsum``/...     hierarchical grouped aggregates (§4.1.7)
-``add``/...        element-wise batcalc replacements
+``add``/...        element-wise batcalc replacements: one host code,
+                   ``_ewise``, for every ``ewise`` row of the operator
+                   table but ``ifthenelse``; its kernels compute
+                   through :func:`repro.monetdb.calc.elementwise`, as
+                   MonetDB's ``batcalc`` and fused pipes do
 ``pipe``           generated single-pass fused region (repro.fuse)
 ``sync``           ownership hand-over to MonetDB (§3.4)
 =================  ======================================================
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -47,17 +53,14 @@ from ..fuse.dispatch import op_pipe
 from ..monetdb.bat import BAT, OID_DTYPE, Owner, Role
 from ..monetdb.backends import select_bounds_to_op
 from ..monetdb.calc import (
-    calc_result_dtype, grouped_dtype, ifthenelse_dtype,
+    COMPARISONS, calc_result_dtype, grouped_dtype, ifthenelse_dtype,
 )
+from ..monetdb.ops import of_class
 from .engine import OcelotEngine
 from .memory import BufferKind
 
 _ACC_INT = np.dtype(np.int64)
 _ACC_FLOAT = np.dtype(np.float64)
-
-_SWAPPED_CMP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le",
-                "eq": "eq", "ne": "ne"}
-
 
 # ---------------------------------------------------------------------------
 # shared host-code helpers
@@ -839,90 +842,40 @@ def op_subavg(engine, vals, gids, ngroups):
 # batcalc replacements
 # ---------------------------------------------------------------------------
 
-def _scalar_np_dtype(value) -> np.dtype:
-    return np.min_scalar_type(value)
+#: a constant on the left: the op the kernel runs with the operands
+#: swapped (``intdiv`` has none; the lowering never puts one there)
+_SWAPPED = {"add": "add", "mul": "mul", "sub": "rsub", "div": "rdiv",
+            "and": "and", "or": "or", "eq": "eq", "ne": "ne",
+            "lt": "gt", "le": "ge", "gt": "lt", "ge": "le"}
 
 
-def _calc(engine: OcelotEngine, op: str, a, b):
+def _ewise(engine: OcelotEngine, a, b, op: str):
+    """Every element-wise ``batcalc`` operator but ``ifthenelse``: a
+    result of :func:`calc_result_dtype` written by ``ewise`` (two
+    columns) or ``ewise_scalar`` (a column and a constant), or by their
+    ``compare`` twins — kernels computing through
+    :func:`~repro.monetdb.calc.elementwise`, as MonetDB does."""
     a_is_bat, b_is_bat = isinstance(a, BAT), isinstance(b, BAT)
     if not (a_is_bat or b_is_bat):
         raise TypeError("batcalc needs at least one BAT operand")
-    n = _count_of(a) if a_is_bat else _count_of(b)
-    a_dt = a.dtype if a_is_bat else _scalar_np_dtype(a)
-    b_dt = b.dtype if b_is_bat else _scalar_np_dtype(b)
-    dtype = calc_result_dtype(a_dt, b_dt, op)
+    n = _count_of(a if a_is_bat else b)
+    dtype = calc_result_dtype(*(
+        v.dtype if isinstance(v, BAT) else np.min_scalar_type(v)
+        for v in (a, b)
+    ), op)
     out = engine.result_buffer(max(n, 1), dtype, tag=f"calc_{op}")
+    two_columns, column_constant = (
+        ("compare_vv", "compare_vs") if op in COMPARISONS
+        else ("ewise", "ewise_scalar"))
     if a_is_bat and b_is_bat:
-        engine.launch(
-            "ewise", out, engine.buffer_of(a), engine.buffer_of(b), n, op
-        )
+        engine.launch(two_columns, out, engine.buffer_of(a),
+                      engine.buffer_of(b), n, op)
     elif a_is_bat:
-        engine.launch("ewise_scalar", out, engine.buffer_of(a), n, op, b)
+        engine.launch(column_constant, out, engine.buffer_of(a), n, op, b)
     else:
-        reversed_op = {"add": "add", "mul": "mul", "sub": "rsub",
-                       "div": "rdiv"}[op]
-        engine.launch(
-            "ewise_scalar", out, engine.buffer_of(b), n, reversed_op, a
-        )
+        engine.launch(column_constant, out, engine.buffer_of(b), n,
+                      _SWAPPED[op], a)
     return engine.device_bat(out, Role.VALUES, count=n)
-
-
-def op_add(engine, a, b):
-    return _calc(engine, "add", a, b)
-
-
-def op_sub(engine, a, b):
-    return _calc(engine, "sub", a, b)
-
-
-def op_mul(engine, a, b):
-    return _calc(engine, "mul", a, b)
-
-
-def op_div(engine, a, b):
-    return _calc(engine, "div", a, b)
-
-
-def _compare(engine: OcelotEngine, op: str, a, b):
-    a_is_bat, b_is_bat = isinstance(a, BAT), isinstance(b, BAT)
-    n = _count_of(a) if a_is_bat else _count_of(b)
-    out = engine.result_buffer(max(n, 1), np.uint8, tag=f"cmp_{op}")
-    if a_is_bat and b_is_bat:
-        engine.launch(
-            "compare_vv", out, engine.buffer_of(a), engine.buffer_of(b),
-            n, op,
-        )
-    elif a_is_bat:
-        engine.launch("compare_vs", out, engine.buffer_of(a), n, op, b)
-    else:
-        engine.launch(
-            "compare_vs", out, engine.buffer_of(b), n, _SWAPPED_CMP[op], a
-        )
-    return engine.device_bat(out, Role.VALUES, count=n)
-
-
-def op_eq(engine, a, b):
-    return _compare(engine, "eq", a, b)
-
-
-def op_ne(engine, a, b):
-    return _compare(engine, "ne", a, b)
-
-
-def op_lt(engine, a, b):
-    return _compare(engine, "lt", a, b)
-
-
-def op_le(engine, a, b):
-    return _compare(engine, "le", a, b)
-
-
-def op_gt(engine, a, b):
-    return _compare(engine, "gt", a, b)
-
-
-def op_ge(engine, a, b):
-    return _compare(engine, "ge", a, b)
 
 
 def op_ifthenelse(engine: OcelotEngine, cond: BAT, a, b):
@@ -946,18 +899,6 @@ def op_ifthenelse(engine: OcelotEngine, cond: BAT, a, b):
     else:
         engine.launch("where_ss", out, cond_buf, n, a, b)
     return engine.device_bat(out, Role.VALUES, count=n)
-
-
-def op_intdiv(engine, a, b):
-    return _calc(engine, "intdiv", a, b)
-
-
-def op_and(engine, a, b):
-    return _calc(engine, "and", a, b)
-
-
-def op_or(engine, a, b):
-    return _calc(engine, "or", a, b)
 
 
 def _oid_combine(engine: OcelotEngine, a: BAT, b: BAT, op: str) -> BAT:
@@ -1051,21 +992,11 @@ HOST_CODE = {
     "submax": op_submax,
     "subcount": op_subcount,
     "subavg": op_subavg,
-    "add": op_add,
-    "sub": op_sub,
-    "mul": op_mul,
-    "div": op_div,
-    "intdiv": op_intdiv,
-    "and": op_and,
-    "or": op_or,
     "oidunion": op_oidunion,
     "oidintersect": op_oidintersect,
-    "eq": op_eq,
-    "ne": op_ne,
-    "lt": op_lt,
-    "le": op_le,
-    "gt": op_gt,
-    "ge": op_ge,
+    # the element-wise rows, one host code
+    **{row.function: functools.partial(_ewise, op=row.function)
+       for row in of_class("ewise") if row.function != "ifthenelse"},
     "ifthenelse": op_ifthenelse,
     "mirror": op_mirror,
     "hashbuild": op_hashbuild,

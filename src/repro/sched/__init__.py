@@ -68,8 +68,8 @@ Execution mechanics
   :class:`~repro.ocelot.engine.OcelotEngine` per device over the shared
   catalog; cross-device BAT migration through the host with a clock
   join at the hand-over (the dynamic equivalent of a rewriter-inserted
-  sync boundary); cached partition slices so fan-out enjoys hot device
-  caches; per-queue makespan joins — global for one-query-at-a-time
+  sync boundary); the catalog's cached slices so fan-out enjoys hot
+  device caches; per-queue makespan joins — global for one-query-at-a-time
   execution, *session-scoped* when the serve layer interleaves queries
   (each session carries its own floors, see
   :meth:`repro.cl.queue.CommandQueue.advance_session_to`);

@@ -214,12 +214,6 @@ class HeterogeneousBackend(MixedExecutionBackend):
 
         return scope()
 
-    def slice_base(self, bat: BAT, lo: int, hi: int) -> BAT:
-        """Morsel slices share the pool's partition-slice cache, so a
-        slice already resident on a device is recognised by placement
-        and costs no re-upload."""
-        return self.pool.slice_bat(bat, lo, hi)
-
     def _observe_selection(self, function: str, args, result) -> None:
         """Feed the observed selectivity back to the placer's stats.
 

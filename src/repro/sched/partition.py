@@ -51,7 +51,7 @@ def _fan_out(pool, function, args, plan, charge_overhead):
     for device, lo, hi in plan:
         engine = pool.engines[device]
         sliced = [
-            pool.slice_bat(a, lo, hi) if isinstance(a, BAT) else a
+            pool.catalog.slice(a, lo, hi) if isinstance(a, BAT) else a
             for a in args
         ]
         with engine.memory.operator_scope():

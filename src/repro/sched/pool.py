@@ -6,24 +6,21 @@ At construction every device is probed (``autotune``), so the scheduler's
 placement decisions are driven purely by measured characteristics — the
 pool never reads a device's cost model directly (hardware-oblivious, §7).
 
-The pool also owns the two mechanisms that make multi-device execution
-sound in the simulated-timeline model:
-
-* **migration** (:meth:`DevicePool.ensure_on`): an Ocelot-owned BAT
-  resident on device A that is consumed on device B is read back on A's
-  queue, both queues are joined (a cross-device sync boundary — B cannot
-  start before A's producers finished), and the tail is re-uploaded on
-  B's queue;
-* **partition slices** (:meth:`DevicePool.slice_bat`): cached sub-range
-  views of host-resident BATs, so partitioned fan-out enjoys the same
-  hot device cache across repeated runs as whole-BAT execution.
+The pool also owns the mechanism that makes multi-device execution
+sound in the simulated-timeline model, **migration**
+(:meth:`DevicePool.ensure_on`): an Ocelot-owned BAT resident on device
+A that is consumed on device B is read back on A's queue, both queues
+are joined (a cross-device sync boundary — B cannot start before A's
+producers finished), and the tail is re-uploaded on B's queue.
+Partitions read the catalog's cached slices (:meth:`Catalog.slice`), so
+partitioned fan-out enjoys the same hot device cache across repeated
+runs as whole-BAT execution.
 """
 
 from __future__ import annotations
 
 from ..cl import Buffer
 from ..monetdb.bat import BAT
-from ..monetdb.partials import slice_rows
 from ..monetdb.storage import Catalog
 from ..ocelot.autotune import DeviceCharacteristics, autotune
 from ..ocelot.engine import OcelotEngine
@@ -52,14 +49,11 @@ class DevicePool:
             report = autotune(engine)   # probe + install tuned parameters
             self.engines.append(engine)
             self.characteristics.append(report.characteristics)
-        #: (bat_id, lo, hi) -> sub-range view BAT (partition cache)
-        self._slices: dict[tuple[int, int, int], BAT] = {}
         #: session whose commands are currently being scheduled (serve
         #: layer); ``None`` = plain one-query-at-a-time execution
         self.current_session: str | None = None
         #: submit epoch of every open session
         self._epochs: dict[str, float] = {}
-        catalog.on_delete(self._drop_slices)
 
     def __len__(self) -> int:
         return len(self.engines)
@@ -148,30 +142,13 @@ class DevicePool:
 
     # -- partition slices ------------------------------------------------------
 
-    def slice_bat(self, bat: BAT, lo: int, hi: int) -> BAT:
-        """Cached view of rows ``[lo, hi)`` of a host-resident BAT."""
-        if lo == 0 and hi == bat.count:
-            return bat
-        key = (bat.bat_id, lo, hi)
-        sliced = self._slices.get(key)
-        if sliced is None:
-            sliced = self._slices[key] = slice_rows(bat, lo, hi)
-        return sliced
-
     def slice_cached_on(self, bat: BAT, lo: int, hi: int,
                         device: int) -> bool:
-        """Whether the ``[lo, hi)`` slice is already device-cached."""
-        sliced = self._slices.get((bat.bat_id, lo, hi))
-        if sliced is None:
-            return False
-        return self.engines[device].memory.has_resident(sliced)
-
-    def _drop_slices(self, bat: BAT) -> None:
-        stale = [k for k in self._slices if k[0] == bat.bat_id]
-        for key in stale:
-            sliced = self._slices.pop(key)
-            # propagate to the per-device caches (and any other listener)
-            self.catalog.notify_recycled(sliced)
+        """Whether the ``[lo, hi)`` slice (:meth:`Catalog.slice`) is
+        already device-cached."""
+        sliced = self.catalog.cached_slice(bat, lo, hi)
+        return sliced is not None \
+            and self.engines[device].memory.has_resident(sliced)
 
     # -- simulated clocks -------------------------------------------------------
 
@@ -282,9 +259,7 @@ class DevicePool:
     # -- lifecycle --------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Release every device's cached buffers and the slice cache."""
-        self._slices.clear()
-        self.catalog.off_delete(self._drop_slices)
+        """Release every device's cached buffers."""
         for engine in self.engines:
             engine.memory.shutdown()
 

@@ -51,10 +51,11 @@ def test_one_fold_identity_and_one_slicer():
     for name, home in (("fold_identity", IDENTITY), ("slice_rows", MERGER)):
         found = hits(rf"^def {name}\(")
         assert len(found) == 1 and files_of(found) == {home}, found
-    # both slice caches are lookups around it
-    for name in ("monetdb/interpreter.py", "sched/pool.py"):
-        assert sources()[name].count("slice_rows(bat, lo, hi)") == 1, name
-        assert 'getattr(bat, "slice_rows"' not in sources()[name], name
+    # the one slice cache is a lookup around it
+    calls = hits(r"\bslice_rows\(bat, lo, hi\)")
+    assert files_of(calls) == {"monetdb/storage.py"}, calls
+    assert len(calls) == 1, calls
+    assert files_of(hits(r'getattr\(bat, "slice_rows"')) == {MERGER}
 
 
 def test_no_second_spelling_of_the_identity():
@@ -345,3 +346,32 @@ def test_the_bench_harness_is_a_leaf():
     importers = [hit for hit in hits(r"^\s*(from|import) [\w.]*\bbench\b")
                  if not hit.startswith("bench/")]
     assert importers == []
+
+
+# -- one element-wise rule: ``a op b`` is computed one way -------------------
+
+def test_one_elementwise_rule():
+    """MonetDB's ``batcalc``, the fused evaluator and the Ocelot kernels
+    compute ``a op b`` through one function over one table, in one
+    result type (``kernels.primitives.elementwise``): no second table of
+    comparisons or logical ops, no per-op factory, no one-line host-code
+    wrapper per op."""
+    from repro.monetdb.backends import MonetDBBackend
+    from repro.monetdb.ops import of_class
+    from repro.ocelot import operators
+
+    home = "kernels/primitives.py"
+    assert "_CMPOPS" not in sources()[home]
+    assert files_of(hits(r"^ELEMENTWISE = \{")) == {home}
+    assert files_of(hits(r"np\.logical_(and|or)\b")) == {home}
+    assert not hasattr(MonetDBBackend, "_make_compare")
+    callers = files_of(hits(r"\belementwise\("))
+    assert {"monetdb/backends.py", "fuse/expr.py", home} <= callers
+    ewise = {row.function for row in of_class("ewise")} - {"ifthenelse"}
+    defined = set(re.findall(r"^def (\w+)\(",
+                             sources()["ocelot/operators.py"], re.M))
+    assert not defined & ({"_compare", "_calc"}
+                          | {f"op_{function}" for function in ewise})
+    host_code = {name for name, fn in operators.HOST_CODE.items()
+                 if getattr(fn, "func", None) is operators._ewise}
+    assert host_code == ewise

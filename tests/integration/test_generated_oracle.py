@@ -16,6 +16,9 @@ here too.  The statements cover the constant surface a plan binds:
 * sources — one table, or two under ``JOIN … ON``, ``SEMI JOIN`` or
   ``ANTI JOIN`` over a same-dtype key pair (:data:`JOIN_KEYS`: int32,
   int64 and float64 keys, the empty and one-row tables among them);
+* column arithmetic — ``v op c`` and ``c op v`` for ``+ - * /`` as a
+  projection and inside a ``WHERE`` comparison, ``c`` a literal or a
+  constant that widens an int32 operand (:data:`WIDENING`);
 * outputs — projections, ``GROUP BY`` with ``count`` / ``sum`` /
   ``min`` / ``max`` / ``avg``, and ungrouped aggregates; ``CASE WHEN
   <atom> THEN <column|constant> ELSE <column|constant> END`` as a
@@ -44,7 +47,7 @@ Generated around, said once here:
   SQLite drops.
 * **``/`` between two ints is true division** here (``x < 7 / 2``
   keeps ``x = 3``) and integer division in SQLite: a divisor is a
-  float.
+  float, and never a zero (SQLite's NULL, the engines' ``inf``).
 * **A float32 column compares in float32**: a constant is cast to the
   column's type, so a float constant is one float32 holds exactly.
 * **Float sums** over ±1e300 add in float64 order on the engines and
@@ -65,7 +68,14 @@ Generated around, said once here:
   ``min`` / ``max`` under a sign or a small constant stays int32 and
   wraps at ±2³¹ on every engine, as ``-v`` over a row does, so an int
   aggregate expression whose bound reaches 2³¹ is drawn as the
-  aggregate alone; only ints multiply.
+  aggregate alone; only ints multiply.  Column arithmetic is drawn the
+  same way: ``v + 1`` stays int32 (``calc_result_dtype``) and wraps,
+  ``v + 2147483648`` runs in int64, which wraps at 2⁶³, so a form
+  whose bound reaches past its result type is drawn as the column
+  alone.
+* **A float32 result rounds in float32**: SQLite computes in float64,
+  so inside a predicate (which a tolerance cannot decide) column
+  arithmetic answering float32 is drawn as the column alone.
 * **An ordered column is exact and NaN-free**: never a column holding a
   NaN (SQLite sorts its NULL first, the engines sort a NaN last), an
   aggregate over one, a float ``sum`` / ``avg`` (compared to a
@@ -91,6 +101,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 import repro
+from repro.monetdb.calc import calc_result_dtype
 from test_resident_set import ocelot_specs
 from test_sqlite_oracle import (
     SPECS, reference, reference_text, rows_of, same_value, sort_key, tables,
@@ -107,6 +118,12 @@ TABLES = tables()
 INTS = (0, 1, 2, 3, 5, 16, 100, 255, 1000, -1, -5, -16, -1000,
         2 ** 31 - 1, -2 ** 31)
 FLOATS = (0.0, 0.25, 2.0, 2.5, 100.5, -0.5, -2.5, -1000.25)
+#: what column arithmetic takes besides the literals: constants that
+#: widen an int32 operand (arithmetic with one runs in int64), and the
+#: divisors (non-zero floats)
+WIDENING = (2 ** 31 - 1, -(2 ** 31 - 1), 2 ** 31, -2 ** 31 - 1,
+            3_000_000_000)
+DIVISORS = tuple(value for value in FLOATS if value)
 
 
 @dataclass(frozen=True)
@@ -166,12 +183,50 @@ def _scale(values) -> float:
     return float(np.abs(values[np.isfinite(values)], dtype=np.float64).sum())
 
 
+_CALC = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+
+
 @st.composite
-def predicates(draw, columns, depth=2):
+def arithmetic(draw, data, columns, predicate=False) -> str:
+    """``v op c`` or ``c op v`` (``+ - * /``) over one of ``columns``,
+    or the column alone where the engines answer otherwise than SQLite
+    by design: an int result whose bound reaches past the type
+    :func:`calc_result_dtype` gives it (it wraps on every engine) and,
+    in a ``predicate``, a float32 result."""
+    column = draw(st.sampled_from(columns))
+    values = data[column]
+    op = draw(st.sampled_from(sorted(_CALC)))
+    constant = draw(st.sampled_from(
+        DIVISORS if op == "/" else draw(st.sampled_from((WIDENING,
+                                                         INTS + FLOATS)))))
+    left = draw(st.booleans())
+    if op == "/" and (values.dtype.kind != "f" or not values.all()):
+        left = False                # an int or a zero divisor
+    dtype = calc_result_dtype(values.dtype, np.min_scalar_type(constant),
+                              _CALC[op])
+    if dtype.kind in "iu":
+        magnitude = float(np.abs(values.astype(np.float64)).max(initial=0))
+        bound = magnitude * abs(constant) if op == "*" \
+            else magnitude + abs(constant)
+        if bound >= 2.0 ** (8 * dtype.itemsize - 1):
+            return column
+    elif predicate and dtype == np.float32:
+        return column
+    return f"{constant!r} {op} {column}" if left \
+        else f"{column} {op} {constant!r}"
+
+
+@st.composite
+def predicates(draw, columns, depth=2, data=None):
+    """``data`` (a ``WHERE``'s columns): comparisons may take column
+    arithmetic."""
     def atom():
         column = draw(st.sampled_from(columns))
-        kind = draw(st.sampled_from(("cmp", "cmp", "between", "in")))
-        if kind == "cmp":
+        kinds = ("cmp", "cmp", "between", "in") + (("arith",) * bool(data))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "arith":
+            column = draw(arithmetic(data, columns, predicate=True))
+        if kind in ("cmp", "arith"):
             op = draw(st.sampled_from(("=", "<>", "<", "<=", ">", ">=")))
             value = draw(constants).text
             if draw(st.booleans()):
@@ -375,7 +430,7 @@ def statements(draw) -> Statement:
     names = sorted(data)
     rows = len(data[names[0]])
     filterable = [c for c in names if not _has_nan(data[c])]
-    where = draw(st.one_of(st.none(), predicates(filterable)))
+    where = draw(st.one_of(st.none(), predicates(filterable, data=data)))
     shape = draw(st.sampled_from(("project", "group", "aggregate")))
     outputs, tolerances, group_by = [], [], ""
     #: the outputs an ORDER BY may name
@@ -387,6 +442,9 @@ def statements(draw) -> Statement:
         orderable = [i for i, c in enumerate(outputs) if c in filterable]
         if draw(st.booleans()):
             outputs.append(draw(cases(names, filterable))[0])
+            tolerances.append(0.0)
+        if draw(st.booleans()):
+            outputs.append(draw(arithmetic(data, names)))
             tolerances.append(0.0)
     else:
         table = None if " " in source else source

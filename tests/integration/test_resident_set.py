@@ -181,6 +181,44 @@ def test_create_query_drop_returns_to_the_entry_count():
                        for key in held)
 
 
+# -- the slice cache holds views of live BATs only --------------------------------
+
+@pytest.mark.parametrize("spec", ("CPU:morsel=512", "GPU:morsel=512",
+                                  "HET:morsel=512"))
+def test_no_cached_slice_outlives_its_bat(small, spec, monkeypatch):
+    """Morsel steps and device partitions read one slice cache, the
+    catalog's, which drops a BAT's slices when the BAT is recycled: the
+    slices of a dead intermediate do not pile up from pass to pass."""
+    catalog, recycled, intermediates = small.catalog, set(), []
+    slice_of = type(catalog).slice
+
+    def spy(self, bat, lo, hi):
+        if not bat.is_base:
+            intermediates.append(bat.bat_id)
+        return slice_of(self, bat, lo, hi)
+
+    def cached():
+        return sum(map(len, catalog._slices.values()))
+
+    def note(bat):
+        recycled.add(bat.bat_id)
+
+    monkeypatch.setattr(type(catalog), "slice", spy)
+    catalog.on_delete(note)
+    con = small.connect(spec)
+    try:
+        counts = []
+        for _ in range(3):
+            run_pass(con, "execute")
+            assert not set(catalog._slices) & recycled
+            counts.append(cached())
+        assert intermediates, "no morsel sliced an intermediate"
+        assert counts[1] == counts[2]
+    finally:
+        catalog.off_delete(note)
+        con.close()
+
+
 # -- failure and cancel take the same release path --------------------------------
 
 FAULT_SPECS = ("HET", "SHARD:2xCPU")

@@ -165,6 +165,19 @@ def tables() -> "dict[str, dict[str, np.ndarray]]":
 
 # -- the texts ----------------------------------------------------------------
 
+#: int32 arithmetic with a constant its result type widens to int64 adds
+#: in int64 on every executor — ``batcalc``, a fused pipe, the ``ewise``
+#: kernels — instead of wrapping or refusing the constant
+WIDENING = [
+    ("SELECT id, v + 2147483647 AS s FROM edges", False),
+    ("SELECT id FROM edges WHERE v + 2147483647 > 2147483647", False),
+    ("SELECT id, max(v) + 2147483647 AS s FROM edges GROUP BY id", False),
+    ("SELECT id, v + 2147483648 AS a, v * 3000000000 AS b, "
+     "v - 2147483649 AS c FROM edges", False),
+    ("SELECT id FROM edges WHERE v + 2147483648 > 2147483648", False),
+    ("SELECT id, (v + 2147483648) * 2 AS s FROM edges", False),
+]
+
 #: ``(sql, ordered)`` — ``ordered``: the text orders by a unique column,
 #: so rows compare position by position; otherwise as multisets
 CASES = [
@@ -272,6 +285,7 @@ CASES = [
     ("SELECT t256.k AS k, sum(1.5 - t256.v) AS s, sum(t900.f * 3) AS t "
      "FROM t900 JOIN t256 ON t900.id = t256.id GROUP BY t256.k ORDER BY k",
      True),
+    *WIDENING,
     # shapes around the operators: HAVING, IN, NOT, CASE, subqueries
     ("SELECT k, sum(v) AS s FROM t256 GROUP BY k HAVING sum(v) > 0 "
      "ORDER BY k", True),
@@ -556,9 +570,10 @@ def test_every_engine_agrees_with_sqlite(db, expected, spec):
 @pytest.mark.parametrize("spec", SPECS)
 def test_a_batch_in_flight_agrees_too(db, expected, spec):
     """One door is enough (``execute()`` is ``submit().result()``); this
-    keeps one batch of four in flight together."""
+    keeps one batch of four in flight together, and the
+    :data:`WIDENING` texts beside them."""
     con = db.connect(spec)
-    batch = CASES[::len(CASES) // 4][:4]
+    batch = CASES[::len(CASES) // 4][:4] + WIDENING
     futures = [con.submit(sql) for sql, _ordered in batch]
     con.drain()
     wrong = [
@@ -566,6 +581,17 @@ def test_a_batch_in_flight_agrees_too(db, expected, spec):
         for (sql, ordered), future in zip(batch, futures)
     ]
     assert not any(wrong), f"{spec}:\n" + "\n".join(filter(None, wrong))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_the_four_byte_rule_wraps_on_every_spec(db, spec):
+    """The four-byte rule (``calc_result_dtype``): ``v + 1`` stays int32
+    and wraps at 2³¹ - 1 on every spec, where SQLite widens — so no
+    ``CASES`` text holds it, and the generated oracle draws around it."""
+    got = rows_of(db.connect(spec).execute(
+        "SELECT id, v + 1 AS s FROM edges ORDER BY id"))
+    assert [s for _id, s in got] == [-2 ** 31 + 1, 0, 1, 2, 2 ** 31 - 1,
+                                     -2 ** 31]
 
 
 def test_the_reference_answers_empty_input_as_the_engines_do():

@@ -100,12 +100,12 @@ class TestPool:
     def test_slices_are_cached_and_dropped_with_the_bat(self, catalog):
         backend = HeterogeneousBackend(catalog)
         bat = catalog.bat("t", "a")
-        first = backend.pool.slice_bat(bat, 0, 1000)
-        assert backend.pool.slice_bat(bat, 0, 1000) is first
+        first = backend.slice_base(bat, 0, 1000)
+        assert backend.slice_base(bat, 0, 1000) is first
         assert first.is_base
         assert np.array_equal(first.peek_values(), bat.peek_values()[:1000])
         catalog.drop_table("t")
-        assert backend.pool._slices == {}
+        assert catalog._slices == {}
 
 
 class TestPlacement:
