@@ -33,17 +33,27 @@ _buffer_ids = itertools.count(1)
 class Buffer:
     """A device-resident memory object holding a typed array."""
 
-    def __init__(self, context: "Context", array: np.ndarray, tag: str = ""):
-        self.buffer_id = next(_buffer_ids)
+    __slots__ = (
+        "buffer_id", "context", "_array", "tag", "nominal_nbytes", "_dtype",
+        "_size", "_nbytes", "producer_events", "consumer_events",
+        "_released",
+    )
+
+    def __init__(self, context: "Context", array: np.ndarray, tag: str,
+                 nominal_nbytes: int):
+        """Only :meth:`Context.create_buffer` makes buffers: it hands in a
+        C-contiguous ``array`` and its nominal size, which it has already
+        charged against the device's capacity."""
+        self.buffer_id = buffer_id = next(_buffer_ids)
         self.context = context
-        self._array: np.ndarray | None = np.ascontiguousarray(array)
-        self.tag = tag or f"buf{self.buffer_id}"
-        self.nominal_nbytes = int(self._array.nbytes * context.data_scale)
+        self._array: np.ndarray | None = array
+        self.tag = tag or f"buf{buffer_id}"
+        self.nominal_nbytes = nominal_nbytes
         # metadata survives release/offload (host code may still inspect
         # the shape of an offloaded buffer before restoring it)
-        self._dtype = self._array.dtype
-        self._size = int(self._array.size)
-        self._nbytes = int(self._array.nbytes)
+        self._dtype = array.dtype
+        self._size = array.size
+        self._nbytes = array.nbytes
         # Event registry (paper §3.4).
         self.producer_events: list[Event] = []
         self.consumer_events: list[Event] = []
@@ -96,11 +106,13 @@ class Buffer:
         (a cached base column, a cached join table) would otherwise
         collect one event per query for ever.
         """
-        t_end = event.t_end
-        self.consumer_events = [
-            e for e in self.consumer_events if e.t_end > t_end
-        ]
-        self.consumer_events.append(event)
+        consumers = self.consumer_events
+        if consumers:
+            t_end = event.t_end
+            self.consumer_events = consumers = [
+                e for e in consumers if e.t_end > t_end
+            ]
+        consumers.append(event)
 
     def forget_events(self) -> None:
         """Empty the registry.  The queue calls this once it has joined

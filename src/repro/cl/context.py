@@ -11,11 +11,11 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from .buffer import Buffer
 from .device import Device, DeviceProfile, checked_profile
 from .errors import DeviceLost, OutOfDeviceMemory
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .buffer import Buffer
     from .kernel import Program
 
 
@@ -41,7 +41,7 @@ class Context:
         self.data_scale = float(data_scale)
         self.allocated_nominal = 0
         self.peak_nominal = 0
-        self._buffers: dict[int, "Buffer"] = {}
+        self._buffers: dict[int, Buffer] = {}
         self._program_cache: dict[tuple, "Program"] = {}
         self._released = False
 
@@ -56,38 +56,36 @@ class Context:
     def available(self) -> int:
         return self.capacity - self.allocated_nominal
 
-    def can_allocate(self, nominal_nbytes: int) -> bool:
-        return nominal_nbytes <= self.available
-
     # -- buffers ---------------------------------------------------------------
 
-    def create_buffer(self, array: np.ndarray, tag: str = "") -> "Buffer":
+    def create_buffer(self, array: np.ndarray, tag: str = "") -> Buffer:
         """Allocate a device buffer initialised with ``array``'s contents.
 
         Raises :class:`OutOfDeviceMemory` when the nominal footprint does
         not fit; Ocelot's Memory Manager handles that by evicting.
         """
-        from .buffer import Buffer
-
         if self._released:
             raise DeviceLost("context was released")
-        nominal = int(np.asarray(array).nbytes * self.data_scale)
-        if not self.can_allocate(nominal):
+        array = np.ascontiguousarray(array)
+        nominal = int(array.nbytes * self.data_scale)
+        allocated = self.allocated_nominal + nominal
+        if allocated > self.device.profile.global_mem_bytes:
             raise OutOfDeviceMemory(nominal, self.available, self.capacity)
-        buf = Buffer(self, np.asarray(array), tag=tag)
-        self.allocated_nominal += buf.nominal_nbytes
-        self.peak_nominal = max(self.peak_nominal, self.allocated_nominal)
+        buf = Buffer(self, array, tag, nominal)
+        self.allocated_nominal = allocated
+        if allocated > self.peak_nominal:
+            self.peak_nominal = allocated
         self._buffers[buf.buffer_id] = buf
         return buf
 
-    def empty(self, shape, dtype, tag: str = "") -> "Buffer":
+    def empty(self, shape, dtype, tag: str = "") -> Buffer:
         """Allocate an uninitialised device buffer."""
         return self.create_buffer(np.empty(shape, dtype=dtype), tag=tag)
 
-    def zeros(self, shape, dtype, tag: str = "") -> "Buffer":
+    def zeros(self, shape, dtype, tag: str = "") -> Buffer:
         return self.create_buffer(np.zeros(shape, dtype=dtype), tag=tag)
 
-    def _on_buffer_released(self, buf: "Buffer") -> None:
+    def _on_buffer_released(self, buf: Buffer) -> None:
         if buf.buffer_id in self._buffers:
             del self._buffers[buf.buffer_id]
             self.allocated_nominal -= buf.nominal_nbytes

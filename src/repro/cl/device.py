@@ -111,7 +111,27 @@ class Device:
     """A simulated OpenCL device: profile + cost model."""
 
     def __init__(self, profile: DeviceProfile):
-        self.profile = profile
+        #: fixed for the device's life: the cost-model terms below are
+        #: resolved from it once, with the same sub-expressions the
+        #: formulas in :meth:`kernel_time` and friends spell out
+        self.profile = p = profile
+        #: achievable streaming / data-dependent bandwidth, bytes/s
+        self.eff_bw = p.stream_bw_gbs * p.bandwidth_efficiency * GB
+        self.rand_bw = p.random_bw_gbs * p.bandwidth_efficiency * GB
+        #: arithmetic throughput, ops/s
+        self.throughput = (
+            p.compute_cores
+            * p.units_per_core
+            * p.clock_ghz
+            * 1e9
+            * p.ops_per_cycle_per_unit
+        )
+        #: a launch's default NDRange (Ocelot's scheduling, paper §4.2)
+        self.work_group_size = p.work_group_size
+        self.total_invocations = p.total_invocations
+        self.launch_s = p.kernel_launch_us * 1e-6
+        self.submit_s = p.host_submit_us * 1e-6
+        self.transfer_latency_s = p.transfer_latency_us * 1e-6
 
     # -- identity ---------------------------------------------------------
 
@@ -159,26 +179,16 @@ class Device:
         contended locations (e.g. group count), a property of the data
         distribution, not of the data volume.
         """
-        p = self.profile
         streamed = int(work.bytes_read * scale) + int(work.bytes_written * scale)
         random_bytes = int(work.random_bytes * scale)
         ops = int(work.ops * scale)
-        eff_bw = p.stream_bw_gbs * p.bandwidth_efficiency * GB
-        t_stream = streamed / eff_bw
-        rand_bw = p.random_bw_gbs * p.bandwidth_efficiency * GB
-        t_random = random_bytes / rand_bw if random_bytes else 0.0
-        throughput = (
-            p.compute_cores
-            * p.units_per_core
-            * p.clock_ghz
-            * 1e9
-            * p.ops_per_cycle_per_unit
-        )
-        t_compute = ops / throughput if ops else 0.0
+        t_stream = streamed / self.eff_bw
+        t_random = random_bytes / self.rand_bw if random_bytes else 0.0
+        t_compute = ops / self.throughput if ops else 0.0
         t_atomic = self._atomic_time(
             int(work.atomic_ops * scale), work.atomic_addresses
-        )
-        return max(t_stream + t_random, t_compute) + t_atomic + p.kernel_launch_us * 1e-6
+        ) if work.atomic_ops else 0.0
+        return max(t_stream + t_random, t_compute) + t_atomic + self.launch_s
 
     def _atomic_time(self, atomic_ops: int, atomic_addresses: int) -> float:
         """Contention model for atomic read-modify-write traffic.
@@ -210,14 +220,15 @@ class Device:
         Unified-memory devices (the CPU) map buffers instead of copying;
         only a constant mapping cost applies (paper §3.3: "zero-copy").
         """
-        p = self.profile
         if self.unified_memory:
-            return p.transfer_latency_us * 1e-6
-        return p.transfer_latency_us * 1e-6 + nbytes / (p.transfer_bw_gbs * GB)
+            return self.transfer_latency_s
+        return self.transfer_latency_s + nbytes / (
+            self.profile.transfer_bw_gbs * GB
+        )
 
     def host_submit_time(self) -> float:
         """Host-side cost of enqueueing one command (driver overhead)."""
-        return self.profile.host_submit_us * 1e-6
+        return self.submit_s
 
 
 # ---------------------------------------------------------------------------

@@ -80,36 +80,39 @@ class Local:
         return n * self.dtype.itemsize
 
 
-@dataclass
 class ExecContext:
     """Runtime information handed to ``vec_fn`` / ``work_fn``."""
 
-    device: "Device"
-    defines: Mapping[str, object]
-    global_size: int
-    local_size: int
-    #: what this launch's ``vec_fn`` measured for its ``work_fn`` (probe
-    #: look-ups, CAS attempts); one dict per launch, so interleaved
-    #: sessions never read each other's numbers
-    counters: dict = field(default_factory=dict)
-    #: the context's nominal-scaling factor, for the rare ``work_fn``
-    #: whose cost is not linear in the data volume (``kernel_time``
-    #: applies the linear scaling itself)
-    data_scale: float = 1.0
+    __slots__ = (
+        "device", "defines", "global_size", "local_size", "counters",
+        "data_scale",
+    )
+
+    def __init__(
+        self,
+        device: "Device",
+        defines: Mapping[str, object],
+        global_size: int,
+        local_size: int,
+        counters: dict | None = None,
+        data_scale: float = 1.0,
+    ):
+        self.device = device
+        self.defines = defines
+        self.global_size = global_size
+        self.local_size = local_size
+        #: what this launch's ``vec_fn`` measured for its ``work_fn``
+        #: (probe look-ups, CAS attempts); one dict per launch, so
+        #: interleaved sessions never read each other's numbers
+        self.counters = {} if counters is None else counters
+        #: the context's nominal-scaling factor, for the rare ``work_fn``
+        #: whose cost is not linear in the data volume (``kernel_time``
+        #: applies the linear scaling itself)
+        self.data_scale = data_scale
 
     @property
     def num_groups(self) -> int:
         return max(1, self.global_size // max(self.local_size, 1))
-
-
-_READ, _WRITE, _LOCAL = 1, 2, 4
-_ACCESS = {
-    ParamKind.IN: _READ,
-    ParamKind.OUT: _WRITE,
-    ParamKind.INOUT: _READ | _WRITE,
-    ParamKind.SCALAR: 0,
-    ParamKind.LOCAL: _LOCAL,
-}
 
 
 @dataclass(frozen=True)
@@ -122,59 +125,72 @@ class KernelDef:
     work_fn: Callable
     ref_fn: Callable | None = None
     source: str = ""
-    #: the signature resolved once: one access code per parameter
-    _access: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: the signature resolved once into index tuples: ``(index, name,
+    #: read, written)`` per ``__global`` parameter, ``(index, name)`` per
+    #: ``__local`` one and per scalar
+    _memory: tuple = field(init=False, repr=False, compare=False)
+    _locals: tuple = field(init=False, repr=False, compare=False)
+    _scalars: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_access", tuple(_ACCESS[p.kind] for p in self.params)
+        def indexed(*kinds):
+            return [(i, p) for i, p in enumerate(self.params) if p.kind in kinds]
+
+        memory = tuple(
+            (i, p.name, p.kind is not ParamKind.OUT, p.kind is not ParamKind.IN)
+            for i, p in indexed(ParamKind.IN, ParamKind.OUT, ParamKind.INOUT)
         )
+        local = tuple((i, p.name) for i, p in indexed(ParamKind.LOCAL))
+        scalar = tuple((i, p.name) for i, p in indexed(ParamKind.SCALAR))
+        object.__setattr__(self, "_memory", memory)
+        object.__setattr__(self, "_locals", local)
+        object.__setattr__(self, "_scalars", scalar)
 
     def bind(
         self, args: Sequence[object]
     ) -> tuple[list[object], list[Buffer], list[Buffer]]:
-        """Check ``args`` against the signature and split them, in one
-        pass: ``(values for the kernel body, buffers read, buffers
-        written)``.  The body sees a buffer's array, ``None`` for a
-        ``__local`` placeholder and scalars as passed."""
-        if len(args) != len(self._access):
+        """Check ``args`` against the signature and split them: ``(values
+        for the kernel body, buffers read, buffers written)``.  The body
+        sees a buffer's array, ``None`` for a ``__local`` placeholder and
+        scalars as passed."""
+        if len(args) != len(self.params):
             raise InvalidKernelArgs(
                 f"kernel {self.name!r} takes {len(self.params)} args, "
                 f"got {len(args)}"
             )
-        values: list[object] = []
+        values = list(args)
         reads: list[Buffer] = []
         writes: list[Buffer] = []
-        for access, param, arg in zip(self._access, self.params, args):
-            if access & (_READ | _WRITE):
-                if not isinstance(arg, Buffer):
-                    raise InvalidKernelArgs(
-                        f"kernel {self.name!r} arg {param.name!r} must be a "
-                        f"Buffer, got {type(arg).__name__}"
-                    )
-                if arg.released:
-                    raise InvalidKernelArgs(
-                        f"kernel {self.name!r} got released buffer {arg.tag!r}"
-                    )
-                values.append(arg.array)
-                if access & _READ:
-                    reads.append(arg)
-                if access & _WRITE:
-                    writes.append(arg)
-            elif access == _LOCAL:
-                if not isinstance(arg, Local):
-                    raise InvalidKernelArgs(
-                        f"kernel {self.name!r} arg {param.name!r} must be a "
-                        f"Local placeholder, got {type(arg).__name__}"
-                    )
-                values.append(None)
-            elif isinstance(arg, (Buffer, Local)):
+        for index, name, read, written in self._memory:
+            arg = args[index]
+            if not isinstance(arg, Buffer):
                 raise InvalidKernelArgs(
-                    f"kernel {self.name!r} arg {param.name!r} is scalar but a "
+                    f"kernel {self.name!r} arg {name!r} must be a "
+                    f"Buffer, got {type(arg).__name__}"
+                )
+            array = arg._array      # ``None`` once released
+            if array is None:
+                raise InvalidKernelArgs(
+                    f"kernel {self.name!r} got released buffer {arg.tag!r}"
+                )
+            values[index] = array
+            if read:
+                reads.append(arg)
+            if written:
+                writes.append(arg)
+        for index, name in self._locals:
+            if not isinstance(args[index], Local):
+                raise InvalidKernelArgs(
+                    f"kernel {self.name!r} arg {name!r} must be a "
+                    f"Local placeholder, got {type(args[index]).__name__}"
+                )
+            values[index] = None
+        for index, name in self._scalars:
+            if isinstance(args[index], (Buffer, Local)):
+                raise InvalidKernelArgs(
+                    f"kernel {self.name!r} arg {name!r} is scalar but a "
                     f"memory object was passed"
                 )
-            else:
-                values.append(arg)
         return values, reads, writes
 
 

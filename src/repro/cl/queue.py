@@ -161,28 +161,40 @@ class CommandQueue:
         definition = kernel.definition
         values, reads, writes = definition.bind(args)
 
-        profile = self.device.profile
-        if local_size is None:
-            local_size = profile.work_group_size
-        if global_size is None:
-            global_size = profile.total_invocations
+        device = self.device
+        data_scale = self.context.data_scale
         exec_ctx = ExecContext(
-            device=self.device,
-            defines=kernel.program.defines,
-            global_size=int(global_size),
-            local_size=int(local_size),
-            data_scale=self.context.data_scale,
+            device,
+            kernel.program.defines,
+            int(device.total_invocations if global_size is None
+                else global_size),
+            int(device.work_group_size if local_size is None
+                else local_size),
+            {},
+            data_scale,
         )
         # Eager execution: results materialise now; timing is simulated.
+        # Both are read off the definition per launch: a wrapper swapped
+        # onto a built definition runs from its next launch on.
         definition.vec_fn(exec_ctx, *values)
         work = definition.work_fn(exec_ctx, *values)
-        duration = self.device.kernel_time(work, self.context.data_scale)
+        duration = device.kernel_time(work, data_scale)
 
-        ready = latest_end(wait_for)
+        # a read waits for the buffer's producers, a write for its
+        # producers and consumers (what ``last_write`` / ``last_activity``
+        # return, folded here in one pass)
+        ready = latest_end(wait_for) if wait_for else 0.0
         for buf in reads:
-            ready = max(ready, buf.last_write())
+            for event in buf.producer_events:
+                if event.t_end > ready:
+                    ready = event.t_end
         for buf in writes:
-            ready = max(ready, buf.last_activity())
+            for event in buf.producer_events:
+                if event.t_end > ready:
+                    ready = event.t_end
+            for event in buf.consumer_events:
+                if event.t_end > ready:
+                    ready = event.t_end
         event = self._schedule(
             self.COMPUTE, duration, ready, CommandType.KERNEL, definition.name
         )

@@ -59,9 +59,13 @@ class OcelotEngine:
 
     # -- kernel launching ---------------------------------------------------
 
-    def launch(self, kernel_name: str, *args, **kwargs):
+    def launch(self, kernel_name: str, *args, global_size=None,
+               local_size=None, wait_for=()):
         """Enqueue one kernel from the compiled program."""
-        return self.program.kernel(kernel_name).launch(self.queue, *args, **kwargs)
+        return self.queue.enqueue_kernel(
+            self.program.kernel(kernel_name), args, global_size, local_size,
+            wait_for,
+        )
 
     @property
     def invocations(self) -> int:

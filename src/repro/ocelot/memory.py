@@ -81,7 +81,7 @@ class OcelotOOM(MemoryError):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     entry_id: int
     kind: BufferKind
@@ -154,7 +154,7 @@ class MemoryManager:
         self.catalog = catalog
         self._entries: dict[int, CacheEntry] = {}
         self._bat_entries: dict[int, int] = {}       # bat_id -> entry_id
-        self._buffer_entries: dict[int, int] = {}    # buffer_id -> entry_id
+        self._buffer_entries: dict[int, CacheEntry] = {}  # buffer_id -> entry
         self._hash_cache: dict[tuple, dict] = {}     # base-BAT hash tables
         self._ids = itertools.count(1)
         self._use_clock = itertools.count(1)
@@ -224,28 +224,32 @@ class MemoryManager:
         if entry is not None:
             self._escapes(entry)
 
-    def _scope_pin(self, buffer: Buffer) -> None:
+    def _scope_pin(self, buffer: Buffer, entry: CacheEntry | None) -> None:
+        """Pin ``buffer`` — registered here as ``entry``, ``None`` when it
+        is not this manager's — into the running operator's scope."""
         if self._scope_stack:
-            self.pin(buffer)
+            if entry is not None:
+                entry.pins += 1
             self._scope_stack[-1].append(buffer)
 
     def scope_pin(self, buffer: Buffer) -> None:
         """Pin a cached buffer into the running operator's scope (cache
         hits hand out buffers that must survive subsequent allocations)."""
-        self._scope_pin(buffer)
+        self._scope_pin(buffer, self._entry_for_buffer(buffer))
 
     # -- BAT <-> buffer registry -------------------------------------------------
 
     def buffer_for_bat(self, bat: BAT) -> Buffer:
         """Device buffer holding ``bat``'s tail, transferring if needed."""
         # Ocelot-owned BATs carry their buffer reference directly.
-        if bat.device_ref is not None and not bat.device_ref.released:
-            entry = self._entry_for_buffer(bat.device_ref)
+        ref = bat.device_ref
+        if ref is not None and not ref.released:
+            entry = self._entry_for_buffer(ref)
             if entry is not None:
                 self._touch(entry)
             self.stats.cache_hits += 1
-            self._scope_pin(bat.device_ref)
-            return bat.device_ref
+            self._scope_pin(ref, entry)
+            return ref
 
         entry_id = self._bat_entries.get(bat.bat_id)
         if entry_id is not None:
@@ -253,7 +257,7 @@ class MemoryManager:
             if entry.resident:
                 self._touch(entry)
                 self.stats.cache_hits += 1
-                self._scope_pin(entry.buffer)
+                self._scope_pin(entry.buffer, entry)
                 return entry.buffer
             # evicted base copy or offloaded result: restore below
             return self._restore(entry, bat)
@@ -308,35 +312,33 @@ class MemoryManager:
                     raise OcelotOOM(
                         f"cannot allocate {tag!r}: {exc}; nothing evictable"
                     ) from exc
+        entry_id = next(self._ids)
         entry = CacheEntry(
-            entry_id=next(self._ids), kind=kind, tag=tag, buffer=buffer,
-            last_use=next(self._use_clock), owner=self.owner,
+            entry_id, kind, tag, buffer, last_use=next(self._use_clock),
+            owner=self.owner,
         )
-        self._entries[entry.entry_id] = entry
-        self._buffer_entries[buffer.buffer_id] = entry.entry_id
+        self._entries[entry_id] = entry
+        self._buffer_entries[buffer.buffer_id] = entry
         if self._scope_allocs and kind is not BufferKind.BASE:
             # an operator allocated working storage: this is exactly the
             # per-operator materialisation traffic fusion eliminates
             # (and morsel-driven execution keeps morsel-sized)
-            self.stats.intermediates_allocated += 1
-            self._scope_allocs[-1].add(entry.entry_id)
+            stats = self.stats
+            stats.intermediates_allocated += 1
+            self._scope_allocs[-1].add(entry_id)
             entry.intermediate = True
-            entry.counted_nbytes = buffer.nominal_nbytes
-            entry.counted_nbytes_physical = buffer.nbytes
-            self.stats.intermediate_bytes += entry.counted_nbytes
-            if self.stats.intermediate_bytes > self.stats.intermediate_bytes_peak:
-                self.stats.intermediate_bytes_peak = (
-                    self.stats.intermediate_bytes
+            entry.counted_nbytes = nominal = buffer.nominal_nbytes
+            entry.counted_nbytes_physical = physical = buffer.nbytes
+            stats.intermediate_bytes += nominal
+            if stats.intermediate_bytes > stats.intermediate_bytes_peak:
+                stats.intermediate_bytes_peak = stats.intermediate_bytes
+            stats.intermediate_bytes_physical += physical
+            if (stats.intermediate_bytes_physical
+                    > stats.intermediate_bytes_physical_peak):
+                stats.intermediate_bytes_physical_peak = (
+                    stats.intermediate_bytes_physical
                 )
-            self.stats.intermediate_bytes_physical += (
-                entry.counted_nbytes_physical
-            )
-            if (self.stats.intermediate_bytes_physical
-                    > self.stats.intermediate_bytes_physical_peak):
-                self.stats.intermediate_bytes_physical_peak = (
-                    self.stats.intermediate_bytes_physical
-                )
-        self._scope_pin(buffer)
+        self._scope_pin(buffer, entry)
         return buffer
 
     def allocate_like(self, array: np.ndarray, kind: BufferKind,
@@ -571,6 +573,9 @@ class MemoryManager:
                 entry.counted_nbytes_physical
             )
         self._entries.pop(entry.entry_id, None)
+        if entry.buffer is not None:
+            # released behind the registry's back (a context release)
+            self._buffer_entries.pop(entry.buffer.buffer_id, None)
         # linked (non-BASE) BATs carried a direct device_ref before the
         # offload; re-attach it.  BASE copies never hold one — a cached
         # base upload must not hand other managers a foreign reference.
@@ -700,8 +705,7 @@ class MemoryManager:
         return entry is not None and entry.resident
 
     def _entry_for_buffer(self, buffer: Buffer) -> CacheEntry | None:
-        entry_id = self._buffer_entries.get(buffer.buffer_id)
-        return self._entries.get(entry_id) if entry_id is not None else None
+        return self._buffer_entries.get(buffer.buffer_id)
 
     def _touch(self, entry: CacheEntry) -> None:
         entry.last_use = next(self._use_clock)

@@ -29,6 +29,7 @@ parameters *before* the cache key is computed:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .lexer import SQLSyntaxError, Token, tokenize
 
@@ -140,6 +141,11 @@ def _fold_interval(value: int, sign: int, count: int, unit: str) -> int:
     return value + sign * count * 10000
 
 
+#: distinct statement texts :func:`parameterise` remembers
+PARAMETERISED_TEXTS = 1024
+
+
+@lru_cache(maxsize=PARAMETERISED_TEXTS)
 def parameterise(text: str) -> "tuple[str, tuple]":
     """Rewrite ``text`` into a parameterised template + extracted values.
 
@@ -158,6 +164,10 @@ def parameterise(text: str) -> "tuple[str, tuple]":
     too, so ``WHERE v <= 1 AND g < 1`` (``?0i … ?0i``) and ``WHERE v <=
     0 AND g < 1`` (``?0i … ?1i``) are two templates — two compiles, two
     cache entries, each answering as its literal text does.
+
+    A pure function of the text, so it is memoised: a repeated statement
+    costs one look-up.  A text that raises is not remembered, and raises
+    again on every call.
     """
     from ..tpch.schema import date_literal
 

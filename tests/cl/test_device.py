@@ -1,6 +1,8 @@
 """Device profiles and the analytic cost model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import cl
 from repro.cl.device import checked_profile
@@ -128,3 +130,88 @@ class TestTransfer:
     def test_host_submit_cpu_dwarfs_gpu(self, cpu, gpu):
         # the Intel SDK's enqueue overhead (paper §5.3.2)
         assert cpu.host_submit_time() > 10 * gpu.host_submit_time()
+
+
+# -- the cost model, exactly -------------------------------------------------
+#
+# ``Device`` resolves the profile's constant terms once; every simulated
+# time must still be, to the bit, the profile formula written out below.
+
+#: both stock profiles and a derived one (as mini-scale TPC-H builds)
+PROFILES = (
+    cl.INTEL_XEON_E5620,
+    cl.NVIDIA_GTX460,
+    cl.NVIDIA_GTX460.with_memory(64 * cl.MB),
+)
+
+volumes = st.integers(min_value=0, max_value=1 << 42)
+works = st.builds(
+    KernelWork,
+    elements=volumes,
+    bytes_read=volumes,
+    bytes_written=volumes,
+    random_bytes=volumes,
+    ops=volumes,
+    atomic_ops=st.one_of(st.just(0), volumes),
+    atomic_addresses=st.integers(min_value=0, max_value=1 << 24),
+)
+scales = st.one_of(
+    st.sampled_from([1.0, 0.25, 100.0, 1 / 3]),
+    st.floats(min_value=1e-3, max_value=1e4, allow_nan=False),
+)
+
+
+def kernel_time_formula(p, work, scale):
+    streamed = int(work.bytes_read * scale) + int(work.bytes_written * scale)
+    random_bytes = int(work.random_bytes * scale)
+    ops = int(work.ops * scale)
+    atomic_ops = int(work.atomic_ops * scale)
+    t_stream = streamed / (p.stream_bw_gbs * p.bandwidth_efficiency * cl.GB)
+    t_random = (
+        random_bytes / (p.random_bw_gbs * p.bandwidth_efficiency * cl.GB)
+        if random_bytes else 0.0
+    )
+    throughput = (
+        p.compute_cores * p.units_per_core * p.clock_ghz * 1e9
+        * p.ops_per_cycle_per_unit
+    )
+    t_compute = ops / throughput if ops else 0.0
+    if atomic_ops:
+        addresses = max(work.atomic_addresses, 1)
+        t_atomic = (
+            atomic_ops * p.atomic_ns * 1e-9
+            / (p.compute_cores * p.units_per_core)
+            + atomic_ops * (p.atomic_conflict_ns * 1e-9
+                            / (1.0 + addresses / p.contention_halfpoint))
+        )
+    else:
+        t_atomic = 0.0
+    return (max(t_stream + t_random, t_compute) + t_atomic
+            + p.kernel_launch_us * 1e-6)
+
+
+def transfer_time_formula(p, nbytes):
+    if p.transfer_bw_gbs is None:
+        return p.transfer_latency_us * 1e-6
+    return p.transfer_latency_us * 1e-6 + nbytes / (p.transfer_bw_gbs * cl.GB)
+
+
+class TestCostModelIsExact:
+    @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name[:12])
+    @settings(max_examples=150, deadline=None)
+    @given(work=works, scale=scales)
+    def test_kernel_time(self, profile, work, scale):
+        device = cl.Device(profile)
+        assert device.kernel_time(work, scale) == kernel_time_formula(
+            profile, work, scale
+        )
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name[:12])
+    @settings(max_examples=50, deadline=None)
+    @given(nbytes=volumes)
+    def test_transfer_and_submit_time(self, profile, nbytes):
+        device = cl.Device(profile)
+        assert device.transfer_time(nbytes) == transfer_time_formula(
+            profile, nbytes
+        )
+        assert device.host_submit_time() == profile.host_submit_us * 1e-6

@@ -120,6 +120,102 @@ def test_kernel_arg_validation(gpu_ctx, queue, program):
         program.kernel("gather").launch(queue, out, 5, out, 4)
 
 
+def _scratch_kernel(ctx, out, tmp, n):
+    out[: int(n)] = 1
+
+
+def _scratch_work(ctx, out, tmp, n):
+    return cl.KernelWork(elements=int(n), bytes_written=4 * int(n))
+
+
+#: a kernel with a ``__local`` parameter (the library has none)
+SCRATCH = cl.KernelDef(
+    name="scratch",
+    params=cl.params("out:res local:tmp scalar:n"),
+    vec_fn=_scratch_kernel,
+    work_fn=_scratch_work,
+)
+
+
+class TestRejectedLaunches:
+    """One case per ``InvalidKernelArgs`` branch of ``KernelDef.bind``,
+    each with its message; a rejected launch runs nothing and schedules
+    nothing: the host clock, the launch count, the buffers' contents and
+    their event registries are as they were."""
+
+    @pytest.fixture
+    def rig(self, gpu_ctx, queue, program):
+        program.add(SCRATCH)
+        src = gpu_ctx.create_buffer(np.arange(8, dtype=np.int32), tag="src")
+        idx = gpu_ctx.create_buffer(np.arange(4, dtype=np.uint32), tag="idx")
+        out = gpu_ctx.empty(4, np.int32, tag="out")
+        queue.enqueue_write(src, np.arange(8, dtype=np.int32))
+        program.kernel("gather").launch(queue, out, src, idx, 4)
+        return program, out, src, idx
+
+    def rejected(self, queue, program, name, args, buffers) -> str:
+        before = (
+            queue.host_time,
+            queue.stats.kernels_launched,
+            [(list(b.producer_events), list(b.consumer_events))
+             for b in buffers],
+            [b.array.copy() for b in buffers if not b.released],
+        )
+        with pytest.raises(cl.InvalidKernelArgs) as err:
+            program.kernel(name).launch(queue, *args)
+        after = (
+            queue.host_time,
+            queue.stats.kernels_launched,
+            [(list(b.producer_events), list(b.consumer_events))
+             for b in buffers],
+            [b.array.copy() for b in buffers if not b.released],
+        )
+        assert after[:3] == before[:3]
+        assert all(np.array_equal(x, y) for x, y in zip(after[3], before[3]))
+        return str(err.value)
+
+    def test_arity(self, queue, rig):
+        program, out, src, idx = rig
+        assert self.rejected(
+            queue, program, "gather", (out, src), (out, src)
+        ) == "kernel 'gather' takes 4 args, got 2"
+
+    def test_a_memory_parameter_takes_a_buffer(self, queue, rig):
+        program, out, src, idx = rig
+        assert self.rejected(
+            queue, program, "gather", (out, 5, idx, 4), (out, idx)
+        ) == "kernel 'gather' arg 'src' must be a Buffer, got int"
+
+    def test_a_released_buffer(self, queue, rig):
+        program, out, src, idx = rig
+        src.release()
+        assert self.rejected(
+            queue, program, "gather", (out, src, idx, 4), (out, src, idx)
+        ) == "kernel 'gather' got released buffer 'src'"
+
+    def test_a_local_parameter_takes_a_placeholder(self, queue, rig):
+        program, out, src, idx = rig
+        assert self.rejected(
+            queue, program, "scratch", (out, 16, 4), (out,)
+        ) == "kernel 'scratch' arg 'tmp' must be a Local placeholder, got int"
+
+    @pytest.mark.parametrize("memory", ["buffer", "local"])
+    def test_a_scalar_parameter_takes_no_memory_object(self, queue, rig,
+                                                       memory):
+        program, out, src, idx = rig
+        arg = out if memory == "buffer" else cl.Local(4, np.int32)
+        assert self.rejected(
+            queue, program, "gather", (out, src, idx, arg), (out, src, idx)
+        ) == "kernel 'gather' arg 'n' is scalar but a memory object was passed"
+
+    def test_a_well_formed_launch_of_the_same_kernels_runs(self, queue, rig):
+        program, out, src, idx = rig
+        launched = queue.stats.kernels_launched
+        program.kernel("scratch").launch(queue, out, cl.Local(4, np.int32), 4)
+        assert queue.stats.kernels_launched == launched + 1
+        assert out.array.tolist() == [1, 1, 1, 1]
+
+
 def test_released_queue_rejects_commands(gpu_ctx, queue):
     queue.release()
     with pytest.raises(cl.DeviceLost):
