@@ -38,13 +38,12 @@ def run_on(device_kind: str) -> None:
     col = ctx.create_buffer(values, tag="a")
     bm2 = ctx.zeros((n + 7) // 8, np.uint8, tag="sigma2")
     bm3 = ctx.zeros((n + 7) // 8, np.uint8, tag="sigma3")
-    program.kernel("select_bitmap").launch(
-        queue, bm2, col, n, "==", 2, None, False)
-    program.kernel("select_bitmap").launch(
-        queue, bm3, col, n, "==", 3, None, False)
+    select = program.kernel("select_bitmap")
+    queue.enqueue_kernel(select, (bm2, col, n, "==", 2, None, False))
+    queue.enqueue_kernel(select, (bm3, col, n, "==", 3, None, False))
     both = ctx.zeros((n + 7) // 8, np.uint8, tag="or")
-    program.kernel("bitmap_binop").launch(
-        queue, both, bm2, bm3, (n + 7) // 8, "or")
+    queue.enqueue_kernel(program.kernel("bitmap_binop"),
+                         (both, bm2, bm3, (n + 7) // 8, "or"))
     makespan = queue.finish()
 
     hits = count_bits(both.array, n)

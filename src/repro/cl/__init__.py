@@ -28,11 +28,10 @@ from .errors import (
     BuildError,
     CLError,
     DeviceLost,
-    InvalidEventWait,
     InvalidKernelArgs,
     OutOfDeviceMemory,
 )
-from .event import CommandType, Event, EventStatus
+from .event import CommandType, Event
 from .kernel import ExecContext, Kernel, KernelDef, Local, Param, ParamKind, Program, params
 from .platform import Platform, get_device, get_platforms
 from .profile import KernelWork
@@ -54,11 +53,9 @@ __all__ = [
     "DeviceProfile",
     "DeviceType",
     "Event",
-    "EventStatus",
     "ExecContext",
     "GB",
     "INTEL_XEON_E5620",
-    "InvalidEventWait",
     "InvalidKernelArgs",
     "Kernel",
     "KernelDef",

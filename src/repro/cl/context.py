@@ -7,7 +7,7 @@ compiled programs per pre-processor specialisation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -97,16 +97,6 @@ class Context:
 
     def cache_program(self, key: tuple, program: "Program") -> None:
         self._program_cache[key] = program
-
-    def build_program(self, library, defines: Mapping[str, object] | None = None):
-        """Compile a kernel library for this context's device.
-
-        Thin wrapper over :func:`repro.cl.compiler.build`; kept here so host
-        code can say ``ctx.build_program(...)`` like with real OpenCL.
-        """
-        from .compiler import build
-
-        return build(self, library, defines)
 
     # -- lifecycle ----------------------------------------------------------------
 

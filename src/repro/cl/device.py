@@ -126,7 +126,7 @@ class Device:
             * 1e9
             * p.ops_per_cycle_per_unit
         )
-        #: a launch's default NDRange (Ocelot's scheduling, paper §4.2)
+        #: every launch's NDRange (Ocelot's scheduling, paper §4.2)
         self.work_group_size = p.work_group_size
         self.total_invocations = p.total_invocations
         self.launch_s = p.kernel_launch_us * 1e-6

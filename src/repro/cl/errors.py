@@ -41,10 +41,6 @@ class InvalidKernelArgs(CLError):
     """Raised when kernel arguments do not match the kernel signature."""
 
 
-class InvalidEventWait(CLError):
-    """Raised when a wait-list contains foreign or unfinished-state events."""
-
-
 class BarrierDivergence(CLError):
     """Raised by the work-item interpreter on divergent barriers.
 

@@ -2,10 +2,12 @@
 
 Events are the backbone of Ocelot's lazy execution model (paper §3.4):
 operators only *schedule* kernels and transfers; ordering constraints are
-expressed through event wait-lists, letting the driver overlap independent
-work.  In this simulation, results are computed eagerly (numpy), while the
-*simulated timeline* — queued / submit / start / end timestamps, like
-``CL_PROFILING_COMMAND_*`` — is derived from the dependency graph and the
+the producer and consumer events each buffer registers
+(:class:`~repro.cl.buffer.Buffer`), so independent work can overlap.
+In this simulation, results are computed eagerly (numpy), so an event
+is complete when it is created; what it carries is its place on the
+*simulated timeline* — submit / start / end timestamps, like
+``CL_PROFILING_COMMAND_*`` — derived from the dependency graph and the
 device cost model, including transfer/compute overlap.
 """
 
@@ -24,20 +26,15 @@ class CommandType(enum.Enum):
     MARKER = "marker"
 
 
-class EventStatus(enum.Enum):
-    QUEUED = "queued"
-    COMPLETE = "complete"
-
-
 _event_ids = itertools.count(1)
 
 
 class Event:
-    """Completion handle for one enqueued command.
+    """Record of one enqueued command, complete when created.
 
     Attributes
     ----------
-    t_queued, t_submit, t_start, t_end:
+    t_submit, t_start, t_end:
         Simulated timestamps in seconds on the queue's timeline.
 
     An event holds no reference to the events it waited for: they only
@@ -49,11 +46,9 @@ class Event:
         "event_id",
         "command_type",
         "label",
-        "t_queued",
         "t_submit",
         "t_start",
         "t_end",
-        "status",
         "engine",
     )
 
@@ -61,31 +56,15 @@ class Event:
         self.event_id = next(_event_ids)
         self.command_type = command_type
         self.label = label
-        self.t_queued = 0.0
         self.t_submit = 0.0
         self.t_start = 0.0
         self.t_end = 0.0
-        self.status = EventStatus.QUEUED
         self.engine = ""
-
-    # -- OpenCL-style API ----------------------------------------------------
-
-    def wait(self) -> None:
-        """Block until the command completed.
-
-        Execution is eager in the simulation, so this only asserts state;
-        it exists so host code reads like real OpenCL host code.
-        """
-        assert self.status is EventStatus.COMPLETE
 
     @property
     def duration(self) -> float:
         """Simulated execution seconds (``end - start``)."""
         return self.t_end - self.t_start
-
-    @property
-    def complete(self) -> bool:
-        return self.status is EventStatus.COMPLETE
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -34,8 +34,6 @@ from .profile import KernelWork
 if TYPE_CHECKING:  # pragma: no cover
     from .context import Context
     from .device import Device
-    from .event import Event
-    from .queue import CommandQueue
 
 
 class ParamKind(enum.Enum):
@@ -195,7 +193,8 @@ class KernelDef:
 
 
 class Kernel:
-    """A kernel bound to a compiled :class:`Program` (device + defines)."""
+    """A kernel bound to a compiled :class:`Program` (device + defines),
+    launched by ``CommandQueue.enqueue_kernel``."""
 
     def __init__(self, program: "Program", definition: KernelDef):
         self.program = program
@@ -204,23 +203,6 @@ class Kernel:
     @property
     def name(self) -> str:
         return self.definition.name
-
-    def launch(
-        self,
-        queue: "CommandQueue",
-        *args,
-        global_size: int | None = None,
-        local_size: int | None = None,
-        wait_for: Sequence["Event"] = (),
-    ) -> "Event":
-        """Enqueue this kernel (``clEnqueueNDRangeKernel``)."""
-        return queue.enqueue_kernel(
-            self,
-            args,
-            global_size=global_size,
-            local_size=local_size,
-            wait_for=wait_for,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Kernel {self.name!r} of {self.program!r}>"

@@ -5,13 +5,16 @@ and data transfers; ordering is communicated to the driver through event
 wait-lists, and the driver is free to overlap independent operations.
 
 This simulation executes commands eagerly (so results are always
-available) but derives a *simulated schedule* from the dependency graph:
+available) but derives a *simulated schedule* from the dependency graph,
+which the buffers' event registries carry (a command's dependencies are
+the producers and consumers registered on the buffers it touches; no
+command takes a wait-list):
 
 * the device has two engines — ``compute`` (kernels) and ``copy`` (DMA
   transfers) — each executing its commands in order,
-* a command starts at ``max(engine available, host submit time, latest
-  dependency end)``; transfers therefore overlap independent kernels
-  exactly as Fig. 3 of the paper illustrates,
+* a command starts at ``max(engine available, host submit time, session
+  floor, latest end in its buffers' registry)``; transfers therefore
+  overlap independent kernels exactly as Fig. 3 of the paper illustrates,
 * the host timeline advances by the device driver's per-enqueue submit
   cost — which is how the Intel SDK's framework overhead (§5.3.2) enters
   the model.
@@ -42,7 +45,7 @@ import numpy as np
 
 from .buffer import Buffer
 from .errors import DeviceLost, InvalidKernelArgs
-from .event import CommandType, Event, EventStatus, latest_end
+from .event import CommandType, Event
 from .kernel import ExecContext, Kernel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,17 +71,6 @@ class QueueStats:
     events: deque[Event] = field(
         default_factory=lambda: deque(maxlen=TIMELINE_EVENTS)
     )
-
-    def snapshot(self) -> "QueueStats":
-        return QueueStats(
-            kernels_launched=self.kernels_launched,
-            transfers_to_device=self.transfers_to_device,
-            transfers_from_device=self.transfers_from_device,
-            bytes_to_device=self.bytes_to_device,
-            bytes_from_device=self.bytes_from_device,
-            kernel_seconds=self.kernel_seconds,
-            transfer_seconds=self.transfer_seconds,
-        )
 
 
 class CommandQueue:
@@ -118,11 +110,10 @@ class CommandQueue:
         label: str,
     ) -> Event:
         """Place one command on ``engine``; ``ready`` is the latest end
-        among the events it waits for."""
+        among the events its buffers' registries make it wait for."""
         submit = self.device.host_submit_time()
         self.host_time += submit
         event = Event(command_type, label)
-        event.t_queued = self.host_time
         event.t_submit = self.host_time
         session = self.current_session
         if session is not None:
@@ -136,7 +127,6 @@ class CommandQueue:
         start = max(self._engine_time[engine], event.t_submit, ready)
         event.t_start = start
         event.t_end = start + duration
-        event.status = EventStatus.COMPLETE
         event.engine = engine
         self._engine_time[engine] = event.t_end
         if session is not None:
@@ -148,15 +138,10 @@ class CommandQueue:
 
     # -- kernels ---------------------------------------------------------------
 
-    def enqueue_kernel(
-        self,
-        kernel: Kernel,
-        args: Sequence[object],
-        global_size: int | None = None,
-        local_size: int | None = None,
-        wait_for: Sequence[Event] = (),
-    ) -> Event:
-        """Execute ``kernel`` and schedule it on the compute engine."""
+    def enqueue_kernel(self, kernel: Kernel, args: Sequence[object]) -> Event:
+        """Execute ``kernel`` on the device's fixed NDRange (4·nc·na
+        work-items, paper §4.2) and schedule it on the compute engine
+        (``clEnqueueNDRangeKernel``; the one way a kernel is launched)."""
         self._check_alive()
         definition = kernel.definition
         values, reads, writes = definition.bind(args)
@@ -166,10 +151,8 @@ class CommandQueue:
         exec_ctx = ExecContext(
             device,
             kernel.program.defines,
-            int(device.total_invocations if global_size is None
-                else global_size),
-            int(device.work_group_size if local_size is None
-                else local_size),
+            device.total_invocations,
+            device.work_group_size,
             {},
             data_scale,
         )
@@ -183,7 +166,7 @@ class CommandQueue:
         # a read waits for the buffer's producers, a write for its
         # producers and consumers (what ``last_write`` / ``last_activity``
         # return, folded here in one pass)
-        ready = latest_end(wait_for) if wait_for else 0.0
+        ready = 0.0
         for buf in reads:
             for event in buf.producer_events:
                 if event.t_end > ready:
@@ -209,12 +192,7 @@ class CommandQueue:
 
     # -- transfers --------------------------------------------------------------
 
-    def enqueue_write(
-        self,
-        buffer: Buffer,
-        host_array: np.ndarray,
-        wait_for: Sequence[Event] = (),
-    ) -> Event:
+    def enqueue_write(self, buffer: Buffer, host_array: np.ndarray) -> Event:
         """Copy ``host_array`` into ``buffer`` (host -> device)."""
         self._check_alive()
         host_array = np.asarray(host_array)
@@ -225,9 +203,9 @@ class CommandQueue:
             )
         np.copyto(buffer.array.view(host_array.dtype), host_array)
         duration = self.device.transfer_time(buffer.nominal_nbytes)
-        ready = max(latest_end(wait_for), buffer.last_activity())
         event = self._schedule(
-            self.COPY, duration, ready, CommandType.WRITE_BUFFER, buffer.tag
+            self.COPY, duration, buffer.last_activity(),
+            CommandType.WRITE_BUFFER, buffer.tag,
         )
         buffer.record_producer(event)
         self._registered.add(buffer)
@@ -236,9 +214,7 @@ class CommandQueue:
         self.stats.transfer_seconds += duration
         return event
 
-    def enqueue_read(
-        self, buffer: Buffer, wait_for: Sequence[Event] = ()
-    ) -> tuple[np.ndarray, Event]:
+    def enqueue_read(self, buffer: Buffer) -> tuple[np.ndarray, Event]:
         """Copy ``buffer`` back to the host (device -> host).
 
         Returns the host array and the transfer's event.
@@ -246,9 +222,9 @@ class CommandQueue:
         self._check_alive()
         host_array = buffer.array.copy()
         duration = self.device.transfer_time(buffer.nominal_nbytes)
-        ready = max(latest_end(wait_for), buffer.last_write())
         event = self._schedule(
-            self.COPY, duration, ready, CommandType.READ_BUFFER, buffer.tag
+            self.COPY, duration, buffer.last_write(),
+            CommandType.READ_BUFFER, buffer.tag,
         )
         buffer.record_consumer(event)
         self._registered.add(buffer)
@@ -257,9 +233,7 @@ class CommandQueue:
         self.stats.transfer_seconds += duration
         return host_array, event
 
-    def enqueue_copy(
-        self, dst: Buffer, src: Buffer, wait_for: Sequence[Event] = ()
-    ) -> Event:
+    def enqueue_copy(self, dst: Buffer, src: Buffer) -> Event:
         """Device-to-device copy."""
         self._check_alive()
         if dst.nbytes != src.nbytes:
@@ -269,9 +243,7 @@ class CommandQueue:
         profile = self.device.profile
         gbs = profile.stream_bw_gbs * profile.bandwidth_efficiency * 1024**3
         duration = 2 * src.nominal_nbytes / gbs
-        ready = max(
-            latest_end(wait_for), src.last_write(), dst.last_activity()
-        )
+        ready = max(src.last_write(), dst.last_activity())
         event = self._schedule(
             self.COPY, duration, ready, CommandType.COPY_BUFFER, dst.tag
         )
@@ -280,12 +252,11 @@ class CommandQueue:
         self._registered.update((dst, src))
         return event
 
-    def enqueue_marker(self, wait_for: Sequence[Event] = ()) -> Event:
+    def enqueue_marker(self) -> Event:
         """Zero-duration synchronisation point on the compute engine."""
         self._check_alive()
         return self._schedule(
-            self.COMPUTE, 0.0, latest_end(wait_for), CommandType.MARKER,
-            "marker",
+            self.COMPUTE, 0.0, 0.0, CommandType.MARKER, "marker"
         )
 
     # -- synchronisation -----------------------------------------------------------

@@ -104,7 +104,7 @@ def _dtype_of(operand) -> np.dtype:
 def elementwise(op: str, a, b, out=None):
     """``a op b`` over columns and constants, as every executor computes
     it: MonetDB's ``batcalc``, the fused evaluator and the ``ewise`` /
-    ``compare`` kernels.
+    ``ewise_scalar`` kernels.
 
     Arithmetic runs in the result's type (:func:`calc_result_dtype`):
     both operands are cast to it first, so ``v + 2147483647`` over an
@@ -420,7 +420,7 @@ __kernel void reduce_final(__global ACC* res, __global const ACC* partials,
 
 
 # ---------------------------------------------------------------------------
-# element-wise maps (MonetDB batcalc equivalents)
+# element-wise maps (MonetDB batcalc equivalents, comparisons included)
 # ---------------------------------------------------------------------------
 
 def _ewise_vec(ctx, out, a, b, n, op):
@@ -462,8 +462,9 @@ __kernel void ewise(__global T* res, __global const T* a,
 
 def _ewise_scalar_vec(ctx, out, a, n, op, value):
     n = int(n)
-    # the constant takes the *result's* type (``T cnst``): an int column
-    # times 0.5 is a float column, and 0.5 must not become int(0.5)
+    # an arithmetic constant takes the *result's* type (``T cnst``): an
+    # int column times 0.5 is a float column, and 0.5 must not become
+    # int(0.5); a comparison's constant compares exactly
     _kernel_op(op, a[:n], value, out[:n])
 
 
@@ -549,79 +550,8 @@ IOTA = KernelDef(
 
 
 # ---------------------------------------------------------------------------
-# comparisons and conditional selection (batcalc.{eq,...,ifthenelse})
+# conditional selection (batcalc.ifthenelse)
 # ---------------------------------------------------------------------------
-
-def _compare_vv_vec(ctx, out, a, b, n, op):
-    n = int(n)
-    elementwise(op, a[:n], b[:n], out[:n])
-
-
-def _compare_vv_work(ctx, out, a, b, n, op):
-    n = int(n)
-    return KernelWork(
-        elements=n,
-        bytes_read=n * (a.dtype.itemsize + b.dtype.itemsize),
-        bytes_written=n,
-        ops=n,
-    )
-
-
-def _compare_vv_ref(wi, out, a, b, n, op):
-    for i in wi.partition(int(n)):
-        elementwise(op, a[i:i + 1], b[i:i + 1], out[i:i + 1])
-    return
-    yield  # pragma: no cover
-
-
-COMPARE_VV = KernelDef(
-    name="compare_vv",
-    params=params("out:res in:a in:b scalar:n scalar:op"),
-    vec_fn=_compare_vv_vec,
-    work_fn=_compare_vv_work,
-    ref_fn=_compare_vv_ref,
-    source="""
-__kernel void compare_vv(__global uchar* res, __global const T* a,
-                         __global const T* b, uint n) {
-    res[global_id()] = CMP(a[global_id()], b[global_id()]);
-}
-""",
-)
-
-
-def _compare_vs_vec(ctx, out, a, n, op, value):
-    n = int(n)
-    elementwise(op, a[:n], value, out[:n])
-
-
-def _compare_vs_work(ctx, out, a, n, op, value):
-    n = int(n)
-    return KernelWork(
-        elements=n, bytes_read=n * a.dtype.itemsize, bytes_written=n, ops=n
-    )
-
-
-def _compare_vs_ref(wi, out, a, n, op, value):
-    for i in wi.partition(int(n)):
-        elementwise(op, a[i:i + 1], value, out[i:i + 1])
-    return
-    yield  # pragma: no cover
-
-
-COMPARE_VS = KernelDef(
-    name="compare_vs",
-    params=params("out:res in:a scalar:n scalar:op scalar:value"),
-    vec_fn=_compare_vs_vec,
-    work_fn=_compare_vs_work,
-    ref_fn=_compare_vs_ref,
-    source="""
-__kernel void compare_vs(__global uchar* res, __global const T* a, uint n,
-                         T cnst) {
-    res[global_id()] = CMP(a[global_id()], cnst);
-}
-""",
-)
-
 
 def _where_vv_vec(ctx, out, cond, a, b, n):
     n = int(n)
@@ -749,8 +679,6 @@ LIBRARY = {
         EWISE_SCALAR,
         FILL,
         IOTA,
-        COMPARE_VV,
-        COMPARE_VS,
         WHERE_VV,
         WHERE_VS,
         WHERE_SS,

@@ -7,8 +7,8 @@ therefore computed one way, by :func:`elementwise` over one table,
 every executor calls it: MonetDB's ``batcalc`` operators (MS, MP), the
 fused evaluator (:func:`repro.fuse.expr.evaluate`: a ``fuse.pipe`` on
 MS / MP and the body of every generated Ocelot kernel), and the Ocelot
-``ewise`` / ``ewise_scalar`` / ``compare_vv`` / ``compare_vs`` kernels
-the host code launches.  The rule is defined beside those kernels, in
+``ewise`` (two columns) / ``ewise_scalar`` (a column and a constant)
+kernels the host code launches, comparisons included.  The rule is defined beside those kernels, in
 :mod:`repro.kernels.primitives` (the kernel library sits below this
 package); the engines import it from here.
 """
@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.primitives import (
-    COMPARISONS, ELEMENTWISE, calc_result_dtype, elementwise,
-)
+from ..kernels.primitives import ELEMENTWISE, calc_result_dtype, elementwise
 from .bat import TAIL_DTYPES
 
 

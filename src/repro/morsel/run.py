@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..monetdb import partials
-from ..monetdb.bat import BAT, OID_DTYPE, Role, make_bat, oid_bat
+from ..monetdb.bat import BAT, OID_DTYPE, make_bat, oid_bat
 from ..monetdb.mal import Var
 from .passes import MorselRegion
 
@@ -318,11 +318,11 @@ class MorselRun:
                 ).astype(np.int64)
                 self._chunks.setdefault(out.name, []).append(ids[lgids])
                 continue
-            value = local[out.name]
+            # the sync turns a device bitmap into its oid list
+            values = partials.host_array(self.backend, local[out.name])
             self._chunks.setdefault(out.name, []).append(
-                partials.offset_positions(self._positions_array(value), lo)
-                if out.kind == "positions"
-                else partials.host_array(self.backend, value)
+                partials.offset_positions(values, lo)
+                if out.kind == "positions" else values
             )
 
     def _finalize(self) -> None:
@@ -405,14 +405,6 @@ class MorselRun:
         folded = self._merge(member.function,
                              [tables for _ids, tables in parts], fold)
         return make_bat(np.asarray(folded), tag=f"morsel_{out.name}")
-
-    # -- host materialisation ------------------------------------------------
-
-    def _positions_array(self, bat: BAT) -> np.ndarray:
-        values = partials.host_array(self.backend, bat)
-        if bat.role is Role.BITMAP:
-            return np.flatnonzero(np.asarray(bat.peek_values()))
-        return values
 
     # -- liveness ------------------------------------------------------------
 

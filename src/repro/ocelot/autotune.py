@@ -120,10 +120,10 @@ def probe_device(engine: OcelotEngine) -> DeviceCharacteristics:
     :class:`~repro.ocelot.memory.OcelotOOM`.
     """
     with engine.memory.operator_scope():
-        return _probe_device_pinned(engine)
+        return _run_probes(engine)
 
 
-def _probe_device_pinned(engine: OcelotEngine) -> DeviceCharacteristics:
+def _run_probes(engine: OcelotEngine) -> DeviceCharacteristics:
     rng = np.random.default_rng(99)
     scale = engine.context.data_scale
     # Probes must never pressure device memory (they run on live engines

@@ -59,12 +59,12 @@ class OcelotEngine:
 
     # -- kernel launching ---------------------------------------------------
 
-    def launch(self, kernel_name: str, *args, global_size=None,
-               local_size=None, wait_for=()):
-        """Enqueue one kernel from the compiled program."""
+    def launch(self, kernel_name: str, *args):
+        """Enqueue one kernel from the compiled program: the one door
+        to :meth:`CommandQueue.enqueue_kernel`, which orders it by its
+        buffers' event registries on the device's fixed NDRange."""
         return self.queue.enqueue_kernel(
-            self.program.kernel(kernel_name), args, global_size, local_size,
-            wait_for,
+            self.program.kernel(kernel_name), args
         )
 
     @property

@@ -358,8 +358,8 @@ class MemoryManager:
         Releasing only gives up the *caller's* interest: pins held by the
         current operator scope on behalf of the caller are unwound, but a
         buffer still pinned elsewhere (another operator's working set, an
-        explicit :meth:`pinned` block) is never yanked out from under that
-        user — the free is deferred until the last pin drops.
+        explicit :meth:`pin`) is never yanked out from under that user —
+        the free is deferred until the last pin drops.
         """
         entry = self._entry_for_buffer(buffer)
         if entry is None:
@@ -431,6 +431,9 @@ class MemoryManager:
     # -- pinning (reference counting, paper §3.3) ------------------------------------
 
     def pin(self, buffer: Buffer) -> None:
+        """Hold ``buffer`` resident until :meth:`unpin` (a hot set kept
+        across queries); an operator's working set needs no call, its
+        :meth:`operator_scope` pins it."""
         entry = self._entry_for_buffer(buffer)
         if entry is not None:
             entry.pins += 1
@@ -445,26 +448,6 @@ class MemoryManager:
                 # a release() arrived while the buffer was pinned; the
                 # deferred free happens now that the last user is gone
                 self._free_entry(entry)
-
-    class _Pinned:
-        def __init__(self, manager: "MemoryManager", buffers):
-            self.manager = manager
-            self.buffers = [b for b in buffers if b is not None]
-
-        def __enter__(self):
-            for b in self.buffers:
-                self.manager.pin(b)
-            return self.buffers
-
-        def __exit__(self, *exc):
-            for b in self.buffers:
-                self.manager.unpin(b)
-            return False
-
-    def pinned(self, *buffers) -> "_Pinned":
-        """Context manager pinning ``buffers`` for the duration of an
-        operator (in-use buffers are never evicted)."""
-        return MemoryManager._Pinned(self, buffers)
 
     # -- eviction / offloading ---------------------------------------------------------
 

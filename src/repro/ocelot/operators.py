@@ -52,9 +52,7 @@ from ..kernels.selection import bitmap_nbytes
 from ..fuse.dispatch import op_pipe
 from ..monetdb.bat import BAT, OID_DTYPE, Owner, Role
 from ..monetdb.backends import select_bounds_to_op
-from ..monetdb.calc import (
-    COMPARISONS, calc_result_dtype, grouped_dtype, ifthenelse_dtype,
-)
+from ..monetdb.calc import calc_result_dtype, grouped_dtype, ifthenelse_dtype
 from ..monetdb.ops import of_class
 from .engine import OcelotEngine
 from .memory import BufferKind
@@ -357,21 +355,18 @@ def op_thetaselect(engine: OcelotEngine, b: BAT, cand, val, op: str):
 def _select_common(engine, b, cand, op, lo, hi, anti):
     n = _count_of(b)
     col = engine.buffer_of(b)
-    with engine.memory.pinned(col):
-        bitmap = engine.result_buffer(
-            bitmap_nbytes(n), np.uint8, tag="sel_bm"
+    bitmap = engine.result_buffer(bitmap_nbytes(n), np.uint8, tag="sel_bm")
+    engine.launch("select_bitmap", bitmap, col, n, op, lo, hi, anti)
+    if cand is not None:
+        cand_bm = _as_candidate_bitmap(engine, cand, n)
+        combined = engine.result_buffer(
+            bitmap_nbytes(n), np.uint8, tag="sel_bm_and"
         )
-        engine.launch("select_bitmap", bitmap, col, n, op, lo, hi, anti)
-        if cand is not None:
-            cand_bm = _as_candidate_bitmap(engine, cand, n)
-            combined = engine.result_buffer(
-                bitmap_nbytes(n), np.uint8, tag="sel_bm_and"
-            )
-            engine.launch(
-                "bitmap_binop", combined, bitmap, cand_bm, bitmap_nbytes(n),
-                "and",
-            )
-            bitmap = combined
+        engine.launch(
+            "bitmap_binop", combined, bitmap, cand_bm, bitmap_nbytes(n),
+            "and",
+        )
+        bitmap = combined
     return engine.device_bat(bitmap, Role.BITMAP, count=n)
 
 
@@ -403,18 +398,16 @@ def _project_encoded(engine: OcelotEngine, oids: BAT, b: BAT):
     if encoding is None or encoding.kind not in ("dict", "for"):
         return None
     codes_buf = engine.buffer_of(b.code_bat())
-    with engine.memory.pinned(codes_buf):
-        oid_buf, count, unique = _oids_of(engine, oids)
-        out = engine.result_buffer(max(count, 1), b.dtype, tag="proj")
-        if encoding.kind == "dict":
-            dict_buf = engine.buffer_of(b.dict_bat())
-            with engine.memory.pinned(dict_buf):
-                if count:
-                    engine.launch("gather2", out, dict_buf, codes_buf,
-                                  oid_buf, count)
-        elif count:
-            engine.launch("gather_add", out, codes_buf, oid_buf, count,
-                          encoding.frame)
+    oid_buf, count, unique = _oids_of(engine, oids)
+    out = engine.result_buffer(max(count, 1), b.dtype, tag="proj")
+    if encoding.kind == "dict":
+        dict_buf = engine.buffer_of(b.dict_bat())
+        if count:
+            engine.launch("gather2", out, dict_buf, codes_buf, oid_buf,
+                          count)
+    elif count:
+        engine.launch("gather_add", out, codes_buf, oid_buf, count,
+                      encoding.frame)
     return engine.device_bat(
         out, Role.VALUES, count=count, key=bool(b.key and unique)
     )
@@ -435,11 +428,10 @@ def op_projection(engine: OcelotEngine, oids: BAT, b: BAT):
         col = engine.buffer_of(b)
         source_key = b.key
         dtype = b.dtype
-    with engine.memory.pinned(col):
-        oid_buf, count, unique = _oids_of(engine, oids)
-        out = engine.result_buffer(max(count, 1), dtype, tag="proj")
-        if count:
-            engine.launch("gather", out, col, oid_buf, count)
+    oid_buf, count, unique = _oids_of(engine, oids)
+    out = engine.result_buffer(max(count, 1), dtype, tag="proj")
+    if count:
+        engine.launch("gather", out, col, oid_buf, count)
     return engine.device_bat(
         out, Role.VALUES, count=count, key=bool(source_key and unique)
     )
@@ -628,21 +620,18 @@ def op_thetajoin(engine: OcelotEngine, l: BAT, r: BAT, op: str):
 def op_sort(engine: OcelotEngine, b: BAT, descending):
     n = _count_of(b)
     col = engine.buffer_of(b)
-    with engine.memory.pinned(col):
-        ukeys = _encode_keys(engine, b, n, b.dtype)
-        if descending:
-            flipped = engine.temp(max(n, 1), ukeys.dtype, tag="sort_desc")
-            all_ones = (1 << (ukeys.dtype.itemsize * 8)) - 1
-            engine.launch(
-                "ewise_scalar", flipped, ukeys, n, "xor", all_ones
-            )
-            engine.release(ukeys)
-            ukeys = flipped
-        sorted_keys, order = _radix_sort(engine, ukeys, n)
-        engine.release(sorted_keys)
-        out = engine.result_buffer(max(n, 1), b.dtype, tag="sorted")
-        if n:
-            engine.launch("gather", out, col, order, n)
+    ukeys = _encode_keys(engine, b, n, b.dtype)
+    if descending:
+        flipped = engine.temp(max(n, 1), ukeys.dtype, tag="sort_desc")
+        all_ones = (1 << (ukeys.dtype.itemsize * 8)) - 1
+        engine.launch("ewise_scalar", flipped, ukeys, n, "xor", all_ones)
+        engine.release(ukeys)
+        ukeys = flipped
+    sorted_keys, order = _radix_sort(engine, ukeys, n)
+    engine.release(sorted_keys)
+    out = engine.result_buffer(max(n, 1), b.dtype, tag="sorted")
+    if n:
+        engine.launch("gather", out, col, order, n)
     return (
         engine.device_bat(out, Role.VALUES, count=n,
                           sorted_=not descending),
@@ -850,10 +839,11 @@ _SWAPPED = {"add": "add", "mul": "mul", "sub": "rsub", "div": "rdiv",
 
 
 def _ewise(engine: OcelotEngine, a, b, op: str):
-    """Every element-wise ``batcalc`` operator but ``ifthenelse``: a
-    result of :func:`calc_result_dtype` written by ``ewise`` (two
-    columns) or ``ewise_scalar`` (a column and a constant), or by their
-    ``compare`` twins — kernels computing through
+    """Every element-wise ``batcalc`` operator but ``ifthenelse``,
+    comparisons and logic included: a result of
+    :func:`calc_result_dtype` written by ``ewise`` (two columns) or
+    ``ewise_scalar`` (a column and a constant) — the operand shape alone
+    picks the kernel, and both compute through
     :func:`~repro.monetdb.calc.elementwise`, as MonetDB does."""
     a_is_bat, b_is_bat = isinstance(a, BAT), isinstance(b, BAT)
     if not (a_is_bat or b_is_bat):
@@ -864,16 +854,13 @@ def _ewise(engine: OcelotEngine, a, b, op: str):
         for v in (a, b)
     ), op)
     out = engine.result_buffer(max(n, 1), dtype, tag=f"calc_{op}")
-    two_columns, column_constant = (
-        ("compare_vv", "compare_vs") if op in COMPARISONS
-        else ("ewise", "ewise_scalar"))
     if a_is_bat and b_is_bat:
-        engine.launch(two_columns, out, engine.buffer_of(a),
-                      engine.buffer_of(b), n, op)
+        engine.launch("ewise", out, engine.buffer_of(a), engine.buffer_of(b),
+                      n, op)
     elif a_is_bat:
-        engine.launch(column_constant, out, engine.buffer_of(a), n, op, b)
+        engine.launch("ewise_scalar", out, engine.buffer_of(a), n, op, b)
     else:
-        engine.launch(column_constant, out, engine.buffer_of(b), n,
+        engine.launch("ewise_scalar", out, engine.buffer_of(b), n,
                       _SWAPPED[op], a)
     return engine.device_bat(out, Role.VALUES, count=n)
 
@@ -894,7 +881,7 @@ def op_ifthenelse(engine: OcelotEngine, cond: BAT, a, b):
         engine.launch("where_vs", out, cond_buf, engine.buffer_of(a), n, b)
     elif b_is_bat:
         inverted = engine.temp(max(n, 1), np.uint8, tag="where_not")
-        engine.launch("compare_vs", inverted, cond_buf, n, "eq", 0)
+        engine.launch("ewise_scalar", inverted, cond_buf, n, "eq", 0)
         engine.launch("where_vs", out, inverted, engine.buffer_of(b), n, a)
     else:
         engine.launch("where_ss", out, cond_buf, n, a, b)

@@ -582,9 +582,15 @@ class Compiler:
         return outputs
 
     def _outputs(self, scope, select) -> list[tuple[str, Var]]:
-        return [(_output_name(item, index),
-                 self._value_expr(scope, item.expr))
-                for index, item in enumerate(select.items)]
+        names = [_output_name(item, index)
+                 for index, item in enumerate(select.items)]
+        for name in names:
+            if names.count(name) > 1:
+                # a result is keyed by name: the later column would
+                # silently replace the earlier one
+                raise BindError(f"duplicate output name {name!r}")
+        return [(name, self._value_expr(scope, item.expr))
+                for name, item in zip(names, select.items)]
 
     def _grouped_outputs(self, pipeline, select,
                          group_by) -> list[tuple[str, Var]]:

@@ -22,13 +22,15 @@ def program(gpu_ctx):
     return cl.build(gpu_ctx, KERNEL_LIBRARY)
 
 
+def launch(queue, program, name, *args):
+    return queue.enqueue_kernel(program.kernel(name), args)
+
+
 def test_kernel_waits_for_input_producers(gpu_ctx, queue, program):
     src = gpu_ctx.empty(1024, np.int32, tag="src")
     write = queue.enqueue_write(src, np.arange(1024, dtype=np.int32))
     out = gpu_ctx.empty(1024, np.int32, tag="out")
-    kernel = program.kernel("ewise_scalar").launch(
-        queue, out, src, 1024, "add", 5
-    )
+    kernel = launch(queue, program, "ewise_scalar", out, src, 1024, "add", 5)
     assert kernel.t_start >= write.t_end
     assert np.array_equal(out.array, np.arange(1024) + 5)
 
@@ -38,9 +40,8 @@ def test_transfer_overlaps_independent_kernel(gpu_ctx, queue, program):
     kernel occupies the compute engine."""
     a = gpu_ctx.create_buffer(np.arange(1 << 20, dtype=np.int32), tag="a")
     out = gpu_ctx.empty(1 << 20, np.int32, tag="o")
-    kernel = program.kernel("ewise_scalar").launch(
-        queue, out, a, 1 << 20, "add", 1
-    )
+    kernel = launch(queue, program, "ewise_scalar", out, a, 1 << 20, "add",
+                    1)
     b = gpu_ctx.empty(1 << 20, np.int32, tag="b")
     transfer = queue.enqueue_write(b, np.zeros(1 << 20, np.int32))
     # independent: transfer starts before the kernel finishes
@@ -51,7 +52,7 @@ def test_transfer_overlaps_independent_kernel(gpu_ctx, queue, program):
 def test_dependent_commands_serialise(gpu_ctx, queue, program):
     a = gpu_ctx.create_buffer(np.arange(256, dtype=np.int32))
     out = gpu_ctx.empty(256, np.int32)
-    k1 = program.kernel("ewise_scalar").launch(queue, out, a, 256, "add", 1)
+    k1 = launch(queue, program, "ewise_scalar", out, a, 256, "add", 1)
     host, read = queue.enqueue_read(out)
     assert read.t_start >= k1.t_end
     assert np.array_equal(host, np.arange(256) + 1)
@@ -61,11 +62,11 @@ def test_finish_joins_all_timelines(gpu_ctx, queue, program):
     a = gpu_ctx.create_buffer(np.arange(256, dtype=np.int32))
     t = queue.finish()
     out = gpu_ctx.empty(256, np.int32)
-    kernel = program.kernel("ewise_scalar").launch(queue, out, a, 256, "add", 1)
+    kernel = launch(queue, program, "ewise_scalar", out, a, 256, "add", 1)
     t2 = queue.finish()
     assert t2 >= kernel.t_end >= t
     # after finish, new commands cannot start earlier than the makespan
-    late = program.kernel("ewise_scalar").launch(queue, out, a, 256, "add", 2)
+    late = launch(queue, program, "ewise_scalar", out, a, 256, "add", 2)
     assert late.t_start >= t2
 
 
@@ -81,7 +82,7 @@ def test_stats_accumulate(gpu_ctx, queue, program):
     a = gpu_ctx.empty(1024, np.int32)
     queue.enqueue_write(a, np.zeros(1024, np.int32))
     out = gpu_ctx.empty(1024, np.int32)
-    program.kernel("ewise_scalar").launch(queue, out, a, 1024, "add", 1)
+    launch(queue, program, "ewise_scalar", out, a, 1024, "add", 1)
     queue.enqueue_read(out)
     stats = queue.stats
     assert stats.kernels_launched == 1
@@ -90,15 +91,12 @@ def test_stats_accumulate(gpu_ctx, queue, program):
     assert stats.bytes_to_device == 1024 * 4 * 100  # nominal
     assert stats.kernel_seconds > 0
 
-    snap = stats.snapshot()
-    assert snap.kernels_launched == 1
-
 
 def test_timeline_sorted(gpu_ctx, queue, program):
     a = gpu_ctx.create_buffer(np.arange(64, dtype=np.int32))
     out = gpu_ctx.empty(64, np.int32)
     for k in range(3):
-        program.kernel("ewise_scalar").launch(queue, out, a, 64, "add", k)
+        launch(queue, program, "ewise_scalar", out, a, 64, "add", k)
     events = queue.timeline()
     starts = [e.t_start for e in events]
     assert starts == sorted(starts)
@@ -114,10 +112,10 @@ def test_kernel_arg_validation(gpu_ctx, queue, program):
     out = gpu_ctx.empty(16, np.uint8)
     with pytest.raises(cl.InvalidKernelArgs):
         # missing arguments
-        program.kernel("select_bitmap").launch(queue, out)
+        launch(queue, program, "select_bitmap", out)
     with pytest.raises(cl.InvalidKernelArgs):
         # scalar passed where a buffer is expected
-        program.kernel("gather").launch(queue, out, 5, out, 4)
+        launch(queue, program, "gather", out, 5, out, 4)
 
 
 def _scratch_kernel(ctx, out, tmp, n):
@@ -150,7 +148,7 @@ class TestRejectedLaunches:
         idx = gpu_ctx.create_buffer(np.arange(4, dtype=np.uint32), tag="idx")
         out = gpu_ctx.empty(4, np.int32, tag="out")
         queue.enqueue_write(src, np.arange(8, dtype=np.int32))
-        program.kernel("gather").launch(queue, out, src, idx, 4)
+        launch(queue, program, "gather", out, src, idx, 4)
         return program, out, src, idx
 
     def rejected(self, queue, program, name, args, buffers) -> str:
@@ -162,7 +160,7 @@ class TestRejectedLaunches:
             [b.array.copy() for b in buffers if not b.released],
         )
         with pytest.raises(cl.InvalidKernelArgs) as err:
-            program.kernel(name).launch(queue, *args)
+            launch(queue, program, name, *args)
         after = (
             queue.host_time,
             queue.stats.kernels_launched,
@@ -211,7 +209,7 @@ class TestRejectedLaunches:
     def test_a_well_formed_launch_of_the_same_kernels_runs(self, queue, rig):
         program, out, src, idx = rig
         launched = queue.stats.kernels_launched
-        program.kernel("scratch").launch(queue, out, cl.Local(4, np.int32), 4)
+        launch(queue, program, "scratch", out, cl.Local(4, np.int32), 4)
         assert queue.stats.kernels_launched == launched + 1
         assert out.array.tolist() == [1, 1, 1, 1]
 

@@ -375,3 +375,39 @@ def test_one_elementwise_rule():
     host_code = {name for name, fn in operators.HOST_CODE.items()
                  if getattr(fn, "func", None) is operators._ewise}
     assert host_code == ewise
+
+
+# -- one device layer: each device job has one entry point ------------------
+
+def test_one_elementwise_kernel_per_operand_shape():
+    """A comparison is an ``ewise`` / ``ewise_scalar`` launch like any
+    other element-wise op: the library has no ``compare_*`` twin, and
+    ``_ewise`` picks its kernel by operand shape alone."""
+    from repro.kernels import KERNEL_LIBRARY
+
+    assert [name for name in KERNEL_LIBRARY if name.startswith("compare")] \
+        == []
+    body = sources()["ocelot/operators.py"].split("def _ewise(")[1]
+    body = body.split("\ndef ")[0]
+    launched = re.findall(r'engine\.launch\(\s*"(\w+)"', body)
+    assert set(launched) == {"ewise", "ewise_scalar"}, launched
+    assert len(re.findall(r"engine\.launch\(", body)) == len(launched)
+
+
+def test_one_launch_door_and_no_wait_lists():
+    """Kernels go through ``CommandQueue.enqueue_kernel`` (reached from
+    ``OcelotEngine.launch``) on the device's fixed NDRange, and every
+    command waits on its buffers' event registries alone."""
+    import inspect
+
+    from repro.cl import CommandQueue, Kernel
+    from repro.ocelot.engine import OcelotEngine
+
+    doors = [getattr(CommandQueue, name) for name in vars(CommandQueue)
+             if name.startswith("enqueue_")]
+    assert len(doors) == 5
+    for door in (*doors, OcelotEngine.launch):
+        parameters = set(inspect.signature(door).parameters)
+        assert not parameters & {"wait_for", "global_size", "local_size"}, \
+            door.__qualname__
+    assert not hasattr(Kernel, "launch")

@@ -74,8 +74,8 @@ def test_consumers_dominated_by_a_later_reader_are_dropped():
     out = ctx.empty(64, np.int32)
     latest = 0.0
     for k in range(50):
-        event = program.kernel("ewise_scalar").launch(
-            queue, out, col, 64, "add", k
+        event = queue.enqueue_kernel(
+            program.kernel("ewise_scalar"), (out, col, 64, "add", k)
         )
         latest = max(latest, event.t_end)
         assert len(col.consumer_events) == 1

@@ -33,6 +33,9 @@ here too.  The statements cover the constant surface a plan binds:
 * spelling — one table's columns bare or qualified (``t255.k``), drawn
   anew at each site, so ``SELECT``, ``GROUP BY`` and ``HAVING`` may
   name one key two ways;
+* names — every output is ``o0``, ``o1``, …, so no statement can draw
+  a duplicate output name (one is a ``BindError`` at compile, on every
+  spec: the fixed oracle's ``REFUSED``);
 * order — ``ORDER BY`` one output column, ``ASC`` / ``DESC`` or neither,
   with or without a ``LIMIT``.  The ordered column's sequence must
   equal SQLite's; within a run of equal values the rows compare as a

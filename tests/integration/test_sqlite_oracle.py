@@ -620,6 +620,11 @@ REFUSED = {
         "HAVING needs GROUP BY",
     # an ungrouped aggregate's element-wise is calc: + - * / alone
     "SELECT sum(v) > 0 AS p FROM t255": "'gt'",
+    # a result is keyed by its output names: a second column of one
+    # name would replace the first
+    "SELECT k AS x, v AS x FROM t255": "duplicate output name 'x'",
+    "SELECT k, k FROM t255": "duplicate output name 'k'",
+    "SELECT k AS v, v FROM t255": "duplicate output name 'v'",
 }
 
 
@@ -630,8 +635,11 @@ def test_refused_shapes_are_refused_at_compile(db, sql):
     with pytest.raises(BindError, match=REFUSED[sql]):
         compile_sql(sql, db.schema)
     for spec in SPECS:
+        con = db.connect(spec)
         with pytest.raises(BindError, match=REFUSED[sql]):
-            db.connect(spec).execute(sql)
+            con.execute(sql)
+        with pytest.raises(BindError, match=REFUSED[sql]):
+            con.submit(sql).result()
 
 
 def test_min_and_max_of_nothing_are_refused(db):

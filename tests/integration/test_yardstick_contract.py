@@ -44,7 +44,7 @@ def swap(definition, attr, calls):
     object.__setattr__(definition, attr, wrapped)
 
 
-@pytest.mark.parametrize("door", ["engine", "kernel"])
+@pytest.mark.parametrize("door", ["engine", "queue"])
 def test_a_body_swapped_onto_a_built_definition_runs_next(engine, door):
     buf = engine.context.empty(8, np.int32)
     kernel = engine.program.kernel("fill_copy")
@@ -53,7 +53,7 @@ def test_a_body_swapped_onto_a_built_definition_runs_next(engine, door):
         if door == "engine":
             engine.launch("fill_copy", buf, 8, value)
         else:
-            kernel.launch(engine.queue, buf, 8, value)
+            engine.queue.enqueue_kernel(kernel, (buf, 8, value))
 
     launch(1)
     calls: list[str] = []

@@ -26,8 +26,8 @@ class KernelRig:
     def zeros(self, n, dtype, tag=""):
         return self.ctx.zeros(max(int(n), 1), dtype, tag=tag)
 
-    def run(self, kernel, *args, **kw):
-        return self.program.kernel(kernel).launch(self.queue, *args, **kw)
+    def run(self, kernel, *args):
+        return self.queue.enqueue_kernel(self.program.kernel(kernel), args)
 
 
 @pytest.fixture(params=["cpu", "gpu"], scope="module")

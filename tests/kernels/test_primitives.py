@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import cl
+
 
 #: numpy's own ops, the reference the kernels' ``op`` argument is held to
 NUMPY_OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
@@ -235,14 +237,22 @@ class TestEwise:
 
 
 class TestCompareWhere:
-    def test_compare_vv_vs(self, rig):
+    def test_comparisons_through_ewise(self, rig):
+        """A comparison is an ``ewise`` / ``ewise_scalar`` launch into a
+        uint8 result, one byte written per row."""
         a = np.array([1, 5, 3], dtype=np.int32)
         b = np.array([2, 5, 1], dtype=np.int32)
-        out = rig.empty(3, np.uint8)
-        rig.run("compare_vv", out, rig.buf(a), rig.buf(b), 3, "lt")
-        assert np.array_equal(out.array, [1, 0, 0])
-        rig.run("compare_vs", out, rig.buf(a), 3, "ge", 3)
-        assert np.array_equal(out.array, [0, 1, 1])
+        for kernel, args, expected in (
+                ("ewise", (rig.buf(a), rig.buf(b), 3, "lt"), [1, 0, 0]),
+                ("ewise_scalar", (rig.buf(a), 3, "ge", 3), [0, 1, 1])):
+            out = rig.empty(3, np.uint8)
+            rig.run(kernel, out, *args)
+            assert out.array.dtype == np.uint8
+            assert np.array_equal(out.array, expected)
+            definition = rig.program.kernel(kernel).definition
+            values = [arg.array if isinstance(arg, cl.Buffer) else arg
+                      for arg in (out, *args)]
+            assert definition.work_fn(None, *values).bytes_written == 3
 
     def test_where_variants(self, rig):
         cond = np.array([1, 0, 1, 0], dtype=np.uint8)

@@ -283,9 +283,9 @@ def test_every_sort_and_build_in_a_query_issues_what_its_size_needs(
     log = []
     launch = OcelotEngine.launch
 
-    def recording(self, kernel_name, *args, **kwargs):
+    def recording(self, kernel_name, *args):
         log.append((self, kernel_name, args))
-        return launch(self, kernel_name, *args, **kwargs)
+        return launch(self, kernel_name, *args)
 
     monkeypatch.setattr(OcelotEngine, "launch", recording)
     con = repro.tpch_database(sf=0.02).connect(label)

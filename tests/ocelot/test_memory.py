@@ -126,14 +126,6 @@ class TestPinning:
         mm.allocate(700, np.uint8, BufferKind.RESULT)
         assert precious.released or mm.stats.offloads == 1
 
-    def test_pinned_context_manager(self):
-        mm, _ = make_manager(1000)
-        buffer = mm.allocate(100, np.uint8, BufferKind.RESULT)
-        with mm.pinned(buffer):
-            entry = mm._entry_for_buffer(buffer)
-            assert entry.pins == 1
-        assert entry.pins == 0
-
     def test_unbalanced_unpin_raises(self):
         mm, _ = make_manager(1000)
         buffer = mm.allocate(16, np.uint8, BufferKind.RESULT)
