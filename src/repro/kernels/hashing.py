@@ -35,6 +35,26 @@ The vectorised driver emulates CAS deterministically: within one insertion
 round the lowest-index pending key wins a contested slot, a legal CAS
 outcome, and the same rule the reference interpreter applies — so both
 drivers build identical tables.
+
+The build leaves three invariants: a key sits in at most one slot; after
+the optimistic round a slot only goes from free to occupied; and a key
+*displaced* from its ``h0`` slot sits at the first ``h_f`` equal to its
+slot, or else within :data:`PROBE_LIMIT` of ``h5`` with no free slot
+before it.  The optimistic round writes every key's ``h0`` slot, so each
+key the check flags finds another key there: the pessimistic round's
+``h0`` CAS always fails, and the vectorised body counts those attempts
+without making them.
+
+A probe's look-ups, which price it (``ctx.counters["probe_lookups"]``):
+a key equal to ``EMPTY`` pays 1 and misses; a key found at ``h_f`` pays
+``f + 1``, and one found by the walk at distance ``d`` from ``h5`` pays
+``6 + d``; an absent key pays ``6 + min(r, PROBE_LIMIT)``, ``r`` being
+the circular distance from its ``h5`` slot to the first free slot after
+it — a function of the table alone.  A key missed at ``h0`` can be in
+the table only as a displaced key whose ``h0`` slot is the same, so the
+vectorised probe answers the others from the table (one array of
+displaced keys by ``h0`` slot, one of ``r`` by slot) instead of walking
+them; that holds for any table, built by these kernels or not.
 """
 
 from __future__ import annotations
@@ -86,7 +106,12 @@ def hash_slot(keys: np.ndarray, func: int, m: int) -> np.ndarray:
     h ^= h >> np.uint32(16)
     h *= _MIXERS[func]
     h ^= h >> np.uint32(13)
-    h %= np.uint32(m)
+    # h %= m, through the quotient: numpy divides by a scalar with a
+    # multiply and a shift, but takes a remainder element by element
+    divisor = np.uint32(m)
+    quotient = h // divisor
+    quotient *= divisor
+    h -= quotient
     return h.astype(np.int64)
 
 
@@ -278,8 +303,10 @@ def _ht_pessimistic_vec(ctx, tkeys, tvals, stats, keys, fail_bitmap, n, m):
     failed = np.unpackbits(fail_bitmap, bitorder="little", count=n).view(bool)
     pending_rows = np.flatnonzero(failed)
     pending_keys = keys[:n][pending_rows]
-    cas_attempts = 0
-    for func in range(NUM_HASH_FUNCTIONS):
+    # every flagged key's h0 slot holds another key (module docstring):
+    # its h0 CAS fails, and is counted all the same
+    cas_attempts = int(pending_keys.size)
+    for func in range(1, NUM_HASH_FUNCTIONS):
         if pending_keys.size == 0:
             break
         slots = hash_slot(pending_keys, func, m)
@@ -408,10 +435,10 @@ __kernel void ht_insert_pessimistic(__global uint* tkeys, __global uint* tvals,
 def _ht_probe_vec(ctx, out_vals, found_bitmap, tkeys, tvals, keys, n, m):
     n, m = int(n), int(m)
     # h0 runs over the whole input; later rounds over the compacted misses
-    pending_keys = keys[:n]
-    slots = hash_slot(pending_keys, 0, m)
-    marker = pending_keys == EMPTY      # in no table: a free slot's key
-    found = (tkeys.take(slots) == pending_keys) & ~marker
+    probe_keys = keys[:n]
+    slots = hash_slot(probe_keys, 0, m)
+    marker = probe_keys == EMPTY        # in no table: a free slot's key
+    found = (tkeys.take(slots) == probe_keys) & ~marker
     result = out_vals[:n]
     result[:] = tvals.take(slots)
     lookups = n
@@ -419,7 +446,69 @@ def _ht_probe_vec(ctx, out_vals, found_bitmap, tkeys, tvals, keys, n, m):
     result[pending] = EMPTY
     if marker.any():
         pending = pending[~marker[pending]]
-    pending_keys = pending_keys.take(pending)
+    if pending.size > m:
+        # the table's arrays cost O(m): worth it once the misses to walk
+        # outnumber the slots
+        pending, absent_keys = _split_absent(tkeys, probe_keys, slots,
+                                             pending, m)
+        lookups += _absent_lookups(tkeys, absent_keys, m)
+    lookups += _probe_rounds(tkeys, tvals, probe_keys, pending, result,
+                             found, m)
+    packed = np.packbits(found, bitorder="little")
+    found_bitmap[: packed.size] = packed
+    found_bitmap[packed.size :] = 0
+    ctx.counters["probe_lookups"] = lookups
+
+
+def _split_absent(tkeys, probe_keys, slots, pending, m):
+    """``(rows that may be in the table, keys that are not)`` of the rows
+    ``pending`` missed at their ``h0`` slot ``slots``.
+
+    Such a key is present only as a displaced key with the same ``h0``
+    slot; ``rival`` holds the displaced key of each ``h0`` slot, and a
+    slot two displaced keys share sends its probes on to the rounds."""
+    occupied = np.flatnonzero(tkeys != EMPTY)
+    stored = tkeys.take(occupied)
+    home = hash_slot(stored, 0, m)
+    displaced = home != occupied
+    home, stored = home[displaced], stored[displaced]
+    rival = np.full(m, EMPTY, np.uint32)
+    rival[home] = stored
+    shared = np.zeros(m, bool)
+    shared[home[rival.take(home) != stored]] = True
+    at = slots.take(pending)
+    pending_keys = probe_keys.take(pending)
+    maybe = rival.take(at) == pending_keys
+    maybe |= shared.take(at)
+    return pending[maybe], pending_keys[~maybe]
+
+
+def _absent_lookups(tkeys, absent_keys, m) -> int:
+    """Look-ups after ``h0`` of keys in no slot: each misses ``h1``…``h5``
+    and walks from ``h5`` to the first free slot, or :data:`PROBE_LIMIT`
+    slots."""
+    free = np.flatnonzero(tkeys == EMPTY)
+    if free.size == 0:
+        walk = np.full(m, PROBE_LIMIT, np.int64)
+    else:
+        # slots free[i] .. free[i + 1] - 1 walk to free[i + 1], circularly
+        first = int(free[0])
+        ends = np.append(free, first + m)
+        walk = np.repeat(ends[1:], np.diff(ends))
+        walk -= np.arange(first, first + m)
+        np.minimum(walk, PROBE_LIMIT, out=walk)
+        walk = np.roll(walk, first)
+    last = hash_slot(absent_keys, NUM_HASH_FUNCTIONS - 1, m)
+    return ((NUM_HASH_FUNCTIONS - 1) * int(absent_keys.size)
+            + int(walk.take(last).sum()))
+
+
+def _probe_rounds(tkeys, tvals, probe_keys, pending, result, found, m) -> int:
+    """``h1``…``h5``, then the walk from ``h5``, for the rows ``pending``;
+    records hits in ``result`` and ``found``, returns the look-ups after
+    ``h0``."""
+    lookups = 0
+    pending_keys = probe_keys.take(pending)
     for func in range(1, NUM_HASH_FUNCTIONS):
         if pending.size == 0:
             break
@@ -448,10 +537,7 @@ def _ht_probe_vec(ctx, out_vals, found_bitmap, tkeys, tvals, keys, n, m):
             pending = pending[keep]
             pending_keys = pending_keys[keep]
             base = base[keep]
-    packed = np.packbits(found, bitorder="little")
-    found_bitmap[: packed.size] = packed
-    found_bitmap[packed.size :] = 0
-    ctx.counters["probe_lookups"] = lookups
+    return lookups
 
 
 #: Tables smaller than this stay resident in on-chip cache during a probe

@@ -19,7 +19,7 @@ import numpy as np
 from ..monetdb import partials
 from ..monetdb.bat import BAT, OID_DTYPE, Role
 from ..monetdb.ops import OPS, class_of
-from ..ocelot.operators import HOST_CODE, op_sync
+from ..ocelot.operators import HOST_CODE
 from .pool import DevicePool
 
 
@@ -80,7 +80,7 @@ def _fan_out(pool, function, args, plan, charge_overhead):
 def _to_host(engine, bat: BAT) -> np.ndarray:
     """Sync one partial back on its own device's queue."""
     with engine.memory.operator_scope():
-        op_sync(engine, bat)
+        HOST_CODE["sync"](engine, bat)
     return partials.host_tail(bat)
 
 

@@ -539,3 +539,267 @@ class TestCheckCountsItsOwnFailures:
             bytes_written=(n + 7) // 8 + 4, ops=7 * n,
             atomic_ops=profile.num_work_groups, atomic_addresses=1,
         )
+
+
+# ---------------------------------------------------------------------------
+# The probe answers a miss from the table.  The body below is a verbatim
+# copy of the probe before that rewrite, which walked every miss through
+# h1…h5 and the linear probe; the current body must reproduce its values,
+# found bitmap, look-up count and ``KernelWork`` on every table the three
+# build kernels can leave, on either side of its size rule (it answers
+# from the table only when more rows miss at h0 than the table has slots).
+# The pessimistic round no longer tries h0; the copy of its body before
+# that pins the tables it builds.
+# ---------------------------------------------------------------------------
+
+def round_by_round_probe_vec(ctx, out_vals, found_bitmap, tkeys, tvals,
+                             keys, n, m):
+    n, m = int(n), int(m)
+    # h0 runs over the whole input; later rounds over the compacted misses
+    pending_keys = keys[:n]
+    slots = hash_slot(pending_keys, 0, m)
+    marker = pending_keys == EMPTY      # in no table: a free slot's key
+    found = (tkeys.take(slots) == pending_keys) & ~marker
+    result = out_vals[:n]
+    result[:] = tvals.take(slots)
+    lookups = n
+    pending = np.flatnonzero(~found)
+    result[pending] = EMPTY
+    if marker.any():
+        pending = pending[~marker[pending]]
+    pending_keys = pending_keys.take(pending)
+    for func in range(1, NUM_HASH_FUNCTIONS):
+        if pending.size == 0:
+            break
+        slots = hash_slot(pending_keys, func, m)
+        lookups += int(pending.size)
+        hit = tkeys.take(slots) == pending_keys
+        hit_rows = pending[hit]
+        result[hit_rows] = tvals.take(slots[hit])
+        found[hit_rows] = True
+        miss = ~hit
+        pending = pending[miss]
+        pending_keys = pending_keys[miss]
+    if pending.size:
+        base = hash_slot(pending_keys, NUM_HASH_FUNCTIONS - 1, m)
+        for distance in range(1, PROBE_LIMIT + 1):
+            if pending.size == 0:
+                break
+            slots = (base + distance) % m
+            occupant = tkeys.take(slots)
+            lookups += int(pending.size)
+            hit = occupant == pending_keys
+            hit_rows = pending[hit]
+            result[hit_rows] = tvals.take(slots[hit])
+            found[hit_rows] = True
+            keep = ~hit & (occupant != EMPTY)  # an empty slot ends the probe
+            pending = pending[keep]
+            pending_keys = pending_keys[keep]
+            base = base[keep]
+    packed = np.packbits(found, bitorder="little")
+    found_bitmap[: packed.size] = packed
+    found_bitmap[packed.size :] = 0
+    ctx.counters["probe_lookups"] = lookups
+
+
+def h0_round_pessimistic_vec(ctx, tkeys, tvals, stats, keys, fail_bitmap,
+                             n, m):
+    from repro.kernels.hashing import _insert_round
+
+    n, m = int(n), int(m)
+    failed = np.unpackbits(fail_bitmap, bitorder="little", count=n).view(bool)
+    pending_rows = np.flatnonzero(failed)
+    pending_keys = keys[:n][pending_rows]
+    cas_attempts = 0
+    for func in range(NUM_HASH_FUNCTIONS):
+        if pending_keys.size == 0:
+            break
+        slots = hash_slot(pending_keys, func, m)
+        cas_attempts += int(pending_keys.size)
+        unplaced = ~_insert_round(tkeys, tvals, pending_keys, pending_rows, slots)
+        pending_keys = pending_keys[unplaced]
+        pending_rows = pending_rows[unplaced]
+
+    if pending_keys.size:
+        base = hash_slot(pending_keys, NUM_HASH_FUNCTIONS - 1, m)
+        for distance in range(1, PROBE_LIMIT + 1):
+            slots = (base + distance) % m
+            cas_attempts += int(pending_keys.size)
+            unplaced = ~_insert_round(
+                tkeys, tvals, pending_keys, pending_rows, slots
+            )
+            pending_keys = pending_keys[unplaced]
+            pending_rows = pending_rows[unplaced]
+            base = base[unplaced]
+            if pending_keys.size == 0:
+                break
+
+    stats[0] = np.uint32(cas_attempts)
+    stats[1] = np.uint32(pending_keys.size)  # unplaced -> host restarts
+    ctx.counters["cas_attempts"] = cas_attempts
+
+
+def built(keys: np.ndarray, m: int):
+    """``(tkeys, tvals, fail bitmap, optimistic table)``: the three build
+    kernels' table over ``keys`` (no key ``EMPTY``), the pessimistic round
+    run by the round-by-round copy and by the kernel on twin tables, which
+    must agree to the bit."""
+    from repro.kernels import KERNEL_LIBRARY as lib
+
+    n = keys.size
+    ctx = vec_ctx()
+    tkeys = np.full(m, EMPTY, np.uint32)
+    tvals = np.full(m, POISON, np.uint32)
+    lib["ht_insert_optimistic"].vec_fn(ctx, tkeys, tvals, keys, n, m)
+    fail = np.zeros(bitmap_nbytes(n), np.uint8)
+    fail_count = np.zeros(1, np.uint32)
+    lib["ht_check"].vec_fn(ctx, fail, fail_count, tkeys, keys, n, m)
+    optimistic = tkeys.copy()
+    old_tk, old_tv, old_stats = tkeys.copy(), tvals.copy(), np.zeros(2, np.uint32)
+    old_ctx = vec_ctx()
+    h0_round_pessimistic_vec(old_ctx, old_tk, old_tv, old_stats, keys, fail,
+                             n, m)
+    stats = np.zeros(2, np.uint32)
+    args = (vec_ctx(), tkeys, tvals, stats, keys, fail, n, m)
+    lib["ht_insert_pessimistic"].vec_fn(*args)
+    assert np.array_equal(tkeys, old_tk)
+    assert np.array_equal(tvals, old_tv)
+    assert np.array_equal(stats, old_stats)
+    assert args[0].counters == old_ctx.counters
+    old_args = (old_ctx,) + args[1:]
+    assert (lib["ht_insert_pessimistic"].work_fn(*args)
+            == lib["ht_insert_pessimistic"].work_fn(*old_args))
+    return tkeys, tvals, fail, optimistic
+
+
+def misses_at_h0(tkeys, probe_keys, m) -> int:
+    """Rows the probe carries past h0: the side of its size rule."""
+    slots = hash_slot(probe_keys, 0, m)
+    return int(np.count_nonzero((tkeys[slots] != probe_keys)
+                                & (probe_keys != EMPTY)))
+
+
+def assert_probe_is_round_by_round(tkeys, tvals, probe_keys, m):
+    """The kernel and the copy agree on values, bitmap, look-ups and
+    work; returns the look-ups."""
+    from repro.kernels import KERNEL_LIBRARY as lib
+
+    p = probe_keys.size
+    runs = []
+    for body in (lib["ht_probe"].vec_fn, round_by_round_probe_vec):
+        ctx = vec_ctx()
+        out = np.full(max(p, 1), 0x5A5A5A5A, np.uint32)
+        found = np.full(bitmap_nbytes(p) + 1, 0xFF, np.uint8)
+        args = (ctx, out, found, tkeys, tvals, probe_keys, p, m)
+        body(*args)
+        runs.append((out, found, ctx.counters, lib["ht_probe"].work_fn(*args)))
+    (out, found, counters, work), (old_out, old_found, old_counters,
+                                   old_work) = runs
+    assert np.array_equal(out, old_out)
+    assert np.array_equal(found, old_found)
+    assert counters == old_counters
+    assert work == old_work
+    return counters["probe_lookups"]
+
+
+def absent_keys(tkeys, count, seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 2**32 - 1, count, dtype=np.uint64).astype(np.uint32)
+    return keys[~np.isin(keys, tkeys)]
+
+
+class TestProbeAnswersMissesFromTheTable:
+    def test_a_one_key_table(self):
+        keys = np.array([42], np.uint32)
+        tkeys, tvals, _fail, _ = built(keys, 16)
+        probe_keys = np.concatenate(
+            (keys, absent_keys(tkeys, 300, 1), keys)).astype(np.uint32)
+        assert misses_at_h0(tkeys, probe_keys, 16) > 16
+        assert_probe_is_round_by_round(tkeys, tvals, probe_keys, 16)
+
+    @pytest.mark.parametrize("side", ("rounds", "table"))
+    def test_mostly_absent_duplicated_and_marker_keys(self, side):
+        rng = np.random.default_rng(7)
+        keys = np.unique(rng.integers(0, 2**31, 700)).astype(np.uint32)
+        m = int(1.4 * keys.size) + 1
+        tkeys, tvals, _fail, _ = built(keys, m)
+        size = 2 * m if side == "table" else m // 2
+        absent = absent_keys(tkeys, size, 8)
+        present = keys[rng.integers(0, keys.size, size // 10)]
+        probe_keys = np.concatenate(
+            (absent, present, present[:5], [EMPTY, EMPTY])).astype(np.uint32)
+        rng.shuffle(probe_keys)
+        assert (probe_keys == EMPTY).sum() == 2
+        assert np.isin(probe_keys, keys).mean() < 0.1
+        assert (misses_at_h0(tkeys, probe_keys, m) > m) == (side == "table")
+        assert_probe_is_round_by_round(tkeys, tvals, probe_keys, m)
+
+    def test_no_rows(self):
+        keys = np.arange(50, dtype=np.uint32)
+        tkeys, tvals, _fail, _ = built(keys, 71)
+        assert assert_probe_is_round_by_round(
+            tkeys, tvals, np.zeros(0, np.uint32), 71) == 0
+
+    @pytest.mark.parametrize("m", (16, 41, 63))
+    def test_linearly_placed_keys_and_a_full_table(self, m):
+        """Under ``PROBE_LIMIT`` slots the walk wraps; as many distinct
+        keys as slots fill every one, most of them by the walk."""
+        keys = (np.arange(m, dtype=np.uint32) * 2654435761) % 1_000_003
+        tkeys, tvals, _fail, optimistic = built(keys, m)
+        assert (tkeys != EMPTY).all()
+        walked = [
+            slot for slot in np.flatnonzero(optimistic == EMPTY)
+            if all(hash_slot(tkeys[slot:slot + 1], f, m)[0] != slot
+                   for f in range(NUM_HASH_FUNCTIONS))
+        ]
+        assert walked
+        for side in (m // 2, 3 * m):
+            probe_keys = np.concatenate(
+                (keys, absent_keys(tkeys, side, m))).astype(np.uint32)
+            lookups = assert_probe_is_round_by_round(tkeys, tvals,
+                                                     probe_keys, m)
+            # an absent key walks PROBE_LIMIT slots: none is free
+            assert lookups >= (probe_keys.size - m) * (6 + PROBE_LIMIT)
+
+    def test_runs_longer_than_the_probe_limit(self):
+        """A nearly full table: most absent keys give up after
+        ``PROBE_LIMIT`` occupied slots, the rest stop at a free one."""
+        m = 4 * PROBE_LIMIT + 1
+        keys = (np.arange(m - 2, dtype=np.uint32) * 40503) % 1_000_003
+        tkeys, tvals, _fail, _ = built(keys, m)
+        free = np.flatnonzero(tkeys == EMPTY)
+        assert 0 < free.size and np.diff(free, append=free[0] + m).max() \
+            > PROBE_LIMIT + 1
+        probe_keys = absent_keys(tkeys, 3 * m, 5)
+        assert misses_at_h0(tkeys, probe_keys, m) > m
+        lookups = assert_probe_is_round_by_round(tkeys, tvals, probe_keys, m)
+        assert lookups < probe_keys.size * (6 + PROBE_LIMIT)
+
+    @given(st.integers(0, 150), st.integers(1, 40), st.integers(1, 300),
+           st.integers(0, 400), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_probe_property(self, n, universe, m, p, absent_share, seed):
+        """Build keys from a small or wide universe (duplicates, walked
+        and unplaced keys), then probe present, absent, repeated and
+        ``EMPTY`` keys."""
+        rng = np.random.default_rng(seed)
+        scale = 1 if universe < 20 else 2654435761
+        keys = ((rng.integers(0, universe * 7, n) * scale) % (2**32 - 1)
+                ).astype(np.uint32)
+        tkeys, tvals, fail, optimistic = built(keys, m)
+        # the invariant the pessimistic round leans on: a flagged key's h0
+        # slot holds another key, never EMPTY
+        flagged = keys[np.unpackbits(fail, bitorder="little",
+                                     count=n).astype(bool)]
+        holder = optimistic[hash_slot(flagged, 0, m)]
+        assert ((holder != EMPTY) & (holder != flagged)).all()
+        absent = absent_keys(tkeys, p, seed + 1)
+        present = (keys[rng.integers(0, n, p)] if n
+                   else np.zeros(0, np.uint32))
+        take_absent = rng.random(min(absent.size, present.size)) < absent_share
+        mixed = np.where(take_absent, absent[:take_absent.size],
+                         present[:take_absent.size])
+        probe_keys = np.concatenate(
+            (mixed, absent[take_absent.size:],
+             np.full(rng.integers(0, 3), EMPTY))).astype(np.uint32)
+        assert_probe_is_round_by_round(tkeys, tvals, probe_keys, m)

@@ -63,9 +63,15 @@ def test_a_forced_split_runs_each_share_in_an_operator_scope(calls):
     try:
         for function, args in (("thetaselect", (a, None, 1 << 29, "<")),
                                ("subsum", (a, g, 64))):
+            before = len(calls)
             execute_split(backend.pool, function, args, halves)
+            # each share's one output comes home through the sync host
+            # code, inside a scope of its own
+            syncs = [depth for name, depth in calls[before:]
+                     if name == "sync"]
+            assert len(syncs) == len(halves), function
     finally:
         backend.shutdown()
     names = {name for name, _depth in calls}
-    assert {"thetaselect", "subsum"} <= names
+    assert {"thetaselect", "subsum", "sync"} <= names
     assert unscoped(calls) == []
