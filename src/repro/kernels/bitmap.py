@@ -238,6 +238,11 @@ __kernel void bitmap_offsets(__global uint* offsets,
 )
 
 
+#: below this many bytes the sparse expansion's extra numpy calls cost
+#: more than unpacking every byte
+_SPARSE_MIN_BYTES = 1024
+
+
 def _bitmap_write_oids_vec(ctx, oids, bitmap, offsets, n_bits, parts):
     """Stage 2: write positions of set bits at per-partition offsets.
 
@@ -246,9 +251,22 @@ def _bitmap_write_oids_vec(ctx, oids, bitmap, offsets, n_bits, parts):
     partitions are contiguous and offsets come from the prefix sum.
     """
     n_bits = int(n_bits)
-    bits = np.unpackbits(bitmap, bitorder="little", count=n_bits)
-    positions = np.nonzero(bits)[0]
-    oids[: positions.size] = positions.astype(oids.dtype)
+    nbytes = (n_bits + 7) // 8
+    if (nbytes < _SPARSE_MIN_BYTES
+            or 4 * np.count_nonzero(bitmap[:nbytes]) >= nbytes):
+        bits = np.unpackbits(bitmap, bitorder="little", count=n_bits)
+        positions = np.flatnonzero(bits)
+    else:
+        # sparse: expand only the bytes with a bit set
+        set_bytes = np.flatnonzero(bitmap[:nbytes])
+        bits = np.flatnonzero(np.unpackbits(bitmap.take(set_bytes),
+                                            bitorder="little"))
+        positions = set_bytes.take(bits >> 3)
+        positions <<= 3
+        positions += bits & 7
+        # bits past n_bits in the last byte are not positions
+        positions = positions[: np.searchsorted(positions, n_bits)]
+    oids[: positions.size] = positions
 
 
 def _bitmap_write_oids_work(ctx, oids, bitmap, offsets, n_bits, parts):

@@ -33,8 +33,10 @@ probe reads a value only where the key matched.
 
 The vectorised driver emulates CAS deterministically: within one insertion
 round the lowest-index pending key wins a contested slot, a legal CAS
-outcome, and the same rule the reference interpreter applies — so both
-drivers build identical tables.
+outcome, and the same rule the reference interpreter applies.  The
+interpreter runs one key through all its positions before the next, so
+a pessimistic round can leave a key in another slot than the driver's;
+both tables hold every key.
 
 The build leaves three invariants: a key sits in at most one slot; after
 the optimistic round a slot only goes from free to occupied; and a key
@@ -54,7 +56,12 @@ it — a function of the table alone.  A key missed at ``h0`` can be in
 the table only as a displaced key whose ``h0`` slot is the same, so the
 vectorised probe answers the others from the table (one array of
 displaced keys by ``h0`` slot, one of ``r`` by slot) instead of walking
-them; that holds for any table, built by these kernels or not.
+them; that holds for any table, built by these kernels or not.  A
+probe's answer and look-ups are a function of key and table, so when
+the probe keys span at most one value per eight rows (a grouping's own
+keys, a dimension's) the probe looks each distinct key up once, counts
+its look-ups once per row (``bincount`` of ``key - min``) and hands
+every row its key's answer.
 """
 
 from __future__ import annotations
@@ -354,9 +361,10 @@ def _ht_pessimistic_ref(wi, tkeys, tvals, stats, keys, fail_bitmap, n, m):
     """Sequential turn-taking emulation of the CAS loop.
 
     Work-items take turns in local-id order (one barrier per turn), each
-    running its full insert loop over its *failed* keys.  This yields a
-    first-wins outcome equivalent to the vectorised driver on a single
-    work-group.
+    running its full insert loop over its *failed* keys.  The vectorised
+    driver instead tries one position per round for every pending key, so
+    the two can place a key in different slots: both are legal outcomes
+    of the race, and both hold every key.
     """
     n, m = int(n), int(m)
     for turn in range(wi.global_size()):
@@ -434,14 +442,53 @@ __kernel void ht_insert_pessimistic(__global uint* tkeys, __global uint* tvals,
 
 def _ht_probe_vec(ctx, out_vals, found_bitmap, tkeys, tvals, keys, n, m):
     n, m = int(n), int(m)
-    # h0 runs over the whole input; later rounds over the compacted misses
     probe_keys = keys[:n]
+    result = out_vals[:n]
+    low = _narrow_low(probe_keys)
+    if low is None:
+        found, lookups = _probe(tkeys, tvals, probe_keys, result, m)
+    else:
+        # each distinct key once, its look-ups counted once per row
+        offsets = probe_keys - np.uint32(low)
+        counts = np.bincount(offsets)
+        present = np.flatnonzero(counts)
+        distinct = present.astype(np.uint32)
+        distinct += np.uint32(low)
+        values = np.empty(distinct.size, np.uint32)
+        hits, lookups = _probe(tkeys, tvals, distinct, values, m,
+                               counts.take(present))
+        by_key = np.empty(counts.size, np.uint32)
+        by_key[present] = values
+        np.take(by_key, offsets, out=result)
+        hit_by_key = np.empty(counts.size, bool)
+        hit_by_key[present] = hits
+        found = hit_by_key.take(offsets)
+    packed = np.packbits(found, bitorder="little")
+    found_bitmap[: packed.size] = packed
+    found_bitmap[packed.size :] = 0
+    ctx.counters["probe_lookups"] = n + lookups
+
+
+def _narrow_low(keys):
+    """The smallest key when ``keys`` span at most one value per eight
+    rows, else ``None``: only then does a look-up per distinct key, and a
+    count of each, beat a look-up per row."""
+    if keys.size == 0:
+        return None
+    low = int(keys.min())
+    return low if 8 * (int(keys.max()) - low + 1) <= keys.size else None
+
+
+def _probe(tkeys, tvals, probe_keys, result, m, weights=None):
+    """``(found, look-ups after h0)`` of ``probe_keys``, values into
+    ``result``; ``weights`` counts each key's look-ups that many times
+    (``None``: once)."""
+    # h0 runs over the whole input; later rounds over the compacted misses
     slots = hash_slot(probe_keys, 0, m)
     marker = probe_keys == EMPTY        # in no table: a free slot's key
     found = (tkeys.take(slots) == probe_keys) & ~marker
-    result = out_vals[:n]
     result[:] = tvals.take(slots)
-    lookups = n
+    lookups = 0
     pending = np.flatnonzero(~found)
     result[pending] = EMPTY
     if marker.any():
@@ -449,20 +496,18 @@ def _ht_probe_vec(ctx, out_vals, found_bitmap, tkeys, tvals, keys, n, m):
     if pending.size > m:
         # the table's arrays cost O(m): worth it once the misses to walk
         # outnumber the slots
-        pending, absent_keys = _split_absent(tkeys, probe_keys, slots,
-                                             pending, m)
-        lookups += _absent_lookups(tkeys, absent_keys, m)
+        pending, absent_keys, absent_weights = _split_absent(
+            tkeys, probe_keys, slots, pending, m, weights)
+        lookups += _absent_lookups(tkeys, absent_keys, m, absent_weights)
     lookups += _probe_rounds(tkeys, tvals, probe_keys, pending, result,
-                             found, m)
-    packed = np.packbits(found, bitorder="little")
-    found_bitmap[: packed.size] = packed
-    found_bitmap[packed.size :] = 0
-    ctx.counters["probe_lookups"] = lookups
+                             found, m, weights)
+    return found, lookups
 
 
-def _split_absent(tkeys, probe_keys, slots, pending, m):
-    """``(rows that may be in the table, keys that are not)`` of the rows
-    ``pending`` missed at their ``h0`` slot ``slots``.
+def _split_absent(tkeys, probe_keys, slots, pending, m, weights):
+    """``(rows that may be in the table, keys that are not, their
+    weights)`` of the rows ``pending`` missed at their ``h0`` slot
+    ``slots``.
 
     Such a key is present only as a displaced key with the same ``h0``
     slot; ``rival`` holds the displaced key of each ``h0`` slot, and a
@@ -480,13 +525,15 @@ def _split_absent(tkeys, probe_keys, slots, pending, m):
     pending_keys = probe_keys.take(pending)
     maybe = rival.take(at) == pending_keys
     maybe |= shared.take(at)
-    return pending[maybe], pending_keys[~maybe]
+    absent = ~maybe
+    return (pending[maybe], pending_keys[absent],
+            None if weights is None else weights.take(pending[absent]))
 
 
-def _absent_lookups(tkeys, absent_keys, m) -> int:
-    """Look-ups after ``h0`` of keys in no slot: each misses ``h1``…``h5``
-    and walks from ``h5`` to the first free slot, or :data:`PROBE_LIMIT`
-    slots."""
+def _absent_lookups(tkeys, absent_keys, m, weights) -> int:
+    """Look-ups after ``h0`` of keys in no slot (each ``weights`` times,
+    if given): each misses ``h1``…``h5`` and walks from ``h5`` to the
+    first free slot, or :data:`PROBE_LIMIT` slots."""
     free = np.flatnonzero(tkeys == EMPTY)
     if free.size == 0:
         walk = np.full(m, PROBE_LIMIT, np.int64)
@@ -498,12 +545,13 @@ def _absent_lookups(tkeys, absent_keys, m) -> int:
         walk -= np.arange(first, first + m)
         np.minimum(walk, PROBE_LIMIT, out=walk)
         walk = np.roll(walk, first)
-    last = hash_slot(absent_keys, NUM_HASH_FUNCTIONS - 1, m)
-    return ((NUM_HASH_FUNCTIONS - 1) * int(absent_keys.size)
-            + int(walk.take(last).sum()))
+    walked = walk.take(hash_slot(absent_keys, NUM_HASH_FUNCTIONS - 1, m))
+    walked += NUM_HASH_FUNCTIONS - 1
+    return int(walked.sum() if weights is None else walked @ weights)
 
 
-def _probe_rounds(tkeys, tvals, probe_keys, pending, result, found, m) -> int:
+def _probe_rounds(tkeys, tvals, probe_keys, pending, result, found, m,
+                  weights) -> int:
     """``h1``…``h5``, then the walk from ``h5``, for the rows ``pending``;
     records hits in ``result`` and ``found``, returns the look-ups after
     ``h0``."""
@@ -513,7 +561,7 @@ def _probe_rounds(tkeys, tvals, probe_keys, pending, result, found, m) -> int:
         if pending.size == 0:
             break
         slots = hash_slot(pending_keys, func, m)
-        lookups += int(pending.size)
+        lookups += _weight(pending, weights)
         hit = tkeys.take(slots) == pending_keys
         hit_rows = pending[hit]
         result[hit_rows] = tvals.take(slots[hit])
@@ -528,7 +576,7 @@ def _probe_rounds(tkeys, tvals, probe_keys, pending, result, found, m) -> int:
                 break
             slots = (base + distance) % m
             occupant = tkeys.take(slots)
-            lookups += int(pending.size)
+            lookups += _weight(pending, weights)
             hit = occupant == pending_keys
             hit_rows = pending[hit]
             result[hit_rows] = tvals.take(slots[hit])
@@ -538,6 +586,11 @@ def _probe_rounds(tkeys, tvals, probe_keys, pending, result, found, m) -> int:
             pending_keys = pending_keys[keep]
             base = base[keep]
     return lookups
+
+
+def _weight(rows, weights) -> int:
+    """Look-ups of one round over ``rows``."""
+    return int(rows.size) if weights is None else int(weights.take(rows).sum())
 
 
 #: Tables smaller than this stay resident in on-chip cache during a probe

@@ -13,6 +13,10 @@ constant: the paper uses 8 on the CPU and 4 on the GPU) in three kernels:
    offsets (``radix_reorder_first`` in the first pass, where a key's
    payload is its own position and no payload column exists yet).
 
+A pass over a digit every key shares (the high digits of narrow keys)
+moves nothing: its histogram puts each chunk's size under that digit and
+its reorder copies keys and payload.
+
 The reorder step requires contiguous per-thread chunks for stability, so
 this kernel family always partitions chunk-wise on both device types (the
 histogram/scatter locality is what the radix approach buys).  Keys are
@@ -174,15 +178,32 @@ def _digits(keys: np.ndarray, shift: int, bits: int) -> np.ndarray:
     return digits.astype(np.uint8 if bits <= 8 else np.uint16)
 
 
+def _constant_digit(digits: np.ndarray) -> "int | None":
+    """The digit every key has, if they all have one (narrow keys do in
+    their high digits); ``None`` for no keys or several digits."""
+    if (digits.size and digits[0] == digits[-1]
+            and digits.min() == digits.max()):
+        return int(digits[0])
+    return None
+
+
 def _radix_histogram_vec(ctx, hist, keys, n, shift, parts):
     n, shift, parts = int(n), int(shift), int(parts)
     bits = _radix_bits(ctx)
     radix = 1 << bits
+    digits = _digits(keys[:n], shift, bits)
+    digit = _constant_digit(digits)
+    if digit is not None:
+        # every chunk counts all its keys under the one digit
+        view = hist.reshape(parts, radix)
+        view[:, :] = 0
+        view[:, digit] = np.diff(chunk_bounds(n, parts))
+        return
     # Combined (thread, digit) index -> one bincount for all histograms:
     # every row starts at its thread's first bin and adds its digit.
     first_bin = np.arange(0, parts * radix, radix)
     combined = np.repeat(first_bin, np.diff(chunk_bounds(n, parts)))
-    combined += _digits(keys[:n], shift, bits)
+    combined += digits
     counts = np.bincount(combined, minlength=parts * radix)
     hist.reshape(parts, radix)[:, :] = counts.reshape(parts, radix)
 
@@ -280,11 +301,15 @@ def _radix_reorder_vec(ctx, keys_out, payload_out, keys, payload, offsets,
                        n, shift, parts):
     """``payload=None`` is the first pass: the payload is the position."""
     n, shift = int(n), int(shift)
+    digits = _digits(keys[:n], shift, _radix_bits(ctx))
+    if _constant_digit(digits) is not None:
+        # one bucket: the stable scatter keeps every key where it is
+        keys_out[:n] = keys[:n]
+        payload_out[:n] = np.arange(n) if payload is None else payload[:n]
+        return
     # Stable order by digit == concatenation of the per-thread stable
     # scatters, because chunks are contiguous (module docstring).
-    order = np.argsort(
-        _digits(keys[:n], shift, _radix_bits(ctx)), kind="stable"
-    )
+    order = np.argsort(digits, kind="stable")
     keys_out[:n] = keys[:n][order]
     payload_out[:n] = order if payload is None else payload[:n][order]
 

@@ -458,23 +458,45 @@ class TestEquivalenceWithOldBodies:
         """The bodies leave their numbers in ``ctx.counters`` — a dict
         each launch gets fresh, so builds interleaved on one program
         (the session scheduler does this) cannot read each other's —
-        and leave the program's defines alone."""
+        and leave the program's defines alone.  The pessimistic round's
+        input is one the build produces (optimistic round, check), and its
+        table maps every key to the row the reference interpreter's does.
+        The slots may differ: the body tries one hash function per round
+        for all pending keys, the interpreter every function of one key
+        before the next — two legal outcomes of the CAS race."""
+        from repro import cl
+        from repro.cl.workitem import run_reference
         from repro.kernels import KERNEL_LIBRARY as lib
 
         keys = np.arange(300, dtype=np.uint32)
         tkeys = np.full(431, EMPTY, np.uint32)
         tvals = np.zeros(431, np.uint32)
-        fail = np.full(bitmap_nbytes(300), 0xFF, np.uint8)
+        fail = np.zeros(bitmap_nbytes(300), np.uint8)
+        fail_count = np.zeros(1, np.uint32)
         stats = np.zeros(2, np.uint32)
         ctx, other = vec_ctx(), vec_ctx()
         defines = ctx.defines
+        lib["ht_insert_optimistic"].vec_fn(vec_ctx(), tkeys, tvals, keys,
+                                           300, 431)
+        lib["ht_check"].vec_fn(vec_ctx(), fail, fail_count, tkeys, keys,
+                               300, 431)
+        assert fail_count[0] > 0
+        ref_tkeys, ref_tvals = tkeys.copy(), tvals.copy()
         lib["ht_insert_pessimistic"].vec_fn(
             ctx, tkeys, tvals, stats, keys, fail, 300, 431)
+        run_reference(lib["ht_insert_pessimistic"],
+                      [ref_tkeys, ref_tvals, np.zeros(2, np.uint32), keys,
+                       fail, 300, 431], 16, 8, device=cl.get_device("cpu"))
+        for table in ((tkeys, tvals), (ref_tkeys, ref_tvals)):
+            occupied = table[0] != EMPTY
+            order = np.argsort(table[0][occupied])
+            assert np.array_equal(table[0][occupied][order], keys)
+            assert np.array_equal(table[1][occupied][order], keys)
         lib["ht_probe"].vec_fn(
             ctx, np.zeros(300, np.uint32), fail, tkeys, tvals, keys, 300, 431)
         assert ctx.defines is defines and defines == {}
         assert set(ctx.counters) == {"cas_attempts", "probe_lookups"}
-        assert ctx.counters["cas_attempts"] == int(stats[0]) >= 300
+        assert ctx.counters["cas_attempts"] == int(stats[0]) >= fail_count[0]
         assert ctx.counters["probe_lookups"] >= 300
         assert other.counters == {}
 
@@ -803,3 +825,239 @@ class TestProbeAnswersMissesFromTheTable:
             (mixed, absent[take_absent.size:],
              np.full(rng.integers(0, 3), EMPTY))).astype(np.uint32)
         assert_probe_is_round_by_round(tkeys, tvals, probe_keys, m)
+
+
+# ---------------------------------------------------------------------------
+# A probe answers each distinct key once.  The bodies below are verbatim
+# copies of the probe before that change, which looked every row up; when
+# the probe keys span at most one value per eight rows the current body
+# looks each distinct key up once and counts its look-ups once per row.  It
+# must reproduce the copy's values, found bitmap, look-up count and
+# ``KernelWork`` on either side of that rule, whatever the table holds.
+# ---------------------------------------------------------------------------
+
+def per_row_probe_vec(ctx, out_vals, found_bitmap, tkeys, tvals, keys, n, m):
+    n, m = int(n), int(m)
+    # h0 runs over the whole input; later rounds over the compacted misses
+    probe_keys = keys[:n]
+    slots = hash_slot(probe_keys, 0, m)
+    marker = probe_keys == EMPTY        # in no table: a free slot's key
+    found = (tkeys.take(slots) == probe_keys) & ~marker
+    result = out_vals[:n]
+    result[:] = tvals.take(slots)
+    lookups = n
+    pending = np.flatnonzero(~found)
+    result[pending] = EMPTY
+    if marker.any():
+        pending = pending[~marker[pending]]
+    if pending.size > m:
+        # the table's arrays cost O(m): worth it once the misses to walk
+        # outnumber the slots
+        pending, absent_keys = per_row_split_absent(tkeys, probe_keys, slots,
+                                                    pending, m)
+        lookups += per_row_absent_lookups(tkeys, absent_keys, m)
+    lookups += per_row_probe_rounds(tkeys, tvals, probe_keys, pending, result,
+                                    found, m)
+    packed = np.packbits(found, bitorder="little")
+    found_bitmap[: packed.size] = packed
+    found_bitmap[packed.size :] = 0
+    ctx.counters["probe_lookups"] = lookups
+
+
+def per_row_split_absent(tkeys, probe_keys, slots, pending, m):
+    occupied = np.flatnonzero(tkeys != EMPTY)
+    stored = tkeys.take(occupied)
+    home = hash_slot(stored, 0, m)
+    displaced = home != occupied
+    home, stored = home[displaced], stored[displaced]
+    rival = np.full(m, EMPTY, np.uint32)
+    rival[home] = stored
+    shared = np.zeros(m, bool)
+    shared[home[rival.take(home) != stored]] = True
+    at = slots.take(pending)
+    pending_keys = probe_keys.take(pending)
+    maybe = rival.take(at) == pending_keys
+    maybe |= shared.take(at)
+    return pending[maybe], pending_keys[~maybe]
+
+
+def per_row_absent_lookups(tkeys, absent_keys, m) -> int:
+    free = np.flatnonzero(tkeys == EMPTY)
+    if free.size == 0:
+        walk = np.full(m, PROBE_LIMIT, np.int64)
+    else:
+        # slots free[i] .. free[i + 1] - 1 walk to free[i + 1], circularly
+        first = int(free[0])
+        ends = np.append(free, first + m)
+        walk = np.repeat(ends[1:], np.diff(ends))
+        walk -= np.arange(first, first + m)
+        np.minimum(walk, PROBE_LIMIT, out=walk)
+        walk = np.roll(walk, first)
+    last = hash_slot(absent_keys, NUM_HASH_FUNCTIONS - 1, m)
+    return ((NUM_HASH_FUNCTIONS - 1) * int(absent_keys.size)
+            + int(walk.take(last).sum()))
+
+
+def per_row_probe_rounds(tkeys, tvals, probe_keys, pending, result, found,
+                         m) -> int:
+    lookups = 0
+    pending_keys = probe_keys.take(pending)
+    for func in range(1, NUM_HASH_FUNCTIONS):
+        if pending.size == 0:
+            break
+        slots = hash_slot(pending_keys, func, m)
+        lookups += int(pending.size)
+        hit = tkeys.take(slots) == pending_keys
+        hit_rows = pending[hit]
+        result[hit_rows] = tvals.take(slots[hit])
+        found[hit_rows] = True
+        miss = ~hit
+        pending = pending[miss]
+        pending_keys = pending_keys[miss]
+    if pending.size:
+        base = hash_slot(pending_keys, NUM_HASH_FUNCTIONS - 1, m)
+        for distance in range(1, PROBE_LIMIT + 1):
+            if pending.size == 0:
+                break
+            slots = (base + distance) % m
+            occupant = tkeys.take(slots)
+            lookups += int(pending.size)
+            hit = occupant == pending_keys
+            hit_rows = pending[hit]
+            result[hit_rows] = tvals.take(slots[hit])
+            found[hit_rows] = True
+            keep = ~hit & (occupant != EMPTY)  # an empty slot ends the probe
+            pending = pending[keep]
+            pending_keys = pending_keys[keep]
+            base = base[keep]
+    return lookups
+
+
+def assert_probe_is_per_row(tkeys, tvals, probe_keys, m, per_key):
+    """The kernel and the copy agree on values, bitmap, look-ups and
+    work, and the kernel took the per-key path iff ``per_key``; returns
+    the look-ups."""
+    from repro.kernels import KERNEL_LIBRARY as lib
+    from repro.kernels import hashing
+
+    p = probe_keys.size
+    runs, lows = [], []
+    narrow_low = hashing._narrow_low
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hashing, "_narrow_low",
+                      lambda keys: lows.append(narrow_low(keys)) or lows[-1])
+        for body in (lib["ht_probe"].vec_fn, per_row_probe_vec):
+            ctx = vec_ctx()
+            out = np.full(max(p, 1), 0x5A5A5A5A, np.uint32)
+            found = np.full(bitmap_nbytes(p) + 1, 0xFF, np.uint8)
+            args = (ctx, out, found, tkeys, tvals, probe_keys, p, m)
+            body(*args)
+            runs.append((out, found, ctx.counters,
+                         lib["ht_probe"].work_fn(*args)))
+    assert [low is not None for low in lows] == [per_key]
+    (out, found, counters, work), (old_out, old_found, old_counters,
+                                   old_work) = runs
+    assert np.array_equal(out, old_out)
+    assert np.array_equal(found, old_found)
+    assert counters == old_counters
+    assert work == old_work
+    return counters["probe_lookups"]
+
+
+def hand_made_table(rng, m, universe, low, free_share):
+    """Any keys in any slots (repeats included), any values: a probe is a
+    function of key and table, whatever built it."""
+    tkeys = (low + rng.integers(0, universe, m)).astype(np.uint32)
+    tkeys[rng.random(m) < free_share] = EMPTY
+    return tkeys, rng.integers(0, 2**32, m, dtype=np.uint64).astype(np.uint32)
+
+
+class TestProbeAnswersEachDistinctKeyOnce:
+    @pytest.mark.parametrize("span,per_key", ((100, True), (101, False)))
+    def test_both_sides_of_the_rule(self, span, per_key):
+        """800 rows over ``span`` values: per key up to 800 / 8."""
+        rng = np.random.default_rng(span)
+        keys = np.arange(5000, 5100, 2, dtype=np.uint32)   # half the range
+        m = int(1.4 * keys.size) + 1
+        tkeys, tvals, _fail, _ = built(keys, m)
+        probe_keys = (5000 + rng.integers(0, span, 800)).astype(np.uint32)
+        probe_keys[:2] = (5000, 5000 + span - 1)
+        assert_probe_is_per_row(tkeys, tvals, probe_keys, m, per_key)
+
+    def test_empty_inside_the_range(self):
+        top = int(EMPTY)
+        keys = np.arange(top - 40, top, 3, dtype=np.uint32)
+        tkeys, tvals, _fail, _ = built(keys, 23)
+        probe_keys = np.random.default_rng(3).integers(
+            top - 40, top, 500, endpoint=True).astype(np.uint32)
+        probe_keys[::50] = EMPTY
+        lookups = assert_probe_is_per_row(tkeys, tvals, probe_keys, 23, True)
+        assert lookups >= probe_keys.size
+
+    @pytest.mark.parametrize("p", (0, 1))
+    def test_no_rows_and_one_row(self, p):
+        keys = np.arange(50, dtype=np.uint32)
+        tkeys, tvals, _fail, _ = built(keys, 71)
+        assert_probe_is_per_row(tkeys, tvals, keys[:p] + 10, 71, False)
+
+    @pytest.mark.parametrize("key", (7, 700, int(EMPTY)))
+    def test_all_keys_equal(self, key):
+        """Present, absent and the free-slot marker: one key, 64 rows."""
+        keys = np.arange(0, 200, 3, dtype=np.uint32)
+        tkeys, tvals, _fail, _ = built(keys, 97)
+        probe_keys = np.full(64, key, np.uint32)
+        assert_probe_is_per_row(tkeys, tvals, probe_keys, 97, True)
+
+    @pytest.mark.parametrize("m", (16, 401))
+    def test_duplicated_absent_keys(self, m):
+        """Mostly absent keys, each many times: with a 16-slot table more
+        distinct keys miss at h0 than it has slots (the table answers
+        them), with 401 slots the rounds do."""
+        keys = np.arange(1000, 1300, 7, dtype=np.uint32)[: m // 2 + 1]
+        tkeys, tvals, _fail, _ = built(keys, m)
+        probe_keys = np.random.default_rng(m).integers(
+            900, 1250, 8 * 350).astype(np.uint32)
+        distinct = np.unique(probe_keys)
+        assert (misses_at_h0(tkeys, distinct, m) > m) == (m == 16)
+        assert_probe_is_per_row(tkeys, tvals, probe_keys, m, True)
+
+    @given(st.integers(0, 150), st.integers(1, 60), st.integers(1, 300),
+           st.integers(0, 1200), st.integers(1, 400), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_built_tables(self, n, universe, m, p, span, seed):
+        """Tables the build kernels leave, probed by ``p`` keys over
+        ``span`` values around theirs, ``EMPTY`` sometimes among them."""
+        rng = np.random.default_rng(seed)
+        low = int(rng.integers(0, 2**32 - 1000))
+        keys = (low + rng.integers(0, universe * 7, n)).astype(np.uint32)
+        tkeys, tvals, _fail, _ = built(keys, m)
+        probe_keys = (low + rng.integers(0, span, p)).astype(np.uint32)
+        if p and rng.random() < 0.2:
+            probe_keys[rng.integers(0, p)] = EMPTY
+        assert_probe_is_per_row(tkeys, tvals, probe_keys, m,
+                                p > 0 and 8 * (int(probe_keys.max())
+                                               - int(probe_keys.min()) + 1)
+                                <= p)
+
+    @given(st.integers(1, 300), st.integers(1, 200), st.floats(0, 1),
+           st.integers(1, 1200), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_hand_made_tables(self, m, universe, free_share, p, seed):
+        rng = np.random.default_rng(seed)
+        low = int(rng.integers(0, 2**32 - 2 * universe))
+        tkeys, tvals = hand_made_table(rng, m, universe, low, free_share)
+        probe_keys = (low + rng.integers(0, 2 * universe, p)).astype(np.uint32)
+        assert_probe_is_per_row(tkeys, tvals, probe_keys, m,
+                                8 * (int(probe_keys.max())
+                                     - int(probe_keys.min()) + 1) <= p)
+
+    def test_a_warm_pass_probes_as_per_row(self, warm_het_launches):
+        """Every probe of a warm HET pass (SF 0.1) replayed through the
+        per-row copy; the per-key path took some of them, not all."""
+        from repro.kernels import KERNEL_LIBRARY as lib
+
+        launches = warm_het_launches["ht_probe"]
+        for launch in launches:
+            launch.assert_replays_as(per_row_probe_vec, lib["ht_probe"].work_fn)
+        per_key = [launch.fast for launch in launches]
+        assert any(per_key) and not all(per_key)

@@ -626,3 +626,144 @@ def test_radix_sort_and_the_tuner_read_one_rule(monkeypatch):
     monkeypatch.undo()
     assert cost < autotune.estimate_sort_cost(chars, 4, column_bytes=4000.0)
     assert math.isfinite(cost)
+
+
+# ---------------------------------------------------------------------------
+# A pass over a digit every key shares copies.  The bodies below are
+# verbatim copies of the histogram and reorder before that change, which
+# counted and sorted every pass; the current bodies must fill ``hist`` and
+# the reordered columns identically, on a constant digit and off it.
+# ---------------------------------------------------------------------------
+
+def counting_histogram_vec(ctx, hist, keys, n, shift, parts):
+    from repro.kernels.primitives import chunk_bounds
+    from repro.kernels.radix_sort import _digits, _radix_bits
+
+    n, shift, parts = int(n), int(shift), int(parts)
+    bits = _radix_bits(ctx)
+    radix = 1 << bits
+    # Combined (thread, digit) index -> one bincount for all histograms:
+    # every row starts at its thread's first bin and adds its digit.
+    first_bin = np.arange(0, parts * radix, radix)
+    combined = np.repeat(first_bin, np.diff(chunk_bounds(n, parts)))
+    combined += _digits(keys[:n], shift, bits)
+    counts = np.bincount(combined, minlength=parts * radix)
+    hist.reshape(parts, radix)[:, :] = counts.reshape(parts, radix)
+
+
+def sorting_reorder_vec(ctx, keys_out, payload_out, keys, payload, offsets,
+                        n, shift, parts):
+    """``payload=None`` is the first pass: the payload is the position."""
+    from repro.kernels.radix_sort import _digits, _radix_bits
+
+    n, shift = int(n), int(shift)
+    # Stable order by digit == concatenation of the per-thread stable
+    # scatters, because chunks are contiguous (module docstring).
+    order = np.argsort(
+        _digits(keys[:n], shift, _radix_bits(ctx)), kind="stable"
+    )
+    keys_out[:n] = keys[:n][order]
+    payload_out[:n] = order if payload is None else payload[:n][order]
+
+
+def assert_pass_is_counted_and_sorted(keys, shift, bits, parts, constant):
+    """Histogram, first and later reorder of one pass match the copies;
+    every body saw a constant digit iff ``constant``."""
+    from repro.kernels import KERNEL_LIBRARY as lib
+    from repro.kernels import radix_sort
+
+    n = keys.size
+    ctx = radix_ctx(bits)
+    size = max(n, 1)
+    payload = np.arange(n, dtype=np.uint32)[::-1].copy()
+    seen = []
+    constant_digit = radix_sort._constant_digit
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radix_sort, "_constant_digit", lambda digits: seen.append(
+            constant_digit(digits)) or seen[-1])
+        hist = np.full(parts << bits, 7, np.uint32)
+        old_hist = hist.copy()
+        lib["radix_histogram"].vec_fn(ctx, hist, keys, n, shift, parts)
+        counting_histogram_vec(ctx, old_hist, keys, n, shift, parts)
+        assert np.array_equal(hist, old_hist)
+        offsets = np.zeros_like(hist)
+        lib["radix_offsets"].vec_fn(ctx, offsets, hist, parts)
+        for first in (True, False):
+            out = [np.full(size, 5, keys.dtype), np.full(size, 5, np.uint32)]
+            old_out = [a.copy() for a in out]
+            if first:
+                lib["radix_reorder_first"].vec_fn(ctx, *out, keys, offsets,
+                                                  n, shift, parts)
+            else:
+                lib["radix_reorder"].vec_fn(ctx, *out, keys, payload, offsets,
+                                            n, shift, parts)
+            sorting_reorder_vec(ctx, *old_out, keys, None if first else payload,
+                                offsets, n, shift, parts)
+            assert np.array_equal(out[0], old_out[0])
+            assert np.array_equal(out[1], old_out[1])
+    assert [digit is not None for digit in seen] == [constant] * 3
+
+
+class TestConstantDigitPass:
+    @pytest.mark.parametrize("bits", (4, 8))
+    @pytest.mark.parametrize("key_dtype", (np.uint32, np.uint64))
+    def test_at_the_first_and_a_later_shift(self, bits, key_dtype):
+        """Keys below 2**12 share every digit from bit 12 up; keys that
+        are multiples of 2**bits share the first one."""
+        rng = np.random.default_rng(bits)
+        narrow = rng.integers(0, 2**12, 3000).astype(key_dtype)
+        top = 8 * np.dtype(key_dtype).itemsize - bits
+        for shift in (0, bits, 16, top):
+            assert_pass_is_counted_and_sorted(narrow, shift, bits, 64,
+                                              shift >= 12)
+        spaced = narrow << key_dtype(bits)
+        assert_pass_is_counted_and_sorted(spaced, 0, bits, 64, True)
+        assert_pass_is_counted_and_sorted(spaced, bits, bits, 64, False)
+
+    @pytest.mark.parametrize("bits", (4, 8))
+    @pytest.mark.parametrize("n", (0, 1, 2, 5))
+    def test_more_parts_than_keys(self, bits, n):
+        keys = np.full(n, 0xABCDEF12, np.uint32)
+        for shift in (0, 28):
+            assert_pass_is_counted_and_sorted(keys, shift, bits, 7, n > 0)
+        if n > 1:
+            keys[-1] += 1
+            assert_pass_is_counted_and_sorted(keys, 0, bits, 7, False)
+
+    def test_only_the_first_and_last_keys_share_it(self):
+        keys = np.full(1000, 3, np.uint32)
+        keys[500] = 4
+        assert_pass_is_counted_and_sorted(keys, 0, 8, 256, False)
+
+    @given(st.integers(0, 2000), st.sampled_from((4, 8)),
+           st.integers(1, 300), st.integers(0, 32), st.integers(0, 31),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_property(self, n, bits, parts, width, digit_index, seed):
+        """Keys of ``width`` random bits over a random base: the digits
+        above the width are constant, those below mostly not."""
+        rng = np.random.default_rng(seed)
+        base = int(rng.integers(0, 2**32))
+        keys = (base ^ rng.integers(0, 2**width, n)).astype(np.uint32)
+        shift = (digit_index * bits) % 32
+        digits = (keys >> np.uint32(shift)) & np.uint32((1 << bits) - 1)
+        assert_pass_is_counted_and_sorted(
+            keys, shift, bits, parts,
+            n > 0 and bool((digits == digits[0]).all()))
+
+    def test_a_warm_pass_counts_and_sorts_as_before(self, warm_het_launches):
+        """Every radix launch of a warm HET pass (SF 0.1, both digit
+        widths) replayed through the copies; a constant digit made some
+        histograms and reorders copy, not all."""
+        from repro.kernels import KERNEL_LIBRARY as lib
+        from repro.kernels.radix_sort import _first_pass
+
+        copies = {"radix_histogram": counting_histogram_vec,
+                  "radix_reorder": sorting_reorder_vec,
+                  "radix_reorder_first": _first_pass(sorting_reorder_vec)}
+        for name, body in copies.items():
+            for launch in warm_het_launches[name]:
+                launch.assert_replays_as(body, lib[name].work_fn)
+        for name in ("radix_histogram", "radix_reorder"):
+            constant = [launch.fast for launch in warm_het_launches[name]]
+            assert any(constant) and not all(constant)

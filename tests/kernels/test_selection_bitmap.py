@@ -190,6 +190,38 @@ class TestMaterialisation:
             assert np.array_equal(oids, expected.astype(np.uint32))
 
 
+def unpacking_write_oids_vec(ctx, oids, bitmap, offsets, n_bits, parts):
+    """Verbatim copy of the write before it expanded a sparse bitmap's
+    set bytes alone: every bit unpacked, positions cast through a copy."""
+    n_bits = int(n_bits)
+    bits = np.unpackbits(bitmap, bitorder="little", count=n_bits)
+    positions = np.nonzero(bits)[0]
+    oids[: positions.size] = positions.astype(oids.dtype)
+
+
+@pytest.mark.parametrize("set_share", (0.0005, 0.01, 0.2, 0.6))
+@pytest.mark.parametrize("n_bits", (8191, 8192, 8193, 100_003))
+def test_write_oids_is_the_unpacking_copy(set_share, n_bits):
+    """Sparse and dense bitmaps either side of the byte rule, bits set
+    past ``n_bits`` in the last byte and bytes past it in the buffer."""
+    from repro.cl.kernel import ExecContext
+    from repro.kernels import KERNEL_LIBRARY
+    from repro import cl
+
+    rng = np.random.default_rng(n_bits)
+    nbytes = bitmap_nbytes(n_bits)
+    bitmap = np.packbits(rng.random(8 * nbytes + 16) < set_share,
+                         bitorder="little")
+    bitmap[nbytes - 1] |= 0x80
+    ctx = ExecContext(cl.get_device("cpu"), {}, 16, 16)
+    oids = np.full(n_bits + 1, 0x5A5A5A5A, np.uint32)
+    old_oids = oids.copy()
+    args = (bitmap, np.zeros(17, np.uint32), n_bits, 16)
+    KERNEL_LIBRARY["bitmap_write_oids"].vec_fn(ctx, oids, *args)
+    unpacking_write_oids_vec(ctx, old_oids, *args)
+    assert np.array_equal(oids, old_oids)
+
+
 def test_oids_to_bitmap_inverse(rig):
     oids = np.array([1, 5, 8, 31], dtype=np.uint32)
     bm = rig.zeros(bitmap_nbytes(32), np.uint8)
