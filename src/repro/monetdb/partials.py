@@ -168,9 +168,43 @@ def scatter_tables(fold: str, n: int, parts, empty_dtype=np.float64):
 
 def group_keys(gids, columns) -> list:
     """Per column, the value at the first row of every dense local group
-    id: ids ascend, so entry ``g`` of each array is group ``g``'s key."""
-    _ids, first = np.unique(gids, return_index=True)
+    id: ids ascend, so entry ``g`` of each array is group ``g``'s key.
+
+    One reversed scatter finds each id's first row: of the writes to one
+    slot the last wins, and reversed, the last is the first row.  Ids
+    with gaps keep only the ids present, as ``np.unique`` does."""
+    gids = np.asarray(gids)
+    n = gids.shape[0]
+    first = np.full(int(gids.max(initial=0)) + 1, n, dtype=np.int64)
+    first[gids[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+    first = first[first < n]
     return [np.asarray(column)[first] for column in columns]
+
+
+def distinct_keys(values) -> np.ndarray:
+    """``np.unique(values)``, the sorted distinct values of one key
+    column.  An integer column spanning fewer than ``2n + 64`` values
+    marks each value present with one scatter and reads them back in
+    order; any other column takes ``np.unique``."""
+    values = np.asarray(values)
+    n = values.shape[0]
+    if n == 0 or values.dtype.kind not in "iu":
+        return np.unique(values)
+    low, high = int(values.min()), int(values.max())
+    if high - low >= 2 * n + 64:
+        return np.unique(values)
+    base = values.dtype.type(low)
+    present = np.zeros(high - low + 1, dtype=bool)
+    # no value is below ``base``: an unsigned column subtracts in its
+    # own type, a signed one in int64
+    present[values - base if values.dtype.kind == "u"
+            else values.astype(np.int64) - low] = True
+    # offsets and minimum wrap and unwrap in the column's own type
+    return np.flatnonzero(present).astype(values.dtype) + base
+
+
+#: a packed key stays below this, so ``packed`` never meets int64's edge
+_PACKED_LIMIT = 1 << 62
 
 
 def merge_groups(tables) -> "tuple[np.ndarray, int]":
@@ -179,15 +213,62 @@ def merge_groups(tables) -> "tuple[np.ndarray, int]":
     after partition and ascending with the key tuple — the numbering
     every engine's ``group`` / ``subgroup`` chain gives the whole column.
 
-    Equal key tuples share an id — ``==`` per column, so ``-0.0`` meets
-    ``0.0``, and a NaN meets a NaN: every engine's ``group`` puts the
-    NaNs of a column in one group, sorted last.  One stable lexsort over
-    the **separate** columns brings equal tuples together — never a
-    common-dtype matrix: float64 cannot tell adjacent int64 keys beyond
-    2**53 apart."""
+    Integer and bool key tuples whose columns' spans multiply to less
+    than ``2**62`` pack into one int64 (:func:`_packed_keys`), numbered
+    by one stable argsort: a partition's local groups already ascend, so
+    the sort merges sorted runs.  Other tuples take :func:`_lexsort_ids`.
+    Either way the numbering is that of the distinct tuples in order."""
     columns = [np.concatenate(column) for column in zip(*tables)]
     if not columns:
         return np.empty(0, dtype=np.int64), 0
+    packed = _packed_keys(columns)
+    if packed is None:
+        return _lexsort_ids(columns)
+    order = np.argsort(packed, kind="stable")
+    ordered = packed[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, int(np.count_nonzero(starts))
+
+
+def _packed_keys(columns) -> "np.ndarray | None":
+    """Each row's key tuple as one int64 that orders like the tuple —
+    column 0 most significant, each column offset by its own minimum —
+    or ``None`` when a column is not integer / bool or the spans'
+    product reaches ``2**62``.  A ``uint64`` column subtracts its
+    minimum in its own type, where values ``>= 2**63`` do not wrap."""
+    if columns[0].size == 0 or any(c.dtype.kind not in "iub"
+                                   for c in columns):
+        return None
+    lows, spans, total = [], [], 1
+    for column in columns:
+        low, high = int(column.min()), int(column.max())
+        lows.append(low)
+        spans.append(high - low + 1)
+        total *= spans[-1]
+        if total >= _PACKED_LIMIT:
+            return None
+    packed = np.zeros(columns[0].size, dtype=np.int64)
+    for column, low, span in zip(columns, lows, spans):
+        packed *= span
+        if column.dtype == np.uint64:
+            packed += (column - np.uint64(low)).astype(np.int64)
+        else:       # int64 wraps and unwraps: the sum is below 2**62
+            packed += column
+            packed -= low
+    return packed
+
+
+def _lexsort_ids(columns) -> "tuple[np.ndarray, int]":
+    """:func:`merge_groups` for any key columns: equal key tuples share
+    an id — ``==`` per column, so ``-0.0`` meets ``0.0``, and a NaN
+    meets a NaN: every engine's ``group`` puts the NaNs of a column in
+    one group, sorted last.  One stable lexsort over the **separate**
+    columns brings equal tuples together — never a common-dtype matrix:
+    float64 cannot tell adjacent int64 keys beyond 2**53 apart."""
     order = np.lexsort(columns[::-1])
     starts = np.zeros(order.size, dtype=bool)
     starts[:1] = True

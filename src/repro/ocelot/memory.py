@@ -70,7 +70,7 @@ class BufferKind(enum.Enum):
 
 
 #: eviction order of the kinds (see :meth:`MemoryManager._free_some`)
-_EVICTION_TIER = {BufferKind.BASE: 0, BufferKind.AUX: 1, BufferKind.RESULT: 2}
+_EVICTION_ORDER = (BufferKind.BASE, BufferKind.AUX, BufferKind.RESULT)
 
 
 class OcelotOOM(MemoryError):
@@ -97,6 +97,7 @@ class CacheEntry:
     counted_nbytes: int = 0               # nominal bytes counted as such
     counted_nbytes_physical: int = 0      # raw in-process bytes ditto
     owner: object = None                  # the query it dies with, if any
+    lru: dict | None = None               # its kind's eviction order
 
     @property
     def resident(self) -> bool:
@@ -155,6 +156,11 @@ class MemoryManager:
         self._entries: dict[int, CacheEntry] = {}
         self._bat_entries: dict[int, int] = {}       # bat_id -> entry_id
         self._buffer_entries: dict[int, CacheEntry] = {}  # buffer_id -> entry
+        #: per kind in eviction order, its resident entries least recently
+        #: used first (entry_id -> entry; a use moves an entry to the end)
+        self._lru: dict[BufferKind, dict[int, CacheEntry]] = {
+            kind: {} for kind in _EVICTION_ORDER
+        }
         self._hash_cache: dict[tuple, dict] = {}     # base-BAT hash tables
         self._ids = itertools.count(1)
         self._use_clock = itertools.count(1)
@@ -315,10 +321,11 @@ class MemoryManager:
         entry_id = next(self._ids)
         entry = CacheEntry(
             entry_id, kind, tag, buffer, last_use=next(self._use_clock),
-            owner=self.owner,
+            owner=self.owner, lru=self._lru[kind],
         )
         self._entries[entry_id] = entry
         self._buffer_entries[buffer.buffer_id] = entry
+        entry.lru[entry_id] = entry
         if self._scope_allocs and kind is not BufferKind.BASE:
             # an operator allocated working storage: this is exactly the
             # per-operator materialisation traffic fusion eliminates
@@ -420,6 +427,7 @@ class MemoryManager:
                 break
         buffer = entry.buffer
         self._entries.pop(entry.entry_id, None)
+        entry.lru.pop(entry.entry_id, None)
         if buffer is not None:
             self._buffer_entries.pop(buffer.buffer_id, None)
         if (entry.bat_id is not None
@@ -453,7 +461,8 @@ class MemoryManager:
 
     def _free_some(self) -> bool:
         """Free one buffer; paper §3.3 policy, least recently used first
-        within each tier:
+        within each tier (the first unpinned resident entry of its
+        ``_lru`` order):
 
         0. evict cached base-BAT copies — master is in host memory;
         1. offload auxiliary structures (hash tables) to the host;
@@ -465,10 +474,10 @@ class MemoryManager:
         copy instead: its owner notices and rebuilds, and a host copy
         would be paid for and kept for nobody.
         """
-        victim = min(
-            (e for e in self._entries.values() if e.evictable),
-            key=lambda e: (_EVICTION_TIER[e.kind], e.last_use),
-            default=None,
+        victim = next(
+            (e for order in self._lru.values() for e in order.values()
+             if e.evictable),
+            None,
         )
         if victim is None:
             return False
@@ -486,6 +495,7 @@ class MemoryManager:
         self.stats.evictions += 1
         buffer = entry.buffer
         self._buffer_entries.pop(buffer.buffer_id, None)
+        entry.lru.pop(entry.entry_id, None)
         if entry.bat is not None and entry.bat.device_ref is buffer:
             # Clear the BAT's direct device_ref so the next request goes
             # through the registry and re-uploads instead of dereferencing
@@ -506,6 +516,7 @@ class MemoryManager:
         host, _event = self.queue.enqueue_read(buffer)
         entry.host_copy = host
         self._buffer_entries.pop(buffer.buffer_id, None)
+        entry.lru.pop(entry.entry_id, None)
         # NB: the BAT's device_ref intentionally keeps pointing at the
         # released buffer — its metadata (dtype/shape) must stay readable
         # while offloaded (see Buffer), and _restore() re-links the ref.
@@ -556,6 +567,7 @@ class MemoryManager:
                 entry.counted_nbytes_physical
             )
         self._entries.pop(entry.entry_id, None)
+        entry.lru.pop(entry.entry_id, None)
         if entry.buffer is not None:
             # released behind the registry's back (a context release)
             self._buffer_entries.pop(entry.buffer.buffer_id, None)
@@ -692,6 +704,9 @@ class MemoryManager:
 
     def _touch(self, entry: CacheEntry) -> None:
         entry.last_use = next(self._use_clock)
+        order = entry.lru
+        if order.pop(entry.entry_id, None) is not None:
+            order[entry.entry_id] = entry
 
     def entries(self) -> Iterator[CacheEntry]:
         return iter(self._entries.values())

@@ -287,7 +287,7 @@ class _Grouping:
         child = self.backend.children[shard]
         values = partials.host_array(child, self.key_bats[shard])
         if self.outer is None:
-            keys = [np.unique(values)]
+            keys = [partials.distinct_keys(values)]
         else:
             gids = partials.host_array(
                 child, self.gids_bats[shard]

@@ -16,6 +16,7 @@ sorted last, on every engine, so they must be one merged group; as a
 
 import functools
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -360,6 +361,172 @@ def test_integer_keys_merge_like_a_unique_over_stacked_tuples(data):
     unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
     assert n == unique.shape[0]
     assert ids.tolist() == np.asarray(inverse).reshape(-1).tolist()
+
+
+# -- the linear merges against the bodies they replaced ----------------------
+
+def parent_group_keys(gids, columns) -> list:
+    """``group_keys`` before the reversed scatter, kept verbatim."""
+    _ids, first = np.unique(gids, return_index=True)
+    return [np.asarray(column)[first] for column in columns]
+
+
+def parent_merge_groups(tables) -> "tuple[np.ndarray, int]":
+    """``merge_groups`` before the packed key, kept verbatim."""
+    columns = [np.concatenate(column) for column in zip(*tables)]
+    if not columns:
+        return np.empty(0, dtype=np.int64), 0
+    order = np.lexsort(columns[::-1])
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        ordered = column[order]
+        differ = ordered[1:] != ordered[:-1]
+        if ordered.dtype.kind == "f":
+            nan = np.isnan(ordered)
+            differ &= ~(nan[1:] & nan[:-1])
+        starts[1:] |= differ
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, int(np.count_nonzero(starts))
+
+
+KEY_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+              np.uint32, np.uint64, np.bool_, np.float32, np.float64)
+
+
+def key_pool(dtype) -> np.ndarray:
+    """Both ends of ``dtype`` and values beside them: -2**63, 2**63 - 1
+    and values >= 2**63 among the eight-byte ones."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "b":
+        return np.array([False, True])
+    if dtype.kind == "f":
+        return np.array([0.0, -0.0, 1.5, -2.25, np.inf, -np.inf, np.nan],
+                        dtype=dtype)
+    info = np.iinfo(dtype)
+    values = {info.min, info.min + 1, info.max - 1, info.max, 0, 1, 2}
+    if dtype == np.uint64:
+        values |= {2**63 - 1, 2**63, 2**63 + 1}
+    return np.array(sorted(values), dtype=dtype)
+
+
+@st.composite
+def key_columns_of(draw, dtype, rows):
+    """``rows`` keys of ``dtype``: from a narrow window (spans that
+    pack) or from the whole pool (ends of the type: spans that do not)."""
+    pool = key_pool(dtype)
+    if draw(st.booleans()) and pool.dtype.kind in "iu":
+        base = pool[draw(st.integers(0, pool.size - 1))]
+        width = draw(st.integers(1, 5))
+        lo = min(int(base), int(np.iinfo(pool.dtype).max) - width)
+        pool = np.array(range(lo, lo + width), dtype=pool.dtype)
+    picks = draw(st.lists(st.integers(0, pool.size - 1),
+                          min_size=rows, max_size=rows))
+    return pool[np.array(picks, dtype=np.intp)]
+
+
+@st.composite
+def partition_key_tables(draw):
+    """1-4 key columns of any width, 0-4 partitions of 0-12 rows (an
+    empty partition or none at all included); rows need not be distinct
+    nor ascending."""
+    dtypes = draw(st.lists(st.sampled_from(KEY_DTYPES), min_size=1,
+                           max_size=4))
+    tables = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows = draw(st.integers(0, 12))
+        tables.append([draw(key_columns_of(dtype, rows))
+                       for dtype in dtypes])
+    return tables
+
+
+def packs(tables) -> bool:
+    """Whether ``merge_groups`` should take the packed key: integer or
+    bool columns with rows, spans multiplying to less than 2**62."""
+    columns = [np.concatenate(column) for column in zip(*tables)]
+    if not columns or columns[0].size == 0:
+        return False
+    total = 1
+    for column in columns:
+        if column.dtype.kind not in "iub":
+            return False
+        total *= int(column.max()) - int(column.min()) + 1
+    return total < 2**62
+
+
+@BOUNDED
+@given(partition_key_tables())
+def test_merge_groups_numbers_as_the_lexsort_did(tables):
+    with mock.patch.object(partials, "_lexsort_ids",
+                           wraps=partials._lexsort_ids) as lexsort:
+        ids, n = merge_groups(tables)
+    expected_ids, expected_n = parent_merge_groups(tables)
+    np.testing.assert_array_equal(ids, expected_ids)
+    assert ids.dtype == expected_ids.dtype and n == expected_n
+    assert lexsort.called is (bool(tables) and not packs(tables))
+
+
+@pytest.mark.parametrize("columns, packed", [
+    # int64's two ends: a span of 2**64
+    ([np.array([-2**63, 2**63 - 1], dtype=np.int64)], False),
+    ([np.array([-2**63, -2**63 + 3], dtype=np.int64)], True),
+    ([np.array([2**63 - 4, 2**63 - 1], dtype=np.int64)], True),
+    # uint64 past 2**63 subtracts in its own type
+    ([np.array([2**63 + 9, 2**63, 2**63 + 7], dtype=np.uint64)], True),
+    ([np.array([2**64 - 1, 2**64 - 3], dtype=np.uint64)], True),
+    ([np.array([0, 2**64 - 1], dtype=np.uint64)], False),
+    # spans multiplying to exactly 2**62 do not pack, one less does
+    ([np.array([0, 2**31 - 1], dtype=np.int64),
+      np.array([0, 2**31 - 1], dtype=np.int64)], False),
+    ([np.array([0, 2**31 - 1], dtype=np.int64),
+      np.array([0, 2**31 - 2], dtype=np.int64)], True),
+    ([np.array([-128, 127], dtype=np.int8),
+      np.array([True, False]), np.array([7, 7], dtype=np.uint16)], True),
+    ([np.array([1, 2], dtype=np.int32), np.array([0.5, -0.0])], False),
+])
+def test_the_packed_key_fires_where_spans_allow(columns, packed):
+    tables = [[column[:1] for column in columns],
+              [column[1:] for column in columns]]
+    with mock.patch.object(partials, "_lexsort_ids",
+                           wraps=partials._lexsort_ids) as lexsort:
+        ids, n = merge_groups(tables)
+    assert lexsort.called is not packed
+    expected_ids, expected_n = parent_merge_groups(tables)
+    assert ids.tolist() == expected_ids.tolist() and n == expected_n
+
+
+@st.composite
+def ids_with_gaps(draw):
+    """Local group ids with gaps (absent ids) or without, in any order."""
+    rows = draw(st.integers(0, 40))
+    top = draw(st.sampled_from((1, 4, 30, 1000)))
+    picks = draw(st.lists(st.integers(0, top), min_size=rows,
+                          max_size=rows))
+    dtype = draw(st.sampled_from((np.int64, np.uint32)))
+    return np.array(picks, dtype=dtype)
+
+
+@BOUNDED
+@given(ids_with_gaps(), st.integers(0, 2**16))
+def test_group_keys_reads_each_ids_first_row_as_unique_did(gids, seed):
+    rng = np.random.default_rng(seed)
+    columns = [rng.integers(-5, 5, gids.size).astype(np.int32),
+               rng.permutation(gids.size).astype(np.float64)]
+    got = group_keys(gids, columns)
+    for column, expected in zip(got, parent_group_keys(gids, columns)):
+        np.testing.assert_array_equal(column, expected)
+        assert column.dtype == expected.dtype
+
+
+@BOUNDED
+@given(st.sampled_from(KEY_DTYPES), st.integers(0, 60), st.data())
+def test_distinct_keys_is_unique(dtype, rows, data):
+    values = data.draw(key_columns_of(dtype, rows))
+    got = partials.distinct_keys(values)
+    expected = np.unique(values)
+    np.testing.assert_array_equal(got, expected)
+    assert got.dtype == expected.dtype
 
 
 # -- row-shaped outputs -----------------------------------------------------

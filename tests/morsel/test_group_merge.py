@@ -285,3 +285,28 @@ def test_finalize_dispatches_no_operator(monkeypatch, engine):
                                    execute(sql))
     assert merged_columns(merges) == [2] and got["n"].size > 1
     assert dispatched == []
+
+
+@pytest.mark.parametrize("engine, group_by, packed", [
+    ("CPU", "a", True), ("MS", "a, b", True), ("CPU", "a, c", False),
+])
+def test_recorded_merges_replay_through_the_lexsort(monkeypatch, engine,
+                                                    group_by, packed):
+    """Every merge one sliced run made, replayed: the packed key numbers
+    the groups as the lexsort body does, and integer key tuples (an
+    int64 one too) took it, float ones not."""
+    from repro.monetdb import partials
+
+    merge_groups = partials.merge_groups        # before the recorder
+    sql = (f"SELECT {group_by}, {AGGREGATES} FROM t WHERE w > 3 "
+           f"GROUP BY {group_by}")
+    _got, merges = sliced_and_whole(monkeypatch, engine, columns("random"),
+                                    execute(sql))
+    assert merges and all(len(tables) > 1 for tables in merges)
+    for tables in merges:
+        keys = [np.concatenate(column) for column in zip(*tables)]
+        assert (partials._packed_keys(keys) is not None) is packed
+        ids, n = merge_groups(tables)
+        expected_ids, expected_n = partials._lexsort_ids(keys)
+        np.testing.assert_array_equal(ids, expected_ids)
+        assert n == expected_n

@@ -336,6 +336,109 @@ class TestEquivalenceWithOldBodies:
         assert picks == 50
 
 
+#: the tiers of the one-scan pick, as memory.py had them
+_PARENT_EVICTION_TIER = {BufferKind.BASE: 0, BufferKind.AUX: 1,
+                         BufferKind.RESULT: 2}
+
+
+def _parent_free_some_pick(mm):
+    """The victim the one-scan ``_free_some`` chose — its
+    ``min((tier, last_use))`` before the per-tier LRU order, kept
+    verbatim (returning the victim instead of freeing it)."""
+    victim = min(
+        (e for e in mm._entries.values() if e.evictable),
+        key=lambda e: (_PARENT_EVICTION_TIER[e.kind], e.last_use),
+        default=None,
+    )
+    return victim
+
+
+def _checked_picks(mm) -> list:
+    """Make every ``_free_some`` of ``mm`` — an allocation's or a
+    restore's included — assert that it freed the victim both former
+    bodies pick; returns the victims' ids in eviction order."""
+    real, picks = mm._free_some, []
+
+    def checked():
+        expected = _parent_free_some_pick(mm)
+        assert _old_free_some_pick(mm)[0] is expected
+        resident = [e for e in mm._entries.values() if e.resident]
+        assert real() is (expected is not None)
+        assert [e for e in resident if not e.resident] == (
+            [] if expected is None else [expected])
+        if expected is not None:
+            picks.append(expected.entry_id)
+        return expected is not None
+
+    mm._free_some = checked
+    return picks
+
+
+class TestLruOrder:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_histories_evict_the_scanned_victims_in_order(self, seed):
+        """Allocations, uses, pins, releases, restores of offloaded and
+        evicted contents, and buffers released behind the registry's
+        back, under a budget that evicts all along."""
+        rng = np.random.default_rng(seed)
+        mm, _ = make_manager(1536)
+        picks = _checked_picks(mm)
+        bats, loose, pinned = [], [], []
+
+        def current(bat):
+            entry = mm._entries.get(mm._bat_entries.get(bat.bat_id, -1))
+            return None if entry is None else entry.buffer
+
+        for step in range(400):
+            op = rng.choice(("base", "alloc", "use", "touch", "pin",
+                             "unpin", "release", "behind", "free"))
+            size = int(rng.integers(16, 160))
+            try:
+                if op == "base":
+                    bat = make_bat(np.full(size, step % 251, np.uint8))
+                    mm.buffer_for_bat(bat)
+                    bats.append(bat)
+                elif op == "alloc":
+                    kind = (BufferKind.AUX, BufferKind.RESULT)[
+                        int(rng.integers(2))]
+                    buffer = mm.allocate(size, np.uint8, kind, tag=f"x{step}")
+                    if rng.random() < 0.5:
+                        bat = make_bat(np.zeros(size, np.uint8))
+                        mm.link_result(bat, buffer)
+                        bats.append(bat)
+                    else:
+                        loose.append(buffer)
+                elif op == "use" and bats:
+                    # a hit touches; an evicted / offloaded one restores
+                    mm.buffer_for_bat(bats[int(rng.integers(len(bats)))])
+                elif op == "touch" and loose:
+                    entry = mm._entry_for_buffer(
+                        loose[int(rng.integers(len(loose)))])
+                    if entry is not None:
+                        mm._touch(entry)
+                elif op == "pin" and len(pinned) < 3:
+                    pool = loose + [current(b) for b in bats]
+                    buffer = pool[int(rng.integers(len(pool)))] if pool \
+                        else None
+                    if buffer is not None and not buffer.released:
+                        mm.pin(buffer)
+                        pinned.append(buffer)
+                elif op == "unpin" and pinned:
+                    mm.unpin(pinned.pop(int(rng.integers(len(pinned)))))
+                elif op == "release" and loose:
+                    mm.release(loose.pop(int(rng.integers(len(loose)))))
+                elif op == "behind" and bats:
+                    # a context release the registry does not see
+                    buffer = current(bats[int(rng.integers(len(bats)))])
+                    if buffer is not None and not buffer.released:
+                        buffer.release()
+                elif op == "free":
+                    mm._free_some()
+            except OcelotOOM:
+                pass        # everything pinned, or nothing to restore
+        assert len(picks) > 40
+
+
 # -- ownership: scratch, query-owned, caches ----------------------------------
 
 class TestOwnership:
