@@ -134,11 +134,13 @@ class Connection:
         ``submit(...).result()`` without a deadline — a one-flight
         batch, or one more flight of the batch already in the air.
 
-        Statements are auto-parameterised: literals are normalised into
-        bind parameters before the plan-cache lookup, so every literal
-        variation of one query shape is a cache hit against a single
-        template plan (values are substituted into a bound copy at
-        execute time).
+        Statements are parsed once and auto-parameterised: every literal
+        of the syntax tree becomes a bind parameter, and the plan cache
+        keys on that tree's serialisation, so every literal variation of
+        one query shape is a cache hit against a single template plan
+        (values are substituted into a bound copy at execute time).
+        Malformed SQL raises :class:`~repro.sql.SQLSyntaxError` at an
+        offset into ``sql`` as submitted.
 
         ``analyze=True`` forces tracing on for this statement regardless
         of the spec's ``trace=`` setting: the returned result carries a

@@ -89,7 +89,6 @@ class CacheEntry:
     buffer: Buffer | None = None          # None while offloaded / evicted
     host_copy: np.ndarray | None = None   # offloaded contents
     pins: int = 0
-    last_use: int = 0
     bat_id: int | None = None             # for BASE entries
     bat: BAT | None = None                # the BAT carrying ``device_ref``
     free_pending: bool = False            # released while pinned elsewhere
@@ -163,7 +162,6 @@ class MemoryManager:
         }
         self._hash_cache: dict[tuple, dict] = {}     # base-BAT hash tables
         self._ids = itertools.count(1)
-        self._use_clock = itertools.count(1)
         self.stats = MemoryManagerStats()
         #: the query every new entry belongs to (see :meth:`end_query`);
         #: ``None`` between queries — what is allocated then is freed by
@@ -320,8 +318,8 @@ class MemoryManager:
                     ) from exc
         entry_id = next(self._ids)
         entry = CacheEntry(
-            entry_id, kind, tag, buffer, last_use=next(self._use_clock),
-            owner=self.owner, lru=self._lru[kind],
+            entry_id, kind, tag, buffer, owner=self.owner,
+            lru=self._lru[kind],
         )
         self._entries[entry_id] = entry
         self._buffer_entries[buffer.buffer_id] = entry
@@ -703,7 +701,6 @@ class MemoryManager:
         return self._buffer_entries.get(buffer.buffer_id)
 
     def _touch(self, entry: CacheEntry) -> None:
-        entry.last_use = next(self._use_clock)
         order = entry.lru
         if order.pop(entry.entry_id, None) is not None:
             order[entry.entry_id] = entry

@@ -6,10 +6,11 @@ heavy concurrent traffic) with two pieces, both documented end-to-end
 in ARCHITECTURE.md:
 
 * :class:`~repro.serve.plancache.PlanCache` — memoises the whole front
-  half of a query's lifecycle: parse -> lower -> engine rewrite, plus
-  the heterogeneous placer's per-instruction decisions, keyed by
-  ``(SQL text, engine)`` and valid while the tables the statement
-  reads stand.  Repeat queries skip straight to dispatch; DDL
+  half of a query's lifecycle: parse -> lower -> engine rewrite,
+  keyed by ``(template, engine)`` — the template is the parsed
+  statement with every literal a bind parameter, keyed by its
+  serialisation — and valid while the tables the statement reads
+  stand.  Repeat queries skip straight to dispatch; DDL
   invalidates the plans that read the table it touched, no others.
 * :class:`~repro.serve.session.SessionScheduler` — the one driver:
   ``Connection.submit(sql)`` returns a
@@ -21,9 +22,9 @@ in ARCHITECTURE.md:
   (``benchmarks/test_fig9_concurrency.py``).
 
 Since PR 7 the package is a full *front door* (ARCHITECTURE.md "Front
-door"): statements are auto-parameterised before the cache lookup
-(:mod:`repro.sql.params` — one template plan per query shape, values
-bound at execute), the scheduler runs admission control with bounded
+door"): statements are parsed once and auto-parameterised before the
+cache lookup (:mod:`repro.sql.params` — one template plan per query
+shape, values bound at execute), the scheduler runs admission control with bounded
 OOM re-parks and deadlines/cancellation, and per-node circuit breakers
 (:mod:`repro.serve.resilience`) trip on repeated transient failures
 and route reads around the sick shard or device — fault-injected

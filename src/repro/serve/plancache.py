@@ -7,8 +7,11 @@ rewriter).  So that front half of the query lifecycle is cacheable:
 
 * **key** — ``(template, canonical engine spec, program name)`` plus
   :meth:`repro.engines.EngineConfig.plan_key`.  The template is the
-  statement as :func:`repro.sql.params.parameterise` renders it: every
-  literal a bind marker, whitespace and comments gone.  The engine
+  :class:`~repro.sql.params.Template` that
+  :func:`repro.sql.params.parameterise` returns: the parsed statement
+  with every literal an ``ast.Param``, compared and hashed by its
+  serialisation, so whitespace, comments and literal values do not
+  split it; a miss lowers its tree without parsing again.  The engine
   component is :attr:`repro.engines.EngineConfig.spec` — e.g. ``"CPU"`` or
   ``"SHARD:4xHET"`` — so differently-parameterized instances of one
   family never share plans; the plan key holds the effective value of
@@ -97,7 +100,7 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _key(self, sql: str, config, name: str) -> tuple:
+    def _key(self, sql, config, name: str) -> tuple:
         return (sql, config.spec, name) + config.plan_key()
 
     def _valid(self, entry: CachedPlan) -> bool:
@@ -109,10 +112,12 @@ class PlanCache:
                 return False
         return True
 
-    def lookup(self, sql: str, config, schema, name: str = "query"
+    def lookup(self, sql, config, schema, name: str = "query"
                ) -> CachedPlan:
-        """The cached plan for ``sql`` under ``config``, compiling (and
-        running the config's optimizer pipeline) on a miss."""
+        """The cached plan for ``sql`` — SQL text or a parameterised
+        :class:`~repro.sql.params.Template` — under ``config``,
+        compiling (and running the config's optimizer pipeline) on a
+        miss."""
         key = self._key(sql, config, name)
         entry = self._entries.get(key)
         if entry is not None:
@@ -142,12 +147,13 @@ class PlanCache:
                 ) -> "tuple[CachedPlan, object]":
         """Parameterised lookup: ``(entry, executable program)``.
 
-        Literals in ``sql`` are normalised into bind parameters first,
-        so every literal variation of one query shape — constant
-        arithmetic included — shares a single cached template plan; the
-        concrete values are substituted into a bound copy here
-        (memoised per values tuple).  A statement without literals binds
-        to the entry's program itself.
+        ``sql`` is parsed once and its literals become bind parameters
+        (:func:`~repro.sql.params.parameterise`), so every literal
+        variation of one query shape — constant arithmetic included —
+        shares a single cached template plan; the concrete values are
+        substituted into a bound copy here (memoised per values tuple).
+        A statement without literals binds to the entry's program
+        itself.
         """
         from ..sql.params import bind_program, parameterise
 

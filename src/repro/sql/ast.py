@@ -29,13 +29,17 @@ class DateLiteral:
 
 @dataclass(frozen=True)
 class Param:
-    """Bind parameter ``?<index><kind>`` standing in for a literal.
+    """Bind parameter ``index`` standing in for a literal.
 
-    Produced by :func:`repro.sql.params.parameterise`; ``kind`` mirrors
-    the literal it replaced: ``i`` int, ``f`` float, ``s`` string,
-    ``d`` date (already folded to a YYYYMMDD int).  Identical literals
-    share one index, so frozen-AST equality between occurrences — which
-    the binder relies on for group keys and ORDER BY — is preserved.
+    The parser never makes one: :func:`repro.sql.params.parameterise`
+    swaps it in for each :class:`Literal` / :class:`DateLiteral` of a
+    parsed statement, and the template it returns is that tree, keyed
+    by its serialisation (where this node reads ``?<index><kind>``).
+    ``kind`` mirrors the literal it replaced: ``i`` int, ``f`` float,
+    ``s`` string, ``d`` date (already folded to a YYYYMMDD int).
+    Identical literals share one index, so frozen-AST equality between
+    occurrences — which the binder relies on for group keys and ORDER BY
+    — is preserved.
     """
 
     index: int

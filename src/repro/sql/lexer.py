@@ -56,21 +56,6 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("string", text[i + 1 : end], i))
             i = end + 1
             continue
-        if ch == "?":
-            # bind-parameter marker `?<index><kind>` where kind is one of
-            # i(nt) f(loat) s(tring) d(ate) — emitted by the serve layer's
-            # auto-parameteriser (sql/params.py), not ordinarily typed by
-            # hand
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1 or j >= n or text[j] not in "ifsd":
-                raise SQLSyntaxError(
-                    f"malformed parameter marker at offset {i}"
-                )
-            tokens.append(Token("param", text[i + 1 : j + 1], i))
-            i = j + 1
-            continue
         if ch.isdigit() or (
             ch == "." and i + 1 < n and text[i + 1].isdigit()
         ):

@@ -25,10 +25,13 @@ Strings exist only as dictionary codes: the binder translates string
 literals against the referenced column's dictionary, so only equality
 survives — matching Ocelot's string support (paper Appendix A).
 
-Compilation is pure: the same text against the same schema always
+Compilation is pure: the same statement against the same schema always
 yields the same program, which is what lets the serve layer's plan
 cache (:mod:`repro.serve.plancache`) memoise ``compile_sql`` keyed by
-the template :func:`repro.sql.params.parameterise` renders.  The schema
+the :class:`~repro.sql.params.Template` that
+:func:`~repro.sql.params.parameterise` returns: the parsed statement
+with every literal an ``ast.Param``, keyed by its serialisation, which
+``compile_sql`` lowers without parsing again.  The schema
 is consulted only through the :class:`SchemaProvider` calls, and only
 for the base tables resolved in FROM; the program lists them
 (``MALProgram.tables``), so the cache can keep a plan for exactly as
@@ -43,7 +46,7 @@ from typing import Optional, Protocol
 from ..monetdb.mal import MALBuilder, MALProgram, Var
 from . import ast
 from .lexer import SQLSyntaxError
-from .params import ParamRef
+from .params import ParamRef, Template
 
 
 class BindError(ValueError):
@@ -897,9 +900,14 @@ def _output_name(item: ast.SelectItem, index: int) -> str:
     return f"col{index + 1}"
 
 
-def compile_sql(text: str, schema: SchemaProvider,
+def compile_sql(text: "str | Template", schema: SchemaProvider,
                 name: str = "query") -> MALProgram:
-    """Parse and lower one SQL statement into a MAL program."""
-    from .parser import parse
+    """Lower one SQL statement into a MAL program: SQL text is parsed
+    first, a parameterised :class:`Template` is parsed already."""
+    if isinstance(text, Template):
+        query = text.query
+    else:
+        from .parser import parse
 
-    return Compiler(schema, name=name).compile(parse(text))
+        query = parse(text)
+    return Compiler(schema, name=name).compile(query)

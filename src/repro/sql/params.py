@@ -6,19 +6,22 @@ date>'`` triggered a thousand compiles of the same query shape.  This
 module normalises a statement's literals into positional bind
 parameters *before* the cache key is computed:
 
-* :func:`parameterise` rewrites the token stream — every int, float,
-  string, and (folded) ``DATE '...' [± INTERVAL ...]`` literal becomes
-  a ``?<index><kind>`` marker — and returns the canonical template
-  text plus the extracted values.  Identical literals share one
-  parameter index, so frozen-AST equality between occurrences (group
-  keys, ORDER BY targets) survives the rewrite.
-* The binder (``lower.py``) compiles :class:`repro.sql.ast.Param`
-  nodes into :class:`ParamRef` placeholders that flow into MAL
-  instruction arguments exactly where the literal value would sit,
-  recording any plan-time arithmetic (negation, interval folds,
-  dictionary lookups) as a replayable step list.  A step's operand may
-  itself be a parameter, so constant arithmetic (``x < 1 + 2``) binds
-  like a lone literal and every template compiles.
+* :func:`parameterise` parses the statement once and walks its tree
+  once: every :class:`~repro.sql.ast.Literal` and (folded)
+  :class:`~repro.sql.ast.DateLiteral` becomes an
+  :class:`~repro.sql.ast.Param`, and the walk serialises the result.
+  The :class:`Template` it returns is that tree, compared and hashed by
+  the serialisation, plus the extracted values.  Identical literals
+  share one parameter index, so frozen-AST equality between occurrences
+  (group keys, ORDER BY targets) survives the rewrite.
+* The binder (``lower.py``) lowers the template's tree directly and
+  compiles :class:`~repro.sql.ast.Param` nodes into :class:`ParamRef`
+  placeholders that flow into MAL instruction arguments exactly where
+  the literal value would sit, recording any plan-time arithmetic
+  (negation, interval folds, dictionary lookups) as a replayable step
+  list.  A step's operand may itself be a parameter, so constant
+  arithmetic (``x < 1 + 2``) binds like a lone literal and every
+  template compiles.
 * :func:`bind_program` substitutes concrete values for every
   :class:`ParamRef` in a compiled template — including inside fused
   expression trees and morsel regions — producing the executable plan
@@ -28,15 +31,14 @@ parameters *before* the cache key is computed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .lexer import SQLSyntaxError, Token, tokenize
+from . import ast
 
-# NOTE: the ``tpch.schema`` date helpers are imported inside the
-# functions that need them — ``lower.py`` imports this module, and a
-# top-level tpch import would close an import cycle through
-# ``tpch.workload``.
+# NOTE: the parser is imported inside :func:`parameterise` — ``lower.py``
+# imports this module, and the parser's top-level ``tpch.schema`` import
+# would close an import cycle through ``tpch.workload``.
 
 
 @dataclass(frozen=True)
@@ -127,18 +129,18 @@ class ParamRef:
 # text -> (template, values)
 # =======================================================================
 
-_INTERVAL_UNITS = ("day", "month", "year")
+@dataclass(frozen=True)
+class Template:
+    """A parsed statement with every literal an :class:`ast.Param`.
 
+    It compares and hashes by ``text``, the serialisation of ``query``
+    that :func:`parameterise` builds, which is what the plan cache keys
+    on: two statements that differ only in their literals' values (or
+    in whitespace and comments) have equal templates.
+    """
 
-def _fold_interval(value: int, sign: int, count: int, unit: str) -> int:
-    """Replicate the parser's ``DATE ± INTERVAL`` arithmetic exactly."""
-    from ..tpch.schema import date_add_days
-
-    if unit == "day":
-        return date_add_days(value, sign * count)
-    if unit == "month":
-        return date_add_days(value, sign * count * 30)
-    return value + sign * count * 10000
+    text: str
+    query: ast.Query = field(compare=False, repr=False)
 
 
 #: distinct statement texts :func:`parameterise` remembers
@@ -146,102 +148,78 @@ PARAMETERISED_TEXTS = 1024
 
 
 @lru_cache(maxsize=PARAMETERISED_TEXTS)
-def parameterise(text: str) -> "tuple[str, tuple]":
-    """Rewrite ``text`` into a parameterised template + extracted values.
+def parameterise(text: str) -> "tuple[Template, tuple]":
+    """Parse ``text`` into a :class:`Template` + the extracted values.
 
-    The template re-tokenizes to the same statement with literals
-    replaced by ``?<index><kind>`` markers; it doubles as the plan-cache
-    key text (whitespace- and comment-insensitive by construction).
     Literals the plan genuinely depends on stay inline: the ``LIMIT``
-    row count (the plan's ``firstn`` argument) and any date/interval
-    shape the parser could not fold.
+    row count (the plan's ``firstn`` argument) is not a literal node.
 
-    Placeholders are numbered by ``(kind, value)``, not by position,
-    and that is load-bearing: the binder matches SELECT expressions
-    against GROUP BY / ORDER BY ones structurally, so ``SELECT a + 1 …
-    GROUP BY a + 1`` only binds if both ``1`` s are the same ``?0i``.
-    The cost: literals that are equal by coincidence share an index
-    too, so ``WHERE v <= 1 AND g < 1`` (``?0i … ?0i``) and ``WHERE v <=
-    0 AND g < 1`` (``?0i … ?1i``) are two templates — two compiles, two
-    cache entries, each answering as its literal text does.
+    Placeholders are numbered by ``(kind, value)`` in the order the
+    literals are written, and that is load-bearing: the binder matches
+    SELECT expressions against GROUP BY / ORDER BY ones structurally, so
+    ``SELECT a + 1 … GROUP BY a + 1`` only binds if both ``1`` s are the
+    same ``?0i``.  The cost: literals that are equal by coincidence
+    share an index too, so ``WHERE v <= 1 AND g < 1`` (``?0i … ?0i``)
+    and ``WHERE v <= 0 AND g < 1`` (``?0i … ?1i``) are two templates —
+    two compiles, two cache entries, each answering as its literal text
+    does.
 
     A pure function of the text, so it is memoised: a repeated statement
-    costs one look-up.  A text that raises is not remembered, and raises
-    again on every call.
+    costs one look-up.  A text that raises (an
+    :class:`~repro.sql.lexer.SQLSyntaxError`, at an offset into
+    ``text``) is not remembered, and raises again on every call.
     """
-    from ..tpch.schema import date_literal
+    from .parser import parse
 
-    tokens = tokenize(text)
-    rendered: list[str] = []
+    out: list[str] = []
     values: list = []
-    index_of: dict = {}
+    query = _template(parse(text), out, values, {})
+    return Template("".join(out), query), tuple(values)
 
-    def placeholder(kind: str, value) -> str:
-        key = (kind, value)
-        if key not in index_of:
-            index_of[key] = len(values)
+
+_KINDS = {int: "i", float: "f", str: "s"}
+
+
+def _template(node, out: list, values: list, index_of: dict):
+    """``node`` with every literal under it an :class:`ast.Param`,
+    appending its serialisation to ``out``.
+
+    The serialisation is the node's type and its fields in order, so
+    two trees serialise alike only if they are alike.  The walk spends
+    one Python frame per tree level, as the binder does: a 400-term
+    constant chain walks where a dataclass ``repr`` overflows the stack.
+    """
+    if isinstance(node, (ast.Literal, ast.DateLiteral)):
+        value = node.value
+        kind = "d" if isinstance(node, ast.DateLiteral) \
+            else _KINDS[type(value)]
+        index = index_of.get((kind, value))
+        if index is None:
+            index = index_of[kind, value] = len(values)
             values.append(value)
-        return f"?{index_of[key]}{kind}"
-
-    def verbatim(token: Token) -> str:
-        if token.kind == "string":
-            return f"'{token.value}'"
-        if token.kind == "param":
-            raise SQLSyntaxError(
-                "parameter markers are internal; pass literal SQL"
-            )
-        return token.value
-
-    i = 0
-    while tokens[i].kind != "eof":
-        token = tokens[i]
-        if (token.kind == "kw" and token.value == "limit"
-                and tokens[i + 1].kind == "int"):
-            rendered.append("limit")
-            rendered.append(tokens[i + 1].value)
-            i += 2
-            continue
-        if (token.kind == "kw" and token.value == "date"
-                and tokens[i + 1].kind == "string"):
-            try:
-                value = date_literal(tokens[i + 1].value)
-            except (ValueError, KeyError):
-                rendered.append("date")
-                rendered.append(verbatim(tokens[i + 1]))
-                i += 2
-                continue
-            j = i + 2
-            if (tokens[j].kind == "punct" and tokens[j].value in ("+", "-")
-                    and tokens[j + 1].kind == "kw"
-                    and tokens[j + 1].value == "interval"
-                    and tokens[j + 2].kind == "string"
-                    and tokens[j + 2].value.isdigit()
-                    and tokens[j + 3].kind == "kw"
-                    and tokens[j + 3].value in _INTERVAL_UNITS):
-                sign = 1 if tokens[j].value == "+" else -1
-                value = _fold_interval(
-                    value, sign, int(tokens[j + 2].value),
-                    tokens[j + 3].value,
-                )
-                j += 4
-            rendered.append(placeholder("d", value))
-            i = j
-            continue
-        if token.kind == "int":
-            rendered.append(placeholder("i", int(token.value)))
-            i += 1
-            continue
-        if token.kind == "float":
-            rendered.append(placeholder("f", float(token.value)))
-            i += 1
-            continue
-        if token.kind == "string":
-            rendered.append(placeholder("s", token.value))
-            i += 1
-            continue
-        rendered.append(verbatim(token))
-        i += 1
-    return " ".join(rendered), tuple(values)
+        out.append(f"?{index}{kind}")
+        return ast.Param(index, kind)
+    if isinstance(node, (list, tuple)):
+        out.append("[")
+        items = []
+        for item in node:
+            if items:
+                out.append(",")
+            items.append(_template(item, out, values, index_of))
+        out.append("]")
+        return type(node)(items)
+    names = getattr(node, "__dataclass_fields__", None)
+    if names is None:
+        out.append(repr(node))      # a name, a flag, LIMIT's row count
+        return node
+    out.append(type(node).__name__ + "(")
+    parts = []
+    for name in names:
+        if parts:
+            out.append(",")
+        parts.append(_template(getattr(node, name), out, values, index_of))
+    out.append(")")
+    return type(node)(*parts)
 
 
 # =======================================================================

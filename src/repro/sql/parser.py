@@ -11,12 +11,14 @@ class Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
+        # a second ``eof``: ``peek(1)`` at the first never runs off the end
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -25,7 +27,7 @@ class Parser:
         return token
 
     def accept(self, kind: str, value: str | None = None) -> Token | None:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == kind and (value is None or token.value == value):
             return self.advance()
         return None
@@ -233,12 +235,17 @@ class Parser:
         if token.kind == "string":
             self.advance()
             return ast.Literal(token.value)
-        if token.kind == "param":
-            self.advance()
-            return ast.Param(int(token.value[:-1]), token.value[-1])
         if self.accept("kw", "date"):
-            value = date_literal(self.expect("string").value)
-            return self._maybe_interval(value)
+            literal = self.expect("string")
+            try:
+                return self._maybe_interval(date_literal(literal.value))
+            except SQLSyntaxError:
+                raise
+            except (ValueError, OverflowError):
+                raise SQLSyntaxError(
+                    f"bad date literal {literal.value!r} at offset "
+                    f"{literal.position}"
+                ) from None
         if self.accept("kw", "case"):
             self.expect("kw", "when")
             condition = self.parse_expr()
@@ -283,15 +290,18 @@ class Parser:
                 sign = 1 if self.advance().value == "+" else -1
         if sign and self.accept("kw", "interval"):
             days = int(self.expect("string").value)
-            unit = self.expect("kw").value
-            if unit == "day":
+            unit = self.expect("kw")
+            if unit.value == "day":
                 value = date_add_days(value, sign * days)
-            elif unit == "month":
+            elif unit.value == "month":
                 value = date_add_days(value, sign * days * 30)
-            elif unit == "year":
+            elif unit.value == "year":
                 value = value + sign * days * 10000
             else:
-                raise SQLSyntaxError(f"unsupported interval unit {unit!r}")
+                raise SQLSyntaxError(
+                    f"unsupported interval unit {unit.value!r} at offset "
+                    f"{unit.position}"
+                )
         return ast.DateLiteral(value)
 
 

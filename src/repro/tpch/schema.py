@@ -13,6 +13,7 @@ with chronological order and ``EXTRACT(YEAR)`` is an integer division by
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,18 +244,15 @@ def dict_code(dictionary: str, literal: str) -> int:
 
 
 def date_literal(text: str) -> int:
-    """``'1994-01-01'`` -> 19940101 (the YYYYMMDD int32 encoding)."""
-    parts = text.split("-")
-    if len(parts) != 3:
-        raise ValueError(f"bad date literal {text!r}")
-    year, month, day = (int(p) for p in parts)
+    """``'1994-01-01'`` -> 19940101 (the YYYYMMDD int32 encoding); a
+    ValueError unless ``text`` names a calendar date."""
+    year, month, day = (int(p) for p in text.split("-"))
+    datetime.date(year, month, day)         # a ValueError if no such day
     return year * 10000 + month * 100 + day
 
 
 def date_add_days(date: int, days: int) -> int:
     """Date arithmetic on the YYYYMMDD encoding (exact civil calendar)."""
-    import datetime
-
     year, rem = divmod(int(date), 10000)
     month, day = divmod(rem, 100)
     moved = datetime.date(year, month, day) + datetime.timedelta(days=days)

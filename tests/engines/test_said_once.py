@@ -179,6 +179,17 @@ def test_a_statement_is_served_one_way():
     assert gone == [], gone
 
 
+def test_literal_syntax_is_read_in_the_parser_alone():
+    """The parameteriser walks the parsed tree: no second reader of
+    DATE text or INTERVAL folds, and no bind-marker token, grows back
+    beside ``sql/parser.py``."""
+    for name in ("date_literal", "tokenize"):
+        calls = hits(rf"(?<!def )\b{name}\(")
+        assert files_of(calls) == {"sql/parser.py"}, (name, calls)
+    gone = hits(r"""["']param["']|_fold_interval|_INTERVAL_UNITS""")
+    assert gone == [], gone
+
+
 def test_one_hand_back_rule_and_one_release():
     """What the devices cannot run goes to MonetDB by one rule
     (``MixedExecutionBackend._hand_back``), which no pass or dispatcher

@@ -1,5 +1,7 @@
 """The Memory Manager: caching, LRU eviction, offloading, pinning (§3.3)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -273,7 +275,27 @@ class TestCallbacks:
 
 # -- the eviction pick: one scan, same victim order ---------------------------
 
-def _old_free_some_pick(mm):
+def _use_clock(mm) -> dict:
+    """entry_id -> the stamp of its last use, as ``CacheEntry.last_use``
+    held it before the per-kind LRU order left nothing reading it:
+    stamped where it was written, on ``allocate`` and ``_touch``."""
+    last_use, clock = {}, itertools.count(1)
+    allocate, touch = mm.allocate, mm._touch
+
+    def stamped_allocate(*args, **kwargs):
+        buffer = allocate(*args, **kwargs)
+        last_use[mm._entry_for_buffer(buffer).entry_id] = next(clock)
+        return buffer
+
+    def stamped_touch(entry):
+        last_use[entry.entry_id] = next(clock)
+        touch(entry)
+
+    mm.allocate, mm._touch = stamped_allocate, stamped_touch
+    return last_use
+
+
+def _old_free_some_pick(mm, last_use):
     """The victim the three-scan ``_free_some`` chose — the body it had
     before the single ``min((tier, last_use))`` scan, kept verbatim
     (returning the victim instead of evicting / offloading it)."""
@@ -282,20 +304,20 @@ def _old_free_some_pick(mm):
         ((BufferKind.AUX,), True),
         ((BufferKind.RESULT,), True),
     ):
-        victim = _old_lru_victim(mm, kinds)
+        victim = _old_lru_victim(mm, kinds, last_use)
         if victim is not None:
             return victim, offload
     return None, False
 
 
-def _old_lru_victim(mm, kinds):
+def _old_lru_victim(mm, kinds, last_use):
     candidates = [
         e for e in mm._entries.values()
         if e.kind in kinds and e.evictable
     ]
     if not candidates:
         return None
-    return min(candidates, key=lambda e: e.last_use)
+    return min(candidates, key=lambda e: last_use[e.entry_id])
 
 
 class TestEquivalenceWithOldBodies:
@@ -303,6 +325,7 @@ class TestEquivalenceWithOldBodies:
     def test_single_scan_picks_the_old_victims_in_the_old_order(self, seed):
         rng = np.random.default_rng(seed)
         mm, _ = make_manager(1 << 20)
+        last_use = _use_clock(mm)
         kinds = list(BufferKind)
         buffers = []
         for index in range(60):
@@ -321,7 +344,7 @@ class TestEquivalenceWithOldBodies:
             mm.pin(buffer)
         picks = 0
         while True:
-            expected, offload = _old_free_some_pick(mm)
+            expected, offload = _old_free_some_pick(mm, last_use)
             evictions, offloads = mm.stats.evictions, mm.stats.offloads
             assert mm._free_some() is (expected is not None)
             if expected is None:
@@ -341,13 +364,13 @@ _PARENT_EVICTION_TIER = {BufferKind.BASE: 0, BufferKind.AUX: 1,
                          BufferKind.RESULT: 2}
 
 
-def _parent_free_some_pick(mm):
+def _parent_free_some_pick(mm, last_use):
     """The victim the one-scan ``_free_some`` chose — its
     ``min((tier, last_use))`` before the per-tier LRU order, kept
     verbatim (returning the victim instead of freeing it)."""
     victim = min(
         (e for e in mm._entries.values() if e.evictable),
-        key=lambda e: (_PARENT_EVICTION_TIER[e.kind], e.last_use),
+        key=lambda e: (_PARENT_EVICTION_TIER[e.kind], last_use[e.entry_id]),
         default=None,
     )
     return victim
@@ -357,11 +380,11 @@ def _checked_picks(mm) -> list:
     """Make every ``_free_some`` of ``mm`` — an allocation's or a
     restore's included — assert that it freed the victim both former
     bodies pick; returns the victims' ids in eviction order."""
-    real, picks = mm._free_some, []
+    real, picks, last_use = mm._free_some, [], _use_clock(mm)
 
     def checked():
-        expected = _parent_free_some_pick(mm)
-        assert _old_free_some_pick(mm)[0] is expected
+        expected = _parent_free_some_pick(mm, last_use)
+        assert _old_free_some_pick(mm, last_use)[0] is expected
         resident = [e for e in mm._entries.values() if e.resident]
         assert real() is (expected is not None)
         assert [e for e in resident if not e.resident] == (

@@ -46,11 +46,12 @@ class TestKeying:
     def test_string_literals_keep_their_spacing(self):
         """The template is the key: whitespace outside a literal goes,
         a literal's own spacing travels with its value."""
-        spaced, plain = parameterise("SELECT 'a  b'"), parameterise(
-            "SELECT 'a b'")
+        spaced = parameterise("SELECT x FROM points WHERE s = 'a  b'")
+        plain = parameterise("SELECT x FROM points WHERE s = 'a b'")
         assert spaced[0] == plain[0] and spaced[1] != plain[1]
         assert spaced[1] == ("a  b",)
-        assert parameterise("SELECT  1") == parameterise("SELECT 1")
+        assert parameterise("SELECT  1 AS one FROM points") == \
+            parameterise("SELECT 1 AS one\nFROM points -- a comment")
 
     def test_engines_do_not_share_entries(self, db):
         db.connect("MS").execute(SQL)

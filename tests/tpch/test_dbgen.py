@@ -102,8 +102,9 @@ class TestDistributions:
 class TestDateHelpers:
     def test_date_literal(self):
         assert date_literal("1994-01-01") == 19940101
-        with pytest.raises(ValueError):
-            date_literal("1994/01/01")
+        for bad in ("1994/01/01", "1995-13-01", "1995-02-29", "abc"):
+            with pytest.raises(ValueError):
+                date_literal(bad)
 
     def test_date_add_days_exact(self):
         assert date_add_days(19981201, -90) == 19980902
